@@ -211,12 +211,6 @@ def div(a, b):
     )
 
 
-def exp(a):
-    a = _ensure(a)
-    out = np.exp(a.data)
-    return node(out, (a,), lambda g: (g * out,))
-
-
 def log(a):
     a = _ensure(a)
     return node(np.log(a.data), (a,), lambda g: (g / a.data,))
@@ -238,12 +232,6 @@ def sigmoid(a):
     return node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def relu(a):
-    a = _ensure(a)
-    out = np.maximum(a.data, 0.0)
-    return node(out, (a,), lambda g: (g * (a.data > 0),))
-
-
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 
@@ -259,12 +247,6 @@ def sum_(a, axis=None, keepdims=False):
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return node(out, (a,), vjp)
-
-
-def mean(a, axis=None):
-    a = _ensure(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_(a, axis=axis), 1.0 / n)
 
 
 def matmul(a, b):

@@ -75,12 +75,6 @@ class Vocabulary:
             ids = [UNK]
         return np.asarray(ids, dtype=np.int64)
 
-    def encode_tokens(self, tokens) -> np.ndarray:
-        ids = [self._index.get(t, UNK) for t in tokens]
-        if not ids:
-            ids = [UNK]
-        return np.asarray(ids, dtype=np.int64)
-
     def decode(self, ids) -> str:
         return " ".join(self._tokens[int(i)] for i in ids)
 
@@ -213,11 +207,6 @@ def _gru_cell_pre(gx, h, w_h, b, d):
         return da, dh, dw_h, db
 
     return ad.node(out, (gx, h, w_h, b), vjp)
-
-
-def encode_relation(params: EncoderParams, token_ids: np.ndarray) -> Tensor:
-    """Pooled vector for one relation text (same pooling as a question)."""
-    return encode_question(params, token_ids).q
 
 
 class BatchQuestionEncoding:

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .encoder import OBJ_TOKEN, SUB_TOKEN, split_tokens
 from .errors import GraphError
 
@@ -99,7 +98,20 @@ class RelationGraph:
         self.form: str = form
         self.reversed = reversed_
 
+        self.texts: list[str] = list(texts)  # unique relation texts
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        t = np.asarray(trels, dtype=np.int64).reshape(-1, 3)
+        # numpy would wrap a negative id and the bincount kernels would grow
+        # their output past n, so an out-of-range id must stop here
+        for ids, bound, what in (
+            (e[:, [0, 2]], len(entities), "edge entity"),
+            (e[:, 1], len(predicates), "predicate"),
+            (t[:, :2], len(entities), "text relation entity"),
+            (t[:, 2], len(self.texts), "text"),
+        ):
+            bad = ids[(ids < 0) | (ids >= bound)]
+            if bad.size:
+                raise GraphError(f"{what} id {bad[0]} out of range [0, {bound})")
         if e.size:
             order = np.lexsort((e[:, 2], e[:, 0], e[:, 1]))
             e = e[order]
@@ -110,8 +122,6 @@ class RelationGraph:
         self.pred_ptr = np.zeros(len(predicates) + 1, dtype=np.int64)
         np.cumsum(counts, out=self.pred_ptr[1:])
 
-        self.texts: list[str] = list(texts)  # unique relation texts
-        t = np.asarray(trels, dtype=np.int64).reshape(-1, 3)
         self.trel_heads = t[:, 0].copy()
         self.trel_tails = t[:, 1].copy()
         self.trel_text = t[:, 2].copy()
@@ -143,24 +153,10 @@ class RelationGraph:
             self.texts[self.trel_text[rel_id]],
         )
 
-    def outgoing_text_relations(self, entity: int) -> np.ndarray:
-        lo, hi = self._out_ptr[entity], self._out_ptr[entity + 1]
-        return self._out_order[lo:hi]
-
     # -- reasoning access patterns --------------------------------------------
 
-    def predicate_matvec(self, a: np.ndarray, p: int) -> np.ndarray:
-        """v_j = sum of a_i over edges (i, p, j)."""
-        if not 0 <= p < self.num_predicates:
-            raise GraphError(f"predicate id {p} out of range [0, {self.num_predicates})")
-        if a.shape[0] != self.n:
-            raise GraphError(f"score vector has length {a.shape[0]}, graph has {self.n} entities")
-        lo, hi = self.pred_ptr[p], self.pred_ptr[p + 1]
-        w = np.ones(hi - lo)
-        return kernels.push_forward(self.edge_heads[lo:hi], self.edge_tails[lo:hi], w, a, self.n)
-
     def select_text_relation_ids(self, a_prev: np.ndarray, tau: float, omega):
-        """Array form of select_text_relations: (relation ids, subject scores).
+        """Text relations leaving the active entities: (relation ids, subject scores).
 
         Entities scoring strictly above tau contribute all their outgoing
         text relations; if that exceeds omega, the top-omega by subject score
@@ -180,10 +176,6 @@ class RelationGraph:
             order = np.lexsort((rel_ids, self.trel_heads[rel_ids], -subj))[:omega]
             rel_ids, subj = rel_ids[order], subj[order]
         return rel_ids, subj
-
-    def select_text_relations(self, a_prev, tau: float, omega) -> list[tuple[TextRelation, float]]:
-        rel_ids, subj = self.select_text_relation_ids(np.asarray(a_prev, dtype=np.float64), tau, omega)
-        return [(self.text_relation(int(r)), float(s)) for r, s in zip(rel_ids, subj)]
 
     # -- serialization ---------------------------------------------------------
 

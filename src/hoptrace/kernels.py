@@ -1,283 +1,52 @@
-"""Sparse score-transfer kernels with switchable backends.
+"""Sparse score-transfer kernels.
 
-The inner loops that push entity scores across edges dominate runtime on
-large graphs, so they come in two interchangeable flavors:
-
-* ``numba`` -- ``@njit``-compiled loops (the default when numba is available)
-* ``numpy`` -- pure ``np.add.at`` fallback
-
-The backend is chosen at import time from the ``HOPTRACE_KERNELS``
-environment variable (``auto`` | ``numba`` | ``numpy``) and can be switched
-at runtime with :func:`select_backend`.  Both backends iterate edges in the
-same order, so results are bit-identical.  ``benchmarks/bench_kernels.py``
-compares them.
+Each op pushes entity scores along an explicit edge list, and each has one
+numpy implementation.  Every scatter-add is a single ``np.bincount``, which
+adds its weights one by one in edge order, so the results are fixed by the
+inputs alone.  ``np.bincount`` does not reject an index past ``n`` (it
+returns a longer vector), so callers pass in-range indices: ``RelationGraph``
+checks every id it holds when it is built.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but keep the fallback path honest
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+def _scatter(index, weights, size):
+    """out[index[e]] += weights[e], in edge order, into float64 zeros(size)."""
+    # np.bincount hands back int64 zeros when there are no edges
+    return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-
-
-def _push_forward_np(heads, tails, w, a, n):
-    out = np.zeros(n)
-    np.add.at(out, tails, a[heads] * w)
-    return out
-
-
-def _push_backward_np(heads, tails, w, a, g):
-    grad_a = np.zeros(a.shape[0])
-    g_tail = g[tails]
-    np.add.at(grad_a, heads, g_tail * w)
-    grad_w = g_tail * a[heads]
-    return grad_a, grad_w
-
-
-def _push_batch_forward_np(heads, tails, w, a, n):
-    B = a.shape[0]
-    out = np.zeros((B, n))
-    rows = np.arange(B)[:, None]
-    np.add.at(out, (rows, tails[None, :]), a[:, heads] * w)
-    return out
-
-
-def _push_batch_backward_np(heads, tails, w, a, g):
-    B = a.shape[0]
-    grad_a = np.zeros_like(a)
-    rows = np.arange(B)[:, None]
-    g_tail = g[:, tails]
-    np.add.at(grad_a, (rows, heads[None, :]), g_tail * w)
-    grad_w = g_tail * a[:, heads]
-    return grad_a, grad_w
-
-
-def _col_scatter_add_np(index, src, num_out):
+def _fold(index, src, num_out):
+    """out[b, index[e]] += src[b, e], in edge order: (B, E) -> (B, num_out)."""
     B = src.shape[0]
-    out = np.zeros((B, num_out))
-    np.add.at(out, (np.arange(B)[:, None], index[None, :]), src)
-    return out
-
-
-def _push_max_forward_np(pair_heads, pair_tails, pair_ptr, w, a, n):
-    out = np.zeros(n)
-    argmax = np.zeros(pair_heads.shape[0], dtype=np.int64)
-    for p in range(pair_heads.shape[0]):
-        lo, hi = pair_ptr[p], pair_ptr[p + 1]
-        best = lo
-        for e in range(lo + 1, hi):
-            if w[e] > w[best]:
-                best = e
-        argmax[p] = best
-        out[pair_tails[p]] += a[pair_heads[p]] * w[best]
-    return out, argmax
-
-
-def _push_max_backward_np(pair_heads, pair_tails, argmax, w, a, g):
-    grad_a = np.zeros(a.shape[0])
-    grad_w = np.zeros(w.shape[0])
-    g_tail = g[pair_tails]
-    np.add.at(grad_a, pair_heads, g_tail * w[argmax])
-    np.add.at(grad_w, argmax, g_tail * a[pair_heads])
-    return grad_a, grad_w
-
-
-# ---------------------------------------------------------------------------
-# numba backend (same loop order as the numpy versions, no fastmath so the
-# two backends stay bit-identical)
-
-
-@njit(cache=True)
-def _push_forward_nb(heads, tails, w, a, n):
-    out = np.zeros(n)
-    for e in range(heads.shape[0]):
-        out[tails[e]] += a[heads[e]] * w[e]
-    return out
-
-
-@njit(cache=True)
-def _push_backward_nb(heads, tails, w, a, g):
-    grad_a = np.zeros(a.shape[0])
-    grad_w = np.empty(w.shape[0])
-    for e in range(heads.shape[0]):
-        gt = g[tails[e]]
-        grad_a[heads[e]] += gt * w[e]
-        grad_w[e] = gt * a[heads[e]]
-    return grad_a, grad_w
-
-
-@njit(cache=True)
-def _push_batch_forward_nb(heads, tails, w, a, n):
-    B = a.shape[0]
-    out = np.zeros((B, n))
-    for b in range(B):
-        for e in range(heads.shape[0]):
-            out[b, tails[e]] += a[b, heads[e]] * w[b, e]
-    return out
-
-
-@njit(cache=True)
-def _push_batch_backward_nb(heads, tails, w, a, g):
-    B = a.shape[0]
-    grad_a = np.zeros_like(a)
-    grad_w = np.empty_like(w)
-    for b in range(B):
-        for e in range(heads.shape[0]):
-            gt = g[b, tails[e]]
-            grad_a[b, heads[e]] += gt * w[b, e]
-            grad_w[b, e] = gt * a[b, heads[e]]
-    return grad_a, grad_w
-
-
-@njit(cache=True)
-def _push_max_forward_nb(pair_heads, pair_tails, pair_ptr, w, a, n):
-    out = np.zeros(n)
-    argmax = np.zeros(pair_heads.shape[0], dtype=np.int64)
-    for p in range(pair_heads.shape[0]):
-        lo, hi = pair_ptr[p], pair_ptr[p + 1]
-        best = lo
-        for e in range(lo + 1, hi):
-            if w[e] > w[best]:
-                best = e
-        argmax[p] = best
-        out[pair_tails[p]] += a[pair_heads[p]] * w[best]
-    return out, argmax
-
-
-@njit(cache=True)
-def _push_max_backward_nb(pair_heads, pair_tails, argmax, w, a, g):
-    grad_a = np.zeros(a.shape[0])
-    grad_w = np.zeros(w.shape[0])
-    for p in range(pair_heads.shape[0]):
-        gt = g[pair_tails[p]]
-        grad_a[pair_heads[p]] += gt * w[argmax[p]]
-        grad_w[argmax[p]] += gt * a[pair_heads[p]]
-    return grad_a, grad_w
-
-
-@njit(cache=True)
-def _col_scatter_add_nb(index, src, num_out):
-    B, E = src.shape
-    out = np.zeros((B, num_out))
-    for b in range(B):
-        for e in range(E):
-            out[b, index[e]] += src[b, e]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-_IMPLS = {
-    "numpy": (
-        _push_forward_np,
-        _push_backward_np,
-        _push_batch_forward_np,
-        _push_batch_backward_np,
-        _push_max_forward_np,
-        _push_max_backward_np,
-        _col_scatter_add_np,
-    ),
-    "numba": (
-        _push_forward_nb,
-        _push_backward_nb,
-        _push_batch_forward_nb,
-        _push_batch_backward_nb,
-        _push_max_forward_nb,
-        _push_max_backward_nb,
-        _col_scatter_add_nb,
-    ),
-}
-
-_active = "numpy"
-(
-    _push_forward,
-    _push_backward,
-    _push_batch_forward,
-    _push_batch_backward,
-    _push_max_forward,
-    _push_max_backward,
-    _col_scatter_add,
-) = _IMPLS["numpy"]
-
-
-def select_backend(name: str | None = None) -> str:
-    """Select the kernel backend; returns the name actually activated.
-
-    ``name=None`` or ``"auto"`` picks numba when available.  Requesting
-    ``"numba"`` without numba installed raises.
-    """
-    global _active, _push_forward, _push_backward, _push_batch_forward
-    global _push_batch_backward, _push_max_forward, _push_max_backward
-    global _col_scatter_add
-    if name is None or name == "auto":
-        name = "numba" if HAS_NUMBA else "numpy"
-    if name not in _IMPLS:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _active = name
-    (
-        _push_forward,
-        _push_backward,
-        _push_batch_forward,
-        _push_batch_backward,
-        _push_max_forward,
-        _push_max_backward,
-        _col_scatter_add,
-    ) = _IMPLS[name]
-    return _active
-
-
-def active_backend() -> str:
-    return _active
-
-
-select_backend(os.environ.get("HOPTRACE_KERNELS", "auto"))
-
-
-# ---------------------------------------------------------------------------
-# public ops
+    keys = (np.arange(B)[:, None] * num_out + index).ravel()
+    return _scatter(keys, src.ravel(), B * num_out).reshape(B, num_out)
 
 
 def push_forward(heads: np.ndarray, tails: np.ndarray, w: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
     """out[j] = sum over edges e=(i -> j) of a[i] * w[e]."""
-    return _push_forward(heads, tails, w, a, n)
+    return _scatter(tails, a[heads] * w, n)
 
 
 def push_backward(heads, tails, w, a, g):
     """Adjoints of push_forward: (d/da, d/dw) contracted with upstream g."""
-    return _push_backward(heads, tails, w, a, g)
+    g_tail = g[tails]
+    return _scatter(heads, g_tail * w, a.shape[0]), g_tail * a[heads]
 
 
 def push_batch_forward(heads, tails, w, a, n):
     """push_forward for B problems over one edge list: w is (B, E), a is
     (B, n); row b uses weights w[b]."""
-    return _push_batch_forward(heads, tails, w, a, n)
+    return _fold(tails, a[:, heads] * w, n)
 
 
 def push_batch_backward(heads, tails, w, a, g):
     """Adjoints of push_batch_forward contracted with upstream g (B, n)."""
-    return _push_batch_backward(heads, tails, w, a, g)
+    g_tail = g[:, tails]
+    return _fold(heads, g_tail * w, a.shape[1]), g_tail * a[:, heads]
 
 
 def push_max_forward(pair_heads, pair_tails, pair_ptr, w, a, n):
@@ -285,16 +54,21 @@ def push_max_forward(pair_heads, pair_tails, pair_ptr, w, a, n):
     max(w) instead of sum(w).  Edges must be grouped by pair via pair_ptr.
     Returns (out, argmax edge index per pair); ties keep the lowest index.
     """
-    return _push_max_forward(pair_heads, pair_tails, pair_ptr, w, a, n)
+    pair = np.repeat(np.arange(pair_heads.shape[0]), np.diff(pair_ptr))
+    # stable sort: within a pair, heaviest edge first, lower index on ties
+    argmax = np.lexsort((-w, pair))[pair_ptr[:-1]]
+    return _scatter(pair_tails, a[pair_heads] * w[argmax], n), argmax
 
 
 def push_max_backward(pair_heads, pair_tails, argmax, w, a, g):
     """Adjoints of push_max_forward; gradient w.r.t. w flows only to the
     argmax edge of each pair."""
-    return _push_max_backward(pair_heads, pair_tails, argmax, w, a, g)
+    g_tail = g[pair_tails]
+    grad_a = _scatter(pair_heads, g_tail * w[argmax], a.shape[0])
+    return grad_a, _scatter(argmax, g_tail * a[pair_heads], w.shape[0])
 
 
 def col_scatter_add(index, src, num_out):
     """out[b, index[e]] += src[b, e]: fold the columns of src (B, E) into
     (B, num_out) groups.  Adjoint of a column gather x[:, index]."""
-    return _col_scatter_add(index, src, num_out)
+    return _fold(index, src, num_out)

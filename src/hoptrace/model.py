@@ -150,8 +150,8 @@ def _push(heads, tails, w: Tensor, a_prev: Tensor, n: int, aggregation: str) -> 
 
         def vjp(g):
             ga, gw_srt = kernels.push_max_backward(ph, pt, argmax, w_srt, a_prev.data, g)
-            gw = np.zeros_like(w.data)
-            np.add.at(gw, order, gw_srt)
+            gw = np.empty_like(w.data)
+            gw[order] = gw_srt  # order is a permutation
             return ga, gw
 
         return ad.node(out, (a_prev, w), vjp)
@@ -162,14 +162,10 @@ def transfer_label(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregation: str
     """One label-form transfer: every edge is weighted by its predicate's
     score and pushes the head's activation onto the tail.  The n x n score
     matrix is never materialized."""
-    w_data = p.data[g.edge_preds]
-
     def expand_vjp(gw):
-        gp = np.zeros_like(p.data)
-        np.add.at(gp, g.edge_preds, gw)
-        return gp
+        return (kernels.col_scatter_add(g.edge_preds, gw[None, :], p.data.size)[0],)
 
-    w = ad.node(w_data, (p,), lambda gw: (expand_vjp(gw),))
+    w = ad.node(p.data[g.edge_preds], (p,), expand_vjp)
     return _push(g.edge_heads, g.edge_tails, w, a_prev, g.n, aggregation)
 
 
@@ -186,14 +182,11 @@ def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor) -> Tensor:
     (B, num_predicates), row b moves under row b's predicate scores.  Only
     sum aggregation — max needs per-example argmax bookkeeping."""
     num_preds = p.data.shape[1]
-    # fancy-indexing along axis 1 hands back an F-ordered array; the kernels
-    # are compiled for C layout
-    w_data = np.ascontiguousarray(p.data[:, g.edge_preds])  # (B, E)
 
     def expand_vjp(gw):
         return (kernels.col_scatter_add(g.edge_preds, gw, num_preds),)
 
-    w = ad.node(w_data, (p,), expand_vjp)
+    w = ad.node(p.data[:, g.edge_preds], (p,), expand_vjp)  # (B, E)
     out = kernels.push_batch_forward(g.edge_heads, g.edge_tails, w.data, a_prev.data, g.n)
 
     def vjp(gg):

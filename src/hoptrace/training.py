@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import struct
 from typing import NamedTuple
 
@@ -91,15 +92,6 @@ class RAdam:
         self.m = {k: np.zeros_like(v.data) for k, v in self.params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in self.params.items()}
         self.rho_inf = 2.0 / (1.0 - self.beta2) - 1.0
-
-    def describe(self) -> dict:
-        return {
-            "name": "radam",
-            "lr": self.lr,
-            "betas": [self.beta1, self.beta2],
-            "eps": self.eps,
-            "rho_threshold": self.RHO_THRESHOLD,
-        }
 
     def zero_grad(self):
         for p in self.params.values():
@@ -380,26 +372,37 @@ def save_checkpoint(path, params: ModelParams, cfg, vocab: Vocabulary, extra: di
 
 def load_checkpoint(path):
     """Returns (ModelParams, metadata).  The model is rebuilt from the
-    embedded config, then parameter blocks overwrite the fresh init."""
+    embedded config, then parameter blocks overwrite the fresh init.  A file
+    shorter or longer than its header and metadata describe is a DataError."""
     from .config import TrainConfig
 
     with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size
+
+        def read(size, what):
+            # checked before reading, so a corrupt length allocates nothing
+            if f.tell() + size > end:
+                raise DataError(f"{path}: truncated: {what} needs {size} bytes, {end - f.tell()} left")
+            return f.read(size)
+
         magic = f.read(len(CKPT_MAGIC))
         if magic != CKPT_MAGIC:
             raise DataError(f"{path}: not a hoptrace checkpoint")
-        (blob_len,) = struct.unpack("<Q", f.read(8))
-        meta = json.loads(f.read(blob_len).decode("utf-8"))
+        (blob_len,) = struct.unpack("<Q", read(8, "header"))
+        meta = json.loads(read(blob_len, "metadata").decode("utf-8"))
         cfg = TrainConfig(**meta["config"]).validate()
         m = meta["model"]
         params = ModelParams(m["vocab_size"], m["n"], m["num_predicates"], cfg)
         named = params.named()
         for block in meta["params"]:
             name, shape = block["name"], tuple(block["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(f.read(count * 8), dtype=np.float64).reshape(shape)
             if name not in named:
                 raise DataError(f"{path}: unexpected parameter block {name!r}")
             if named[name].data.shape != shape:
                 raise DataError(f"{path}: shape mismatch for {name!r}")
+            count = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(read(count * 8, f"block {name!r}"), dtype=np.float64).reshape(shape)
             named[name].data = arr.copy()
+        if f.tell() != end:
+            raise DataError(f"{path}: trailing bytes after the last parameter block")
     return params, meta

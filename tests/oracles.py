@@ -89,6 +89,68 @@ def dense_text_transfer(n, rel_heads, rel_tails, scores, a, aggregation="sum"):
     return out
 
 
+# -- transfer kernels ------------------------------------------------------------
+# One naive version of each op in hoptrace.kernels, under the same name and
+# signature: np.add.at scatters and a per-pair loop.  np.add.at adds in index
+# order, as np.bincount does, so the kernels must match these bit for bit.
+
+
+def push_forward(heads, tails, w, a, n):
+    out = np.zeros(n)
+    np.add.at(out, tails, a[heads] * w)
+    return out
+
+
+def push_backward(heads, tails, w, a, g):
+    grad_a = np.zeros(a.shape[0])
+    g_tail = g[tails]
+    np.add.at(grad_a, heads, g_tail * w)
+    return grad_a, g_tail * a[heads]
+
+
+def push_batch_forward(heads, tails, w, a, n):
+    out = np.zeros((a.shape[0], n))
+    np.add.at(out, (np.arange(a.shape[0])[:, None], tails[None, :]), a[:, heads] * w)
+    return out
+
+
+def push_batch_backward(heads, tails, w, a, g):
+    grad_a = np.zeros_like(a)
+    g_tail = g[:, tails]
+    np.add.at(grad_a, (np.arange(a.shape[0])[:, None], heads[None, :]), g_tail * w)
+    return grad_a, g_tail * a[:, heads]
+
+
+def push_max_forward(pair_heads, pair_tails, pair_ptr, w, a, n):
+    """Scan each pair's edges; a later edge wins only if strictly heavier."""
+    out = np.zeros(n)
+    argmax = np.zeros(pair_heads.shape[0], dtype=np.int64)
+    for p in range(pair_heads.shape[0]):
+        lo, hi = pair_ptr[p], pair_ptr[p + 1]
+        best = lo
+        for e in range(lo + 1, hi):
+            if w[e] > w[best]:
+                best = e
+        argmax[p] = best
+        out[pair_tails[p]] += a[pair_heads[p]] * w[best]
+    return out, argmax
+
+
+def push_max_backward(pair_heads, pair_tails, argmax, w, a, g):
+    grad_a = np.zeros(a.shape[0])
+    grad_w = np.zeros(w.shape[0])
+    g_tail = g[pair_tails]
+    np.add.at(grad_a, pair_heads, g_tail * w[argmax])
+    np.add.at(grad_w, argmax, g_tail * a[pair_heads])
+    return grad_a, grad_w
+
+
+def col_scatter_add(index, src, num_out):
+    out = np.zeros((src.shape[0], num_out))
+    np.add.at(out, (np.arange(src.shape[0])[:, None], index[None, :]), src)
+    return out
+
+
 def truncate_reference(a):
     out = a.copy()
     out[out > 1.0] = 1.0

@@ -41,8 +41,8 @@ def test_div(rng):
 
 
 def test_exp_log(rng):
-    a = Tensor(rng.random(7) + 0.5, requires_grad=True)
-    gradcheck(lambda: ad.sum_(ad.log(ad.exp(a) + 1.0)), [a])
+    a = Tensor(np.exp(rng.standard_normal(7)), requires_grad=True)
+    gradcheck(lambda: ad.sum_(ad.log(a) * a), [a])
 
 
 def test_tanh(rng):
@@ -53,14 +53,6 @@ def test_tanh(rng):
 def test_sigmoid(rng):
     a = leaf(rng, 8)
     gradcheck(lambda: ad.sum_(ad.sigmoid(a) * a), [a])
-
-
-def test_relu(rng):
-    # keep entries away from the kink, finite differences lie there
-    data = rng.standard_normal(20)
-    data[np.abs(data) < 0.05] = 0.5
-    a = Tensor(data, requires_grad=True)
-    gradcheck(lambda: ad.sum_(ad.relu(a) * a), [a])
 
 
 def test_matmul(rng):
@@ -83,11 +75,6 @@ def test_sum_axis_keepdims(rng):
 def test_sum_axis_dropdims(rng):
     a = leaf(rng, 4, 3)
     gradcheck(lambda: ad.sum_(ad.sum_(a, axis=0) * ad.sum_(a, axis=0)), [a])
-
-
-def test_mean(rng):
-    a = leaf(rng, 6)
-    gradcheck(lambda: ad.mean(a * a), [a])
 
 
 def test_softmax_rows(rng):

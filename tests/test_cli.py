@@ -287,6 +287,47 @@ def test_eval_rejects_mismatched_vocab(ws, tmp_path):
     assert main(args) == 2
 
 
+def _eval_args(ws, checkpoint=None, graph=None):
+    return [
+        "eval",
+        "--checkpoint", str(checkpoint or ws / "run" / "checkpoint.bin"),
+        "--graph", str(graph or ws / "g_label.txt"),
+        "--questions", str(ws / "data" / "qa_dev.txt"),
+        "--vocab", str(ws / "run" / "vocab.txt"),
+    ]
+
+
+def _data_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("head", ["-1", "99999"])
+def test_eval_rejects_out_of_range_entity_id(ws, tmp_path, capsys, head):
+    lines = (ws / "g_label.txt").read_text().split("\n")
+    first = lines.index("#SECTION edges") + 1
+    lines[first] = head + lines[first][lines[first].index("\t") :]
+    graph = tmp_path / "graph.txt"
+    graph.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main(_eval_args(ws, graph=graph)) == 2
+    assert f"id {head} out of range" in _data_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda b: b[:8], lambda b: b[:-4], lambda b: b + b"\0"],
+    ids=["cut-after-magic", "cut-4-bytes-short", "one-trailing-byte"],
+)
+def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, corrupt):
+    checkpoint = tmp_path / "checkpoint.bin"
+    checkpoint.write_bytes(corrupt((ws / "run" / "checkpoint.bin").read_bytes()))
+    capsys.readouterr()
+    assert main(_eval_args(ws, checkpoint=checkpoint)) == 2
+    assert str(checkpoint) in _data_error_line(capsys)
+
+
 # -- answer --------------------------------------------------------------------------
 
 

@@ -16,7 +16,6 @@ from hoptrace.encoder import (
     _gru_cell_pre,
     encode_question,
     encode_question_batch,
-    encode_relation,
     encode_relation_batch,
     split_tokens,
 )
@@ -232,7 +231,7 @@ def test_encode_relation_batch_matches_single(rng):
     table = encode_relation_batch(p, seqs)
     assert table.shape == (3, 5)
     for k, s in enumerate(seqs):
-        np.testing.assert_allclose(table.data[k], encode_relation(p, s).data, atol=1e-12)
+        np.testing.assert_allclose(table.data[k], encode_question(p, s).q.data, atol=1e-12)
 
 
 def test_encode_relation_batch_empty(rng):
@@ -251,7 +250,7 @@ def test_cache_consistent_with_direct_encoding(rng):
     rows = cache.get_many(np.array([2, 0, 0]))
     assert rows.shape == (3, 5)
     np.testing.assert_allclose(rows.data[1], rows.data[2], atol=0)
-    direct = encode_relation(p, v.encode(texts[2]))
+    direct = encode_question(p, v.encode(texts[2])).q
     np.testing.assert_allclose(rows.data[0], direct.data, atol=1e-12)
 
 

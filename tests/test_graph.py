@@ -17,7 +17,7 @@ from hoptrace.graph import (
 )
 
 from conftest import random_label_graph, random_text_graph
-from oracles import brute_select
+from oracles import brute_select, dense_predicate_matrices
 
 
 # -- vocab --------------------------------------------------------------------
@@ -71,24 +71,14 @@ def test_edges_grouped_by_predicate(rng):
         assert g.pred_ptr[-1] == g.num_edges
 
 
-def test_predicate_matvec_matches_dense(rng):
-    for _ in range(20):
-        g = random_label_graph(rng)
-        a = rng.random(g.n)
-        for p in range(g.num_predicates):
-            dense = np.zeros((g.n, g.n))
-            for h, pp, t in zip(g.edge_heads, g.edge_preds, g.edge_tails):
-                if pp == p:
-                    dense[h, t] += 1.0
-            np.testing.assert_allclose(g.predicate_matvec(a, p), a @ dense, atol=1e-12)
-
-
-def test_predicate_matvec_validates():
-    g = build_from_triples([("a", "p", "b")])
-    with pytest.raises(GraphError):
-        g.predicate_matvec(np.zeros(2), 5)
-    with pytest.raises(GraphError):
-        g.predicate_matvec(np.zeros(7), 0)
+@pytest.mark.parametrize(
+    "edges, trels",
+    [([(0, 0, 2)], []), ([(0, 1, 1)], []), ([], [(0, -1, 0)]), ([], [(0, 1, 1)])],
+    ids=["edge-entity", "predicate", "text-relation-entity", "text"],
+)
+def test_rejects_out_of_range_ids(edges, trels):
+    with pytest.raises(GraphError, match="out of range"):
+        RelationGraph(Vocab(["a", "b"]), Vocab(["p"]), edges, ["<sub> r <obj> ."], trels, form="mixed")
 
 
 # -- text-relation selection ----------------------------------------------------
@@ -112,7 +102,7 @@ def test_selection_threshold_is_strict():
     ids, _ = g.select_text_relation_ids(a, 0.7, None)
     # 0.7 is not > 0.7, so entity 2 does not activate; fallback takes argmax
     assert set(g.trel_heads[ids]) == {2}
-    assert len(ids) == len(g.outgoing_text_relations(2))
+    assert len(ids) == np.count_nonzero(g.trel_heads == 2)
 
 
 def test_selection_fallback_argmax_tie_breaks_low_id():
@@ -163,10 +153,8 @@ def test_add_reverse_label(chain_graph):
     assert g.predicates.names == ["p0", "p0_rev", "p1", "p1_rev"]
     assert g.num_edges == 6
     # forward edge a-p0->b implies b-p0_rev->a
-    a = np.zeros(g.n)
-    a[g.entities.id("b")] = 1.0
-    back = g.predicate_matvec(a, g.predicates.id("p0_rev"))
-    assert back[g.entities.id("a")] == 1.0
+    mats = dense_predicate_matrices(g.n, g.edge_heads, g.edge_preds, g.edge_tails, g.num_predicates)
+    assert mats[g.predicates.id("p0_rev")][g.entities.id("b"), g.entities.id("a")] == 1.0
 
 
 def test_add_reverse_label_closure_complete(rng):

@@ -1,20 +1,27 @@
-"""Backend equivalence for the sparse push kernels.
+"""The sparse push kernels against naive references.
 
-The numba and numpy implementations iterate edges in the same order, so
-outputs must match bit for bit, not just within tolerance.
+Each op has one implementation, whose scatter-adds are np.bincount calls
+summing in edge order.  The np.add.at loops in oracles.py sum in the same
+order, so every output must match them bit for bit, not just within
+tolerance.  The kernels assume in-range indices, which RelationGraph checks
+when it is built.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+import oracles
 from hoptrace import kernels
 
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
+OPS = [
+    "push_forward",
+    "push_backward",
+    "push_batch_forward",
+    "push_batch_backward",
+    "push_max_forward",
+    "push_max_backward",
+    "col_scatter_add",
+]
 
 
 def random_edges(rng, n_entities=None, n_edges=None):
@@ -32,13 +39,12 @@ def group_pairs(heads, tails, w):
     runs addressed by a ptr array."""
     order = np.lexsort((np.arange(len(heads)), tails, heads))
     h, t, ww = heads[order], tails[order], w[order]
-    pair_heads, pair_tails, ptr = [], [], [0]
+    pair_heads, pair_tails, ptr = [], [], []
     for i in range(len(h)):
         if i == 0 or (h[i], t[i]) != (h[i - 1], t[i - 1]):
             pair_heads.append(h[i])
             pair_tails.append(t[i])
-            if i:
-                ptr.append(i)
+            ptr.append(i)
     ptr.append(len(h))
     return (
         np.array(pair_heads, dtype=np.int64),
@@ -48,11 +54,47 @@ def group_pairs(heads, tails, w):
     )
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    before = kernels.active_backend()
-    yield
-    kernels.select_backend(before)
+def edge_cases(rng):
+    """(n, heads, tails, w, a): random graphs, a graph of parallel edges whose
+    weights tie often, and an empty edge list."""
+    for _ in range(20):
+        yield random_edges(rng)
+    heads = rng.integers(0, 2, size=40)
+    tails = rng.integers(0, 2, size=40)
+    yield 3, heads, tails, rng.choice([0.25, 0.75], size=40), rng.random(3)
+    empty = np.zeros(0, dtype=np.int64)
+    yield 3, empty, empty, np.zeros(0), rng.random(3)
+
+
+def op_args(op, rng, n, heads, tails, w, a, B=4):
+    """Arguments for one call of op on the given edges; batched ops get B
+    rows, the first of which reuses w and a."""
+    W = np.vstack([w, rng.random((B - 1, w.size))])
+    A = np.vstack([a, rng.random((B - 1, n))])
+    G = rng.standard_normal((B, n))
+    ph, pt, ptr, ww = group_pairs(heads, tails, w)
+    argmax = oracles.push_max_forward(ph, pt, ptr, ww, a, n)[1]
+    return {
+        "push_forward": (heads, tails, w, a, n),
+        "push_backward": (heads, tails, w, a, G[0]),
+        "push_batch_forward": (heads, tails, W, A, n),
+        "push_batch_backward": (heads, tails, W, A, G),
+        "push_max_forward": (ph, pt, ptr, ww, a, n),
+        "push_max_backward": (ph, pt, argmax, ww, a, G[0]),
+        "col_scatter_add": (rng.integers(0, 6, size=w.size), W, 6),
+    }[op]
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_kernel_bit_identical_to_oracle(rng, op):
+    for case in edge_cases(rng):
+        args = op_args(op, rng, *case)
+        got, want = getattr(kernels, op)(*args), getattr(oracles, op)(*args)
+        got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
 
 
 def test_push_forward_matches_dense(rng):
@@ -108,27 +150,6 @@ def test_push_max_backward_routes_to_argmax_only(rng):
     np.testing.assert_allclose(np.dot(g, out), np.dot(grad_w, ww), atol=1e-10)
 
 
-@needs_numba
-def test_backends_bit_identical(rng):
-    for _ in range(30):
-        n, heads, tails, w, a = random_edges(rng)
-        g = rng.standard_normal(n)
-        ph, pt, ptr, ww = group_pairs(heads, tails, w)
-        src = rng.standard_normal((4, len(heads)))
-        index = rng.integers(0, 6, size=len(heads))
-        got = {}
-        for name in ("numpy", "numba"):
-            kernels.select_backend(name)
-            out = kernels.push_forward(heads, tails, w, a, n)
-            ga, gw = kernels.push_backward(heads, tails, w, a, g)
-            mout, argmax = kernels.push_max_forward(ph, pt, ptr, ww, a, n)
-            mga, mgw = kernels.push_max_backward(ph, pt, argmax, ww, a, g)
-            cs = kernels.col_scatter_add(index, src, 6)
-            got[name] = (out, ga, gw, mout, argmax, mga, mgw, cs)
-        for x, y in zip(got["numpy"], got["numba"]):
-            np.testing.assert_array_equal(x, y)
-
-
 def test_col_scatter_add_matches_dense(rng):
     """Folding columns by index must equal multiplying by the expansion
     matrix's transpose."""
@@ -142,28 +163,6 @@ def test_col_scatter_add_matches_dense(rng):
         np.testing.assert_allclose(
             kernels.col_scatter_add(index, src, num_out), src @ expand.T, atol=1e-12
         )
-
-
-def test_select_backend_auto_prefers_numba():
-    picked = kernels.select_backend("auto")
-    assert picked == ("numba" if kernels.HAS_NUMBA else "numpy")
-    assert kernels.active_backend() == picked
-
-
-def test_select_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.select_backend("gpu")
-
-
-def test_env_flag_selects_backend():
-    code = (
-        "from hoptrace import kernels; print(kernels.active_backend())"
-    )
-    env = dict(os.environ, HOPTRACE_KERNELS="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "numpy"
 
 
 def test_empty_edge_list(rng):
