@@ -1,7 +1,8 @@
 """Command-line surface: gen, build-graph, train, eval, answer.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
-4 metrics below a --require threshold.
+4 metrics below a --require threshold, 141 standard output closed by its
+reader (what a shell reports for a process that SIGPIPE ends).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -42,6 +44,8 @@ from .training import (
 )
 
 log = logging.getLogger("hoptrace")
+
+EXIT_BROKEN_PIPE = 128 + 13  # 13 is SIGPIPE
 
 
 class UsageError(Exception):
@@ -321,4 +325,12 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away (``hoptrace eval | head -1``): stop quietly, and
+        # point stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

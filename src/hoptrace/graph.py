@@ -1,7 +1,8 @@
 """Relation graphs in label, text, and mixed form.
 
 Label edges are stored in coordinate form sorted predicate-major (then by
-head, tail) with a pointer array per predicate; text relations are stored
+head, tail) with a pointer array per predicate, plus a grouping of the edges
+by (head, tail) pair for max aggregation; text relations are stored
 edge-major with a CSR index over head entities, and their token sequences
 live in a deduplicated unique-text table.  Graphs are immutable once built:
 every constructor-style operation returns a fresh instance.
@@ -81,6 +82,18 @@ def reverse_text(text: str) -> str:
     return " ".join(t[: -len("_rev")] if t.endswith("_rev") else t + "_rev" for t in toks)
 
 
+def pair_groups(heads: np.ndarray, tails: np.ndarray):
+    """Group edges by (head, tail): returns (order, pair_heads, pair_tails,
+    pair_ptr) where order sorts the edges pair-contiguously, keeping edge
+    order within a pair."""
+    # one stable sort of a combined key (ids are >= 0) beats a two-key lexsort
+    key = heads * (int(tails.max(initial=0)) + 1) + tails
+    order = np.argsort(key, kind="stable")
+    new = np.flatnonzero(np.diff(key[order], prepend=-1))  # first edge of each pair
+    first = order[new]
+    return order, heads[first], tails[first], np.append(new, key.size)
+
+
 def _csr(keys: np.ndarray, nbuckets: int):
     order = np.argsort(keys, kind="stable").astype(np.int64)
     counts = np.bincount(keys, minlength=nbuckets)
@@ -121,6 +134,10 @@ class RelationGraph:
         counts = np.bincount(self.edge_preds, minlength=len(predicates))
         self.pred_ptr = np.zeros(len(predicates) + 1, dtype=np.int64)
         np.cumsum(counts, out=self.pred_ptr[1:])
+        # max aggregation takes each (head, tail) pair's strongest edge
+        self.pair_order, self.pair_heads, self.pair_tails, self.pair_ptr = pair_groups(
+            self.edge_heads, self.edge_tails
+        )
 
         self.trel_heads = t[:, 0].copy()
         self.trel_tails = t[:, 1].copy()
@@ -202,8 +219,11 @@ class RelationGraph:
 
     @classmethod
     def load(cls, path) -> "RelationGraph":
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().split("\n")
+        try:
+            with open(path, encoding="utf-8") as f:
+                lines = f.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise GraphError(f"{path}: not UTF-8 text: {e}") from None
         if lines and lines[-1] == "":
             lines.pop()
         if not lines:
@@ -211,7 +231,10 @@ class RelationGraph:
         head = lines[0].split()
         if len(head) != 5 or head[0] != "hoptrace-graph" or head[1] != "v1":
             raise GraphError(f"{path}: bad header {lines[0]!r}")
-        form, n, num_p = head[2], int(head[3]), int(head[4])
+        try:
+            form, n, num_p = head[2], int(head[3]), int(head[4])
+        except ValueError:
+            raise GraphError(f"{path}: bad header {lines[0]!r}") from None
         sections: dict[str, list[str]] = {}
         current = None
         for line in lines[1:]:
@@ -230,8 +253,8 @@ class RelationGraph:
         predicates = Vocab(sections["predicates"])
         if len(entities) != n or len(predicates) != num_p:
             raise GraphError(f"{path}: header counts do not match section sizes")
-        edges = [tuple(int(x) for x in line.split("\t")) for line in sections["edges"]]
-        trels = [tuple(int(x) for x in line.split("\t")) for line in sections["text_relations"]]
+        edges = _id_rows(path, "edges", sections["edges"])
+        trels = _id_rows(path, "text_relations", sections["text_relations"])
         return cls(
             entities,
             predicates,
@@ -241,6 +264,18 @@ class RelationGraph:
             form,
             reversed_=meta.get("reversed") == "true",
         )
+
+
+def _id_rows(path, section: str, lines: list[str]) -> list[tuple[int, int, int]]:
+    """Parse one section of tab-separated id triples."""
+    rows = []
+    for i, line in enumerate(lines, 1):
+        try:
+            h, mid, t = map(int, line.split("\t"))  # a wrong field count is a ValueError too
+        except ValueError:
+            raise GraphError(f"{path}: #SECTION {section} row {i}: expected 3 integer ids, got {line!r}") from None
+        rows.append((h, mid, t))
+    return rows
 
 
 # ---------------------------------------------------------------------------

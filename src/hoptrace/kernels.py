@@ -21,9 +21,10 @@ def _scatter(index, weights, size):
 
 def _fold(index, src, num_out):
     """out[b, index[e]] += src[b, e], in edge order: (B, E) -> (B, num_out)."""
-    B = src.shape[0]
-    keys = (np.arange(B)[:, None] * num_out + index).ravel()
-    return _scatter(keys, src.ravel(), B * num_out).reshape(B, num_out)
+    out = np.empty((src.shape[0], num_out))
+    for b, row in enumerate(src):
+        out[b] = np.bincount(index, weights=row, minlength=num_out)
+    return out
 
 
 def push_forward(heads: np.ndarray, tails: np.ndarray, w: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
@@ -54,9 +55,12 @@ def push_max_forward(pair_heads, pair_tails, pair_ptr, w, a, n):
     max(w) instead of sum(w).  Edges must be grouped by pair via pair_ptr.
     Returns (out, argmax edge index per pair); ties keep the lowest index.
     """
-    pair = np.repeat(np.arange(pair_heads.shape[0]), np.diff(pair_ptr))
-    # stable sort: within a pair, heaviest edge first, lower index on ties
-    argmax = np.lexsort((-w, pair))[pair_ptr[:-1]]
+    starts, ends = pair_ptr[:-1], pair_ptr[1:]
+    best = np.repeat(np.maximum.reduceat(w, starts), ends - starts)
+    hits = np.where(w == best, np.arange(w.shape[0]), w.shape[0])
+    # the first edge equal to its pair's max; a NaN pair matches no edge,
+    # so clamp the argmax back inside the pair
+    argmax = np.minimum(np.minimum.reduceat(hits, starts), ends - 1)
     return _scatter(pair_tails, a[pair_heads] * w[argmax], n), argmax
 
 

@@ -6,7 +6,12 @@ query, score relations with it (a predicate head in label form, a
 per-relation sigmoid in text/mixed form), push scores across the scored
 edges, and truncate back into [0,1].  A hop-mixture head blends the per-step
 score vectors and, on text graphs, a question-conditioned mask gates the
-result.  Every intermediate lands in a ReasoningTrace.
+result.
+
+forward() runs one question and records every intermediate in a
+ReasoningTrace.  forward_batch() runs a batch for training and evaluation:
+each step is one transfer over the (B, n) score matrix, pushed as a disjoint
+union of the B rows, in every graph form and aggregation.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from . import kernels
 from .autodiff import Tensor
 from .encoder import EncoderParams, QuestionEncoding, encode_question, encode_question_batch
 from .errors import GraphError
-from .graph import RelationGraph
+from .graph import RelationGraph, pair_groups
 from .trace import ReasoningTrace, StepTrace
 
 
@@ -114,59 +119,103 @@ def text_relation_scores(q_t: Tensor, rel_enc: Tensor, params: ModelParams) -> T
 
 # ---------------------------------------------------------------------------
 # sparse transfer
+#
+# A batch of B score vectors over n entities is pushed as one disjoint
+# union: row b's entities become b*n .. b*n + n - 1 of a flat (B*n,) vector
+# and its edges are offset to match.  Rows share no entity, so every row's
+# scatter-adds run in the same edge order as they would on their own.
 
 
-def _pair_groups(heads: np.ndarray, tails: np.ndarray):
-    """Group edges by (head, tail): returns (order, pair_heads, pair_tails,
-    pair_ptr) where order sorts the edges pair-contiguously."""
-    order = np.lexsort((tails, heads)).astype(np.int64)
-    h, t = heads[order], tails[order]
-    if h.size == 0:
-        return order, h, t, np.zeros(1, dtype=np.int64)
-    new = np.flatnonzero(np.concatenate(([True], (h[1:] != h[:-1]) | (t[1:] != t[:-1]))))
-    pair_ptr = np.concatenate((new, [h.size])).astype(np.int64)
-    return order, h[new], t[new], pair_ptr
+def _push_max(pair_heads, pair_tails, pair_ptr, w: Tensor, a_prev: Tensor, n: int) -> Tensor:
+    """Differentiable max push over edges grouped by (head, tail) pair, with
+    w in that grouped order: parallel edges contribute only their maximum
+    weight, and the gradient flows to the argmax edge alone."""
+    out, argmax = kernels.push_max_forward(pair_heads, pair_tails, pair_ptr, w.data, a_prev.data, n)
+
+    def vjp(g):
+        return kernels.push_max_backward(pair_heads, pair_tails, argmax, w.data, a_prev.data, g)
+
+    return ad.node(out, (a_prev, w), vjp)
 
 
 def _push(heads, tails, w: Tensor, a_prev: Tensor, n: int, aggregation: str) -> Tensor:
     """Differentiable score push along explicit edges.
 
     sum: parallel edges between a pair add up (the default).
-    max: parallel edges contribute only their maximum weight; gradient flows
-    to the argmax edge alone.
+    max: parallel edges contribute only their maximum weight.
     """
     if aggregation == "sum":
         out = kernels.push_forward(heads, tails, w.data, a_prev.data, n)
 
         def vjp(g):
-            ga, gw = kernels.push_backward(heads, tails, w.data, a_prev.data, g)
-            return ga, gw
+            return kernels.push_backward(heads, tails, w.data, a_prev.data, g)
 
         return ad.node(out, (a_prev, w), vjp)
     if aggregation == "max":
-        order, ph, pt, pptr = _pair_groups(heads, tails)
-        w_srt = w.data[order]
-        out, argmax = kernels.push_max_forward(ph, pt, pptr, w_srt, a_prev.data, n)
+        order, ph, pt, pptr = pair_groups(heads, tails)
+        return _push_max(ph, pt, pptr, w[order], a_prev, n)
+    raise ValueError(f"unknown aggregation {aggregation!r}")
 
-        def vjp(g):
-            ga, gw_srt = kernels.push_max_backward(ph, pt, argmax, w_srt, a_prev.data, g)
-            gw = np.empty_like(w.data)
-            gw[order] = gw_srt  # order is a permutation
-            return ga, gw
+
+def _offset_rows(ids: np.ndarray, B: int, size: int) -> np.ndarray:
+    """ids repeated for each of B rows, row b shifted by b*size, flattened."""
+    return (np.arange(B, dtype=np.int64)[:, None] * size + ids).ravel()
+
+
+def _expand(p: Tensor, preds: np.ndarray) -> Tensor:
+    """Per-edge weights p[:, preds] (B, E) from predicate scores (B, P)."""
+    num_preds = p.data.shape[1]
+
+    def vjp(gw):
+        return (kernels.col_scatter_add(preds, gw, num_preds),)
+
+    return ad.node(p.data[:, preds], (p,), vjp)
+
+
+def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregation: str = "sum") -> Tensor:
+    """transfer_label for a whole batch at once: a_prev is (B, n), p is
+    (B, num_predicates), row b moves under row b's predicate scores."""
+    B, n, E = p.data.shape[0], g.n, g.num_edges
+    if aggregation == "sum":
+        w = _expand(p, g.edge_preds)
+        out = kernels.push_batch_forward(g.edge_heads, g.edge_tails, w.data, a_prev.data, n)
+
+        def vjp(gg):
+            return kernels.push_batch_backward(g.edge_heads, g.edge_tails, w.data, a_prev.data, gg)
 
         return ad.node(out, (a_prev, w), vjp)
+    if aggregation == "max":
+        w = _expand(p, g.edge_preds[g.pair_order])  # weights in pair-grouped edge order
+        out = _push_max(
+            _offset_rows(g.pair_heads, B, n),
+            _offset_rows(g.pair_tails, B, n),
+            np.append(_offset_rows(g.pair_ptr[:-1], B, E), B * E),
+            ad.reshape(w, (B * E,)),
+            ad.reshape(a_prev, (B * n,)),
+            B * n,
+        )
+        return ad.reshape(out, (B, n))
     raise ValueError(f"unknown aggregation {aggregation!r}")
+
+
+def transfer_text_batch(
+    g: RelationGraph, a_prev: Tensor, rel_ids: np.ndarray, rows: np.ndarray, scores: Tensor, aggregation: str
+) -> Tensor:
+    """Text-form transfer for a whole batch: a_prev is (B, n) and relation
+    rel_ids[k], scored scores[k], moves row rows[k]."""
+    B, n = a_prev.data.shape
+    off = rows * n
+    flat = ad.reshape(a_prev, (B * n,))
+    out = _push(g.trel_heads[rel_ids] + off, g.trel_tails[rel_ids] + off, scores, flat, B * n, aggregation)
+    return ad.reshape(out, (B, n))
 
 
 def transfer_label(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregation: str = "sum") -> Tensor:
     """One label-form transfer: every edge is weighted by its predicate's
     score and pushes the head's activation onto the tail.  The n x n score
     matrix is never materialized."""
-    def expand_vjp(gw):
-        return (kernels.col_scatter_add(g.edge_preds, gw[None, :], p.data.size)[0],)
-
-    w = ad.node(p.data[g.edge_preds], (p,), expand_vjp)
-    return _push(g.edge_heads, g.edge_tails, w, a_prev, g.n, aggregation)
+    out = transfer_label_batch(g, ad.reshape(a_prev, (1, g.n)), ad.reshape(p, (1, -1)), aggregation)
+    return ad.reshape(out, (g.n,))
 
 
 def transfer_text(
@@ -174,25 +223,9 @@ def transfer_text(
 ) -> Tensor:
     """One text-form transfer over the selected relations; unselected
     relations implicitly carry score 0."""
-    return _push(g.trel_heads[rel_ids], g.trel_tails[rel_ids], scores, a_prev, g.n, aggregation)
-
-
-def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor) -> Tensor:
-    """transfer_label for a whole batch at once: a_prev is (B, n), p is
-    (B, num_predicates), row b moves under row b's predicate scores.  Only
-    sum aggregation — max needs per-example argmax bookkeeping."""
-    num_preds = p.data.shape[1]
-
-    def expand_vjp(gw):
-        return (kernels.col_scatter_add(g.edge_preds, gw, num_preds),)
-
-    w = ad.node(p.data[:, g.edge_preds], (p,), expand_vjp)  # (B, E)
-    out = kernels.push_batch_forward(g.edge_heads, g.edge_tails, w.data, a_prev.data, g.n)
-
-    def vjp(gg):
-        return kernels.push_batch_backward(g.edge_heads, g.edge_tails, w.data, a_prev.data, gg)
-
-    return ad.node(out, (a_prev, w), vjp)
+    rows = np.zeros(len(rel_ids), dtype=np.int64)
+    out = transfer_text_batch(g, ad.reshape(a_prev, (1, g.n)), rel_ids, rows, scores, aggregation)
+    return ad.reshape(out, (g.n,))
 
 
 def truncate(a: Tensor) -> Tensor:
@@ -258,10 +291,12 @@ def forward_batch(
 ) -> list[BatchResult]:
     """Reasoning pass over a whole batch of questions.
 
-    The dense half (encoder, step attention, score heads) runs once for
-    the batch; only the sparse transfers stay per-example.  Numerically
-    identical to calling forward() per question, just far fewer graph
-    nodes for the backward sweep.
+    Everything runs once for the batch: the encoder, the step attention and
+    score heads, one transfer per step over the (B, n) score matrix, the hop
+    mixture and the mask.  Text relations are still selected per example
+    (tau/omega and their tie-breaking are per question), then scored in one
+    call and pushed together as a disjoint union.  Matches forward() per
+    question, with a tape whose size does not grow with B.
     """
     text_form = g.form != "label"
     if params.form != g.form:
@@ -275,22 +310,6 @@ def forward_batch(
     L = be.h.data.shape[1]
     pad_penalty = Tensor((be.alive - 1.0) * 1e9)  # 0 on real tokens, -1e9 on pads
 
-    step_qt: list[Tensor] = []
-    step_p: list[Tensor] = []
-    for t in range(T):
-        qk = ad.tanh(be.q @ params.step_w[t] + params.step_b[t])  # (B, d)
-        logits = ad.sum_(be.h * ad.reshape(qk, (B, 1, d)), axis=2) + pad_penalty
-        att = ad.softmax(logits)  # (B, L)
-        q_t = ad.sum_(ad.reshape(att, (B, L, 1)) * be.h, axis=1)  # (B, d)
-        step_qt.append(q_t)
-        if not text_form:
-            step_p.append(label_relation_scores(q_t, params, cfg.head))
-
-    c_all = ad.softmax(be.q @ params.hop_w + params.hop_b)  # (B, T)
-    m_all = None
-    if text_form and cfg.use_mask:
-        m_all = ad.sigmoid(be.q @ params.mask_w + params.mask_b)  # (B, n)
-
     a0_rows = np.zeros((B, n))
     for i, topics in enumerate(topic_lists):
         topics = [int(topics)] if np.isscalar(topics) else [int(x) for x in topics]
@@ -299,48 +318,33 @@ def forward_batch(
                 raise GraphError(f"topic entity id {e} out of range [0, {n})")
         a0_rows[i, topics] = 1.0
 
-    if not text_form and cfg.aggregation == "sum":
-        # label form batches the sparse half too: one transfer node per step
-        a_prev = Tensor(a0_rows)
-        a_steps = []
-        for t in range(T):
-            raw = transfer_label_batch(g, a_prev, step_p[t])
-            a_t = truncate(raw) if cfg.use_truncation else raw
-            a_steps.append(a_t)
-            a_prev = a_t
-        a_star = None
-        for t, a_t in enumerate(a_steps):
-            col = ad.reshape(ad.take(c_all, (slice(None), t)), (B, 1))
-            term = col * a_t
-            a_star = term if a_star is None else a_star + term
-        return [BatchResult(final=a_star[i], c=c_all[i]) for i in range(B)]
+    a_prev = Tensor(a0_rows)
+    a_steps = []
+    for t in range(T):
+        qk = ad.tanh(be.q @ params.step_w[t] + params.step_b[t])  # (B, d)
+        logits = ad.sum_(be.h * ad.reshape(qk, (B, 1, d)), axis=2) + pad_penalty
+        att = ad.softmax(logits)  # (B, L)
+        q_t = ad.sum_(ad.reshape(att, (B, L, 1)) * be.h, axis=1)  # (B, d)
+        if text_form:
+            picked = [g.select_text_relation_ids(row, cfg.tau, cfg.omega)[0] for row in a_prev.data]
+            rel_ids = np.concatenate(picked)
+            rows = np.repeat(np.arange(B), [ids.size for ids in picked])
+            scores = text_relation_scores(q_t[rows], cache.get_many(g.trel_text[rel_ids]), params)
+            raw = transfer_text_batch(g, a_prev, rel_ids, rows, scores, cfg.aggregation)
+        else:
+            raw = transfer_label_batch(g, a_prev, label_relation_scores(q_t, params, cfg.head), cfg.aggregation)
+        a_t = truncate(raw) if cfg.use_truncation else raw
+        a_steps.append(a_t)
+        a_prev = a_t
 
-    out = []
-    for i in range(B):
-        a_prev = Tensor(a0_rows[i])
-        a_steps = []
-        for t in range(T):
-            if text_form:
-                rel_ids, _subj = g.select_text_relation_ids(a_prev.data, cfg.tau, cfg.omega)
-                if rel_ids.size:
-                    enc = cache.get_many(g.trel_text[rel_ids])
-                    scores = text_relation_scores(step_qt[t][i], enc, params)
-                    raw = transfer_text(g, a_prev, rel_ids, scores, cfg.aggregation)
-                else:
-                    raw = Tensor(np.zeros(n))
-            else:
-                raw = transfer_label(g, a_prev, step_p[t][i], cfg.aggregation)
-            a_t = truncate(raw) if cfg.use_truncation else raw
-            a_steps.append(a_t)
-            a_prev = a_t
-        c_row = c_all[i]
-        a_star = None
-        for t, a_t in enumerate(a_steps):
-            term = c_row[t] * a_t
-            a_star = term if a_star is None else a_star + term
-        final = m_all[i] * a_star if m_all is not None else a_star
-        out.append(BatchResult(final=final, c=c_row))
-    return out
+    c_all = ad.softmax(be.q @ params.hop_w + params.hop_b)  # (B, T)
+    final = None
+    for t, a_t in enumerate(a_steps):
+        term = ad.reshape(ad.take(c_all, (slice(None), t)), (B, 1)) * a_t
+        final = term if final is None else final + term
+    if text_form and cfg.use_mask:
+        final = ad.sigmoid(be.q @ params.mask_w + params.mask_b) * final  # (B, n) gate
+    return [BatchResult(final=final[i], c=c_all[i]) for i in range(B)]
 
 
 def forward(
@@ -377,14 +381,9 @@ def forward(
         sq = step_attention(q_enc, t, params)
         if text_form:
             rel_ids, _subj = g.select_text_relation_ids(a_prev.data, cfg.tau, cfg.omega)
-            if rel_ids.size:
-                enc = cache.get_many(g.trel_text[rel_ids])
-                scores = text_relation_scores(sq.q_t, enc, params)
-                raw = transfer_text(g, a_prev, rel_ids, scores, cfg.aggregation)
-                rel_scores = scores.data
-            else:
-                raw = Tensor(np.zeros(n))
-                rel_scores = np.zeros(0)
+            scores = text_relation_scores(sq.q_t, cache.get_many(g.trel_text[rel_ids]), params)
+            raw = transfer_text(g, a_prev, rel_ids, scores, cfg.aggregation)
+            rel_scores = scores.data
         else:
             rel_ids = None
             p = label_relation_scores(sq.q_t, params, cfg.head)

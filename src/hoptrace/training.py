@@ -389,7 +389,10 @@ def load_checkpoint(path):
         if magic != CKPT_MAGIC:
             raise DataError(f"{path}: not a hoptrace checkpoint")
         (blob_len,) = struct.unpack("<Q", read(8, "header"))
-        meta = json.loads(read(blob_len, "metadata").decode("utf-8"))
+        try:
+            meta = json.loads(read(blob_len, "metadata").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise DataError(f"{path}: unreadable metadata: {e}") from None
         cfg = TrainConfig(**meta["config"]).validate()
         m = meta["model"]
         params = ModelParams(m["vocab_size"], m["n"], m["num_predicates"], cfg)

@@ -30,17 +30,19 @@ def random_label_graph(rng, n=None, num_predicates=None, density=0.15):
     return build_from_triples(triples)
 
 
-def random_text_graph(rng, n=None, num_rels=None):
-    """Random text-form graph; each relation carries a tiny sentence."""
+def random_text_graph(rng, n=None, num_rels=None, isolated=()):
+    """Random text-form graph; each relation carries a tiny sentence.
+    Entities in isolated take part in no relation."""
     n = n or int(rng.integers(4, 30))
     num_rels = num_rels or int(rng.integers(2, 4 * n))
     names = [f"e{i}" for i in range(n)]
+    live = [i for i in range(n) if i not in isolated]
     rels = []
     for _ in range(num_rels):
-        h = int(rng.integers(n))
-        t = int(rng.integers(n))
-        while t == h and n > 1:
-            t = int(rng.integers(n))
+        h = live[int(rng.integers(len(live)))]
+        t = live[int(rng.integers(len(live)))]
+        while t == h and len(live) > 1:
+            t = live[int(rng.integers(len(live)))]
         rels.append((h, t, f"<sub> rel{int(rng.integers(5))} <obj> ."))
     texts = sorted({r[2] for r in rels})
     index = {s: i for i, s in enumerate(texts)}

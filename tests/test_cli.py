@@ -5,6 +5,9 @@ individual tests poke at the artifacts and exit codes.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,8 @@ import pytest
 from hoptrace.cli import main
 from hoptrace.data import load_questions
 from hoptrace.graph import RelationGraph
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SPEC_YAML = """\
 movies: 24
@@ -316,9 +321,24 @@ def test_eval_rejects_out_of_range_entity_id(ws, tmp_path, capsys, head):
 
 
 @pytest.mark.parametrize(
+    "edge, reason",
+    [("x\t0\t1", "expected 3 integer ids"), ("0\t1", "expected 3 integer ids"), ("0\t0\t\xe9", "not UTF-8")],
+    ids=["head-x", "two-fields", "latin-1-byte"],
+)
+def test_eval_rejects_unparsable_graph(ws, tmp_path, capsys, edge, reason):
+    lines = (ws / "g_label.txt").read_text().split("\n")
+    lines[lines.index("#SECTION edges") + 1] = edge
+    graph = tmp_path / "graph.txt"
+    graph.write_bytes("\n".join(lines).encode("latin-1"))
+    capsys.readouterr()
+    assert main(_eval_args(ws, graph=graph)) == 2
+    assert reason in _data_error_line(capsys)
+
+
+@pytest.mark.parametrize(
     "corrupt",
-    [lambda b: b[:8], lambda b: b[:-4], lambda b: b + b"\0"],
-    ids=["cut-after-magic", "cut-4-bytes-short", "one-trailing-byte"],
+    [lambda b: b[:8], lambda b: b[:-4], lambda b: b + b"\0", lambda b: b[:17] + b"\xff" + b[18:]],
+    ids=["cut-after-magic", "cut-4-bytes-short", "one-trailing-byte", "metadata-byte-0xff"],
 )
 def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, corrupt):
     checkpoint = tmp_path / "checkpoint.bin"
@@ -326,6 +346,22 @@ def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, corrupt):
     capsys.readouterr()
     assert main(_eval_args(ws, checkpoint=checkpoint)) == 2
     assert str(checkpoint) in _data_error_line(capsys)
+
+
+def test_eval_into_closed_pipe_exits_quietly(ws):
+    """`hoptrace eval | head -1`: the reader closes the pipe before the
+    metrics are printed; no traceback, and the SIGPIPE exit status."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hoptrace", *_eval_args(ws)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # before the child has started, let alone printed
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 # -- answer --------------------------------------------------------------------------

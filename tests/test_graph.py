@@ -71,6 +71,21 @@ def test_edges_grouped_by_predicate(rng):
         assert g.pred_ptr[-1] == g.num_edges
 
 
+def test_edges_grouped_by_pair(rng):
+    """pair_order lists edges by (head, tail) then edge id; each pair_ptr
+    run is one pair, and no pair appears twice."""
+    graphs = [add_reverse_relations(random_label_graph(rng)) for _ in range(10)]
+    graphs.append(RelationGraph(Vocab(["a"]), Vocab(["p"]), [], [], [], form="label"))
+    for g in graphs:
+        h, t = g.edge_heads, g.edge_tails
+        assert g.pair_order.tolist() == sorted(range(g.num_edges), key=lambda e: (h[e], t[e], e))
+        for k, (ph, pt) in enumerate(zip(g.pair_heads, g.pair_tails)):
+            run = g.pair_order[g.pair_ptr[k] : g.pair_ptr[k + 1]]
+            assert run.size and np.all(h[run] == ph) and np.all(t[run] == pt)
+        assert g.pair_ptr[0] == 0 and g.pair_ptr[-1] == g.num_edges
+        assert len(set(zip(g.pair_heads.tolist(), g.pair_tails.tolist()))) == len(g.pair_heads)
+
+
 @pytest.mark.parametrize(
     "edges, trels",
     [([(0, 0, 2)], []), ([(0, 1, 1)], []), ([], [(0, -1, 0)]), ([], [(0, 1, 1)])],

@@ -56,12 +56,17 @@ def group_pairs(heads, tails, w):
 
 def edge_cases(rng):
     """(n, heads, tails, w, a): random graphs, a graph of parallel edges whose
-    weights tie often, and an empty edge list."""
+    weights tie often, the disjoint union of three such graphs, and an empty
+    edge list."""
     for _ in range(20):
         yield random_edges(rng)
     heads = rng.integers(0, 2, size=40)
     tails = rng.integers(0, 2, size=40)
     yield 3, heads, tails, rng.choice([0.25, 0.75], size=40), rng.random(3)
+    # a batch of 3 as forward_batch pushes it: row b's ids shifted by b*n
+    n, heads, tails, _, _ = random_edges(rng, 5, 30)
+    shift = np.repeat(np.arange(3), heads.size) * n
+    yield 3 * n, np.tile(heads, 3) + shift, np.tile(tails, 3) + shift, rng.choice([0.25, 0.75], size=90), rng.random(3 * n)
     empty = np.zeros(0, dtype=np.int64)
     yield 3, empty, empty, np.zeros(0), rng.random(3)
 

@@ -9,7 +9,7 @@ from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
 from hoptrace.encoder import RelationEncodingCache, Vocabulary, encode_question
 from hoptrace.errors import GraphError
-from hoptrace.graph import add_reverse_relations, build_from_triples
+from hoptrace.graph import RelationGraph, Vocab, add_reverse_relations, build_from_triples, mix_label_into_text
 from hoptrace.model import (
     ModelParams,
     forward,
@@ -162,8 +162,6 @@ def test_transfer_text_gradcheck_sum(rng):
 
 def test_transfer_text_max_gradient_reaches_argmax_only(rng):
     # two parallel relations 0->1; only the stronger one gets gradient
-    from hoptrace.graph import RelationGraph, Vocab
-
     g = RelationGraph(
         Vocab(["e0", "e1"]), Vocab(), [], ["t0", "t1"], [(0, 1, 0), (0, 1, 1)], form="text"
     )
@@ -420,3 +418,139 @@ def test_ambiguous_topic_surface_activates_both(rng):
     a1 = res.a_steps[0].data
     reach = set(np.flatnonzero(a1 > 0).tolist())
     assert g.entities.id("alice") in reach and g.entities.id("bob") in reach
+
+
+# -- forward_batch against per-example forward on every transfer path ------------------
+
+
+def _label_max_case(rng):
+    """Parallel edges under predicates whose scores tie exactly."""
+    triples = [(f"e{h}", f"p{k}", f"e{t}") for h, t in [(0, 1), (1, 2), (2, 3), (0, 2), (3, 1)] for k in (0, 1, 2)]
+    g = add_reverse_relations(build_from_triples(triples))
+    cfg = label_cfg(d=6, aggregation="max", head="sigmoid")
+    params = ModelParams(20, g.n, g.num_predicates, cfg)
+    # p0 and p1 (ids 0 and 2, reverses 1 and 3) score identically
+    for w in (params.pred_w.data.T, params.pred_b.data):
+        w[2], w[3] = w[0], w[1]
+    return g, cfg, params, None, [0, 1, 3]
+
+
+def _text_case(aggregation, **cfg_kw):
+    def build(rng):
+        g = add_reverse_relations(random_text_graph(rng, n=6, num_rels=24))  # many parallel relations
+        cfg = text_cfg(d=6, aggregation=aggregation, **cfg_kw)
+        params = ModelParams(40, g.n, 1, cfg)
+        return g, cfg, params, make_cache(params, g), [1, 3, 5]
+
+    return build
+
+
+def _mixed_case(rng):
+    g = add_reverse_relations(random_text_graph(rng, n=6, num_rels=24))
+    triples = [(f"e{i}", f"p{i % 2}", f"e{(i + 3) % g.n}") for i in range(g.n)]
+    g = mix_label_into_text(g, triples, 0.5, seed=1)
+    cfg = TrainConfig(form="mixed", d=6).validate()
+    params = ModelParams(40, g.n, g.num_predicates, cfg)
+    return g, cfg, params, make_cache(params, g), [0, 2, 4]
+
+
+def _empty_selection_case(rng):
+    # e0 has no relations: a row starting there selects nothing at step 1,
+    # and its all-zero scores fall back to argmax = e0 again at later steps
+    g = add_reverse_relations(random_text_graph(rng, n=6, num_rels=24, isolated=(0,)))
+    cfg = text_cfg(d=6, aggregation="max")
+    params = ModelParams(40, g.n, 1, cfg)
+    return g, cfg, params, make_cache(params, g), [0, 3, 0]
+
+
+def _no_edges_case(aggregation):
+    def build(rng):
+        g = RelationGraph(Vocab(["e0", "e1", "e2"]), Vocab(["p0", "p1"]), [], [], [], form="label")
+        cfg = label_cfg(d=6, aggregation=aggregation)
+        return g, cfg, ModelParams(20, g.n, g.num_predicates, cfg), None, [0, 2]
+
+    return build
+
+
+BATCH_CASES = {
+    "label-max-tied-parallel": _label_max_case,
+    "text-max": _text_case("max"),
+    "mixed": _mixed_case,
+    "text-omega-cut": _text_case("sum", tau=0.0, omega=2),
+    "text-empty-selection": _empty_selection_case,
+    "label-sum-no-edges": _no_edges_case("sum"),
+    "label-max-no-edges": _no_edges_case("max"),
+}
+
+
+def _weighted_total(results, w):
+    total = None
+    for r in results:
+        y = ad.sum_(r.final * Tensor(w))
+        total = y if total is None else total + y
+    return total
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_forward_batch_matches_forward_with_gradients(rng, case):
+    g, cfg, params, cache, topics = BATCH_CASES[case](rng)
+    seqs = [np.array([4, 5, 6]), np.array([7, 8]), np.array([9, 10, 11, 12])][: len(topics)]
+    w = rng.standard_normal(g.n)
+
+    batch = forward_batch(g, seqs, topics, params, cfg, cache=cache)
+    _weighted_total(batch, w).backward()
+    got = {k: t.grad for k, t in params.named().items()}
+    for t in params.named().values():
+        t.grad = None
+
+    singles = [forward(g, s, e, params, cfg, cache=cache, question="q") for s, e in zip(seqs, topics)]
+    _weighted_total(singles, w).backward()
+    for b, want in zip(batch, singles):
+        np.testing.assert_allclose(b.final.data, want.final.data, atol=1e-12)
+        np.testing.assert_allclose(b.c.data, want.c.data, atol=1e-12)
+    for k, t in params.named().items():
+        # a path that never ran leaves no gradient where the other has zeros
+        zeros = np.zeros_like(t.data)
+        np.testing.assert_allclose(
+            zeros if got[k] is None else got[k], zeros if t.grad is None else t.grad, atol=1e-12, err_msg=k
+        )
+
+    if case == "text-omega-cut":
+        a_prev = [np.eye(g.n)[topics[0]]] + [s.entity_scores for s in singles[0].trace.steps]
+        cut = [
+            g.select_text_relation_ids(a, cfg.tau, None)[0].size > s.relation_ids.size
+            for a, s in zip(a_prev, singles[0].trace.steps)
+        ]
+        assert any(cut)
+    if case == "text-empty-selection":
+        assert singles[0].trace.steps[0].relation_ids.size == 0
+    if case == "label-max-tied-parallel":
+        assert np.any(batch[0].final.data > 0)
+
+
+def _tape_size(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("case", ["label-max-tied-parallel", "text-max"])
+def test_forward_batch_tape_grows_only_by_result_slices(rng, case):
+    """Eight rows against two: the only extra tape nodes are each extra row's
+    final[i] slice, its sum and the add into the total (3 per row), so no
+    per-example transfer can hide in forward_batch."""
+    g, cfg, params, cache, topics = BATCH_CASES[case](rng)
+
+    def size(B):
+        seqs = [np.array([4 + b % 5, 5, 6]) for b in range(B)]  # equal lengths: same encoder tape
+        results = forward_batch(g, seqs, [topics[b % len(topics)] for b in range(B)], params, cfg, cache=cache)
+        total = ad.sum_(results[0].final)
+        for r in results[1:]:
+            total = total + ad.sum_(r.final)
+        return _tape_size(total)
+
+    assert size(8) - size(2) == 3 * 6
