@@ -249,15 +249,17 @@ def _cmd_eval(args) -> int:
     metrics["per_hop"] = {str(k): v for k, v in metrics["per_hop"].items()}
     metrics["config"] = cfg.to_dict()
     metrics["checkpoint"] = str(args.checkpoint)
-    print(json.dumps(metrics, indent=2, sort_keys=True))
+    # the file and the threshold come before the print: a reader that has
+    # gone away ends the command there
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(metrics, f, indent=2, sort_keys=True)
             f.write("\n")
-    if args.require is not None and metrics["overall"] < args.require:
+    below = args.require is not None and metrics["overall"] < args.require
+    if below:
         log.error("hits@1 %.4f below required %.4f", metrics["overall"], args.require)
-        return 4
-    return 0
+    print(json.dumps(metrics, indent=2, sort_keys=True))
+    return 4 if below else 0
 
 
 def _cmd_answer(args) -> int:

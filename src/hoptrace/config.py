@@ -56,11 +56,6 @@ class TrainConfig:
             return self.batch_size
         return 64 if self.form == "label" else 16
 
-    @property
-    def mask_active(self) -> bool:
-        """The mask only exists over text relations; label form never masks."""
-        return self.use_mask and self.form != "label"
-
     def to_dict(self) -> dict:
         return asdict(self)
 

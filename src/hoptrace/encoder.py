@@ -3,14 +3,18 @@
 The encoder is a single-layer bidirectional GRU over trainable embeddings.
 Per-token states are the concatenated forward/backward hidden states
 projected down to d; the pooled vector is the projected concatenation of
-the final forward and final backward states.  Questions are encoded one at
-a time (they are short); relation texts are encoded in padded batches
-because a text-form training step may need hundreds of them.
+the final forward and final backward states.
+
+One masked recurrence, _bigru, runs both directions over a right-padded
+batch and serves every encoder: a question batch projects the per-token
+states and the pooled vector, the relation table only the pooled vector,
+and a single question is a batch of one.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,45 +131,6 @@ class EncoderParams:
         }
 
 
-class QuestionEncoding:
-    """Pooled question vector q plus per-token hidden states h (|q| x d)."""
-
-    __slots__ = ("q", "h")
-
-    def __init__(self, q: Tensor, h: Tensor):
-        self.q = q
-        self.h = h
-
-
-def encode_question(params: EncoderParams, token_ids: np.ndarray) -> QuestionEncoding:
-    """Run the BiGRU over one token sequence.
-
-    Returns per-token states (|q|, d) and the pooled vector (d,): both are
-    linear projections of concatenated forward/backward states.
-    """
-    if len(token_ids) == 0:
-        raise ValueError("cannot encode an empty token sequence")
-    d = params.d
-    xs = params.emb[np.asarray(token_ids, dtype=np.int64)]  # (L, d)
-    L = len(token_ids)
-    gx_f = xs @ params.w_xf  # precompute all input projections at once
-    gx_b = xs @ params.w_xb
-    h = Tensor(np.zeros(d))
-    fwd = []
-    for i in range(L):
-        h = _gru_cell_pre(gx_f[i], h, params.w_hf, params.b_f, d)
-        fwd.append(h)
-    h = Tensor(np.zeros(d))
-    bwd = [None] * L
-    for i in range(L - 1, -1, -1):
-        h = _gru_cell_pre(gx_b[i], h, params.w_hb, params.b_b, d)
-        bwd[i] = h
-    both = ad.concat([ad.stack(fwd), ad.stack(bwd)], axis=1)  # (L, 2d)
-    h_tok = both @ params.w_out + params.b_out
-    pooled = ad.concat([fwd[-1], bwd[0]]) @ params.w_out + params.b_out
-    return QuestionEncoding(q=pooled, h=h_tok)
-
-
 def _sigm(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -180,8 +145,7 @@ def _gru_cell_pre(gx, h, w_h, b, d):
 
     Fused into a single graph node with a hand-written backward pass — the
     cell runs once per token per direction, so op-granularity autodiff here
-    would dominate the whole runtime.  Works on (3d,)/(d,) vectors and
-    (B, 3d)/(B, d) batches alike.
+    would dominate the whole runtime.  gx is (K, 3d) and h is (K, d).
     """
     gxd, hd, whd, bd = gx.data, h.data, w_h.data, b.data
     gh = hd @ whd
@@ -202,121 +166,97 @@ def _gru_cell_pre(gx, h, w_h, b, d):
         dgh = da.copy()
         dgh[..., 2 * d :] *= r
         dh = g * z + dgh @ whd.T
-        dw_h = np.outer(hd, dgh) if hd.ndim == 1 else hd.T @ dgh
-        db = da.sum(axis=0) if da.ndim == 2 else da
-        return da, dh, dw_h, db
+        return da, dh, hd.T @ dgh, da.sum(axis=0)
 
     return ad.node(out, (gx, h, w_h, b), vjp)
 
 
-class BatchQuestionEncoding:
+class BatchQuestionEncoding(NamedTuple):
     """Padded batch of question encodings.
 
     q is (B, d) pooled, h is (B, L, d) per-token states, alive is a (B, L)
     0/1 mask flagging real (non-pad) positions.
     """
 
-    __slots__ = ("q", "h", "alive")
-
-    def __init__(self, q: Tensor, h: Tensor, alive: np.ndarray):
-        self.q = q
-        self.h = h
-        self.alive = alive
+    q: Tensor
+    h: Tensor
+    alive: np.ndarray
 
 
-def encode_question_batch(params: EncoderParams, sequences: list[np.ndarray]) -> BatchQuestionEncoding:
-    """Run the BiGRU over B right-padded token sequences at once.
+def _bigru(params: EncoderParams, sequences: list[np.ndarray]):
+    """The masked BiGRU recurrence over K right-padded token sequences.
 
-    Identical arithmetic to encode_question row by row: the alive mask
-    freezes a sequence's hidden state once it runs out of tokens, and
-    per-token states at pad positions are junk that the mask screens off
-    downstream.
+    Returns the forward and backward states, each a list of L (K, d) tensors
+    indexed by position, and the (K, L) alive mask.  The mask freezes a
+    sequence's state at pad positions, so padding never reaches a row's
+    states and fwd[-1] and bwd[0] are every sequence's final forward and
+    backward states.
     """
-    if not sequences:
-        raise ValueError("cannot encode an empty batch")
     d = params.d
     K = len(sequences)
     lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-    if (lengths == 0).any():
-        raise ValueError("cannot encode an empty token sequence")
     L = int(lengths.max())
     ids = np.zeros((K, L), dtype=np.int64)
     for k, s in enumerate(sequences):
         ids[k, : len(s)] = s
     alive = (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)
-
     xs = params.emb[ids.reshape(-1)]  # (K*L, d)
-    gx_f_all = xs @ params.w_xf
-    gx_b_all = xs @ params.w_xb
 
-    h = Tensor(np.zeros((K, d)))
-    fwd = []
-    for i in range(L):
-        m = Tensor(alive[:, i : i + 1])
-        sel = np.arange(K) * L + i
-        nh = _gru_cell_pre(gx_f_all[sel], h, params.w_hf, params.b_f, d)
-        h = m * nh + (1.0 - m) * h
-        fwd.append(h)
-    final_fwd = h
+    directions = []
+    for w_x, w_h, b, positions in (
+        (params.w_xf, params.w_hf, params.b_f, range(L)),
+        (params.w_xb, params.w_hb, params.b_b, range(L - 1, -1, -1)),
+    ):
+        gx_all = xs @ w_x  # every input projection in one matmul
+        h = Tensor(np.zeros((K, d)))
+        states = [None] * L
+        for i in positions:
+            m = Tensor(alive[:, i : i + 1])
+            nh = _gru_cell_pre(gx_all[np.arange(K) * L + i], h, w_h, b, d)
+            h = m * nh + (1.0 - m) * h
+            states[i] = h
+        directions.append(states)
+    fwd, bwd = directions
+    return fwd, bwd, alive
 
-    h = Tensor(np.zeros((K, d)))
-    bwd = [None] * L
-    for i in range(L - 1, -1, -1):
-        m = Tensor(alive[:, i : i + 1])
-        sel = np.arange(K) * L + i
-        nh = _gru_cell_pre(gx_b_all[sel], h, params.w_hb, params.b_b, d)
-        h = m * nh + (1.0 - m) * h
-        bwd[i] = h
-    final_bwd = h
 
+def _pool(params: EncoderParams, fwd, bwd) -> Tensor:
+    """(K, d) pooled vectors: the projected final forward and backward states."""
+    return ad.concat([fwd[-1], bwd[0]], axis=1) @ params.w_out + params.b_out
+
+
+def encode_question_batch(params: EncoderParams, sequences: list[np.ndarray]) -> BatchQuestionEncoding:
+    """Run the BiGRU over B right-padded token sequences at once.
+
+    Per-token states at pad positions are junk that the alive mask screens
+    off downstream.
+    """
+    if not sequences:
+        raise ValueError("cannot encode an empty batch")
+    if any(len(s) == 0 for s in sequences):
+        raise ValueError("cannot encode an empty token sequence")
+    d = params.d
+    fwd, bwd, alive = _bigru(params, sequences)
+    K, L = alive.shape
     # per-token (K, L, 2d) -> project to (K, L, d) via one flat matmul
     both_tok = ad.concat([ad.stack(fwd, axis=1), ad.stack(bwd, axis=1)], axis=2)
     flat = ad.reshape(both_tok, (K * L, 2 * d)) @ params.w_out + params.b_out
-    h_tok = ad.reshape(flat, (K, L, d))
-    pooled = ad.concat([final_fwd, final_bwd], axis=1) @ params.w_out + params.b_out
-    return BatchQuestionEncoding(q=pooled, h=h_tok, alive=alive)
+    return BatchQuestionEncoding(q=_pool(params, fwd, bwd), h=ad.reshape(flat, (K, L, d)), alive=alive)
+
+
+def encode_question(params: EncoderParams, token_ids: np.ndarray) -> BatchQuestionEncoding:
+    """One question: encode_question_batch over a batch of one row."""
+    return encode_question_batch(params, [token_ids])
 
 
 def encode_relation_batch(params: EncoderParams, sequences: list[np.ndarray]) -> Tensor:
     """Encode K token sequences at once; returns (K, d) pooled vectors.
-
-    Sequences are right-padded to the longest one; a finished sequence's
-    hidden state is frozen by the mask so padding never leaks into the
-    pooled output.
-    """
+    Only the pooled vector is projected: the relation table never reads
+    per-token states."""
     if not sequences:
         return Tensor(np.zeros((0, params.d)))
-    d = params.d
-    K = len(sequences)
-    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-    L = int(lengths.max())
-    ids = np.zeros((K, L), dtype=np.int64)
-    for k, s in enumerate(sequences):
-        ids[k, : len(s)] = s
-    alive = (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)  # (K, L)
-
-    xs = params.emb[ids.reshape(-1)]  # (K*L, d)
-    gx_f_all = xs @ params.w_xf
-    gx_b_all = xs @ params.w_xb
-
-    h = Tensor(np.zeros((K, d)))
-    for i in range(L):
-        m = Tensor(alive[:, i : i + 1])
-        sel = np.arange(K) * L + i
-        nh = _gru_cell_pre(gx_f_all[sel], h, params.w_hf, params.b_f, d)
-        h = m * nh + (1.0 - m) * h
-    final_fwd = h
-
-    h = Tensor(np.zeros((K, d)))
-    for i in range(L - 1, -1, -1):
-        m = Tensor(alive[:, i : i + 1])
-        sel = np.arange(K) * L + i
-        nh = _gru_cell_pre(gx_b_all[sel], h, params.w_hb, params.b_b, d)
-        h = m * nh + (1.0 - m) * h
-    final_bwd = h
-
-    both = ad.concat([final_fwd, final_bwd], axis=1)  # (K, 2d)
-    return both @ params.w_out + params.b_out
+    fwd, bwd, _ = _bigru(params, sequences)
+    return _pool(params, fwd, bwd)
 
 
 class RelationEncodingCache:

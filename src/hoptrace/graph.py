@@ -112,6 +112,12 @@ class RelationGraph:
         self.reversed = reversed_
 
         self.texts: list[str] = list(texts)  # unique relation texts
+        # save() writes one name per line between "#SECTION " lines, and
+        # load() reads in text mode, where a \r also ends a line
+        for what, names in (("entity", entities.names), ("predicate", predicates.names), ("text", self.texts)):
+            bad = next((x for x in names if "\n" in x or "\r" in x or x.startswith("#SECTION ")), None)
+            if bad is not None:
+                raise GraphError(f"{what} name {bad!r} holds a line break or starts with '#SECTION '")
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
         t = np.asarray(trels, dtype=np.int64).reshape(-1, 3)
         # numpy would wrap a negative id and the bincount kernels would grow

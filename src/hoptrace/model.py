@@ -8,10 +8,11 @@ edges, and truncate back into [0,1].  A hop-mixture head blends the per-step
 score vectors and, on text graphs, a question-conditioned mask gates the
 result.
 
-forward() runs one question and records every intermediate in a
-ReasoningTrace.  forward_batch() runs a batch for training and evaluation:
-each step is one transfer over the (B, n) score matrix, pushed as a disjoint
-union of the B rows, in every graph form and aggregation.
+There is one implementation, _reason, and it always runs a batch: each step
+is one transfer over the (B, n) score matrix, pushed as a disjoint union of
+the B rows, in every graph form and aggregation.  forward_batch() runs it
+for training and evaluation; forward() runs it on a batch of one question
+and records every intermediate in a ReasoningTrace.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Tensor
-from .encoder import EncoderParams, QuestionEncoding, encode_question, encode_question_batch
+from .encoder import BatchQuestionEncoding, EncoderParams, encode_question, encode_question_batch
 from .errors import GraphError
 from .graph import RelationGraph, pair_groups
 from .trace import ReasoningTrace, StepTrace
@@ -84,30 +85,15 @@ class ModelParams:
         return out
 
 
-class StepQuery(NamedTuple):
-    qk: Tensor  # step-projected question key (d,)
-    b: Tensor  # attention over question tokens (|q|,)
-    q_t: Tensor  # attended step query (d,)
-
-
-def step_attention(q_enc: QuestionEncoding, t: int, params: ModelParams) -> StepQuery:
-    """Attend over question tokens for step t (1-based)."""
-    qk = ad.tanh(q_enc.q @ params.step_w[t - 1] + params.step_b[t - 1])
-    b = ad.softmax(q_enc.h @ qk)
-    q_t = b @ q_enc.h
-    return StepQuery(qk, b, q_t)
-
-
-def label_relation_scores(q_t: Tensor, params: ModelParams, head: str | None = None) -> Tensor:
-    """Score every predicate against the step query: softmax gives a
-    distribution, sigmoid scores predicates independently."""
-    head = head or params.head
+def label_relation_scores(q_t: Tensor, params: ModelParams) -> Tensor:
+    """Score every predicate against the step query with params.head:
+    softmax gives a distribution, sigmoid scores predicates independently."""
     logits = q_t @ params.pred_w + params.pred_b
-    if head == "softmax":
+    if params.head == "softmax":
         return ad.softmax(logits)
-    if head == "sigmoid":
+    if params.head == "sigmoid":
         return ad.sigmoid(logits)
-    raise ValueError(f"unknown relation head {head!r}")
+    raise ValueError(f"unknown relation head {params.head!r}")
 
 
 def text_relation_scores(q_t: Tensor, rel_enc: Tensor, params: ModelParams) -> Tensor:
@@ -173,8 +159,10 @@ def _expand(p: Tensor, preds: np.ndarray) -> Tensor:
 
 
 def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregation: str = "sum") -> Tensor:
-    """transfer_label for a whole batch at once: a_prev is (B, n), p is
-    (B, num_predicates), row b moves under row b's predicate scores."""
+    """Label-form transfer for a whole batch: a_prev is (B, n), p is
+    (B, num_predicates).  Every edge, weighted by row b's score for its
+    predicate, pushes row b's head activation onto the tail; the n x n score
+    matrix is never materialized."""
     B, n, E = p.data.shape[0], g.n, g.num_edges
     if aggregation == "sum":
         w = _expand(p, g.edge_preds)
@@ -202,30 +190,13 @@ def transfer_text_batch(
     g: RelationGraph, a_prev: Tensor, rel_ids: np.ndarray, rows: np.ndarray, scores: Tensor, aggregation: str
 ) -> Tensor:
     """Text-form transfer for a whole batch: a_prev is (B, n) and relation
-    rel_ids[k], scored scores[k], moves row rows[k]."""
+    rel_ids[k], scored scores[k], moves row rows[k]; relations not listed
+    for a row carry score 0 there."""
     B, n = a_prev.data.shape
     off = rows * n
     flat = ad.reshape(a_prev, (B * n,))
     out = _push(g.trel_heads[rel_ids] + off, g.trel_tails[rel_ids] + off, scores, flat, B * n, aggregation)
     return ad.reshape(out, (B, n))
-
-
-def transfer_label(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregation: str = "sum") -> Tensor:
-    """One label-form transfer: every edge is weighted by its predicate's
-    score and pushes the head's activation onto the tail.  The n x n score
-    matrix is never materialized."""
-    out = transfer_label_batch(g, ad.reshape(a_prev, (1, g.n)), ad.reshape(p, (1, -1)), aggregation)
-    return ad.reshape(out, (g.n,))
-
-
-def transfer_text(
-    g: RelationGraph, a_prev: Tensor, rel_ids: np.ndarray, scores: Tensor, aggregation: str = "sum"
-) -> Tensor:
-    """One text-form transfer over the selected relations; unselected
-    relations implicitly carry score 0."""
-    rows = np.zeros(len(rel_ids), dtype=np.int64)
-    out = transfer_text_batch(g, ad.reshape(a_prev, (1, g.n)), rel_ids, rows, scores, aggregation)
-    return ad.reshape(out, (g.n,))
 
 
 def truncate(a: Tensor) -> Tensor:
@@ -236,22 +207,6 @@ def truncate(a: Tensor) -> Tensor:
     """
     z = np.where(a.data > 1.0, a.data, 1.0)
     return ad.node(a.data / z, (a,), lambda g: (g / z,))
-
-
-def hop_mixture(q: Tensor, a_steps: list[Tensor], params: ModelParams):
-    """Blend the per-step score vectors with a softmax over hop counts."""
-    c = ad.softmax(q @ params.hop_w + params.hop_b)
-    a_star = None
-    for t, a_t in enumerate(a_steps):
-        term = c[t] * a_t
-        a_star = term if a_star is None else a_star + term
-    return c, a_star
-
-
-def language_mask(q: Tensor, a_star: Tensor, params: ModelParams):
-    """Question-conditioned per-entity sigmoid gate over the final scores."""
-    m = ad.sigmoid(q @ params.mask_w + params.mask_b)
-    return m * a_star, m
 
 
 def rank_answers(scores: np.ndarray):
@@ -268,17 +223,89 @@ def rank_answers(scores: np.ndarray):
 
 
 class ForwardResult(NamedTuple):
-    final: Tensor  # answer scores after the mask (if any)
-    a_star: Tensor  # hop-mixture scores before the mask
-    c: Tensor  # hop distribution
-    mask: Tensor | None
-    a_steps: list[Tensor]
+    final: Tensor  # (n,) answer scores after the mask (if any)
+    c: Tensor  # (T,) hop distribution
     trace: ReasoningTrace | None
 
 
 class BatchResult(NamedTuple):
     final: Tensor  # (n,) answer scores for one example
     c: Tensor  # (T,) hop distribution row
+
+
+class _Step(NamedTuple):
+    attention: Tensor  # (B, L) over question tokens, 0 on pads
+    relation_ids: np.ndarray | None  # text form: every row's selected relations, concatenated
+    relation_scores: Tensor  # (B, num_predicates) in label form, one per relation_ids entry in text form
+    a_t: Tensor  # (B, n) entity scores after the step
+
+
+class _Pass(NamedTuple):
+    steps: list[_Step]
+    c: Tensor  # (B, T) hop distribution
+    a_star: Tensor  # (B, n) hop mixture
+    mask: Tensor | None  # (B, n) language mask, text forms only
+    final: Tensor  # (B, n) answer scores
+
+
+def _reason(
+    g: RelationGraph, enc: BatchQuestionEncoding, topic_lists: list, params: ModelParams, cfg, cache
+) -> _Pass:
+    """The reasoning pass over a batch of encoded questions.
+
+    Everything runs once for the batch: the step attention and score heads,
+    one transfer per step over the (B, n) score matrix, the hop mixture and
+    the mask.  Text relations are selected per row (tau/omega and their
+    tie-breaking are per question), then scored in one call and pushed
+    together as a disjoint union, so a row's numbers do not depend on the
+    other rows and the tape does not grow with B.
+    """
+    text_form = g.form != "label"
+    if params.form != g.form:
+        raise GraphError(f"model built for {params.form!r} graphs, got {g.form!r}")
+    if text_form and cache is None:
+        raise GraphError("text/mixed forward needs a relation encoding cache")
+    n, d = g.n, params.d
+    B, L = enc.alive.shape
+
+    a0 = np.zeros((B, n))
+    for i, topics in enumerate(topic_lists):
+        ids = np.atleast_1d(topics).astype(np.int64)  # one entity or several
+        bad = ids[(ids < 0) | (ids >= n)]
+        if bad.size:
+            raise GraphError(f"topic entity id {bad[0]} out of range [0, {n})")
+        a0[i, ids] = 1.0
+
+    pad_penalty = Tensor((enc.alive - 1.0) * 1e9)  # 0 on real tokens, -1e9 on pads
+    a_prev = Tensor(a0)
+    steps = []
+    for t in range(params.T):
+        qk = ad.tanh(enc.q @ params.step_w[t] + params.step_b[t])  # (B, d)
+        logits = ad.sum_(enc.h * ad.reshape(qk, (B, 1, d)), axis=2) + pad_penalty
+        att = ad.softmax(logits)  # (B, L)
+        q_t = ad.sum_(ad.reshape(att, (B, L, 1)) * enc.h, axis=1)  # (B, d)
+        if text_form:
+            picked = [g.select_text_relation_ids(row, cfg.tau, cfg.omega)[0] for row in a_prev.data]
+            rel_ids = np.concatenate(picked)
+            rows = np.repeat(np.arange(B), [ids.size for ids in picked])
+            scores = text_relation_scores(q_t[rows], cache.get_many(g.trel_text[rel_ids]), params)
+            raw = transfer_text_batch(g, a_prev, rel_ids, rows, scores, cfg.aggregation)
+        else:
+            rel_ids = None
+            scores = label_relation_scores(q_t, params)
+            raw = transfer_label_batch(g, a_prev, scores, cfg.aggregation)
+        a_t = truncate(raw) if cfg.use_truncation else raw
+        steps.append(_Step(att, rel_ids, scores, a_t))
+        a_prev = a_t
+
+    c = ad.softmax(enc.q @ params.hop_w + params.hop_b)  # (B, T)
+    a_star = None
+    for t, step in enumerate(steps):
+        term = ad.reshape(ad.take(c, (slice(None), t)), (B, 1)) * step.a_t
+        a_star = term if a_star is None else a_star + term
+    mask = ad.sigmoid(enc.q @ params.mask_w + params.mask_b) if text_form and cfg.use_mask else None
+    final = a_star if mask is None else mask * a_star
+    return _Pass(steps, c, a_star, mask, final)
 
 
 def forward_batch(
@@ -289,62 +316,10 @@ def forward_batch(
     cfg,
     cache=None,
 ) -> list[BatchResult]:
-    """Reasoning pass over a whole batch of questions.
-
-    Everything runs once for the batch: the encoder, the step attention and
-    score heads, one transfer per step over the (B, n) score matrix, the hop
-    mixture and the mask.  Text relations are still selected per example
-    (tau/omega and their tie-breaking are per question), then scored in one
-    call and pushed together as a disjoint union.  Matches forward() per
-    question, with a tape whose size does not grow with B.
-    """
-    text_form = g.form != "label"
-    if params.form != g.form:
-        raise GraphError(f"model built for {params.form!r} graphs, got {g.form!r}")
-    if text_form and cache is None:
-        raise GraphError("text/mixed forward needs a relation encoding cache")
-    n, T, d = g.n, params.T, params.d
-    B = len(token_seqs)
-
-    be = encode_question_batch(params.q_enc, token_seqs)
-    L = be.h.data.shape[1]
-    pad_penalty = Tensor((be.alive - 1.0) * 1e9)  # 0 on real tokens, -1e9 on pads
-
-    a0_rows = np.zeros((B, n))
-    for i, topics in enumerate(topic_lists):
-        topics = [int(topics)] if np.isscalar(topics) else [int(x) for x in topics]
-        for e in topics:
-            if not 0 <= e < n:
-                raise GraphError(f"topic entity id {e} out of range [0, {n})")
-        a0_rows[i, topics] = 1.0
-
-    a_prev = Tensor(a0_rows)
-    a_steps = []
-    for t in range(T):
-        qk = ad.tanh(be.q @ params.step_w[t] + params.step_b[t])  # (B, d)
-        logits = ad.sum_(be.h * ad.reshape(qk, (B, 1, d)), axis=2) + pad_penalty
-        att = ad.softmax(logits)  # (B, L)
-        q_t = ad.sum_(ad.reshape(att, (B, L, 1)) * be.h, axis=1)  # (B, d)
-        if text_form:
-            picked = [g.select_text_relation_ids(row, cfg.tau, cfg.omega)[0] for row in a_prev.data]
-            rel_ids = np.concatenate(picked)
-            rows = np.repeat(np.arange(B), [ids.size for ids in picked])
-            scores = text_relation_scores(q_t[rows], cache.get_many(g.trel_text[rel_ids]), params)
-            raw = transfer_text_batch(g, a_prev, rel_ids, rows, scores, cfg.aggregation)
-        else:
-            raw = transfer_label_batch(g, a_prev, label_relation_scores(q_t, params, cfg.head), cfg.aggregation)
-        a_t = truncate(raw) if cfg.use_truncation else raw
-        a_steps.append(a_t)
-        a_prev = a_t
-
-    c_all = ad.softmax(be.q @ params.hop_w + params.hop_b)  # (B, T)
-    final = None
-    for t, a_t in enumerate(a_steps):
-        term = ad.reshape(ad.take(c_all, (slice(None), t)), (B, 1)) * a_t
-        final = term if final is None else final + term
-    if text_form and cfg.use_mask:
-        final = ad.sigmoid(be.q @ params.mask_w + params.mask_b) * final  # (B, n) gate
-    return [BatchResult(final=final[i], c=c_all[i]) for i in range(B)]
+    """Reasoning pass over a whole batch of questions, for training and
+    evaluation; row i matches forward() on question i."""
+    run = _reason(g, encode_question_batch(params.q_enc, token_seqs), topic_lists, params, cfg, cache)
+    return [BatchResult(final=run.final[i], c=run.c[i]) for i in range(len(token_seqs))]
 
 
 def forward(
@@ -357,70 +332,32 @@ def forward(
     question: str = "",
     want_trace: bool = True,
 ) -> ForwardResult:
-    """Run the full T-step reasoning pass from the topic entity (or
-    entities — every surface match starts at score 1)."""
-    n = g.n
-    topics = [int(topics)] if np.isscalar(topics) else [int(x) for x in topics]
-    for e in topics:
-        if not 0 <= e < n:
-            raise GraphError(f"topic entity id {e} out of range [0, {n})")
-    if params.form != g.form:
-        raise GraphError(f"model built for {params.form!r} graphs, got {g.form!r}")
-    text_form = g.form != "label"
-    if text_form and cache is None:
-        raise GraphError("text/mixed forward needs a relation encoding cache")
-
-    a0 = np.zeros(n)
-    a0[topics] = 1.0
-    a_prev = Tensor(a0)
-    q_enc = encode_question(params.q_enc, token_ids)
-
-    a_steps: list[Tensor] = []
-    steps: list[StepTrace] = []
-    for t in range(1, params.T + 1):
-        sq = step_attention(q_enc, t, params)
-        if text_form:
-            rel_ids, _subj = g.select_text_relation_ids(a_prev.data, cfg.tau, cfg.omega)
-            scores = text_relation_scores(sq.q_t, cache.get_many(g.trel_text[rel_ids]), params)
-            raw = transfer_text(g, a_prev, rel_ids, scores, cfg.aggregation)
-            rel_scores = scores.data
-        else:
-            rel_ids = None
-            p = label_relation_scores(sq.q_t, params, cfg.head)
-            raw = transfer_label(g, a_prev, p, cfg.aggregation)
-            rel_scores = p.data
-        a_t = truncate(raw) if cfg.use_truncation else raw
-        if want_trace:
-            steps.append(
-                StepTrace(
-                    attention=sq.b.data.copy(),
-                    relation_ids=None if rel_ids is None else rel_ids.copy(),
-                    relation_scores=rel_scores.copy(),
-                    entity_scores=a_t.data.copy(),
-                )
-            )
-        a_steps.append(a_t)
-        a_prev = a_t
-
-    c, a_star = hop_mixture(q_enc.q, a_steps, params)
-    if text_form and cfg.use_mask:
-        final, m = language_mask(q_enc.q, a_star, params)
-    else:
-        final, m = a_star, None
-
+    """Run the full T-step reasoning pass for one question from the topic
+    entity (or entities — every surface match starts at score 1)."""
+    run = _reason(g, encode_question(params.q_enc, token_ids), [topics], params, cfg, cache)
+    final = run.final[0]
     trace = None
     if want_trace:
         ranked, degenerate = rank_answers(final.data)
         trace = ReasoningTrace(
             question=question,
-            tokens=token_ids.copy(),
-            topics=list(topics),
-            steps=steps,
-            hop_distribution=c.data.copy(),
-            mask=None if m is None else m.data.copy(),
-            a_star=a_star.data.copy(),
-            final=final.data.copy(),
+            tokens=np.array(token_ids),
+            topics=np.atleast_1d(topics).astype(np.int64).tolist(),
+            steps=[
+                StepTrace(
+                    attention=s.attention.data[0],
+                    relation_ids=s.relation_ids,
+                    # label scores are (1, P); text scores hold row 0's relations alone
+                    relation_scores=s.relation_scores.data[0] if s.relation_ids is None else s.relation_scores.data,
+                    entity_scores=s.a_t.data[0],
+                )
+                for s in run.steps
+            ],
+            hop_distribution=run.c.data[0],
+            mask=None if run.mask is None else run.mask.data[0],
+            a_star=run.a_star.data[0],
+            final=final.data,
             ranked=ranked,
             degenerate=degenerate,
         )
-    return ForwardResult(final=final, a_star=a_star, c=c, mask=m, a_steps=a_steps, trace=trace)
+    return ForwardResult(final=final, c=run.c[0], trace=trace)

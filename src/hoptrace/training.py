@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .encoder import RelationEncodingCache, Vocabulary, split_tokens
 from .errors import DataError, NumericError
-from .model import ModelParams, forward, forward_batch, rank_answers
+from .model import ModelParams, forward_batch, rank_answers
 
 log = logging.getLogger("hoptrace")
 
@@ -393,18 +393,22 @@ def load_checkpoint(path):
             meta = json.loads(read(blob_len, "metadata").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"{path}: unreadable metadata: {e}") from None
-        cfg = TrainConfig(**meta["config"]).validate()
-        m = meta["model"]
-        params = ModelParams(m["vocab_size"], m["n"], m["num_predicates"], cfg)
+        try:
+            cfg = TrainConfig(**meta["config"]).validate()
+            m = meta["model"]
+            params = ModelParams(m["vocab_size"], m["n"], m["num_predicates"], cfg)
+            blocks = [(str(block["name"]), tuple(block["shape"])) for block in meta["params"]]
+        except (KeyError, TypeError, ValueError) as e:
+            # a missing key, a value of the wrong type, an unknown or invalid config entry
+            raise DataError(f"{path}: metadata does not describe a model: {e!r}") from None
         named = params.named()
-        for block in meta["params"]:
-            name, shape = block["name"], tuple(block["shape"])
+        for name, shape in blocks:
             if name not in named:
                 raise DataError(f"{path}: unexpected parameter block {name!r}")
             if named[name].data.shape != shape:
                 raise DataError(f"{path}: shape mismatch for {name!r}")
             count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(read(count * 8, f"block {name!r}"), dtype=np.float64).reshape(shape)
+            arr = np.frombuffer(read(count * 8, f"block {name!r}"), dtype=np.float64).reshape(named[name].data.shape)
             named[name].data = arr.copy()
         if f.tell() != end:
             raise DataError(f"{path}: trailing bytes after the last parameter block")

@@ -151,6 +151,40 @@ def col_scatter_add(index, src, num_out):
     return out
 
 
+# -- encoder ---------------------------------------------------------------------
+
+
+def _gru_step(x_proj, h, w_h, b, d):
+    """One GRU step on (d,) vectors; gates stacked as (reset, update, candidate)."""
+    gh = h @ w_h
+    pre = x_proj + b
+    r = 1.0 / (1.0 + np.exp(-(pre[:d] + gh[:d])))
+    z = 1.0 / (1.0 + np.exp(-(pre[d : 2 * d] + gh[d : 2 * d])))
+    cand = np.tanh(pre[2 * d :] + r * gh[2 * d :])
+    return z * h + (1.0 - z) * cand
+
+
+def bigru_reference(p, token_ids):
+    """Reference for the question and relation encoders: one sequence, no
+    padding and no mask, numpy arrays only.  p is an EncoderParams (only
+    its arrays are read).  Returns (pooled (d,), per-token states (L, d))."""
+    d = p.d
+    xs = p.emb.data[np.asarray(token_ids)]
+    fwd, h = [], np.zeros(d)
+    for x in xs:
+        h = _gru_step(x @ p.w_xf.data, h, p.w_hf.data, p.b_f.data, d)
+        fwd.append(h)
+    bwd, h = [], np.zeros(d)
+    for x in xs[::-1]:
+        h = _gru_step(x @ p.w_xb.data, h, p.w_hb.data, p.b_b.data, d)
+        bwd.append(h)
+    bwd.reverse()
+    w_out, b_out = p.w_out.data, p.b_out.data
+    per_token = np.concatenate([np.stack(fwd), np.stack(bwd)], axis=1) @ w_out + b_out
+    pooled = np.concatenate([fwd[-1], bwd[0]]) @ w_out + b_out
+    return pooled, per_token
+
+
 def truncate_reference(a):
     out = a.copy()
     out[out > 1.0] = 1.0

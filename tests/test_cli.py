@@ -6,6 +6,7 @@ individual tests poke at the artifacts and exit codes.
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -348,12 +349,42 @@ def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, corrupt):
     assert str(checkpoint) in _data_error_line(capsys)
 
 
-def test_eval_into_closed_pipe_exits_quietly(ws):
+def _with_metadata(raw, change):
+    """A checkpoint whose JSON metadata has gone through change(meta), with
+    its length field rewritten to match."""
+    (size,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16 : 16 + size])
+    change(meta)
+    blob = json.dumps(meta).encode("utf-8")
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + size :]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda m: m.pop("model"),
+        lambda m: m["config"].update(d="x"),
+        lambda m: m["config"].update(colour="red"),
+        lambda m: m["config"].update(form="graph"),
+    ],
+    ids=["missing-model", "config-d-string", "unknown-config-key", "invalid-config-form"],
+)
+def test_eval_rejects_inconsistent_checkpoint_metadata(ws, tmp_path, capsys, change):
+    checkpoint = tmp_path / "checkpoint.bin"
+    checkpoint.write_bytes(_with_metadata((ws / "run" / "checkpoint.bin").read_bytes(), change))
+    capsys.readouterr()
+    assert main(_eval_args(ws, checkpoint=checkpoint)) == 2
+    assert str(checkpoint) in _data_error_line(capsys)
+
+
+def test_eval_into_closed_pipe_exits_quietly(ws, tmp_path):
     """`hoptrace eval | head -1`: the reader closes the pipe before the
-    metrics are printed; no traceback, and the SIGPIPE exit status."""
+    metrics are printed; no traceback, and the SIGPIPE exit status.  The
+    --out file and the --require verdict come before the print."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "m.json"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "hoptrace", *_eval_args(ws)],
+        [sys.executable, "-m", "hoptrace", *_eval_args(ws), "--out", str(out), "--require", "0.9999"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -362,6 +393,8 @@ def test_eval_into_closed_pipe_exits_quietly(ws):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert json.loads(out.read_text())["count"] == len(load_questions(ws / "data" / "qa_dev.txt"))
+    assert "below required" in err, err
 
 
 # -- answer --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hoptrace.encoder import (
     split_tokens,
 )
 
-from oracles import gradcheck
+from oracles import bigru_reference, gradcheck
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -75,7 +75,7 @@ def test_vocabulary_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(w.encode("who directed movie_3"), v.encode("who directed movie_3"))
 
 
-# -- single-sequence encoder -------------------------------------------------------
+# -- encoders --------------------------------------------------------------------
 
 
 def small_params(rng, vocab_size=12, d=6):
@@ -85,8 +85,9 @@ def small_params(rng, vocab_size=12, d=6):
 def test_encode_question_shapes(rng):
     p = small_params(rng)
     enc = encode_question(p, np.array([4, 5, 6, 7]))
-    assert enc.q.shape == (6,)
-    assert enc.h.shape == (4, 6)
+    assert enc.q.shape == (1, 6)
+    assert enc.h.shape == (1, 4, 6)
+    np.testing.assert_array_equal(enc.alive, np.ones((1, 4)))
 
 
 def test_encode_question_deterministic(rng):
@@ -105,8 +106,8 @@ def test_encode_question_rejects_empty(rng):
 
 def test_encoder_order_sensitivity(rng):
     p = small_params(rng)
-    a = encode_question(p, np.array([4, 5, 6])).q.data
-    b = encode_question(p, np.array([6, 5, 4])).q.data
+    a = encode_question(p, np.array([4, 5, 6])).q.data[0]
+    b = encode_question(p, np.array([6, 5, 4])).q.data[0]
     assert np.abs(a - b).max() > 1e-8
 
 
@@ -114,18 +115,22 @@ def test_gru_cell_matches_composed_primitives(rng):
     """The fused cell must agree (values and grads) with the same arithmetic
     built from basic ops."""
     d = 5
-    gx = Tensor(rng.standard_normal(3 * d), requires_grad=True)
-    h = Tensor(rng.standard_normal(d), requires_grad=True)
+    gx = Tensor(rng.standard_normal((2, 3 * d)), requires_grad=True)
+    h = Tensor(rng.standard_normal((2, d)), requires_grad=True)
     w_h = Tensor(rng.standard_normal((d, 3 * d)), requires_grad=True)
     b = Tensor(rng.standard_normal(3 * d), requires_grad=True)
-    weight = Tensor(rng.standard_normal(d))
+    weight = Tensor(rng.standard_normal((2, d)))
 
     def composed():
         gh = h @ w_h
         pre = gx + b
-        r = ad.sigmoid(pre[np.arange(d)] + gh[np.arange(d)])
-        z = ad.sigmoid(pre[np.arange(d, 2 * d)] + gh[np.arange(d, 2 * d)])
-        cand = ad.tanh(pre[np.arange(2 * d, 3 * d)] + r * gh[np.arange(2 * d, 3 * d)])
+
+        def gate(x, k):
+            return ad.take(x, (slice(None), slice(k * d, (k + 1) * d)))
+
+        r = ad.sigmoid(gate(pre, 0) + gate(gh, 0))
+        z = ad.sigmoid(gate(pre, 1) + gate(gh, 1))
+        cand = ad.tanh(gate(pre, 2) + r * gate(gh, 2))
         return z * h + (1.0 - z) * cand
 
     out_f = _gru_cell_pre(gx, h, w_h, b, d)
@@ -149,14 +154,14 @@ def test_gru_cell_batched_rows_match_single(rng):
     b = Tensor(rng.standard_normal(3 * d))
     batch = _gru_cell_pre(gx, h, w_h, b, d)
     for k in range(3):
-        row = _gru_cell_pre(Tensor(gx.data[k]), Tensor(h.data[k]), w_h, b, d)
-        np.testing.assert_allclose(batch.data[k], row.data, atol=1e-14)
+        row = _gru_cell_pre(Tensor(gx.data[k : k + 1]), Tensor(h.data[k : k + 1]), w_h, b, d)
+        np.testing.assert_allclose(batch.data[k], row.data[0], atol=1e-14)
 
 
 def test_encoder_gradcheck(rng):
     p = small_params(rng, vocab_size=8, d=4)
     ids = np.array([4, 5, 6])
-    weight = Tensor(rng.standard_normal(4))
+    weight = Tensor(rng.standard_normal((1, 4)))
     leaves = list(p.named().values())
 
     def f():
@@ -168,7 +173,7 @@ def test_encoder_gradcheck(rng):
 def test_encoder_per_token_gradcheck(rng):
     p = small_params(rng, vocab_size=8, d=4)
     ids = np.array([4, 5])
-    weight = Tensor(rng.standard_normal((2, 4)))
+    weight = Tensor(rng.standard_normal((1, 2, 4)))
 
     def f():
         return ad.sum_(encode_question(p, ids).h * weight)
@@ -179,7 +184,9 @@ def test_encoder_per_token_gradcheck(rng):
 # -- batched encoders ----------------------------------------------------------------
 
 
-def test_encode_question_batch_matches_single(rng):
+def test_encode_question_batch_matches_reference(rng):
+    """Ragged lengths: every row's pooled vector and real-token states match
+    the unmasked single-sequence oracle."""
     p = small_params(rng, vocab_size=20, d=6)
     seqs = [
         np.array([4, 5, 6, 7, 8]),
@@ -192,9 +199,9 @@ def test_encode_question_batch_matches_single(rng):
     assert be.h.shape == (4, 5, 6)
     np.testing.assert_array_equal(be.alive.sum(axis=1), [5, 1, 3, 4])
     for k, s in enumerate(seqs):
-        single = encode_question(p, s)
-        np.testing.assert_allclose(be.q.data[k], single.q.data, atol=1e-12)
-        np.testing.assert_allclose(be.h.data[k, : len(s)], single.h.data, atol=1e-12)
+        pooled, per_token = bigru_reference(p, s)
+        np.testing.assert_allclose(be.q.data[k], pooled, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(be.h.data[k, : len(s)], per_token, rtol=0, atol=1e-12)
 
 
 def test_encode_question_batch_gradients_match_single(rng):
@@ -210,7 +217,7 @@ def test_encode_question_batch_gradients_match_single(rng):
 
     total = None
     for s in seqs:
-        y = (encode_question(p, s).q * Tensor(w)).sum()
+        y = (encode_question(p, s).q * Tensor(w[None, :])).sum()
         total = y if total is None else total + y
     total.backward()
     for k, t in p.named().items():
@@ -225,13 +232,13 @@ def test_encode_question_batch_rejects_empty(rng):
         encode_question_batch(p, [np.array([4]), np.array([], dtype=np.int64)])
 
 
-def test_encode_relation_batch_matches_single(rng):
+def test_encode_relation_batch_matches_reference(rng):
     p = small_params(rng, vocab_size=15, d=5)
     seqs = [np.array([4, 5]), np.array([6, 7, 8, 9]), np.array([10])]
     table = encode_relation_batch(p, seqs)
     assert table.shape == (3, 5)
     for k, s in enumerate(seqs):
-        np.testing.assert_allclose(table.data[k], encode_question(p, s).q.data, atol=1e-12)
+        np.testing.assert_allclose(table.data[k], bigru_reference(p, s)[0], rtol=0, atol=1e-12)
 
 
 def test_encode_relation_batch_empty(rng):
@@ -250,8 +257,7 @@ def test_cache_consistent_with_direct_encoding(rng):
     rows = cache.get_many(np.array([2, 0, 0]))
     assert rows.shape == (3, 5)
     np.testing.assert_allclose(rows.data[1], rows.data[2], atol=0)
-    direct = encode_question(p, v.encode(texts[2])).q
-    np.testing.assert_allclose(rows.data[0], direct.data, atol=1e-12)
+    np.testing.assert_allclose(rows.data[0], bigru_reference(p, v.encode(texts[2]))[0], rtol=0, atol=1e-12)
 
 
 def test_cache_reuses_table_until_invalidated(rng):

@@ -96,6 +96,19 @@ def test_rejects_out_of_range_ids(edges, trels):
         RelationGraph(Vocab(["a", "b"]), Vocab(["p"]), edges, ["<sub> r <obj> ."], trels, form="mixed")
 
 
+@pytest.mark.parametrize("kind", ["entity", "predicate", "text"])
+@pytest.mark.parametrize(
+    "name", ["a\nb", "a\rb", "#SECTION edges"], ids=["newline", "carriage-return", "section-marker"]
+)
+def test_rejects_names_that_break_the_file(kind, name):
+    """save() writes one name per line and load() reads in text mode, so
+    these names would come back as other lines or sections."""
+    names = {"entity": ["a", "b"], "predicate": ["p"], "text": ["<sub> r <obj> ."]}
+    names[kind] = names[kind] + [name]
+    with pytest.raises(GraphError, match=f"{kind} name"):
+        RelationGraph(Vocab(names["entity"]), Vocab(names["predicate"]), [], names["text"], [], form="mixed")
+
+
 # -- text-relation selection ----------------------------------------------------
 
 

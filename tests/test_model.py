@@ -7,27 +7,25 @@ import pytest
 import hoptrace.autodiff as ad
 from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
-from hoptrace.encoder import RelationEncodingCache, Vocabulary, encode_question
+from hoptrace.encoder import RelationEncodingCache, Vocabulary
 from hoptrace.errors import GraphError
 from hoptrace.graph import RelationGraph, Vocab, add_reverse_relations, build_from_triples, mix_label_into_text
 from hoptrace.model import (
     ModelParams,
     forward,
     forward_batch,
-    hop_mixture,
     label_relation_scores,
-    language_mask,
     rank_answers,
-    step_attention,
     text_relation_scores,
-    transfer_label,
-    transfer_text,
+    transfer_label_batch,
+    transfer_text_batch,
     truncate,
 )
 
 from conftest import random_label_graph, random_text_graph
 from oracles import (
     bfs_answers,
+    brute_select,
     dense_label_transfer,
     dense_text_transfer,
     gradcheck,
@@ -55,41 +53,57 @@ def make_cache(params, g):
     return RelationEncodingCache(params.r_enc, v, g.texts)
 
 
+def transfer_label_row(g, a, p, aggregation="sum"):
+    """transfer_label_batch on one (n,) row under (P,) predicate scores."""
+    out = transfer_label_batch(g, ad.reshape(a, (1, g.n)), ad.reshape(p, (1, -1)), aggregation)
+    return ad.reshape(out, (g.n,))
+
+
+def transfer_text_row(g, a, rel_ids, scores, aggregation):
+    """transfer_text_batch on one (n,) row over the given relations."""
+    rows = np.zeros(len(rel_ids), dtype=np.int64)
+    out = transfer_text_batch(g, ad.reshape(a, (1, g.n)), rel_ids, rows, scores, aggregation)
+    return ad.reshape(out, (g.n,))
+
+
 # -- attention and heads ---------------------------------------------------------
 
 
-def test_step_attention_normalized(rng):
-    params = make_params(label_cfg())
-    enc = encode_question(params.q_enc, np.array([4, 5, 6, 7]))
-    for t in (1, 2, 3):
-        sq = step_attention(enc, t, params)
-        assert abs(sq.b.data.sum() - 1.0) <= 1e-6
-        assert sq.q_t.shape == (8,)
+def test_step_attention_normalized(chain_graph):
+    g = add_reverse_relations(chain_graph)
+    cfg = label_cfg()
+    params = make_params(cfg, n=g.n, num_predicates=g.num_predicates)
+    steps = forward(g, np.array([4, 5, 6, 7]), 0, params, cfg).trace.steps
+    assert len(steps) == 3
+    for s in steps:
+        assert s.attention.shape == (4,)
+        assert abs(s.attention.sum() - 1.0) <= 1e-6
 
 
-def test_step_attention_differs_per_step(rng):
-    params = make_params(label_cfg())
-    enc = encode_question(params.q_enc, np.array([4, 5, 6]))
-    b1 = step_attention(enc, 1, params).b.data
-    b2 = step_attention(enc, 2, params).b.data
-    assert np.abs(b1 - b2).max() > 1e-9
+def test_step_attention_differs_per_step(chain_graph):
+    g = add_reverse_relations(chain_graph)
+    cfg = label_cfg()
+    params = make_params(cfg, n=g.n, num_predicates=g.num_predicates)
+    steps = forward(g, np.array([4, 5, 6]), 0, params, cfg).trace.steps
+    assert np.abs(steps[0].attention - steps[1].attention).max() > 1e-9
 
 
 def test_label_scores_softmax_head(rng):
-    params = make_params(label_cfg())
+    params = make_params(label_cfg(head="softmax"))
     q_t = Tensor(rng.standard_normal(8))
-    p = label_relation_scores(q_t, params, "softmax")
+    p = label_relation_scores(q_t, params)
     assert abs(p.data.sum() - 1.0) <= 1e-6
     assert np.all(p.data > 0)
 
 
 def test_label_scores_sigmoid_head(rng):
-    params = make_params(label_cfg())
+    params = make_params(label_cfg(head="sigmoid"))
     q_t = Tensor(rng.standard_normal(8))
-    p = label_relation_scores(q_t, params, "sigmoid")
+    p = label_relation_scores(q_t, params)
     assert np.all((0 < p.data) & (p.data < 1))
+    params.head = "argmax"
     with pytest.raises(ValueError):
-        label_relation_scores(q_t, params, "argmax")
+        label_relation_scores(q_t, params)
 
 
 def test_text_scores_in_unit_interval(rng):
@@ -109,7 +123,7 @@ def test_transfer_label_matches_dense(rng):
         g = random_label_graph(rng)
         a = Tensor(rng.random(g.n))
         p = Tensor(rng.random(g.num_predicates))
-        got = transfer_label(g, a, p)
+        got = transfer_label_row(g, a, p)
         want = dense_label_transfer(
             g.n, g.edge_heads, g.edge_preds, g.edge_tails, g.num_predicates, a.data, p.data
         )
@@ -121,7 +135,7 @@ def test_transfer_label_gradcheck(rng):
     a = Tensor(rng.random(g.n), requires_grad=True)
     p = Tensor(rng.random(g.num_predicates), requires_grad=True)
     w = Tensor(rng.standard_normal(g.n))
-    gradcheck(lambda: ad.sum_(transfer_label(g, a, p) * w), [a, p])
+    gradcheck(lambda: ad.sum_(transfer_label_row(g, a, p) * w), [a, p])
 
 
 def test_transfer_text_matches_dense_sum(rng):
@@ -132,7 +146,7 @@ def test_transfer_text_matches_dense_sum(rng):
         k = int(rng.integers(1, m + 1))
         rel_ids = rng.choice(m, size=k, replace=False)
         scores = Tensor(rng.random(k))
-        got = transfer_text(g, a, rel_ids, scores, "sum")
+        got = transfer_text_row(g, a, rel_ids, scores, "sum")
         want = dense_text_transfer(
             g.n, g.trel_heads[rel_ids], g.trel_tails[rel_ids], scores.data, a.data, "sum"
         )
@@ -146,7 +160,7 @@ def test_transfer_text_matches_dense_max(rng):
         m = g.num_text_relations
         rel_ids = np.arange(m)
         scores = Tensor(rng.random(m))
-        got = transfer_text(g, a, rel_ids, scores, "max")
+        got = transfer_text_row(g, a, rel_ids, scores, "max")
         want = dense_text_transfer(g.n, g.trel_heads, g.trel_tails, scores.data, a.data, "max")
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
@@ -157,7 +171,7 @@ def test_transfer_text_gradcheck_sum(rng):
     scores = Tensor(rng.random(g.num_text_relations), requires_grad=True)
     w = Tensor(rng.standard_normal(g.n))
     rel_ids = np.arange(g.num_text_relations)
-    gradcheck(lambda: ad.sum_(transfer_text(g, a, rel_ids, scores, "sum") * w), [a, scores])
+    gradcheck(lambda: ad.sum_(transfer_text_row(g, a, rel_ids, scores, "sum") * w), [a, scores])
 
 
 def test_transfer_text_max_gradient_reaches_argmax_only(rng):
@@ -167,7 +181,7 @@ def test_transfer_text_max_gradient_reaches_argmax_only(rng):
     )
     a = Tensor(np.array([1.0, 0.0]))
     scores = Tensor(np.array([0.3, 0.8]), requires_grad=True)
-    out = transfer_text(g, a, np.arange(2), scores, "max")
+    out = transfer_text_row(g, a, np.arange(2), scores, "max")
     np.testing.assert_allclose(out.data, [0.0, 0.8])
     ad.sum_(out).backward()
     np.testing.assert_allclose(scores.grad, [0.0, 1.0])
@@ -176,7 +190,7 @@ def test_transfer_text_max_gradient_reaches_argmax_only(rng):
 def test_transfer_rejects_unknown_aggregation(rng):
     g = random_label_graph(rng, n=5)
     with pytest.raises(ValueError):
-        transfer_label(g, Tensor(np.zeros(5)), Tensor(np.zeros(g.num_predicates)), "median")
+        transfer_label_row(g, Tensor(np.zeros(5)), Tensor(np.zeros(g.num_predicates)), "median")
 
 
 # -- truncation ----------------------------------------------------------------------
@@ -213,23 +227,27 @@ def test_truncate_gradcheck_away_from_kink(rng):
 # -- mixture, mask, ranking ------------------------------------------------------------
 
 
-def test_hop_mixture_blends(rng):
-    params = make_params(label_cfg())
-    q = Tensor(rng.standard_normal(8))
-    a_steps = [Tensor(rng.random(10)) for _ in range(3)]
-    c, a_star = hop_mixture(q, a_steps, params)
-    assert abs(c.data.sum() - 1.0) <= 1e-6
-    want = sum(c.data[t] * a_steps[t].data for t in range(3))
-    np.testing.assert_allclose(a_star.data, want, atol=1e-12)
+def test_hop_mixture_blends(chain_graph):
+    g = add_reverse_relations(chain_graph)
+    cfg = label_cfg()
+    params = make_params(cfg, n=g.n, num_predicates=g.num_predicates)
+    tr = forward(g, np.array([4, 5, 6]), 0, params, cfg).trace
+    c = tr.hop_distribution
+    assert abs(c.sum() - 1.0) <= 1e-6
+    want = sum(c[t] * tr.steps[t].entity_scores for t in range(3))
+    np.testing.assert_allclose(tr.a_star, want, atol=1e-12)
+    np.testing.assert_array_equal(tr.final, tr.a_star)  # label form: no mask
 
 
 def test_language_mask_gates(rng):
-    params = make_params(text_cfg())
-    q = Tensor(rng.standard_normal(8))
-    a_star = Tensor(rng.random(10))
-    gated, m = language_mask(q, a_star, params)
-    assert np.all((0 < m.data) & (m.data < 1))
-    np.testing.assert_allclose(gated.data, m.data * a_star.data)
+    g = add_reverse_relations(random_text_graph(rng, n=10, num_rels=20))
+    cfg = text_cfg()
+    params = make_params(cfg, n=g.n, num_predicates=1)
+    tr = forward(g, np.array([4, 5]), 2, params, cfg, cache=make_cache(params, g)).trace
+    m = tr.mask
+    assert m.shape == (g.n,)
+    assert np.all((0 < m) & (m < 1))
+    np.testing.assert_allclose(tr.final, m * tr.a_star)
 
 
 def test_rank_answers_ties_break_by_id():
@@ -307,6 +325,43 @@ def test_forward_text_trace_records_selected_relations(rng):
     assert res.trace.mask is not None
 
 
+def _trace_case(kind, rng):
+    if kind == "text":
+        # tau low enough that several entities stay active after step 1
+        g = add_reverse_relations(random_text_graph(rng, n=8, num_rels=20))
+        cfg = text_cfg(tau=0.2)
+        params = make_params(cfg, n=g.n, num_predicates=1)
+        return g, cfg, params, make_cache(params, g)
+    g = add_reverse_relations(random_label_graph(rng, n=12, num_predicates=3))
+    cfg = label_cfg(aggregation=kind.split("-")[1], head="sigmoid")
+    return g, cfg, make_params(cfg, n=g.n, num_predicates=g.num_predicates), None
+
+
+@pytest.mark.parametrize("kind", ["label-sum", "label-max", "text"])
+def test_forward_trace_steps_match_oracles(rng, kind):
+    """Every traced step, recomputed from the step before it with the dense
+    transfer oracles, truncation, and (text form) brute-force selection."""
+    g, cfg, params, cache = _trace_case(kind, rng)
+    for topic in range(g.n):
+        tr = forward(g, np.array([4, 5, 6]), topic, params, cfg, cache=cache).trace
+        a_prev = np.eye(g.n)[topic]
+        for s in tr.steps:
+            if kind == "text":
+                want_ids = brute_select(a_prev, cfg.tau, cfg.omega, g.trel_heads)
+                np.testing.assert_array_equal(np.sort(s.relation_ids), want_ids)
+                heads, tails, weights = g.trel_heads[s.relation_ids], g.trel_tails[s.relation_ids], s.relation_scores
+                raw = dense_text_transfer(g.n, heads, tails, weights, a_prev, cfg.aggregation)
+            elif cfg.aggregation == "sum":
+                raw = dense_label_transfer(
+                    g.n, g.edge_heads, g.edge_preds, g.edge_tails, g.num_predicates, a_prev, s.relation_scores
+                )
+            else:  # each (head, tail) pair carries its strongest edge
+                weights = s.relation_scores[g.edge_preds]
+                raw = dense_text_transfer(g.n, g.edge_heads, g.edge_tails, weights, a_prev, "max")
+            np.testing.assert_allclose(s.entity_scores, truncate_reference(raw), rtol=0, atol=1e-12)
+            a_prev = s.entity_scores
+
+
 def test_reachability_support_matches_bfs(rng):
     """With every predicate score forced to 1 and no truncation, the support
     of a^t is the exactly-t-step reachable set."""
@@ -320,7 +375,7 @@ def test_reachability_support_matches_bfs(rng):
         a = Tensor(np.eye(g.n)[topic])
         ones = Tensor(np.ones(g.num_predicates))
         for hops in (1, 2, 3):
-            a = transfer_label(g, a, ones)
+            a = transfer_label_row(g, a, ones)
             want = bfs_answers(triples, topic, hops)
             assert set(np.flatnonzero(a.data > 0).tolist()) == want
 
@@ -334,9 +389,9 @@ def test_forward_scores_stay_in_unit_interval(rng):
         cfg = label_cfg(seed=seed, d=8)
         params = ModelParams(20, g.n, g.num_predicates, cfg)
         tokens = np.array([4 + seed % 3, 5, 6 + seed % 5])
-        res = forward(g, tokens, seed % g.n, params, cfg, want_trace=False)
-        for a_t in res.a_steps:
-            assert np.all((0.0 <= a_t.data) & (a_t.data <= 1.0))
+        res = forward(g, tokens, seed % g.n, params, cfg)
+        for s in res.trace.steps:
+            assert np.all((0.0 <= s.entity_scores) & (s.entity_scores <= 1.0))
         assert np.all((0.0 <= res.final.data) & (res.final.data <= 1.0))
 
 
@@ -414,8 +469,8 @@ def test_ambiguous_topic_surface_activates_both(rng):
     cfg = label_cfg(d=8, use_truncation=True)
     params = ModelParams(15, g.n, g.num_predicates, cfg)
     topics = [g.entities.id("m1"), g.entities.id("m2")]
-    res = forward(g, np.array([4, 5, 6]), topics, params, cfg, want_trace=False)
-    a1 = res.a_steps[0].data
+    res = forward(g, np.array([4, 5, 6]), topics, params, cfg)
+    a1 = res.trace.steps[0].entity_scores
     reach = set(np.flatnonzero(a1 > 0).tolist())
     assert g.entities.id("alice") in reach and g.entities.id("bob") in reach
 
