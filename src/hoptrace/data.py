@@ -264,16 +264,24 @@ class SyntheticDataset:
     stats: dict = field(default_factory=dict)
 
 
-def _path_answers(adj: dict, topic: str, path: tuple) -> set:
-    frontier = {topic}
-    for pred in path:
-        nxt = set()
-        for e in frontier:
-            nxt |= adj.get((e, pred), set())
-        frontier = nxt
-        if not frontier:
-            break
-    return frontier
+def _path_answers(adj: dict, memo: dict, topic: str, path: tuple):
+    """Entities reached from topic along the (non-empty) predicate path, as
+    a set nobody may mutate: one hop returns adj's own set.  memo maps
+    (entity, remaining path) to the answers of a suffix of two or more hops:
+    many topics share a middle entity, so each such suffix is walked once
+    per entity.  Whole paths are not kept, as each topic asks for them once."""
+    nxt = adj.get((topic, path[0]), frozenset())
+    rest = path[1:]
+    if not rest:
+        return nxt
+    if len(rest) == 1:
+        return frozenset().union(*(adj.get((e, rest[0]), ()) for e in nxt))
+    parts = []
+    for e in nxt:
+        if (e, rest) not in memo:
+            memo[e, rest] = _path_answers(adj, memo, e, rest)
+        parts.append(memo[e, rest])
+    return frozenset().union(*parts)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
@@ -340,6 +348,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     for h, p, t in triples:
         adj.setdefault((h, p), set()).add(t)
         adj.setdefault((t, p + "_rev"), set()).add(h)
+    memo: dict[tuple, frozenset] = {}
 
     pools = {
         "movie": movies,
@@ -356,7 +365,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
         units, seen = [], set()
         for path, kind, phrasings in forms:
             for topic in pools[kind]:
-                gold = _path_answers(adj, topic, path)
+                gold = _path_answers(adj, memo, topic, path)
                 if not gold:
                     continue
                 ans = tuple(sorted(gold))
@@ -373,8 +382,8 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     # tie-break symmetric (a maskless model must sit near 50% on them)
     amb_order = [m for m in movies if m in ambiguous]
     for topic in amb_order:
-        y = _path_answers(adj, topic, ("release_year",))
-        lang = _path_answers(adj, topic, ("in_language",))
+        y = _path_answers(adj, memo, topic, ("release_year",))
+        lang = _path_answers(adj, memo, topic, ("in_language",))
         if not y or not lang:
             continue
         for k in range(len(AMBIG_WHEN)):
@@ -425,7 +434,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
         if kind != "movie":
             continue
         for topic in dup_names:
-            gold = _path_answers(adj, topic, path)
+            gold = _path_answers(adj, memo, topic, path)
             if not gold:
                 continue
             for phr in phrasings:

@@ -10,6 +10,7 @@ every constructor-style operation returns a fresh instance.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from typing import NamedTuple
@@ -203,28 +204,31 @@ class RelationGraph:
     # -- serialization ---------------------------------------------------------
 
     def save(self, path):
+        """One text file: a header line, then each section as a
+        "#SECTION <name>" line and one line per row.  The meta section
+        carries a sha256 over everything load() reads (see _digest)."""
+        header = f"hoptrace-graph v2 {self.form} {self.n} {self.num_predicates}"
+        sections = {
+            "meta": [f"reversed {'true' if self.reversed else 'false'}"],
+            "entities": self.entities.names,
+            "predicates": self.predicates.names,
+            "edges": [f"{h}\t{p}\t{t}" for h, p, t in zip(self.edge_heads, self.edge_preds, self.edge_tails)],
+            "texts": self.texts,
+            "text_relations": [f"{h}\t{t}\t{x}" for h, t, x in zip(self.trel_heads, self.trel_tails, self.trel_text)],
+        }
+        sections["meta"].append(f"sha256 {_digest(header, sections)}")
         with open(path, "w", encoding="utf-8") as f:
-            f.write(f"hoptrace-graph v1 {self.form} {self.n} {self.num_predicates}\n")
-            f.write("#SECTION meta\n")
-            f.write(f"reversed {'true' if self.reversed else 'false'}\n")
-            f.write("#SECTION entities\n")
-            for name in self.entities.names:
-                f.write(name + "\n")
-            f.write("#SECTION predicates\n")
-            for name in self.predicates.names:
-                f.write(name + "\n")
-            f.write("#SECTION edges\n")
-            for h, p, t in zip(self.edge_heads, self.edge_preds, self.edge_tails):
-                f.write(f"{h}\t{p}\t{t}\n")
-            f.write("#SECTION texts\n")
-            for text in self.texts:
-                f.write(text + "\n")
-            f.write("#SECTION text_relations\n")
-            for h, t, x in zip(self.trel_heads, self.trel_tails, self.trel_text):
-                f.write(f"{h}\t{t}\t{x}\n")
+            f.write(header + "\n")
+            for name, rows in sections.items():
+                f.write(f"#SECTION {name}\n")
+                f.writelines(row + "\n" for row in rows)
 
     @classmethod
     def load(cls, path) -> "RelationGraph":
+        """Parse a file save() wrote.  Any damage is a GraphError: the
+        sections are checked as they are parsed, and last the sha256 in the
+        meta section, so a truncated or altered file never loads.  Sections
+        with other names are skipped and not checksummed."""
         try:
             with open(path, encoding="utf-8") as f:
                 lines = f.read().split("\n")
@@ -235,7 +239,7 @@ class RelationGraph:
         if not lines:
             raise GraphError(f"{path}: empty graph file")
         head = lines[0].split()
-        if len(head) != 5 or head[0] != "hoptrace-graph" or head[1] != "v1":
+        if len(head) != 5 or head[0] != "hoptrace-graph" or head[1] != "v2":
             raise GraphError(f"{path}: bad header {lines[0]!r}")
         try:
             form, n, num_p = head[2], int(head[3]), int(head[4])
@@ -251,25 +255,35 @@ class RelationGraph:
                 raise GraphError(f"{path}: content before first #SECTION")
             else:
                 sections[current].append(line)
-        for required in ("entities", "predicates", "edges", "text_relations"):
+        for required in _SECTIONS:
             if required not in sections:
                 raise GraphError(f"{path}: missing #SECTION {required}")
-        meta = dict(line.split(None, 1) for line in sections.get("meta", []))
+        meta = dict(line.partition(" ")[::2] for line in sections["meta"])
         entities = Vocab(sections["entities"])
         predicates = Vocab(sections["predicates"])
         if len(entities) != n or len(predicates) != num_p:
             raise GraphError(f"{path}: header counts do not match section sizes")
         edges = _id_rows(path, "edges", sections["edges"])
         trels = _id_rows(path, "text_relations", sections["text_relations"])
-        return cls(
-            entities,
-            predicates,
-            edges,
-            sections.get("texts", []),
-            trels,
-            form,
-            reversed_=meta.get("reversed") == "true",
-        )
+        g = cls(entities, predicates, edges, sections["texts"], trels, form, reversed_=meta.get("reversed") == "true")
+        sections["meta"] = [line for line in sections["meta"] if not line.startswith("sha256 ")]
+        if meta.get("sha256") != _digest(lines[0], sections):
+            raise GraphError(f"{path}: sha256 does not match the contents: the file is damaged or was edited")
+        return g
+
+
+# the sections save() writes, in its order; load() needs all of them
+_SECTIONS = ("meta", "entities", "predicates", "edges", "texts", "text_relations")
+
+
+def _digest(header: str, sections: dict) -> str:
+    """sha256 over the header line and the rows of the _SECTIONS, as save()
+    lays them out (the meta section without its sha256 line)."""
+    h = hashlib.sha256(header.encode("utf-8"))
+    for name in _SECTIONS:
+        h.update(f"\n#SECTION {name}\n".encode("utf-8"))
+        h.update("\n".join(sections[name]).encode("utf-8"))
+    return h.hexdigest()
 
 
 def _id_rows(path, section: str, lines: list[str]) -> list[tuple[int, int, int]]:

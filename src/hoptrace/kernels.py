@@ -20,7 +20,13 @@ def _scatter(index, weights, size):
 
 
 def _fold(index, src, num_out):
-    """out[b, index[e]] += src[b, e], in edge order: (B, E) -> (B, num_out)."""
+    """out[b, index[e]] += src[b, e], in edge order: (B, E) -> (B, num_out).
+
+    np.bincount reads each row of src; a row of a C-ordered src is one
+    contiguous run, where x[:, idx] would hand back an F-ordered array whose
+    rows are strided.  The (B, E) kernels therefore gather with
+    np.take(x, idx, axis=1), which returns C order.
+    """
     out = np.empty((src.shape[0], num_out))
     for b, row in enumerate(src):
         out[b] = np.bincount(index, weights=row, minlength=num_out)
@@ -41,13 +47,17 @@ def push_backward(heads, tails, w, a, g):
 def push_batch_forward(heads, tails, w, a, n):
     """push_forward for B problems over one edge list: w is (B, E), a is
     (B, n); row b uses weights w[b]."""
-    return _fold(tails, a[:, heads] * w, n)
+    src = np.take(a, heads, axis=1)
+    src *= w  # in place: one (B, E) temporary, not two
+    return _fold(tails, src, n)
 
 
 def push_batch_backward(heads, tails, w, a, g):
     """Adjoints of push_batch_forward contracted with upstream g (B, n)."""
-    g_tail = g[:, tails]
-    return _fold(heads, g_tail * w, a.shape[1]), g_tail * a[:, heads]
+    g_tail = np.take(g, tails, axis=1)
+    grad_a = _fold(heads, g_tail * w, a.shape[1])
+    g_tail *= np.take(a, heads, axis=1)  # becomes d/dw
+    return grad_a, g_tail
 
 
 def push_max_forward(pair_heads, pair_tails, pair_ptr, w, a, n):

@@ -149,13 +149,15 @@ def _offset_rows(ids: np.ndarray, B: int, size: int) -> np.ndarray:
 
 
 def _expand(p: Tensor, preds: np.ndarray) -> Tensor:
-    """Per-edge weights p[:, preds] (B, E) from predicate scores (B, P)."""
+    """Per-edge weights p[:, preds] (B, E) from predicate scores (B, P),
+    gathered in C order so each row's weights are contiguous for the
+    kernels' row folds (see kernels._fold)."""
     num_preds = p.data.shape[1]
 
     def vjp(gw):
         return (kernels.col_scatter_add(preds, gw, num_preds),)
 
-    return ad.node(p.data[:, preds], (p,), vjp)
+    return ad.node(np.take(p.data, preds, axis=1), (p,), vjp)
 
 
 def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregation: str = "sum") -> Tensor:
@@ -173,7 +175,7 @@ def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregatio
 
         return ad.node(out, (a_prev, w), vjp)
     if aggregation == "max":
-        w = _expand(p, g.edge_preds[g.pair_order])  # weights in pair-grouped edge order
+        w = _expand(p, g.edge_preds[g.pair_order])  # pair-grouped edge order; C order makes the reshape a view
         out = _push_max(
             _offset_rows(g.pair_heads, B, n),
             _offset_rows(g.pair_tails, B, n),
@@ -228,9 +230,18 @@ class ForwardResult(NamedTuple):
     trace: ReasoningTrace | None
 
 
-class BatchResult(NamedTuple):
-    final: Tensor  # (n,) answer scores for one example
-    c: Tensor  # (T,) hop distribution row
+class BatchResult:
+    """forward_batch's output, kept whole for the loss and the ranking.
+    Iterating yields each row as a ForwardResult (final[i], c[i], no trace)."""
+
+    __slots__ = ("final", "c")
+
+    def __init__(self, final: Tensor, c: Tensor):
+        self.final = final  # (B, n) answer scores
+        self.c = c  # (B, T) hop distributions
+
+    def __iter__(self):
+        return (ForwardResult(self.final[i], self.c[i], None) for i in range(self.final.shape[0]))
 
 
 class _Step(NamedTuple):
@@ -315,11 +326,11 @@ def forward_batch(
     params: ModelParams,
     cfg,
     cache=None,
-) -> list[BatchResult]:
+) -> BatchResult:
     """Reasoning pass over a whole batch of questions, for training and
     evaluation; row i matches forward() on question i."""
     run = _reason(g, encode_question_batch(params.q_enc, token_seqs), topic_lists, params, cfg, cache)
-    return [BatchResult(final=run.final[i], c=run.c[i]) for i in range(len(token_seqs))]
+    return BatchResult(final=run.final, c=run.c)
 
 
 def forward(

@@ -20,7 +20,8 @@ from .model import ModelParams, forward_batch, rank_answers
 log = logging.getLogger("hoptrace")
 
 AUX_WEIGHT = 0.01
-CKPT_MAGIC = b"HOPCKPT1"
+CKPT_MAGIC = b"HOPCKPT2"
+DIGEST_SIZE = 32  # the sha256 that ends a checkpoint
 
 
 def build_target(answers, n: int) -> np.ndarray:
@@ -36,17 +37,19 @@ def build_target(answers, n: int) -> np.ndarray:
 
 
 def euclid_distance(pred: Tensor, target: np.ndarray) -> Tensor:
-    """||pred - target||_2 with gradient (pred - target)/norm, taken as 0 at
-    the (non-differentiable) zero-distance point."""
+    """||pred - target||_2, summed over the rows of a (B, n) pred; a 1-D
+    pred is one row.  A row's gradient is (pred - target)/norm, taken as 0
+    at the (non-differentiable) zero-distance point."""
     diff = pred.data - target
-    norm = float(np.sqrt(np.dot(diff, diff)))
+    # one BLAS dot per row, the same one np.dot takes on a 1-D row
+    norms = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    # a zero-distance row has diff == 0, so any nonzero divisor gives 0 there
+    divisor = np.where(norms == 0.0, 1.0, norms)[..., None]
 
     def vjp(g):
-        if norm == 0.0:
-            return (np.zeros_like(diff),)
-        return (g * diff / norm,)
+        return (g * diff / divisor,)
 
-    return ad.node(norm, (pred,), vjp)
+    return ad.node(norms.sum(), (pred,), vjp)
 
 
 class LossBreakdown(NamedTuple):
@@ -56,8 +59,12 @@ class LossBreakdown(NamedTuple):
 
 
 def compute_loss(final: Tensor, y: np.ndarray, c: Tensor, gold_hop=None, use_aux=True) -> LossBreakdown:
-    """Euclidean distance to the target plus 0.01 x hop cross-entropy when a
-    gold hop count is supplied."""
+    """Euclidean distance to the target plus 0.01 x hop cross-entropy where
+    a gold hop count is supplied.
+
+    One example is final (n,), y (n,), c (T,) and gold_hop an int or None.
+    A batch is final (B, n), y (B, n), c (B, T) and gold_hop one int or None
+    per row; each term is then summed over the rows."""
     if not np.all(np.isfinite(final.data)):
         raise NumericError("non-finite entity scores reached the loss")
     if not np.all(np.isfinite(c.data)):
@@ -66,11 +73,21 @@ def compute_loss(final: Tensor, y: np.ndarray, c: Tensor, gold_hop=None, use_aux
     aux = None
     total = main
     if use_aux and gold_hop is not None:
-        if not 1 <= gold_hop <= c.data.shape[0]:
-            raise DataError(f"gold hop {gold_hop} outside [1, {c.data.shape[0]}]")
-        aux = -ad.log(c[gold_hop - 1])
-        total = main + AUX_WEIGHT * aux
+        T = c.data.shape[-1]
+        picked = [(i, h) for i, h in enumerate([gold_hop] if c.ndim == 1 else gold_hop) if h is not None]
+        for _, h in picked:
+            if not 1 <= h <= T:
+                raise DataError(f"gold hop {h} outside [1, {T}]")
+        if picked:
+            rows, hops = (np.array(v) for v in zip(*picked))
+            aux = ad.sum_(-ad.log(c[(rows, hops - 1) if c.ndim == 2 else hops - 1]))
+            total = main + AUX_WEIGHT * aux
     return LossBreakdown(main=main, aux_hop=aux, total=total)
+
+
+def batch_targets(examples, n: int) -> np.ndarray:
+    """(B, n) stacked build_target rows for a batch of prepared examples."""
+    return np.stack([build_target(ex.answers, n) for ex in examples])
 
 
 class RAdam:
@@ -170,16 +187,18 @@ def prepare_examples(examples, vocab: Vocabulary) -> list[PreparedExample]:
 # evaluation
 
 
-def evaluate(g, params: ModelParams, prepared, cfg, cache=None, chunk=256) -> dict:
-    """hits@1 per hop and overall, plus the mean main loss."""
+def evaluate(g, params: ModelParams, prepared, cfg, cache=None, chunk=64) -> dict:
+    """hits@1 per hop and overall, plus the mean main loss.  Runs chunk
+    questions per forward: the label transfer holds (chunk, edges) arrays,
+    and 64 rows evaluate as fast as 256 with a quarter of the memory."""
     if g.form != "label" and cache is None:
         raise ValueError("text/mixed evaluation needs a relation encoding cache")
     hits: dict[int | None, list[int]] = {}
-    losses = []
+    loss_sum = 0.0
     with no_grad():
         for lo in range(0, len(prepared), chunk):
             group = prepared[lo : lo + chunk]
-            results = forward_batch(
+            res = forward_batch(
                 g,
                 [ex.tokens for ex in group],
                 [ex.topic for ex in group],
@@ -187,21 +206,20 @@ def evaluate(g, params: ModelParams, prepared, cfg, cache=None, chunk=256) -> di
                 cfg,
                 cache=cache,
             )
-            for ex, res in zip(group, results):
-                ranked, degenerate = rank_answers(res.final.data)
+            for ex, row in zip(group, res.final.data):
+                ranked, degenerate = rank_answers(row)
                 ok = (not degenerate) and int(ranked[0]) in ex.answers
                 hits.setdefault(ex.gold_hop, []).append(int(ok))
-                y = build_target(ex.answers, g.n)
-                losses.append(
-                    compute_loss(res.final, y, res.c, ex.gold_hop, cfg.use_aux_hop_loss).main.item()
-                )
+            ys = batch_targets(group, g.n)
+            hops = [ex.gold_hop for ex in group]
+            loss_sum += compute_loss(res.final, ys, res.c, hops, cfg.use_aux_hop_loss).main.item()
     per_hop = {h: float(np.mean(v)) for h, v in sorted(kv for kv in hits.items() if kv[0] is not None)}
     flat = [x for v in hits.values() for x in v]
     return {
         "overall": float(np.mean(flat)) if flat else 0.0,
         "per_hop": per_hop,
         "count": len(flat),
-        "mean_loss": float(np.mean(losses)) if losses else 0.0,
+        "mean_loss": loss_sum / len(flat) if flat else 0.0,
     }
 
 
@@ -259,7 +277,7 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None, param
                 if cache is not None:
                     cache.invalidate()
                 inv = 1.0 / len(batch)
-                results = forward_batch(
+                res = forward_batch(
                     g,
                     [ex.tokens for ex in batch],
                     [ex.topic for ex in batch],
@@ -267,20 +285,16 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None, param
                     cfg,
                     cache=cache,
                 )
-                batch_total = None
-                for ex, res in zip(batch, results):
-                    y = build_target(ex.answers, g.n)
-                    lb = compute_loss(res.final, y, res.c, ex.gold_hop, cfg.use_aux_hop_loss)
-                    if not np.isfinite(lb.total.item()):
-                        raise NumericError(f"non-finite loss for example {ex.uid!r}")
-                    batch_total = lb.total if batch_total is None else batch_total + lb.total
-                    main_sum += lb.main.item()
-                    if lb.aux_hop is not None:
-                        aux_sum += lb.aux_hop.item()
-                        aux_n += 1
-                # one backward per batch: the shared encoder/head subgraph is
-                # traversed once, not B times
-                batch_total.backward(seed=np.asarray(inv))
+                hops = [ex.gold_hop for ex in batch]
+                lb = compute_loss(res.final, batch_targets(batch, g.n), res.c, hops, cfg.use_aux_hop_loss)
+                if not np.isfinite(lb.total.item()):
+                    raise NumericError(f"non-finite loss in the batch starting at {batch[0].uid!r}")
+                main_sum += lb.main.item()
+                if lb.aux_hop is not None:
+                    aux_sum += lb.aux_hop.item()
+                    aux_n += sum(h is not None for h in hops)
+                # one loss node and one backward per batch: the tape does not grow with B
+                lb.total.backward(seed=np.asarray(inv))
                 opt.step()
             dev = evaluate(g, params, dev_prep, cfg, cache=cache)
             if cache is not None:
@@ -334,12 +348,13 @@ def vocab_sha256(vocab: Vocabulary) -> str:
 
 
 def save_checkpoint(path, params: ModelParams, cfg, vocab: Vocabulary, extra: dict | None = None):
-    """Versioned binary container: magic, JSON metadata, then named float64
-    blocks in sorted-name order (byte-deterministic)."""
+    """Versioned binary container: magic, JSON metadata, named float64
+    blocks in sorted-name order, then the sha256 of all the bytes before it
+    (byte-deterministic)."""
     named = sorted(params.named().items())
     meta = {
         "format": "hoptrace-checkpoint",
-        "version": 1,
+        "version": 2,
         "config": cfg.to_dict(),
         "model": {
             "vocab_size": params.vocab_size,
@@ -362,32 +377,36 @@ def save_checkpoint(path, params: ModelParams, cfg, vocab: Vocabulary, extra: di
     }
     meta.update(extra or {})
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    blocks = [np.ascontiguousarray(v.data, dtype=np.float64) for _, v in named]
+    digest = hashlib.sha256()
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for _, v in named:
-            f.write(np.ascontiguousarray(v.data, dtype=np.float64).tobytes())
+        for part in (CKPT_MAGIC, struct.pack("<Q", len(blob)), blob, *blocks):
+            digest.update(part)
+            f.write(part)
+        f.write(digest.digest())
 
 
 def load_checkpoint(path):
     """Returns (ModelParams, metadata).  The model is rebuilt from the
     embedded config, then parameter blocks overwrite the fresh init.  A file
-    shorter or longer than its header and metadata describe is a DataError."""
+    shorter or longer than its header and metadata describe, or whose bytes
+    do not match the sha256 at its end, is a DataError."""
     from .config import TrainConfig
 
     with open(path, "rb") as f:
-        end = os.fstat(f.fileno()).st_size
+        end = os.fstat(f.fileno()).st_size - DIGEST_SIZE
+        digest = hashlib.sha256()
 
         def read(size, what):
             # checked before reading, so a corrupt length allocates nothing
             if f.tell() + size > end:
-                raise DataError(f"{path}: truncated: {what} needs {size} bytes, {end - f.tell()} left")
-            return f.read(size)
+                raise DataError(f"{path}: truncated: {what} needs {size} bytes, {max(0, end - f.tell())} left")
+            chunk = f.read(size)
+            digest.update(chunk)
+            return chunk
 
-        magic = f.read(len(CKPT_MAGIC))
-        if magic != CKPT_MAGIC:
-            raise DataError(f"{path}: not a hoptrace checkpoint")
+        if read(len(CKPT_MAGIC), "magic") != CKPT_MAGIC:
+            raise DataError(f"{path}: not a hoptrace checkpoint of format {CKPT_MAGIC.decode()}")
         (blob_len,) = struct.unpack("<Q", read(8, "header"))
         try:
             meta = json.loads(read(blob_len, "metadata").decode("utf-8"))
@@ -412,4 +431,6 @@ def load_checkpoint(path):
             named[name].data = arr.copy()
         if f.tell() != end:
             raise DataError(f"{path}: trailing bytes after the last parameter block")
+        if f.read() != digest.digest():
+            raise DataError(f"{path}: sha256 does not match the contents: the file is damaged")
     return params, meta

@@ -151,6 +151,24 @@ def col_scatter_add(index, src, num_out):
     return out
 
 
+# -- loss ------------------------------------------------------------------------
+
+
+def loss_reference(final, y, c, gold_hop, aux_weight):
+    """One example's training loss, ||final - y||_2 plus aux_weight x
+    -log c[gold_hop - 1] (no hop term when gold_hop is None), with its
+    gradients (d/dfinal, d/dc); the norm's gradient is 0 at distance 0."""
+    diff = [float(f) - float(t) for f, t in zip(final, y)]
+    norm = sum(d * d for d in diff) ** 0.5
+    d_final = np.array([d / norm if norm > 0.0 else 0.0 for d in diff])
+    d_c = np.zeros(len(c))
+    value = norm
+    if gold_hop is not None:
+        value += aux_weight * -np.log(c[gold_hop - 1])
+        d_c[gold_hop - 1] = -aux_weight / c[gold_hop - 1]
+    return value, d_final, d_c
+
+
 # -- encoder ---------------------------------------------------------------------
 
 

@@ -173,13 +173,6 @@ def test_grad_requires_flag(rng):
     assert x.grad is None
 
 
-def test_detach_cuts_gradient(rng):
-    x = leaf(rng, 3)
-    y = ad.sum_(x.detach() * x)
-    y.backward()
-    np.testing.assert_allclose(x.grad, x.data)
-
-
 def test_zero_grad_resets_accumulator(rng):
     x = leaf(rng, 3)
     ad.sum_(x).backward()

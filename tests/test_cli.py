@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hoptrace.cli import main
@@ -347,6 +348,33 @@ def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, corrupt):
     capsys.readouterr()
     assert main(_eval_args(ws, checkpoint=checkpoint)) == 2
     assert str(checkpoint) in _data_error_line(capsys)
+
+
+def _damaged(raw, seed, count=8):
+    """count seeded cuts and count seeded byte flips of raw.  A line feed is
+    never flipped to a carriage return: read as text, that is still the
+    same line break."""
+    rng = np.random.default_rng(seed)
+    out = [raw[:k] for k in rng.integers(0, len(raw) - 1, size=count)]
+    while len(out) < 2 * count:
+        k, x = int(rng.integers(0, len(raw))), int(rng.integers(1, 256))
+        if raw[k] ^ x != 0x0D or raw[k] != 0x0A:
+            out.append(raw[:k] + bytes([raw[k] ^ x]) + raw[k + 1 :])
+    return out
+
+
+def test_eval_on_damaged_inputs_exits_2(ws, tmp_path, capsys):
+    """Seeded cuts and byte flips of the graph and of the checkpoint: every
+    eval stops with exit 2 and one `data error:` line, never a traceback,
+    a usage error or a result."""
+    graph, checkpoint = tmp_path / "graph.txt", tmp_path / "checkpoint.bin"
+    for name, path, seed in (("g_label.txt", graph, 1), ("run/checkpoint.bin", checkpoint, 2)):
+        for bad in _damaged((ws / name).read_bytes(), seed):
+            path.write_bytes(bad)
+            capsys.readouterr()
+            args = _eval_args(ws, graph=graph) if path is graph else _eval_args(ws, checkpoint=checkpoint)
+            assert main(args) == 2, bad
+            _data_error_line(capsys)
 
 
 def _with_metadata(raw, change):

@@ -1,6 +1,7 @@
 """Synthetic dataset generator: gold-answer soundness, split hygiene,
 determinism, and the question-file round trip."""
 
+import hashlib
 import json
 
 import pytest
@@ -205,6 +206,31 @@ def test_generation_deterministic():
     for k in a.splits:
         assert a.splits[k] == b.splits[k]
     assert a.stats == b.stats
+
+
+# sha256 of every file write_dataset writes for SMALL, recorded before the
+# generator memoized its path walks: the seeded output must not move
+SMALL_SHA256 = {
+    "ambiguous_eval.txt": "b1cf10f7bf2dfcf60fcc360298302bffad4843bc91e5e33dc895ca0957b2778d",
+    "ambiguous_eval_hops.txt": "ae84dc86f55bcd769723ff65fdacf7689908b9662f927becaa05f8e5da52a468",
+    "corpus.jsonl": "f9913cc0af1b821a1fca922bd2be5c95799ca24d3ce1cda859e1dcf93fcd525d",
+    "manifest.json": "0736d3c695f45b84d12ccd1979747ab5525859c033301169884eb5c6c63fd3e0",
+    "qa_dev.txt": "a32b2a2fb35f37c611c94596b53303190b1a41292f71b8f63303b200a821e9c1",
+    "qa_dev_hops.txt": "d7c9267e9c4f9445e0cf8ca91193ca1b3a569b86631a001aa2adde694ac1cd32",
+    "qa_dup.txt": "45a7e39e3b000aa350d178005ed5bfb099c5f3ef3b17a068515d3f2be8f5640c",
+    "qa_dup_hops.txt": "02f8d0c0f240020510e34d8578d0ac2adee94589cf76312619fcf4f5288e2362",
+    "qa_test.txt": "ed43deb2d745c8b1adc258b8636fc5e7f7f839d00b0fee53108aa0fcd300e540",
+    "qa_test_hops.txt": "d7c9267e9c4f9445e0cf8ca91193ca1b3a569b86631a001aa2adde694ac1cd32",
+    "qa_train.txt": "b66bbc9260a5be8650a5dcd915610a2a35df0e30652c233d371bc25376144eba",
+    "qa_train_hops.txt": "5b15d4527bbb9a446c2c15270338f2391bc91be87960a7f2ebc7710cae1741b5",
+    "triples.tsv": "4c3c9b5029fc74d0406736ebe3b71025d884ef11d7ea5a39e925b9c26fd010e2",
+}
+
+
+def test_written_dataset_bytes_are_pinned(tmp_path):
+    write_dataset(generate_synthetic(SyntheticSpec(**SMALL)), tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == SMALL_SHA256
 
 
 def test_seed_changes_output():

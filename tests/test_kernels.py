@@ -102,6 +102,31 @@ def test_kernel_bit_identical_to_oracle(rng, op):
             np.testing.assert_array_equal(x, y)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_batch_kernels_fold_c_ordered_rows(rng, monkeypatch, order):
+    """Whatever the layout of w, a and g, the (B, E) arrays the batched
+    kernels fold and the d/dw they return are C-ordered, so np.bincount
+    reads each row as one contiguous run.  A gather x[:, idx] returns F
+    order, and F-ordered inputs would carry it through."""
+    folded = []
+    fold = kernels._fold
+
+    def recording_fold(index, src, num_out):
+        folded.append(src.flags.c_contiguous)
+        return fold(index, src, num_out)
+
+    monkeypatch.setattr(kernels, "_fold", recording_fold)
+    n, heads, tails, _, _ = random_edges(rng, 20, 60)
+    B = 4
+    W, A, G = (
+        np.asarray(x, order=order) for x in (rng.random((B, heads.size)), rng.random((B, n)), rng.random((B, n)))
+    )
+    kernels.push_batch_forward(heads, tails, W, A, n)
+    _, grad_w = kernels.push_batch_backward(heads, tails, W, A, G)
+    assert folded == [True, True]
+    assert grad_w.flags.c_contiguous
+
+
 def test_push_forward_matches_dense(rng):
     for _ in range(50):
         n, heads, tails, w, a = random_edges(rng)

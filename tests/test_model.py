@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hoptrace.autodiff as ad
+from hoptrace import kernels, model
 from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
 from hoptrace.encoder import RelationEncodingCache, Vocabulary
@@ -21,6 +22,7 @@ from hoptrace.model import (
     transfer_text_batch,
     truncate,
 )
+from hoptrace.training import compute_loss
 
 from conftest import random_label_graph, random_text_graph
 from oracles import (
@@ -128,6 +130,33 @@ def test_transfer_label_matches_dense(rng):
             g.n, g.edge_heads, g.edge_preds, g.edge_tails, g.num_predicates, a.data, p.data
         )
         np.testing.assert_allclose(got.data, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("aggregation", ["sum", "max"])
+def test_transfer_label_batch_keeps_rows_contiguous(rng, monkeypatch, aggregation):
+    """The (B, E) per-edge weights transfer_label_batch builds are C-ordered,
+    and so is every (B, E) array the kernels fold on the way forward and
+    back: each row is one contiguous run for np.bincount, and the max
+    branch's flattening of the weights is a view, not a copy."""
+    built, folded = [], []
+    expand, fold = model._expand, kernels._fold
+
+    def recording_expand(p, preds):
+        built.append(expand(p, preds))
+        return built[-1]
+
+    def recording_fold(index, src, num_out):
+        folded.append(src.flags.c_contiguous)
+        return fold(index, src, num_out)
+
+    monkeypatch.setattr(model, "_expand", recording_expand)
+    monkeypatch.setattr(kernels, "_fold", recording_fold)
+    g = random_label_graph(rng, n=12, num_predicates=3)
+    a = Tensor(rng.random((3, g.n)), requires_grad=True)
+    p = Tensor(rng.random((3, g.num_predicates)), requires_grad=True)
+    ad.sum_(transfer_label_batch(g, a, p, aggregation)).backward()
+    assert len(built) == 1 and built[0].data.flags.c_contiguous
+    assert folded == [True] * (3 if aggregation == "sum" else 1)
 
 
 def test_transfer_label_gradcheck(rng):
@@ -337,6 +366,39 @@ def _trace_case(kind, rng):
     return g, cfg, make_params(cfg, n=g.n, num_predicates=g.num_predicates), None
 
 
+def oracle_step(g, cfg, step, a_prev):
+    """One reasoning step recomputed from the entity scores before it and
+    the step's relation scores: brute-force selection (text forms, checked
+    against the step's relation ids), the dense transfer oracles and
+    truncation."""
+    if step.relation_ids is not None:
+        want_ids = brute_select(a_prev, cfg.tau, cfg.omega, g.trel_heads)
+        np.testing.assert_array_equal(np.sort(step.relation_ids), want_ids)
+        heads, tails = g.trel_heads[step.relation_ids], g.trel_tails[step.relation_ids]
+        raw = dense_text_transfer(g.n, heads, tails, step.relation_scores, a_prev, cfg.aggregation)
+    elif cfg.aggregation == "sum":
+        raw = dense_label_transfer(
+            g.n, g.edge_heads, g.edge_preds, g.edge_tails, g.num_predicates, a_prev, step.relation_scores
+        )
+    else:  # each (head, tail) pair carries its strongest edge
+        weights = step.relation_scores[g.edge_preds]
+        raw = dense_text_transfer(g.n, g.edge_heads, g.edge_tails, weights, a_prev, "max")
+    return truncate_reference(raw) if cfg.use_truncation else raw
+
+
+def oracle_final(g, cfg, trace):
+    """A question's answer scores from its traced relation scores, hop
+    distribution and mask alone: every step chained through oracle_step
+    from the topic one-hot, mixed by the hop distribution, then masked."""
+    a_prev = np.zeros(g.n)
+    a_prev[trace.topics] = 1.0
+    a_star = np.zeros(g.n)
+    for c_t, step in zip(trace.hop_distribution, trace.steps):
+        a_prev = oracle_step(g, cfg, step, a_prev)
+        a_star = a_star + c_t * a_prev
+    return a_star if trace.mask is None else trace.mask * a_star
+
+
 @pytest.mark.parametrize("kind", ["label-sum", "label-max", "text"])
 def test_forward_trace_steps_match_oracles(rng, kind):
     """Every traced step, recomputed from the step before it with the dense
@@ -346,19 +408,7 @@ def test_forward_trace_steps_match_oracles(rng, kind):
         tr = forward(g, np.array([4, 5, 6]), topic, params, cfg, cache=cache).trace
         a_prev = np.eye(g.n)[topic]
         for s in tr.steps:
-            if kind == "text":
-                want_ids = brute_select(a_prev, cfg.tau, cfg.omega, g.trel_heads)
-                np.testing.assert_array_equal(np.sort(s.relation_ids), want_ids)
-                heads, tails, weights = g.trel_heads[s.relation_ids], g.trel_tails[s.relation_ids], s.relation_scores
-                raw = dense_text_transfer(g.n, heads, tails, weights, a_prev, cfg.aggregation)
-            elif cfg.aggregation == "sum":
-                raw = dense_label_transfer(
-                    g.n, g.edge_heads, g.edge_preds, g.edge_tails, g.num_predicates, a_prev, s.relation_scores
-                )
-            else:  # each (head, tail) pair carries its strongest edge
-                weights = s.relation_scores[g.edge_preds]
-                raw = dense_text_transfer(g.n, g.edge_heads, g.edge_tails, weights, a_prev, "max")
-            np.testing.assert_allclose(s.entity_scores, truncate_reference(raw), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(s.entity_scores, oracle_step(g, cfg, s, a_prev), rtol=0, atol=1e-12)
             a_prev = s.entity_scores
 
 
@@ -395,6 +445,17 @@ def test_forward_scores_stay_in_unit_interval(rng):
         assert np.all((0.0 <= res.final.data) & (res.final.data <= 1.0))
 
 
+def assert_rows_match_oracles(g, cfg, batch, singles):
+    """Row i of forward_batch against the dense oracles, recomputed from the
+    relation scores of forward()'s trace for question i, and against that
+    forward() itself, so no row leaks into another."""
+    assert batch.final.shape[0] == len(singles)
+    for i, single in enumerate(singles):
+        np.testing.assert_allclose(batch.final.data[i], oracle_final(g, cfg, single.trace), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.final.data[i], single.final.data, atol=1e-12)
+        np.testing.assert_allclose(batch.c.data[i], single.c.data, atol=1e-12)
+
+
 def test_forward_batch_matches_forward_label(rng):
     g = add_reverse_relations(random_label_graph(rng, n=15, num_predicates=3))
     cfg = label_cfg(d=8)
@@ -402,10 +463,7 @@ def test_forward_batch_matches_forward_label(rng):
     seqs = [np.array([4, 5, 6]), np.array([7, 8]), np.array([9, 10, 11, 12])]
     topics = [2, 0, 7]
     batch = forward_batch(g, seqs, topics, params, cfg)
-    for tokens, topic, got in zip(seqs, topics, batch):
-        want = forward(g, tokens, topic, params, cfg, want_trace=False)
-        np.testing.assert_allclose(got.final.data, want.final.data, atol=1e-12)
-        np.testing.assert_allclose(got.c.data, want.c.data, atol=1e-12)
+    assert_rows_match_oracles(g, cfg, batch, [forward(g, s, e, params, cfg) for s, e in zip(seqs, topics)])
 
 
 def test_forward_batch_matches_forward_text(rng):
@@ -416,10 +474,13 @@ def test_forward_batch_matches_forward_text(rng):
     seqs = [np.array([4, 5]), np.array([6, 7, 8])]
     topics = [1, 3]
     batch = forward_batch(g, seqs, topics, params, cfg, cache=cache)
-    for tokens, topic, got in zip(seqs, topics, batch):
-        want = forward(g, tokens, topic, params, cfg, cache=cache, want_trace=False)
-        np.testing.assert_allclose(got.final.data, want.final.data, atol=1e-12)
-        np.testing.assert_allclose(got.c.data, want.c.data, atol=1e-12)
+    singles = [forward(g, s, e, params, cfg, cache=cache) for s, e in zip(seqs, topics)]
+    assert_rows_match_oracles(g, cfg, batch, singles)
+
+
+def _weighted_total(final, w):
+    """sum(final * w) over a (n,) row or every row of a (B, n) batch."""
+    return ad.sum_(final * Tensor(np.broadcast_to(w, final.shape)))
 
 
 def test_forward_batch_gradients_match_per_example(rng):
@@ -431,19 +492,16 @@ def test_forward_batch_gradients_match_per_example(rng):
     w = rng.standard_normal(g.n)
 
     batch = forward_batch(g, seqs, topics, params, cfg)
-    total = None
-    for r in batch:
-        y = ad.sum_(r.final * Tensor(w))
-        total = y if total is None else total + y
-    total.backward()
+    _weighted_total(batch.final, w).backward()
     got = {k: t.grad.copy() for k, t in params.named().items() if t.grad is not None}
     for t in params.named().values():
         t.grad = None
 
+    singles = [forward(g, s, e, params, cfg) for s, e in zip(seqs, topics)]
+    assert_rows_match_oracles(g, cfg, batch, singles)
     total = None
-    for tokens, topic in zip(seqs, topics):
-        res = forward(g, tokens, topic, params, cfg, want_trace=False)
-        y = ad.sum_(res.final * Tensor(w))
+    for res in singles:
+        y = _weighted_total(res.final, w)
         total = y if total is None else total + y
     total.backward()
     for k, t in params.named().items():
@@ -476,6 +534,12 @@ def test_ambiguous_topic_surface_activates_both(rng):
 
 
 # -- forward_batch against per-example forward on every transfer path ------------------
+
+
+def _label_sum_case(rng):
+    g = add_reverse_relations(random_label_graph(rng, n=12, num_predicates=3))
+    cfg = label_cfg(d=6, head="sigmoid")
+    return g, cfg, ModelParams(20, g.n, g.num_predicates, cfg), None, [0, 5, 11]
 
 
 def _label_max_case(rng):
@@ -528,6 +592,7 @@ def _no_edges_case(aggregation):
 
 
 BATCH_CASES = {
+    "label-sum": _label_sum_case,
     "label-max-tied-parallel": _label_max_case,
     "text-max": _text_case("max"),
     "mixed": _mixed_case,
@@ -538,14 +603,6 @@ BATCH_CASES = {
 }
 
 
-def _weighted_total(results, w):
-    total = None
-    for r in results:
-        y = ad.sum_(r.final * Tensor(w))
-        total = y if total is None else total + y
-    return total
-
-
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_forward_batch_matches_forward_with_gradients(rng, case):
     g, cfg, params, cache, topics = BATCH_CASES[case](rng)
@@ -553,16 +610,18 @@ def test_forward_batch_matches_forward_with_gradients(rng, case):
     w = rng.standard_normal(g.n)
 
     batch = forward_batch(g, seqs, topics, params, cfg, cache=cache)
-    _weighted_total(batch, w).backward()
+    _weighted_total(batch.final, w).backward()
     got = {k: t.grad for k, t in params.named().items()}
     for t in params.named().values():
         t.grad = None
 
     singles = [forward(g, s, e, params, cfg, cache=cache, question="q") for s, e in zip(seqs, topics)]
-    _weighted_total(singles, w).backward()
-    for b, want in zip(batch, singles):
-        np.testing.assert_allclose(b.final.data, want.final.data, atol=1e-12)
-        np.testing.assert_allclose(b.c.data, want.c.data, atol=1e-12)
+    assert_rows_match_oracles(g, cfg, batch, singles)
+    total = None
+    for res in singles:
+        y = _weighted_total(res.final, w)
+        total = y if total is None else total + y
+    total.backward()
     for k, t in params.named().items():
         # a path that never ran leaves no gradient where the other has zeros
         zeros = np.zeros_like(t.data)
@@ -580,7 +639,7 @@ def test_forward_batch_matches_forward_with_gradients(rng, case):
     if case == "text-empty-selection":
         assert singles[0].trace.steps[0].relation_ids.size == 0
     if case == "label-max-tied-parallel":
-        assert np.any(batch[0].final.data > 0)
+        assert np.any(batch.final.data[0] > 0)
 
 
 def _tape_size(root):
@@ -593,19 +652,19 @@ def _tape_size(root):
     return len(seen)
 
 
-@pytest.mark.parametrize("case", ["label-max-tied-parallel", "text-max"])
-def test_forward_batch_tape_grows_only_by_result_slices(rng, case):
-    """Eight rows against two: the only extra tape nodes are each extra row's
-    final[i] slice, its sum and the add into the total (3 per row), so no
-    per-example transfer can hide in forward_batch."""
+@pytest.mark.parametrize("case", ["label-max-tied-parallel", "label-sum", "text-max"])
+def test_training_tape_does_not_grow_with_batch(rng, case):
+    """A training batch's tape, forward_batch through compute_loss, has as
+    many nodes for eight rows as for two: no per-example transfer or loss
+    node hides in the batch path."""
     g, cfg, params, cache, topics = BATCH_CASES[case](rng)
 
     def size(B):
         seqs = [np.array([4 + b % 5, 5, 6]) for b in range(B)]  # equal lengths: same encoder tape
-        results = forward_batch(g, seqs, [topics[b % len(topics)] for b in range(B)], params, cfg, cache=cache)
-        total = ad.sum_(results[0].final)
-        for r in results[1:]:
-            total = total + ad.sum_(r.final)
-        return _tape_size(total)
+        res = forward_batch(g, seqs, [topics[b % len(topics)] for b in range(B)], params, cfg, cache=cache)
+        ys = np.zeros((B, g.n))
+        ys[:, 0] = 1.0
+        hops = [1 + b % cfg.T for b in range(B)]
+        return _tape_size(compute_loss(res.final, ys, res.c, hops).total)
 
-    assert size(8) - size(2) == 3 * 6
+    assert size(8) == size(2)

@@ -7,12 +7,14 @@ import hoptrace.autodiff as ad
 from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
 from hoptrace.data import QAExample, resolve_examples
+from hoptrace.encoder import RelationEncodingCache
 from hoptrace.errors import DataError, NumericError
-from hoptrace.graph import add_reverse_relations, build_from_triples
-from hoptrace.model import ModelParams
+from hoptrace.graph import add_reverse_relations, build_from_text_corpus, build_from_triples
+from hoptrace.model import ModelParams, forward_batch
 from hoptrace.training import (
     AUX_WEIGHT,
     RAdam,
+    batch_targets,
     build_target,
     build_vocabulary,
     compute_loss,
@@ -25,7 +27,7 @@ from hoptrace.training import (
     vocab_sha256,
 )
 
-from oracles import finite_difference
+from oracles import finite_difference, loss_reference
 
 
 def tiny_qa_setup():
@@ -110,6 +112,71 @@ def test_compute_loss_validates():
         compute_loss(Tensor(np.array([np.nan, 0.0])), np.array([1.0, 0.0]), c, None)
     with pytest.raises(DataError):
         compute_loss(Tensor(np.array([0.5, 0.5])), np.array([1.0, 0.0]), c, gold_hop=5)
+
+
+def test_batch_loss_matches_per_row_reference(rng):
+    """(B, n) finals, (B, T) hop distributions and per-row gold hops (some
+    missing, one row at zero distance): the summed loss and its gradients
+    against the per-example reference, row by row."""
+    B, n, T = 6, 9, 3
+    final = Tensor(rng.random((B, n)), requires_grad=True)
+    ys = (rng.random((B, n)) < 0.3).astype(float)
+    ys[2] = final.data[2]
+    c = Tensor(rng.random((B, T)) + 0.05, requires_grad=True)
+    hops = [1, None, 3, 2, 2, None]
+    lb = compute_loss(final, ys, c, hops)
+    lb.total.backward()
+    refs = [loss_reference(final.data[i], ys[i], c.data[i], hops[i], AUX_WEIGHT) for i in range(B)]
+    assert abs(lb.total.item() - sum(r[0] for r in refs)) <= 1e-12
+    np.testing.assert_allclose(final.grad, np.stack([r[1] for r in refs]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(c.grad, np.stack([r[2] for r in refs]), rtol=0, atol=1e-12)
+    with pytest.raises(DataError):
+        compute_loss(final, ys, c, [1, None, 4, 2, 2, None])
+    assert compute_loss(final, ys, c, [None] * B).aux_hop is None
+
+
+@pytest.mark.parametrize("form", ["label", "text"])
+def test_batch_loss_matches_per_row_calls(form):
+    """On a real forward_batch: the one batch loss node against the sum of
+    per-row compute_loss calls on final[i] and c[i], in value and in every
+    parameter gradient."""
+    g, resolved = tiny_qa_setup()
+    if form == "text":
+        docs = [("m0", "m0 was directed by alice."), ("m1", "m1 was directed by alice. m1 came out in 2004.")]
+        g = add_reverse_relations(build_from_text_corpus(docs, [g.entities.name(i) for i in range(g.n)]))
+    cfg = TrainConfig(form=form, d=8, seed=2).validate()
+    vocab = build_vocabulary(resolved, g)
+    params = ModelParams(len(vocab), g.n, g.num_predicates, cfg)
+    cache = RelationEncodingCache(params.r_enc, vocab, g.texts) if form == "text" else None
+    batch = prepare_examples(resolved, vocab)
+    hops = [ex.gold_hop if i % 3 else None for i, ex in enumerate(batch)]
+    ys = batch_targets(batch, g.n)
+    named = params.named()
+
+    def run(per_row):
+        if cache is not None:
+            cache.invalidate()
+        res = forward_batch(g, [ex.tokens for ex in batch], [ex.topic for ex in batch], params, cfg, cache=cache)
+        if per_row:
+            total = None
+            for i, row in enumerate(res):
+                lb = compute_loss(row.final, ys[i], row.c, hops[i])
+                total = lb.total if total is None else total + lb.total
+        else:
+            total = compute_loss(res.final, ys, res.c, hops).total
+        for t in named.values():
+            t.grad = None
+        total.backward()
+        return total.item(), {k: t.grad for k, t in named.items()}
+
+    (value, grads), (want_value, want_grads) = run(False), run(True)
+    assert abs(value - want_value) <= 1e-12
+    for k in named:
+        zeros = np.zeros_like(named[k].data)
+        got, want = grads[k], want_grads[k]
+        np.testing.assert_allclose(
+            zeros if got is None else got, zeros if want is None else want, rtol=0, atol=1e-12, err_msg=k
+        )
 
 
 # -- optimizer -------------------------------------------------------------------
