@@ -1,6 +1,6 @@
 """hoptrace: differentiable multi-hop question answering over relation graphs."""
 
-from .errors import DataError, GraphError, HoptraceError, NumericError
+from .errors import DataError, GraphError, HoptraceError, NumericError, UsageError
 
 __version__ = "0.1.0"
 
@@ -9,5 +9,6 @@ __all__ = [
     "GraphError",
     "HoptraceError",
     "NumericError",
+    "UsageError",
     "__version__",
 ]

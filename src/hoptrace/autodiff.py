@@ -215,13 +215,18 @@ def tanh(a):
     return node(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
+def sigmoid_array(x):
+    """Logistic function of an ndarray that never overflows: 1/(1+e^-x) for
+    x >= 0 and e^x/(1+e^x) below, both from e = exp(-|x|) <= 1.  -|x| is
+    taken as min(x, -x), which keeps a NaN's sign as exp(x) would."""
+    e = np.exp(np.minimum(x, -x))
+    den = 1.0 + e
+    return np.where(x >= 0, 1.0 / den, e / den)
+
+
 def sigmoid(a):
     a = _ensure(a)
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = sigmoid_array(a.data)
     return node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -307,12 +312,3 @@ def concat(tensors, axis=0):
 
     return node(out, tuple(tensors), vjp)
 
-
-def stack(tensors, axis=0):
-    tensors = [_ensure(t) for t in tensors]
-    out = np.stack([t.data for t in tensors], axis=axis)
-
-    def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return node(out, tuple(tensors), vjp)

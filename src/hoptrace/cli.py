@@ -23,7 +23,7 @@ from .data import (
     write_dataset,
 )
 from .encoder import RelationEncodingCache, Vocabulary
-from .errors import DataError, GraphError, NumericError
+from .errors import DataError, GraphError, NumericError, UsageError
 from .graph import (
     RelationGraph,
     add_reverse_relations,
@@ -48,13 +48,18 @@ log = logging.getLogger("hoptrace")
 EXIT_BROKEN_PIPE = 128 + 13  # 13 is SIGPIPE
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _omega_arg(text: str) -> int | None:
+    if text.lower() in ("none", "inf"):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'none', got {text!r}") from None
 
 
 def _build_parser() -> _Parser:
@@ -89,7 +94,8 @@ def _build_parser() -> _Parser:
         ("batch-size", int), ("limit-train", float),
     ):
         t.add_argument(f"--{name}", type=typ, dest=name.replace("-", "_"))
-    t.add_argument("--omega", type=str, help="integer cap or 'none' for unlimited")
+    t.add_argument("--omega", type=_omega_arg, default=argparse.SUPPRESS,
+                   help="integer cap or 'none' for unlimited")
     t.add_argument("--no-truncation", action="store_true")
     t.add_argument("--no-mask", action="store_true")
     t.add_argument("--no-aux", action="store_true")
@@ -169,8 +175,8 @@ def _overrides_from_args(args) -> dict:
     keys = ("form", "T", "d", "lr", "epochs", "seed", "head", "aggregation",
             "tau", "batch_size", "limit_train")
     ov = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-    if args.omega is not None:
-        ov["omega"] = None if args.omega.lower() in ("none", "inf") else int(args.omega)
+    if hasattr(args, "omega"):
+        ov["omega"] = args.omega
     if args.no_truncation:
         ov["use_truncation"] = False
     if args.no_mask:
@@ -315,10 +321,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    except (DataError, GraphError, FileNotFoundError) as e:
+    except (DataError, GraphError, FileNotFoundError, UnicodeDecodeError) as e:
+        # UnicodeDecodeError: an input text file that is not UTF-8
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

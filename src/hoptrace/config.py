@@ -6,6 +6,8 @@ from dataclasses import asdict, dataclass, fields
 
 import yaml
 
+from .errors import UsageError
+
 FORMS = ("label", "text", "mixed")
 HEADS = ("softmax", "sigmoid")
 AGGREGATIONS = ("sum", "max")
@@ -35,19 +37,19 @@ class TrainConfig:
 
     def validate(self):
         if self.form not in FORMS:
-            raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
+            raise UsageError(f"form must be one of {FORMS}, got {self.form!r}")
         if self.head not in HEADS:
-            raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
+            raise UsageError(f"head must be one of {HEADS}, got {self.head!r}")
         if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+            raise UsageError(f"aggregation must be one of {AGGREGATIONS}")
         if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+            raise UsageError(f"tau must be in [0, 1], got {self.tau}")
         if self.omega is not None and self.omega < 1:
-            raise ValueError(f"omega must be >= 1 or null, got {self.omega}")
+            raise UsageError(f"omega must be >= 1 or null, got {self.omega}")
         if self.T < 1 or self.d < 2 or self.epochs < 1 or self.lr <= 0:
-            raise ValueError("require T >= 1, d >= 2, epochs >= 1, lr > 0")
+            raise UsageError("require T >= 1, d >= 2, epochs >= 1, lr > 0")
         if not 0.0 < self.limit_train <= 1.0:
-            raise ValueError(f"limit_train must be in (0, 1], got {self.limit_train}")
+            raise UsageError(f"limit_train must be in (0, 1], got {self.limit_train}")
         return self
 
     @property
@@ -61,21 +63,27 @@ class TrainConfig:
 
     @classmethod
     def from_sources(cls, config_file=None, overrides: dict | None = None) -> "TrainConfig":
-        """defaults <- YAML file <- overrides, rejecting unknown keys."""
+        """defaults <- YAML file <- overrides, rejecting unknown keys.  Every
+        key given in overrides wins, whatever its value."""
         known = {f.name for f in fields(cls)}
         merged: dict = {}
         if config_file is not None:
             with open(config_file, encoding="utf-8") as f:
-                loaded = yaml.safe_load(f) or {}
+                try:
+                    loaded = yaml.safe_load(f) or {}
+                except yaml.YAMLError as e:
+                    raise UsageError(f"{config_file}: not valid YAML: {' '.join(str(e).split())}") from None
             if not isinstance(loaded, dict):
-                raise ValueError(f"{config_file}: config must be a mapping")
+                raise UsageError(f"{config_file}: config must be a mapping")
             unknown = set(loaded) - known
             if unknown:
-                raise ValueError(f"{config_file}: unknown config keys {sorted(unknown)}")
+                raise UsageError(f"{config_file}: unknown config keys {sorted(unknown)}")
             merged.update(loaded)
         for k, v in (overrides or {}).items():
             if k not in known:
-                raise ValueError(f"unknown config key {k!r}")
-            if v is not None:
-                merged[k] = v
-        return cls(**merged).validate()
+                raise UsageError(f"unknown config key {k!r}")
+            merged[k] = v  # None included: omega=None lifts the cap
+        try:
+            return cls(**merged).validate()
+        except TypeError as e:  # a value of the wrong type, such as epochs: "x"
+            raise UsageError(f"config value of the wrong type: {e}") from None

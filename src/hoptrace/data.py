@@ -151,7 +151,10 @@ def load_questions(path, hop_path=None) -> list[QAExample]:
         hop_path = cand if cand.exists() else None
     hops = None
     if hop_path is not None:
-        hops = [int(x) for x in Path(hop_path).read_text(encoding="utf-8").split()]
+        try:
+            hops = [int(x) for x in Path(hop_path).read_text(encoding="utf-8").split()]
+        except ValueError as e:
+            raise DataError(f"{hop_path}: hop labels must be integers: {e}") from None
     out = []
     with open(path, encoding="utf-8") as f:
         for i, line in enumerate(f):
@@ -241,16 +244,22 @@ class SyntheticSpec:
     @classmethod
     def from_file(cls, path):
         with open(path, encoding="utf-8") as f:
-            raw = yaml.safe_load(f) or {}
+            try:
+                raw = yaml.safe_load(f) or {}
+            except yaml.YAMLError as e:
+                raise DataError(f"{path}: not valid YAML: {' '.join(str(e).split())}") from None
         if not isinstance(raw, dict):
             raise DataError(f"{path}: spec must be a mapping")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise DataError(f"{path}: unknown spec keys {sorted(unknown)}")
-        if "split_ratios" in raw:
-            raw["split_ratios"] = tuple(raw["split_ratios"])
-        return cls(**raw).validate()
+        try:
+            if "split_ratios" in raw:
+                raw["split_ratios"] = tuple(raw["split_ratios"])
+            return cls(**raw).validate()
+        except TypeError as e:  # a value of the wrong type, such as movies: "x"
+            raise DataError(f"{path}: spec value of the wrong type: {e}") from None
 
 
 @dataclass
@@ -361,20 +370,21 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     }
 
     def instantiate(forms, hop):
-        """All answerable (template, topic) instances as single-question units."""
+        """All answerable (template, topic) instances as single-question units
+        of (question, topic, gold set, hop); only the units cap_and_split
+        keeps become QAExamples."""
         units, seen = [], set()
         for path, kind, phrasings in forms:
             for topic in pools[kind]:
                 gold = _path_answers(adj, memo, topic, path)
                 if not gold:
                     continue
-                ans = tuple(sorted(gold))
                 for phr in phrasings:
                     q = phr.format(t=topic)
                     if q in seen:
                         continue
                     seen.add(q)
-                    units.append([QAExample(q, topic, ans, hop)])
+                    units.append([(q, topic, gold, hop)])
         return units, seen
 
     units1, seen1 = instantiate(QUESTION_FORMS_1HOP, 1)
@@ -392,12 +402,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
             if qw in seen1 or ql in seen1:
                 continue
             seen1 |= {qw, ql}
-            units1.append(
-                [
-                    QAExample(qw, topic, tuple(sorted(y)), 1),
-                    QAExample(ql, topic, tuple(sorted(lang)), 1),
-                ]
-            )
+            units1.append([(qw, topic, y, 1), (ql, topic, lang, 1)])
     units2, _ = instantiate(QUESTION_FORMS_2HOP, 2)
     units3, _ = instantiate(QUESTION_FORMS_3HOP, 3)
 
@@ -413,10 +418,15 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
         cut1 = spec.split_ratios[0] * total
         cut2 = (spec.split_ratios[0] + spec.split_ratios[1]) * total
         buckets = {"train": [], "dev": [], "test": []}
+        answers = {}  # id(gold set) -> its sorted tuple: a topic's phrasings share one set
         done = 0
         for u in picked:
-            name = "train" if done < cut1 else ("dev" if done < cut2 else "test")
-            buckets[name].extend(u)
+            bucket = buckets["train" if done < cut1 else ("dev" if done < cut2 else "test")]
+            for q, topic, gold, hop in u:
+                ans = answers.get(id(gold))
+                if ans is None:
+                    ans = answers[id(gold)] = tuple(sorted(gold))
+                bucket.append(QAExample(q, topic, ans, hop))
             done += len(u)
         return buckets
 

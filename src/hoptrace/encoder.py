@@ -8,7 +8,10 @@ the final forward and final backward states.
 One masked recurrence, _bigru, runs both directions over a right-padded
 batch and serves every encoder: a question batch projects the per-token
 states and the pooled vector, the relation table only the pooled vector,
-and a single question is a batch of one.
+and a single question is a batch of one.  Each direction is one graph node,
+_gru_direction, whose backward pass is hand-written backprop through time,
+so the tape does not grow with the length of a sentence.  At a pad position
+a row carries its state over unchanged.
 """
 
 from __future__ import annotations
@@ -131,44 +134,62 @@ class EncoderParams:
         }
 
 
-def _sigm(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _gru_direction(gx, w_h, b, alive, reverse):
+    """One direction of the masked GRU over a right-padded batch, as a single
+    graph node with hand-written backprop through time.
 
-
-def _gru_cell_pre(gx, h, w_h, b, d):
-    """GRU step with the input projection gx already computed.
-
-    Fused into a single graph node with a hand-written backward pass — the
-    cell runs once per token per direction, so op-granularity autodiff here
-    would dominate the whole runtime.  gx is (K, 3d) and h is (K, d).
+    gx is the (K, L, 3d) input projection of every position; gates are
+    stacked (reset, update, candidate).  alive is the (K, L) 0/1 mask: at a
+    pad position a row keeps its previous state.  reverse runs positions
+    L-1 down to 0.  Returns the (K, L, d) state after each position.
     """
-    gxd, hd, whd, bd = gx.data, h.data, w_h.data, b.data
-    gh = hd @ whd
-    pre = gxd + bd
-    r = _sigm(pre[..., :d] + gh[..., :d])
-    z = _sigm(pre[..., d : 2 * d] + gh[..., d : 2 * d])
-    ghn = gh[..., 2 * d :]
-    cand = np.tanh(pre[..., 2 * d :] + r * ghn)
-    out = z * hd + (1.0 - z) * cand
+    K, L, d3 = gx.shape
+    d = d3 // 3
+    whd = w_h.data
+    # position-major, so every step reads and writes contiguous (K, .) rows
+    pre = np.add(gx.data.transpose(1, 0, 2), b.data, out=np.empty((L, K, d3)))
+    keep = alive.T[:, :, None] > 0
+    full = keep.all(axis=(1, 2)).tolist()  # no row pads here: skip the blend
+    order = range(L - 1, -1, -1) if reverse else range(L)
+    # hs[i + lo] is the state after position i and hs[i + 1 - lo] the one
+    # before it; the extra row is the zero initial state
+    lo = 0 if reverse else 1
+    hs = np.zeros((L + 1, K, d))
+    rz, cand, ghn = np.empty((L, K, 2 * d)), np.empty((L, K, d)), np.empty((L, K, d))
+    h = hs[order[0] + 1 - lo]
+    for i in order:
+        gh = h @ whd
+        p = pre[i]
+        rz[i] = ad.sigmoid_array(p[:, : 2 * d] + gh[:, : 2 * d])
+        r, z = rz[i, :, :d], rz[i, :, d:]
+        ghn[i] = gh[:, 2 * d :]
+        cand[i] = np.tanh(p[:, 2 * d :] + r * ghn[i])
+        nh = z * h + (1.0 - z) * cand[i]
+        h = hs[i + lo] = nh if full[i] else np.where(keep[i], nh, h)
 
     def vjp(g):
-        dz = g * (hd - cand)
-        dcand_pre = g * (1.0 - z) * (1.0 - cand * cand)
-        dr = dcand_pre * ghn
-        da = np.concatenate(
-            (dr * r * (1.0 - r), dz * z * (1.0 - z), dcand_pre), axis=-1
-        )
-        dgh = da.copy()
-        dgh[..., 2 * d :] *= r
-        dh = g * z + dgh @ whd.T
-        return da, dh, hd.T @ dgh, da.sum(axis=0)
+        g = g.transpose(1, 0, 2)
+        h_in = hs[1 - lo : 1 - lo + L]
+        dgh = np.empty((L, K, d3))
+        dcand_pre = np.empty((L, K, d))
+        dh = np.zeros((K, d))
+        for i in reversed(order):
+            dh = dh + g[i]
+            dnh = dh if full[i] else np.where(keep[i], dh, 0.0)
+            r, z, c = rz[i, :, :d], rz[i, :, d:], cand[i]
+            dc = dcand_pre[i] = dnh * (1.0 - z) * (1.0 - c * c)
+            dgh[i, :, :d] = dc * ghn[i] * r * (1.0 - r)
+            dgh[i, :, d : 2 * d] = dnh * (h_in[i] - c) * z * (1.0 - z)
+            dgh[i, :, 2 * d :] = dc * r
+            dh_prev = dnh * z + dgh[i] @ whd.T
+            dh = dh_prev if full[i] else np.where(keep[i], dh_prev, dh)
+        dw_h = h_in.reshape(L * K, d).T @ dgh.reshape(L * K, d3)
+        dpre = dgh  # the gh gradient but for the candidate third, not scaled by r
+        dpre[..., 2 * d :] = dcand_pre
+        return dpre.transpose(1, 0, 2), dw_h, dpre.sum(axis=(0, 1))
 
-    return ad.node(out, (gx, h, w_h, b), vjp)
+    out = hs[lo : lo + L]
+    return ad.node(out.transpose(1, 0, 2), (gx, w_h, b), vjp)
 
 
 class BatchQuestionEncoding(NamedTuple):
@@ -184,15 +205,14 @@ class BatchQuestionEncoding(NamedTuple):
 
 
 def _bigru(params: EncoderParams, sequences: list[np.ndarray]):
-    """The masked BiGRU recurrence over K right-padded token sequences.
+    """The masked BiGRU over K right-padded token sequences: one graph node
+    per direction, with hand-written backprop through time.
 
-    Returns the forward and backward states, each a list of L (K, d) tensors
-    indexed by position, and the (K, L) alive mask.  The mask freezes a
-    sequence's state at pad positions, so padding never reaches a row's
-    states and fwd[-1] and bwd[0] are every sequence's final forward and
-    backward states.
+    Returns the forward and backward states, each a (K, L, d) tensor, and
+    the (K, L) alive mask.  A pad position carries the row's state over
+    unchanged, so padding never reaches a row's states, and fwd[:, L-1] and
+    bwd[:, 0] are every sequence's final forward and backward states.
     """
-    d = params.d
     K = len(sequences)
     lengths = np.array([len(s) for s in sequences], dtype=np.int64)
     L = int(lengths.max())
@@ -201,28 +221,21 @@ def _bigru(params: EncoderParams, sequences: list[np.ndarray]):
         ids[k, : len(s)] = s
     alive = (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)
     xs = params.emb[ids.reshape(-1)]  # (K*L, d)
-
-    directions = []
-    for w_x, w_h, b, positions in (
-        (params.w_xf, params.w_hf, params.b_f, range(L)),
-        (params.w_xb, params.w_hb, params.b_b, range(L - 1, -1, -1)),
-    ):
-        gx_all = xs @ w_x  # every input projection in one matmul
-        h = Tensor(np.zeros((K, d)))
-        states = [None] * L
-        for i in positions:
-            m = Tensor(alive[:, i : i + 1])
-            nh = _gru_cell_pre(gx_all[np.arange(K) * L + i], h, w_h, b, d)
-            h = m * nh + (1.0 - m) * h
-            states[i] = h
-        directions.append(states)
-    fwd, bwd = directions
+    fwd, bwd = (
+        # every input projection of a direction in one matmul
+        _gru_direction(ad.reshape(xs @ w_x, (K, L, 3 * params.d)), w_h, b, alive, reverse)
+        for w_x, w_h, b, reverse in (
+            (params.w_xf, params.w_hf, params.b_f, False),
+            (params.w_xb, params.w_hb, params.b_b, True),
+        )
+    )
     return fwd, bwd, alive
 
 
-def _pool(params: EncoderParams, fwd, bwd) -> Tensor:
+def _pool(params: EncoderParams, fwd: Tensor, bwd: Tensor) -> Tensor:
     """(K, d) pooled vectors: the projected final forward and backward states."""
-    return ad.concat([fwd[-1], bwd[0]], axis=1) @ params.w_out + params.b_out
+    L = fwd.shape[1]
+    return ad.concat([fwd[:, L - 1], bwd[:, 0]], axis=1) @ params.w_out + params.b_out
 
 
 def encode_question_batch(params: EncoderParams, sequences: list[np.ndarray]) -> BatchQuestionEncoding:
@@ -239,7 +252,7 @@ def encode_question_batch(params: EncoderParams, sequences: list[np.ndarray]) ->
     fwd, bwd, alive = _bigru(params, sequences)
     K, L = alive.shape
     # per-token (K, L, 2d) -> project to (K, L, d) via one flat matmul
-    both_tok = ad.concat([ad.stack(fwd, axis=1), ad.stack(bwd, axis=1)], axis=2)
+    both_tok = ad.concat([fwd, bwd], axis=2)
     flat = ad.reshape(both_tok, (K * L, 2 * d)) @ params.w_out + params.b_out
     return BatchQuestionEncoding(q=_pool(params, fwd, bwd), h=ad.reshape(flat, (K, L, d)), alive=alive)
 

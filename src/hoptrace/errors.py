@@ -5,6 +5,11 @@ class HoptraceError(Exception):
     """Base class for all package errors."""
 
 
+class UsageError(HoptraceError, ValueError):
+    """A command line, option or run configuration that asks for something
+    invalid.  A ValueError too, so callers that validate values catch it."""
+
+
 class GraphError(HoptraceError):
     """Malformed graph input or an operation violating a graph contract."""
 

@@ -2,11 +2,14 @@
 
 Everything here is deliberately naive — dense matrices, python loops,
 brute-force scans — so that agreement with the optimized code under test
-is meaningful.  Nothing in this module imports from hoptrace except the
-Tensor type for gradient checking.
+is meaningful.  Nothing in this module imports from hoptrace except its
+autodiff primitives, which gradient checking and the composed-primitive
+BiGRU reference are built from.
 """
 
 import numpy as np
+
+import hoptrace.autodiff as ad
 
 
 def finite_difference(f, x, step=1e-5):
@@ -201,6 +204,32 @@ def bigru_reference(p, token_ids):
     per_token = np.concatenate([np.stack(fwd), np.stack(bwd)], axis=1) @ w_out + b_out
     pooled = np.concatenate([fwd[-1], bwd[0]]) @ w_out + b_out
     return pooled, per_token
+
+
+def gru_direction_tape(gx, w_h, b, alive, reverse):
+    """Reference for one direction of the masked BiGRU, built on the tape one
+    step at a time from autodiff primitives (take, matmul, sigmoid, tanh,
+    mul, add).  Same arguments and result as hoptrace.encoder._gru_direction;
+    gradients come from the tape walk, not from hand-written backprop."""
+    K, L, d3 = gx.shape
+    d = d3 // 3
+
+    def gate(x, k):
+        return ad.take(x, (slice(None), slice(k * d, (k + 1) * d)))
+
+    h = ad.Tensor(np.zeros((K, d)))
+    states = [None] * L
+    for i in range(L - 1, -1, -1) if reverse else range(L):
+        m = ad.Tensor(alive[:, i : i + 1])
+        pre = ad.take(gx, (slice(None), i)) + b
+        gh = h @ w_h
+        r = ad.sigmoid(gate(pre, 0) + gate(gh, 0))
+        z = ad.sigmoid(gate(pre, 1) + gate(gh, 1))
+        cand = ad.tanh(gate(pre, 2) + r * gate(gh, 2))
+        nh = z * h + (1.0 - z) * cand
+        h = m * nh + (1.0 - m) * h
+        states[i] = ad.reshape(h, (K, 1, d))
+    return ad.concat(states, axis=1)
 
 
 def truncate_reference(a):

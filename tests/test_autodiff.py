@@ -1,5 +1,7 @@
 """Gradient checks for every reverse-mode op against central differences."""
 
+import warnings
+
 import numpy as np
 
 import hoptrace.autodiff as ad
@@ -53,6 +55,29 @@ def test_tanh(rng):
 def test_sigmoid(rng):
     a = leaf(rng, 8)
     gradcheck(lambda: ad.sum_(ad.sigmoid(a) * a), [a])
+
+
+def _two_branch_sigmoid(x):
+    """The logistic function as written before sigmoid_array: masked gathers
+    and scatters of the two overflow-safe branches."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_array_is_bit_identical_to_two_branch_formula(rng):
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 1e308, -1e308]
+    x = np.concatenate([edges, rng.standard_normal(4000) * np.exp(rng.uniform(-20, 7, 4000))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning either
+        got = ad.sigmoid_array(x)
+    want = _two_branch_sigmoid(x)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, want)
 
 
 def test_matmul(rng):
@@ -126,12 +151,6 @@ def test_concat(rng):
     a = leaf(rng, 2, 3)
     b = leaf(rng, 2, 2)
     gradcheck(lambda: ad.sum_(ad.concat([a, b], axis=1) * ad.concat([a, b], axis=1)), [a, b])
-
-
-def test_stack(rng):
-    a = leaf(rng, 4)
-    b = leaf(rng, 4)
-    gradcheck(lambda: ad.sum_(ad.stack([a, b], axis=1) * ad.stack([a, b], axis=1)), [a, b])
 
 
 def test_getitem_scalar_chain(rng):

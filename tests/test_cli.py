@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hoptrace import cli
 from hoptrace.cli import main
+from hoptrace.config import TrainConfig
 from hoptrace.data import load_questions
 from hoptrace.graph import RelationGraph
 
@@ -185,17 +187,91 @@ def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 
 
-def test_unknown_config_key_is_usage_error(ws, tmp_path):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("epochs: 1\nwidgets: 3\n")
-    args = [
+def _train_args(ws, tmp_path, *extra):
+    return [
         "train",
-        "--config", str(cfg),
         "--data", str(ws / "data"),
         "--graph", str(ws / "g_label.txt"),
         "--out", str(tmp_path / "run"),
+        *extra,
     ]
-    assert main(args) == 1
+
+
+def _usage_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_unknown_config_key_is_usage_error(ws, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("epochs: 1\nwidgets: 3\n")
+    capsys.readouterr()
+    assert main(_train_args(ws, tmp_path, "--config", str(cfg))) == 1
+    assert "widgets" in _usage_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [('epochs: "x"\n', "wrong type"), ("epochs: [1\n", "not valid YAML")],
+    ids=["wrong-type", "not-yaml"],
+)
+def test_unreadable_config_file_is_usage_error(ws, tmp_path, capsys, text, says):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    capsys.readouterr()
+    assert main(_train_args(ws, tmp_path, "--config", str(cfg))) == 1
+    assert says in _usage_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [('movies: "x"\n', "wrong type"), ("movies: [1\n", "not valid YAML")],
+    ids=["wrong-type", "not-yaml"],
+)
+def test_bad_spec_file_is_data_error(tmp_path, capsys, text, says):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(text)
+    capsys.readouterr()
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
+    assert says in _data_error_line(capsys)
+
+
+def test_invalid_config_value_is_usage_error(ws, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(_train_args(ws, tmp_path, "--tau", "1.5")) == 1
+    assert "tau" in _usage_error_line(capsys)
+
+
+@pytest.mark.parametrize("value, want", [("none", None), ("NONE", None), ("inf", None), ("7", 7)])
+def test_omega_option_reaches_the_config(ws, tmp_path, value, want):
+    args = cli._build_parser().parse_args(_train_args(ws, tmp_path, "--omega", value))
+    assert TrainConfig.from_sources(None, cli._overrides_from_args(args)).omega == want
+
+
+def test_omega_option_not_given_keeps_the_default(ws, tmp_path):
+    args = cli._build_parser().parse_args(_train_args(ws, tmp_path))
+    assert "omega" not in cli._overrides_from_args(args)
+
+
+def test_unparsable_omega_is_usage_error(ws, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(_train_args(ws, tmp_path, "--omega", "lots")) == 1
+    assert "--omega" in _usage_error_line(capsys)
+
+
+def test_value_error_inside_a_command_is_not_a_usage_error(monkeypatch, tmp_path, capsys):
+    """Only UsageError means exit 1 with a usage line; a ValueError from
+    inside a command is a fault of the program and surfaces as one."""
+
+    def broken(args):
+        raise ValueError("arithmetic went wrong")
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", broken)
+    capsys.readouterr()
+    with pytest.raises(ValueError, match="arithmetic went wrong"):
+        main(["gen", "--out", str(tmp_path / "d")])
+    assert "usage error" not in capsys.readouterr().err
 
 
 # -- train -------------------------------------------------------------------------
@@ -335,6 +411,22 @@ def test_eval_rejects_unparsable_graph(ws, tmp_path, capsys, edge, reason):
     capsys.readouterr()
     assert main(_eval_args(ws, graph=graph)) == 2
     assert reason in _data_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [("qa.txt", b"who directed [Movie_0]\tPerson_\xff\n"), ("qa_hops.txt", b"x\n")],
+    ids=["questions-not-utf8", "hop-label-not-integer"],
+)
+def test_eval_rejects_unreadable_questions(ws, tmp_path, capsys, name, content):
+    questions = tmp_path / "qa.txt"
+    questions.write_bytes(b"who directed [Movie_0]\tPerson_0\n")
+    (tmp_path / name).write_bytes(content)
+    args = _eval_args(ws)
+    args[args.index("--questions") + 1] = str(questions)
+    capsys.readouterr()
+    assert main(args) == 2
+    _data_error_line(capsys)
 
 
 @pytest.mark.parametrize(

@@ -13,14 +13,14 @@ from hoptrace.encoder import (
     EncoderParams,
     RelationEncodingCache,
     Vocabulary,
-    _gru_cell_pre,
+    _gru_direction,
     encode_question,
     encode_question_batch,
     encode_relation_batch,
     split_tokens,
 )
 
-from oracles import bigru_reference, gradcheck
+from oracles import bigru_reference, gradcheck, gru_direction_tape
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -111,51 +111,56 @@ def test_encoder_order_sensitivity(rng):
     assert np.abs(a - b).max() > 1e-8
 
 
-def test_gru_cell_matches_composed_primitives(rng):
-    """The fused cell must agree (values and grads) with the same arithmetic
-    built from basic ops."""
-    d = 5
-    gx = Tensor(rng.standard_normal((2, 3 * d)), requires_grad=True)
-    h = Tensor(rng.standard_normal((2, d)), requires_grad=True)
+def _ragged_alive(lengths):
+    L = max(lengths)
+    return (np.arange(L)[None, :] < np.array(lengths)[:, None]).astype(np.float64)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+def test_gru_direction_matches_composed_primitives(rng, reverse):
+    """The fused direction agrees with the per-step tape recurrence on a
+    ragged batch with a length-1 row: values within 1e-14 and every
+    gradient within 1e-12.  Each row alone, unpadded, gives its batch row."""
+    d, lengths = 5, [4, 1, 3, 4]
+    alive = _ragged_alive(lengths)
+    K, L = alive.shape
+    gx = Tensor(rng.standard_normal((K, L, 3 * d)), requires_grad=True)
     w_h = Tensor(rng.standard_normal((d, 3 * d)), requires_grad=True)
     b = Tensor(rng.standard_normal(3 * d), requires_grad=True)
-    weight = Tensor(rng.standard_normal((2, d)))
+    weight = Tensor(rng.standard_normal((K, L, d)))
 
-    def composed():
-        gh = h @ w_h
-        pre = gx + b
+    fused = _gru_direction(gx, w_h, b, alive, reverse)
+    ref = gru_direction_tape(gx, w_h, b, alive, reverse)
+    assert fused.shape == (K, L, d)
+    np.testing.assert_allclose(fused.data, ref.data, rtol=0, atol=1e-14)
+    for k, n in enumerate(lengths):
+        row = _gru_direction(Tensor(gx.data[k : k + 1, :n]), w_h, b, np.ones((1, n)), reverse)
+        np.testing.assert_allclose(fused.data[k, :n], row.data[0], rtol=0, atol=1e-14)
 
-        def gate(x, k):
-            return ad.take(x, (slice(None), slice(k * d, (k + 1) * d)))
-
-        r = ad.sigmoid(gate(pre, 0) + gate(gh, 0))
-        z = ad.sigmoid(gate(pre, 1) + gate(gh, 1))
-        cand = ad.tanh(gate(pre, 2) + r * gate(gh, 2))
-        return z * h + (1.0 - z) * cand
-
-    out_f = _gru_cell_pre(gx, h, w_h, b, d)
-    out_c = composed()
-    np.testing.assert_allclose(out_f.data, out_c.data, atol=1e-14)
-
-    (out_f * weight).sum().backward()
-    gf = {t: t.grad.copy() for t in (gx, h, w_h, b)}
-    for t in (gx, h, w_h, b):
-        t.grad = None
-    (composed() * weight).sum().backward()
-    for t in (gx, h, w_h, b):
-        np.testing.assert_allclose(gf[t], t.grad, atol=1e-12)
+    grads = []
+    for out in (fused, ref):
+        for t in (gx, w_h, b):
+            t.grad = None
+        ad.sum_(out * weight).backward()
+        grads.append([t.grad.copy() for t in (gx, w_h, b)])
+    for name, f, r in zip(("gx", "w_h", "b"), *grads):
+        np.testing.assert_allclose(f, r, rtol=0, atol=1e-12, err_msg=name)
 
 
-def test_gru_cell_batched_rows_match_single(rng):
-    d = 4
-    gx = Tensor(rng.standard_normal((3, 3 * d)))
-    h = Tensor(rng.standard_normal((3, d)))
-    w_h = Tensor(rng.standard_normal((d, 3 * d)))
-    b = Tensor(rng.standard_normal(3 * d))
-    batch = _gru_cell_pre(gx, h, w_h, b, d)
-    for k in range(3):
-        row = _gru_cell_pre(Tensor(gx.data[k : k + 1]), Tensor(h.data[k : k + 1]), w_h, b, d)
-        np.testing.assert_allclose(batch.data[k], row.data[0], atol=1e-14)
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
+def test_gru_direction_gradcheck_through_pad_positions(rng, reverse):
+    """Backprop through time against central differences, with an upstream
+    gradient that is nonzero at pad positions, where a row carries its state."""
+    d, lengths = 3, [3, 1, 2]
+    alive = _ragged_alive(lengths)
+    K, L = alive.shape
+    gx = Tensor(0.5 * rng.standard_normal((K, L, 3 * d)), requires_grad=True)
+    w_h = Tensor(0.5 * rng.standard_normal((d, 3 * d)), requires_grad=True)
+    b = Tensor(0.5 * rng.standard_normal(3 * d), requires_grad=True)
+    weight = Tensor(rng.standard_normal((K, L, d)))
+    assert np.all(weight.data[alive == 0] != 0)
+
+    gradcheck(lambda: ad.sum_(_gru_direction(gx, w_h, b, alive, reverse) * weight), [gx, w_h, b])
 
 
 def test_encoder_gradcheck(rng):

@@ -8,7 +8,7 @@ import hoptrace.autodiff as ad
 from hoptrace import kernels, model
 from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
-from hoptrace.encoder import RelationEncodingCache, Vocabulary
+from hoptrace.encoder import EncoderParams, RelationEncodingCache, Vocabulary, encode_question_batch, encode_relation_batch
 from hoptrace.errors import GraphError
 from hoptrace.graph import RelationGraph, Vocab, add_reverse_relations, build_from_triples, mix_label_into_text
 from hoptrace.model import (
@@ -668,3 +668,16 @@ def test_training_tape_does_not_grow_with_batch(rng, case):
         return _tape_size(compute_loss(res.final, ys, res.c, hops).total)
 
     assert size(8) == size(2)
+
+
+def test_encoder_tape_does_not_grow_with_question_length(rng):
+    """The encoders' tape has as many nodes for twelve tokens as for three:
+    each GRU direction is one node, not one per position."""
+    p = EncoderParams(20, 4, rng, prefix="q")
+
+    def size(L):
+        seqs = [4 + np.arange(L) % 16, np.array([5])]  # ragged, with a length-1 row
+        enc = encode_question_batch(p, seqs)
+        return _tape_size(ad.sum_(enc.q) + ad.sum_(enc.h)), _tape_size(ad.sum_(encode_relation_batch(p, seqs)))
+
+    assert size(3) == size(12)
