@@ -321,8 +321,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (DataError, GraphError, FileNotFoundError, UnicodeDecodeError) as e:
-        # UnicodeDecodeError: an input text file that is not UTF-8
+    except (DataError, GraphError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

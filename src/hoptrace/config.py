@@ -68,11 +68,13 @@ class TrainConfig:
         known = {f.name for f in fields(cls)}
         merged: dict = {}
         if config_file is not None:
-            with open(config_file, encoding="utf-8") as f:
-                try:
+            try:
+                with open(config_file, encoding="utf-8") as f:
                     loaded = yaml.safe_load(f) or {}
-                except yaml.YAMLError as e:
-                    raise UsageError(f"{config_file}: not valid YAML: {' '.join(str(e).split())}") from None
+            except UnicodeDecodeError as e:
+                raise UsageError(f"{config_file}: not UTF-8 text: {e}") from None
+            except yaml.YAMLError as e:
+                raise UsageError(f"{config_file}: not valid YAML: {' '.join(str(e).split())}") from None
             if not isinstance(loaded, dict):
                 raise UsageError(f"{config_file}: config must be a mapping")
             unknown = set(loaded) - known

@@ -153,22 +153,27 @@ def load_questions(path, hop_path=None) -> list[QAExample]:
     if hop_path is not None:
         try:
             hops = [int(x) for x in Path(hop_path).read_text(encoding="utf-8").split()]
+        except UnicodeDecodeError as e:
+            raise DataError(f"{hop_path}: not UTF-8 text: {e}") from None
         except ValueError as e:
             raise DataError(f"{hop_path}: hop labels must be integers: {e}") from None
     out = []
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            m = _TOPIC_RE.search(parts[0]) if len(parts) == 2 else None
-            if len(parts) != 2 or not parts[1] or m is None:
-                log.warning("%s:%d: malformed question line skipped", path, i + 1)
-                continue
-            answers = tuple(sorted({a for a in parts[1].split("|") if a}))
-            hop = hops[len(out)] if hops is not None else None
-            out.append(QAExample(question=parts[0], topic=m.group(1), answers=answers, hop=hop))
+    try:
+        with open(path, encoding="utf-8") as f:
+            for i, line in enumerate(f):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                m = _TOPIC_RE.search(parts[0]) if len(parts) == 2 else None
+                if len(parts) != 2 or not parts[1] or m is None:
+                    log.warning("%s:%d: malformed question line skipped", path, i + 1)
+                    continue
+                answers = tuple(sorted({a for a in parts[1].split("|") if a}))
+                hop = hops[len(out)] if hops is not None else None
+                out.append(QAExample(question=parts[0], topic=m.group(1), answers=answers, hop=hop))
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from None
     if hops is not None and len(hops) != len(out):
         raise DataError(f"{hop_path}: {len(hops)} hop labels for {len(out)} questions")
     return out
@@ -243,11 +248,13 @@ class SyntheticSpec:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, encoding="utf-8") as f:
-            try:
+        try:
+            with open(path, encoding="utf-8") as f:
                 raw = yaml.safe_load(f) or {}
-            except yaml.YAMLError as e:
-                raise DataError(f"{path}: not valid YAML: {' '.join(str(e).split())}") from None
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e}") from None
+        except yaml.YAMLError as e:
+            raise DataError(f"{path}: not valid YAML: {' '.join(str(e).split())}") from None
         if not isinstance(raw, dict):
             raise DataError(f"{path}: spec must be a mapping")
         known = {f.name for f in fields(cls)}
@@ -418,15 +425,10 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
         cut1 = spec.split_ratios[0] * total
         cut2 = (spec.split_ratios[0] + spec.split_ratios[1]) * total
         buckets = {"train": [], "dev": [], "test": []}
-        answers = {}  # id(gold set) -> its sorted tuple: a topic's phrasings share one set
         done = 0
         for u in picked:
             bucket = buckets["train" if done < cut1 else ("dev" if done < cut2 else "test")]
-            for q, topic, gold, hop in u:
-                ans = answers.get(id(gold))
-                if ans is None:
-                    ans = answers[id(gold)] = tuple(sorted(gold))
-                bucket.append(QAExample(q, topic, ans, hop))
+            bucket.extend(QAExample(q, topic, tuple(sorted(gold)), hop) for q, topic, gold, hop in u)
             done += len(u)
         return buckets
 

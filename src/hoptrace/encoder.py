@@ -23,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import DataError
 
 PAD, UNK, SUB, OBJ = 0, 1, 2, 3
 SUB_TOKEN, OBJ_TOKEN = "<sub>", "<obj>"
@@ -94,9 +95,12 @@ class Vocabulary:
     def load(cls, path):
         v = cls.__new__(cls)
         v._index, v._tokens = {}, []
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                v._add(line.rstrip("\n"))
+        try:
+            with open(path, encoding="utf-8") as f:
+                for line in f:
+                    v._add(line.rstrip("\n"))
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e}") from None
         return v
 
 
@@ -149,7 +153,6 @@ def _gru_direction(gx, w_h, b, alive, reverse):
     # position-major, so every step reads and writes contiguous (K, .) rows
     pre = np.add(gx.data.transpose(1, 0, 2), b.data, out=np.empty((L, K, d3)))
     keep = alive.T[:, :, None] > 0
-    full = keep.all(axis=(1, 2)).tolist()  # no row pads here: skip the blend
     order = range(L - 1, -1, -1) if reverse else range(L)
     # hs[i + lo] is the state after position i and hs[i + 1 - lo] the one
     # before it; the extra row is the zero initial state
@@ -165,7 +168,7 @@ def _gru_direction(gx, w_h, b, alive, reverse):
         ghn[i] = gh[:, 2 * d :]
         cand[i] = np.tanh(p[:, 2 * d :] + r * ghn[i])
         nh = z * h + (1.0 - z) * cand[i]
-        h = hs[i + lo] = nh if full[i] else np.where(keep[i], nh, h)
+        h = hs[i + lo] = np.where(keep[i], nh, h)
 
     def vjp(g):
         g = g.transpose(1, 0, 2)
@@ -175,14 +178,14 @@ def _gru_direction(gx, w_h, b, alive, reverse):
         dh = np.zeros((K, d))
         for i in reversed(order):
             dh = dh + g[i]
-            dnh = dh if full[i] else np.where(keep[i], dh, 0.0)
+            dnh = np.where(keep[i], dh, 0.0)
             r, z, c = rz[i, :, :d], rz[i, :, d:], cand[i]
             dc = dcand_pre[i] = dnh * (1.0 - z) * (1.0 - c * c)
             dgh[i, :, :d] = dc * ghn[i] * r * (1.0 - r)
             dgh[i, :, d : 2 * d] = dnh * (h_in[i] - c) * z * (1.0 - z)
             dgh[i, :, 2 * d :] = dc * r
             dh_prev = dnh * z + dgh[i] @ whd.T
-            dh = dh_prev if full[i] else np.where(keep[i], dh_prev, dh)
+            dh = np.where(keep[i], dh_prev, dh)
         dw_h = h_in.reshape(L * K, d).T @ dgh.reshape(L * K, d3)
         dpre = dgh  # the gh gradient but for the candidate third, not scaled by r
         dpre[..., 2 * d :] = dcand_pre

@@ -331,31 +331,37 @@ def build_from_triples(triples) -> RelationGraph:
 def load_triples_tsv(path) -> list[tuple[str, str, str]]:
     """head<TAB>predicate<TAB>tail per line; '#' lines are comments."""
     triples = []
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(parts):
-                raise GraphError(f"{path}:{i}: expected 3 tab-separated fields")
-            triples.append(tuple(parts))
+    try:
+        with open(path, encoding="utf-8") as f:
+            for i, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3 or not all(parts):
+                    raise GraphError(f"{path}:{i}: expected 3 tab-separated fields")
+                triples.append(tuple(parts))
+    except UnicodeDecodeError as e:
+        raise GraphError(f"{path}: not UTF-8 text: {e}") from None
     return triples
 
 
 def load_corpus_jsonl(path) -> list[tuple[str, str]]:
     """One {"subject": ..., "text": ...} object per line."""
     docs = []
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                docs.append((obj["subject"], obj["text"]))
-            except (json.JSONDecodeError, KeyError, TypeError):
-                raise GraphError(f"{path}:{i}: expected JSON with 'subject' and 'text'") from None
+    try:
+        with open(path, encoding="utf-8") as f:
+            for i, line in enumerate(f, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    docs.append((obj["subject"], obj["text"]))
+                except (json.JSONDecodeError, KeyError, TypeError):
+                    raise GraphError(f"{path}:{i}: expected JSON with 'subject' and 'text'") from None
+    except UnicodeDecodeError as e:
+        raise GraphError(f"{path}: not UTF-8 text: {e}") from None
     return docs
 
 

@@ -176,6 +176,18 @@ def test_missing_triples_file_is_data_error(tmp_path):
     assert main(args) == 2
 
 
+@pytest.mark.parametrize("damaged", ["triples.tsv", "corpus.jsonl"])
+def test_build_graph_input_not_utf8_is_data_error(ws, tmp_path, capsys, damaged):
+    for name in ("triples.tsv", "corpus.jsonl"):
+        raw = (ws / "data" / name).read_bytes()
+        (tmp_path / name).write_bytes(raw + b"\xff\n" if name == damaged else raw)
+    args = ["build-graph", "--form", "text", "--triples", str(tmp_path / "triples.tsv")]
+    args += ["--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "g.txt")]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert "not UTF-8" in _data_error_line(capsys)
+
+
 # -- usage ---------------------------------------------------------------------
 
 
@@ -213,12 +225,12 @@ def test_unknown_config_key_is_usage_error(ws, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, says",
-    [('epochs: "x"\n', "wrong type"), ("epochs: [1\n", "not valid YAML")],
-    ids=["wrong-type", "not-yaml"],
+    [(b'epochs: "x"\n', "wrong type"), (b"epochs: [1\n", "not valid YAML"), (b"epochs: \xff\n", "not UTF-8")],
+    ids=["wrong-type", "not-yaml", "not-utf8"],
 )
 def test_unreadable_config_file_is_usage_error(ws, tmp_path, capsys, text, says):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(text)
+    cfg.write_bytes(text)
     capsys.readouterr()
     assert main(_train_args(ws, tmp_path, "--config", str(cfg))) == 1
     assert says in _usage_error_line(capsys)
@@ -226,12 +238,12 @@ def test_unreadable_config_file_is_usage_error(ws, tmp_path, capsys, text, says)
 
 @pytest.mark.parametrize(
     "text, says",
-    [('movies: "x"\n', "wrong type"), ("movies: [1\n", "not valid YAML")],
-    ids=["wrong-type", "not-yaml"],
+    [(b'movies: "x"\n', "wrong type"), (b"movies: [1\n", "not valid YAML"), (b"movies: \xff\n", "not UTF-8")],
+    ids=["wrong-type", "not-yaml", "not-utf8"],
 )
 def test_bad_spec_file_is_data_error(tmp_path, capsys, text, says):
     spec = tmp_path / "spec.yaml"
-    spec.write_text(text)
+    spec.write_bytes(text)
     capsys.readouterr()
     assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 2
     assert says in _data_error_line(capsys)
@@ -370,6 +382,16 @@ def test_eval_rejects_mismatched_vocab(ws, tmp_path):
     assert main(args) == 2
 
 
+def test_eval_rejects_vocab_not_utf8(ws, tmp_path, capsys):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_bytes((ws / "run" / "vocab.txt").read_bytes() + b"\xff\n")
+    args = _eval_args(ws)
+    args[args.index("--vocab") + 1] = str(vocab)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert "not UTF-8" in _data_error_line(capsys)
+
+
 def _eval_args(ws, checkpoint=None, graph=None):
     return [
         "eval",
@@ -415,8 +437,8 @@ def test_eval_rejects_unparsable_graph(ws, tmp_path, capsys, edge, reason):
 
 @pytest.mark.parametrize(
     "name, content",
-    [("qa.txt", b"who directed [Movie_0]\tPerson_\xff\n"), ("qa_hops.txt", b"x\n")],
-    ids=["questions-not-utf8", "hop-label-not-integer"],
+    [("qa.txt", b"who directed [Movie_0]\tPerson_\xff\n"), ("qa_hops.txt", b"x\n"), ("qa_hops.txt", b"\xff\n")],
+    ids=["questions-not-utf8", "hop-label-not-integer", "hop-labels-not-utf8"],
 )
 def test_eval_rejects_unreadable_questions(ws, tmp_path, capsys, name, content):
     questions = tmp_path / "qa.txt"
