@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import TrainConfig
 from .data import (
     SyntheticSpec,
@@ -284,6 +286,12 @@ def _cmd_answer(args) -> int:
     clean = args.question.replace("[", "").replace("]", "")
     tokens = vocab.encode(clean)
     res = forward(g, tokens, topics, params, cfg, cache=cache, question=args.question, want_trace=True)
+    # json.dumps would print a NaN score as the bare token NaN, which no JSON
+    # reader takes; a topic with no edges leaves the answer scores at 0 even
+    # when the relation scores are NaN, so those are checked too
+    scored = [res.final.data] + [s.relation_scores for s in res.trace.steps]
+    if not all(np.all(np.isfinite(x)) for x in scored):
+        raise NumericError("non-finite answer or relation scores")
     ranked, degenerate = rank_answers(res.final.data)
     answers = [
         {"entity": g.entities.name(int(i)), "score": float(res.final.data[i])}

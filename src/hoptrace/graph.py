@@ -141,10 +141,6 @@ class RelationGraph:
         counts = np.bincount(self.edge_preds, minlength=len(predicates))
         self.pred_ptr = np.zeros(len(predicates) + 1, dtype=np.int64)
         np.cumsum(counts, out=self.pred_ptr[1:])
-        # max aggregation takes each (head, tail) pair's strongest edge
-        self.pair_order, self.pair_heads, self.pair_tails, self.pair_ptr = pair_groups(
-            self.edge_heads, self.edge_tails
-        )
 
         self.trel_heads = t[:, 0].copy()
         self.trel_tails = t[:, 1].copy()

@@ -24,8 +24,10 @@ def _fold(index, src, num_out):
 
     np.bincount reads each row of src; a row of a C-ordered src is one
     contiguous run, where x[:, idx] would hand back an F-ordered array whose
-    rows are strided.  The (B, E) kernels therefore gather with
-    np.take(x, idx, axis=1), which returns C order.
+    rows are strided.  push_batch_forward and push_batch_backward therefore
+    gather with np.take(x, idx, axis=1), which returns C order.  The model
+    no longer calls the (B, E) ops (its label transfer is a flat push over
+    the frontier); the benchmark's spans and checks and the tests still do.
     """
     out = np.empty((src.shape[0], num_out))
     for b, row in enumerate(src):

@@ -10,9 +10,11 @@ result.
 
 There is one implementation, _reason, and it always runs a batch: each step
 is one transfer over the (B, n) score matrix, pushed as a disjoint union of
-the B rows, in every graph form and aggregation.  forward_batch() runs it
-for training and evaluation; forward() runs it on a batch of one question
-and records every intermediate in a ReasoningTrace.
+the B rows through the same flat push, in every graph form and aggregation.
+Label form pushes only the edges leaving the frontier (the entities a row
+scores nonzero); text form pushes the relations selected per row.
+forward_batch() runs it for training and evaluation; forward() runs it on a
+batch of one question and records every intermediate in a ReasoningTrace.
 """
 
 from __future__ import annotations
@@ -109,7 +111,10 @@ def text_relation_scores(q_t: Tensor, rel_enc: Tensor, params: ModelParams) -> T
 # A batch of B score vectors over n entities is pushed as one disjoint
 # union: row b's entities become b*n .. b*n + n - 1 of a flat (B*n,) vector
 # and its edges are offset to match.  Rows share no entity, so every row's
-# scatter-adds run in the same edge order as they would on their own.
+# scatter-adds run in the same edge order as they would on their own.  The
+# label transfer lists only its frontier edges, and text form only the
+# selected relations, so a step's work grows with the reached part of the
+# graph, not with B times its edges.
 
 
 def _push_max(pair_heads, pair_tails, pair_ptr, w: Tensor, a_prev: Tensor, n: int) -> Tensor:
@@ -143,49 +148,38 @@ def _push(heads, tails, w: Tensor, a_prev: Tensor, n: int, aggregation: str) -> 
     raise ValueError(f"unknown aggregation {aggregation!r}")
 
 
-def _offset_rows(ids: np.ndarray, B: int, size: int) -> np.ndarray:
-    """ids repeated for each of B rows, row b shifted by b*size, flattened."""
-    return (np.arange(B, dtype=np.int64)[:, None] * size + ids).ravel()
-
-
-def _expand(p: Tensor, preds: np.ndarray) -> Tensor:
-    """Per-edge weights p[:, preds] (B, E) from predicate scores (B, P),
-    gathered in C order so each row's weights are contiguous for the
-    kernels' row folds (see kernels._fold)."""
-    num_preds = p.data.shape[1]
+def _gather(p: Tensor, keys: np.ndarray) -> Tensor:
+    """Entries of p.data.ravel() at keys, as a (len(keys),) node whose vjp
+    adds each gradient back in key order."""
 
     def vjp(gw):
-        return (kernels.col_scatter_add(preds, gw, num_preds),)
+        return (kernels._scatter(keys, gw, p.data.size).reshape(p.data.shape),)
 
-    return ad.node(np.take(p.data, preds, axis=1), (p,), vjp)
+    return ad.node(p.data.reshape(-1)[keys], (p,), vjp)
 
 
 def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregation: str = "sum") -> Tensor:
     """Label-form transfer for a whole batch: a_prev is (B, n), p is
     (B, num_predicates).  Every edge, weighted by row b's score for its
     predicate, pushes row b's head activation onto the tail; the n x n score
-    matrix is never materialized."""
-    B, n, E = p.data.shape[0], g.n, g.num_edges
-    if aggregation == "sum":
-        w = _expand(p, g.edge_preds)
-        out = kernels.push_batch_forward(g.edge_heads, g.edge_tails, w.data, a_prev.data, n)
+    matrix is never materialized.
 
-        def vjp(gg):
-            return kernels.push_batch_backward(g.edge_heads, g.edge_tails, w.data, a_prev.data, gg)
-
-        return ad.node(out, (a_prev, w), vjp)
-    if aggregation == "max":
-        w = _expand(p, g.edge_preds[g.pair_order])  # pair-grouped edge order; C order makes the reshape a view
-        out = _push_max(
-            _offset_rows(g.pair_heads, B, n),
-            _offset_rows(g.pair_tails, B, n),
-            np.append(_offset_rows(g.pair_ptr[:-1], B, E), B * E),
-            ad.reshape(w, (B * E,)),
-            ad.reshape(a_prev, (B * n,)),
-            B * n,
-        )
-        return ad.reshape(out, (B, n))
-    raise ValueError(f"unknown aggregation {aggregation!r}")
+    Only the frontier is pushed: the (row, edge) pairs whose head scores
+    nonzero in that row, listed row by row in edge order.  Scores are
+    finite and >= 0, so a skipped pair would add exactly +0.0, and each
+    output sums the same terms in the same order as a push over every edge.
+    The gradient w.r.t. a_prev is returned only on a_prev's nonzero
+    entries, as for a sparse tensor: elsewhere it reads 0.  Parameter
+    gradients do not change, since a dropped entry could feed only a
+    relation scoring exactly 0.
+    """
+    B, n, E, P = a_prev.data.shape[0], g.n, g.num_edges, p.data.shape[1]
+    rows, edges = np.divmod(np.flatnonzero(np.take(a_prev.data != 0, g.edge_heads, axis=1)), E)
+    heads = g.edge_heads[edges] + rows * n
+    tails = g.edge_tails[edges] + rows * n
+    w = _gather(p, rows * P + g.edge_preds[edges])
+    out = _push(heads, tails, w, ad.reshape(a_prev, (B * n,)), B * n, aggregation)
+    return ad.reshape(out, (B, n))
 
 
 def transfer_text_batch(

@@ -189,8 +189,7 @@ def prepare_examples(examples, vocab: Vocabulary) -> list[PreparedExample]:
 
 def evaluate(g, params: ModelParams, prepared, cfg, cache=None, chunk=64) -> dict:
     """hits@1 per hop and overall, plus the mean main loss.  Runs chunk
-    questions per forward: the label transfer holds (chunk, edges) arrays,
-    and 64 rows evaluate as fast as 256 with a quarter of the memory."""
+    questions per forward."""
     if g.form != "label" and cache is None:
         raise ValueError("text/mixed evaluation needs a relation encoding cache")
     hits: dict[int | None, list[int]] = {}

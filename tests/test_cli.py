@@ -18,7 +18,9 @@ from hoptrace import cli
 from hoptrace.cli import main
 from hoptrace.config import TrainConfig
 from hoptrace.data import load_questions
+from hoptrace.encoder import Vocabulary
 from hoptrace.graph import RelationGraph
+from hoptrace.training import load_checkpoint, save_checkpoint
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -589,3 +591,38 @@ def test_answer_unknown_topic(ws):
         "--graph", str(ws / "g_label.txt"),
     ]
     assert main(args) == 2
+
+
+def _isolate(g, entity):
+    """g with every edge that touches entity removed."""
+    keep = (g.edge_heads != entity) & (g.edge_tails != entity)
+    edges = np.stack([g.edge_heads, g.edge_preds, g.edge_tails], axis=1)[keep]
+    return RelationGraph(g.entities, g.predicates, edges, [], [], form="label", reversed_=g.reversed)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("param, cut_topic", [("hop_b", False), ("pred_b", True)], ids=["hop-bias", "pred-bias-lone-topic"])
+def test_nonfinite_scores_are_numeric_failures(ws, tmp_path, capsys, param, cut_topic):
+    """A checkpoint with a NaN bias, saved with a valid sha256: answer stops
+    with exit 3 before printing (a NaN score is not JSON), as eval does.
+    A NaN relation score counts even when the topic has no edges to carry
+    it into the answer scores."""
+    params, meta = load_checkpoint(ws / "run" / "checkpoint.bin")
+    getattr(params, param).data[:] = np.nan
+    vocab = Vocabulary.load(ws / "run" / "vocab.txt")
+    checkpoint = tmp_path / "checkpoint.bin"
+    save_checkpoint(checkpoint, params, TrainConfig(**meta["config"]), vocab)
+    question = load_questions(ws / "data" / "qa_dev.txt")[0].question
+    g = RelationGraph.load(ws / "g_label.txt")
+    graph = tmp_path / "graph.txt"
+    topic = g.entities.id(question[question.index("[") + 1 : question.index("]")])
+    (_isolate(g, topic) if cut_topic else g).save(graph)
+    capsys.readouterr()
+    vocab_path = str(ws / "run" / "vocab.txt")
+    args = ["answer", question, "--checkpoint", str(checkpoint), "--graph", str(graph), "--vocab", vocab_path]
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric failure: "), (out, err)
+    if not cut_topic:
+        assert main(_eval_args(ws, checkpoint=checkpoint)) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: ")

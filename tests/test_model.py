@@ -24,6 +24,7 @@ from hoptrace.model import (
 )
 from hoptrace.training import compute_loss
 
+import oracles
 from conftest import random_label_graph, random_text_graph
 from oracles import (
     bfs_answers,
@@ -132,31 +133,70 @@ def test_transfer_label_matches_dense(rng):
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
 
-@pytest.mark.parametrize("aggregation", ["sum", "max"])
-def test_transfer_label_batch_keeps_rows_contiguous(rng, monkeypatch, aggregation):
-    """The (B, E) per-edge weights transfer_label_batch builds are C-ordered,
-    and so is every (B, E) array the kernels fold on the way forward and
-    back: each row is one contiguous run for np.bincount, and the max
-    branch's flattening of the weights is a view, not a copy."""
-    built, folded = [], []
-    expand, fold = model._expand, kernels._fold
-
-    def recording_expand(p, preds):
-        built.append(expand(p, preds))
-        return built[-1]
-
-    def recording_fold(index, src, num_out):
-        folded.append(src.flags.c_contiguous)
-        return fold(index, src, num_out)
-
-    monkeypatch.setattr(model, "_expand", recording_expand)
-    monkeypatch.setattr(kernels, "_fold", recording_fold)
+def _frontier_case(rng):
+    """A label graph with a sink entity (no out-edges) and a (5, n) batch of
+    scores: a one-hot row, an all-zero row, the sink alone, a fully dense
+    row and a second one-hot row."""
     g = random_label_graph(rng, n=12, num_predicates=3)
-    a = Tensor(rng.random((3, g.n)), requires_grad=True)
-    p = Tensor(rng.random((3, g.num_predicates)), requires_grad=True)
-    ad.sum_(transfer_label_batch(g, a, p, aggregation)).backward()
-    assert len(built) == 1 and built[0].data.flags.c_contiguous
-    assert folded == [True] * (3 if aggregation == "sum" else 1)
+    triples = [
+        (g.entities.name(int(h)), g.predicates.name(int(k)), g.entities.name(int(t)))
+        for h, k, t in zip(g.edge_heads, g.edge_preds, g.edge_tails)
+    ]
+    g = build_from_triples(triples + [("e3", "p1", "sink"), ("e7", "p0", "sink")])
+    sink = g.entities.id("sink")
+    a = np.zeros((5, g.n))
+    a[0, 2] = a[2, sink] = a[4, 9] = 1.0
+    a[3] = rng.random(g.n) + 0.1
+    p = rng.random((5, g.num_predicates))
+    return g, a, p
+
+
+def test_transfer_label_batch_frontier_matches_oracles(rng):
+    """The frontier push against the np.add.at oracles over every edge: the
+    output and the p gradient bit for bit, and the a_prev gradient on
+    a_prev's nonzero entries, 0 elsewhere."""
+    g, a0, p0 = _frontier_case(rng)
+    assert not np.any(g.edge_heads == g.entities.id("sink"))
+    upstream = rng.standard_normal(a0.shape)
+    a, p = Tensor(a0.copy(), requires_grad=True), Tensor(p0.copy(), requires_grad=True)
+    out = transfer_label_batch(g, a, p)
+    ad.sum_(out * Tensor(upstream)).backward()
+
+    w = p0[:, g.edge_preds]
+    np.testing.assert_array_equal(out.data, oracles.push_batch_forward(g.edge_heads, g.edge_tails, w, a0, g.n))
+    grad_a, grad_w = oracles.push_batch_backward(g.edge_heads, g.edge_tails, w, a0, upstream)
+    np.testing.assert_array_equal(p.grad, oracles.col_scatter_add(g.edge_preds, grad_w, g.num_predicates))
+    live = a0 != 0
+    np.testing.assert_array_equal(a.grad[live], grad_a[live])
+    assert not np.any(a.grad[~live])
+    assert not np.any(out.data[[1, 2]])  # nothing to push from a zero row or a sink
+
+
+def test_transfer_label_batch_frontier_max_matches_dense(rng):
+    g, a0, p0 = _frontier_case(rng)
+    out = transfer_label_batch(g, Tensor(a0), Tensor(p0), "max")
+    for b in range(a0.shape[0]):
+        want = dense_text_transfer(g.n, g.edge_heads, g.edge_tails, p0[b, g.edge_preds], a0[b], "max")
+        np.testing.assert_allclose(out.data[b], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("aggregation", ["sum", "max"])
+def test_transfer_label_batch_pushes_only_the_frontier(rng, monkeypatch, aggregation):
+    """The push gets one weight per (row, edge) pair whose head scores
+    nonzero in that row, not one per row and edge."""
+    g, a0, p0 = _frontier_case(rng)
+    pushed = []
+    name = "push_forward" if aggregation == "sum" else "push_max_forward"
+    push = getattr(kernels, name)
+
+    def recording_push(*args):
+        pushed.append(args[-3].size)
+        return push(*args)
+
+    monkeypatch.setattr(kernels, name, recording_push)
+    transfer_label_batch(g, Tensor(a0), Tensor(p0), aggregation)
+    frontier = np.count_nonzero(a0[:, g.edge_heads])
+    assert pushed == [frontier] and 0 < frontier < a0.shape[0] * g.num_edges
 
 
 def test_transfer_label_gradcheck(rng):
