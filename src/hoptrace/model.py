@@ -12,7 +12,8 @@ There is one implementation, _reason, and it always runs a batch: each step
 is one transfer over the (B, n) score matrix, pushed as a disjoint union of
 the B rows through the same flat push, in every graph form and aggregation.
 Label form pushes only the edges leaving the frontier (the entities a row
-scores nonzero); text form pushes the relations selected per row.
+scores nonzero), listed from the edges whose head is active in some row of
+the batch; text form pushes the relations selected per row.
 forward_batch() runs it for training and evaluation; forward() runs it on a
 batch of one question and records every intermediate in a ReasoningTrace.
 """
@@ -165,16 +166,21 @@ def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregatio
     matrix is never materialized.
 
     Only the frontier is pushed: the (row, edge) pairs whose head scores
-    nonzero in that row, listed row by row in edge order.  Scores are
-    finite and >= 0, so a skipped pair would add exactly +0.0, and each
+    nonzero in that row, listed row by row in edge order.  They are listed
+    from the candidate edges, whose head is active in some row of the batch,
+    so the listing reads B flags per candidate rather than per edge.  Scores
+    are finite and >= 0, so a skipped pair would add exactly +0.0, and each
     output sums the same terms in the same order as a push over every edge.
     The gradient w.r.t. a_prev is returned only on a_prev's nonzero
     entries, as for a sparse tensor: elsewhere it reads 0.  Parameter
     gradients do not change, since a dropped entry could feed only a
     relation scoring exactly 0.
     """
-    B, n, E, P = a_prev.data.shape[0], g.n, g.num_edges, p.data.shape[1]
-    rows, edges = np.divmod(np.flatnonzero(np.take(a_prev.data != 0, g.edge_heads, axis=1)), E)
+    B, n, P = a_prev.data.shape[0], g.n, p.data.shape[1]
+    active = a_prev.data != 0
+    cand = np.flatnonzero(active.any(axis=0)[g.edge_heads])
+    rows, k = np.divmod(np.flatnonzero(np.take(active, g.edge_heads[cand], axis=1)), cand.size)
+    edges = cand[k]
     heads = g.edge_heads[edges] + rows * n
     tails = g.edge_tails[edges] + rows * n
     w = _gather(p, rows * P + g.edge_preds[edges])
@@ -216,6 +222,18 @@ def rank_answers(scores: np.ndarray):
         return np.zeros(0, dtype=np.int64), True
     order = np.lexsort((np.arange(scores.shape[0]), -scores))
     return order.astype(np.int64), False
+
+
+def top_answers(scores: np.ndarray):
+    """The top-ranked entity of each row of (B, n) scores, by rank_answers'
+    rule (highest score, lowest id on ties), and a flag per row that is set
+    when the row is all zero and so ranks nothing.
+
+    A row holding NaN may pick a different id than rank_answers would; such
+    a row never counts as a hit, since the loss over it raises NumericError.
+    """
+    scores = np.asarray(scores)
+    return np.argmax(scores, axis=1), ~np.any(scores != 0.0, axis=1)
 
 
 class ForwardResult(NamedTuple):

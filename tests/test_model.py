@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hoptrace.autodiff as ad
-from hoptrace import kernels, model
+from hoptrace import graph, kernels, model
 from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
 from hoptrace.encoder import EncoderParams, RelationEncodingCache, Vocabulary, encode_question_batch, encode_relation_batch
@@ -18,6 +18,7 @@ from hoptrace.model import (
     label_relation_scores,
     rank_answers,
     text_relation_scores,
+    top_answers,
     transfer_label_batch,
     transfer_text_batch,
     truncate,
@@ -151,13 +152,11 @@ def _frontier_case(rng):
     return g, a, p
 
 
-def test_transfer_label_batch_frontier_matches_oracles(rng):
-    """The frontier push against the np.add.at oracles over every edge: the
-    output and the p gradient bit for bit, and the a_prev gradient on
-    a_prev's nonzero entries, 0 elsewhere."""
-    g, a0, p0 = _frontier_case(rng)
-    assert not np.any(g.edge_heads == g.entities.id("sink"))
-    upstream = rng.standard_normal(a0.shape)
+def _assert_frontier_matches_oracles(g, a0, p0, upstream):
+    """transfer_label_batch against the np.add.at oracles over every edge.
+    Sum: the output and the p gradient bit for bit, and the a_prev gradient
+    on a_prev's nonzero entries, 0 elsewhere.  Max: the output bit for bit,
+    row by row over the graph's (head, tail) pairs."""
     a, p = Tensor(a0.copy(), requires_grad=True), Tensor(p0.copy(), requires_grad=True)
     out = transfer_label_batch(g, a, p)
     ad.sum_(out * Tensor(upstream)).backward()
@@ -169,7 +168,53 @@ def test_transfer_label_batch_frontier_matches_oracles(rng):
     live = a0 != 0
     np.testing.assert_array_equal(a.grad[live], grad_a[live])
     assert not np.any(a.grad[~live])
-    assert not np.any(out.data[[1, 2]])  # nothing to push from a zero row or a sink
+
+    order, ph, pt, pptr = graph.pair_groups(g.edge_heads, g.edge_tails)
+    out_max = transfer_label_batch(g, Tensor(a0), Tensor(p0), "max")
+    for b in range(a0.shape[0]):
+        want, _ = oracles.push_max_forward(ph, pt, pptr, w[b, order], a0[b], g.n)
+        np.testing.assert_array_equal(out_max.data[b], want)
+    return out.data
+
+
+def test_transfer_label_batch_frontier_matches_oracles(rng):
+    """The frontier push against the np.add.at oracles over every edge, on
+    one-hot, all-zero, sink-only and dense rows."""
+    g, a0, p0 = _frontier_case(rng)
+    assert not np.any(g.edge_heads == g.entities.id("sink"))
+    out = _assert_frontier_matches_oracles(g, a0, p0, rng.standard_normal(a0.shape))
+    assert not np.any(out[[1, 2]])  # nothing to push from a zero row or a sink
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["all-zero-batch", "disjoint-rows"])
+def test_transfer_label_batch_frontier_edge_cases(rng, monkeypatch, case):
+    """A batch with no active head anywhere (no candidate edge), and rows
+    whose frontiers are disjoint, so that most of the batch's candidate
+    edges are unused by any one row: both match the oracles, warn about
+    nothing and push one weight per nonzero-head pair."""
+    g = random_label_graph(rng, n=16, num_predicates=3)
+    a0 = np.zeros((4, g.n))
+    if case == "disjoint-rows":
+        for b, ids in enumerate(([0], [4, 5], [9], [13, 15])):
+            a0[b, ids] = rng.random(len(ids)) + 0.1
+    p0 = rng.random((4, g.num_predicates))
+    pushed = []
+    push = kernels.push_forward
+
+    def recording_push(*args):
+        pushed.append(args[-3].size)
+        return push(*args)
+
+    monkeypatch.setattr(kernels, "push_forward", recording_push)
+
+    out = _assert_frontier_matches_oracles(g, a0, p0, rng.standard_normal(a0.shape))
+    frontier = np.count_nonzero(a0[:, g.edge_heads])
+    assert pushed == [frontier]
+    if case == "all-zero-batch":
+        assert frontier == 0 and not np.any(out)
+    else:  # each candidate edge belongs to one row alone
+        assert frontier == np.count_nonzero(a0.any(axis=0)[g.edge_heads]) > 0
 
 
 def test_transfer_label_batch_frontier_max_matches_dense(rng):
@@ -328,6 +373,45 @@ def test_rank_answers_ties_break_by_id():
 def test_rank_answers_degenerate():
     ranked, degenerate = rank_answers(np.zeros(5))
     assert degenerate and ranked.size == 0
+
+
+TOP_ROWS = {
+    "tie-at-max": [0.1, 0.9, 0.9, 0.3, 0.9],
+    "max-at-first-id": [0.8, 0.2, 0.8, 0.0, 0.1],
+    "max-at-last-id": [0.0, 0.2, 0.1, 0.3, 0.5],
+    "all-zero": [0.0, 0.0, 0.0, 0.0, 0.0],
+    "negative-zero-only": [0.0, -0.0, 0.0, -0.0, 0.0],
+    "negative-zero-ties-zero": [-0.0, -1.0, 0.0, -2.0, 0.0],
+    "inf": [0.5, np.inf, 0.0, np.inf, 1.0],
+}
+
+
+def _assert_top_matches_ranking(scores):
+    top, degenerate = top_answers(scores)
+    assert top.shape == degenerate.shape == (scores.shape[0],)
+    for row, t, d in zip(scores, top, degenerate):
+        ranked, want_degenerate = rank_answers(row)
+        assert d == want_degenerate
+        if not d:
+            assert t == ranked[0]
+
+
+@pytest.mark.parametrize("name", sorted(TOP_ROWS))
+def test_top_answers_matches_rank_answers_on_one_row(name):
+    _assert_top_matches_ranking(np.array([TOP_ROWS[name]]))
+
+
+def test_top_answers_matches_rank_answers_on_a_batch(rng):
+    """Every special row at once, then rows drawn mostly from 0 so that
+    ties at the maximum and all-zero rows are common."""
+    special = np.array(list(TOP_ROWS.values()))
+    _assert_top_matches_ranking(special)
+    top, degenerate = top_answers(special)
+    assert degenerate.tolist() == [name in ("all-zero", "negative-zero-only") for name in TOP_ROWS]
+    assert top[~degenerate].tolist() == [1, 0, 4, 0, 1]
+    drawn = rng.choice([0.0, 0.5, 1.0], p=[0.6, 0.2, 0.2], size=(200, 5))
+    assert np.any(~drawn.any(axis=1)) and np.any((drawn == drawn.max(axis=1, keepdims=True)).sum(axis=1) > 1)
+    _assert_top_matches_ranking(drawn)
 
 
 # -- full forward -----------------------------------------------------------------------

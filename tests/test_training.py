@@ -10,7 +10,7 @@ from hoptrace.data import QAExample, resolve_examples
 from hoptrace.encoder import RelationEncodingCache
 from hoptrace.errors import DataError, NumericError
 from hoptrace.graph import add_reverse_relations, build_from_text_corpus, build_from_triples
-from hoptrace.model import ModelParams, forward_batch
+from hoptrace.model import ModelParams, forward_batch, rank_answers
 from hoptrace.training import (
     AUX_WEIGHT,
     RAdam,
@@ -313,6 +313,46 @@ def test_train_limit_train_subsamples():
     cfg = TrainConfig(form="label", epochs=1, d=8, seed=0, batch_size=4, limit_train=0.5).validate()
     result = train(cfg, g, resolved, resolved)
     assert result.best_dev["overall"] >= 0.0  # ran end to end on the subset
+
+
+def test_evaluate_matches_per_row_recount():
+    """evaluate's one top_answers call per chunk counts the same hits as
+    rank_answers row by row, in any chunking.  The graph has no reverse
+    relations, so 'paris' has no out-edges: its question scores all zero
+    and must count as a miss, although its answers hold entity 0, the id
+    an argmax over zeros returns."""
+    born = [("alice", "born_in", "paris"), ("bob", "born_in", "rome"), ("carol", "born_in", "paris")]
+    directed = [("m0", "directed_by", "alice"), ("m1", "directed_by", "alice"), ("m2", "directed_by", "bob")]
+    g = build_from_triples(born + directed + [("m3", "directed_by", "carol")])
+    assert g.entities.id("alice") == 0
+    qs = [QAExample(f"who directed [{m}]", m, (d,), 1) for m, _, d in directed]
+    qs += [QAExample(f"where was [{d}] born", d, (c,), 1) for d, _, c in born]
+    qs += [QAExample(f"where was the director of [{m}] born", m, (c,), 2) for m, c in (("m0", "paris"), ("m2", "rome"))]
+    qs += [QAExample("who was born in [paris]", "paris", ("alice", "carol"), 1)]
+    qs += [QAExample("who directed [m3]", "m3", ("carol",), None)]
+    resolved = resolve_examples(qs, g)
+    cfg = TrainConfig(form="label", epochs=6, d=8, seed=2, lr=0.05, batch_size=4).validate()
+    result = train(cfg, g, resolved, resolved)
+    prep = prepare_examples(resolved, result.vocab)
+
+    with ad.no_grad():
+        res = forward_batch(g, [ex.tokens for ex in prep], [ex.topic for ex in prep], result.params, cfg)
+    hits, degenerate_rows = {}, 0
+    for ex, row in zip(prep, res.final.data):
+        ranked, degenerate = rank_answers(row)
+        degenerate_rows += degenerate
+        hits.setdefault(ex.gold_hop, []).append((not degenerate) and int(ranked[0]) in ex.answers)
+    assert degenerate_rows == 1 and not np.any(res.final.data[-2])
+    flat = [h for v in hits.values() for h in v]
+    hops = [ex.gold_hop for ex in prep]
+    loss = compute_loss(res.final, batch_targets(prep, g.n), res.c, hops, cfg.use_aux_hop_loss).main.item()
+
+    for chunk in (64, 5, 1):
+        m = evaluate(g, result.params, prep, cfg, chunk=chunk)
+        assert m["overall"] == np.mean(flat) > 0
+        assert m["per_hop"] == {h: np.mean(v) for h, v in hits.items() if h is not None}
+        assert m["count"] == len(prep)
+        assert m["mean_loss"] == pytest.approx(loss / len(prep), rel=0, abs=1e-12)
 
 
 def test_effective_batch_size_defaults():
