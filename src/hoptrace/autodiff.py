@@ -10,12 +10,15 @@ its share to the leaf gradients and nothing else is mutated.
 
 Only the ops this package needs are implemented; all of them support the
 shapes they are actually used with (0-, 1- and 2-d arrays, numpy-style
-broadcasting for the elementwise ones).
+broadcasting for the elementwise ones).  A gather's backward pass (take)
+adds through kernels._scatter, the package's one scatter-add.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .kernels import _scatter
 
 _grad_enabled = True
 
@@ -57,9 +60,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self, seed=None):
         """Accumulate d(self)/d(leaf) into ``leaf.grad`` for every
@@ -284,7 +284,9 @@ def reshape(a, shape):
 
 def take(a, key):
     """Indexing (``a[key]``); supports basic slicing and integer-array
-    gathers.  Repeated indices accumulate on the backward pass.
+    gathers.  Repeated indices accumulate on the backward pass: a gather's
+    vjp indexes the flat positions of a with the same key and adds g back
+    with one kernels._scatter, in the gather's order.
     """
     a = _ensure(a)
     advanced = isinstance(key, (np.ndarray, list)) or (
@@ -292,11 +294,11 @@ def take(a, key):
     )
 
     def vjp(g):
-        full = np.zeros_like(a.data)
         if advanced:
-            np.add.at(full, key, g)
-        else:
-            full[key] += g
+            flat = np.arange(a.data.size).reshape(a.data.shape)[key]
+            return (_scatter(flat.ravel(), g.ravel(), a.data.size).reshape(a.data.shape),)
+        full = np.zeros_like(a.data)
+        full[key] += g
         return (full,)
 
     return node(a.data[key], (a,), vjp)

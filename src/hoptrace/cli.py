@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .data import (
+    TOPIC_RE,
     SyntheticSpec,
     generate_synthetic,
     load_questions,
@@ -143,13 +144,7 @@ def _cmd_build_graph(args) -> int:
     else:
         if not args.corpus:
             raise UsageError("--corpus is required for text/mixed graphs")
-        names = []
-        seen = set()
-        for h, _, t in triples:
-            for e in (h, t):
-                if e not in seen:
-                    seen.add(e)
-                    names.append(e)
+        names = [e for h, _, t in triples for e in (h, t)]
         g = build_from_text_corpus(load_corpus_jsonl(args.corpus), names)
     if not args.no_reverse:
         g = add_reverse_relations(g)
@@ -272,9 +267,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_answer(args) -> int:
     params, meta, vocab, g, cfg, cache = _load_model(args)
-    import re
-
-    names = re.findall(r"\[([^\]]+)\]", args.question)
+    names = TOPIC_RE.findall(args.question)
     if not names:
         raise UsageError("question must mark its topic entity in [brackets]")
     topics = []

@@ -21,7 +21,7 @@ from .errors import DataError
 
 log = logging.getLogger("hoptrace")
 
-_TOPIC_RE = re.compile(r"\[([^\]]+)\]")
+TOPIC_RE = re.compile(r"\[([^\]]+)\]")
 
 PREDICATES = (
     "directed_by",
@@ -165,7 +165,7 @@ def load_questions(path, hop_path=None) -> list[QAExample]:
                 if not line:
                     continue
                 parts = line.split("\t")
-                m = _TOPIC_RE.search(parts[0]) if len(parts) == 2 else None
+                m = TOPIC_RE.search(parts[0]) if len(parts) == 2 else None
                 if len(parts) != 2 or not parts[1] or m is None:
                     log.warning("%s:%d: malformed question line skipped", path, i + 1)
                     continue

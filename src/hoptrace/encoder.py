@@ -1,4 +1,8 @@
-"""Tokenization, vocabulary, and the recurrent question/relation encoders.
+"""Tokenization, vocabularies, and the recurrent question/relation encoders.
+
+Vocab is the package's one name <-> id map: dense ids in first-seen order.
+Graphs number their entities, predicates and relation texts with it, and
+Vocabulary is a Vocab of tokens whose first ids are the reserved slots.
 
 The encoder is a single-layer bidirectional GRU over trainable embeddings.
 Per-token states are the concatenated forward/backward hidden states
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError
+from .errors import DataError, GraphError
 
 PAD, UNK, SUB, OBJ = 0, 1, 2, 3
 SUB_TOKEN, OBJ_TOKEN = "<sub>", "<obj>"
@@ -38,42 +42,54 @@ def split_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-class Vocabulary:
-    """Token <-> index map with reserved PAD/UNK/placeholder slots."""
+class Vocab:
+    """Dense name <-> id map, first-seen order."""
+
+    def __init__(self, names=()):
+        self._index: dict[str, int] = {}
+        self._names: list[str] = []
+        for n in names:
+            self.add(n)
+
+    def add(self, name: str) -> int:
+        if name not in self._index:
+            self._index[name] = len(self._names)
+            self._names.append(name)
+        return self._index[name]
+
+    def id(self, name: str) -> int:
+        try:
+            return self._index[name]
+        except KeyError:
+            raise GraphError(f"unknown name {name!r}") from None
+
+    def get(self, name: str, default=None):
+        return self._index.get(name, default)
+
+    def name(self, idx: int) -> str:
+        return self._names[idx]
+
+    def __len__(self):
+        return len(self._names)
+
+    def __contains__(self, name):
+        return name in self._index
+
+    @property
+    def names(self) -> list[str]:
+        return list(self._names)
+
+
+class Vocabulary(Vocab):
+    """Token vocabulary: a Vocab whose first ids are the reserved
+    PAD/UNK/placeholder slots."""
 
     def __init__(self, tokens=()):
-        self._index: dict[str, int] = {}
-        self._tokens: list[str] = []
-        for t in _RESERVED:
-            self._add(t)
-        for t in tokens:
-            self.add(t)
-
-    def _add(self, token: str) -> int:
-        if token not in self._index:
-            self._index[token] = len(self._tokens)
-            self._tokens.append(token)
-        return self._index[token]
-
-    def add(self, token: str) -> int:
-        return self._add(token)
+        super().__init__([*_RESERVED, *tokens])
 
     def add_text(self, text: str):
         for t in split_tokens(text):
-            self._add(t)
-
-    def __len__(self):
-        return len(self._tokens)
-
-    def __contains__(self, token):
-        return token in self._index
-
-    def token(self, idx: int) -> str:
-        return self._tokens[idx]
-
-    @property
-    def tokens(self) -> list[str]:
-        return list(self._tokens)
+            self.add(t)
 
     def encode(self, text: str) -> np.ndarray:
         """tokenize() of the spec: text -> index sequence, UNK for novelty,
@@ -83,24 +99,21 @@ class Vocabulary:
             ids = [UNK]
         return np.asarray(ids, dtype=np.int64)
 
-    def decode(self, ids) -> str:
-        return " ".join(self._tokens[int(i)] for i in ids)
-
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            for t in self._tokens:
+            for t in self._names:
                 f.write(t + "\n")
 
     @classmethod
     def load(cls, path):
-        v = cls.__new__(cls)
-        v._index, v._tokens = {}, []
+        """The file's lines in order, with no reserved slot added."""
         try:
             with open(path, encoding="utf-8") as f:
-                for line in f:
-                    v._add(line.rstrip("\n"))
+                names = [line.rstrip("\n") for line in f]
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: not UTF-8 text: {e}") from None
+        v = cls.__new__(cls)
+        Vocab.__init__(v, names)
         return v
 
 
@@ -293,8 +306,8 @@ class RelationEncodingCache:
     def invalidate(self):
         self._table = None
 
-    def get_many(self, text_ids: np.ndarray) -> Tensor:
+    def get_many(self, ids: np.ndarray) -> Tensor:
         """Encodings for the given unique-text ids as (K, d) rows."""
         if self._table is None:
             self._table = encode_relation_batch(self.params, self.token_ids)
-        return self._table[np.asarray(text_ids, dtype=np.int64)]
+        return self._table[np.asarray(ids, dtype=np.int64)]

@@ -1,11 +1,13 @@
 """Relation graphs in label, text, and mixed form.
 
 Label edges are stored in coordinate form sorted predicate-major (then by
-head, tail) with a pointer array per predicate, plus a grouping of the edges
-by (head, tail) pair for max aggregation; text relations are stored
-edge-major with a CSR index over head entities, and their token sequences
-live in a deduplicated unique-text table.  Graphs are immutable once built:
-every constructor-style operation returns a fresh instance.
+head, tail) with a pointer array per predicate; pair_groups groups edges by
+(head, tail) pair for max aggregation.  Text relations are stored
+edge-major with a CSR index over head entities, and their texts live in a
+unique-text table.  Entities, predicates and relation texts are all
+numbered by one map, encoder.Vocab (dense ids, first-seen order), so a
+builder that meets a text again reuses its id.  Graphs are immutable once
+built: every constructor-style operation returns a fresh instance.
 """
 
 from __future__ import annotations
@@ -13,59 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from typing import NamedTuple
 
 import numpy as np
 
-from .encoder import OBJ_TOKEN, SUB_TOKEN, split_tokens
+from .encoder import OBJ_TOKEN, SUB_TOKEN, Vocab, split_tokens
 from .errors import GraphError
 
 _SENT_SPLIT = re.compile(r"(?<=[.!?])\s+")
-
-
-class Vocab:
-    """Dense name <-> id map, first-seen order."""
-
-    def __init__(self, names=()):
-        self._index: dict[str, int] = {}
-        self._names: list[str] = []
-        for n in names:
-            self.add(n)
-
-    def add(self, name: str) -> int:
-        if name not in self._index:
-            self._index[name] = len(self._names)
-            self._names.append(name)
-        return self._index[name]
-
-    def id(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise GraphError(f"unknown name {name!r}") from None
-
-    def get(self, name: str, default=None):
-        return self._index.get(name, default)
-
-    def name(self, idx: int) -> str:
-        return self._names[idx]
-
-    def __len__(self):
-        return len(self._names)
-
-    def __contains__(self, name):
-        return name in self._index
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._names)
-
-
-class TextRelation(NamedTuple):
-    id: int
-    head: int
-    tail: int
-    text: str
 
 
 def reverse_text(text: str) -> str:
@@ -119,6 +75,9 @@ class RelationGraph:
             bad = next((x for x in names if "\n" in x or "\r" in x or x.startswith("#SECTION ")), None)
             if bad is not None:
                 raise GraphError(f"{what} name {bad!r} holds a line break or starts with '#SECTION '")
+        # add_reverse_relations and mix_label_into_text number texts by name
+        if len(set(self.texts)) < len(self.texts):
+            raise GraphError("relation texts repeat: each text must be listed once")
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
         t = np.asarray(trels, dtype=np.int64).reshape(-1, 3)
         # numpy would wrap a negative id and the bincount kernels would grow
@@ -164,14 +123,6 @@ class RelationGraph:
     @property
     def num_text_relations(self) -> int:
         return len(self.trel_heads)
-
-    def text_relation(self, rel_id: int) -> TextRelation:
-        return TextRelation(
-            rel_id,
-            int(self.trel_heads[rel_id]),
-            int(self.trel_tails[rel_id]),
-            self.texts[self.trel_text[rel_id]],
-        )
 
     # -- reasoning access patterns --------------------------------------------
 
@@ -408,16 +359,8 @@ def build_from_text_corpus(documents, entity_names) -> RelationGraph:
         raise GraphError("entity_names must be non-empty")
     entities = Vocab(entity_names)
     matcher = _EntityMatcher(entities)
-    texts: list[str] = []
-    text_index: dict[str, int] = {}
+    texts = Vocab()
     trels: list[tuple[int, int, int]] = []
-
-    def text_id(text: str) -> int:
-        if text not in text_index:
-            text_index[text] = len(texts)
-            texts.append(text)
-        return text_index[text]
-
     for doc_i, (subject, article) in enumerate(documents):
         if subject not in entities:
             raise GraphError(f"document {doc_i}: unknown subject entity {subject!r}")
@@ -445,8 +388,8 @@ def build_from_text_corpus(documents, entity_names) -> RelationGraph:
                     else:
                         rendered.append(toks[i])
                         i += 1
-                trels.append((sid, obj, text_id(" ".join(rendered))))
-    return RelationGraph(entities, Vocab(), [], texts, trels, form="text")
+                trels.append((sid, obj, texts.add(" ".join(rendered))))
+    return RelationGraph(entities, Vocab(), [], texts.names, trels, form="text")
 
 
 def add_reverse_relations(g: RelationGraph) -> RelationGraph:
@@ -468,20 +411,12 @@ def add_reverse_relations(g: RelationGraph) -> RelationGraph:
         edges.append((h, 2 * p, t))
         edges.append((t, 2 * p + 1, h))
 
-    texts = list(g.texts)
-    text_index = {t: i for i, t in enumerate(texts)}
-
-    def text_id(text: str) -> int:
-        if text not in text_index:
-            text_index[text] = len(texts)
-            texts.append(text)
-        return text_index[text]
-
+    texts = Vocab(g.texts)
     # twin of relation i gets id num_text_relations + i
     trels = [(h, t, x) for h, t, x in zip(g.trel_heads, g.trel_tails, g.trel_text)]
     for h, t, x in zip(g.trel_heads, g.trel_tails, g.trel_text):
-        trels.append((t, h, text_id(reverse_text(g.texts[x]))))
-    return RelationGraph(g.entities, predicates, edges, texts, trels, g.form, reversed_=True)
+        trels.append((t, h, texts.add(reverse_text(g.texts[x]))))
+    return RelationGraph(g.entities, predicates, edges, texts.names, trels, g.form, reversed_=True)
 
 
 def mix_label_into_text(g: RelationGraph, triples, fraction: float, seed: int) -> RelationGraph:
@@ -501,20 +436,12 @@ def mix_label_into_text(g: RelationGraph, triples, fraction: float, seed: int) -
     k = int(round(fraction * len(triples)))
     picked = sorted(rng.choice(len(triples), size=k, replace=False)) if k else []
 
-    texts = list(g.texts)
-    text_index = {t: i for i, t in enumerate(texts)}
-
-    def text_id(text: str) -> int:
-        if text not in text_index:
-            text_index[text] = len(texts)
-            texts.append(text)
-        return text_index[text]
-
+    texts = Vocab(g.texts)
     trels = [(h, t, x) for h, t, x in zip(g.trel_heads, g.trel_tails, g.trel_text)]
     for idx in picked:
         h_name, p_name, t_name = triples[idx]
         h, t = g.entities.id(h_name), g.entities.id(t_name)
-        trels.append((h, t, text_id(p_name)))
+        trels.append((h, t, texts.add(p_name)))
         if g.reversed:
-            trels.append((t, h, text_id(reverse_text(p_name))))
-    return RelationGraph(g.entities, Vocab(g.predicates.names), [], texts, trels, "mixed", reversed_=g.reversed)
+            trels.append((t, h, texts.add(reverse_text(p_name))))
+    return RelationGraph(g.entities, Vocab(g.predicates.names), [], texts.names, trels, "mixed", reversed_=g.reversed)

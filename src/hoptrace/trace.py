@@ -65,7 +65,7 @@ class ReasoningTrace:
         out = {
             "question": self.question,
             "topic": [ent(t) for t in self.topics],
-            "tokens": [vocab.token(int(i)) for i in self.tokens] if vocab is not None else None,
+            "tokens": [vocab.name(int(i)) for i in self.tokens] if vocab is not None else None,
             "steps": steps,
             "hop_distribution": [float(x) for x in self.hop_distribution],
             "answers": [ent(int(i)) for i in self.ranked[:top_answers]],

@@ -28,11 +28,11 @@ DIGEST_SIZE = 32  # the sha256 that ends a checkpoint
 
 def build_target(answers, n: int) -> np.ndarray:
     """Indicator vector over entities; the answer set must be non-empty."""
-    ids = sorted(int(a) for a in answers)
-    if not ids:
+    ids = np.fromiter(answers, np.int64, len(answers))
+    if not ids.size:
         raise DataError("empty answer set")
-    if ids[0] < 0 or ids[-1] >= n:
-        raise DataError(f"answer id out of range [0, {n}): {ids}")
+    if ids.min() < 0 or ids.max() >= n:
+        raise DataError(f"answer id out of range [0, {n}): {sorted(ids.tolist())}")
     y = np.zeros(n)
     y[ids] = 1.0
     return y
@@ -346,7 +346,7 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None, param
 
 
 def vocab_sha256(vocab: Vocabulary) -> str:
-    return hashlib.sha256("\n".join(vocab.tokens).encode("utf-8")).hexdigest()
+    return hashlib.sha256("\n".join(vocab.names).encode("utf-8")).hexdigest()
 
 
 def save_checkpoint(path, params: ModelParams, cfg, vocab: Vocabulary, extra: dict | None = None):

@@ -154,6 +154,14 @@ def col_scatter_add(index, src, num_out):
     return out
 
 
+def take_grad(shape, key, g):
+    """Adjoint of a[key] for an integer-array key: each g entry added into
+    zeros at its position, in the gather's order."""
+    full = np.zeros(shape)
+    np.add.at(full, key, g)
+    return full
+
+
 # -- loss ------------------------------------------------------------------------
 
 

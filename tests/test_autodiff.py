@@ -3,11 +3,12 @@
 import warnings
 
 import numpy as np
+import pytest
 
 import hoptrace.autodiff as ad
 from hoptrace.autodiff import Tensor
 
-from oracles import gradcheck
+from oracles import gradcheck, take_grad
 
 
 def leaf(rng, *shape):
@@ -141,6 +142,31 @@ def test_take_advanced_repeated_indices(rng):
     np.testing.assert_allclose(a.grad, expected)
 
 
+# each non-empty key hits one position five or more times, so a sum taken
+# in another order than the gather's would show in the last bits
+TAKE_CASES = {
+    "rows-with-repeats": ((9, 4), np.array([3, 0, 3, 8, 3, 1, 3, 3, 3])),
+    "row-col-pairs-with-repeats": (
+        (5, 6),
+        (np.array([0, 4, 0, 2, 0, 0, 0, 0, 0]), np.array([1, 5, 1, 1, 1, 3, 1, 1, 1])),
+    ),
+    "negative-indices": ((7, 3), np.array([-1, 2, -7, 6, -1, 0, -1, 6, -1])),
+    "slice-and-array": ((4, 6), (slice(1, None), np.array([5, 0, 5, 2, 5, 5, 5, 5]))),
+    "empty-index": ((6, 2), np.array([], dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("case", list(TAKE_CASES))
+def test_take_gradient_is_bit_identical_to_add_at(rng, case):
+    shape, key = TAKE_CASES[case]
+    a = leaf(rng, *shape)
+    out = ad.take(a, key)
+    np.testing.assert_array_equal(out.data, a.data[key])
+    g = rng.standard_normal(out.shape)
+    out.backward(g)
+    np.testing.assert_array_equal(a.grad, take_grad(shape, key, g))
+
+
 def test_take_gradcheck(rng):
     a = leaf(rng, 6)
     idx = np.array([0, 2, 2, 5])
@@ -192,15 +218,11 @@ def test_grad_requires_flag(rng):
     assert x.grad is None
 
 
-def test_zero_grad_resets_accumulator(rng):
+def test_leaf_grad_accumulates_across_backward_calls(rng):
     x = leaf(rng, 3)
     ad.sum_(x).backward()
     ad.sum_(x).backward()
-    np.testing.assert_allclose(x.grad, [2.0, 2.0, 2.0])  # accumulates
-    x.zero_grad()
-    assert x.grad is None
-    ad.sum_(x).backward()
-    np.testing.assert_allclose(x.grad, [1.0, 1.0, 1.0])
+    np.testing.assert_allclose(x.grad, [2.0, 2.0, 2.0])
 
 
 def test_deep_chain_does_not_overflow(rng):

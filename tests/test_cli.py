@@ -534,7 +534,8 @@ def test_eval_into_closed_pipe_exits_quietly(ws, tmp_path):
         env=env,
     )
     proc.stdout.close()  # before the child has started, let alone printed
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
     assert json.loads(out.read_text())["count"] == len(load_questions(ws / "data" / "qa_dev.txt"))

@@ -20,6 +20,8 @@ from hoptrace.encoder import (
     split_tokens,
 )
 
+from hoptrace.training import vocab_sha256
+
 from oracles import bigru_reference, gradcheck, gru_direction_tape
 
 
@@ -44,8 +46,8 @@ def test_split_tokens_empty():
 def test_vocabulary_reserved_slots():
     v = Vocabulary()
     assert len(v) == 4
-    assert v.token(PAD) == "<pad>" and v.token(UNK) == "<unk>"
-    assert v.token(SUB) == "<sub>" and v.token(OBJ) == "<obj>"
+    assert v.name(PAD) == "<pad>" and v.name(UNK) == "<unk>"
+    assert v.name(SUB) == "<sub>" and v.name(OBJ) == "<obj>"
 
 
 def test_vocabulary_encode_unknown_and_empty():
@@ -63,7 +65,7 @@ def test_vocabulary_add_text_and_decode():
     v = Vocabulary()
     v.add_text("Alpha likes Beta.")
     ids = v.encode("alpha likes beta .")
-    assert v.decode(ids) == "alpha likes beta ."
+    assert [v.name(i) for i in ids] == ["alpha", "likes", "beta", "."]
 
 
 def test_vocabulary_save_load_roundtrip(tmp_path):
@@ -71,8 +73,21 @@ def test_vocabulary_save_load_roundtrip(tmp_path):
     p = tmp_path / "vocab.txt"
     v.save(p)
     w = Vocabulary.load(p)
-    assert w.tokens == v.tokens
+    assert w.names == v.names
     np.testing.assert_array_equal(w.encode("who directed movie_3"), v.encode("who directed movie_3"))
+
+
+def test_vocabulary_ids_and_file_are_pinned(tmp_path):
+    # repeated and reserved tokens keep their first id; the file and the
+    # checkpoint's vocab_sha256 must not drift
+    v = Vocabulary(["who", "directed", "movie_3", "<unk>", "who"])
+    v.add_text("Alpha likes <sub> beta. Who directed <obj>?")
+    v.save(tmp_path / "vocab.txt")
+    assert (tmp_path / "vocab.txt").read_bytes() == (
+        b"<pad>\n<unk>\n<sub>\n<obj>\nwho\ndirected\nmovie_3\nalpha\nlikes\nbeta\n.\n?\n"
+    )
+    assert vocab_sha256(v) == "718ee9813b8030e784e6ce8f6f578477435f140bcd33b75147b120f02eadb10f"
+    assert Vocabulary.load(tmp_path / "vocab.txt").names == v.names
 
 
 # -- encoders --------------------------------------------------------------------

@@ -21,6 +21,11 @@ from conftest import random_label_graph, random_text_graph
 from oracles import brute_select, dense_predicate_matrices
 
 
+def _rel(g, i):
+    """Text relation i of g as (head, tail, text)."""
+    return int(g.trel_heads[i]), int(g.trel_tails[i]), g.texts[g.trel_text[i]]
+
+
 # -- vocab --------------------------------------------------------------------
 
 
@@ -109,6 +114,14 @@ def test_rejects_names_that_break_the_file(kind, name):
     names[kind] = names[kind] + [name]
     with pytest.raises(GraphError, match=f"{kind} name"):
         RelationGraph(Vocab(names["entity"]), Vocab(names["predicate"]), [], names["text"], [], form="mixed")
+
+
+def test_rejects_repeated_texts():
+    """The reverse and mix builders number texts by name, so a repeated
+    text would collapse into one id and shift the ids after it."""
+    texts = ["<sub> r <obj> .", "<sub> r <obj> ."]
+    with pytest.raises(GraphError, match="texts repeat"):
+        RelationGraph(Vocab(["a", "b"]), Vocab(), [], texts, [(0, 1, 1)], form="text")
 
 
 # -- text-relation selection ----------------------------------------------------
@@ -201,9 +214,9 @@ def test_add_reverse_text(rng):
     m = g0.num_text_relations
     assert g.num_text_relations == 2 * m
     for i in range(m):
-        orig, twin = g.text_relation(i), g.text_relation(m + i)
-        assert (orig.head, orig.tail) == (twin.tail, twin.head)
-        assert reverse_text(orig.text) == twin.text
+        (h, t, text), (twin_h, twin_t, twin_text) = _rel(g, i), _rel(g, m + i)
+        assert (h, t) == (twin_t, twin_h)
+        assert reverse_text(text) == twin_text
 
 
 def test_add_reverse_twice_rejected(chain_graph):
@@ -221,8 +234,8 @@ def test_mix_label_into_text(rng):
     mixed = mix_label_into_text(base, triples, 1.0, seed=0)
     assert mixed.form == "mixed"
     assert mixed.num_text_relations == base.num_text_relations + 3
-    added = [mixed.text_relation(base.num_text_relations + i) for i in range(3)]
-    assert {r.text for r in added} == {"knows", "likes"}
+    added = [_rel(mixed, base.num_text_relations + i) for i in range(3)]
+    assert {text for _, _, text in added} == {"knows", "likes"}
 
 
 def test_mix_preserves_reverse_closure(rng):
@@ -230,7 +243,7 @@ def test_mix_preserves_reverse_closure(rng):
     base = add_reverse_relations(random_text_graph(rng, n=3, num_rels=4))
     mixed = mix_label_into_text(base, triples, 1.0, seed=0)
     assert mixed.reversed
-    texts = [mixed.text_relation(i).text for i in range(mixed.num_text_relations)]
+    texts = [mixed.texts[x] for x in mixed.trel_text]
     assert "knows_rev" in texts and "likes_rev" in texts
 
 
@@ -252,10 +265,10 @@ def test_build_from_text_corpus_basic():
     docs = [("Alpha Movie", "Alpha Movie was directed by Bob. Bob also directed Gamma.")]
     g = build_from_text_corpus(docs, ["Alpha Movie", "Bob", "Gamma"])
     assert g.form == "text"
-    rels = [g.text_relation(i) for i in range(g.num_text_relations)]
     by_pair = {}
-    for r in rels:
-        by_pair.setdefault((r.head, r.tail), set()).add(r.text)
+    for i in range(g.num_text_relations):
+        h, t, text = _rel(g, i)
+        by_pair.setdefault((h, t), set()).add(text)
     assert "<sub> was directed by <obj> ." in by_pair[(0, 1)]
     # second sentence: subject Alpha Movie absent, but edges still start at it
     assert by_pair[(0, 2)] == {"bob also directed <obj> ."}
@@ -264,9 +277,9 @@ def test_build_from_text_corpus_basic():
 def test_corpus_multi_object_sentence_yields_one_relation_each():
     docs = [("A", "A stars B and C.")]
     g = build_from_text_corpus(docs, ["A", "B", "C"])
-    pairs = {(g.text_relation(i).head, g.text_relation(i).tail) for i in range(g.num_text_relations)}
-    assert pairs == {(0, 1), (0, 2)}
-    texts = {g.text_relation(i).text for i in range(g.num_text_relations)}
+    rels = [_rel(g, i) for i in range(g.num_text_relations)]
+    assert {(h, t) for h, t, _ in rels} == {(0, 1), (0, 2)}
+    texts = {text for _, _, text in rels}
     # the non-object mention keeps its surface form
     assert "<sub> stars <obj> and c ." in texts
     assert "<sub> stars b and <obj> ." in texts
@@ -275,9 +288,8 @@ def test_corpus_multi_object_sentence_yields_one_relation_each():
 def test_corpus_longest_match_wins():
     docs = [("New York Story", "New York Story is set in New York.")]
     g = build_from_text_corpus(docs, ["New York Story", "New York"])
-    rels = [g.text_relation(i) for i in range(g.num_text_relations)]
-    assert len(rels) == 1
-    assert rels[0].text == "<sub> is set in <obj> ."
+    assert g.num_text_relations == 1
+    assert _rel(g, 0)[2] == "<sub> is set in <obj> ."
 
 
 def test_corpus_unknown_subject_rejected():
@@ -290,6 +302,36 @@ def test_corpus_texts_deduplicated():
     g = build_from_text_corpus(docs, ["A", "B", "C"])
     assert g.num_text_relations == 2
     assert len(g.texts) == 1  # same rendered sentence shared
+
+
+# a repeated text, a reversed text that is already in the table, and a
+# predicate sampled twice: each must reuse its first id
+_PIN_DOCS = [
+    ("Ann", "Ann likes Bob. Ann likes Cy. Bob and Ann met."),
+    ("Bob", "Bob and Ann met. Bob likes Cy!"),
+]
+_PIN_TRIPLES = [("Ann", "likes", "Bob"), ("Ann", "likes", "Cy"), ("Bob", "knows", "Cy")]
+
+
+@pytest.mark.parametrize(
+    "form, sha256, trel_text",
+    [
+        ("text", "c626f53da4edc75b33b3c6fb9cdc046326596ab28e803a97a29b31c4d39b9408", [0, 0, 1, 2, 3, 4, 4, 2, 1, 5]),
+        (
+            "mixed",
+            "454eb945459c200295d5d734dce02c7664c708cc529455cd6a963f1d0352f617",
+            [0, 0, 1, 2, 3, 4, 4, 2, 1, 5, 6, 7, 6, 7, 8, 9],
+        ),
+    ],
+)
+def test_text_ids_are_pinned(tmp_path, form, sha256, trel_text):
+    g = add_reverse_relations(build_from_text_corpus(_PIN_DOCS, ["Ann", "Bob", "Cy"]))
+    if form == "mixed":
+        g = mix_label_into_text(g, _PIN_TRIPLES, 1.0, seed=0)
+    assert g.trel_text.tolist() == trel_text
+    g.save(tmp_path / "g.txt")
+    meta = [line for line in (tmp_path / "g.txt").read_text(encoding="utf-8").split("\n") if line.startswith("sha256 ")]
+    assert meta == [f"sha256 {sha256}"]
 
 
 # -- serialization ------------------------------------------------------------------
