@@ -286,7 +286,8 @@ def take(a, key):
     """Indexing (``a[key]``); supports basic slicing and integer-array
     gathers.  Repeated indices accumulate on the backward pass: a gather's
     vjp indexes the flat positions of a with the same key and adds g back
-    with one kernels._scatter, in the gather's order.
+    with one kernels._scatter, in the gather's order.  A 1-D integer key
+    into a 1-D array is its own list of positions, negatives wrapped.
     """
     a = _ensure(a)
     advanced = isinstance(key, (np.ndarray, list)) or (
@@ -294,12 +295,16 @@ def take(a, key):
     )
 
     def vjp(g):
-        if advanced:
-            flat = np.arange(a.data.size).reshape(a.data.shape)[key]
-            return (_scatter(flat.ravel(), g.ravel(), a.data.size).reshape(a.data.shape),)
-        full = np.zeros_like(a.data)
-        full[key] += g
-        return (full,)
+        if not advanced:
+            full = np.zeros_like(a.data)
+            full[key] += g
+            return (full,)
+        size = a.data.size
+        if a.data.ndim == 1 and isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind == "i":
+            pos = key if key.min(initial=0) >= 0 else np.where(key < 0, key + size, key)
+        else:
+            pos = np.arange(size).reshape(a.data.shape)[key].ravel()
+        return (_scatter(pos, g.ravel(), size).reshape(a.data.shape),)
 
     return node(a.data[key], (a,), vjp)
 

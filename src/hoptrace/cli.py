@@ -1,5 +1,9 @@
 """Command-line surface: gen, build-graph, train, eval, answer.
 
+The generator and question loaders (hoptrace.data) and the YAML reader are
+imported only by the commands that use them, so `answer` loads no YAML or
+generator code.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure,
 4 metrics below a --require threshold, 141 standard output closed by its
 reader (what a shell reports for a process that SIGPIPE ends).
@@ -17,15 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig
-from .data import (
-    TOPIC_RE,
-    SyntheticSpec,
-    generate_synthetic,
-    load_questions,
-    resolve_examples,
-    write_dataset,
-)
-from .encoder import RelationEncodingCache, Vocabulary
+from .encoder import TOPIC_RE, RelationEncodingCache, Vocabulary
 from .errors import DataError, GraphError, NumericError, UsageError
 from .graph import (
     RelationGraph,
@@ -127,6 +123,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
+    from .data import SyntheticSpec, generate_synthetic, write_dataset
+
     spec = SyntheticSpec.from_file(args.spec) if args.spec else SyntheticSpec()
     if args.seed is not None:
         spec.seed = args.seed
@@ -184,6 +182,8 @@ def _overrides_from_args(args) -> dict:
 
 
 def _cmd_train(args) -> int:
+    from .data import load_questions, resolve_examples
+
     cfg = TrainConfig.from_sources(args.config, _overrides_from_args(args))
     cfg.data_dir, cfg.graph_path, cfg.out_dir = args.data, args.graph, args.out
     g = RelationGraph.load(args.graph)
@@ -243,6 +243,8 @@ def _load_model(args):
 
 
 def _cmd_eval(args) -> int:
+    from .data import load_questions, resolve_examples
+
     params, meta, vocab, g, cfg, cache = _load_model(args)
     examples = resolve_examples(load_questions(args.questions), g)
     if not examples:

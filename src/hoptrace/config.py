@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
-import yaml
-
 from .errors import UsageError
 
 FORMS = ("label", "text", "mixed")
@@ -68,6 +66,8 @@ class TrainConfig:
         known = {f.name for f in fields(cls)}
         merged: dict = {}
         if config_file is not None:
+            import yaml  # here, so commands that read no config never load it
+
             try:
                 with open(config_file, encoding="utf-8") as f:
                     loaded = yaml.safe_load(f) or {}

@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
+from .encoder import TOPIC_RE
 from .errors import DataError
 
 log = logging.getLogger("hoptrace")
-
-TOPIC_RE = re.compile(r"\[([^\]]+)\]")
 
 PREDICATES = (
     "directed_by",
@@ -248,6 +245,8 @@ class SyntheticSpec:
 
     @classmethod
     def from_file(cls, path):
+        import yaml  # here, so commands that read no spec never load it
+
         try:
             with open(path, encoding="utf-8") as f:
                 raw = yaml.safe_load(f) or {}

@@ -34,6 +34,8 @@ SUB_TOKEN, OBJ_TOKEN = "<sub>", "<obj>"
 _RESERVED = ["<pad>", "<unk>", SUB_TOKEN, OBJ_TOKEN]
 
 _TOKEN_RE = re.compile(r"<sub>|<obj>|\w+|[^\w\s]")
+# a question marks each topic entity's name in [brackets]
+TOPIC_RE = re.compile(r"\[([^\]]+)\]")
 
 
 def split_tokens(text: str) -> list[str]:
@@ -46,10 +48,9 @@ class Vocab:
     """Dense name <-> id map, first-seen order."""
 
     def __init__(self, names=()):
-        self._index: dict[str, int] = {}
-        self._names: list[str] = []
-        for n in names:
-            self.add(n)
+        # dict.fromkeys keeps the first of repeated names, in order
+        self._names: list[str] = list(dict.fromkeys(names))
+        self._index: dict[str, int] = dict(zip(self._names, range(len(self._names))))
 
     def add(self, name: str) -> int:
         if name not in self._index:
@@ -118,7 +119,10 @@ class Vocabulary(Vocab):
 
 
 def _uniform(rng, shape, scale):
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+    """A trainable tensor drawn from U(-scale, scale).  rng None leaves it
+    unfilled, for a caller that overwrites every value."""
+    data = np.empty(shape) if rng is None else rng.uniform(-scale, scale, size=shape)
+    return Tensor(data, requires_grad=True)
 
 
 class EncoderParams:
@@ -133,7 +137,7 @@ class EncoderParams:
         self.d = d
         self.prefix = prefix
         s = 1.0 / np.sqrt(d)
-        self.emb = Tensor(rng.uniform(-0.1, 0.1, size=(vocab_size, d)), requires_grad=True)
+        self.emb = _uniform(rng, (vocab_size, d), 0.1)
         self.w_xf = _uniform(rng, (d, 3 * d), s)
         self.w_hf = _uniform(rng, (d, 3 * d), s)
         self.b_f = Tensor(np.zeros(3 * d), requires_grad=True)

@@ -8,6 +8,12 @@ unique-text table.  Entities, predicates and relation texts are all
 numbered by one map, encoder.Vocab (dense ids, first-seen order), so a
 builder that meets a text again reuses its id.  Graphs are immutable once
 built: every constructor-style operation returns a fresh instance.
+
+A saved graph is read whole and cut into its sections with one str.split.
+Each id section is then checked in numpy to hold rows of three plain
+decimal ids and parsed by one np.fromstring call; a section that fails the
+check is scanned again row by row with int(), which either parses it or
+names the first bad row.
 """
 
 from __future__ import annotations
@@ -78,8 +84,11 @@ class RelationGraph:
         # add_reverse_relations and mix_label_into_text number texts by name
         if len(set(self.texts)) < len(self.texts):
             raise GraphError("relation texts repeat: each text must be listed once")
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
-        t = np.asarray(trels, dtype=np.int64).reshape(-1, 3)
+        try:
+            e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+            t = np.asarray(trels, dtype=np.int64).reshape(-1, 3)
+        except OverflowError:  # a Python int past int64, as int() reads from a damaged file
+            raise GraphError("an id does not fit in 64 bits") from None
         # numpy would wrap a negative id and the bincount kernels would grow
         # their output past n, so an out-of-range id must stop here
         for ids, bound, what in (
@@ -163,7 +172,8 @@ class RelationGraph:
             "texts": self.texts,
             "text_relations": [f"{h}\t{t}\t{x}" for h, t, x in zip(self.trel_heads, self.trel_tails, self.trel_text)],
         }
-        sections["meta"].append(f"sha256 {_digest(header, sections)}")
+        joined = {name: "\n".join(rows) for name, rows in sections.items()}
+        sections["meta"].append(f"sha256 {_digest(header, joined)}")
         with open(path, "w", encoding="utf-8") as f:
             f.write(header + "\n")
             for name, rows in sections.items():
@@ -175,46 +185,48 @@ class RelationGraph:
         """Parse a file save() wrote.  Any damage is a GraphError: the
         sections are checked as they are parsed, and last the sha256 in the
         meta section, so a truncated or altered file never loads.  Sections
-        with other names are skipped and not checksummed."""
+        with other names are skipped and not checksummed.
+
+        The text is cut at each "#SECTION " line by one split.  A section
+        keeps its rows as one string with a line break before each row, so
+        that a section without rows and one with a single empty row differ."""
         try:
             with open(path, encoding="utf-8") as f:
-                lines = f.read().split("\n")
+                text = f.read()
         except UnicodeDecodeError as e:
             raise GraphError(f"{path}: not UTF-8 text: {e}") from None
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
+        if not text:
             raise GraphError(f"{path}: empty graph file")
-        head = lines[0].split()
+        header, newline, body = text.removesuffix("\n").partition("\n")
+        head = header.split()
         if len(head) != 5 or head[0] != "hoptrace-graph" or head[1] != "v2":
-            raise GraphError(f"{path}: bad header {lines[0]!r}")
+            raise GraphError(f"{path}: bad header {header!r}")
         try:
             form, n, num_p = head[2], int(head[3]), int(head[4])
         except ValueError:
-            raise GraphError(f"{path}: bad header {lines[0]!r}") from None
-        sections: dict[str, list[str]] = {}
-        current = None
-        for line in lines[1:]:
-            if line.startswith("#SECTION "):
-                current = line[len("#SECTION ") :]
-                sections[current] = []
-            elif current is None:
-                raise GraphError(f"{path}: content before first #SECTION")
-            else:
-                sections[current].append(line)
+            raise GraphError(f"{path}: bad header {header!r}") from None
+        before, *chunks = (newline + body).split("\n#SECTION ")
+        if before:
+            raise GraphError(f"{path}: content before first #SECTION")
+        sections: dict[str, str] = {}
+        for chunk in chunks:
+            name = chunk.partition("\n")[0]
+            sections[name] = chunk[len(name) :]
         for required in _SECTIONS:
             if required not in sections:
                 raise GraphError(f"{path}: missing #SECTION {required}")
-        meta = dict(line.partition(" ")[::2] for line in sections["meta"])
-        entities = Vocab(sections["entities"])
-        predicates = Vocab(sections["predicates"])
+        lines = {name: sections[name].split("\n")[1:] for name in ("meta", "entities", "predicates", "texts")}
+        meta = dict(line.partition(" ")[::2] for line in lines["meta"])
+        entities = Vocab(lines["entities"])
+        predicates = Vocab(lines["predicates"])
         if len(entities) != n or len(predicates) != num_p:
             raise GraphError(f"{path}: header counts do not match section sizes")
         edges = _id_rows(path, "edges", sections["edges"])
         trels = _id_rows(path, "text_relations", sections["text_relations"])
-        g = cls(entities, predicates, edges, sections["texts"], trels, form, reversed_=meta.get("reversed") == "true")
-        sections["meta"] = [line for line in sections["meta"] if not line.startswith("sha256 ")]
-        if meta.get("sha256") != _digest(lines[0], sections):
+        g = cls(entities, predicates, edges, lines["texts"], trels, form, reversed_=meta.get("reversed") == "true")
+        joined = {name: sections[name][1:] for name in _SECTIONS}
+        joined["meta"] = "\n".join(line for line in lines["meta"] if not line.startswith("sha256 "))
+        if meta.get("sha256") != _digest(header, joined):
             raise GraphError(f"{path}: sha256 does not match the contents: the file is damaged or was edited")
         return g
 
@@ -223,26 +235,57 @@ class RelationGraph:
 _SECTIONS = ("meta", "entities", "predicates", "edges", "texts", "text_relations")
 
 
-def _digest(header: str, sections: dict) -> str:
+def _digest(header: str, joined: dict) -> str:
     """sha256 over the header line and the rows of the _SECTIONS, as save()
-    lays them out (the meta section without its sha256 line)."""
+    lays them out; joined maps a section name to its rows joined by line
+    breaks (the meta section without its sha256 line)."""
     h = hashlib.sha256(header.encode("utf-8"))
     for name in _SECTIONS:
         h.update(f"\n#SECTION {name}\n".encode("utf-8"))
-        h.update("\n".join(sections[name]).encode("utf-8"))
+        h.update(joined[name].encode("utf-8"))
     return h.hexdigest()
 
 
-def _id_rows(path, section: str, lines: list[str]) -> list[tuple[int, int, int]]:
-    """Parse one section of tab-separated id triples."""
-    rows = []
-    for i, line in enumerate(lines, 1):
+def _id_rows(path, section: str, rows: str) -> np.ndarray | list[tuple[int, int, int]]:
+    """Parse one section of tab-separated id triples, given as one string
+    with a line break before each row.  Rows of plain decimal ids are read
+    in numpy (_plain_id_rows).  Anything else is scanned again row by row
+    with int(), into a list of triples, so the section takes exactly what
+    int() takes (a sign, spaces, underscores, other scripts' digits) and a
+    bad row is named by its number."""
+    plain = _plain_id_rows(rows)
+    if plain is not None:
+        return plain
+    out = []
+    for i, line in enumerate(rows.split("\n")[1:], 1):
         try:
             h, mid, t = map(int, line.split("\t"))  # a wrong field count is a ValueError too
         except ValueError:
             raise GraphError(f"{path}: #SECTION {section} row {i}: expected 3 integer ids, got {line!r}") from None
-        rows.append((h, mid, t))
-    return rows
+        out.append((h, mid, t))
+    return out
+
+
+def _plain_id_rows(rows: str) -> np.ndarray | None:
+    """The (E, 3) int64 ids of rows if each row is a line break and three
+    fields -?[0-9]{1,18} split by tabs, else None.  Such a field reads the
+    same with int() and np.fromstring, and fits an int64.  The check runs on
+    the bytes at once, with no loop over rows."""
+    if not rows.isascii() or rows[:1] not in ("", "\n"):
+        return None
+    b = np.frombuffer(rows.encode("ascii"), np.uint8)
+    sep = np.flatnonzero((b == 9) | (b == 10))  # the tab or line break before each field
+    signed = b.take(sep + 1, mode="clip") == 45  # the field opens with a minus
+    digits = np.diff(sep, append=b.size) - 1 - signed  # the field's width after its sign
+    if (
+        sep.size % 3
+        or not (b[sep].reshape(-1, 3) == (10, 9, 9)).all()
+        or not ((digits >= 1) & (digits <= 18)).all()
+        # the rest are digits: no other minus and no other character
+        or np.count_nonzero(b - 48 < 10) != b.size - sep.size - np.count_nonzero(signed)
+    ):
+        return None
+    return np.fromstring(rows, dtype=np.int64, sep=" ").reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,10 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Tensor
-from .encoder import BatchQuestionEncoding, EncoderParams, encode_question, encode_question_batch
+from .encoder import BatchQuestionEncoding, EncoderParams, _uniform, encode_question, encode_question_batch
 from .errors import GraphError
 from .graph import RelationGraph, pair_groups
 from .trace import ReasoningTrace, StepTrace
-
-
-def _uniform(rng, shape, scale):
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
 
 
 def _zeros(shape):
@@ -43,9 +39,11 @@ def _zeros(shape):
 
 class ModelParams:
     """Every trainable tensor, addressable by name for the optimizer,
-    gradient checking, and checkpoints."""
+    gradient checking, and checkpoints.  The initial values are drawn from
+    a generator seeded with cfg.seed; fill=False leaves the drawn tensors
+    unfilled instead, for load_checkpoint, which overwrites every one."""
 
-    def __init__(self, vocab_size: int, n: int, num_predicates: int, cfg):
+    def __init__(self, vocab_size: int, n: int, num_predicates: int, cfg, fill: bool = True):
         self.vocab_size = vocab_size
         self.n = n
         self.num_predicates = num_predicates
@@ -55,7 +53,7 @@ class ModelParams:
         self.head = cfg.head
         d, T = cfg.d, cfg.T
         s = 1.0 / np.sqrt(d)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed) if fill else None
         self.q_enc = EncoderParams(vocab_size, d, rng, "q_enc")
         self.step_w = [_uniform(rng, (d, d), s) for _ in range(T)]
         self.step_b = [_zeros(d) for _ in range(T)]

@@ -389,10 +389,11 @@ def save_checkpoint(path, params: ModelParams, cfg, vocab: Vocabulary, extra: di
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, metadata).  The model is rebuilt from the
-    embedded config, then parameter blocks overwrite the fresh init.  A file
-    shorter or longer than its header and metadata describe, or whose bytes
-    do not match the sha256 at its end, is a DataError."""
+    """Returns (ModelParams, metadata).  The model is rebuilt unfilled from
+    the embedded config, then the parameter blocks fill it; the metadata must
+    list each of the model's parameters once.  A file that lists other
+    blocks, is shorter or longer than its header and metadata describe, or
+    whose bytes do not match the sha256 at its end, is a DataError."""
     from .config import TrainConfig
 
     with open(path, "rb") as f:
@@ -417,15 +418,20 @@ def load_checkpoint(path):
         try:
             cfg = TrainConfig(**meta["config"]).validate()
             m = meta["model"]
-            params = ModelParams(m["vocab_size"], m["n"], m["num_predicates"], cfg)
+            params = ModelParams(m["vocab_size"], m["n"], m["num_predicates"], cfg, fill=False)
             blocks = [(str(block["name"]), tuple(block["shape"])) for block in meta["params"]]
-        except (KeyError, TypeError, ValueError) as e:
-            # a missing key, a value of the wrong type, an unknown or invalid config entry
+        except (KeyError, TypeError, ValueError, MemoryError) as e:
+            # a missing key, a value of the wrong type, an unknown or invalid
+            # config entry, a size past what memory can hold
             raise DataError(f"{path}: metadata does not describe a model: {e!r}") from None
         named = params.named()
+        listed = [name for name, _ in blocks]
+        missing = sorted(set(named).difference(listed))
+        if missing:
+            raise DataError(f"{path}: no parameter block for {missing}")
+        if len(listed) != len(named):  # every name is listed, so some are extra or repeated
+            raise DataError(f"{path}: unexpected or repeated parameter blocks in {listed}")
         for name, shape in blocks:
-            if name not in named:
-                raise DataError(f"{path}: unexpected parameter block {name!r}")
             if named[name].data.shape != shape:
                 raise DataError(f"{path}: shape mismatch for {name!r}")
             count = int(np.prod(shape)) if shape else 1

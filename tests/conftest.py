@@ -1,3 +1,6 @@
+import hashlib
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -56,3 +59,20 @@ def random_text_graph(rng, n=None, num_rels=None, isolated=()):
 def chain_graph():
     """a -p0-> b -p1-> c -p0-> d: one forced path per hop count."""
     return build_from_triples([("a", "p0", "b"), ("b", "p1", "c"), ("c", "p0", "d")])
+
+
+def checkpoint_with_blocks(raw: bytes, names) -> bytes:
+    """The checkpoint raw with its parameter blocks replaced by the named
+    ones, in that order (a name may repeat), and its sha256 redone: a file
+    whose bytes are intact but whose block list is not the model's."""
+    (size,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16 : 16 + size])
+    blocks, offset = {}, 16 + size
+    for block in meta["params"]:
+        nbytes = 8 * int(np.prod(block["shape"]))
+        blocks[block["name"]] = (block, raw[offset : offset + nbytes])
+        offset += nbytes
+    meta["params"] = [blocks[name][0] for name in names]
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = raw[:8] + struct.pack("<Q", len(blob)) + blob + b"".join(blocks[name][1] for name in names)
+    return body + hashlib.sha256(body).digest()

@@ -142,9 +142,12 @@ def test_take_advanced_repeated_indices(rng):
     np.testing.assert_allclose(a.grad, expected)
 
 
-# each non-empty key hits one position five or more times, so a sum taken
-# in another order than the gather's would show in the last bits
+# each non-empty key but the permutation hits one position five or more
+# times, so a sum taken in another order than the gather's would show in the
+# last bits; the 1-D cases take the vjp's own 1-D path
 TAKE_CASES = {
+    "1-d-permutation": ((50_000,), np.random.default_rng(0).permutation(50_000)),
+    "1-d-repeats-and-negatives": ((7,), np.array([-1, 2, -7, 6, -1, 0, -1, 6, -1, 6])),
     "rows-with-repeats": ((9, 4), np.array([3, 0, 3, 8, 3, 1, 3, 3, 3])),
     "row-col-pairs-with-repeats": (
         (5, 6),

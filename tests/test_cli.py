@@ -22,6 +22,8 @@ from hoptrace.encoder import Vocabulary
 from hoptrace.graph import RelationGraph
 from hoptrace.training import load_checkpoint, save_checkpoint
 
+from conftest import checkpoint_with_blocks
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SPEC_YAML = """\
@@ -510,8 +512,9 @@ def _with_metadata(raw, change):
         lambda m: m["config"].update(d="x"),
         lambda m: m["config"].update(colour="red"),
         lambda m: m["config"].update(form="graph"),
+        lambda m: m["model"].update(vocab_size=5 * 10**10),  # terabytes of embedding
     ],
-    ids=["missing-model", "config-d-string", "unknown-config-key", "invalid-config-form"],
+    ids=["missing-model", "config-d-string", "unknown-config-key", "invalid-config-form", "huge-vocab"],
 )
 def test_eval_rejects_inconsistent_checkpoint_metadata(ws, tmp_path, capsys, change):
     checkpoint = tmp_path / "checkpoint.bin"
@@ -592,6 +595,45 @@ def test_answer_unknown_topic(ws):
         "--graph", str(ws / "g_label.txt"),
     ]
     assert main(args) == 2
+
+
+def test_answer_rejects_checkpoint_without_a_block(ws, tmp_path, capsys):
+    """A checkpoint with an intact sha256 whose block list leaves pred.w
+    out: answer stops with exit 2, where it used to answer from an
+    initialisation."""
+    raw = (ws / "run" / "checkpoint.bin").read_bytes()
+    names = sorted(load_checkpoint(ws / "run" / "checkpoint.bin")[0].named())
+    checkpoint = tmp_path / "checkpoint.bin"
+    checkpoint.write_bytes(checkpoint_with_blocks(raw, [n for n in names if n != "pred.w"]))
+    (tmp_path / "vocab.txt").write_bytes((ws / "run" / "vocab.txt").read_bytes())
+    question = load_questions(ws / "data" / "qa_dev.txt")[0].question
+    capsys.readouterr()
+    assert main(["answer", question, "--checkpoint", str(checkpoint), "--graph", str(ws / "g_label.txt")]) == 2
+    assert "no parameter block for ['pred.w']" in _data_error_line(capsys)
+
+
+def test_answer_imports_no_yaml_generator_or_random(ws, tmp_path):
+    """`answer` in a fresh interpreter: it answers, and yaml, numpy.random
+    and hoptrace.data stay unimported (each cost 10-20 ms of a cold start)."""
+    question = load_questions(ws / "data" / "qa_dev.txt")[0].question
+    args = [
+        "answer", question,
+        "--checkpoint", str(ws / "run" / "checkpoint.bin"),
+        "--graph", str(ws / "g_label.txt"),
+        "--trace", str(tmp_path / "trace.json"),
+    ]
+    script = (
+        "import json, sys\n"
+        "from hoptrace import cli\n"
+        f"code = cli.main({args!r})\n"
+        "loaded = [m for m in ('yaml', 'numpy.random', 'hoptrace.data') if m in sys.modules]\n"
+        "print(json.dumps({'code': code, 'loaded': loaded}), file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report == {"code": 0, "loaded": []}, proc.stderr
+    assert json.loads(proc.stdout)["question"] == question
 
 
 def _isolate(g, entity):

@@ -1,5 +1,7 @@
 """Graph construction, selection, reverse closure, and serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hoptrace.errors import GraphError
 from hoptrace.graph import (
     RelationGraph,
     Vocab,
+    _id_rows,
     add_reverse_relations,
     build_from_text_corpus,
     build_from_triples,
@@ -101,6 +104,11 @@ def test_edges_grouped_by_pair(rng):
 def test_rejects_out_of_range_ids(edges, trels):
     with pytest.raises(GraphError, match="out of range"):
         RelationGraph(Vocab(["a", "b"]), Vocab(["p"]), edges, ["<sub> r <obj> ."], trels, form="mixed")
+
+
+def test_rejects_ids_past_int64():
+    with pytest.raises(GraphError, match="does not fit in 64 bits"):
+        RelationGraph(Vocab(["a", "b"]), Vocab(["p"]), [(0, 0, 2**63)], [], [], form="label")
 
 
 @pytest.mark.parametrize("kind", ["entity", "predicate", "text"])
@@ -382,6 +390,90 @@ def test_load_tolerates_unknown_section(tmp_path, chain_graph):
         f.write("#SECTION futurestuff\nsomething\n")
     g2 = RelationGraph.load(path)
     assert g2.n == chain_graph.n
+
+
+def _int_rows(lines):
+    """What the loader read before the numpy parser: int() on each field,
+    None if any row fails."""
+    rows = []
+    for line in lines:
+        try:
+            h, mid, t = map(int, line.split("\t"))
+        except ValueError:
+            return None
+        rows.append((h, mid, t))
+    return rows
+
+
+# (middle row of a three-row section, its ids or None if the section is refused)
+ID_ROW_CASES = {
+    "plain": ("1\t3\t2", (1, 3, 2)),
+    "leading-zeros": ("1\t007\t2", (1, 7, 2)),
+    "minus": ("1\t-1\t2", (1, -1, 2)),
+    "minus-zero": ("1\t-0\t2", (1, 0, 2)),
+    "18-digits": ("1\t123456789012345678\t2", (1, 123456789012345678, 2)),
+    "19-digits": ("1\t1234567890123456789\t2", (1, 1234567890123456789, 2)),
+    "past-int64": ("1\t12345678901234567890\t2", (1, 12345678901234567890, 2)),
+    "plus": ("1\t+3\t2", (1, 3, 2)),
+    "space": ("1\t 3\t2", (1, 3, 2)),
+    "underscore": ("1\t1_0\t2", (1, 10, 2)),
+    "arabic-indic-digit": ("1\t\u0663\t2", (1, 3, 2)),
+    "decimal-point": ("1\t3.0\t2", None),
+    "exponent": ("1\t1e3\t2", None),
+    "hex": ("1\t0x1\t2", None),
+    "empty-field": ("1\t\t2", None),
+    "lone-minus": ("1\t-\t2", None),
+    "double-minus": ("1\t--1\t2", None),
+    "inner-minus": ("1\t1-2\t2", None),
+    "two-fields": ("1\t2", None),
+    "four-fields": ("1\t2\t3\t4", None),
+    "six-fields": ("1\t2\t3\t4\t5\t6", None),  # as many fields as two rows
+    "empty-row": ("", None),
+}
+
+
+@pytest.mark.parametrize("case", list(ID_ROW_CASES))
+def test_id_rows_take_exactly_what_int_takes(case):
+    row, ids = ID_ROW_CASES[case]
+    lines = ["0\t1\t2", row, "3\t4\t5"]
+    expected = _int_rows(lines)
+    assert expected == (None if ids is None else [(0, 1, 2), ids, (3, 4, 5)])  # the table is int()'s verdict
+    text = "".join("\n" + line for line in lines)
+    if expected is None:
+        with pytest.raises(GraphError, match=re.escape(f"#SECTION edges row 2: expected 3 integer ids, got {row!r}")):
+            _id_rows("g.txt", "edges", text)
+    else:
+        np.testing.assert_array_equal(np.reshape(_id_rows("g.txt", "edges", text), (-1, 3)), expected)
+
+
+def test_plain_id_rows_are_parsed_in_numpy():
+    """Plain decimal rows take the one-call numpy path, an empty section
+    included; the int() scan is only the fallback."""
+    rows = _id_rows("g.txt", "edges", "\n0\t1\t2\n-3\t40\t500")
+    assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+    np.testing.assert_array_equal(rows, [[0, 1, 2], [-3, 40, 500]])
+    assert _id_rows("g.txt", "edges", "").shape == (0, 3)
+
+
+@pytest.mark.parametrize("section", ["edges", "text_relations"])
+@pytest.mark.parametrize("bad", ["3\t0", "3\t0\t1.5"], ids=["two-fields", "decimal-point"])
+def test_load_names_the_bad_row(tmp_path, section, bad):
+    """Row 7,001 of a 10,000-row section is damaged: the error names it."""
+    rng = np.random.default_rng(7)
+    ids = rng.integers(0, 50, size=(10_000, 3))
+    ids[:, 1 if section == "edges" else 2] = 0
+    entities = Vocab([f"e{i}" for i in range(50)])
+    if section == "edges":
+        g = RelationGraph(entities, Vocab(["p"]), ids, [], [], form="label")
+    else:
+        g = RelationGraph(entities, Vocab(), [], ["t"], ids, form="text")
+    path = tmp_path / "g.txt"
+    g.save(path)
+    lines = path.read_text().split("\n")
+    lines[lines.index(f"#SECTION {section}") + 7001] = bad
+    path.write_text("\n".join(lines))
+    with pytest.raises(GraphError, match=re.escape(f"#SECTION {section} row 7001: expected 3 integer ids, got {bad!r}")):
+        RelationGraph.load(path)
 
 
 def test_load_triples_tsv(tmp_path):

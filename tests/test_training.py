@@ -7,7 +7,7 @@ import hoptrace.autodiff as ad
 from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
 from hoptrace.data import QAExample, resolve_examples
-from hoptrace.encoder import RelationEncodingCache
+from hoptrace.encoder import RelationEncodingCache, Vocabulary
 from hoptrace.errors import DataError, NumericError
 from hoptrace.graph import add_reverse_relations, build_from_text_corpus, build_from_triples
 from hoptrace.model import ModelParams, forward_batch, rank_answers
@@ -27,6 +27,7 @@ from hoptrace.training import (
     vocab_sha256,
 )
 
+from conftest import checkpoint_with_blocks
 from oracles import finite_difference, loss_reference
 
 
@@ -399,6 +400,37 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_checkpoint(p1, result.params, cfg, result.vocab)
     save_checkpoint(p2, result.params, cfg, result.vocab)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_roundtrip_through_the_block_list(tmp_path):
+    """checkpoint_with_blocks with the file's own block list gives back the
+    same bytes, so the cases below differ from a good file in the list only."""
+    cfg = TrainConfig(form="label", d=4, T=2).validate()
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, Vocabulary())
+    raw = path.read_bytes()
+    assert checkpoint_with_blocks(raw, sorted(ModelParams(9, 6, 3, cfg).named())) == raw
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda names: [n for n in names if n != "pred.w"], r"no parameter block for \['pred.w'\]"),
+        (lambda names: [n for n in names if not n.startswith("q_enc.")], r"no parameter block for \['q_enc.b_b'"),
+        (lambda names: names + ["hop.b"], "unexpected or repeated parameter blocks"),
+    ],
+    ids=["without-pred.w", "without-q_enc", "hop.b-twice"],
+)
+def test_checkpoint_must_list_each_parameter_once(tmp_path, change, message):
+    """A block list that leaves a parameter out would leave it unfilled, so
+    the file is refused even though its sha256 matches."""
+    cfg = TrainConfig(form="label", d=4, T=2).validate()
+    path = tmp_path / "c.bin"
+    params = ModelParams(9, 6, 3, cfg)
+    save_checkpoint(path, params, cfg, Vocabulary())
+    path.write_bytes(checkpoint_with_blocks(path.read_bytes(), change(sorted(params.named()))))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
