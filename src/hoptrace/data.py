@@ -3,7 +3,8 @@
 Gold answers never come from templates: every generated question's answer
 set is computed by breadth-first traversal of the generated triples (with
 reverse predicates applied on the fly), so the generator cannot silently
-disagree with the graph the model reasons over.
+disagree with the graph the model reasons over.  Only the questions a split
+keeps get their answers computed; the others are only checked to have one.
 """
 
 from __future__ import annotations
@@ -166,9 +167,10 @@ def load_questions(path, hop_path=None) -> list[QAExample]:
                 if len(parts) != 2 or not parts[1] or m is None:
                     log.warning("%s:%d: malformed question line skipped", path, i + 1)
                     continue
-                answers = tuple(sorted({a for a in parts[1].split("|") if a}))
+                answers = set(parts[1].split("|"))
+                answers.discard("")
                 hop = hops[len(out)] if hops is not None else None
-                out.append(QAExample(question=parts[0], topic=m.group(1), answers=answers, hop=hop))
+                out.append(QAExample(question=parts[0], topic=m.group(1), answers=tuple(sorted(answers)), hop=hop))
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text: {e}") from None
     if hops is not None and len(hops) != len(out):
@@ -192,9 +194,8 @@ def resolve_examples(examples, g) -> list[ResolvedQA]:
     out = []
     skipped = 0
     for ex in examples:
-        topic_id = g.entities.get(ex.topic)
-        answer_ids = tuple(g.entities.get(a) for a in ex.answers)
-        if topic_id is None or any(a is None for a in answer_ids):
+        ids = g.entities.ids((ex.topic, *ex.answers))
+        if None in ids:
             skipped += 1
             log.warning("dropping unresolvable example: %r", ex.question)
             continue
@@ -205,8 +206,8 @@ def resolve_examples(examples, g) -> list[ResolvedQA]:
                 topic=ex.topic,
                 answers=ex.answers,
                 hop=ex.hop,
-                topic_id=topic_id,
-                answer_ids=answer_ids,
+                topic_id=ids[0],
+                answer_ids=ids[1:],
             )
         )
     if skipped:
@@ -279,12 +280,23 @@ class SyntheticDataset:
     stats: dict = field(default_factory=dict)
 
 
+def _adjacency(triples) -> dict[tuple, set]:
+    """(entity, predicate) -> the entities it leads to, with each triple's
+    reverse under predicate + "_rev", mirroring graph augmentation."""
+    adj: dict[tuple, set] = {}
+    for h, p, t in triples:
+        adj.setdefault((h, p), set()).add(t)
+        adj.setdefault((t, p + "_rev"), set()).add(h)
+    return adj
+
+
 def _path_answers(adj: dict, memo: dict, topic: str, path: tuple):
     """Entities reached from topic along the (non-empty) predicate path, as
     a set nobody may mutate: one hop returns adj's own set.  memo maps
     (entity, remaining path) to the answers of a suffix of two or more hops:
     many topics share a middle entity, so each such suffix is walked once
-    per entity.  Whole paths are not kept, as each topic asks for them once."""
+    per entity.  Whole paths are not kept here: generate_synthetic keeps the
+    answers of each kept (topic, path) for all its phrasings."""
     nxt = adj.get((topic, path[0]), frozenset())
     rest = path[1:]
     if not rest:
@@ -297,6 +309,23 @@ def _path_answers(adj: dict, memo: dict, topic: str, path: tuple):
             memo[e, rest] = _path_answers(adj, memo, e, rest)
         parts.append(memo[e, rest])
     return frozenset().union(*parts)
+
+
+def _reaches(adj: dict, memo: dict, topic: str, path: tuple) -> bool:
+    """Whether _path_answers(adj, ..., topic, path) is non-empty, found by a
+    walk that stops at the first entity reached.  memo maps (entity,
+    remaining path) to this answer for suffixes of two or more hops; it is
+    a dict of its own, apart from _path_answers' memo of answer sets."""
+    nxt = adj.get((topic, path[0]), ())
+    rest = path[1:]
+    if not rest:
+        return bool(nxt)
+    for e in nxt:
+        if (e, rest) not in memo:
+            memo[e, rest] = _reaches(adj, memo, e, rest)
+        if memo[e, rest]:
+            return True
+    return False
 
 
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
@@ -358,12 +387,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
                 sentences.append(variants[int(rng.integers(len(variants)))].format(m=m, o=o))
         corpus.append((name, " ".join(sentences)))
 
-    # BFS adjacency with reverse predicates, mirroring graph augmentation
-    adj: dict[tuple, set] = {}
-    for h, p, t in triples:
-        adj.setdefault((h, p), set()).add(t)
-        adj.setdefault((t, p + "_rev"), set()).add(h)
+    adj = _adjacency(triples)
     memo: dict[tuple, frozenset] = {}
+    reach_memo: dict[tuple, bool] = {}
 
     pools = {
         "movie": movies,
@@ -377,30 +403,29 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
 
     def instantiate(forms, hop):
         """All answerable (template, topic) instances as single-question units
-        of (question, topic, gold set, hop); only the units cap_and_split
-        keeps become QAExamples."""
+        of (question, topic, predicate path, hop).  Whether a topic has an
+        answer is decided by _reaches; the gold answers themselves are
+        computed only for the units cap_and_split keeps."""
         units, seen = [], set()
         for path, kind, phrasings in forms:
             for topic in pools[kind]:
-                gold = _path_answers(adj, memo, topic, path)
-                if not gold:
+                if not _reaches(adj, reach_memo, topic, path):
                     continue
                 for phr in phrasings:
                     q = phr.format(t=topic)
                     if q in seen:
                         continue
                     seen.add(q)
-                    units.append([(q, topic, gold, hop)])
+                    units.append([(q, topic, path, hop)])
         return units, seen
 
     units1, seen1 = instantiate(QUESTION_FORMS_1HOP, 1)
     # where/when pairs ride in two-question units so each split keeps the
     # tie-break symmetric (a maskless model must sit near 50% on them)
     amb_order = [m for m in movies if m in ambiguous]
+    when, where = ("release_year",), ("in_language",)
     for topic in amb_order:
-        y = _path_answers(adj, memo, topic, ("release_year",))
-        lang = _path_answers(adj, memo, topic, ("in_language",))
-        if not y or not lang:
+        if not (_reaches(adj, reach_memo, topic, when) and _reaches(adj, reach_memo, topic, where)):
             continue
         for k in range(len(AMBIG_WHEN)):
             qw = AMBIG_WHEN[k].format(t=topic)
@@ -408,11 +433,21 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
             if qw in seen1 or ql in seen1:
                 continue
             seen1 |= {qw, ql}
-            units1.append([(qw, topic, y, 1), (ql, topic, lang, 1)])
+            units1.append([(qw, topic, when, 1), (ql, topic, where, 1)])
     units2, _ = instantiate(QUESTION_FORMS_2HOP, 2)
     units3, _ = instantiate(QUESTION_FORMS_3HOP, 3)
 
+    golds: dict[tuple, tuple] = {}  # (topic, path) -> sorted answers, shared by the phrasings kept
+
+    def gold(topic, path):
+        if (topic, path) not in golds:
+            golds[topic, path] = tuple(sorted(_path_answers(adj, memo, topic, path)))
+        return golds[topic, path]
+
     def cap_and_split(units):
+        """Keep units in a seeded random order until questions_per_hop
+        questions are kept, and cut them into train/dev/test in that order.
+        Only the kept units have their gold answers computed."""
         order = rng.permutation(len(units))
         picked, count = [], 0
         for i in order:
@@ -427,7 +462,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
         done = 0
         for u in picked:
             bucket = buckets["train" if done < cut1 else ("dev" if done < cut2 else "test")]
-            bucket.extend(QAExample(q, topic, tuple(sorted(gold)), hop) for q, topic, gold, hop in u)
+            bucket.extend(QAExample(q, topic, gold(topic, path), hop) for q, topic, path, hop in u)
             done += len(u)
         return buckets
 

@@ -67,6 +67,10 @@ class Vocab:
     def get(self, name: str, default=None):
         return self._index.get(name, default)
 
+    def ids(self, names) -> tuple:
+        """The id of each name, None for a name not in the map."""
+        return tuple(map(self._index.get, names))
+
     def name(self, idx: int) -> str:
         return self._names[idx]
 

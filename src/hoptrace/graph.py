@@ -100,9 +100,8 @@ class RelationGraph:
             bad = ids[(ids < 0) | (ids >= bound)]
             if bad.size:
                 raise GraphError(f"{what} id {bad[0]} out of range [0, {bound})")
-        if e.size:
-            order = np.lexsort((e[:, 2], e[:, 0], e[:, 1]))
-            e = e[order]
+        if not _in_edge_order(e):
+            e = e[np.lexsort((e[:, 2], e[:, 0], e[:, 1]))]
         self.edge_heads = e[:, 0].copy()
         self.edge_preds = e[:, 1].copy()
         self.edge_tails = e[:, 2].copy()
@@ -168,9 +167,9 @@ class RelationGraph:
             "meta": [f"reversed {'true' if self.reversed else 'false'}"],
             "entities": self.entities.names,
             "predicates": self.predicates.names,
-            "edges": [f"{h}\t{p}\t{t}" for h, p, t in zip(self.edge_heads, self.edge_preds, self.edge_tails)],
+            "edges": _id_lines(self.edge_heads, self.edge_preds, self.edge_tails),
             "texts": self.texts,
-            "text_relations": [f"{h}\t{t}\t{x}" for h, t, x in zip(self.trel_heads, self.trel_tails, self.trel_text)],
+            "text_relations": _id_lines(self.trel_heads, self.trel_tails, self.trel_text),
         }
         joined = {name: "\n".join(rows) for name, rows in sections.items()}
         sections["meta"].append(f"sha256 {_digest(header, joined)}")
@@ -229,6 +228,22 @@ class RelationGraph:
         if meta.get("sha256") != _digest(header, joined):
             raise GraphError(f"{path}: sha256 does not match the contents: the file is damaged or was edited")
         return g
+
+
+def _in_edge_order(e: np.ndarray) -> bool:
+    """Whether the (E, 3) rows of (head, pred, tail) ids are already in
+    (pred, head, tail) order, ties included, so that the stable lexsort
+    would leave them as they are.  The signs of neighbouring rows'
+    differences, weighted 4/2/1, are negative exactly where a row sorts
+    before the one above it."""
+    step = np.sign(np.diff(e[:, [1, 0, 2]], axis=0)) @ np.array([4, 2, 1])
+    return bool((step >= 0).all())
+
+
+def _id_lines(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list[str]:
+    """One tab-separated line per row of three id columns, formatted from
+    Python ints: numpy int64 scalars format about twice as slowly."""
+    return [f"{x}\t{y}\t{z}" for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
 
 
 # the sections save() writes, in its order; load() needs all of them
@@ -449,16 +464,13 @@ def add_reverse_relations(g: RelationGraph) -> RelationGraph:
         if rev in predicates:
             raise GraphError(f"predicate name collision on {rev!r}")
         predicates.add(rev)
-    edges = []
-    for h, p, t in zip(g.edge_heads, g.edge_preds, g.edge_tails):
-        edges.append((h, 2 * p, t))
-        edges.append((t, 2 * p + 1, h))
+    h, p, t = g.edge_heads, g.edge_preds, g.edge_tails
+    edges = np.stack([h, 2 * p, t, t, 2 * p + 1, h], axis=1)  # each edge, then its inverse
 
     texts = Vocab(g.texts)
     # twin of relation i gets id num_text_relations + i
-    trels = [(h, t, x) for h, t, x in zip(g.trel_heads, g.trel_tails, g.trel_text)]
-    for h, t, x in zip(g.trel_heads, g.trel_tails, g.trel_text):
-        trels.append((t, h, texts.add(reverse_text(g.texts[x]))))
+    trels = list(zip(g.trel_heads.tolist(), g.trel_tails.tolist(), g.trel_text.tolist()))
+    trels += [(t, h, texts.add(reverse_text(g.texts[x]))) for h, t, x in trels]
     return RelationGraph(g.entities, predicates, edges, texts.names, trels, g.form, reversed_=True)
 
 

@@ -3,10 +3,15 @@ determinism, and the question-file round trip."""
 
 import hashlib
 import json
+import logging
 
 import pytest
 
+from hoptrace import data as data_mod
 from hoptrace.data import (
+    QUESTION_FORMS_1HOP,
+    QUESTION_FORMS_2HOP,
+    QUESTION_FORMS_3HOP,
     QAExample,
     SyntheticSpec,
     generate_synthetic,
@@ -233,6 +238,85 @@ def test_written_dataset_bytes_are_pinned(tmp_path):
     assert got == SMALL_SHA256
 
 
+# the same for the default spec (seed 0), the one the benchmark generates at
+# scale 1, with graph.txt the reversed label graph built from its triples;
+# recorded before gold answers were made lazy
+DEFAULT_SHA256 = {
+    "ambiguous_eval.txt": "7a7875ffaf659ef7f30da1bd717b21727c07524ee703fc7a7abb02cdcaee59fb",
+    "ambiguous_eval_hops.txt": "b9b0e8cf2a26715b11f76073ad2228aa0ff713b24143c34f5c827ca34c10463c",
+    "corpus.jsonl": "3816e81fba229a00eb0226b9f2d7d2eb8090af642da08fa97f8cafdb8985e3ea",
+    "graph.txt": "3e46aef5e717fe58d71ecb3aa7ef665c66180954678e05da4fb3181230ee56bf",
+    "manifest.json": "0446d48d8b23bc1e5f47571cb838e3f9340bba54c89b51b9605543ad52c158a6",
+    "qa_dev.txt": "40947bbe73d826ca8c55745201eb872e918bd2d80bf4a53e67d2b8e3e0511521",
+    "qa_dev_hops.txt": "1f298a2e7b5307c6a16892e9877cd8ffd78bb4f24713eb53d0d51bc6acfed097",
+    "qa_dup.txt": "d61ab87bcfdf75d55dd2879517db2be2cc19a669310c1a2fad723dcedbbb4b4d",
+    "qa_dup_hops.txt": "3cf4195b2dd65275da4f85775dd31bb0a11e75af6fe9e27ddab79a8e37ec7fa8",
+    "qa_test.txt": "1386ca14ffccd0be8d7a565e6c30784ed437099b39b1a6749c99ee3ddac5fd19",
+    "qa_test_hops.txt": "1f298a2e7b5307c6a16892e9877cd8ffd78bb4f24713eb53d0d51bc6acfed097",
+    "qa_train.txt": "143f3da9b6659514f9e3eb0d2d7b664d5a784ac319517374a1e47aa364d9385d",
+    "qa_train_hops.txt": "009dd5f80b50e0a397de2fd5f34087fe5b623c6b1d42afa101a6ffe61364ed7a",
+    "triples.tsv": "96826edf6995fcf4a725e1131426d635141732843f3d78270cca5b492456d948",
+}
+
+
+def test_default_dataset_and_graph_bytes_are_pinned(tmp_path):
+    write_dataset(generate_synthetic(SyntheticSpec()), tmp_path)
+    add_reverse_relations(build_from_triples(load_triples_tsv(tmp_path / "triples.tsv"))).save(tmp_path / "graph.txt")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == DEFAULT_SHA256
+
+
+# -- lazy gold answers -------------------------------------------------------------
+
+
+def test_gold_answers_computed_only_for_kept_questions(monkeypatch):
+    """_path_answers runs at the top level once per kept question at most,
+    plus the duplicate-title questions; recursive calls are not counted."""
+    real = data_mod._path_answers
+    calls = depth = 0
+
+    def counting(*args):
+        nonlocal calls, depth
+        calls += depth == 0
+        depth += 1
+        try:
+            return real(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(data_mod, "_path_answers", counting)
+    # a cap far below the ~900 answerable units, so eager gold sets would show
+    d = generate_synthetic(SyntheticSpec(**dict(SMALL, questions_per_hop=60)))
+    kept = sum(len(v) for v in d.splits.values())
+    assert 0 < calls <= kept + len(d.duplicates)
+
+
+def test_reaches_agrees_with_bfs_on_every_form_and_topic():
+    """_reaches is bool(gold set) for every form and every name, on a world
+    where many gold sets are empty: more years and directors than movies.
+    The oracle walks a copy of the triples layered by step, so an exact
+    hop-count BFS follows the form's predicates in order."""
+    spec = SyntheticSpec(movies=20, directors=30, writers=6, actors=12, years=30, genres=3, languages=2, seed=3)
+    generated = generate_synthetic(spec).triples
+    adj = data_mod._adjacency(generated)
+    triples = _augmented(generated)
+    names = sorted(
+        {e for h, _p, t in triples for e in (h, t)}
+        | {f"Person_{i}" for i in range(spec.directors + spec.writers + spec.actors)}
+        | {str(spec.year_start + i) for i in range(spec.years)}
+    )
+    for forms in (QUESTION_FORMS_1HOP, QUESTION_FORMS_2HOP, QUESTION_FORMS_3HOP):
+        seen = set()
+        memo = {}
+        for path, _kind, _phrasings in forms:
+            layered = [((h, i), p, (t, i + 1)) for i, step in enumerate(path) for h, p, t in triples if p == step]
+            for topic in names:
+                want = bool(bfs_answers(layered, (topic, 0), len(path)))
+                assert data_mod._reaches(adj, memo, topic, path) == want, (path, topic)
+                seen.add(want)
+        assert seen == {False, True}
+
+
 def test_seed_changes_output():
     spec = dict(SMALL)
     spec["seed"] = 8
@@ -314,6 +398,26 @@ def test_load_questions_skips_malformed(tmp_path, caplog):
     got = load_questions(p)
     assert [ex.topic for ex in got] == ["M1", "M2"]
     assert got[0].answers == ("P1", "P2")
+
+
+def test_load_questions_answer_field_is_a_sorted_set(tmp_path):
+    p = tmp_path / "qa.txt"
+    p.write_text("who directed [M1]\tb|a||a\n")
+    assert load_questions(p)[0].answers == ("a", "b")
+
+
+def test_resolve_examples_drops_an_unknown_answer(caplog):
+    g = build_from_triples([("M1", "directed_by", "P1"), ("M2", "directed_by", "P2")])
+    examples = [
+        QAExample("who directed [M1]", "M1", ("P1",), 1),
+        QAExample("who directed [M2]", "M2", ("P2", "P9"), 1),
+        QAExample("who directed [M9]", "M9", ("P1",), 1),
+    ]
+    with caplog.at_level(logging.WARNING, logger="hoptrace"):
+        got = resolve_examples(examples, g)
+    assert [(r.question, r.topic_id, r.answer_ids) for r in got] == [("who directed [M1]", 0, (1,))]
+    assert "dropping unresolvable example: 'who directed [M2]'" in caplog.text
+    assert "dropped 2 unresolvable examples" in caplog.text
 
 
 def test_load_questions_hop_sidecar_mismatch(tmp_path):

@@ -10,6 +10,7 @@ from hoptrace.graph import (
     RelationGraph,
     Vocab,
     _id_rows,
+    _in_edge_order,
     add_reverse_relations,
     build_from_text_corpus,
     build_from_triples,
@@ -41,6 +42,8 @@ def test_vocab_first_seen_order():
     assert "a" in v and "z" not in v
     assert v.name(1) == "a"
     assert v.get("z") is None
+    assert v.ids(["a", "z", "b"]) == (1, None, 0)
+    assert v.ids([]) == ()
     with pytest.raises(GraphError):
         v.id("z")
 
@@ -78,6 +81,27 @@ def test_edges_grouped_by_predicate(rng):
             lo, hi = g.pred_ptr[p], g.pred_ptr[p + 1]
             assert np.all(g.edge_preds[lo:hi] == p)
         assert g.pred_ptr[-1] == g.num_edges
+
+
+def test_presorted_and_shuffled_edges_give_equal_arrays(rng):
+    """The constructor skips its sort when the rows are already in (pred,
+    head, tail) order.  Sorted, shuffled and list inputs, repeated rows
+    included, come out as the same arrays, and only rows equal to the
+    sorted ones count as in order."""
+    ents, preds = Vocab([str(i) for i in range(5)]), Vocab(["p", "q", "r"])
+    for _ in range(20):
+        e = rng.integers(0, [5, 3, 5], size=(30, 3))
+        e = np.concatenate([e, e[:8]])
+        ordered = e[np.lexsort((e[:, 2], e[:, 0], e[:, 1]))]
+        assert _in_edge_order(ordered)
+        for edges in (ordered, rng.permutation(e), rng.permutation(e).tolist(), ordered.tolist()):
+            assert _in_edge_order(np.asarray(edges)) == np.array_equal(edges, ordered)
+            g = RelationGraph(ents, preds, edges, [], [], form="label")
+            np.testing.assert_array_equal(np.stack([g.edge_heads, g.edge_preds, g.edge_tails], axis=1), ordered)
+    # a larger step in a later column does not outweigh an earlier one
+    assert _in_edge_order(np.array([[4, 0, 4], [0, 1, 0]]))
+    assert not _in_edge_order(np.array([[0, 1, 0], [4, 0, 4]]))
+    assert not _in_edge_order(np.array([[0, 0, 4], [0, 0, 3]]))
 
 
 def test_edges_grouped_by_pair(rng):

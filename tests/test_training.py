@@ -1,5 +1,8 @@
 """Loss arithmetic, the optimizer, the training loop, and checkpoints."""
 
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from hoptrace.training import (
     prepare_examples,
     save_checkpoint,
     train,
+    _keep_freed_memory,
     vocab_sha256,
 )
 
@@ -314,6 +318,20 @@ def test_train_limit_train_subsamples():
     cfg = TrainConfig(form="label", epochs=1, d=8, seed=0, batch_size=4, limit_train=0.5).validate()
     result = train(cfg, g, resolved, resolved)
     assert result.best_dev["overall"] >= 0.0  # ran end to end on the subset
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+def test_freed_blocks_are_reused_without_fresh_pages():
+    """Once train or evaluate has tuned malloc, a freed 16 MiB block is taken
+    again from the heap: allocating it anew faults in almost none of its
+    4,096 pages.  Under glibc's adaptive defaults that depends on what the
+    process allocated and freed before (this test fails at random places in
+    the suite without the tuning)."""
+    _keep_freed_memory()
+    np.ones(2 << 20)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(2 << 20)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 512
 
 
 def test_evaluate_matches_per_row_recount():
