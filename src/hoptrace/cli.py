@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
 
     b = sub.add_parser("build-graph", help="build and serialize a relation graph")
     b.add_argument("--form", choices=("label", "text", "mixed"), default="label")
-    b.add_argument("--triples", required=True, help="TSV triples file")
+    b.add_argument("--triples", required=True, help="triples file: TSV, or head|relation|tail lines as in MetaQA's kb.txt")
     b.add_argument("--corpus", help="JSONL corpus (text/mixed forms)")
     b.add_argument("--out", required=True, help="graph file to write")
     b.add_argument("--no-reverse", action="store_true", help="skip reverse augmentation")

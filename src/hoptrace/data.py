@@ -9,10 +9,12 @@ keeps get their answers computed; the others are only checked to have one.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +118,7 @@ QUESTION_FORMS_3HOP = [
 ]
 
 
-@dataclass(frozen=True)
-class QAExample:
+class QAExample(NamedTuple):
     question: str  # topic mention bracketed, e.g. "who directed [Movie_3]"
     topic: str
     answers: tuple  # sorted entity names
@@ -128,8 +129,7 @@ class QAExample:
         return self.question.replace("[", "").replace("]", "")
 
 
-@dataclass(frozen=True)
-class ResolvedQA:
+class ResolvedQA(NamedTuple):
     question: str
     clean_text: str
     topic: str
@@ -137,6 +137,18 @@ class ResolvedQA:
     hop: int | None
     topic_id: int
     answer_ids: tuple
+
+
+def _answer_names(text: str) -> tuple:
+    """The names of an answer field, sorted and unique, without the empty
+    name.  save_questions writes them sorted and unique, and sorting sorted
+    names is linear; only a field whose neighbours repeat takes a set."""
+    names = sorted(text.split("|"))
+    if any(map(str.__eq__, names, names[1:])):
+        names = sorted(set(names))
+    if not names[0]:
+        del names[0]
+    return tuple(names)
 
 
 def load_questions(path, hop_path=None) -> list[QAExample]:
@@ -155,6 +167,8 @@ def load_questions(path, hop_path=None) -> list[QAExample]:
             raise DataError(f"{hop_path}: not UTF-8 text: {e}") from None
         except ValueError as e:
             raise DataError(f"{hop_path}: hop labels must be integers: {e}") from None
+    n_hops = len(hops) if hops is not None else 0
+    answer_names = functools.cache(_answer_names)  # the phrasings of a question share its field
     out = []
     try:
         with open(path, encoding="utf-8") as f:
@@ -164,17 +178,15 @@ def load_questions(path, hop_path=None) -> list[QAExample]:
                     continue
                 parts = line.split("\t")
                 m = TOPIC_RE.search(parts[0]) if len(parts) == 2 else None
-                if len(parts) != 2 or not parts[1] or m is None:
+                if m is None or not parts[1]:
                     log.warning("%s:%d: malformed question line skipped", path, i + 1)
                     continue
-                answers = set(parts[1].split("|"))
-                answers.discard("")
-                hop = hops[len(out)] if hops is not None else None
-                out.append(QAExample(question=parts[0], topic=m.group(1), answers=tuple(sorted(answers)), hop=hop))
+                n = len(out)
+                out.append(QAExample(parts[0], m.group(1), answer_names(parts[1]), hops[n] if n < n_hops else None))
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text: {e}") from None
-    if hops is not None and len(hops) != len(out):
-        raise DataError(f"{hop_path}: {len(hops)} hop labels for {len(out)} questions")
+    if hops is not None and n_hops != len(out):
+        raise DataError(f"{hop_path}: {n_hops} hop labels for {len(out)} questions")
     return out
 
 
@@ -191,25 +203,21 @@ def save_questions(examples, path, hop_path=None):
 def resolve_examples(examples, g) -> list[ResolvedQA]:
     """Resolve names against the graph vocabulary; unresolvable examples are
     logged and dropped rather than failing the run."""
+    @functools.cache  # many questions share one answer set
+    def answer_ids(names):
+        ids = g.entities.ids(names)
+        return None if None in ids else ids
+
     out = []
     skipped = 0
     for ex in examples:
-        ids = g.entities.ids((ex.topic, *ex.answers))
-        if None in ids:
+        topic_id = g.entities.get(ex.topic)
+        ids = answer_ids(ex.answers)
+        if topic_id is None or ids is None:
             skipped += 1
             log.warning("dropping unresolvable example: %r", ex.question)
             continue
-        out.append(
-            ResolvedQA(
-                question=ex.question,
-                clean_text=ex.clean_text,
-                topic=ex.topic,
-                answers=ex.answers,
-                hop=ex.hop,
-                topic_id=ids[0],
-                answer_ids=ids[1:],
-            )
-        )
+        out.append(ResolvedQA(ex.question, ex.clean_text, ex.topic, ex.answers, ex.hop, topic_id, ids))
     if skipped:
         log.warning("dropped %d unresolvable examples", skipped)
     return out

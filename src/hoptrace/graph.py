@@ -334,7 +334,8 @@ def build_from_triples(triples) -> RelationGraph:
 
 
 def load_triples_tsv(path) -> list[tuple[str, str, str]]:
-    """head<TAB>predicate<TAB>tail per line; '#' lines are comments."""
+    """head<TAB>predicate<TAB>tail per line, or head|predicate|tail as in
+    MetaQA's kb.txt on a line without a tab; '#' lines are comments."""
     triples = []
     try:
         with open(path, encoding="utf-8") as f:
@@ -343,8 +344,10 @@ def load_triples_tsv(path) -> list[tuple[str, str, str]]:
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split("\t")
+                if len(parts) == 1:
+                    parts = line.split("|")
                 if len(parts) != 3 or not all(parts):
-                    raise GraphError(f"{path}:{i}: expected 3 tab-separated fields")
+                    raise GraphError(f"{path}:{i}: expected 3 tab-separated or |-separated fields")
                 triples.append(tuple(parts))
     except UnicodeDecodeError as e:
         raise GraphError(f"{path}: not UTF-8 text: {e}") from None

@@ -4,12 +4,18 @@ Everything here is deliberately naive — dense matrices, python loops,
 brute-force scans — so that agreement with the optimized code under test
 is meaningful.  Nothing in this module imports from hoptrace except its
 autodiff primitives, which gradient checking and the composed-primitive
-BiGRU reference are built from.
+BiGRU reference are built from, and the question record the reference
+loader builds.
 """
+
+import logging
+import re
+from pathlib import Path
 
 import numpy as np
 
 import hoptrace.autodiff as ad
+from hoptrace.data import QAExample
 
 
 def finite_difference(f, x, step=1e-5):
@@ -276,3 +282,32 @@ def brute_select(a, tau, omega, rel_heads, rel_ids=None):
     if omega is not None:
         chosen = chosen[:omega]
     return sorted(r for r, _h in chosen)
+
+
+def load_questions_reference(path, hop_path=None):
+    """Question-file parse with a set and a sort per answer field and
+    records built by keyword.  Malformed lines are skipped with the same
+    warning as the program's; hop labels come from hop_path, else from
+    <stem>_hops.txt when it exists, and must number the questions kept."""
+    path = Path(path)
+    if hop_path is None and path.with_name(path.stem + "_hops.txt").exists():
+        hop_path = path.with_name(path.stem + "_hops.txt")
+    rows = []
+    with open(path, encoding="utf-8") as f:
+        for i, line in enumerate(f):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            m = re.search(r"\[([^\]]+)\]", parts[0]) if len(parts) == 2 else None
+            if len(parts) != 2 or not parts[1] or m is None:
+                logging.getLogger("hoptrace").warning("%s:%d: malformed question line skipped", path, i + 1)
+                continue
+            answers = set(parts[1].split("|"))
+            answers.discard("")
+            rows.append((parts[0], m.group(1), tuple(sorted(answers))))
+    hops = [None] * len(rows)
+    if hop_path is not None:
+        hops = [int(x) for x in Path(hop_path).read_text(encoding="utf-8").split()]
+        assert len(hops) == len(rows), (len(hops), len(rows))
+    return [QAExample(question=q, topic=t, answers=a, hop=h) for (q, t, a), h in zip(rows, hops)]

@@ -175,6 +175,15 @@ def test_build_graph_text_requires_corpus(ws, tmp_path):
     assert main(args) == 1
 
 
+def test_build_graph_reads_metaqa_kb(ws, tmp_path):
+    """The triples of the generated TSV, rewritten as MetaQA's kb.txt."""
+    rows = [line.split("\t") for line in (ws / "data" / "triples.tsv").read_text().splitlines()[1:]]
+    (tmp_path / "kb.txt").write_text("".join("|".join(r) + "\n" for r in rows))
+    args = ["build-graph", "--triples", str(tmp_path / "kb.txt"), "--out", str(tmp_path / "g.txt")]
+    assert main(args) == 0
+    assert (tmp_path / "g.txt").read_bytes() == (ws / "g_label.txt").read_bytes()
+
+
 def test_missing_triples_file_is_data_error(tmp_path):
     args = ["build-graph", "--triples", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "g.txt")]
     assert main(args) == 2
@@ -312,6 +321,27 @@ def test_train_form_graph_mismatch(ws, tmp_path):
         "--form", "text",
     ]
     assert main(args) == 2
+
+
+@pytest.mark.parametrize("hops", ["1\n", "1\n1\n1\n"], ids=["short", "long"])
+def test_train_with_a_hop_sidecar_of_the_wrong_length_is_data_error(tmp_path, capsys, hops):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "triples.tsv").write_text("M1\tdirected_by\tP1\nM2\tdirected_by\tP2\n")
+    (data / "qa_train.txt").write_text("who directed [M1]\tP1\nwho directed [M2]\tP2\n")
+    (data / "qa_train_hops.txt").write_text(hops)
+    (data / "qa_dev.txt").write_text("who directed [M1]\tP1\n")
+    graph = tmp_path / "g.txt"
+    assert main(["build-graph", "--triples", str(data / "triples.tsv"), "--out", str(graph)]) == 0
+    args = ["train", "--data", str(data), "--graph", str(graph), "--out", str(tmp_path / "run"), "--epochs", "1"]
+    says = f"{len(hops.split())} hop labels for 2 questions"
+    capsys.readouterr()
+    assert main(args) == 2
+    assert says in _data_error_line(capsys)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "hoptrace", *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error: ") and says in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_train_refuses_nonempty_out(ws):

@@ -13,6 +13,7 @@ from hoptrace.data import (
     QUESTION_FORMS_2HOP,
     QUESTION_FORMS_3HOP,
     QAExample,
+    ResolvedQA,
     SyntheticSpec,
     generate_synthetic,
     load_questions,
@@ -28,7 +29,7 @@ from hoptrace.graph import (
     load_triples_tsv,
 )
 
-from oracles import bfs_answers
+from oracles import bfs_answers, load_questions_reference
 
 SMALL = dict(
     movies=40,
@@ -422,11 +423,85 @@ def test_resolve_examples_drops_an_unknown_answer(caplog):
 
 def test_load_questions_hop_sidecar_mismatch(tmp_path):
     p = tmp_path / "qa.txt"
-    p.write_text("who directed [M1]\tP1\n")
+    p.write_text("who directed [M1]\tP1\nwho directed [M2]\tP2\n")
     hops = tmp_path / "qa_hops.txt"
-    hops.write_text("1\n2\n")
-    with pytest.raises(DataError):
-        load_questions(p)
+    for labels in ("1\n", "1\n2\n3\n"):  # one short, one long
+        hops.write_text(labels)
+        with pytest.raises(DataError, match=f"{len(labels.split())} hop labels for 2 questions"):
+            load_questions(p)
+
+
+def test_loader_matches_reference_on_every_default_question_file(tmp_path):
+    write_dataset(generate_synthetic(SyntheticSpec()), tmp_path)
+    names = sorted(p.name for p in tmp_path.glob("*.txt") if not p.name.endswith("_hops.txt"))
+    assert names == ["ambiguous_eval.txt", "qa_dev.txt", "qa_dup.txt", "qa_test.txt", "qa_train.txt"]
+    for name in names:
+        got = load_questions(tmp_path / name)
+        want = load_questions_reference(tmp_path / name)
+        assert got and list(map(repr, got)) == list(map(repr, want)), name
+        assert {ex.hop for ex in got} <= {1, 2, 3}, name
+
+
+# answer fields out of order, with repeats and empty names, an answer the
+# graph below does not know, a CRLF line and malformed lines
+CRAFTED = (
+    b"who directed [M1]\tP2|P1\n"
+    b"who wrote [M1]\tP3|P1|P3|P2|P1\n"
+    b"what genre is [M2]\tb|a||a\n"
+    b"what year is [M2]\t|\n"
+    b"what year is [M3]\t||P1|\n"
+    b"who starred in [M3]\tP9|P1\n"
+    b"who acted in [M4]\tP2|P1\r\n"
+    b"no tab here\n"
+    b"no topic bracket\tP1\n"
+    b"an empty bracket []\tP1\n"
+    b"missing answers [M1]\t\n"
+    b"three\t[M1]\tfields\n"
+    b"\n"
+    b"who directed [M2]\tP1|P2|P3"
+)
+
+
+def test_loader_matches_reference_on_crafted_lines(tmp_path, caplog):
+    p = tmp_path / "qa.txt"
+    p.write_bytes(CRAFTED)
+    with caplog.at_level(logging.WARNING, logger="hoptrace"):
+        got = load_questions(p)
+        warned = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        want = load_questions_reference(p)
+        assert warned == [r.getMessage() for r in caplog.records]
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert [ex.answers for ex in got] == [
+        ("P1", "P2"), ("P1", "P2", "P3"), ("a", "b"), (), ("P1",), ("P1", "P9"), ("P1", "P2"), ("P1", "P2", "P3"),
+    ]
+    assert [int(w.rsplit(":", 1)[0].rsplit(":", 1)[1]) for w in warned] == [8, 9, 10, 11, 12]
+    g = build_from_triples([(m, "p", a) for m in ("M1", "M2", "M3", "M4") for a in ("P1", "P2", "P3")] + [("M2", "p", "a"), ("M2", "p", "b")])
+    resolved = resolve_examples(got, g)
+    assert [r.question for r in resolved] == [ex.question for ex in got if "P9" not in ex.answers]
+
+
+def test_question_records_are_immutable_values():
+    ex = QAExample("who directed [M1]", "M1", ("P1", "P2"), 1)
+    same = QAExample(question="who directed [M1]", topic="M1", answers=("P1", "P2"), hop=1)
+    assert ex == same and hash(ex) == hash(same) and len({ex, same}) == 1
+    assert ex != QAExample("who directed [M1]", "M1", ("P1", "P2"), 2)
+    assert QAExample("who directed [M1]", "M1", ("P1",)).hop is None
+    assert ex.clean_text == "who directed M1"
+    assert repr(ex) == "QAExample(question='who directed [M1]', topic='M1', answers=('P1', 'P2'), hop=1)"
+    r = ResolvedQA("who directed [M1]", "who directed M1", "M1", ("P1", "P2"), None, 0, (1, 2))
+    same = ResolvedQA(
+        question="who directed [M1]", clean_text="who directed M1", topic="M1", answers=("P1", "P2"), hop=None,
+        topic_id=0, answer_ids=(1, 2),
+    )
+    assert r == same and hash(r) == hash(same)
+    assert repr(r) == (
+        "ResolvedQA(question='who directed [M1]', clean_text='who directed M1', topic='M1', "
+        "answers=('P1', 'P2'), hop=None, topic_id=0, answer_ids=(1, 2))"
+    )
+    for record, name in ((ex, "hop"), (r, "topic_id")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 5)
 
 
 def test_save_questions_roundtrip(tmp_path):

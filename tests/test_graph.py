@@ -509,6 +509,39 @@ def test_load_triples_tsv(tmp_path):
         load_triples_tsv(p)
 
 
+def test_load_triples_reads_metaqa_pipe_lines(tmp_path):
+    """kb.txt's head|relation|tail lines (names with spaces, as in MetaQA)
+    build the graph that a TSV of the same triples builds."""
+    triples = [("Kismet", "directed_by", "William Dieterle"), ("Kismet", "release_year", "1944"),
+               ("Flags of Our Fathers", "directed_by", "Clint Eastwood"), ("Kismet", "directed_by", "William Dieterle")]
+    (tmp_path / "kb.txt").write_text("".join(f"{h}|{r}|{t}\n" for h, r, t in triples))
+    (tmp_path / "t.tsv").write_text("".join(f"{h}\t{r}\t{t}\n" for h, r, t in triples))
+    assert load_triples_tsv(tmp_path / "kb.txt") == triples
+    for name in ("kb.txt", "t.tsv"):
+        add_reverse_relations(build_from_triples(load_triples_tsv(tmp_path / name))).save(tmp_path / f"{name}.graph")
+    assert (tmp_path / "kb.txt.graph").read_bytes() == (tmp_path / "t.tsv.graph").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad", ["a|p", "a|p|b|c", "a||b", "a\tp|b|c", "a|p|b\tc", "a\tp\tb\tc", "a\t\tb"],
+    ids=["two-pipe-fields", "four-pipe-fields", "empty-pipe-field", "tab-then-pipes", "pipes-then-tab",
+         "four-tab-fields", "empty-tab-field"],
+)
+def test_load_triples_rejects_a_line_of_neither_form(tmp_path, bad):
+    """A line with a tab is only read as tab-separated, so a stray pipe in
+    it never makes a triple."""
+    p = tmp_path / "t.txt"
+    p.write_text(f"a|p|b\nc\tp\td\n{bad}\n")
+    with pytest.raises(GraphError, match=re.escape(f"{p}:3: expected 3 tab-separated or |-separated fields")):
+        load_triples_tsv(p)
+
+
+def test_load_triples_keeps_pipes_inside_tab_fields(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("a|x\tp\tb|y\n")
+    assert load_triples_tsv(p) == [("a|x", "p", "b|y")]
+
+
 def test_load_corpus_jsonl(tmp_path):
     p = tmp_path / "c.jsonl"
     p.write_text('{"subject": "A", "text": "A likes B."}\n\n{"subject": "B", "text": "x"}\n')
