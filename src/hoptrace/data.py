@@ -3,8 +3,13 @@
 Gold answers never come from templates: every generated question's answer
 set is computed by breadth-first traversal of the generated triples (with
 reverse predicates applied on the fly), so the generator cannot silently
-disagree with the graph the model reasons over.  Only the questions a split
-keeps get their answers computed; the others are only checked to have one.
+disagree with the graph the model reasons over.  Whether a (template,
+topic) unit has an answer at all is read off one reach set per predicate
+path suffix.  Only the units a split keeps are formatted into questions and
+get their answers computed.  No question needs a dedupe: within a hop the
+phrasings are pairwise distinct and each brackets the topic once, and no
+generated name holds a bracket, so distinct (phrasing, topic) pairs give
+distinct questions.
 """
 
 from __future__ import annotations
@@ -288,13 +293,13 @@ class SyntheticDataset:
     stats: dict = field(default_factory=dict)
 
 
-def _adjacency(triples) -> dict[tuple, set]:
-    """(entity, predicate) -> the entities it leads to, with each triple's
+def _adjacency(triples) -> dict[str, dict[str, set]]:
+    """predicate -> entity -> the entities it leads to, with each triple's
     reverse under predicate + "_rev", mirroring graph augmentation."""
-    adj: dict[tuple, set] = {}
+    adj: dict[str, dict[str, set]] = {}
     for h, p, t in triples:
-        adj.setdefault((h, p), set()).add(t)
-        adj.setdefault((t, p + "_rev"), set()).add(h)
+        adj.setdefault(p, {}).setdefault(h, set()).add(t)
+        adj.setdefault(p + "_rev", {}).setdefault(t, set()).add(h)
     return adj
 
 
@@ -305,12 +310,13 @@ def _path_answers(adj: dict, memo: dict, topic: str, path: tuple):
     many topics share a middle entity, so each such suffix is walked once
     per entity.  Whole paths are not kept here: generate_synthetic keeps the
     answers of each kept (topic, path) for all its phrasings."""
-    nxt = adj.get((topic, path[0]), frozenset())
+    nxt = adj.get(path[0], {}).get(topic, frozenset())
     rest = path[1:]
     if not rest:
         return nxt
     if len(rest) == 1:
-        return frozenset().union(*(adj.get((e, rest[0]), ()) for e in nxt))
+        step = adj.get(rest[0], {})
+        return frozenset().union(*(step.get(e, ()) for e in nxt))
     parts = []
     for e in nxt:
         if (e, rest) not in memo:
@@ -319,21 +325,19 @@ def _path_answers(adj: dict, memo: dict, topic: str, path: tuple):
     return frozenset().union(*parts)
 
 
-def _reaches(adj: dict, memo: dict, topic: str, path: tuple) -> bool:
-    """Whether _path_answers(adj, ..., topic, path) is non-empty, found by a
-    walk that stops at the first entity reached.  memo maps (entity,
-    remaining path) to this answer for suffixes of two or more hops; it is
-    a dict of its own, apart from _path_answers' memo of answer sets."""
-    nxt = adj.get((topic, path[0]), ())
-    rest = path[1:]
-    if not rest:
-        return bool(nxt)
-    for e in nxt:
-        if (e, rest) not in memo:
-            memo[e, rest] = _reaches(adj, memo, e, rest)
-        if memo[e, rest]:
-            return True
-    return False
+def _reach_set(adj: dict, memo: dict, path: tuple) -> set:
+    """The entities from which the (non-empty) predicate path leads anywhere,
+    that is whose _path_answers are non-empty: R(p) holds every entity with
+    a p edge, and R(p + rest) every entity with a p edge into R(rest).  memo
+    maps each path suffix to its set, so forms that share a suffix share it."""
+    if path not in memo:
+        step = adj.get(path[0], {})
+        if len(path) == 1:
+            memo[path] = set(step)
+        else:
+            rest = _reach_set(adj, memo, path[1:])
+            memo[path] = {e for e, nxt in step.items() if not rest.isdisjoint(nxt)}
+    return memo[path]
 
 
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
@@ -397,7 +401,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
 
     adj = _adjacency(triples)
     memo: dict[tuple, frozenset] = {}
-    reach_memo: dict[tuple, bool] = {}
+    reach_sets: dict[tuple, set] = {}
 
     pools = {
         "movie": movies,
@@ -411,39 +415,28 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
 
     def instantiate(forms, hop):
         """All answerable (template, topic) instances as single-question units
-        of (question, topic, predicate path, hop).  Whether a topic has an
-        answer is decided by _reaches; the gold answers themselves are
-        computed only for the units cap_and_split keeps."""
-        units, seen = [], set()
+        of (phrasing, topic, predicate path, hop).  A topic is answerable when
+        it is in the path's reach set; cap_and_split formats the question and
+        computes the gold answers only for the units it keeps."""
+        units = []
         for path, kind, phrasings in forms:
-            for topic in pools[kind]:
-                if not _reaches(adj, reach_memo, topic, path):
-                    continue
-                for phr in phrasings:
-                    q = phr.format(t=topic)
-                    if q in seen:
-                        continue
-                    seen.add(q)
-                    units.append([(q, topic, path, hop)])
-        return units, seen
+            reach = _reach_set(adj, reach_sets, path)
+            units += [[(phr, topic, path, hop)] for topic in pools[kind] if topic in reach for phr in phrasings]
+        return units
 
-    units1, seen1 = instantiate(QUESTION_FORMS_1HOP, 1)
+    units1 = instantiate(QUESTION_FORMS_1HOP, 1)
     # where/when pairs ride in two-question units so each split keeps the
     # tie-break symmetric (a maskless model must sit near 50% on them)
-    amb_order = [m for m in movies if m in ambiguous]
     when, where = ("release_year",), ("in_language",)
-    for topic in amb_order:
-        if not (_reaches(adj, reach_memo, topic, when) and _reaches(adj, reach_memo, topic, where)):
-            continue
-        for k in range(len(AMBIG_WHEN)):
-            qw = AMBIG_WHEN[k].format(t=topic)
-            ql = AMBIG_WHERE[k].format(t=topic)
-            if qw in seen1 or ql in seen1:
-                continue
-            seen1 |= {qw, ql}
-            units1.append([(qw, topic, when, 1), (ql, topic, where, 1)])
-    units2, _ = instantiate(QUESTION_FORMS_2HOP, 2)
-    units3, _ = instantiate(QUESTION_FORMS_3HOP, 3)
+    both = _reach_set(adj, reach_sets, when) & _reach_set(adj, reach_sets, where)
+    units1 += [
+        [(qw, topic, when, 1), (ql, topic, where, 1)]
+        for topic in movies
+        if topic in ambiguous and topic in both
+        for qw, ql in zip(AMBIG_WHEN, AMBIG_WHERE)
+    ]
+    units2 = instantiate(QUESTION_FORMS_2HOP, 2)
+    units3 = instantiate(QUESTION_FORMS_3HOP, 3)
 
     golds: dict[tuple, tuple] = {}  # (topic, path) -> sorted answers, shared by the phrasings kept
 
@@ -455,7 +448,8 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     def cap_and_split(units):
         """Keep units in a seeded random order until questions_per_hop
         questions are kept, and cut them into train/dev/test in that order.
-        Only the kept units have their gold answers computed."""
+        Only the kept units have their questions formatted and their gold
+        answers computed."""
         order = rng.permutation(len(units))
         picked, count = [], 0
         for i in order:
@@ -470,7 +464,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
         done = 0
         for u in picked:
             bucket = buckets["train" if done < cut1 else ("dev" if done < cut2 else "test")]
-            bucket.extend(QAExample(q, topic, gold(topic, path), hop) for q, topic, path, hop in u)
+            bucket.extend(QAExample(phr.format(t=topic), topic, gold(topic, path), hop) for phr, topic, path, hop in u)
             done += len(u)
         return buckets
 

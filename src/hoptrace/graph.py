@@ -135,26 +135,39 @@ class RelationGraph:
     # -- reasoning access patterns --------------------------------------------
 
     def select_text_relation_ids(self, a_prev: np.ndarray, tau: float, omega):
-        """Text relations leaving the active entities: (relation ids, subject scores).
+        """Text relations leaving each row's active entities, for a (B, n)
+        score matrix: (relation ids, rows), row by row.
 
-        Entities scoring strictly above tau contribute all their outgoing
-        text relations; if that exceeds omega, the top-omega by subject score
-        survive (ties: lower entity id, then lower relation id).  If nothing
-        clears tau, the argmax entity's relations are used.  omega=None
-        means unlimited.
+        In a row, entities scoring strictly above tau contribute all their
+        outgoing text relations, by entity id and then relation id; if
+        nothing clears tau, the argmax entity's relations are used.  A row
+        with more than omega relations keeps the top omega by subject score
+        (ties: lower entity id, then lower relation id).  omega=None means
+        unlimited.
         """
-        active = np.flatnonzero(a_prev > tau)
-        if active.size == 0:
-            active = np.array([int(np.argmax(a_prev))], dtype=np.int64)
-        chunks = [self._out_order[self._out_ptr[i] : self._out_ptr[i + 1]] for i in active]
-        rel_ids = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        if rel_ids.size == 0:
-            return rel_ids, np.zeros(0)
-        subj = a_prev[self.trel_heads[rel_ids]]
-        if omega is not None and rel_ids.size > omega:
-            order = np.lexsort((rel_ids, self.trel_heads[rel_ids], -subj))[:omega]
-            rel_ids, subj = rel_ids[order], subj[order]
-        return rel_ids, subj
+        active = a_prev > tau
+        idle = ~active.any(axis=1)
+        active[idle, np.argmax(a_prev[idle], axis=1)] = True
+        rows, heads = np.nonzero(active)
+        # CSR expansion: each (row, head) pair lists the head's relations
+        starts = self._out_ptr[heads]
+        counts = self._out_ptr[heads + 1] - starts
+        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        rel_ids = self._out_order[offsets + np.arange(offsets.size)]
+        rel_rows = np.repeat(rows, counts)
+        if omega is not None:
+            sizes = np.bincount(rel_rows, minlength=a_prev.shape[0])
+            cut = sizes > omega
+            if cut.any():
+                # within a row the expansion is already by head, then id, so
+                # one stable sort on (row, -subject score in cut rows) ranks it
+                subj = a_prev[rel_rows, self.trel_heads[rel_ids]]
+                order = np.lexsort((np.where(cut[rel_rows], -subj, 0.0), rel_rows))
+                rel_ids, rel_rows = rel_ids[order], rel_rows[order]
+                rank = np.arange(rel_ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+                keep = rank < omega
+                rel_ids, rel_rows = rel_ids[keep], rel_rows[keep]
+        return rel_ids, rel_rows
 
     # -- serialization ---------------------------------------------------------
 

@@ -269,10 +269,10 @@ def _reason(
 
     Everything runs once for the batch: the step attention and score heads,
     one transfer per step over the (B, n) score matrix, the hop mixture and
-    the mask.  Text relations are selected per row (tau/omega and their
-    tie-breaking are per question), then scored in one call and pushed
-    together as a disjoint union, so a row's numbers do not depend on the
-    other rows and the tape does not grow with B.
+    the mask.  Text relations are selected for the whole batch in one call
+    (tau/omega and their tie-breaking are per question), scored in one call
+    and pushed together as a disjoint union, so a row's numbers do not
+    depend on the other rows and the tape does not grow with B.
     """
     text_form = g.form != "label"
     if params.form != g.form:
@@ -299,9 +299,7 @@ def _reason(
         att = ad.softmax(logits)  # (B, L)
         q_t = ad.sum_(ad.reshape(att, (B, L, 1)) * enc.h, axis=1)  # (B, d)
         if text_form:
-            picked = [g.select_text_relation_ids(row, cfg.tau, cfg.omega)[0] for row in a_prev.data]
-            rel_ids = np.concatenate(picked)
-            rows = np.repeat(np.arange(B), [ids.size for ids in picked])
+            rel_ids, rows = g.select_text_relation_ids(a_prev.data, cfg.tau, cfg.omega)
             scores = text_relation_scores(q_t[rows], cache.get_many(g.trel_text[rel_ids]), params)
             raw = transfer_text_batch(g, a_prev, rel_ids, rows, scores, cfg.aggregation)
         else:

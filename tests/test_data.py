@@ -9,6 +9,8 @@ import pytest
 
 from hoptrace import data as data_mod
 from hoptrace.data import (
+    AMBIG_WHEN,
+    AMBIG_WHERE,
     QUESTION_FORMS_1HOP,
     QUESTION_FORMS_2HOP,
     QUESTION_FORMS_3HOP,
@@ -233,10 +235,32 @@ SMALL_SHA256 = {
 }
 
 
+# the same for SMALL capped at 60 questions per hop, far below its ~900
+# answerable units, so most units are dropped unformatted; recorded before
+# the generator formatted only the units it keeps
+SMALL_CAP60_SHA256 = {
+    "ambiguous_eval.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "ambiguous_eval_hops.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "corpus.jsonl": "f9913cc0af1b821a1fca922bd2be5c95799ca24d3ce1cda859e1dcf93fcd525d",
+    "manifest.json": "3d1636f5591cb1bfd2de5367ea930454fb980933edd792d9f94ee465d085cf1d",
+    "qa_dev.txt": "49e883fd73661abac96d6267185238e2a81d03cecafaf4b5c9cb8214edb15ccc",
+    "qa_dev_hops.txt": "c9ebc2c2e625ba9c659d7873824159ef792c6eabf32cb742bb560b1a48b54ed6",
+    "qa_dup.txt": "45a7e39e3b000aa350d178005ed5bfb099c5f3ef3b17a068515d3f2be8f5640c",
+    "qa_dup_hops.txt": "02f8d0c0f240020510e34d8578d0ac2adee94589cf76312619fcf4f5288e2362",
+    "qa_test.txt": "2b82d4e5648c965347d9afbdfcd1af616cb1635dd908443f23ee457c980d6337",
+    "qa_test_hops.txt": "c9ebc2c2e625ba9c659d7873824159ef792c6eabf32cb742bb560b1a48b54ed6",
+    "qa_train.txt": "424ca8c81a9aef8ccbe47cadb86945e09debd85fce0255020458da024f4836ff",
+    "qa_train_hops.txt": "bbf3eb8415351f68a5e1c348cb9347d9ff009ed68b8932e845a5c97308e48680",
+    "triples.tsv": "4c3c9b5029fc74d0406736ebe3b71025d884ef11d7ea5a39e925b9c26fd010e2",
+}
+
+
 def test_written_dataset_bytes_are_pinned(tmp_path):
-    write_dataset(generate_synthetic(SyntheticSpec(**SMALL)), tmp_path)
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert got == SMALL_SHA256
+    for spec, want in ((SMALL, SMALL_SHA256), (dict(SMALL, questions_per_hop=60), SMALL_CAP60_SHA256)):
+        out = tmp_path / str(spec["questions_per_hop"])
+        write_dataset(generate_synthetic(SyntheticSpec(**spec)), out)
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == want, spec
 
 
 # the same for the default spec (seed 0), the one the benchmark generates at
@@ -292,9 +316,10 @@ def test_gold_answers_computed_only_for_kept_questions(monkeypatch):
     assert 0 < calls <= kept + len(d.duplicates)
 
 
-def test_reaches_agrees_with_bfs_on_every_form_and_topic():
-    """_reaches is bool(gold set) for every form and every name, on a world
-    where many gold sets are empty: more years and directors than movies.
+def test_reach_set_agrees_with_bfs_on_every_form_and_topic():
+    """Membership in _reach_set is bool(gold set) for every form and every
+    name, on a world where many gold sets are empty: more years and
+    directors than movies.
     The oracle walks a copy of the triples layered by step, so an exact
     hop-count BFS follows the form's predicates in order."""
     spec = SyntheticSpec(movies=20, directors=30, writers=6, actors=12, years=30, genres=3, languages=2, seed=3)
@@ -313,9 +338,37 @@ def test_reaches_agrees_with_bfs_on_every_form_and_topic():
             layered = [((h, i), p, (t, i + 1)) for i, step in enumerate(path) for h, p, t in triples if p == step]
             for topic in names:
                 want = bool(bfs_answers(layered, (topic, 0), len(path)))
-                assert data_mod._reaches(adj, memo, topic, path) == want, (path, topic)
+                assert (topic in data_mod._reach_set(adj, memo, path)) == want, (path, topic)
                 seen.add(want)
         assert seen == {False, True}
+
+
+def test_questions_are_distinct_without_a_dedupe():
+    """The generator keeps no set of questions seen.  A question is told
+    apart by its phrasing and its topic: the phrasings are pairwise
+    distinct, each brackets the topic once, the where/when phrasings are
+    none of the 1-hop ones, the topic pools are pairwise disjoint and no
+    name holds a bracket.  So the default spec's questions never repeat."""
+    kind_of = dict.fromkeys(AMBIG_WHEN + AMBIG_WHERE, "movie")
+    for forms in (QUESTION_FORMS_1HOP, QUESTION_FORMS_2HOP, QUESTION_FORMS_3HOP):
+        phrasings = [phr for _path, _kind, phrs in forms for phr in phrs]
+        if forms is QUESTION_FORMS_1HOP:
+            phrasings += AMBIG_WHEN + AMBIG_WHERE
+        assert len(set(phrasings)) == len(phrasings)
+        for phr in phrasings:
+            assert phr.count("[{t}]") == phr.count("[") == phr.count("]") == phr.count("{") == 1, phr
+        kind_of.update((phr, kind) for _path, kind, phrs in forms for phr in phrs)
+
+    d = generate_synthetic(SyntheticSpec())
+    examples = _all_examples(d)
+    questions = [ex.question for ex in examples]
+    assert len(set(questions)) == len(questions)
+    assert not any("[" in e or "]" in e for h, _p, t in d.triples for e in (h, t))
+    pools = {}
+    for ex in examples:
+        pools.setdefault(kind_of[ex.question.replace(f"[{ex.topic}]", "[{t}]")], set()).add(ex.topic)
+    assert len(pools) == 7
+    assert sum(map(len, pools.values())) == len(set().union(*pools.values()))
 
 
 def test_seed_changes_output():

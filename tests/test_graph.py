@@ -165,7 +165,7 @@ def test_selection_matches_brute_force(rng):
         a = rng.random(g.n)
         tau = float(rng.choice([0.0, 0.3, 0.7, 0.95]))
         omega = None if trial % 3 == 0 else int(rng.integers(1, g.num_text_relations + 2))
-        got, _ = g.select_text_relation_ids(a, tau, omega)
+        got, _ = g.select_text_relation_ids(a[None], tau, omega)
         want = brute_select(a, tau, omega, g.trel_heads.tolist())
         assert sorted(got.tolist()) == want, f"tau={tau} omega={omega}"
 
@@ -174,7 +174,7 @@ def test_selection_threshold_is_strict():
     g = random_text_graph(np.random.default_rng(7), n=5, num_rels=10)
     a = np.zeros(5)
     a[2] = 0.7
-    ids, _ = g.select_text_relation_ids(a, 0.7, None)
+    ids, _ = g.select_text_relation_ids(a[None], 0.7, None)
     # 0.7 is not > 0.7, so entity 2 does not activate; fallback takes argmax
     assert set(g.trel_heads[ids]) == {2}
     assert len(ids) == np.count_nonzero(g.trel_heads == 2)
@@ -185,16 +185,19 @@ def test_selection_fallback_argmax_tie_breaks_low_id():
     names = ["e0", "e1", "e2"]
     trels = [(0, 1, 0), (1, 2, 0), (2, 0, 0)]
     g = RelationGraph(Vocab(names), Vocab(), [], ["<sub> r <obj> ."], trels, form="text")
-    ids, subj = g.select_text_relation_ids(np.array([0.1, 0.9, 0.9]), 0.95, None)
+    a = np.array([0.1, 0.9, 0.9])
+    ids, rows = g.select_text_relation_ids(a[None], 0.95, None)
     assert g.trel_heads[ids].tolist() == [1]
-    np.testing.assert_allclose(subj, [0.9])
+    assert rows.tolist() == [0]
+    np.testing.assert_allclose(a[g.trel_heads[ids]], [0.9])
 
 
 def test_selection_cap_keeps_strongest_subjects(rng):
     g = random_text_graph(rng, n=10, num_rels=40)
     a = rng.random(10)
-    full, _ = g.select_text_relation_ids(a, 0.0, None)
-    capped, subj = g.select_text_relation_ids(a, 0.0, 5)
+    full, _ = g.select_text_relation_ids(a[None], 0.0, None)
+    capped, _ = g.select_text_relation_ids(a[None], 0.0, 5)
+    subj = a[g.trel_heads[capped]]
     assert len(capped) == 5
     kept = set(capped.tolist())
     dropped = [r for r in full.tolist() if r not in kept]
@@ -205,8 +208,44 @@ def test_selection_cap_keeps_strongest_subjects(rng):
 def test_selection_empty_when_no_outgoing():
     names = ["e0", "e1"]
     g = RelationGraph(Vocab(names), Vocab(), [], ["<sub> r <obj> ."], [(0, 1, 0)], form="text")
-    ids, subj = g.select_text_relation_ids(np.array([0.0, 1.0]), 0.5, None)
-    assert ids.size == 0 and subj.size == 0
+    ids, rows = g.select_text_relation_ids(np.array([[0.0, 1.0]]), 0.5, None)
+    assert ids.size == 0 and rows.size == 0
+
+
+def test_batch_selection_matches_brute_force_row_by_row(rng):
+    """One call over a (B, n) matrix selects, in each row, the relations
+    brute_select picks for that row alone.  In a row the omega cut trims
+    they come by subject score, then entity, then id; in any other row by
+    entity, then id.  Rows that fall back to the argmax (with relations or
+    without), rows under omega and rows omega cuts share the batches."""
+    kinds = set()
+    tau = 0.5
+    for trial in range(60):
+        g = random_text_graph(rng, isolated=(0,) if trial % 4 == 0 else ())
+        omega = None if trial % 5 == 0 else int(rng.integers(1, 8))
+        B = int(rng.integers(2, 7))
+        a = rng.random((B, g.n)) * 0.5  # below tau: the row falls back
+        for i in range(B):
+            pick = rng.random()
+            if pick < 0.2:
+                a[i] = 0.0
+            elif pick < 0.7:
+                a[i, rng.random(g.n) < 0.5] += 0.5
+        ids, rows = g.select_text_relation_ids(a, tau, omega)
+        assert ids.shape == rows.shape
+        assert np.all(np.diff(rows) >= 0)
+        heads = g.trel_heads.tolist()
+        for i in range(B):
+            got = ids[rows == i].tolist()
+            want = brute_select(a[i], tau, omega, heads)
+            assert sorted(got) == want, (trial, i)
+            cut = omega is not None and len(brute_select(a[i], tau, None, heads)) > omega
+            assert got == sorted(got, key=lambda r: (-a[i, heads[r]] if cut else 0.0, heads[r], r)), (trial, i)
+            if not np.any(a[i] > tau):
+                kinds.add("fallback" if got else "empty fallback")
+            else:
+                kinds.add("cut" if cut else "active")
+    assert kinds == {"fallback", "empty fallback", "active", "cut"}
 
 
 # -- reverse closure -------------------------------------------------------------

@@ -472,7 +472,7 @@ def test_forward_text_trace_records_selected_relations(rng):
     cache = make_cache(params, g)
     res = forward(g, np.array([4, 5]), 2, params, cfg, cache=cache)
     s1 = res.trace.steps[0]
-    want, _ = g.select_text_relation_ids(np.eye(g.n)[2], cfg.tau, cfg.omega)
+    want, _ = g.select_text_relation_ids(np.eye(g.n)[2:3], cfg.tau, cfg.omega)
     np.testing.assert_array_equal(np.sort(s1.relation_ids), np.sort(want))
     assert s1.relation_scores.shape == s1.relation_ids.shape
     assert res.trace.mask is not None
@@ -756,7 +756,7 @@ def test_forward_batch_matches_forward_with_gradients(rng, case):
     if case == "text-omega-cut":
         a_prev = [np.eye(g.n)[topics[0]]] + [s.entity_scores for s in singles[0].trace.steps]
         cut = [
-            g.select_text_relation_ids(a, cfg.tau, None)[0].size > s.relation_ids.size
+            g.select_text_relation_ids(a[None], cfg.tau, None)[0].size > s.relation_ids.size
             for a, s in zip(a_prev, singles[0].trace.steps)
         ]
         assert any(cut)

@@ -18,7 +18,6 @@ from hoptrace.training import (
     AUX_WEIGHT,
     RAdam,
     batch_targets,
-    build_target,
     build_vocabulary,
     compute_loss,
     euclid_distance,
@@ -63,13 +62,17 @@ def tiny_qa_setup():
 # -- targets and loss -------------------------------------------------------------
 
 
-def test_build_target():
-    y = build_target({1, 3}, 5)
-    np.testing.assert_array_equal(y, [0, 1, 0, 1, 0])
-    with pytest.raises(DataError):
-        build_target(set(), 5)
-    with pytest.raises(DataError):
-        build_target({7}, 5)
+def test_batch_targets():
+    y = batch_targets([{1, 3}, frozenset({0}), (4, 2)], 5)
+    np.testing.assert_array_equal(y, [[0, 1, 0, 1, 0], [1, 0, 0, 0, 0], [0, 0, 1, 0, 1]])
+    assert batch_targets([], 5).shape == (0, 5)
+    with pytest.raises(DataError, match=r"^empty answer set$"):
+        batch_targets([{1}, set()], 5)
+    # the first bad set is named, whatever is wrong with the ones after it
+    with pytest.raises(DataError, match=r"^answer id out of range \[0, 5\): \[1, 7\]$"):
+        batch_targets([{0}, {7, 1}, set()], 5)
+    with pytest.raises(DataError, match=r"^answer id out of range \[0, 5\): \[-1\]$"):
+        batch_targets([{-1}], 5)
 
 
 def test_euclid_distance_value_and_gradient(rng):
@@ -155,7 +158,7 @@ def test_batch_loss_matches_per_row_calls(form):
     cache = RelationEncodingCache(params.r_enc, vocab, g.texts) if form == "text" else None
     batch = prepare_examples(resolved, vocab)
     hops = [ex.gold_hop if i % 3 else None for i, ex in enumerate(batch)]
-    ys = batch_targets(batch, g.n)
+    ys = batch_targets([ex.answers for ex in batch], g.n)
     named = params.named()
 
     def run(per_row):
@@ -364,7 +367,8 @@ def test_evaluate_matches_per_row_recount():
     assert degenerate_rows == 1 and not np.any(res.final.data[-2])
     flat = [h for v in hits.values() for h in v]
     hops = [ex.gold_hop for ex in prep]
-    loss = compute_loss(res.final, batch_targets(prep, g.n), res.c, hops, cfg.use_aux_hop_loss).main.item()
+    ys = batch_targets([ex.answers for ex in prep], g.n)
+    loss = compute_loss(res.final, ys, res.c, hops, cfg.use_aux_hop_loss).main.item()
 
     for chunk in (64, 5, 1):
         m = evaluate(g, result.params, prep, cfg, chunk=chunk)
