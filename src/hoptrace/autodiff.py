@@ -220,8 +220,7 @@ def sigmoid_array(x):
     x >= 0 and e^x/(1+e^x) below, both from e = exp(-|x|) <= 1.  -|x| is
     taken as min(x, -x), which keeps a NaN's sign as exp(x) would."""
     e = np.exp(np.minimum(x, -x))
-    den = 1.0 + e
-    return np.where(x >= 0, 1.0 / den, e / den)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
 
 
 def sigmoid(a):

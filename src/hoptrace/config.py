@@ -9,7 +9,9 @@ from .errors import UsageError
 FORMS = ("label", "text", "mixed")
 HEADS = ("softmax", "sigmoid")
 AGGREGATIONS = ("sum", "max")
-
+# (field, least value or None, may be null) of every integer setting
+_INT_FIELDS = (("T", 1, False), ("d", 2, False), ("epochs", 1, False),
+               ("batch_size", 1, True), ("omega", 1, True), ("seed", None, False))
 
 @dataclass
 class TrainConfig:
@@ -42,10 +44,17 @@ class TrainConfig:
             raise UsageError(f"aggregation must be one of {AGGREGATIONS}")
         if not 0.0 <= self.tau <= 1.0:
             raise UsageError(f"tau must be in [0, 1], got {self.tau}")
-        if self.omega is not None and self.omega < 1:
-            raise UsageError(f"omega must be >= 1 or null, got {self.omega}")
-        if self.T < 1 or self.d < 2 or self.epochs < 1 or self.lr <= 0:
-            raise UsageError("require T >= 1, d >= 2, epochs >= 1, lr > 0")
+        for name, least, nullable in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and nullable:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):  # a bool is no count
+                raise UsageError(f"config value of the wrong type: {name} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                null = " or null" if nullable else ""
+                raise UsageError(f"{name} must be >= {least}{null}, got {value}")
+        if self.lr <= 0:
+            raise UsageError(f"lr must be > 0, got {self.lr}")
         if not 0.0 < self.limit_train <= 1.0:
             raise UsageError(f"limit_train must be in (0, 1], got {self.limit_train}")
         return self

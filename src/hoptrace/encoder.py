@@ -9,13 +9,17 @@ Per-token states are the concatenated forward/backward hidden states
 projected down to d; the pooled vector is the projected concatenation of
 the final forward and final backward states.
 
-One masked recurrence, _bigru, runs both directions over a right-padded
-batch and serves every encoder: a question batch projects the per-token
-states and the pooled vector, the relation table only the pooled vector,
-and a single question is a batch of one.  Each direction is one graph node,
-_gru_direction, whose backward pass is hand-written backprop through time,
-so the tape does not grow with the length of a sentence.  At a pad position
-a row carries its state over unchanged.
+One recurrence, _bigru, runs both directions over a batch of token
+sequences and serves every encoder: a question batch projects the
+per-token states and the pooled vector, the relation table only the pooled
+vector, and a single question is a batch of one.  It is one graph node,
+_packed_bigru, whose backward pass is hand-written backprop through time,
+so the tape does not grow with the length of a sentence.  The node is
+packed: it computes only real tokens, never a pad.  Its rows are ranked
+longest first, so the rows still running at each step are a prefix, and
+the two directions advance together.  Its output is still right-padded:
+past a row's end the forward state carries the row's final state and the
+backward state is 0.
 """
 
 from __future__ import annotations
@@ -159,61 +163,99 @@ class EncoderParams:
         }
 
 
-def _gru_direction(gx, w_h, b, alive, reverse):
-    """One direction of the masked GRU over a right-padded batch, as a single
-    graph node with hand-written backprop through time.
+def _packed_bigru(gx_f, gx_b, w_hf, w_hb, b_f, b_b, lengths):
+    """Both directions of the GRU over K token sequences of the given
+    lengths, as a single graph node with hand-written backprop through time.
 
-    gx is the (K, L, 3d) input projection of every position; gates are
-    stacked (reset, update, candidate).  alive is the (K, L) 0/1 mask: at a
-    pad position a row keeps its previous state.  reverse runs positions
-    L-1 down to 0.  Returns the (K, L, d) state after each position.
+    gx_f and gx_b are the (N, 3d) input projections of the N real tokens,
+    the sequences concatenated in order; gates are stacked (reset, update,
+    candidate).  Returns (K, L, 2d): per position, the forward state after
+    it and the backward state after it.  Past a row's end the forward half
+    carries the row's final state and the backward half is 0.
+
+    The rows are ranked longest first (a stable sort), so the rows still
+    running at step s are ranks [:k_s] in both directions: the backward
+    direction reads each row from its own last token.  Cell (s, j), rank
+    j's step s, sits at off[s] + j in every per-cell array, and the two
+    directions advance together as (2, k_s, .) arrays, one matmul a step.
     """
-    K, L, d3 = gx.shape
+    K, L = len(lengths), int(lengths.max())
+    N, d3 = gx_f.shape
     d = d3 // 3
-    whd = w_h.data
-    # position-major, so every step reads and writes contiguous (K, .) rows
-    pre = np.add(gx.data.transpose(1, 0, 2), b.data, out=np.empty((L, K, d3)))
-    keep = alive.T[:, :, None] > 0
-    order = range(L - 1, -1, -1) if reverse else range(L)
-    # hs[i + lo] is the state after position i and hs[i + 1 - lo] the one
-    # before it; the extra row is the zero initial state
-    lo = 0 if reverse else 1
-    hs = np.zeros((L + 1, K, d))
-    rz, cand, ghn = np.empty((L, K, 2 * d)), np.empty((L, K, d)), np.empty((L, K, d))
-    h = hs[order[0] + 1 - lo]
-    for i in order:
-        gh = h @ whd
-        p = pre[i]
-        rz[i] = ad.sigmoid_array(p[:, : 2 * d] + gh[:, : 2 * d])
-        r, z = rz[i, :, :d], rz[i, :, d:]
-        ghn[i] = gh[:, 2 * d :]
-        cand[i] = np.tanh(p[:, 2 * d :] + r * ghn[i])
-        nh = z * h + (1.0 - z) * cand[i]
-        h = hs[i + lo] = np.where(keep[i], nh, h)
+    order = np.argsort(-lengths, kind="stable")  # rank -> row
+    lens = lengths[order]
+    step, rank = np.nonzero(np.arange(L)[:, None] < lens)  # cells, step-major
+    off = np.zeros(L + 1, dtype=np.int64)
+    np.cumsum(np.bincount(step, minlength=L), out=off[1:])
+    row = order[rank]
+    first = (np.cumsum(lengths) - lengths)[row]
+    tok_f, tok_b = first + step, first + lens[rank] - 1 - step  # each cell's token
+    # S[:, :K] is the zero initial state and S[:, K + n] the state after cell
+    # n; step s reads its input states from S[:, base[s]:]
+    base = np.concatenate(([0], K + off[: L - 1]))
+    whd = np.stack([w_hf.data, w_hb.data])  # (2, d, 3d)
+    pre = np.empty((2, N, d3))
+    np.add(gx_f.data[tok_f], b_f.data, out=pre[0])
+    np.add(gx_b.data[tok_b], b_b.data, out=pre[1])
+    S = np.zeros((2, K + N, d))
+    gh, rz, cand = np.empty((2, N, d3)), np.empty((2, N, 2 * d)), np.empty((2, N, d))
+    offs, bases = off.tolist(), base.tolist()
+    for s in range(L):
+        lo, hi = offs[s], offs[s + 1]
+        h = S[:, bases[s] : bases[s] + hi - lo]
+        g_s = np.matmul(h, whd, out=gh[:, lo:hi])
+        p = pre[:, lo:hi]
+        rz_s = rz[:, lo:hi]
+        rz_s[...] = ad.sigmoid_array(p[..., : 2 * d] + g_s[..., : 2 * d])
+        r, z = rz_s[..., :d], rz_s[..., d:]
+        c = np.tanh(p[..., 2 * d :] + r * g_s[..., 2 * d :], out=cand[:, lo:hi])
+        np.add(z * h, (1.0 - z) * c, out=S[:, K + lo : K + hi])
+
+    inv = np.empty(K, dtype=np.int64)
+    inv[order] = np.arange(K)
+    t, last = np.arange(L), lengths[:, None] - 1
+    out = np.empty((K, L, 2 * d))
+    out[..., :d] = S[0, K + off[np.minimum(t, last)] + inv[:, None]]
+    back = last - t  # the backward step at position t, negative on pads
+    out[..., d:] = S[1, np.where(back >= 0, K + off[back] + inv[:, None], 0)]
 
     def vjp(g):
-        g = g.transpose(1, 0, 2)
-        h_in = hs[1 - lo : 1 - lo + L]
-        dgh = np.empty((L, K, d3))
-        dcand_pre = np.empty((L, K, d))
-        dh = np.zeros((K, d))
-        for i in reversed(order):
-            dh = dh + g[i]
-            dnh = np.where(keep[i], dh, 0.0)
-            r, z, c = rz[i, :, :d], rz[i, :, d:], cand[i]
-            dc = dcand_pre[i] = dnh * (1.0 - z) * (1.0 - c * c)
-            dgh[i, :, :d] = dc * ghn[i] * r * (1.0 - r)
-            dgh[i, :, d : 2 * d] = dnh * (h_in[i] - c) * z * (1.0 - z)
-            dgh[i, :, 2 * d :] = dc * r
-            dh_prev = dnh * z + dgh[i] @ whd.T
-            dh = np.where(keep[i], dh_prev, dh)
-        dw_h = h_in.reshape(L * K, d).T @ dgh.reshape(L * K, d3)
-        dpre = dgh  # the gh gradient but for the candidate third, not scaled by r
-        dpre[..., 2 * d :] = dcand_pre
-        return dpre.transpose(1, 0, 2), dw_h, dpre.sum(axis=(0, 1))
+        # the upstream gradient of each cell's state; a pad's forward state
+        # is its row's final state, so its gradient joins the last token's
+        dS = np.empty((2, N, d))
+        g_f = g[..., :d]
+        dS[0] = g_f[row, step]
+        tail = np.cumsum(g_f[:, ::-1], axis=1)[:, ::-1]
+        dS[0, off[lens - 1] + np.arange(K)] = tail[order, lens - 1]
+        dS[1] = g[row, lens[rank] - 1 - step, d:]
+        # every factor that depends on the forward pass alone, in bulk
+        r, z = rz[..., :d], rz[..., d:]
+        h_in = S[:, base[step] + rank]
+        a = (1.0 - z) * (1.0 - cand * cand)  # d state / d cand_pre
+        fac = np.empty((2, N, 3, d))
+        fac[:, :, 0] = a * gh[..., 2 * d :] * r * (1.0 - r)
+        fac[:, :, 1] = (h_in - cand) * z * (1.0 - z)
+        fac[:, :, 2] = a * r
+        dgh4 = np.empty((2, N, 3, d))
+        dgh = dgh4.reshape(2, N, d3)
+        whd_t = whd.transpose(0, 2, 1)
+        for s in range(L - 1, -1, -1):
+            lo, hi = offs[s], offs[s + 1]
+            dnh = dS[:, lo:hi]
+            np.multiply(dnh[:, :, None, :], fac[:, lo:hi], out=dgh4[:, lo:hi])
+            if s:  # step 0 starts from the zero state
+                prev = dS[:, offs[s - 1] : offs[s - 1] + hi - lo]
+                prev += dnh * z[:, lo:hi]
+                prev += np.matmul(dgh[:, lo:hi], whd_t)
+        # the zero state of step 0 adds nothing to dw_h
+        dw_h = np.matmul(h_in[:, K:].transpose(0, 2, 1), dgh[:, K:])
+        dgh4[:, :, 2] = dS * a  # the candidate pre-activation's gradient, not scaled by r
+        db = dgh.sum(axis=1)
+        dgx_f, dgx_b = np.empty((N, d3)), np.empty((N, d3))
+        dgx_f[tok_f], dgx_b[tok_b] = dgh[0], dgh[1]
+        return dgx_f, dgx_b, dw_h[0], dw_h[1], db[0], db[1]
 
-    out = hs[lo : lo + L]
-    return ad.node(out.transpose(1, 0, 2), (gx, w_h, b), vjp)
+    return ad.node(out, (gx_f, gx_b, w_hf, w_hb, b_f, b_b), vjp)
 
 
 class BatchQuestionEncoding(NamedTuple):
@@ -228,57 +270,45 @@ class BatchQuestionEncoding(NamedTuple):
     alive: np.ndarray
 
 
-def _bigru(params: EncoderParams, sequences: list[np.ndarray]):
-    """The masked BiGRU over K right-padded token sequences: one graph node
-    per direction, with hand-written backprop through time.
+def _bigru(params: EncoderParams, sequences: list[np.ndarray], lengths: np.ndarray) -> Tensor:
+    """The BiGRU over K token sequences: one graph node for both directions,
+    fed the input projections of the real tokens only.
 
-    Returns the forward and backward states, each a (K, L, d) tensor, and
-    the (K, L) alive mask.  A pad position carries the row's state over
-    unchanged, so padding never reaches a row's states, and fwd[:, L-1] and
-    bwd[:, 0] are every sequence's final forward and backward states.
+    Returns (K, L, 2d), L the longest length: the forward and backward
+    states after each position.  Past a row's end the forward half carries
+    the row's final state and the backward half is 0, so padding never
+    reaches a row's states, and out[:, L-1, :d] and out[:, 0, d:] are every
+    sequence's final forward and backward states.
     """
-    K = len(sequences)
-    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-    L = int(lengths.max())
-    ids = np.zeros((K, L), dtype=np.int64)
-    for k, s in enumerate(sequences):
-        ids[k, : len(s)] = s
-    alive = (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)
-    xs = params.emb[ids.reshape(-1)]  # (K*L, d)
-    fwd, bwd = (
-        # every input projection of a direction in one matmul
-        _gru_direction(ad.reshape(xs @ w_x, (K, L, 3 * params.d)), w_h, b, alive, reverse)
-        for w_x, w_h, b, reverse in (
-            (params.w_xf, params.w_hf, params.b_f, False),
-            (params.w_xb, params.w_hb, params.b_b, True),
-        )
+    xs = params.emb[np.concatenate(sequences)]  # (N, d)
+    return _packed_bigru(
+        xs @ params.w_xf, xs @ params.w_xb, params.w_hf, params.w_hb, params.b_f, params.b_b, lengths
     )
-    return fwd, bwd, alive
 
 
-def _pool(params: EncoderParams, fwd: Tensor, bwd: Tensor) -> Tensor:
+def _pool(params: EncoderParams, states: Tensor) -> Tensor:
     """(K, d) pooled vectors: the projected final forward and backward states."""
-    L = fwd.shape[1]
-    return ad.concat([fwd[:, L - 1], bwd[:, 0]], axis=1) @ params.w_out + params.b_out
+    L, d = states.shape[1], params.d
+    return ad.concat([states[:, L - 1, :d], states[:, 0, d:]], axis=1) @ params.w_out + params.b_out
 
 
 def encode_question_batch(params: EncoderParams, sequences: list[np.ndarray]) -> BatchQuestionEncoding:
-    """Run the BiGRU over B right-padded token sequences at once.
+    """Run the BiGRU over B token sequences at once.
 
     Per-token states at pad positions are junk that the alive mask screens
     off downstream.
     """
     if not sequences:
         raise ValueError("cannot encode an empty batch")
-    if any(len(s) == 0 for s in sequences):
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    if lengths.min() == 0:
         raise ValueError("cannot encode an empty token sequence")
-    d = params.d
-    fwd, bwd, alive = _bigru(params, sequences)
-    K, L = alive.shape
+    states = _bigru(params, sequences, lengths)
+    K, L, d2 = states.shape
+    alive = (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)
     # per-token (K, L, 2d) -> project to (K, L, d) via one flat matmul
-    both_tok = ad.concat([fwd, bwd], axis=2)
-    flat = ad.reshape(both_tok, (K * L, 2 * d)) @ params.w_out + params.b_out
-    return BatchQuestionEncoding(q=_pool(params, fwd, bwd), h=ad.reshape(flat, (K, L, d)), alive=alive)
+    flat = ad.reshape(states, (K * L, d2)) @ params.w_out + params.b_out
+    return BatchQuestionEncoding(q=_pool(params, states), h=ad.reshape(flat, (K, L, params.d)), alive=alive)
 
 
 def encode_question(params: EncoderParams, token_ids: np.ndarray) -> BatchQuestionEncoding:
@@ -292,8 +322,8 @@ def encode_relation_batch(params: EncoderParams, sequences: list[np.ndarray]) ->
     per-token states."""
     if not sequences:
         return Tensor(np.zeros((0, params.d)))
-    fwd, bwd, _ = _bigru(params, sequences)
-    return _pool(params, fwd, bwd)
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    return _pool(params, _bigru(params, sequences, lengths))
 
 
 class RelationEncodingCache:

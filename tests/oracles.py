@@ -223,8 +223,11 @@ def bigru_reference(p, token_ids):
 def gru_direction_tape(gx, w_h, b, alive, reverse):
     """Reference for one direction of the masked BiGRU, built on the tape one
     step at a time from autodiff primitives (take, matmul, sigmoid, tanh,
-    mul, add).  Same arguments and result as hoptrace.encoder._gru_direction;
-    gradients come from the tape walk, not from hand-written backprop."""
+    mul, add).  gx is the (K, L, 3d) padded input projection and alive the
+    (K, L) 0/1 mask; at a pad position a row keeps its state.  Returns the
+    (K, L, d) state after each position, the half of
+    hoptrace.encoder._packed_bigru's output for this direction; gradients
+    come from the tape walk, not from hand-written backprop."""
     K, L, d3 = gx.shape
     d = d3 // 3
 

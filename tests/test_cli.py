@@ -268,6 +268,48 @@ def test_invalid_config_value_is_usage_error(ws, tmp_path, capsys):
     assert "tau" in _usage_error_line(capsys)
 
 
+# (options, config file text, the setting named in the error)
+BAD_COUNTS = {
+    "batch-size-negative": (["--batch-size", "-4"], None, "batch_size"),
+    "batch-size-zero": (["--batch-size", "0"], None, "batch_size"),
+    "T-fraction": ([], "T: 2.5\n", "T"),
+    "batch-size-float": ([], "batch_size: 4.0\n", "batch_size"),
+    "epochs-bool": ([], "epochs: true\n", "epochs"),
+    "d-one": ([], "d: 1\n", "d"),
+    "omega-zero": ([], "omega: 0\n", "omega"),
+    "omega-fraction": ([], "omega: 2.5\n", "omega"),
+    "seed-fraction": ([], "seed: 0.5\n", "seed"),
+}
+
+
+def _bad_count_args(ws, tmp_path, case):
+    options, config, name = BAD_COUNTS[case]
+    if config is not None:
+        (tmp_path / "cfg.yaml").write_text(config)
+        options = [*options, "--config", str(tmp_path / "cfg.yaml")]
+    return _train_args(ws, tmp_path, *options), name
+
+
+@pytest.mark.parametrize("case", BAD_COUNTS)
+def test_count_setting_that_is_no_positive_integer_is_usage_error(ws, tmp_path, capsys, case):
+    args, name = _bad_count_args(ws, tmp_path, case)
+    capsys.readouterr()
+    assert main(args) == 1
+    assert f" {name} must be " in _usage_error_line(capsys)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case", ["batch-size-negative", "batch-size-zero", "T-fraction"])
+def test_count_setting_that_is_no_positive_integer_exits_1(ws, tmp_path, case):
+    args, name = _bad_count_args(ws, tmp_path, case)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "hoptrace", *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage error: ") and f" {name} must be " in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("value, want", [("none", None), ("NONE", None), ("inf", None), ("7", 7)])
 def test_omega_option_reaches_the_config(ws, tmp_path, value, want):
     args = cli._build_parser().parse_args(_train_args(ws, tmp_path, "--omega", value))

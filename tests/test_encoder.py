@@ -13,7 +13,7 @@ from hoptrace.encoder import (
     EncoderParams,
     RelationEncodingCache,
     Vocabulary,
-    _gru_direction,
+    _packed_bigru,
     encode_question,
     encode_question_batch,
     encode_relation_batch,
@@ -131,51 +131,81 @@ def _ragged_alive(lengths):
     return (np.arange(L)[None, :] < np.array(lengths)[:, None]).astype(np.float64)
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
-def test_gru_direction_matches_composed_primitives(rng, reverse):
-    """The fused direction agrees with the per-step tape recurrence on a
-    ragged batch with a length-1 row: values within 1e-14 and every
-    gradient within 1e-12.  Each row alone, unpadded, gives its batch row."""
-    d, lengths = 5, [4, 1, 3, 4]
+def _ragged_gru_inputs(rng, lengths, d, scale=1.0):
+    """Right-padded (K, L, 3d) input projections and recurrent weights for
+    each direction, all requiring grad, plus the (K, L) alive mask."""
     alive = _ragged_alive(lengths)
     K, L = alive.shape
-    gx = Tensor(rng.standard_normal((K, L, 3 * d)), requires_grad=True)
-    w_h = Tensor(rng.standard_normal((d, 3 * d)), requires_grad=True)
-    b = Tensor(rng.standard_normal(3 * d), requires_grad=True)
-    weight = Tensor(rng.standard_normal((K, L, d)))
+    gx = [Tensor(scale * rng.standard_normal((K, L, 3 * d)), requires_grad=True) for _ in range(2)]
+    w_h = [Tensor(scale * rng.standard_normal((d, 3 * d)), requires_grad=True) for _ in range(2)]
+    b = [Tensor(scale * rng.standard_normal(3 * d), requires_grad=True) for _ in range(2)]
+    return gx, w_h, b, alive
 
-    fused = _gru_direction(gx, w_h, b, alive, reverse)
-    ref = gru_direction_tape(gx, w_h, b, alive, reverse)
-    assert fused.shape == (K, L, d)
-    np.testing.assert_allclose(fused.data, ref.data, rtol=0, atol=1e-14)
+
+def _packed(gx, alive):
+    """The (N, 3d) projections of the real tokens, row by row, of padded ones."""
+    return [Tensor(g.data[alive > 0], requires_grad=True) for g in gx]
+
+
+GRU_LENGTHS = {
+    # tied lengths and a length-1 row
+    "ragged": [4, 1, 3, 4],
+    # one row outlives every other, so the last steps run one live row
+    "one-longest": [2, 6, 1, 2, 3],
+    "one-row": [5],
+}
+
+
+@pytest.mark.parametrize("lengths", GRU_LENGTHS.values(), ids=GRU_LENGTHS.keys())
+def test_packed_bigru_matches_composed_primitives(rng, lengths):
+    """Each half of the packed node agrees with the per-step tape recurrence
+    of its direction over the padded batch: values within 1e-14 and every
+    gradient within 1e-12, for an upstream gradient that is nonzero at pad
+    positions in both halves.  Each row alone gives its batch row."""
+    d = 5
+    gx, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d)
+    K, L = alive.shape
+    weight = rng.standard_normal((K, L, 2 * d))
+    assert np.all(weight[alive == 0] != 0)
+
+    packed = _packed(gx, alive)
+    out = _packed_bigru(*packed, *w_h, *b, alive.sum(axis=1).astype(np.int64))
+    assert out.shape == (K, L, 2 * d)
+    refs = [gru_direction_tape(gx[i], w_h[i], b[i], alive, reverse=bool(i)) for i in range(2)]
+    for half, ref in zip((out.data[..., :d], out.data[..., d:]), refs):
+        np.testing.assert_allclose(half, ref.data, rtol=0, atol=1e-14)
     for k, n in enumerate(lengths):
-        row = _gru_direction(Tensor(gx.data[k : k + 1, :n]), w_h, b, np.ones((1, n)), reverse)
-        np.testing.assert_allclose(fused.data[k, :n], row.data[0], rtol=0, atol=1e-14)
+        row = _packed_bigru(*(Tensor(g.data[k, :n]) for g in gx), *w_h, *b, np.array([n]))
+        np.testing.assert_allclose(out.data[k, :n], row.data[0], rtol=0, atol=1e-14)
 
-    grads = []
-    for out in (fused, ref):
-        for t in (gx, w_h, b):
-            t.grad = None
-        ad.sum_(out * weight).backward()
-        grads.append([t.grad.copy() for t in (gx, w_h, b)])
-    for name, f, r in zip(("gx", "w_h", "b"), *grads):
-        np.testing.assert_allclose(f, r, rtol=0, atol=1e-12, err_msg=name)
+    weights = [Tensor(weight[..., :d]), Tensor(weight[..., d:])]
+    shared = [*w_h, *b]
+    ad.sum_(out * Tensor(weight)).backward()
+    grads = [t.grad.copy() for t in shared]
+    for t in shared:
+        t.grad = None
+    for ref, w in zip(refs, weights):
+        ad.sum_(ref * w).backward()
+    for g, t, name in zip(grads, shared, ("w_hf", "w_hb", "b_f", "b_b")):
+        np.testing.assert_allclose(g, t.grad, rtol=0, atol=1e-12, err_msg=name)
+    for p, g in zip(packed, gx):
+        # the tape gives a pad's input projection exactly no gradient
+        np.testing.assert_array_equal(g.grad[alive == 0], 0.0)
+        np.testing.assert_allclose(p.grad, g.grad[alive > 0], rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "backward"])
-def test_gru_direction_gradcheck_through_pad_positions(rng, reverse):
+def test_packed_bigru_gradcheck_through_pad_positions(rng):
     """Backprop through time against central differences, with an upstream
-    gradient that is nonzero at pad positions, where a row carries its state."""
-    d, lengths = 3, [3, 1, 2]
-    alive = _ragged_alive(lengths)
-    K, L = alive.shape
-    gx = Tensor(0.5 * rng.standard_normal((K, L, 3 * d)), requires_grad=True)
-    w_h = Tensor(0.5 * rng.standard_normal((d, 3 * d)), requires_grad=True)
-    b = Tensor(0.5 * rng.standard_normal(3 * d), requires_grad=True)
-    weight = Tensor(rng.standard_normal((K, L, d)))
+    gradient that is nonzero at pad positions in both halves: a forward
+    state carried over pads, and a backward state that is 0 there."""
+    d, lengths = 3, [3, 1, 2, 3]
+    gx, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d, scale=0.5)
+    weight = Tensor(rng.standard_normal((len(lengths), max(lengths), 2 * d)))
     assert np.all(weight.data[alive == 0] != 0)
+    packed = _packed(gx, alive)
+    lengths = np.array(lengths)
 
-    gradcheck(lambda: ad.sum_(_gru_direction(gx, w_h, b, alive, reverse) * weight), [gx, w_h, b])
+    gradcheck(lambda: ad.sum_(_packed_bigru(*packed, *w_h, *b, lengths) * weight), [*packed, *w_h, *b])
 
 
 def test_encoder_gradcheck(rng):
@@ -242,6 +272,21 @@ def test_encode_question_batch_gradients_match_single(rng):
     total.backward()
     for k, t in p.named().items():
         np.testing.assert_allclose(batch_grads[k], t.grad, atol=1e-12, err_msg=k)
+
+
+def test_encodings_permute_with_the_batch(rng):
+    """Permuting a batch's rows permutes its pooled and per-token encodings,
+    pads included: the packed order never leaks into a row."""
+    p = small_params(rng, vocab_size=20, d=6)
+    seqs = [rng.integers(4, 20, size=n) for n in (3, 5, 1, 5, 2, 4)]
+    perm = rng.permutation(len(seqs))
+    be = encode_question_batch(p, seqs)
+    moved = encode_question_batch(p, [seqs[k] for k in perm])
+    np.testing.assert_allclose(moved.q.data, be.q.data[perm], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(moved.h.data, be.h.data[perm], rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(moved.alive, be.alive[perm])
+    table = encode_relation_batch(p, [seqs[k] for k in perm])
+    np.testing.assert_allclose(table.data, encode_relation_batch(p, seqs).data[perm], rtol=0, atol=1e-14)
 
 
 def test_encode_question_batch_rejects_empty(rng):
