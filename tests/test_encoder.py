@@ -194,18 +194,58 @@ def test_packed_bigru_matches_composed_primitives(rng, lengths):
         np.testing.assert_allclose(p.grad, g.grad[alive > 0], rtol=0, atol=1e-12)
 
 
-def test_packed_bigru_gradcheck_through_pad_positions(rng):
-    """Backprop through time against central differences, with an upstream
-    gradient that is nonzero at pad positions in both halves: a forward
-    state carried over pads, and a backward state that is 0 there."""
+DIRECTIONS = {"forward": 0, "backward": 1}
+
+
+@pytest.mark.parametrize("half", DIRECTIONS.values(), ids=DIRECTIONS.keys())
+def test_gru_direction_matches_composed_primitives(rng, half):
+    """One half of the packed node, with upstream gradient on that half only,
+    agrees with the tape recurrence of its direction: values within 1e-14 and
+    its gradients within 1e-12, while the other direction's weights and
+    projections get exactly no gradient."""
+    d, lengths = 5, [4, 1, 3, 4]
+    gx, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d)
+    K, L = alive.shape
+    weight = np.zeros((K, L, 2 * d))
+    cols = slice(half * d, (half + 1) * d)
+    weight[..., cols] = rng.standard_normal((K, L, d))
+
+    packed = _packed(gx, alive)
+    out = _packed_bigru(*packed, *w_h, *b, alive.sum(axis=1).astype(np.int64))
+    ref = gru_direction_tape(gx[half], w_h[half], b[half], alive, reverse=bool(half))
+    np.testing.assert_allclose(out.data[..., cols], ref.data, rtol=0, atol=1e-14)
+
+    ad.sum_(out * Tensor(weight)).backward()
+    got = [packed[half].grad, w_h[half].grad.copy(), b[half].grad.copy()]
+    w_h[half].grad = b[half].grad = None
+    ad.sum_(ref * Tensor(weight[..., cols])).backward()
+    want = [gx[half].grad[alive > 0], w_h[half].grad, b[half].grad]
+    for name, g, r in zip(("gx", "w_h", "b"), got, want):
+        np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
+    other = 1 - half
+    for t in (packed[other], w_h[other], b[other]):
+        np.testing.assert_array_equal(t.grad, 0.0)
+
+
+@pytest.mark.parametrize("half", DIRECTIONS.values(), ids=DIRECTIONS.keys())
+def test_gru_direction_gradcheck_through_pad_positions(rng, half):
+    """Backprop through time of one half of the packed node against central
+    differences, with an upstream gradient that is nonzero at pad positions:
+    a forward state carried over pads, a backward state that is 0 there."""
     d, lengths = 3, [3, 1, 2, 3]
     gx, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d, scale=0.5)
-    weight = Tensor(rng.standard_normal((len(lengths), max(lengths), 2 * d)))
-    assert np.all(weight.data[alive == 0] != 0)
+    K, L = alive.shape
+    weight = np.zeros((K, L, 2 * d))
+    weight[..., half * d : (half + 1) * d] = rng.standard_normal((K, L, d))
+    assert np.all(weight[..., half * d : (half + 1) * d][alive == 0] != 0)
+    weight = Tensor(weight)
     packed = _packed(gx, alive)
     lengths = np.array(lengths)
 
-    gradcheck(lambda: ad.sum_(_packed_bigru(*packed, *w_h, *b, lengths) * weight), [*packed, *w_h, *b])
+    gradcheck(
+        lambda: ad.sum_(_packed_bigru(*packed, *w_h, *b, lengths) * weight),
+        [packed[half], w_h[half], b[half]],
+    )
 
 
 def test_encoder_gradcheck(rng):
