@@ -118,23 +118,11 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __getitem__(self, key):
         return take(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -187,19 +175,6 @@ def mul(a, b):
         lambda g: (
             _unbroadcast(g * b.data, a.data.shape),
             _unbroadcast(g * a.data, b.data.shape),
-        ),
-    )
-
-
-def div(a, b):
-    a, b = _ensure(a), _ensure(b)
-    out = a.data / b.data
-    return node(
-        out,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * out / b.data, b.data.shape),
         ),
     )
 

@@ -1,17 +1,78 @@
-"""Run configuration: dataclass defaults <- config file <- CLI overrides."""
+"""Run configuration: dataclass defaults <- config file <- CLI overrides.
+
+load_settings is the one reader of settings files: the train config and
+the synthetic dataset spec both go through it, each with its own error
+class, and check their integer settings with check_ints."""
 
 from __future__ import annotations
 
+import io
 from dataclasses import asdict, dataclass, fields
 
-from .errors import UsageError
+from .errors import UsageError, read_text
 
 FORMS = ("label", "text", "mixed")
 HEADS = ("softmax", "sigmoid")
 AGGREGATIONS = ("sum", "max")
 # (field, least value or None, may be null) of every integer setting
 _INT_FIELDS = (("T", 1, False), ("d", 2, False), ("epochs", 1, False),
-               ("batch_size", 1, True), ("omega", 1, True), ("seed", None, False))
+               ("batch_size", 1, True), ("omega", 1, True), ("seed", 0, False))
+# the paths train takes from its options, never from a config file
+_PATH_OPTIONS = {"data_dir": "--data", "graph_path": "--graph", "out_dir": "--out"}
+
+
+def check_ints(settings, table, error, noun):
+    """Raise error unless each (field, least value or None, may be null) of
+    table names an integer of settings at or above its least value.  A bool
+    is no integer."""
+    for name, least, nullable in table:
+        value = getattr(settings, name)
+        if value is None and nullable:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise error(f"{noun} value of the wrong type: {name} must be an integer, got {value!r}")
+        if least is not None and value < least:
+            null = " or null" if nullable else ""
+            raise error(f"{name} must be >= {least}{null}, got {value}")
+
+
+def load_settings(cls, path, error, noun, overrides=None, options=None):
+    """cls(**values).validate(): values is the YAML mapping in the file at
+    path (none when path is None), then every key of overrides, whatever its
+    value.  options maps the fields that only a command-line option sets to
+    that option.  Text that is no UTF-8 or no YAML, YAML that is no mapping,
+    an unknown key, a field that only an option sets and a value of the
+    wrong type all raise error."""
+    known = {f.name for f in fields(cls)}
+    values = {}
+    where = ""
+    if path is not None:
+        import yaml  # here, so commands that read no settings file never load it
+
+        where = f"{path}: "
+        stream = io.StringIO(read_text(path, error))
+        stream.name = str(path)  # the file yaml names in its error marks
+        try:
+            values = yaml.safe_load(stream) or {}
+        except yaml.YAMLError as e:
+            raise error(f"{path}: not valid YAML: {' '.join(str(e).split())}") from None
+        if not isinstance(values, dict):
+            raise error(f"{path}: {noun} must be a mapping")
+        unknown = set(values) - known
+        if unknown:
+            raise error(f"{path}: unknown {noun} keys {sorted(unknown)}")
+        taken = [f"{k} (set by {options[k]})" for k in sorted(values.keys() & (options or {}).keys())]
+        if taken:
+            raise error(f"{path}: a {noun} file may not set {', '.join(taken)}")
+    for k, v in (overrides or {}).items():
+        if k not in known:
+            raise error(f"unknown {noun} key {k!r}")
+        values[k] = v  # None included: omega=None lifts the cap
+    try:
+        return cls(**values).validate()
+    except TypeError as e:  # a value of the wrong type, such as tau: "x"
+        raise error(f"{where}{noun} value of the wrong type: {e}") from None
+
 
 @dataclass
 class TrainConfig:
@@ -30,7 +91,7 @@ class TrainConfig:
     use_aux_hop_loss: bool = True
     batch_size: int | None = None  # None: 64 for label form, 16 for text/mixed
     limit_train: float = 1.0
-    # data paths (resolved by the CLI; kept here so artifacts embed them)
+    # data paths (set by train from its options; kept here so artifacts embed them)
     data_dir: str | None = None
     graph_path: str | None = None
     out_dir: str | None = None
@@ -44,15 +105,7 @@ class TrainConfig:
             raise UsageError(f"aggregation must be one of {AGGREGATIONS}")
         if not 0.0 <= self.tau <= 1.0:
             raise UsageError(f"tau must be in [0, 1], got {self.tau}")
-        for name, least, nullable in _INT_FIELDS:
-            value = getattr(self, name)
-            if value is None and nullable:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):  # a bool is no count
-                raise UsageError(f"config value of the wrong type: {name} must be an integer, got {value!r}")
-            if least is not None and value < least:
-                null = " or null" if nullable else ""
-                raise UsageError(f"{name} must be >= {least}{null}, got {value}")
+        check_ints(self, _INT_FIELDS, UsageError, "config")
         if self.lr <= 0:
             raise UsageError(f"lr must be > 0, got {self.lr}")
         if not 0.0 < self.limit_train <= 1.0:
@@ -70,31 +123,6 @@ class TrainConfig:
 
     @classmethod
     def from_sources(cls, config_file=None, overrides: dict | None = None) -> "TrainConfig":
-        """defaults <- YAML file <- overrides, rejecting unknown keys.  Every
-        key given in overrides wins, whatever its value."""
-        known = {f.name for f in fields(cls)}
-        merged: dict = {}
-        if config_file is not None:
-            import yaml  # here, so commands that read no config never load it
-
-            try:
-                with open(config_file, encoding="utf-8") as f:
-                    loaded = yaml.safe_load(f) or {}
-            except UnicodeDecodeError as e:
-                raise UsageError(f"{config_file}: not UTF-8 text: {e}") from None
-            except yaml.YAMLError as e:
-                raise UsageError(f"{config_file}: not valid YAML: {' '.join(str(e).split())}") from None
-            if not isinstance(loaded, dict):
-                raise UsageError(f"{config_file}: config must be a mapping")
-            unknown = set(loaded) - known
-            if unknown:
-                raise UsageError(f"{config_file}: unknown config keys {sorted(unknown)}")
-            merged.update(loaded)
-        for k, v in (overrides or {}).items():
-            if k not in known:
-                raise UsageError(f"unknown config key {k!r}")
-            merged[k] = v  # None included: omega=None lifts the cap
-        try:
-            return cls(**merged).validate()
-        except TypeError as e:  # a value of the wrong type, such as epochs: "x"
-            raise UsageError(f"config value of the wrong type: {e}") from None
+        """defaults <- YAML file <- overrides (load_settings).  The file may
+        not set the data paths, which train takes from its options."""
+        return load_settings(cls, config_file, UsageError, "config", overrides, _PATH_OPTIONS)

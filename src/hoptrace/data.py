@@ -17,14 +17,15 @@ from __future__ import annotations
 import functools
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import check_ints, load_settings
 from .encoder import TOPIC_RE
-from .errors import DataError
+from .errors import DataError, read_text
 
 log = logging.getLogger("hoptrace")
 
@@ -167,29 +168,22 @@ def load_questions(path, hop_path=None) -> list[QAExample]:
     hops = None
     if hop_path is not None:
         try:
-            hops = [int(x) for x in Path(hop_path).read_text(encoding="utf-8").split()]
-        except UnicodeDecodeError as e:
-            raise DataError(f"{hop_path}: not UTF-8 text: {e}") from None
+            hops = [int(x) for x in read_text(hop_path, DataError).split()]
         except ValueError as e:
             raise DataError(f"{hop_path}: hop labels must be integers: {e}") from None
     n_hops = len(hops) if hops is not None else 0
     answer_names = functools.cache(_answer_names)  # the phrasings of a question share its field
     out = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for i, line in enumerate(f):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                m = TOPIC_RE.search(parts[0]) if len(parts) == 2 else None
-                if m is None or not parts[1]:
-                    log.warning("%s:%d: malformed question line skipped", path, i + 1)
-                    continue
-                n = len(out)
-                out.append(QAExample(parts[0], m.group(1), answer_names(parts[1]), hops[n] if n < n_hops else None))
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text: {e}") from None
+    for i, line in enumerate(read_text(path, DataError).split("\n"), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        m = TOPIC_RE.search(parts[0]) if len(parts) == 2 else None
+        if m is None or not parts[1]:
+            log.warning("%s:%d: malformed question line skipped", path, i)
+            continue
+        n = len(out)
+        out.append(QAExample(parts[0], m.group(1), answer_names(parts[1]), hops[n] if n < n_hops else None))
     if hops is not None and n_hops != len(out):
         raise DataError(f"{hop_path}: {n_hops} hop labels for {len(out)} questions")
     return out
@@ -232,6 +226,15 @@ def resolve_examples(examples, g) -> list[ResolvedQA]:
 # synthetic generation
 
 
+# (field, least value or None, may be null) of every integer setting; a
+# pool's least value is the most that generate_synthetic draws for one movie
+_SPEC_INT_FIELDS = (
+    ("movies", 20, False), ("directors", 1, False), ("writers", 2, False), ("actors", 4, False),
+    ("years", 1, False), ("year_start", None, False), ("genres", 2, False), ("languages", 1, False),
+    ("questions_per_hop", 1, False), ("duplicate_movie_pairs", 0, False), ("seed", 0, False),
+)
+
+
 @dataclass
 class SyntheticSpec:
     movies: int = 200
@@ -248,9 +251,11 @@ class SyntheticSpec:
     split_ratios: tuple = (0.70, 0.15, 0.15)
     seed: int = 0
 
+    def __post_init__(self):
+        self.split_ratios = tuple(self.split_ratios)  # YAML gives a list
+
     def validate(self):
-        if self.movies < 20:
-            raise DataError(f"need at least 20 movies, got {self.movies}")
+        check_ints(self, _SPEC_INT_FIELDS, DataError, "spec")
         if abs(sum(self.split_ratios) - 1.0) > 1e-9 or len(self.split_ratios) != 3:
             raise DataError(f"split_ratios must be 3 numbers summing to 1, got {self.split_ratios}")
         if not 0.0 <= self.ambiguous_fraction <= 1.0:
@@ -259,27 +264,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_file(cls, path):
-        import yaml  # here, so commands that read no spec never load it
-
-        try:
-            with open(path, encoding="utf-8") as f:
-                raw = yaml.safe_load(f) or {}
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: not UTF-8 text: {e}") from None
-        except yaml.YAMLError as e:
-            raise DataError(f"{path}: not valid YAML: {' '.join(str(e).split())}") from None
-        if not isinstance(raw, dict):
-            raise DataError(f"{path}: spec must be a mapping")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise DataError(f"{path}: unknown spec keys {sorted(unknown)}")
-        try:
-            if "split_ratios" in raw:
-                raw["split_ratios"] = tuple(raw["split_ratios"])
-            return cls(**raw).validate()
-        except TypeError as e:  # a value of the wrong type, such as movies: "x"
-            raise DataError(f"{path}: spec value of the wrong type: {e}") from None
+        return load_settings(cls, path, DataError, "spec")
 
 
 @dataclass

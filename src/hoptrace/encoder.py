@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, GraphError
+from .errors import DataError, GraphError, read_text
 
 PAD, UNK, SUB, OBJ = 0, 1, 2, 3
 SUB_TOKEN, OBJ_TOKEN = "<sub>", "<obj>"
@@ -116,11 +116,9 @@ class Vocabulary(Vocab):
     @classmethod
     def load(cls, path):
         """The file's lines in order, with no reserved slot added."""
-        try:
-            with open(path, encoding="utf-8") as f:
-                names = [line.rstrip("\n") for line in f]
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: not UTF-8 text: {e}") from None
+        names = read_text(path, DataError).split("\n")
+        if not names[-1]:  # the line break that ends the last line
+            names.pop()
         v = cls.__new__(cls)
         Vocab.__init__(v, names)
         return v

@@ -12,8 +12,7 @@ built: every constructor-style operation returns a fresh instance.
 A saved graph is read whole and cut into its sections with one str.split.
 Each id section is then checked in numpy to hold rows of three plain
 decimal ids and parsed by one np.fromstring call; a section that fails the
-check is scanned again row by row with int(), which either parses it or
-names the first bad row.
+check is refused, and one regex search names its first bad row.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import re
 import numpy as np
 
 from .encoder import OBJ_TOKEN, SUB_TOKEN, Vocab, split_tokens
-from .errors import GraphError
+from .errors import GraphError, read_text
 
 _SENT_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
@@ -87,7 +86,7 @@ class RelationGraph:
         try:
             e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
             t = np.asarray(trels, dtype=np.int64).reshape(-1, 3)
-        except OverflowError:  # a Python int past int64, as int() reads from a damaged file
+        except OverflowError:  # a caller's Python int past int64
             raise GraphError("an id does not fit in 64 bits") from None
         # numpy would wrap a negative id and the bincount kernels would grow
         # their output past n, so an out-of-range id must stop here
@@ -202,11 +201,7 @@ class RelationGraph:
         The text is cut at each "#SECTION " line by one split.  A section
         keeps its rows as one string with a line break before each row, so
         that a section without rows and one with a single empty row differ."""
-        try:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-        except UnicodeDecodeError as e:
-            raise GraphError(f"{path}: not UTF-8 text: {e}") from None
+        text = read_text(path, GraphError)
         if not text:
             raise GraphError(f"{path}: empty graph file")
         header, newline, body = text.removesuffix("\n").partition("\n")
@@ -274,46 +269,42 @@ def _digest(header: str, joined: dict) -> str:
     return h.hexdigest()
 
 
-def _id_rows(path, section: str, rows: str) -> np.ndarray | list[tuple[int, int, int]]:
-    """Parse one section of tab-separated id triples, given as one string
-    with a line break before each row.  Rows of plain decimal ids are read
-    in numpy (_plain_id_rows).  Anything else is scanned again row by row
-    with int(), into a list of triples, so the section takes exactly what
-    int() takes (a sign, spaces, underscores, other scripts' digits) and a
-    bad row is named by its number."""
-    plain = _plain_id_rows(rows)
-    if plain is not None:
-        return plain
-    out = []
-    for i, line in enumerate(rows.split("\n")[1:], 1):
-        try:
-            h, mid, t = map(int, line.split("\t"))  # a wrong field count is a ValueError too
-        except ValueError:
-            raise GraphError(f"{path}: #SECTION {section} row {i}: expected 3 integer ids, got {line!r}") from None
-        out.append((h, mid, t))
-    return out
+_ID = r"-?[0-9]{1,18}"
+# the first row that is no three _ID fields split by tabs, as group 1; text
+# before the first line break is row 0
+_BAD_ID_ROW = re.compile(rf"(?:\A(?!\n|\Z)|\n(?!{_ID}\t{_ID}\t{_ID}(?:\n|\Z)))([^\n]*)")
 
 
-def _plain_id_rows(rows: str) -> np.ndarray | None:
-    """The (E, 3) int64 ids of rows if each row is a line break and three
-    fields -?[0-9]{1,18} split by tabs, else None.  Such a field reads the
-    same with int() and np.fromstring, and fits an int64.  The check runs on
-    the bytes at once, with no loop over rows."""
+def _id_rows(path, section: str, rows: str) -> np.ndarray:
+    """The (E, 3) int64 ids of one section of tab-separated id triples,
+    given as one string with a line break before each row.  Each row must
+    hold three plain decimal ids -?[0-9]{1,18}, which np.fromstring reads
+    and an int64 holds: the bytes are checked at once in numpy, with no
+    loop over rows, and parsed by one call.  A section that fails the check
+    is searched once for its first bad row, which the GraphError names."""
+    if not _plain_id_rows(rows):
+        m = _BAD_ID_ROW.search(rows)
+        i = rows.count("\n", 0, m.start(1))
+        raise GraphError(f"{path}: #SECTION {section} row {i}: expected 3 integer ids, got {m.group(1)!r}")
+    return np.fromstring(rows, dtype=np.int64, sep=" ").reshape(-1, 3)
+
+
+def _plain_id_rows(rows: str) -> bool:
+    """Whether each row of rows is a line break and three fields
+    -?[0-9]{1,18} split by tabs, checked on the bytes at once."""
     if not rows.isascii() or rows[:1] not in ("", "\n"):
-        return None
+        return False
     b = np.frombuffer(rows.encode("ascii"), np.uint8)
     sep = np.flatnonzero((b == 9) | (b == 10))  # the tab or line break before each field
     signed = b.take(sep + 1, mode="clip") == 45  # the field opens with a minus
     digits = np.diff(sep, append=b.size) - 1 - signed  # the field's width after its sign
-    if (
+    return not (
         sep.size % 3
         or not (b[sep].reshape(-1, 3) == (10, 9, 9)).all()
         or not ((digits >= 1) & (digits <= 18)).all()
         # the rest are digits: no other minus and no other character
         or np.count_nonzero(b - 48 < 10) != b.size - sep.size - np.count_nonzero(signed)
-    ):
-        return None
-    return np.fromstring(rows, dtype=np.int64, sep=" ").reshape(-1, 3)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,39 +341,30 @@ def load_triples_tsv(path) -> list[tuple[str, str, str]]:
     """head<TAB>predicate<TAB>tail per line, or head|predicate|tail as in
     MetaQA's kb.txt on a line without a tab; '#' lines are comments."""
     triples = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for i, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) == 1:
-                    parts = line.split("|")
-                if len(parts) != 3 or not all(parts):
-                    raise GraphError(f"{path}:{i}: expected 3 tab-separated or |-separated fields")
-                triples.append(tuple(parts))
-    except UnicodeDecodeError as e:
-        raise GraphError(f"{path}: not UTF-8 text: {e}") from None
+    for i, line in enumerate(read_text(path, GraphError).split("\n"), 1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) == 1:
+            parts = line.split("|")
+        if len(parts) != 3 or not all(parts):
+            raise GraphError(f"{path}:{i}: expected 3 tab-separated or |-separated fields")
+        triples.append(tuple(parts))
     return triples
 
 
 def load_corpus_jsonl(path) -> list[tuple[str, str]]:
     """One {"subject": ..., "text": ...} object per line."""
     docs = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for i, line in enumerate(f, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    docs.append((obj["subject"], obj["text"]))
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    raise GraphError(f"{path}:{i}: expected JSON with 'subject' and 'text'") from None
-    except UnicodeDecodeError as e:
-        raise GraphError(f"{path}: not UTF-8 text: {e}") from None
+    for i, line in enumerate(read_text(path, GraphError).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            docs.append((obj["subject"], obj["text"]))
+        except (json.JSONDecodeError, KeyError, TypeError):
+            raise GraphError(f"{path}:{i}: expected JSON with 'subject' and 'text'") from None
     return docs
 
 

@@ -237,14 +237,14 @@ def gru_direction_tape(gx, w_h, b, alive, reverse):
     h = ad.Tensor(np.zeros((K, d)))
     states = [None] * L
     for i in range(L - 1, -1, -1) if reverse else range(L):
-        m = ad.Tensor(alive[:, i : i + 1])
+        m = alive[:, i : i + 1]
         pre = ad.take(gx, (slice(None), i)) + b
         gh = h @ w_h
         r = ad.sigmoid(gate(pre, 0) + gate(gh, 0))
         z = ad.sigmoid(gate(pre, 1) + gate(gh, 1))
         cand = ad.tanh(gate(pre, 2) + r * gate(gh, 2))
-        nh = z * h + (1.0 - z) * cand
-        h = m * nh + (1.0 - m) * h
+        nh = z * h + (-z + 1.0) * cand
+        h = ad.Tensor(m) * nh + ad.Tensor(1.0 - m) * h
         states[i] = ad.reshape(h, (K, 1, d))
     return ad.concat(states, axis=1)
 

@@ -121,6 +121,25 @@ def test_gen_bad_spec_file(tmp_path):
     assert main(["gen", "--spec", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
+def test_gen_negative_seed_is_data_error(tmp_path, capsys):
+    """--seed overrides the spec's seed before the spec is checked."""
+    capsys.readouterr()
+    assert main(["gen", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert "seed must be >= 0, got -1" in _data_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_spec_setting_out_of_range_exits_2(tmp_path):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text("directors: 0\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "hoptrace", "gen", "--spec", str(spec), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "data error: directors must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 # -- build-graph -------------------------------------------------------------------
 
 
@@ -262,6 +281,18 @@ def test_bad_spec_file_is_data_error(tmp_path, capsys, text, says):
     assert says in _data_error_line(capsys)
 
 
+@pytest.mark.parametrize("key, option", [("data_dir", "--data"), ("graph_path", "--graph"), ("out_dir", "--out")])
+def test_config_file_that_sets_a_path_is_usage_error(ws, tmp_path, capsys, key, option):
+    """train takes its paths from its options, so a config file that sets
+    one would be overridden without a word: it is refused, naming the option."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"epochs: 1\n{key}: /nonexistent\n")
+    capsys.readouterr()
+    assert main(_train_args(ws, tmp_path, "--config", str(cfg))) == 1
+    assert f"{key} (set by {option})" in _usage_error_line(capsys)
+    assert not (tmp_path / "run").exists()
+
+
 def test_invalid_config_value_is_usage_error(ws, tmp_path, capsys):
     capsys.readouterr()
     assert main(_train_args(ws, tmp_path, "--tau", "1.5")) == 1
@@ -279,6 +310,7 @@ BAD_COUNTS = {
     "omega-zero": ([], "omega: 0\n", "omega"),
     "omega-fraction": ([], "omega: 2.5\n", "omega"),
     "seed-fraction": ([], "seed: 0.5\n", "seed"),
+    "seed-negative": (["--seed", "-1"], None, "seed"),
 }
 
 

@@ -23,6 +23,7 @@ from hoptrace.data import (
     save_questions,
     write_dataset,
 )
+from hoptrace.encoder import Vocabulary
 from hoptrace.errors import DataError
 from hoptrace.graph import (
     add_reverse_relations,
@@ -399,6 +400,42 @@ def test_spec_rejects_bad_ambiguous_fraction():
         SyntheticSpec(ambiguous_fraction=1.5).validate()
 
 
+# (setting, a value the spec refuses): each integer setting at one below its
+# least value, a fraction and a bool
+BAD_SPEC_INTS = {
+    "movies-19": ("movies", 19),
+    "movies-fraction": ("movies", 25.5),
+    "directors-zero": ("directors", 0),
+    "writers-one": ("writers", 1),
+    "actors-three": ("actors", 3),
+    "years-zero": ("years", 0),
+    "year_start-fraction": ("year_start", 1950.5),
+    "genres-one": ("genres", 1),
+    "languages-zero": ("languages", 0),
+    "questions_per_hop-zero": ("questions_per_hop", 0),
+    "questions_per_hop-negative": ("questions_per_hop", -5),
+    "duplicate_movie_pairs-negative": ("duplicate_movie_pairs", -1),
+    "seed-negative": ("seed", -1),
+    "seed-bool": ("seed", True),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SPEC_INTS)
+def test_spec_refuses_an_integer_setting_out_of_range(case):
+    name, value = BAD_SPEC_INTS[case]
+    with pytest.raises(DataError, match=rf"\b{name} must be "):
+        generate_synthetic(SyntheticSpec(**{name: value}))
+
+
+def test_spec_at_its_least_values_generates_every_hop():
+    """Each pool at the most that one movie draws from it, one question per
+    hop: generation runs and keeps a question of each hop."""
+    least = dict(movies=20, directors=1, writers=2, actors=4, years=1, genres=2, languages=1,
+                 questions_per_hop=1, duplicate_movie_pairs=0, seed=0, year_start=-3)
+    d = generate_synthetic(SyntheticSpec(**least))
+    assert all(d.stats["questions_per_hop"][h] >= 1 for h in ("1", "2", "3"))
+
+
 def test_spec_from_file(tmp_path):
     p = tmp_path / "spec.yaml"
     p.write_text("movies: 25\nquestions_per_hop: 50\nsplit_ratios: [0.8, 0.1, 0.1]\n")
@@ -513,6 +550,29 @@ CRAFTED = (
     b"\n"
     b"who directed [M2]\tP1|P2|P3"
 )
+
+
+# (loader, the lines of a file it reads), for every line-based input loader
+LINE_FILES = {
+    "questions": (load_questions, ["who directed [M1]\tP1|P2", "", "who wrote [M2]\tP3"]),
+    "triples": (load_triples_tsv, ["# head\tpredicate\ttail", "M1\tdirected_by\tP1", "M2|written_by|P3"]),
+    "corpus": (load_corpus_jsonl, ['{"subject": "M1", "text": "M1 stars P1 ."}', "", '{"subject": "M2", "text": "x"}']),
+    "vocabulary": (lambda path: Vocabulary.load(path).names, ["<pad>", "who", "", "[", "directed"]),
+}
+
+
+@pytest.mark.parametrize("kind", LINE_FILES)
+@pytest.mark.parametrize("last", ["\n", ""], ids=["last-line-ended", "last-line-open"])
+def test_line_loaders_read_crlf_and_cr_files_as_lf_files(tmp_path, kind, last):
+    """A file whose lines end in \\r\\n or \\r loads as the same lines ending
+    in \\n, whether or not its last line is ended."""
+    load, lines = LINE_FILES[kind]
+    got = {}
+    for name, brk in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        (tmp_path / name).write_bytes((brk.join(lines) + last.replace("\n", brk)).encode("utf-8"))
+        got[name] = load(tmp_path / name)
+    assert got["lf"]
+    assert got["crlf"] == got["cr"] == got["lf"]
 
 
 def test_loader_matches_reference_on_crafted_lines(tmp_path, caplog):

@@ -255,7 +255,7 @@ def test_encoder_gradcheck(rng):
     leaves = list(p.named().values())
 
     def f():
-        return (encode_question(p, ids).q * weight).sum()
+        return ad.sum_(encode_question(p, ids).q * weight)
 
     gradcheck(f, leaves, step=1e-5, tol=1e-4)
 
@@ -307,7 +307,7 @@ def test_encode_question_batch_gradients_match_single(rng):
 
     total = None
     for s in seqs:
-        y = (encode_question(p, s).q * Tensor(w[None, :])).sum()
+        y = ad.sum_(encode_question(p, s).q * Tensor(w[None, :]))
         total = y if total is None else total + y
     total.backward()
     for k, t in p.named().items():

@@ -455,19 +455,6 @@ def test_load_tolerates_unknown_section(tmp_path, chain_graph):
     assert g2.n == chain_graph.n
 
 
-def _int_rows(lines):
-    """What the loader read before the numpy parser: int() on each field,
-    None if any row fails."""
-    rows = []
-    for line in lines:
-        try:
-            h, mid, t = map(int, line.split("\t"))
-        except ValueError:
-            return None
-        rows.append((h, mid, t))
-    return rows
-
-
 # (middle row of a three-row section, its ids or None if the section is refused)
 ID_ROW_CASES = {
     "plain": ("1\t3\t2", (1, 3, 2)),
@@ -475,12 +462,12 @@ ID_ROW_CASES = {
     "minus": ("1\t-1\t2", (1, -1, 2)),
     "minus-zero": ("1\t-0\t2", (1, 0, 2)),
     "18-digits": ("1\t123456789012345678\t2", (1, 123456789012345678, 2)),
-    "19-digits": ("1\t1234567890123456789\t2", (1, 1234567890123456789, 2)),
-    "past-int64": ("1\t12345678901234567890\t2", (1, 12345678901234567890, 2)),
-    "plus": ("1\t+3\t2", (1, 3, 2)),
-    "space": ("1\t 3\t2", (1, 3, 2)),
-    "underscore": ("1\t1_0\t2", (1, 10, 2)),
-    "arabic-indic-digit": ("1\t\u0663\t2", (1, 3, 2)),
+    "19-digits": ("1\t1234567890123456789\t2", None),
+    "past-int64": ("1\t12345678901234567890\t2", None),
+    "plus": ("1\t+3\t2", None),
+    "space": ("1\t 3\t2", None),
+    "underscore": ("1\t1_0\t2", None),
+    "arabic-indic-digit": ("1\t\u0663\t2", None),
     "decimal-point": ("1\t3.0\t2", None),
     "exponent": ("1\t1e3\t2", None),
     "hex": ("1\t0x1\t2", None),
@@ -497,25 +484,28 @@ ID_ROW_CASES = {
 
 @pytest.mark.parametrize("case", list(ID_ROW_CASES))
 def test_id_rows_take_exactly_what_int_takes(case):
+    """Only plain decimal ids of up to 18 digits load.  The rest of what
+    int() reads (a plus, a space, an underscore, another script's digits,
+    19 digits or more) is refused like any other bad row, and the error
+    names the row."""
     row, ids = ID_ROW_CASES[case]
-    lines = ["0\t1\t2", row, "3\t4\t5"]
-    expected = _int_rows(lines)
-    assert expected == (None if ids is None else [(0, 1, 2), ids, (3, 4, 5)])  # the table is int()'s verdict
-    text = "".join("\n" + line for line in lines)
-    if expected is None:
+    text = "".join("\n" + line for line in ["0\t1\t2", row, "3\t4\t5"])
+    if ids is None:
         with pytest.raises(GraphError, match=re.escape(f"#SECTION edges row 2: expected 3 integer ids, got {row!r}")):
             _id_rows("g.txt", "edges", text)
     else:
-        np.testing.assert_array_equal(np.reshape(_id_rows("g.txt", "edges", text), (-1, 3)), expected)
+        np.testing.assert_array_equal(_id_rows("g.txt", "edges", text), [(0, 1, 2), ids, (3, 4, 5)])
 
 
 def test_plain_id_rows_are_parsed_in_numpy():
-    """Plain decimal rows take the one-call numpy path, an empty section
-    included; the int() scan is only the fallback."""
+    """Plain decimal rows are parsed into one int64 array, an empty section
+    included; text before the first line break is row 0, and refused."""
     rows = _id_rows("g.txt", "edges", "\n0\t1\t2\n-3\t40\t500")
     assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
     np.testing.assert_array_equal(rows, [[0, 1, 2], [-3, 40, 500]])
     assert _id_rows("g.txt", "edges", "").shape == (0, 3)
+    with pytest.raises(GraphError, match=re.escape("#SECTION edges row 0: expected 3 integer ids, got '0\\t1\\t2'")):
+        _id_rows("g.txt", "edges", "0\t1\t2\n3\t4\t5")
 
 
 @pytest.mark.parametrize("section", ["edges", "text_relations"])
