@@ -193,9 +193,11 @@ def tanh(a):
 def sigmoid_array(x):
     """Logistic function of an ndarray that never overflows: 1/(1+e^-x) for
     x >= 0 and e^x/(1+e^x) below, both from e = exp(-|x|) <= 1.  -|x| is
-    taken as min(x, -x), which keeps a NaN's sign as exp(x) would."""
+    taken as min(x, -x), which keeps a NaN's sign as exp(x) would.  The
+    numerator max(e, x >= 0) is 1 where x >= 0 and e elsewhere (NaN
+    included), without the cost of a where over a scalar."""
     e = np.exp(np.minimum(x, -x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e)
 
 
 def sigmoid(a):

@@ -2,11 +2,13 @@
 
 load_settings is the one reader of settings files: the train config and
 the synthetic dataset spec both go through it, each with its own error
-class, and check their integer settings with check_ints."""
+class, and check their integer settings with check_ints and their real
+ones with check_floats."""
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import UsageError, read_text
@@ -17,6 +19,8 @@ AGGREGATIONS = ("sum", "max")
 # (field, least value or None, may be null) of every integer setting
 _INT_FIELDS = (("T", 1, False), ("d", 2, False), ("epochs", 1, False),
                ("batch_size", 1, True), ("omega", 1, True), ("seed", 0, False))
+_FLOAT_FIELDS = ("lr", "tau", "limit_train")
+_FLAG_FIELDS = ("use_truncation", "use_mask", "use_aux_hop_loss")
 # the paths train takes from its options, never from a config file
 _PATH_OPTIONS = {"data_dir": "--data", "graph_path": "--graph", "out_dir": "--out"}
 
@@ -34,6 +38,21 @@ def check_ints(settings, table, error, noun):
         if least is not None and value < least:
             null = " or null" if nullable else ""
             raise error(f"{name} must be >= {least}{null}, got {value}")
+
+
+def is_real(value) -> bool:
+    """Whether value is a finite int or float; a bool is no number."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def check_floats(settings, names, error, noun):
+    """Raise error unless each of names is a finite number of settings
+    (is_real): NaN passes every range check that is written as a failed
+    comparison."""
+    for name in names:
+        value = getattr(settings, name)
+        if not is_real(value):
+            raise error(f"{noun} value of the wrong type: {name} must be a finite number, got {value!r}")
 
 
 def load_settings(cls, path, error, noun, overrides=None, options=None):
@@ -97,6 +116,12 @@ class TrainConfig:
     out_dir: str | None = None
 
     def validate(self):
+        check_ints(self, _INT_FIELDS, UsageError, "config")
+        check_floats(self, _FLOAT_FIELDS, UsageError, "config")
+        for name in _FLAG_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise UsageError(f"config value of the wrong type: {name} must be true or false, got {value!r}")
         if self.form not in FORMS:
             raise UsageError(f"form must be one of {FORMS}, got {self.form!r}")
         if self.head not in HEADS:
@@ -105,7 +130,6 @@ class TrainConfig:
             raise UsageError(f"aggregation must be one of {AGGREGATIONS}")
         if not 0.0 <= self.tau <= 1.0:
             raise UsageError(f"tau must be in [0, 1], got {self.tau}")
-        check_ints(self, _INT_FIELDS, UsageError, "config")
         if self.lr <= 0:
             raise UsageError(f"lr must be > 0, got {self.lr}")
         if not 0.0 < self.limit_train <= 1.0:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import check_ints, load_settings
+from .config import check_floats, check_ints, is_real, load_settings
 from .encoder import TOPIC_RE
 from .errors import DataError, read_text
 
@@ -256,8 +256,10 @@ class SyntheticSpec:
 
     def validate(self):
         check_ints(self, _SPEC_INT_FIELDS, DataError, "spec")
-        if abs(sum(self.split_ratios) - 1.0) > 1e-9 or len(self.split_ratios) != 3:
-            raise DataError(f"split_ratios must be 3 numbers summing to 1, got {self.split_ratios}")
+        check_floats(self, ("ambiguous_fraction",), DataError, "spec")
+        r = self.split_ratios
+        if len(r) != 3 or not all(is_real(x) and 0.0 <= x <= 1.0 for x in r) or abs(sum(r) - 1.0) > 1e-9:
+            raise DataError(f"split_ratios must be 3 numbers in [0, 1] summing to 1, got {list(r)}")
         if not 0.0 <= self.ambiguous_fraction <= 1.0:
             raise DataError("ambiguous_fraction must be in [0, 1]")
         return self

@@ -1,13 +1,18 @@
 """Relation graphs in label, text, and mixed form.
 
-Label edges are stored in coordinate form sorted predicate-major (then by
-head, tail) with a pointer array per predicate; pair_groups groups edges by
+Label edges are stored in coordinate form sorted head-major (then by
+predicate, tail), with head_ptr marking each head entity's run of edges, so
+the edges leaving a set of entities are listed by one CSR expansion
+(expand_csr) and come out in edge order; pair_groups groups edges by
 (head, tail) pair for max aggregation.  Text relations are stored
-edge-major with a CSR index over head entities, and their texts live in a
-unique-text table.  Entities, predicates and relation texts are all
-numbered by one map, encoder.Vocab (dense ids, first-seen order), so a
-builder that meets a text again reuses its id.  Graphs are immutable once
-built: every constructor-style operation returns a fresh instance.
+edge-major with a CSR index over head entities, which the same expansion
+reads, and their texts live in a unique-text table.  A file saved with its
+edges in another order, such as the predicate-major order of earlier
+versions, loads into the same arrays.  Entities, predicates and relation
+texts are all numbered by one map, encoder.Vocab (dense ids, first-seen
+order), so a builder that meets a text again reuses its id.  Graphs are
+immutable once built: every constructor-style operation returns a fresh
+instance.
 
 A saved graph is read whole and cut into its sections with one str.split.
 Each id section is then checked in numpy to hold rows of three plain
@@ -56,12 +61,21 @@ def pair_groups(heads: np.ndarray, tails: np.ndarray):
     return order, heads[first], tails[first], np.append(new, key.size)
 
 
-def _csr(keys: np.ndarray, nbuckets: int):
-    order = np.argsort(keys, kind="stable").astype(np.int64)
-    counts = np.bincount(keys, minlength=nbuckets)
+def _ptr(keys: np.ndarray, nbuckets: int) -> np.ndarray:
+    """CSR pointers of keys sorted by bucket: bucket b's entries are
+    ptr[b] .. ptr[b + 1] - 1."""
     ptr = np.zeros(nbuckets + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    return order, ptr
+    np.cumsum(np.bincount(keys, minlength=nbuckets), out=ptr[1:])
+    return ptr
+
+
+def expand_csr(ptr: np.ndarray, buckets: np.ndarray):
+    """The positions ptr[b] .. ptr[b + 1] - 1 of each of buckets in turn, and
+    how many each bucket has: (positions, counts)."""
+    starts = ptr[buckets]
+    counts = ptr[buckets + 1] - starts
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return offsets + np.arange(offsets.size), counts
 
 
 class RelationGraph:
@@ -100,18 +114,17 @@ class RelationGraph:
             if bad.size:
                 raise GraphError(f"{what} id {bad[0]} out of range [0, {bound})")
         if not _in_edge_order(e):
-            e = e[np.lexsort((e[:, 2], e[:, 0], e[:, 1]))]
+            e = e[np.lexsort((e[:, 2], e[:, 1], e[:, 0]))]
         self.edge_heads = e[:, 0].copy()
         self.edge_preds = e[:, 1].copy()
         self.edge_tails = e[:, 2].copy()
-        counts = np.bincount(self.edge_preds, minlength=len(predicates))
-        self.pred_ptr = np.zeros(len(predicates) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.pred_ptr[1:])
+        self.head_ptr = _ptr(self.edge_heads, len(entities))  # head i's edges start at head_ptr[i]
 
         self.trel_heads = t[:, 0].copy()
         self.trel_tails = t[:, 1].copy()
         self.trel_text = t[:, 2].copy()
-        self._out_order, self._out_ptr = _csr(self.trel_heads, len(entities))
+        self._out_order = np.argsort(self.trel_heads, kind="stable").astype(np.int64)
+        self._out_ptr = _ptr(self.trel_heads, len(entities))
 
     # -- basic shape ---------------------------------------------------------
 
@@ -148,11 +161,9 @@ class RelationGraph:
         idle = ~active.any(axis=1)
         active[idle, np.argmax(a_prev[idle], axis=1)] = True
         rows, heads = np.nonzero(active)
-        # CSR expansion: each (row, head) pair lists the head's relations
-        starts = self._out_ptr[heads]
-        counts = self._out_ptr[heads + 1] - starts
-        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        rel_ids = self._out_order[offsets + np.arange(offsets.size)]
+        # each (row, head) pair lists the head's relations
+        pos, counts = expand_csr(self._out_ptr, heads)
+        rel_ids = self._out_order[pos]
         rel_rows = np.repeat(rows, counts)
         if omega is not None:
             sizes = np.bincount(rel_rows, minlength=a_prev.shape[0])
@@ -240,11 +251,10 @@ class RelationGraph:
 
 def _in_edge_order(e: np.ndarray) -> bool:
     """Whether the (E, 3) rows of (head, pred, tail) ids are already in
-    (pred, head, tail) order, ties included, so that the stable lexsort
-    would leave them as they are.  The signs of neighbouring rows'
-    differences, weighted 4/2/1, are negative exactly where a row sorts
-    before the one above it."""
-    step = np.sign(np.diff(e[:, [1, 0, 2]], axis=0)) @ np.array([4, 2, 1])
+    that order, ties included, so that the stable lexsort would leave them
+    as they are.  The signs of neighbouring rows' differences, weighted
+    4/2/1, are negative exactly where a row sorts before the one above it."""
+    step = np.sign(np.diff(e, axis=0)) @ np.array([4, 2, 1])
     return bool((step >= 0).all())
 
 

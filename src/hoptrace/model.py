@@ -12,8 +12,9 @@ There is one implementation, _reason, and it always runs a batch: each step
 is one transfer over the (B, n) score matrix, pushed as a disjoint union of
 the B rows through the same flat push, in every graph form and aggregation.
 Label form pushes only the edges leaving the frontier (the entities a row
-scores nonzero), listed from the edges whose head is active in some row of
-the batch; text form pushes the relations selected per row.
+scores nonzero): the graph keeps its edges head-major, so one CSR expansion
+of the frontier lists them row by row in edge order.  Text form pushes the
+relations selected per row.
 forward_batch() runs it for training and evaluation; forward() runs it on a
 batch of one question and records every intermediate in a ReasoningTrace.
 """
@@ -29,7 +30,7 @@ from . import kernels
 from .autodiff import Tensor
 from .encoder import BatchQuestionEncoding, EncoderParams, _uniform, encode_question, encode_question_batch
 from .errors import GraphError
-from .graph import RelationGraph, pair_groups
+from .graph import RelationGraph, expand_csr, pair_groups
 from .trace import ReasoningTrace, StepTrace
 
 
@@ -154,25 +155,24 @@ def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregatio
     matrix is never materialized.
 
     Only the frontier is pushed: the (row, edge) pairs whose head scores
-    nonzero in that row, listed row by row in edge order.  They are listed
-    from the candidate edges, whose head is active in some row of the batch,
-    so the listing reads B flags per candidate rather than per edge.  Scores
-    are finite and >= 0, so a skipped pair would add exactly +0.0, and each
-    output sums the same terms in the same order as a push over every edge.
-    The pairs' weights are one gather from p by flat key row * P + pred,
-    whose vjp adds them back in that order; numpy's (rows, preds) fancy
-    index reads the same entries at about 1.7x the cost.  The gradient
-    w.r.t. a_prev is returned only on a_prev's nonzero entries, as for a
-    sparse tensor: elsewhere it reads 0.  Parameter gradients do not
-    change, since a dropped entry could feed only a relation scoring
+    nonzero in that row.  The graph keeps its edges head-major, so expanding
+    the row-major frontier through g.head_ptr lists them row by row in edge
+    order.  Scores are finite and >= 0, so a skipped pair would add exactly
+    +0.0, and each output sums the same terms in the same order as a push
+    over every edge.  The pairs' weights are one gather from p by flat key
+    row * P + pred, whose vjp adds them back in that order; numpy's
+    (rows, preds) fancy index reads the same entries at about 1.7x the cost.
+    The gradient w.r.t. a_prev is returned only on a_prev's nonzero entries,
+    as for a sparse tensor: elsewhere it reads 0.  Parameter gradients do
+    not change, since a dropped entry could feed only a relation scoring
     exactly 0.
     """
     B, n, P = a_prev.data.shape[0], g.n, p.data.shape[1]
-    active = a_prev.data != 0
-    cand = np.flatnonzero(active.any(axis=0)[g.edge_heads])
-    rows, k = np.divmod(np.flatnonzero(np.take(active, g.edge_heads[cand], axis=1)), cand.size)
-    edges = cand[k]
-    heads = g.edge_heads[edges] + rows * n
+    frontier = np.flatnonzero(a_prev.data != 0)  # row * n + head; a bool scan is the fast one
+    rows, heads = np.divmod(frontier, n)
+    edges, counts = expand_csr(g.head_ptr, heads)
+    heads = np.repeat(frontier, counts)
+    rows = np.repeat(rows, counts)
     tails = g.edge_tails[edges] + rows * n
     w = ad.take(ad.reshape(p, (B * P,)), rows * P + g.edge_preds[edges])
     out = _push(heads, tails, w, ad.reshape(a_prev, (B * n,)), B * n, aggregation)
@@ -193,13 +193,32 @@ def transfer_text_batch(
 
 
 def truncate(a: Tensor) -> Tensor:
-    """Rescale entries above 1 back to 1.
+    """Rescale entries above 1 back to 1, as a / max(a, 1) would for finite
+    scores (a / a is exactly 1.0); NaN passes through.
 
     The divisor is treated as a constant when differentiating, so the slope
-    through a truncated coordinate is 1/z rather than 0.
+    through a truncated coordinate is 1/a rather than 0.  fmax keeps the
+    divisor 1 at a NaN, as a comparison with 1 would.
     """
-    z = np.where(a.data > 1.0, a.data, 1.0)
-    return ad.node(a.data / z, (a,), lambda g: (g / z,))
+    return ad.node(np.minimum(a.data, 1.0), (a,), lambda g: (g / np.fmax(a.data, 1.0),))
+
+
+def hop_mixture(c: Tensor, steps: list[Tensor]) -> Tensor:
+    """sum_t c[:, t] * steps[t] for a (B, T) hop distribution c and T (B, n)
+    step scores, as one node.  The terms are added in step order, and the
+    gradients are the products and row sums that a chain of elementwise
+    nodes would compute, so the bits are the same as that chain's."""
+    out = c.data[:, :1] * steps[0].data
+    for t in range(1, len(steps)):
+        out += c.data[:, t : t + 1] * steps[t].data
+
+    def vjp(g):
+        grad_c = np.zeros_like(c.data)
+        for t, a_t in enumerate(steps):
+            grad_c[:, t] += (g * a_t.data).sum(axis=1)
+        return (grad_c, *(g * c.data[:, t : t + 1] for t in range(len(steps))))
+
+    return ad.node(out, (c, *steps), vjp)
 
 
 def rank_answers(scores: np.ndarray):
@@ -311,10 +330,7 @@ def _reason(
         a_prev = a_t
 
     c = ad.softmax(enc.q @ params.hop_w + params.hop_b)  # (B, T)
-    a_star = None
-    for t, step in enumerate(steps):
-        term = ad.reshape(ad.take(c, (slice(None), t)), (B, 1)) * step.a_t
-        a_star = term if a_star is None else a_star + term
+    a_star = hop_mixture(c, [step.a_t for step in steps])
     mask = ad.sigmoid(enc.q @ params.mask_w + params.mask_b) if text_form and cfg.use_mask else None
     final = a_star if mask is None else mask * a_star
     return _Pass(steps, c, a_star, mask, final)

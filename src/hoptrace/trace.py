@@ -105,8 +105,8 @@ class ReasoningTrace:
                 for p, score in enumerate(s.relation_scores):
                     if score <= threshold:
                         continue
-                    lo, hi = g.pred_ptr[p], g.pred_ptr[p + 1]
-                    for h, tl in zip(g.edge_heads[lo:hi], g.edge_tails[lo:hi]):
+                    sel = g.edge_preds == p  # by head, then tail
+                    for h, tl in zip(g.edge_heads[sel], g.edge_tails[sel]):
                         if int(h) in prev and int(tl) in cur:
                             lines.append(
                                 f'  "s{t - 1}_{int(h)}" -> "s{t}_{int(tl)}"'

@@ -255,6 +255,24 @@ def truncate_reference(a):
     return out
 
 
+def truncate_composed(a):
+    """Truncation as a divide: a / z with z = a above 1 and 1 elsewhere,
+    z held constant by the vjp."""
+    z = np.where(a.data > 1.0, a.data, 1.0)
+    return ad.node(a.data / z, (a,), lambda g: (g / z,))
+
+
+def hop_mixture_composed(c, steps):
+    """sum_t c[:, t] * steps[t] as a chain of take, reshape, mul and add
+    nodes, added in step order."""
+    B = c.shape[0]
+    out = None
+    for t, a_t in enumerate(steps):
+        term = ad.reshape(ad.take(c, (slice(None), t)), (B, 1)) * a_t
+        out = term if out is None else out + term
+    return out
+
+
 def bfs_answers(triples, topic, hops):
     """Entities reachable from `topic` in exactly `hops` steps following
     (head, tail) pairs of the given triples.  Pure python BFS."""

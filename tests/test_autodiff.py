@@ -75,6 +75,20 @@ def test_sigmoid_array_is_bit_identical_to_two_branch_formula(rng):
     np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, want)
 
 
+def test_sigmoid_array_numerator_is_bit_identical_to_where(rng):
+    """max(e, x >= 0) against the where(x >= 0, 1, e) it replaced, at the
+    shapes of the GRU gates and the text mask and on NaN, +-inf and +-0."""
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e-300, -1e-300])
+    for shape in ((2, 64, 128), (64, 502)):
+        x = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 7, shape))
+        x.flat[: edges.size] = edges
+        e = np.exp(np.minimum(x, -x))
+        want = np.divide(np.where(x >= 0, 1.0, e), 1.0 + e)
+        got = ad.sigmoid_array(x)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_matmul(rng):
     a = leaf(rng, 3, 4)
     b = leaf(rng, 4, 2)

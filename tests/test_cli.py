@@ -19,7 +19,7 @@ from hoptrace.cli import main
 from hoptrace.config import TrainConfig
 from hoptrace.data import load_questions
 from hoptrace.encoder import Vocabulary
-from hoptrace.graph import RelationGraph
+from hoptrace.graph import RelationGraph, _digest
 from hoptrace.training import load_checkpoint, save_checkpoint
 
 from conftest import checkpoint_with_blocks
@@ -137,6 +137,20 @@ def test_spec_setting_out_of_range_exits_2(tmp_path):
     proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "data error: directors must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "ratios",
+    ["[.nan, .nan, .nan]", "[1.5, -0.25, -0.25]", "[true, false, false]", "[0.7, 0.3]"],
+    ids=["nan", "out-of-range", "bools", "two"],
+)
+def test_spec_split_ratios_that_are_no_three_shares_exit_2(tmp_path, capsys, ratios):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(f"split_ratios: {ratios}\n")
+    capsys.readouterr()
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert "split_ratios must be 3 numbers in [0, 1] summing to 1" in _data_error_line(capsys)
     assert not (tmp_path / "out").exists()
 
 
@@ -297,6 +311,32 @@ def test_invalid_config_value_is_usage_error(ws, tmp_path, capsys):
     capsys.readouterr()
     assert main(_train_args(ws, tmp_path, "--tau", "1.5")) == 1
     assert "tau" in _usage_error_line(capsys)
+
+
+# (config file text, the setting named in the error, what it must be)
+BAD_REALS_AND_FLAGS = {
+    "lr-nan": ("lr: .nan\n", "lr", "a finite number"),
+    "lr-inf": ("lr: .inf\n", "lr", "a finite number"),
+    "lr-bool": ("lr: true\n", "lr", "a finite number"),
+    "tau-bool": ("tau: true\n", "tau", "a finite number"),
+    "use_mask-int": ("use_mask: 0\n", "use_mask", "true or false"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_REALS_AND_FLAGS)
+def test_config_value_that_is_no_finite_number_or_no_flag_is_usage_error(ws, tmp_path, capsys, case):
+    text, name, want = BAD_REALS_AND_FLAGS[case]
+    (tmp_path / "cfg.yaml").write_text(text)
+    capsys.readouterr()
+    assert main(_train_args(ws, tmp_path, "--config", str(tmp_path / "cfg.yaml"))) == 1
+    assert f" {name} must be {want}, got " in _usage_error_line(capsys)
+    assert not (tmp_path / "run").exists()
+
+
+def test_nan_lr_option_is_usage_error(ws, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(_train_args(ws, tmp_path, "--lr", "nan")) == 1
+    assert " lr must be a finite number, got nan" in _usage_error_line(capsys)
 
 
 # (options, config file text, the setting named in the error)
@@ -681,6 +721,48 @@ def test_answer_and_trace(ws, tmp_path, capsys):
     assert "mask_top" not in trace  # label form has no language mask
 
     assert dot_path.read_text().startswith("digraph")
+
+
+def _predicate_major(path, out):
+    """The graph file at path written to out with its edge rows in
+    (predicate, head, tail) order, as save() wrote them while label edges
+    were kept predicate-major, and its sha256 redone over the new rows."""
+    header, *chunks = path.read_text(encoding="utf-8").removesuffix("\n").split("\n#SECTION ")
+    sections = {}
+    for chunk in chunks:
+        name, newline, rows = chunk.partition("\n")
+        sections[name] = rows.split("\n") if newline else []
+    def pred_head_tail(row):
+        h, p, t = map(int, row.split("\t"))
+        return p, h, t
+
+    sections["edges"].sort(key=pred_head_tail)
+    sections["meta"] = [row for row in sections["meta"] if not row.startswith("sha256 ")]
+    digest = _digest(header, {name: "\n".join(rows) for name, rows in sections.items()})
+    sections["meta"].append(f"sha256 {digest}")
+    body = "".join(f"#SECTION {name}\n" + "".join(row + "\n" for row in rows) for name, rows in sections.items())
+    out.write_text(header + "\n" + body)
+
+
+def test_predicate_major_graph_file_still_loads(ws, tmp_path, capsys):
+    """A graph saved before label edges were kept head-major loads into the
+    same arrays, re-saves to today's file and gives the same answer."""
+    new, old = ws / "g_label.txt", tmp_path / "old.txt"
+    _predicate_major(new, old)
+    assert old.read_text() != new.read_text()
+    g_new, g_old = RelationGraph.load(new), RelationGraph.load(old)
+    for name in ("edge_heads", "edge_preds", "edge_tails", "head_ptr"):
+        np.testing.assert_array_equal(getattr(g_old, name), getattr(g_new, name))
+    g_old.save(tmp_path / "resaved.txt")
+    assert (tmp_path / "resaved.txt").read_bytes() == new.read_bytes()
+    question = load_questions(ws / "data" / "qa_dev.txt")[0].question
+    replies = []
+    for graph in (new, old):
+        capsys.readouterr()
+        checkpoint = str(ws / "run" / "checkpoint.bin")
+        assert main(["answer", question, "--checkpoint", checkpoint, "--graph", str(graph)]) == 0
+        replies.append(capsys.readouterr().out)
+    assert replies[0] == replies[1] and json.loads(replies[0])["answers"]
 
 
 def test_answer_requires_bracketed_topic(ws):

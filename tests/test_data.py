@@ -266,12 +266,13 @@ def test_written_dataset_bytes_are_pinned(tmp_path):
 
 # the same for the default spec (seed 0), the one the benchmark generates at
 # scale 1, with graph.txt the reversed label graph built from its triples;
-# recorded before gold answers were made lazy
+# recorded before gold answers were made lazy, except graph.txt, recorded
+# when label edges came to be saved head-major
 DEFAULT_SHA256 = {
     "ambiguous_eval.txt": "7a7875ffaf659ef7f30da1bd717b21727c07524ee703fc7a7abb02cdcaee59fb",
     "ambiguous_eval_hops.txt": "b9b0e8cf2a26715b11f76073ad2228aa0ff713b24143c34f5c827ca34c10463c",
     "corpus.jsonl": "3816e81fba229a00eb0226b9f2d7d2eb8090af642da08fa97f8cafdb8985e3ea",
-    "graph.txt": "3e46aef5e717fe58d71ecb3aa7ef665c66180954678e05da4fb3181230ee56bf",
+    "graph.txt": "e8c566d757d46c9ec4e467de04579d6e20d79f4044c5e3a484be25a8d45ab228",
     "manifest.json": "0446d48d8b23bc1e5f47571cb838e3f9340bba54c89b51b9605543ad52c158a6",
     "qa_dev.txt": "40947bbe73d826ca8c55745201eb872e918bd2d80bf4a53e67d2b8e3e0511521",
     "qa_dev_hops.txt": "1f298a2e7b5307c6a16892e9877cd8ffd78bb4f24713eb53d0d51bc6acfed097",
@@ -393,6 +394,11 @@ def test_spec_rejects_bad_ratios():
         SyntheticSpec(split_ratios=(0.9, 0.2, 0.1)).validate()
     with pytest.raises(DataError):
         SyntheticSpec(split_ratios=(0.5, 0.5)).validate()
+    # each passed the sum check alone, and gen wrote empty or lopsided splits
+    for ratios in ([float("nan")] * 3, [1.5, -0.25, -0.25], [True, False, False]):
+        with pytest.raises(DataError, match=r"split_ratios must be 3 numbers in \[0, 1\] summing to 1"):
+            SyntheticSpec(split_ratios=ratios).validate()
+    assert SyntheticSpec(split_ratios=[1, 0, 0]).validate().split_ratios == (1, 0, 0)
 
 
 def test_spec_rejects_bad_ambiguous_fraction():

@@ -14,6 +14,7 @@ from hoptrace.graph import (
     add_reverse_relations,
     build_from_text_corpus,
     build_from_triples,
+    expand_csr,
     load_corpus_jsonl,
     load_triples_tsv,
     mix_label_into_text,
@@ -74,33 +75,48 @@ def test_build_from_triples_rejects_malformed():
         build_from_triples([(1, "p", "b")])
 
 
-def test_edges_grouped_by_predicate(rng):
-    for _ in range(10):
-        g = random_label_graph(rng)
-        for p in range(g.num_predicates):
-            lo, hi = g.pred_ptr[p], g.pred_ptr[p + 1]
-            assert np.all(g.edge_preds[lo:hi] == p)
-        assert g.pred_ptr[-1] == g.num_edges
+def test_edges_listed_by_head_ptr(rng):
+    """Edges are sorted by (head, pred, tail), and head_ptr marks each
+    entity's run of edges, entities without edges included."""
+    graphs = [add_reverse_relations(random_label_graph(rng)) for _ in range(10)]
+    graphs.append(build_from_triples([("a", "p", "b"), ("c", "p", "b")]))  # b heads no edge
+    for g in graphs:
+        key = list(zip(g.edge_heads.tolist(), g.edge_preds.tolist(), g.edge_tails.tolist()))
+        assert key == sorted(key)
+        assert g.head_ptr.shape == (g.n + 1,) and g.head_ptr[0] == 0 and g.head_ptr[-1] == g.num_edges
+        for i in range(g.n):
+            lo, hi = g.head_ptr[i], g.head_ptr[i + 1]
+            assert hi - lo == np.count_nonzero(g.edge_heads == i)
+            assert np.all(g.edge_heads[lo:hi] == i)
+
+
+def test_expand_csr_lists_each_bucket_in_turn():
+    ptr = np.array([0, 2, 2, 5, 6])
+    pos, counts = expand_csr(ptr, np.array([2, 0, 1, 2, 3]))
+    assert pos.tolist() == [2, 3, 4, 0, 1, 2, 3, 4, 5]
+    assert counts.tolist() == [3, 2, 0, 3, 1]
+    pos, counts = expand_csr(ptr, np.zeros(0, dtype=np.int64))
+    assert pos.size == 0 and counts.size == 0
 
 
 def test_presorted_and_shuffled_edges_give_equal_arrays(rng):
-    """The constructor skips its sort when the rows are already in (pred,
-    head, tail) order.  Sorted, shuffled and list inputs, repeated rows
+    """The constructor skips its sort when the rows are already in (head,
+    pred, tail) order.  Sorted, shuffled and list inputs, repeated rows
     included, come out as the same arrays, and only rows equal to the
     sorted ones count as in order."""
     ents, preds = Vocab([str(i) for i in range(5)]), Vocab(["p", "q", "r"])
     for _ in range(20):
         e = rng.integers(0, [5, 3, 5], size=(30, 3))
         e = np.concatenate([e, e[:8]])
-        ordered = e[np.lexsort((e[:, 2], e[:, 0], e[:, 1]))]
+        ordered = e[np.lexsort((e[:, 2], e[:, 1], e[:, 0]))]
         assert _in_edge_order(ordered)
         for edges in (ordered, rng.permutation(e), rng.permutation(e).tolist(), ordered.tolist()):
             assert _in_edge_order(np.asarray(edges)) == np.array_equal(edges, ordered)
             g = RelationGraph(ents, preds, edges, [], [], form="label")
             np.testing.assert_array_equal(np.stack([g.edge_heads, g.edge_preds, g.edge_tails], axis=1), ordered)
     # a larger step in a later column does not outweigh an earlier one
-    assert _in_edge_order(np.array([[4, 0, 4], [0, 1, 0]]))
-    assert not _in_edge_order(np.array([[0, 1, 0], [4, 0, 4]]))
+    assert _in_edge_order(np.array([[0, 4, 4], [1, 0, 0]]))
+    assert not _in_edge_order(np.array([[1, 0, 0], [0, 4, 4]]))
     assert not _in_edge_order(np.array([[0, 0, 4], [0, 0, 3]]))
 
 

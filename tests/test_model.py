@@ -15,6 +15,7 @@ from hoptrace.model import (
     ModelParams,
     forward,
     forward_batch,
+    hop_mixture,
     label_relation_scores,
     rank_answers,
     text_relation_scores,
@@ -336,6 +337,45 @@ def test_truncate_gradcheck_away_from_kink(rng):
     ad.sum_(out * w).backward()
     np.testing.assert_allclose(a.grad[below], w.data[below], atol=1e-12)
     np.testing.assert_allclose(a.grad[~below], w.data[~below] / vals[~below], atol=1e-12)
+
+
+def test_truncate_matches_the_divide_bit_for_bit(rng):
+    """min(a, 1) and its g / fmax(a, 1) vjp equal a / z with z held constant,
+    on scores above, at and below 1, zeros of both signs and NaN."""
+    vals = rng.random((6, 40)) * 3.0
+    vals.flat[:6] = [1.0, 0.0, -0.0, np.nan, 1.0 + 2**-52, 1e300]
+    got_in, want_in = Tensor(vals.copy(), requires_grad=True), Tensor(vals.copy(), requires_grad=True)
+    got, want = truncate(got_in), oracles.truncate_composed(want_in)
+    np.testing.assert_array_equal(got.data, want.data)
+    np.testing.assert_array_equal(np.signbit(got.data), np.signbit(want.data))
+    g = rng.standard_normal(vals.shape)
+    got.backward(g)
+    want.backward(g)
+    np.testing.assert_array_equal(got_in.grad, want_in.grad)
+
+
+def test_hop_mixture_node_matches_the_chain_bit_for_bit(rng):
+    """The fused mixture node against take/reshape/mul/add: forward and the
+    gradients of c and of every step, through a shared downstream use."""
+    B, T, n = 5, 3, 7
+    for _ in range(3):
+        c = Tensor(ad.softmax(Tensor(rng.standard_normal((B, T)))).data, requires_grad=True)
+        steps = [Tensor(rng.random((B, n)) * (rng.random((B, n)) < 0.6), requires_grad=True) for _ in range(T)]
+        w = rng.standard_normal((B, n))
+        results = []
+        for mix in (hop_mixture, oracles.hop_mixture_composed):
+            for x in (c, *steps):
+                x.grad = None
+            out = mix(c, steps)
+            # steps and c feed other nodes too, as in training
+            loss = ad.sum_(out * w) + ad.sum_(c * c) + ad.sum_(steps[0] * steps[1])
+            loss.backward()
+            results.append((out.data, c.grad.copy(), [s.grad.copy() for s in steps]))
+        (out, gc, gs), (want_out, want_gc, want_gs) = results
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(gc, want_gc)
+        for got, want in zip(gs, want_gs):
+            np.testing.assert_array_equal(got, want)
 
 
 # -- mixture, mask, ranking ------------------------------------------------------------
