@@ -61,6 +61,32 @@ def _omega_arg(text: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expected an integer or 'none', got {text!r}") from None
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _fraction_arg(text: str) -> float:
+    """A finite number in [0, 1]; NaN fails the comparison too."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="hoptrace", description=__doc__)
     p.add_argument("-v", "--verbose", action="store_true")
@@ -78,8 +104,8 @@ def _build_parser() -> _Parser:
     b.add_argument("--corpus", help="JSONL corpus (text/mixed forms)")
     b.add_argument("--out", required=True, help="graph file to write")
     b.add_argument("--no-reverse", action="store_true", help="skip reverse augmentation")
-    b.add_argument("--mix-fraction", type=float, default=0.5)
-    b.add_argument("--mix-seed", type=int, default=0)
+    b.add_argument("--mix-fraction", type=_fraction_arg, default=0.5)
+    b.add_argument("--mix-seed", type=_int_at_least(0), default=0)
 
     t = sub.add_parser("train", help="train a model")
     t.add_argument("--config", help="YAML config file")
@@ -105,7 +131,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--questions", required=True, help="question file to score")
     e.add_argument("--vocab", help="vocabulary file (default: sibling vocab.txt)")
     e.add_argument("--out", help="write metrics JSON here as well")
-    e.add_argument("--require", type=float, help="fail (exit 4) if overall hits@1 is below this")
+    e.add_argument("--require", type=_fraction_arg, help="fail (exit 4) if overall hits@1 is below this")
 
     a = sub.add_parser("answer", help="answer one question and export its trace")
     a.add_argument("question", help="question string with the topic in [brackets]")
@@ -114,7 +140,7 @@ def _build_parser() -> _Parser:
     a.add_argument("--vocab", help="vocabulary file (default: sibling vocab.txt)")
     a.add_argument("--trace", help="write the reasoning trace JSON here")
     a.add_argument("--dot", help="write a Graphviz rendering here")
-    a.add_argument("--top", type=int, default=5)
+    a.add_argument("--top", type=_int_at_least(1), default=5)
     return p
 
 

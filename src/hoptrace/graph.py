@@ -1,18 +1,20 @@
 """Relation graphs in label, text, and mixed form.
 
-Label edges are stored in coordinate form sorted head-major (then by
-predicate, tail), with head_ptr marking each head entity's run of edges, so
-the edges leaving a set of entities are listed by one CSR expansion
-(expand_csr) and come out in edge order; pair_groups groups edges by
-(head, tail) pair for max aggregation.  Text relations are stored
-edge-major with a CSR index over head entities, which the same expansion
-reads, and their texts live in a unique-text table.  A file saved with its
-edges in another order, such as the predicate-major order of earlier
-versions, loads into the same arrays.  Entities, predicates and relation
-texts are all numbered by one map, encoder.Vocab (dense ids, first-seen
-order), so a builder that meets a text again reuses its id.  Graphs are
-immutable once built: every constructor-style operation returns a fresh
-instance.
+Label edges are stored in coordinate form sorted by (head, tail, pred),
+with head_ptr marking each head entity's run of edges, so the edges leaving
+a set of entities are listed by one CSR expansion (expand_csr) and come out
+in edge order.  The parallel edges of one (head, tail) pair are neighbours,
+and pair_start marks the first edge of each pair, so such a listing is
+already grouped by pair for max aggregation; pair_groups groups an edge
+list in any order (text relations) the same way.  Text relations are
+stored edge-major with a CSR index over head entities, which the same
+expansion reads, and their texts live in a unique-text table.  A file saved
+with its edges in another order, such as the (head, pred, tail) or
+predicate-major orders of earlier versions, loads into the same arrays.
+Entities, predicates and relation texts are all numbered by one map,
+encoder.Vocab (dense ids, first-seen order), so a builder that meets a text
+again reuses its id.  Graphs are immutable once built: every
+constructor-style operation returns a fresh instance.
 
 A saved graph is read whole and cut into its sections with one str.split.
 Each id section is then checked in numpy to hold rows of three plain
@@ -114,11 +116,13 @@ class RelationGraph:
             if bad.size:
                 raise GraphError(f"{what} id {bad[0]} out of range [0, {bound})")
         if not _in_edge_order(e):
-            e = e[np.lexsort((e[:, 2], e[:, 1], e[:, 0]))]
+            e = e[np.lexsort((e[:, 1], e[:, 2], e[:, 0]))]
         self.edge_heads = e[:, 0].copy()
         self.edge_preds = e[:, 1].copy()
         self.edge_tails = e[:, 2].copy()
         self.head_ptr = _ptr(self.edge_heads, len(entities))  # head i's edges start at head_ptr[i]
+        # True on the first edge of each (head, tail) pair (ids are >= 0)
+        self.pair_start = np.diff(e[:, [0, 2]], axis=0, prepend=-1).any(axis=1)
 
         self.trel_heads = t[:, 0].copy()
         self.trel_tails = t[:, 1].copy()
@@ -251,10 +255,11 @@ class RelationGraph:
 
 def _in_edge_order(e: np.ndarray) -> bool:
     """Whether the (E, 3) rows of (head, pred, tail) ids are already in
-    that order, ties included, so that the stable lexsort would leave them
-    as they are.  The signs of neighbouring rows' differences, weighted
-    4/2/1, are negative exactly where a row sorts before the one above it."""
-    step = np.sign(np.diff(e, axis=0)) @ np.array([4, 2, 1])
+    (head, tail, pred) order, ties included, so that the stable lexsort
+    would leave them as they are.  The signs of neighbouring rows'
+    differences, weighted 4/1/2, are negative exactly where a row sorts
+    before the one above it."""
+    step = np.sign(np.diff(e, axis=0)) @ np.array([4, 1, 2])
     return bool((step >= 0).all())
 
 

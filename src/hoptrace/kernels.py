@@ -66,7 +66,11 @@ def push_max_forward(pair_heads, pair_tails, pair_ptr, w, a, n):
     """Like push_forward but parallel edges of one (i, j) pair contribute
     max(w) instead of sum(w).  Edges must be grouped by pair via pair_ptr.
     Returns (out, argmax edge index per pair); ties keep the lowest index.
+    When every pair has one edge, each edge is its own pair's argmax and the
+    push is push_forward's.
     """
+    if pair_ptr.size - 1 == w.size:
+        return _scatter(pair_tails, a[pair_heads] * w, n), np.arange(w.size)
     starts, ends = pair_ptr[:-1], pair_ptr[1:]
     best = np.repeat(np.maximum.reduceat(w, starts), ends - starts)
     hits = np.where(w == best, np.arange(w.shape[0]), w.shape[0])
@@ -80,6 +84,8 @@ def push_max_backward(pair_heads, pair_tails, argmax, w, a, g):
     """Adjoints of push_max_forward; gradient w.r.t. w flows only to the
     argmax edge of each pair."""
     g_tail = g[pair_tails]
+    if argmax.size == w.size:  # one edge per pair: push_backward's adjoints
+        return _scatter(pair_heads, g_tail * w, a.shape[0]), g_tail * a[pair_heads]
     grad_a = _scatter(pair_heads, g_tail * w[argmax], a.shape[0])
     return grad_a, _scatter(argmax, g_tail * a[pair_heads], w.shape[0])
 

@@ -12,9 +12,10 @@ There is one implementation, _reason, and it always runs a batch: each step
 is one transfer over the (B, n) score matrix, pushed as a disjoint union of
 the B rows through the same flat push, in every graph form and aggregation.
 Label form pushes only the edges leaving the frontier (the entities a row
-scores nonzero): the graph keeps its edges head-major, so one CSR expansion
-of the frontier lists them row by row in edge order.  Text form pushes the
-relations selected per row.
+scores nonzero): the graph keeps its edges sorted by (head, tail, pred), so
+one CSR expansion of the frontier lists them row by row in edge order, with
+the parallel edges of each (head, tail) pair side by side, as max
+aggregation needs them.  Text form pushes the relations selected per row.
 forward_batch() runs it for training and evaluation; forward() runs it on a
 batch of one question and records every intermediate in a ReasoningTrace.
 """
@@ -120,7 +121,8 @@ def text_relation_scores(q_t: Tensor, rel_enc: Tensor, params: ModelParams) -> T
 def _push_max(pair_heads, pair_tails, pair_ptr, w: Tensor, a_prev: Tensor, n: int) -> Tensor:
     """Differentiable max push over edges grouped by (head, tail) pair, with
     w in that grouped order: parallel edges contribute only their maximum
-    weight, and the gradient flows to the argmax edge alone."""
+    weight, and the gradient flows to the argmax edge alone.  Pair k's edges
+    are pair_ptr[k] .. pair_ptr[k + 1] - 1."""
     out, argmax = kernels.push_max_forward(pair_heads, pair_tails, pair_ptr, w.data, a_prev.data, n)
 
     def vjp(g):
@@ -133,7 +135,8 @@ def _push(heads, tails, w: Tensor, a_prev: Tensor, n: int, aggregation: str) -> 
     """Differentiable score push along explicit edges.
 
     sum: parallel edges between a pair add up (the default).
-    max: parallel edges contribute only their maximum weight.
+    max: parallel edges contribute only their maximum weight; the edges are
+    grouped by pair with one stable sort, so ties go to the first listed.
     """
     if aggregation == "sum":
         out = kernels.push_forward(heads, tails, w.data, a_prev.data, n)
@@ -155,13 +158,20 @@ def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregatio
     matrix is never materialized.
 
     Only the frontier is pushed: the (row, edge) pairs whose head scores
-    nonzero in that row.  The graph keeps its edges head-major, so expanding
-    the row-major frontier through g.head_ptr lists them row by row in edge
-    order.  Scores are finite and >= 0, so a skipped pair would add exactly
-    +0.0, and each output sums the same terms in the same order as a push
-    over every edge.  The pairs' weights are one gather from p by flat key
-    row * P + pred, whose vjp adds them back in that order; numpy's
-    (rows, preds) fancy index reads the same entries at about 1.7x the cost.
+    nonzero in that row.  The graph keeps its edges sorted by (head, tail,
+    pred), so expanding the row-major frontier through g.head_ptr lists them
+    row by row in edge order.  Scores are finite and >= 0, so a skipped pair
+    would add exactly +0.0, and each output sums the same terms in the same
+    order as a push over every edge.  The pairs' weights are one gather from
+    p by flat key row * P + pred, whose vjp adds them back in that order;
+    numpy's (rows, preds) fancy index reads the same entries at about 1.7x
+    the cost.
+
+    Each frontier entry lists one head's whole run, so the parallel edges of
+    a (head, tail) pair come out side by side, lowest predicate first: max
+    aggregation reads the pair boundaries off g.pair_start, with no sort,
+    and a tie goes to the lowest predicate.
+
     The gradient w.r.t. a_prev is returned only on a_prev's nonzero entries,
     as for a sparse tensor: elsewhere it reads 0.  Parameter gradients do
     not change, since a dropped entry could feed only a relation scoring
@@ -175,7 +185,12 @@ def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregatio
     rows = np.repeat(rows, counts)
     tails = g.edge_tails[edges] + rows * n
     w = ad.take(ad.reshape(p, (B * P,)), rows * P + g.edge_preds[edges])
-    out = _push(heads, tails, w, ad.reshape(a_prev, (B * n,)), B * n, aggregation)
+    flat = ad.reshape(a_prev, (B * n,))
+    if aggregation == "max":
+        new = np.flatnonzero(g.pair_start[edges])  # the listing's first edge of each pair
+        out = _push_max(heads[new], tails[new], np.append(new, edges.size), w, flat, B * n)
+    else:
+        out = _push(heads, tails, w, flat, B * n, aggregation)
     return ad.reshape(out, (B, n))
 
 

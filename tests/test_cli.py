@@ -198,6 +198,26 @@ def test_build_graph_mixed(ws, tmp_path):
     assert g.num_text_relations > RelationGraph.load(ws / "g_text.txt").num_text_relations
 
 
+@pytest.mark.parametrize(
+    "option, value, says",
+    [
+        ("--mix-seed", "-1", "expected an integer >= 0, got '-1'"),
+        ("--mix-fraction", "2", "expected a number in [0, 1], got '2'"),
+        ("--mix-fraction", "nan", "expected a number in [0, 1], got 'nan'"),
+    ],
+)
+def test_build_graph_bad_mix_option_is_usage_error(ws, tmp_path, capsys, option, value, says):
+    """A mix option out of range is refused before any file is read: the
+    triples file named here does not exist, and nothing is written."""
+    out = tmp_path / "g.txt"
+    args = ["build-graph", "--form", "mixed", "--triples", str(tmp_path / "nope.tsv")]
+    args += ["--corpus", str(ws / "data" / "corpus.jsonl"), "--out", str(out), option, value]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert f"argument {option}: {says}" in _usage_error_line(capsys)
+    assert not out.exists()
+
+
 def test_build_graph_text_requires_corpus(ws, tmp_path):
     args = [
         "build-graph",
@@ -517,6 +537,25 @@ def test_eval_require_threshold(ws):
     assert main(base + ["--require", "0.9999"]) == 4  # 2 tiny epochs cannot ace dev
 
 
+@pytest.mark.parametrize("require", ["nan", "inf", "1.5", "-0.1"])
+def test_eval_require_that_is_no_fraction_is_usage_error(ws, tmp_path, capsys, require):
+    """A threshold no hits@1 can be compared with (NaN never compares
+    below) or reach is refused before anything is evaluated or written."""
+    out = tmp_path / "metrics.json"
+    args = [
+        "eval",
+        "--checkpoint", str(ws / "run" / "checkpoint.bin"),
+        "--graph", str(ws / "g_label.txt"),
+        "--questions", str(ws / "data" / "qa_dev.txt"),
+        "--out", str(out),
+        "--require", require,
+    ]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert f"argument --require: expected a number in [0, 1], got '{require}'" in _usage_error_line(capsys)
+    assert not out.exists() and not capsys.readouterr().out
+
+
 def test_eval_rejects_mismatched_vocab(ws, tmp_path):
     tampered = tmp_path / "vocab.txt"
     tampered.write_text((ws / "run" / "vocab.txt").read_text() + "zzzunseen\n")
@@ -723,20 +762,16 @@ def test_answer_and_trace(ws, tmp_path, capsys):
     assert dot_path.read_text().startswith("digraph")
 
 
-def _predicate_major(path, out):
-    """The graph file at path written to out with its edge rows in
-    (predicate, head, tail) order, as save() wrote them while label edges
-    were kept predicate-major, and its sha256 redone over the new rows."""
+def _edges_resorted(path, out, key):
+    """The graph file at path written to out with its edge rows sorted by
+    key((head, pred, tail)), as save() wrote them while label edges were
+    kept in that order, and its sha256 redone over the new rows."""
     header, *chunks = path.read_text(encoding="utf-8").removesuffix("\n").split("\n#SECTION ")
     sections = {}
     for chunk in chunks:
         name, newline, rows = chunk.partition("\n")
         sections[name] = rows.split("\n") if newline else []
-    def pred_head_tail(row):
-        h, p, t = map(int, row.split("\t"))
-        return p, h, t
-
-    sections["edges"].sort(key=pred_head_tail)
+    sections["edges"].sort(key=lambda row: key(tuple(map(int, row.split("\t")))))
     sections["meta"] = [row for row in sections["meta"] if not row.startswith("sha256 ")]
     digest = _digest(header, {name: "\n".join(rows) for name, rows in sections.items()})
     sections["meta"].append(f"sha256 {digest}")
@@ -744,14 +779,14 @@ def _predicate_major(path, out):
     out.write_text(header + "\n" + body)
 
 
-def test_predicate_major_graph_file_still_loads(ws, tmp_path, capsys):
-    """A graph saved before label edges were kept head-major loads into the
-    same arrays, re-saves to today's file and gives the same answer."""
-    new, old = ws / "g_label.txt", tmp_path / "old.txt"
-    _predicate_major(new, old)
+def _assert_loads_as_today(ws, old, tmp_path, capsys):
+    """The graph file old, whose edge rows are in an earlier order, loads
+    into the same arrays as today's file, re-saves to its bytes and gives
+    the same answer."""
+    new = ws / "g_label.txt"
     assert old.read_text() != new.read_text()
     g_new, g_old = RelationGraph.load(new), RelationGraph.load(old)
-    for name in ("edge_heads", "edge_preds", "edge_tails", "head_ptr"):
+    for name in ("edge_heads", "edge_preds", "edge_tails", "head_ptr", "pair_start"):
         np.testing.assert_array_equal(getattr(g_old, name), getattr(g_new, name))
     g_old.save(tmp_path / "resaved.txt")
     assert (tmp_path / "resaved.txt").read_bytes() == new.read_bytes()
@@ -763,6 +798,20 @@ def test_predicate_major_graph_file_still_loads(ws, tmp_path, capsys):
         assert main(["answer", question, "--checkpoint", checkpoint, "--graph", str(graph)]) == 0
         replies.append(capsys.readouterr().out)
     assert replies[0] == replies[1] and json.loads(replies[0])["answers"]
+
+
+def test_predicate_major_graph_file_still_loads(ws, tmp_path, capsys):
+    """A graph saved while label edges were kept predicate-major."""
+    old = tmp_path / "old.txt"
+    _edges_resorted(ws / "g_label.txt", old, lambda e: (e[1], e[0], e[2]))
+    _assert_loads_as_today(ws, old, tmp_path, capsys)
+
+
+def test_head_pred_tail_graph_file_still_loads(ws, tmp_path, capsys):
+    """A graph saved while label edges were sorted by (head, pred, tail)."""
+    old = tmp_path / "old.txt"
+    _edges_resorted(ws / "g_label.txt", old, lambda e: e)
+    _assert_loads_as_today(ws, old, tmp_path, capsys)
 
 
 def test_answer_requires_bracketed_topic(ws):
@@ -781,6 +830,20 @@ def test_answer_unknown_topic(ws):
         "--graph", str(ws / "g_label.txt"),
     ]
     assert main(args) == 2
+
+
+@pytest.mark.parametrize("top", ["-2", "0", "two"])
+def test_answer_top_below_one_is_usage_error(ws, capsys, top):
+    """--top -2 used to print every answer but the last two and exit 0."""
+    question = load_questions(ws / "data" / "qa_dev.txt")[0].question
+    args = ["answer", question, "--checkpoint", str(ws / "run" / "checkpoint.bin")]
+    args += ["--graph", str(ws / "g_label.txt"), "--top", top]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert f"argument --top: expected an integer >= 1, got '{top}'" in _usage_error_line(capsys)
+    assert not capsys.readouterr().out
+    assert main(args[:-1] + ["1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["answers"]) == 1
 
 
 def test_answer_rejects_checkpoint_without_a_block(ws, tmp_path, capsys):

@@ -272,7 +272,7 @@ DEFAULT_SHA256 = {
     "ambiguous_eval.txt": "7a7875ffaf659ef7f30da1bd717b21727c07524ee703fc7a7abb02cdcaee59fb",
     "ambiguous_eval_hops.txt": "b9b0e8cf2a26715b11f76073ad2228aa0ff713b24143c34f5c827ca34c10463c",
     "corpus.jsonl": "3816e81fba229a00eb0226b9f2d7d2eb8090af642da08fa97f8cafdb8985e3ea",
-    "graph.txt": "e8c566d757d46c9ec4e467de04579d6e20d79f4044c5e3a484be25a8d45ab228",
+    "graph.txt": "1ce58058ab2a2123f8ced617391edcb50ace7197f926099aa4aafb9ec141b9bd",
     "manifest.json": "0446d48d8b23bc1e5f47571cb838e3f9340bba54c89b51b9605543ad52c158a6",
     "qa_dev.txt": "40947bbe73d826ca8c55745201eb872e918bd2d80bf4a53e67d2b8e3e0511521",
     "qa_dev_hops.txt": "1f298a2e7b5307c6a16892e9877cd8ffd78bb4f24713eb53d0d51bc6acfed097",

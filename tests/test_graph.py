@@ -76,12 +76,12 @@ def test_build_from_triples_rejects_malformed():
 
 
 def test_edges_listed_by_head_ptr(rng):
-    """Edges are sorted by (head, pred, tail), and head_ptr marks each
+    """Edges are sorted by (head, tail, pred), and head_ptr marks each
     entity's run of edges, entities without edges included."""
     graphs = [add_reverse_relations(random_label_graph(rng)) for _ in range(10)]
     graphs.append(build_from_triples([("a", "p", "b"), ("c", "p", "b")]))  # b heads no edge
     for g in graphs:
-        key = list(zip(g.edge_heads.tolist(), g.edge_preds.tolist(), g.edge_tails.tolist()))
+        key = list(zip(g.edge_heads.tolist(), g.edge_tails.tolist(), g.edge_preds.tolist()))
         assert key == sorted(key)
         assert g.head_ptr.shape == (g.n + 1,) and g.head_ptr[0] == 0 and g.head_ptr[-1] == g.num_edges
         for i in range(g.n):
@@ -100,24 +100,43 @@ def test_expand_csr_lists_each_bucket_in_turn():
 
 
 def test_presorted_and_shuffled_edges_give_equal_arrays(rng):
-    """The constructor skips its sort when the rows are already in (head,
-    pred, tail) order.  Sorted, shuffled and list inputs, repeated rows
-    included, come out as the same arrays, and only rows equal to the
-    sorted ones count as in order."""
+    """The constructor skips its sort when the (head, pred, tail) rows are
+    already in (head, tail, pred) order.  Sorted, shuffled and list inputs,
+    repeated rows included, come out as the same arrays, and only rows equal
+    to the sorted ones count as in order."""
     ents, preds = Vocab([str(i) for i in range(5)]), Vocab(["p", "q", "r"])
     for _ in range(20):
         e = rng.integers(0, [5, 3, 5], size=(30, 3))
         e = np.concatenate([e, e[:8]])
-        ordered = e[np.lexsort((e[:, 2], e[:, 1], e[:, 0]))]
+        ordered = e[np.lexsort((e[:, 1], e[:, 2], e[:, 0]))]
         assert _in_edge_order(ordered)
         for edges in (ordered, rng.permutation(e), rng.permutation(e).tolist(), ordered.tolist()):
             assert _in_edge_order(np.asarray(edges)) == np.array_equal(edges, ordered)
             g = RelationGraph(ents, preds, edges, [], [], form="label")
             np.testing.assert_array_equal(np.stack([g.edge_heads, g.edge_preds, g.edge_tails], axis=1), ordered)
-    # a larger step in a later column does not outweigh an earlier one
+    # a larger step in a later key column does not outweigh an earlier one:
+    # the tail (column 2) comes before the predicate (column 1)
     assert _in_edge_order(np.array([[0, 4, 4], [1, 0, 0]]))
     assert not _in_edge_order(np.array([[1, 0, 0], [0, 4, 4]]))
+    assert _in_edge_order(np.array([[0, 4, 1], [0, 0, 2]]))
+    assert not _in_edge_order(np.array([[0, 0, 2], [0, 4, 1]]))
+    assert not _in_edge_order(np.array([[0, 1, 3], [0, 0, 3]]))
     assert not _in_edge_order(np.array([[0, 0, 4], [0, 0, 3]]))
+
+
+def test_pair_start_marks_the_first_edge_of_each_pair(rng):
+    """pair_start is True exactly where an edge's (head, tail) differs from
+    the edge before it, so the graph's pairs are the runs it opens, each
+    pair in one run."""
+    graphs = [add_reverse_relations(random_label_graph(rng)) for _ in range(10)]
+    graphs.append(build_from_triples([("a", "p", "b"), ("a", "q", "b"), ("a", "p", "c"), ("b", "q", "b")]))
+    graphs.append(RelationGraph(Vocab(["a"]), Vocab(["p"]), [], [], [], form="label"))
+    for g in graphs:
+        pairs = list(zip(g.edge_heads.tolist(), g.edge_tails.tolist()))
+        want = [i == 0 or pairs[i] != pairs[i - 1] for i in range(len(pairs))]
+        assert g.pair_start.dtype == bool and g.pair_start.tolist() == want
+        assert np.count_nonzero(g.pair_start) == len(set(pairs))
+    assert graphs[-2].pair_start.tolist() == [True, False, True, True]
 
 
 def test_edges_grouped_by_pair(rng):

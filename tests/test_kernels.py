@@ -180,6 +180,46 @@ def test_push_max_backward_routes_to_argmax_only(rng):
     np.testing.assert_allclose(np.dot(g, out), np.dot(grad_w, ww), atol=1e-10)
 
 
+def test_push_max_one_edge_pairs_match_the_reduceat_path(rng):
+    """When every pair has one edge, both max kernels skip their reduceat
+    scan.  They give what the oracles give, and what the reduceat path
+    gives, reached by appending one two-edge pair on an entity of its own,
+    for weights that hold a NaN, a +0 and a -0 and heads that score 0.
+    (assert_array_equal does not tell -0.0 from +0.0: d/dw is a plain
+    product here, as in push_backward, where the reduceat path adds it into
+    zeros.)"""
+    n, E = 12, 30
+    ph, pt = np.divmod(np.sort(rng.choice(n * n, size=E, replace=False)), n)  # distinct pairs
+    ptr = np.arange(E + 1)
+    w = rng.random(E)
+    w[[3, 7, 11]] = [np.nan, 0.0, -0.0]
+    a = rng.random(n)
+    a[[ph[5], ph[20]]] = 0.0
+    g = rng.standard_normal(n)
+    out, argmax = kernels.push_max_forward(ph, pt, ptr, w, a, n)
+    grad_a, grad_w = kernels.push_max_backward(ph, pt, argmax, w, a, g)
+    want_out, want_argmax = oracles.push_max_forward(ph, pt, ptr, w, a, n)
+    want_grad_a, want_grad_w = oracles.push_max_backward(ph, pt, want_argmax, w, a, g)
+
+    xh, xt, xptr = np.append(ph, n), np.append(pt, n), np.append(ptr, E + 2)
+    xw, xa, xg = np.append(w, [0.25, 0.5]), np.append(a, 1.0), np.append(g, 1.0)
+    r_out, r_argmax = kernels.push_max_forward(xh, xt, xptr, xw, xa, n + 1)
+    r_grad_a, r_grad_w = kernels.push_max_backward(xh, xt, r_argmax, xw, xa, xg)
+    assert r_argmax[-1] == E + 1
+    cases = [
+        (out, want_out, r_out[:n]),
+        (argmax, want_argmax, r_argmax[:-1]),
+        (grad_a, want_grad_a, r_grad_a[:n]),
+        (grad_w, want_grad_w, r_grad_w[:-2]),
+    ]
+    for got, oracle, reduceat in cases:
+        assert got.dtype == oracle.dtype == reduceat.dtype
+        np.testing.assert_array_equal(got, oracle)
+        np.testing.assert_array_equal(got, reduceat)
+    np.testing.assert_array_equal(argmax, np.arange(E))
+    assert np.isnan(out[pt[3]]) and np.isnan(grad_w).sum() == 0 and np.isnan(grad_a[ph[3]])
+
+
 def test_col_scatter_add_matches_dense(rng):
     """Folding columns by index must equal multiplying by the expansion
     matrix's transpose."""

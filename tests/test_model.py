@@ -245,6 +245,95 @@ def test_transfer_label_batch_pushes_only_the_frontier(rng, monkeypatch, aggrega
     assert pushed == [frontier] and 0 < frontier < a0.shape[0] * g.num_edges
 
 
+# (head, tail, predicates) joined by parallel edges in _parallel_edge_case
+PARALLEL = [(0, 5, (1, 3)), (0, 6, (0, 2, 3)), (3, 5, (1, 2)), (9, 2, (0, 3)), (13, 0, (1, 2, 3))]
+
+
+def _parallel_edge_case(rng):
+    """A random label graph whose PARALLEL pairs are joined by two or three
+    predicates each, and a (5, n) batch: two rows on heads of parallel
+    pairs, a dense row, an all-zero row and a one-hot row.  Rows 0 and 2
+    score predicates 1 and 3 equally, a tie on pair (0, 5)."""
+    g = random_label_graph(rng, n=14, num_predicates=4)
+    triples = [
+        (g.entities.name(int(h)), g.predicates.name(int(k)), g.entities.name(int(t)))
+        for h, k, t in zip(g.edge_heads, g.edge_preds, g.edge_tails)
+    ]
+    triples += [(f"e{h}", f"p{k}", f"e{t}") for h, t, preds in PARALLEL for k in preds]
+    g = build_from_triples(triples)
+    a = np.zeros((5, g.n))
+    a[0, g.entities.id("e0")] = 1.0
+    a[1, [g.entities.id("e3"), g.entities.id("e13")]] = rng.random(2) + 0.1
+    a[2] = rng.random(g.n) + 0.1
+    a[4, g.entities.id("e9")] = 1.0
+    p = rng.random((5, g.num_predicates))
+    p1, p3 = g.predicates.id("p1"), g.predicates.id("p3")
+    p[[0, 2], p3] = p[[0, 2], p1]
+    return g, a, p
+
+
+def test_transfer_label_batch_max_over_parallel_edges_matches_oracles(rng):
+    """Label max over a graph with parallel edges against the per-pair loop
+    oracles, row by row over every edge: the output, the p gradient and the
+    a_prev gradient on a_prev's nonzero entries (0 elsewhere) bit for bit,
+    and the output against the dense max reference."""
+    g, a0, p0 = _parallel_edge_case(rng)
+    assert np.count_nonzero(g.pair_start) < g.num_edges
+    upstream = rng.standard_normal(a0.shape)
+    a, p = Tensor(a0.copy(), requires_grad=True), Tensor(p0.copy(), requires_grad=True)
+    out = transfer_label_batch(g, a, p, "max")
+    ad.sum_(out * Tensor(upstream)).backward()
+
+    # the oracles' own grouping: by (head, tail), then edge id
+    h, t, E = g.edge_heads, g.edge_tails, g.num_edges
+    order = np.lexsort((np.arange(E), t, h))
+    starts = np.flatnonzero(np.diff(h[order] * g.n + t[order], prepend=-1))
+    ph, pt, ptr = h[order][starts], t[order][starts], np.append(starts, E)
+    live = a0 != 0
+    for b in range(a0.shape[0]):
+        w = p0[b, g.edge_preds]
+        want, argmax = oracles.push_max_forward(ph, pt, ptr, w[order], a0[b], g.n)
+        grad_a, grad_w = oracles.push_max_backward(ph, pt, argmax, w[order], a0[b], upstream[b])
+        grad_edges = np.zeros(E)
+        grad_edges[order] = grad_w
+        np.testing.assert_array_equal(out.data[b], want)
+        np.testing.assert_array_equal(p.grad[b], oracles.col_scatter_add(g.edge_preds, grad_edges[None], g.num_predicates)[0])
+        np.testing.assert_array_equal(a.grad[b, live[b]], grad_a[live[b]])
+        assert not np.any(a.grad[b, ~live[b]])
+        dense = dense_text_transfer(g.n, h, t, w, a0[b], "max")
+        np.testing.assert_allclose(out.data[b], dense, rtol=0, atol=1e-12)
+    # in rows 0 and 2 the oracle's argmax on (0, 5) is a tie that went to
+    # the lower predicate id, and the p gradients above agreed with it
+    tie = ptr[np.flatnonzero((ph == g.entities.id("e0")) & (pt == g.entities.id("e5")))[0]]
+    first, second = g.edge_preds[order[tie : tie + 2]]
+    assert first < second and {first, second} == {g.predicates.id("p1"), g.predicates.id("p3")}
+    assert p0[0, g.edge_preds[order[tie]]] == p0[0, g.edge_preds[order[tie + 1]]]
+    assert not np.any(out.data[3])
+
+
+def test_label_max_path_neither_groups_nor_sorts(rng, monkeypatch):
+    """Label max reads its pairs off the graph: graph.pair_groups is never
+    called, in a transfer or in a whole forward_batch and backward, and the
+    transfer sorts nothing."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the label max path grouped or sorted its edges")
+
+    monkeypatch.setattr(graph, "pair_groups", refuse)
+    monkeypatch.setattr(model, "pair_groups", refuse)
+    g, a0, p0 = _parallel_edge_case(rng)
+    with monkeypatch.context() as m:
+        for name in ("argsort", "lexsort", "sort"):
+            m.setattr(np, name, refuse)
+        out = transfer_label_batch(g, Tensor(a0), Tensor(p0, requires_grad=True), "max")
+        ad.sum_(out).backward()
+    cfg = label_cfg(d=6, aggregation="max")
+    params = ModelParams(20, g.n, g.num_predicates, cfg)
+    batch = forward_batch(g, [np.array([4, 5]), np.array([6, 7, 8])], [0, 13], params, cfg)
+    ad.sum_(batch.final).backward()
+    assert params.pred_w.grad is not None and np.any(params.pred_w.grad)
+
+
 def test_transfer_label_gradcheck(rng):
     g = random_label_graph(rng, n=8, num_predicates=3)
     a = Tensor(rng.random(g.n), requires_grad=True)
