@@ -87,6 +87,14 @@ def _fraction_arg(text: str) -> float:
     return value
 
 
+# train's plain config overrides: --batch-size sets batch_size, and so on
+_TRAIN_OPTIONS = (
+    ("form", str), ("T", int), ("d", int), ("lr", float), ("epochs", int),
+    ("seed", int), ("head", str), ("aggregation", str), ("tau", float),
+    ("batch_size", int), ("limit_train", float),
+)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="hoptrace", description=__doc__)
     p.add_argument("-v", "--verbose", action="store_true")
@@ -113,12 +121,8 @@ def _build_parser() -> _Parser:
     t.add_argument("--graph", required=True, help="serialized graph file")
     t.add_argument("--out", required=True, help="output directory for artifacts")
     t.add_argument("--force", action="store_true")
-    for name, typ in (
-        ("form", str), ("T", int), ("d", int), ("lr", float), ("epochs", int),
-        ("seed", int), ("head", str), ("aggregation", str), ("tau", float),
-        ("batch-size", int), ("limit-train", float),
-    ):
-        t.add_argument(f"--{name}", type=typ, dest=name.replace("-", "_"))
+    for name, typ in _TRAIN_OPTIONS:
+        t.add_argument(f"--{name.replace('_', '-')}", type=typ)
     t.add_argument("--omega", type=_omega_arg, default=argparse.SUPPRESS,
                    help="integer cap or 'none' for unlimited")
     t.add_argument("--no-truncation", action="store_true")
@@ -193,9 +197,7 @@ def _cmd_build_graph(args) -> int:
 
 
 def _overrides_from_args(args) -> dict:
-    keys = ("form", "T", "d", "lr", "epochs", "seed", "head", "aggregation",
-            "tau", "batch_size", "limit_train")
-    ov = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    ov = {k: getattr(args, k) for k, _ in _TRAIN_OPTIONS if getattr(args, k) is not None}
     if hasattr(args, "omega"):
         ov["omega"] = args.omega
     if args.no_truncation:

@@ -1,16 +1,16 @@
 """Relation graphs in label, text, and mixed form.
 
-Label edges are stored in coordinate form sorted by (head, tail, pred),
-with head_ptr marking each head entity's run of edges, so the edges leaving
-a set of entities are listed by one CSR expansion (expand_csr) and come out
-in edge order.  The parallel edges of one (head, tail) pair are neighbours,
-and pair_start marks the first edge of each pair, so such a listing is
-already grouped by pair for max aggregation; pair_groups groups an edge
-list in any order (text relations) the same way.  Text relations are
-stored edge-major with a CSR index over head entities, which the same
-expansion reads, and their texts live in a unique-text table.  A file saved
-with its edges in another order, such as the (head, pred, tail) or
-predicate-major orders of earlier versions, loads into the same arrays.
+Label edges and text relations are stored alike: in coordinate form, sorted
+by head and then tail (then predicate, or text id), with a CSR pointer over
+head entities (head_ptr, trel_ptr), so the relations leaving a set of
+entities are listed by one CSR expansion (expand_csr) and come out in
+storage order.  The parallel relations of one (head, tail) pair are
+neighbours, and pair_start and trel_pair_start mark the first relation of
+each pair, so such a listing is already grouped by pair for max
+aggregation.  A relation's id is its storage position.  Relation texts live
+in a unique-text table.  A file saved with its rows in another order, such
+as the (head, pred, tail) or predicate-major edge orders or the build-order
+text relations of earlier versions, loads into the same arrays.
 Entities, predicates and relation texts are all numbered by one map,
 encoder.Vocab (dense ids, first-seen order), so a builder that meets a text
 again reuses its id.  Graphs are immutable once built: every
@@ -49,18 +49,6 @@ def reverse_text(text: str) -> str:
         swap = {SUB_TOKEN: OBJ_TOKEN, OBJ_TOKEN: SUB_TOKEN}
         return " ".join(swap.get(t, t) for t in toks)
     return " ".join(t[: -len("_rev")] if t.endswith("_rev") else t + "_rev" for t in toks)
-
-
-def pair_groups(heads: np.ndarray, tails: np.ndarray):
-    """Group edges by (head, tail): returns (order, pair_heads, pair_tails,
-    pair_ptr) where order sorts the edges pair-contiguously, keeping edge
-    order within a pair."""
-    # one stable sort of a combined key (ids are >= 0) beats a two-key lexsort
-    key = heads * (int(tails.max(initial=0)) + 1) + tails
-    order = np.argsort(key, kind="stable")
-    new = np.flatnonzero(np.diff(key[order], prepend=-1))  # first edge of each pair
-    first = order[new]
-    return order, heads[first], tails[first], np.append(new, key.size)
 
 
 def _ptr(keys: np.ndarray, nbuckets: int) -> np.ndarray:
@@ -115,20 +103,19 @@ class RelationGraph:
             bad = ids[(ids < 0) | (ids >= bound)]
             if bad.size:
                 raise GraphError(f"{what} id {bad[0]} out of range [0, {bound})")
-        if not _in_edge_order(e):
+        # label edges by (head, tail, pred), text relations by (head, tail, text)
+        if not _in_edge_order(e, (4, 1, 2)):
             e = e[np.lexsort((e[:, 1], e[:, 2], e[:, 0]))]
-        self.edge_heads = e[:, 0].copy()
-        self.edge_preds = e[:, 1].copy()
-        self.edge_tails = e[:, 2].copy()
-        self.head_ptr = _ptr(self.edge_heads, len(entities))  # head i's edges start at head_ptr[i]
-        # True on the first edge of each (head, tail) pair (ids are >= 0)
+        if not _in_edge_order(t, (4, 2, 1)):
+            t = t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
+        self.edge_heads, self.edge_preds, self.edge_tails = e.T.copy()
+        self.trel_heads, self.trel_tails, self.trel_text = t.T.copy()
+        # head i's relations start at head_ptr[i] / trel_ptr[i]; the flags are
+        # True on the first relation of each (head, tail) pair (ids are >= 0)
+        self.head_ptr = _ptr(self.edge_heads, len(entities))
         self.pair_start = np.diff(e[:, [0, 2]], axis=0, prepend=-1).any(axis=1)
-
-        self.trel_heads = t[:, 0].copy()
-        self.trel_tails = t[:, 1].copy()
-        self.trel_text = t[:, 2].copy()
-        self._out_order = np.argsort(self.trel_heads, kind="stable").astype(np.int64)
-        self._out_ptr = _ptr(self.trel_heads, len(entities))
+        self.trel_ptr = _ptr(self.trel_heads, len(entities))
+        self.trel_pair_start = np.diff(t[:, :2], axis=0, prepend=-1).any(axis=1)
 
     # -- basic shape ---------------------------------------------------------
 
@@ -160,14 +147,17 @@ class RelationGraph:
         with more than omega relations keeps the top omega by subject score
         (ties: lower entity id, then lower relation id).  omega=None means
         unlimited.
+
+        A cut moves each entity's run under trel_ptr whole and keeps a prefix
+        of the last run it reaches, so each listed (head, tail) pair keeps
+        its relations side by side, from the one trel_pair_start marks.
         """
         active = a_prev > tau
         idle = ~active.any(axis=1)
         active[idle, np.argmax(a_prev[idle], axis=1)] = True
         rows, heads = np.nonzero(active)
         # each (row, head) pair lists the head's relations
-        pos, counts = expand_csr(self._out_ptr, heads)
-        rel_ids = self._out_order[pos]
+        rel_ids, counts = expand_csr(self.trel_ptr, heads)
         rel_rows = np.repeat(rows, counts)
         if omega is not None:
             sizes = np.bincount(rel_rows, minlength=a_prev.shape[0])
@@ -253,13 +243,13 @@ class RelationGraph:
         return g
 
 
-def _in_edge_order(e: np.ndarray) -> bool:
-    """Whether the (E, 3) rows of (head, pred, tail) ids are already in
-    (head, tail, pred) order, ties included, so that the stable lexsort
-    would leave them as they are.  The signs of neighbouring rows'
-    differences, weighted 4/1/2, are negative exactly where a row sorts
-    before the one above it."""
-    step = np.sign(np.diff(e, axis=0)) @ np.array([4, 1, 2])
+def _in_edge_order(rows: np.ndarray, weights) -> bool:
+    """Whether the (E, 3) id rows are already sorted by their columns taken
+    in falling order of weights, a permutation of 4/2/1 (4/1/2: by columns
+    0, 2, 1), ties included, so that the stable lexsort would leave them as
+    they are.  The weighted signs of neighbouring rows' differences are
+    negative exactly where a row sorts before the one above it."""
+    step = np.sign(np.diff(rows, axis=0)) @ np.array(weights)
     return bool((step >= 0).all())
 
 
@@ -466,8 +456,10 @@ def build_from_text_corpus(documents, entity_names) -> RelationGraph:
 def add_reverse_relations(g: RelationGraph) -> RelationGraph:
     """Return a graph with reverse closure: predicates double (2k original,
     2k+1 its reverse, named with a ``_rev`` suffix), every label edge gains
-    its inverse, and every text relation gains a direction-swapped twin with
-    id offset by the original relation count."""
+    its inverse, and every text relation gains a direction-swapped twin
+    from tail to head.  The reversed texts join the text table in the order
+    of the texts they reverse; a twin is stored, like every relation, by
+    (head, tail, text), so it is found by its head, not by its id."""
     if g.reversed:
         raise GraphError("graph already has reverse relations")
     predicates = Vocab()
@@ -481,24 +473,29 @@ def add_reverse_relations(g: RelationGraph) -> RelationGraph:
     edges = np.stack([h, 2 * p, t, t, 2 * p + 1, h], axis=1)  # each edge, then its inverse
 
     texts = Vocab(g.texts)
-    # twin of relation i gets id num_text_relations + i
-    trels = list(zip(g.trel_heads.tolist(), g.trel_tails.tolist(), g.trel_text.tolist()))
-    trels += [(t, h, texts.add(reverse_text(g.texts[x]))) for h, t, x in trels]
+    rev = np.array([texts.add(reverse_text(x)) for x in g.texts], dtype=np.int64)
+    h, t, x = g.trel_heads, g.trel_tails, g.trel_text
+    trels = np.stack([h, t, x, t, h, rev[x]], axis=1)  # each relation, then its twin
     return RelationGraph(g.entities, predicates, edges, texts.names, trels, g.form, reversed_=True)
 
 
 def mix_label_into_text(g: RelationGraph, triples, fraction: float, seed: int) -> RelationGraph:
     """Blend label triples into a text-form graph as one-word relation texts.
 
-    A ``fraction`` sample of the (name-form) triples becomes text relations
-    whose whole text is the predicate name; if the base graph already has
-    reverse closure, each sampled triple also contributes the ``_rev``
-    one-worder in the opposite direction, preserving closure.
+    A ``fraction`` sample of the (name-form) triples, drawn with ``seed`` (a
+    non-negative int), becomes text relations whose whole text is the
+    predicate name; if the base graph already has reverse closure, each
+    sampled triple also contributes the ``_rev`` one-worder in the opposite
+    direction, preserving closure.  The new texts follow the base graph's
+    in the text table, and the new relations are stored among the base
+    relations by (head, tail, text), as every text relation is.
     """
     if g.form != "text":
         raise GraphError(f"can only mix labels into a text-form graph, got {g.form!r}")
     if not 0.0 <= fraction <= 1.0:
         raise GraphError(f"fraction must be in [0, 1], got {fraction}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise GraphError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     triples = list(triples)
     k = int(round(fraction * len(triples)))

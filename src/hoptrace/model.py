@@ -10,14 +10,15 @@ result.
 
 There is one implementation, _reason, and it always runs a batch: each step
 is one transfer over the (B, n) score matrix, pushed as a disjoint union of
-the B rows through the same flat push, in every graph form and aggregation.
-Label form pushes only the edges leaving the frontier (the entities a row
-scores nonzero): the graph keeps its edges sorted by (head, tail, pred), so
-one CSR expansion of the frontier lists them row by row in edge order, with
-the parallel edges of each (head, tail) pair side by side, as max
-aggregation needs them.  Text form pushes the relations selected per row.
-forward_batch() runs it for training and evaluation; forward() runs it on a
-batch of one question and records every intermediate in a ReasoningTrace.
+the B rows through the same flat push, _push, in every graph form and
+aggregation.  Label form pushes the edges leaving the frontier (the
+entities a row scores nonzero), text form the relations selected per row.
+Both are listed by one CSR expansion over the graph's head-sorted storage,
+so the parallel relations of each (head, tail) pair come out side by side
+and max aggregation reads the pair boundaries off the graph's per-relation
+flags, with no sort.  forward_batch() runs it for training and evaluation;
+forward() runs it on a batch of one question and records every
+intermediate in a ReasoningTrace.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import kernels
 from .autodiff import Tensor
 from .encoder import BatchQuestionEncoding, EncoderParams, _uniform, encode_question, encode_question_batch
 from .errors import GraphError
-from .graph import RelationGraph, expand_csr, pair_groups
+from .graph import RelationGraph, expand_csr
 from .trace import ReasoningTrace, StepTrace
 
 
@@ -118,25 +119,15 @@ def text_relation_scores(q_t: Tensor, rel_enc: Tensor, params: ModelParams) -> T
 # graph, not with B times its edges.
 
 
-def _push_max(pair_heads, pair_tails, pair_ptr, w: Tensor, a_prev: Tensor, n: int) -> Tensor:
-    """Differentiable max push over edges grouped by (head, tail) pair, with
-    w in that grouped order: parallel edges contribute only their maximum
-    weight, and the gradient flows to the argmax edge alone.  Pair k's edges
-    are pair_ptr[k] .. pair_ptr[k + 1] - 1."""
-    out, argmax = kernels.push_max_forward(pair_heads, pair_tails, pair_ptr, w.data, a_prev.data, n)
-
-    def vjp(g):
-        return kernels.push_max_backward(pair_heads, pair_tails, argmax, w.data, a_prev.data, g)
-
-    return ad.node(out, (a_prev, w), vjp)
-
-
-def _push(heads, tails, w: Tensor, a_prev: Tensor, n: int, aggregation: str) -> Tensor:
-    """Differentiable score push along explicit edges.
+def _push(heads, tails, listed, pair_start, w: Tensor, a_prev: Tensor, n: int, aggregation: str) -> Tensor:
+    """Differentiable score push along the graph relations listed (storage
+    positions), whose first-of-pair flags are pair_start.
 
     sum: parallel edges between a pair add up (the default).
-    max: parallel edges contribute only their maximum weight; the edges are
-    grouped by pair with one stable sort, so ties go to the first listed.
+    max: parallel edges contribute only their maximum weight, the first
+    listed on a tie, and the gradient flows to that edge alone.  Each pair's
+    edges must be listed side by side from the one pair_start marks, as the
+    CSR listings of both forms are.
     """
     if aggregation == "sum":
         out = kernels.push_forward(heads, tails, w.data, a_prev.data, n)
@@ -144,11 +135,17 @@ def _push(heads, tails, w: Tensor, a_prev: Tensor, n: int, aggregation: str) -> 
         def vjp(g):
             return kernels.push_backward(heads, tails, w.data, a_prev.data, g)
 
-        return ad.node(out, (a_prev, w), vjp)
-    if aggregation == "max":
-        order, ph, pt, pptr = pair_groups(heads, tails)
-        return _push_max(ph, pt, pptr, w[order], a_prev, n)
-    raise ValueError(f"unknown aggregation {aggregation!r}")
+    elif aggregation == "max":
+        new = np.flatnonzero(pair_start[listed])  # the listing's first edge of each pair
+        heads, tails = heads[new], tails[new]
+        out, argmax = kernels.push_max_forward(heads, tails, np.append(new, listed.size), w.data, a_prev.data, n)
+
+        def vjp(g):
+            return kernels.push_max_backward(heads, tails, argmax, w.data, a_prev.data, g)
+
+    else:
+        raise ValueError(f"unknown aggregation {aggregation!r}")
+    return ad.node(out, (a_prev, w), vjp)
 
 
 def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregation: str = "sum") -> Tensor:
@@ -185,12 +182,7 @@ def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregatio
     rows = np.repeat(rows, counts)
     tails = g.edge_tails[edges] + rows * n
     w = ad.take(ad.reshape(p, (B * P,)), rows * P + g.edge_preds[edges])
-    flat = ad.reshape(a_prev, (B * n,))
-    if aggregation == "max":
-        new = np.flatnonzero(g.pair_start[edges])  # the listing's first edge of each pair
-        out = _push_max(heads[new], tails[new], np.append(new, edges.size), w, flat, B * n)
-    else:
-        out = _push(heads, tails, w, flat, B * n, aggregation)
+    out = _push(heads, tails, edges, g.pair_start, w, ad.reshape(a_prev, (B * n,)), B * n, aggregation)
     return ad.reshape(out, (B, n))
 
 
@@ -199,11 +191,17 @@ def transfer_text_batch(
 ) -> Tensor:
     """Text-form transfer for a whole batch: a_prev is (B, n) and relation
     rel_ids[k], scored scores[k], moves row rows[k]; relations not listed
-    for a row carry score 0 there."""
+    for a row carry score 0 there.
+
+    rel_ids and rows must be listed as g.select_text_relation_ids lists
+    them, so that the parallel relations of a (head, tail) pair come out
+    side by side, lowest text id first: max aggregation reads the pair
+    boundaries off g.trel_pair_start, with no sort.
+    """
     B, n = a_prev.data.shape
     off = rows * n
-    flat = ad.reshape(a_prev, (B * n,))
-    out = _push(g.trel_heads[rel_ids] + off, g.trel_tails[rel_ids] + off, scores, flat, B * n, aggregation)
+    heads, tails = g.trel_heads[rel_ids] + off, g.trel_tails[rel_ids] + off
+    out = _push(heads, tails, rel_ids, g.trel_pair_start, scores, ad.reshape(a_prev, (B * n,)), B * n, aggregation)
     return ad.reshape(out, (B, n))
 
 
@@ -311,6 +309,11 @@ def _reason(
     text_form = g.form != "label"
     if params.form != g.form:
         raise GraphError(f"model built for {params.form!r} graphs, got {g.form!r}")
+    if (params.n, params.num_predicates) != (g.n, g.num_predicates):
+        raise GraphError(
+            f"model built for a graph of {params.n} entities and {params.num_predicates} predicates,"
+            f" got one of {g.n} entities and {g.num_predicates} predicates"
+        )
     if text_form and cache is None:
         raise GraphError("text/mixed forward needs a relation encoding cache")
     n, d = g.n, params.d

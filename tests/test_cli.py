@@ -556,6 +556,29 @@ def test_eval_require_that_is_no_fraction_is_usage_error(ws, tmp_path, capsys, r
     assert not out.exists() and not capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cmd", ["answer", "eval"])
+def test_graph_that_does_not_match_the_checkpoint_is_data_error(ws, tmp_path, capsys, cmd):
+    """The model was trained on the reversed graph (12 predicates); the
+    same entities without reverses (6 predicates) would index its
+    predicate scores with other ids, so both commands refuse it."""
+    small = tmp_path / "g_no_reverse.txt"
+    args = ["build-graph", "--triples", str(ws / "data" / "triples.tsv"), "--out", str(small), "--no-reverse"]
+    assert main(args) == 0
+    g, g_small = RelationGraph.load(ws / "g_label.txt"), RelationGraph.load(small)
+    assert g_small.n == g.n and 2 * g_small.num_predicates == g.num_predicates
+    checkpoint = ["--checkpoint", str(ws / "run" / "checkpoint.bin"), "--graph", str(small)]
+    if cmd == "answer":
+        args = ["answer", load_questions(ws / "data" / "qa_dev.txt")[0].question, *checkpoint]
+    else:
+        args = ["eval", *checkpoint, "--questions", str(ws / "data" / "qa_dev.txt")]
+    capsys.readouterr()
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    want = f"{g.n} entities and {g.num_predicates} predicates, got one of {g.n} entities and {g_small.num_predicates}"
+    assert err.startswith("data error: model built for a graph of ") and want in err, err
+
+
 def test_eval_rejects_mismatched_vocab(ws, tmp_path):
     tampered = tmp_path / "vocab.txt"
     tampered.write_text((ws / "run" / "vocab.txt").read_text() + "zzzunseen\n")
@@ -762,16 +785,16 @@ def test_answer_and_trace(ws, tmp_path, capsys):
     assert dot_path.read_text().startswith("digraph")
 
 
-def _edges_resorted(path, out, key):
-    """The graph file at path written to out with its edge rows sorted by
-    key((head, pred, tail)), as save() wrote them while label edges were
-    kept in that order, and its sha256 redone over the new rows."""
+def _edges_resorted(path, out, key, section="edges"):
+    """The graph file at path written to out with the rows of one id
+    section sorted by key(row ids), as an earlier version or another writer
+    may have saved them, and its sha256 redone over the new rows."""
     header, *chunks = path.read_text(encoding="utf-8").removesuffix("\n").split("\n#SECTION ")
     sections = {}
     for chunk in chunks:
         name, newline, rows = chunk.partition("\n")
         sections[name] = rows.split("\n") if newline else []
-    sections["edges"].sort(key=lambda row: key(tuple(map(int, row.split("\t")))))
+    sections[section].sort(key=lambda row: key(tuple(map(int, row.split("\t")))))
     sections["meta"] = [row for row in sections["meta"] if not row.startswith("sha256 ")]
     digest = _digest(header, {name: "\n".join(rows) for name, rows in sections.items()})
     sections["meta"].append(f"sha256 {digest}")
@@ -779,14 +802,19 @@ def _edges_resorted(path, out, key):
     out.write_text(header + "\n" + body)
 
 
-def _assert_loads_as_today(ws, old, tmp_path, capsys):
-    """The graph file old, whose edge rows are in an earlier order, loads
-    into the same arrays as today's file, re-saves to its bytes and gives
-    the same answer."""
-    new = ws / "g_label.txt"
+_LABEL_ARRAYS = ("edge_heads", "edge_preds", "edge_tails", "head_ptr", "pair_start")
+_TEXT_ARRAYS = ("trel_heads", "trel_tails", "trel_text", "trel_ptr", "trel_pair_start")
+
+
+def _assert_loads_as_today(ws, old, tmp_path, capsys, new=None, checkpoint=None, arrays=_LABEL_ARRAYS):
+    """The graph file old, whose rows are in an earlier order, loads into
+    the same arrays as today's file new (ws/g_label.txt), re-saves to its
+    bytes and gives the same answer from checkpoint (ws's label model)."""
+    new = new or ws / "g_label.txt"
+    checkpoint = str(checkpoint or ws / "run" / "checkpoint.bin")
     assert old.read_text() != new.read_text()
     g_new, g_old = RelationGraph.load(new), RelationGraph.load(old)
-    for name in ("edge_heads", "edge_preds", "edge_tails", "head_ptr", "pair_start"):
+    for name in arrays:
         np.testing.assert_array_equal(getattr(g_old, name), getattr(g_new, name))
     g_old.save(tmp_path / "resaved.txt")
     assert (tmp_path / "resaved.txt").read_bytes() == new.read_bytes()
@@ -794,7 +822,6 @@ def _assert_loads_as_today(ws, old, tmp_path, capsys):
     replies = []
     for graph in (new, old):
         capsys.readouterr()
-        checkpoint = str(ws / "run" / "checkpoint.bin")
         assert main(["answer", question, "--checkpoint", checkpoint, "--graph", str(graph)]) == 0
         replies.append(capsys.readouterr().out)
     assert replies[0] == replies[1] and json.loads(replies[0])["answers"]
@@ -812,6 +839,22 @@ def test_head_pred_tail_graph_file_still_loads(ws, tmp_path, capsys):
     old = tmp_path / "old.txt"
     _edges_resorted(ws / "g_label.txt", old, lambda e: e)
     _assert_loads_as_today(ws, old, tmp_path, capsys)
+
+
+def test_shuffled_text_relation_rows_still_load(ws, tmp_path, capsys):
+    """A text graph whose text_relations rows are in any other order, such
+    as the build order files were saved in before text relations were
+    sorted by (head, tail, text), loads as today's file does."""
+    args = [
+        "train", "--data", str(ws / "data"), "--graph", str(ws / "g_text.txt"), "--out", str(tmp_path / "run_text"),
+        "--form", "text", "--epochs", "1", "--d", "8", "--seed", "0", "--limit-train", "0.2",
+    ]
+    assert main(args) == 0
+    old = tmp_path / "old.txt"
+    # a fixed scramble of the (head, tail, text) rows
+    _edges_resorted(ws / "g_text.txt", old, lambda r: (r[0] * 7919 + r[1] * 6007 + r[2] * 104729) % 1009, "text_relations")
+    checkpoint = tmp_path / "run_text" / "checkpoint.bin"
+    _assert_loads_as_today(ws, old, tmp_path, capsys, ws / "g_text.txt", checkpoint, _TEXT_ARRAYS)
 
 
 def test_answer_requires_bracketed_topic(ws):

@@ -18,7 +18,6 @@ from hoptrace.graph import (
     load_corpus_jsonl,
     load_triples_tsv,
     mix_label_into_text,
-    pair_groups,
     reverse_text,
 )
 
@@ -109,19 +108,19 @@ def test_presorted_and_shuffled_edges_give_equal_arrays(rng):
         e = rng.integers(0, [5, 3, 5], size=(30, 3))
         e = np.concatenate([e, e[:8]])
         ordered = e[np.lexsort((e[:, 1], e[:, 2], e[:, 0]))]
-        assert _in_edge_order(ordered)
+        assert _in_edge_order(ordered, (4, 1, 2))
         for edges in (ordered, rng.permutation(e), rng.permutation(e).tolist(), ordered.tolist()):
-            assert _in_edge_order(np.asarray(edges)) == np.array_equal(edges, ordered)
+            assert _in_edge_order(np.asarray(edges), (4, 1, 2)) == np.array_equal(edges, ordered)
             g = RelationGraph(ents, preds, edges, [], [], form="label")
             np.testing.assert_array_equal(np.stack([g.edge_heads, g.edge_preds, g.edge_tails], axis=1), ordered)
     # a larger step in a later key column does not outweigh an earlier one:
     # the tail (column 2) comes before the predicate (column 1)
-    assert _in_edge_order(np.array([[0, 4, 4], [1, 0, 0]]))
-    assert not _in_edge_order(np.array([[1, 0, 0], [0, 4, 4]]))
-    assert _in_edge_order(np.array([[0, 4, 1], [0, 0, 2]]))
-    assert not _in_edge_order(np.array([[0, 0, 2], [0, 4, 1]]))
-    assert not _in_edge_order(np.array([[0, 1, 3], [0, 0, 3]]))
-    assert not _in_edge_order(np.array([[0, 0, 4], [0, 0, 3]]))
+    assert _in_edge_order(np.array([[0, 4, 4], [1, 0, 0]]), (4, 1, 2))
+    assert not _in_edge_order(np.array([[1, 0, 0], [0, 4, 4]]), (4, 1, 2))
+    assert _in_edge_order(np.array([[0, 4, 1], [0, 0, 2]]), (4, 1, 2))
+    assert not _in_edge_order(np.array([[0, 0, 2], [0, 4, 1]]), (4, 1, 2))
+    assert not _in_edge_order(np.array([[0, 1, 3], [0, 0, 3]]), (4, 1, 2))
+    assert not _in_edge_order(np.array([[0, 0, 4], [0, 0, 3]]), (4, 1, 2))
 
 
 def test_pair_start_marks_the_first_edge_of_each_pair(rng):
@@ -139,20 +138,46 @@ def test_pair_start_marks_the_first_edge_of_each_pair(rng):
     assert graphs[-2].pair_start.tolist() == [True, False, True, True]
 
 
-def test_edges_grouped_by_pair(rng):
-    """pair_groups lists edges by (head, tail) then edge id; each pair_ptr
-    run is one pair, and no pair appears twice."""
-    graphs = [add_reverse_relations(random_label_graph(rng)) for _ in range(10)]
-    graphs.append(RelationGraph(Vocab(["a"]), Vocab(["p"]), [], [], [], form="label"))
+def test_presorted_and_shuffled_text_relations_give_equal_arrays(rng):
+    """Text relations are stored by (head, tail, text), the constructor
+    skipping its sort when the rows are in that order already: sorted,
+    shuffled and list inputs, repeated rows included, give the same arrays."""
+    ents, texts = Vocab([str(i) for i in range(5)]), ["<sub> a <obj>", "<sub> b <obj>", "<sub> c <obj>"]
+    for _ in range(20):
+        t = rng.integers(0, [5, 5, 3], size=(30, 3))
+        t = np.concatenate([t, t[:8]])
+        ordered = t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
+        assert _in_edge_order(ordered, (4, 2, 1))
+        for trels in (ordered, rng.permutation(t), rng.permutation(t).tolist(), ordered.tolist()):
+            assert _in_edge_order(np.asarray(trels), (4, 2, 1)) == np.array_equal(trels, ordered)
+            g = RelationGraph(ents, Vocab(), [], texts, trels, form="text")
+            np.testing.assert_array_equal(np.stack([g.trel_heads, g.trel_tails, g.trel_text], axis=1), ordered)
+    # the tail (column 1) comes before the text (column 2)
+    assert _in_edge_order(np.array([[0, 0, 4], [0, 1, 0]]), (4, 2, 1))
+    assert not _in_edge_order(np.array([[0, 1, 0], [0, 0, 4]]), (4, 2, 1))
+
+
+def test_text_relations_listed_by_trel_ptr_with_pair_starts(rng):
+    """trel_ptr marks each entity's run of text relations, entities without
+    relations included, and trel_pair_start is True exactly where a
+    relation's (head, tail) differs from the one before it."""
+    graphs = [add_reverse_relations(random_text_graph(rng, isolated=(1,))) for _ in range(10)]
+    graphs.append(RelationGraph(Vocab(["a"]), Vocab(), [], [], [], form="text"))
+    parallel = False
     for g in graphs:
-        h, t = g.edge_heads, g.edge_tails
-        order, pair_heads, pair_tails, pair_ptr = pair_groups(h, t)
-        assert order.tolist() == sorted(range(g.num_edges), key=lambda e: (h[e], t[e], e))
-        for k, (ph, pt) in enumerate(zip(pair_heads, pair_tails)):
-            run = order[pair_ptr[k] : pair_ptr[k + 1]]
-            assert run.size and np.all(h[run] == ph) and np.all(t[run] == pt)
-        assert pair_ptr[0] == 0 and pair_ptr[-1] == g.num_edges
-        assert len(set(zip(pair_heads.tolist(), pair_tails.tolist()))) == len(pair_heads)
+        key = list(zip(g.trel_heads.tolist(), g.trel_tails.tolist(), g.trel_text.tolist()))
+        assert key == sorted(key)
+        assert g.trel_ptr.shape == (g.n + 1,) and g.trel_ptr[0] == 0 and g.trel_ptr[-1] == g.num_text_relations
+        for i in range(g.n):
+            lo, hi = g.trel_ptr[i], g.trel_ptr[i + 1]
+            assert hi - lo == np.count_nonzero(g.trel_heads == i)
+            assert np.all(g.trel_heads[lo:hi] == i)
+        pairs = [k[:2] for k in key]
+        want = [i == 0 or pairs[i] != pairs[i - 1] for i in range(len(pairs))]
+        assert g.trel_pair_start.dtype == bool and g.trel_pair_start.tolist() == want
+        assert np.count_nonzero(g.trel_pair_start) == len(set(pairs))
+        parallel |= len(set(pairs)) < len(pairs)
+    assert parallel
 
 
 @pytest.mark.parametrize(
@@ -283,6 +308,29 @@ def test_batch_selection_matches_brute_force_row_by_row(rng):
     assert kinds == {"fallback", "empty fallback", "active", "cut"}
 
 
+def test_selection_lists_each_pair_whole_from_its_first_relation(rng):
+    """In every row of a selection, omega cuts included, the listed
+    relations of one (head, tail) pair are side by side and the first of
+    them is the one trel_pair_start marks: the pair rule max aggregation
+    reads.  A pair the cut splits keeps a prefix of its relations."""
+    cuts = 0
+    for trial in range(60):
+        g = add_reverse_relations(random_text_graph(rng))
+        B = int(rng.integers(1, 5))
+        a = np.round(rng.random((B, g.n)), 1)  # ties in subject score
+        omega = None if trial % 4 == 0 else int(rng.integers(1, 12))
+        ids, rows = g.select_text_relation_ids(a, 0.3, omega)
+        for i in range(B):
+            got = ids[rows == i]
+            pairs = list(zip(g.trel_heads[got].tolist(), g.trel_tails[got].tolist()))
+            opens = [k == 0 or pairs[k] != pairs[k - 1] for k in range(len(pairs))]
+            assert sum(opens) == len(set(pairs)), (trial, i)
+            assert g.trel_pair_start[got].tolist() == opens, (trial, i)
+            full = ids[rows == i] if omega is None else g.select_text_relation_ids(a[i : i + 1], 0.3, None)[0]
+            cuts += got.size < full.size
+    assert cuts > 10
+
+
 # -- reverse closure -------------------------------------------------------------
 
 
@@ -315,14 +363,17 @@ def test_add_reverse_label_closure_complete(rng):
 
 
 def test_add_reverse_text(rng):
+    """Every relation gains a twin from its tail to its head with the
+    reversed text; relations are stored by (head, tail, text), so the twins
+    are matched by content, not by position."""
     g0 = random_text_graph(rng, n=8, num_rels=15)
     g = add_reverse_relations(g0)
     m = g0.num_text_relations
     assert g.num_text_relations == 2 * m
-    for i in range(m):
-        (h, t, text), (twin_h, twin_t, twin_text) = _rel(g, i), _rel(g, m + i)
-        assert (h, t) == (twin_t, twin_h)
-        assert reverse_text(text) == twin_text
+    base = sorted(_rel(g0, i) for i in range(m))
+    twins = sorted((t, h, reverse_text(text)) for h, t, text in base)
+    assert sorted(_rel(g, i) for i in range(2 * m)) == sorted(base + twins)
+    assert g.texts[: len(g0.texts)] == g0.texts
 
 
 def test_add_reverse_twice_rejected(chain_graph):
@@ -340,8 +391,17 @@ def test_mix_label_into_text(rng):
     mixed = mix_label_into_text(base, triples, 1.0, seed=0)
     assert mixed.form == "mixed"
     assert mixed.num_text_relations == base.num_text_relations + 3
-    added = [_rel(mixed, base.num_text_relations + i) for i in range(3)]
-    assert {text for _, _, text in added} == {"knows", "likes"}
+    rels = sorted(_rel(mixed, i) for i in range(mixed.num_text_relations))
+    for i in range(base.num_text_relations):
+        rels.remove(_rel(base, i))
+    assert rels == [(0, 1, "knows"), (1, 2, "knows"), (2, 0, "likes")]
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "0", None])
+def test_mix_rejects_a_seed_that_is_no_non_negative_int(rng, seed):
+    base = random_text_graph(rng, n=3, num_rels=4)
+    with pytest.raises(GraphError, match="seed must be a non-negative integer"):
+        mix_label_into_text(base, [("e0", "knows", "e1")], 0.5, seed=seed)
 
 
 def test_mix_preserves_reverse_closure(rng):
@@ -422,13 +482,14 @@ _PIN_TRIPLES = [("Ann", "likes", "Bob"), ("Ann", "likes", "Cy"), ("Bob", "knows"
 @pytest.mark.parametrize(
     "form, sha256, trel_text",
     [
-        ("text", "c626f53da4edc75b33b3c6fb9cdc046326596ab28e803a97a29b31c4d39b9408", [0, 0, 1, 2, 3, 4, 4, 2, 1, 5]),
+        ("text", "82a775f778a7a776c6cdb2b65fefbe387da062abdba956c503546a9cb56296b7", [0, 1, 1, 0, 2, 2, 4, 3, 4, 5]),
         (
             "mixed",
-            "454eb945459c200295d5d734dce02c7664c708cc529455cd6a963f1d0352f617",
-            [0, 0, 1, 2, 3, 4, 4, 2, 1, 5, 6, 7, 6, 7, 8, 9],
+            "21f2835b7949a49784edc0965808ca1e34964fb360ed6f2dce0af7aeeea5245a",
+            [0, 1, 1, 6, 0, 6, 2, 2, 4, 7, 3, 8, 4, 7, 5, 9],
         ),
     ],
+    ids=["text", "mixed"],
 )
 def test_text_ids_are_pinned(tmp_path, form, sha256, trel_text):
     g = add_reverse_relations(build_from_text_corpus(_PIN_DOCS, ["Ann", "Bob", "Cy"]))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hoptrace.autodiff as ad
-from hoptrace import graph, kernels, model
+from hoptrace import kernels
 from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
 from hoptrace.encoder import EncoderParams, RelationEncodingCache, Vocabulary, encode_question_batch, encode_relation_batch
@@ -153,6 +153,16 @@ def _frontier_case(rng):
     return g, a, p
 
 
+def _oracle_pairs(heads, tails):
+    """The oracles' own grouping of an edge list: the order that sorts it by
+    (head, tail), then listed position, and each pair's head, tail and
+    run, as (order, pair_heads, pair_tails, pair_ptr)."""
+    order = np.lexsort((np.arange(heads.size), tails, heads))
+    h, t = heads[order], tails[order]
+    starts = np.flatnonzero((np.diff(h, prepend=-1) != 0) | (np.diff(t, prepend=-1) != 0))
+    return order, h[starts], t[starts], np.append(starts, heads.size)
+
+
 def _assert_frontier_matches_oracles(g, a0, p0, upstream):
     """transfer_label_batch against the np.add.at oracles over every edge.
     Sum: the output and the p gradient bit for bit, and the a_prev gradient
@@ -170,7 +180,7 @@ def _assert_frontier_matches_oracles(g, a0, p0, upstream):
     np.testing.assert_array_equal(a.grad[live], grad_a[live])
     assert not np.any(a.grad[~live])
 
-    order, ph, pt, pptr = graph.pair_groups(g.edge_heads, g.edge_tails)
+    order, ph, pt, pptr = _oracle_pairs(g.edge_heads, g.edge_tails)
     out_max = transfer_label_batch(g, Tensor(a0), Tensor(p0), "max")
     for b in range(a0.shape[0]):
         want, _ = oracles.push_max_forward(ph, pt, pptr, w[b, order], a0[b], g.n)
@@ -284,11 +294,8 @@ def test_transfer_label_batch_max_over_parallel_edges_matches_oracles(rng):
     out = transfer_label_batch(g, a, p, "max")
     ad.sum_(out * Tensor(upstream)).backward()
 
-    # the oracles' own grouping: by (head, tail), then edge id
     h, t, E = g.edge_heads, g.edge_tails, g.num_edges
-    order = np.lexsort((np.arange(E), t, h))
-    starts = np.flatnonzero(np.diff(h[order] * g.n + t[order], prepend=-1))
-    ph, pt, ptr = h[order][starts], t[order][starts], np.append(starts, E)
+    order, ph, pt, ptr = _oracle_pairs(h, t)
     live = a0 != 0
     for b in range(a0.shape[0]):
         w = p0[b, g.edge_preds]
@@ -311,27 +318,98 @@ def test_transfer_label_batch_max_over_parallel_edges_matches_oracles(rng):
     assert not np.any(out.data[3])
 
 
-def test_label_max_path_neither_groups_nor_sorts(rng, monkeypatch):
-    """Label max reads its pairs off the graph: graph.pair_groups is never
-    called, in a transfer or in a whole forward_batch and backward, and the
-    transfer sorts nothing."""
+def _refuse_sorts(m):
+    """Patch numpy's sorts to raise for the rest of the context m."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the label max path grouped or sorted its edges")
+        raise AssertionError("the max path sorted its edges")
 
-    monkeypatch.setattr(graph, "pair_groups", refuse)
-    monkeypatch.setattr(model, "pair_groups", refuse)
+    for name in ("argsort", "lexsort", "sort"):
+        m.setattr(np, name, refuse)
+
+
+def test_label_max_path_neither_groups_nor_sorts(rng, monkeypatch):
+    """Label max reads its pairs off the graph: the transfer and its
+    backward sort nothing."""
     g, a0, p0 = _parallel_edge_case(rng)
+    p = Tensor(p0, requires_grad=True)
     with monkeypatch.context() as m:
-        for name in ("argsort", "lexsort", "sort"):
-            m.setattr(np, name, refuse)
-        out = transfer_label_batch(g, Tensor(a0), Tensor(p0, requires_grad=True), "max")
+        _refuse_sorts(m)
+        out = transfer_label_batch(g, Tensor(a0), p, "max")
         ad.sum_(out).backward()
-    cfg = label_cfg(d=6, aggregation="max")
-    params = ModelParams(20, g.n, g.num_predicates, cfg)
-    batch = forward_batch(g, [np.array([4, 5]), np.array([6, 7, 8])], [0, 13], params, cfg)
-    ad.sum_(batch.final).backward()
-    assert params.pred_w.grad is not None and np.any(params.pred_w.grad)
+    assert np.any(p.grad)
+
+
+# (head, tail, text ids) joined by parallel relations in _parallel_text_case
+PARALLEL_TEXT = [(0, 5, (1, 3)), (0, 6, (0, 2, 3)), (3, 5, (1, 2)), (9, 2, (0, 3)), (13, 0, (1, 2, 3))]
+
+
+def _parallel_text_case(rng):
+    """A random text graph whose PARALLEL_TEXT pairs are joined by two or
+    three relations each, a (5, n) batch like _parallel_edge_case's, its
+    selection (tau 0, no omega) and a score per selected relation.  Rows 0
+    and 2 score the two relations of pair (0, 5) equally, a tie."""
+    base = random_text_graph(rng, n=14, num_rels=30)
+    texts = [f"<sub> rel{k} <obj> ." for k in range(5)]  # random_text_graph's texts
+    trels = [(h, t, texts.index(base.texts[x])) for h, t, x in zip(base.trel_heads, base.trel_tails, base.trel_text)]
+    trels += [(h, t, x) for h, t, xs in PARALLEL_TEXT for x in xs]
+    g = RelationGraph(base.entities, Vocab(), [], texts, trels, form="text")
+    a = np.zeros((5, g.n))
+    a[0, 0] = 1.0
+    a[1, [3, 13]] = rng.random(2) + 0.1
+    a[2] = rng.random(g.n) + 0.1
+    a[4, 9] = 1.0
+    ids, rows = g.select_text_relation_ids(a, 0.0, None)
+    scores = rng.random(ids.size)
+    for b in (0, 2):
+        tie = np.flatnonzero((rows == b) & (g.trel_heads[ids] == 0) & (g.trel_tails[ids] == 5))
+        scores[tie] = scores[tie[0]]
+    return g, a, ids, rows, scores
+
+
+def test_transfer_text_batch_max_over_parallel_relations_matches_oracles(rng):
+    """Text max over a selection with parallel relations against the
+    per-pair loop oracles, row by row: the output, the score gradient and
+    the a_prev gradient on a_prev's nonzero entries bit for bit, and the
+    output against the dense max reference."""
+    g, a0, ids, rows, s0 = _parallel_text_case(rng)
+    assert np.count_nonzero(g.trel_pair_start) < g.num_text_relations
+    upstream = rng.standard_normal(a0.shape)
+    a, scores = Tensor(a0.copy(), requires_grad=True), Tensor(s0.copy(), requires_grad=True)
+    out = transfer_text_batch(g, a, ids, rows, scores, "max")
+    ad.sum_(out * Tensor(upstream)).backward()
+
+    live = a0 != 0
+    for b in range(a0.shape[0]):
+        mine = np.flatnonzero(rows == b)
+        h, t, w = g.trel_heads[ids[mine]], g.trel_tails[ids[mine]], s0[mine]
+        order, ph, pt, ptr = _oracle_pairs(h, t)
+        want, argmax = oracles.push_max_forward(ph, pt, ptr, w[order], a0[b], g.n)
+        grad_a, grad_w = oracles.push_max_backward(ph, pt, argmax, w[order], a0[b], upstream[b])
+        grad_s = np.zeros(mine.size)
+        grad_s[order] = grad_w
+        np.testing.assert_array_equal(out.data[b], want)
+        np.testing.assert_array_equal(scores.grad[mine], grad_s)
+        np.testing.assert_array_equal(a.grad[b, live[b]], grad_a[live[b]])
+        np.testing.assert_allclose(out.data[b], dense_text_transfer(g.n, h, t, w, a0[b], "max"), rtol=0, atol=1e-12)
+        if b in (0, 2):
+            # the tie on (0, 5) went to the relation listed first, the lower text id
+            tie = np.flatnonzero((h == 0) & (t == 5))
+            assert g.trel_text[ids[mine[tie]]].tolist() == [1, 3] and w[tie[0]] == w[tie[1]]
+            assert grad_s[tie[1]] == 0.0 and grad_s[tie[0]] == upstream[b, 5] * a0[b, 0] != 0.0
+    assert not np.any(out.data[3])
+
+
+def test_text_max_path_sorts_nothing(rng, monkeypatch):
+    """Text max reads its pairs off the graph's trel_pair_start: the
+    transfer and its backward sort nothing."""
+    g, a0, ids, rows, s0 = _parallel_text_case(rng)
+    scores = Tensor(s0, requires_grad=True)
+    with monkeypatch.context() as m:
+        _refuse_sorts(m)
+        out = transfer_text_batch(g, Tensor(a0), ids, rows, scores, "max")
+        ad.sum_(out).backward()
+    assert np.any(scores.grad)
 
 
 def test_transfer_label_gradcheck(rng):
@@ -346,10 +424,9 @@ def test_transfer_text_matches_dense_sum(rng):
     for _ in range(25):
         g = random_text_graph(rng)
         a = Tensor(rng.random(g.n))
-        m = g.num_text_relations
-        k = int(rng.integers(1, m + 1))
-        rel_ids = rng.choice(m, size=k, replace=False)
-        scores = Tensor(rng.random(k))
+        omega = int(rng.integers(1, g.num_text_relations + 1))
+        rel_ids, _ = g.select_text_relation_ids(a.data[None], float(rng.choice([0.0, 0.5])), omega)
+        scores = Tensor(rng.random(rel_ids.size))
         got = transfer_text_row(g, a, rel_ids, scores, "sum")
         want = dense_text_transfer(
             g.n, g.trel_heads[rel_ids], g.trel_tails[rel_ids], scores.data, a.data, "sum"
@@ -485,7 +562,7 @@ def test_hop_mixture_blends(chain_graph):
 def test_language_mask_gates(rng):
     g = add_reverse_relations(random_text_graph(rng, n=10, num_rels=20))
     cfg = text_cfg()
-    params = make_params(cfg, n=g.n, num_predicates=1)
+    params = make_params(cfg, n=g.n, num_predicates=g.num_predicates)
     tr = forward(g, np.array([4, 5]), 2, params, cfg, cache=make_cache(params, g)).trace
     m = tr.mask
     assert m.shape == (g.n,)
@@ -586,10 +663,21 @@ def test_forward_validates_topic_and_form(chain_graph, rng):
         forward(tg, np.array([4]), 0, params, cfg)
 
 
+@pytest.mark.parametrize("n, num_predicates", [(1, 0), (0, 1)], ids=["entities", "predicates"])
+def test_forward_rejects_a_graph_of_another_size(chain_graph, n, num_predicates):
+    """Scores and predicate weights are indexed with the graph's ids, so a
+    graph with more or fewer entities or predicates than the model's fails."""
+    g = add_reverse_relations(chain_graph)
+    cfg = label_cfg()
+    params = make_params(cfg, n=g.n + n, num_predicates=g.num_predicates + num_predicates)
+    with pytest.raises(GraphError, match="model built for a graph of"):
+        forward_batch(g, [np.array([4])], [0], params, cfg)
+
+
 def test_forward_text_requires_cache(rng):
     g = add_reverse_relations(random_text_graph(rng, n=5))
     cfg = text_cfg()
-    params = make_params(cfg, n=g.n, num_predicates=1)
+    params = make_params(cfg, n=g.n, num_predicates=g.num_predicates)
     with pytest.raises(GraphError):
         forward(g, np.array([4]), 0, params, cfg, cache=None)
 
@@ -597,7 +685,7 @@ def test_forward_text_requires_cache(rng):
 def test_forward_text_trace_records_selected_relations(rng):
     g = add_reverse_relations(random_text_graph(rng, n=6, num_rels=10))
     cfg = text_cfg()
-    params = make_params(cfg, n=g.n, num_predicates=1)
+    params = make_params(cfg, n=g.n, num_predicates=g.num_predicates)
     cache = make_cache(params, g)
     res = forward(g, np.array([4, 5]), 2, params, cfg, cache=cache)
     s1 = res.trace.steps[0]
@@ -612,7 +700,7 @@ def _trace_case(kind, rng):
         # tau low enough that several entities stay active after step 1
         g = add_reverse_relations(random_text_graph(rng, n=8, num_rels=20))
         cfg = text_cfg(tau=0.2)
-        params = make_params(cfg, n=g.n, num_predicates=1)
+        params = make_params(cfg, n=g.n, num_predicates=g.num_predicates)
         return g, cfg, params, make_cache(params, g)
     g = add_reverse_relations(random_label_graph(rng, n=12, num_predicates=3))
     cfg = label_cfg(aggregation=kind.split("-")[1], head="sigmoid")
@@ -722,7 +810,7 @@ def test_forward_batch_matches_forward_label(rng):
 def test_forward_batch_matches_forward_text(rng):
     g = add_reverse_relations(random_text_graph(rng, n=8, num_rels=14))
     cfg = text_cfg(d=8)
-    params = ModelParams(40, g.n, 1, cfg)
+    params = ModelParams(40, g.n, g.num_predicates, cfg)
     cache = make_cache(params, g)
     seqs = [np.array([4, 5]), np.array([6, 7, 8])]
     topics = [1, 3]
@@ -811,7 +899,7 @@ def _text_case(aggregation, **cfg_kw):
     def build(rng):
         g = add_reverse_relations(random_text_graph(rng, n=6, num_rels=24))  # many parallel relations
         cfg = text_cfg(d=6, aggregation=aggregation, **cfg_kw)
-        params = ModelParams(40, g.n, 1, cfg)
+        params = ModelParams(40, g.n, g.num_predicates, cfg)
         return g, cfg, params, make_cache(params, g), [1, 3, 5]
 
     return build
@@ -831,7 +919,7 @@ def _empty_selection_case(rng):
     # and its all-zero scores fall back to argmax = e0 again at later steps
     g = add_reverse_relations(random_text_graph(rng, n=6, num_rels=24, isolated=(0,)))
     cfg = text_cfg(d=6, aggregation="max")
-    params = ModelParams(40, g.n, 1, cfg)
+    params = ModelParams(40, g.n, g.num_predicates, cfg)
     return g, cfg, params, make_cache(params, g), [0, 3, 0]
 
 
