@@ -231,6 +231,8 @@ def matmul(a, b):
     def vjp(g):
         if ad.ndim == 2 and bd.ndim == 2:
             return g @ bd.T, ad.T @ g
+        if ad.ndim == 3 and bd.ndim == 3:  # a batch of products, stacked on axis 0
+            return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
         if ad.ndim == 2 and bd.ndim == 1:
             return np.outer(g, bd), ad.T @ g
         if ad.ndim == 1 and bd.ndim == 2:
@@ -251,6 +253,13 @@ def softmax(a):
         return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
 
     return node(out, (a,), vjp)
+
+
+def transpose(a, axes):
+    """a with its axes permuted: axis i of the result is axis axes[i] of a."""
+    a = _ensure(a)
+    back = np.argsort(axes)
+    return node(a.data.transpose(axes), (a,), lambda g: (g.transpose(back),))
 
 
 def reshape(a, shape):

@@ -115,7 +115,13 @@ def _build_parser() -> _Parser:
     b.add_argument("--mix-fraction", type=_fraction_arg, default=0.5)
     b.add_argument("--mix-seed", type=_int_at_least(0), default=0)
 
-    t = sub.add_parser("train", help="train a model")
+    t = sub.add_parser(
+        "train",
+        help="train a model",
+        description="Train a model and write its checkpoint.  Training is deterministic for a seed, but"
+        " a checkpoint reproduces bit for bit only at the same BLAS thread count (OPENBLAS_NUM_THREADS,"
+        " OMP_NUM_THREADS, MKL_NUM_THREADS); the checkpoint's metadata records them under 'blas'.",
+    )
     t.add_argument("--config", help="YAML config file")
     t.add_argument("--data", required=True, help="dataset directory from `gen`")
     t.add_argument("--graph", required=True, help="serialized graph file")
@@ -209,6 +215,21 @@ def _overrides_from_args(args) -> dict:
     return ov
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_record() -> dict:
+    """numpy's BLAS library and the thread settings it ran under, as found:
+    the summation order of a matmul, and so a trained checkpoint's bits,
+    can change with the thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "name": blas.get("name"),
+        "version": blas.get("version"),
+        "threads": {v: os.environ.get(v) for v in _BLAS_THREAD_VARS},
+    }
+
+
 def _cmd_train(args) -> int:
     from .data import load_questions, resolve_examples
 
@@ -234,7 +255,11 @@ def _cmd_train(args) -> int:
         result.params,
         cfg,
         result.vocab,
-        extra={"dev_hits1": result.best_dev.get("overall"), "dev_per_hop": result.best_dev.get("per_hop")},
+        extra={
+            "dev_hits1": result.best_dev.get("overall"),
+            "dev_per_hop": result.best_dev.get("per_hop"),
+            "blas": _blas_record(),
+        },
     )
     with open(out / "config.json", "w", encoding="utf-8") as f:
         json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)

@@ -20,6 +20,10 @@ longest first, so the rows still running at each step are a prefix, and
 the two directions advance together.  Its output is still right-padded:
 past a row's end the forward state carries the row's final state and the
 backward state is 0.
+
+A step computes its reset and update gates as sigmoid(x) = tanh(x/2)/2 + 1/2
+(_sigmoid_of_half, which says why the model's score heads do not) and its
+new state as c + z * (h - c), in fewer array passes than before.
 """
 
 from __future__ import annotations
@@ -161,6 +165,20 @@ class EncoderParams:
         }
 
 
+def _sigmoid_of_half(x):
+    """sigmoid(2x) in place, as tanh(x)/2 + 1/2: three passes over x, where
+    autodiff.sigmoid_array makes seven.  The two agree within 2^-51, but a
+    value near 0 comes out as 1/2 minus a number near 1/2, a multiple of
+    2^-54, not to its own relative precision.  A GRU gate scales a state of
+    size ~1, so that does not matter there.  The predicate, text and mask
+    heads keep sigmoid_array: there an exact tiny score decides whether an
+    entity enters the next step's frontier."""
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
+
+
 def _packed_bigru(gx_f, gx_b, w_hf, w_hb, b_f, b_b, lengths):
     """Both directions of the GRU over K token sequences of the given
     lengths, as a single graph node with hand-written backprop through time.
@@ -192,22 +210,32 @@ def _packed_bigru(gx_f, gx_b, w_hf, w_hb, b_f, b_b, lengths):
     # n; step s reads its input states from S[:, base[s]:]
     base = np.concatenate(([0], K + off[: L - 1]))
     whd = np.stack([w_hf.data, w_hb.data])  # (2, d, 3d)
+    # the gates' pre-activations enter halved, for _sigmoid_of_half; halving
+    # is exact, so gh[..., :2d] holds exactly half of h @ w_h's gate columns
+    half = whd.copy()
+    half[..., : 2 * d] *= 0.5
     pre = np.empty((2, N, d3))
     np.add(gx_f.data[tok_f], b_f.data, out=pre[0])
     np.add(gx_b.data[tok_b], b_b.data, out=pre[1])
+    pre[..., : 2 * d] *= 0.5
     S = np.zeros((2, K + N, d))
     gh, rz, cand = np.empty((2, N, d3)), np.empty((2, N, 2 * d)), np.empty((2, N, d))
     offs, bases = off.tolist(), base.tolist()
     for s in range(L):
         lo, hi = offs[s], offs[s + 1]
         h = S[:, bases[s] : bases[s] + hi - lo]
-        g_s = np.matmul(h, whd, out=gh[:, lo:hi])
+        g_s = np.matmul(h, half, out=gh[:, lo:hi])
         p = pre[:, lo:hi]
         rz_s = rz[:, lo:hi]
-        rz_s[...] = ad.sigmoid_array(p[..., : 2 * d] + g_s[..., : 2 * d])
+        np.add(p[..., : 2 * d], g_s[..., : 2 * d], out=rz_s)
+        _sigmoid_of_half(rz_s)
         r, z = rz_s[..., :d], rz_s[..., d:]
-        c = np.tanh(p[..., 2 * d :] + r * g_s[..., 2 * d :], out=cand[:, lo:hi])
-        np.add(z * h, (1.0 - z) * c, out=S[:, K + lo : K + hi])
+        c = np.multiply(r, g_s[..., 2 * d :], out=cand[:, lo:hi])
+        c += p[..., 2 * d :]
+        np.tanh(c, out=c)
+        new = np.subtract(h, c, out=S[:, K + lo : K + hi])
+        new *= z
+        new += c  # c + z * (h - c)
 
     inv = np.empty(K, dtype=np.int64)
     inv[order] = np.arange(K)
@@ -223,8 +251,15 @@ def _packed_bigru(gx_f, gx_b, w_hf, w_hb, b_f, b_b, lengths):
         dS = np.empty((2, N, d))
         g_f = g[..., :d]
         dS[0] = g_f[row, step]
-        tail = np.cumsum(g_f[:, ::-1], axis=1)[:, ::-1]
-        dS[0, off[lens - 1] + np.arange(K)] = tail[order, lens - 1]
+        # a running sum from position L-1 down, the additions of a reversed
+        # cumsum in its order, read at each row's last token: ranks k[s+1] ..
+        # k[s]-1 end at step s, k[s] the rows running at step s
+        k = [hi - lo for lo, hi in zip(offs, offs[1:])] + [0]
+        tail = g_f[:, L - 1].copy()
+        for s in range(L - 1, int(lens[-1]) - 2, -1):
+            if s < L - 1:
+                tail += g_f[:, s]
+            dS[0, offs[s] + k[s + 1] : offs[s + 1]] = tail[order[k[s + 1] : k[s]]]
         dS[1] = g[row, lens[rank] - 1 - step, d:]
         # every factor that depends on the forward pass alone, in bulk
         r, z = rz[..., :d], rz[..., d:]

@@ -6,7 +6,9 @@ query, score relations with it (a predicate head in label form, a
 per-relation sigmoid in text/mixed form), push scores across the scored
 edges, and truncate back into [0,1].  A hop-mixture head blends the per-step
 score vectors and, on text graphs, a question-conditioned mask gates the
-result.
+result.  The attention reads the question alone, so step_attention runs it
+for all T steps before the transfer loop, as batched products over a
+(B, T, .) stack.
 
 There is one implementation, _reason, and it always runs a batch: each step
 is one transfer over the (B, n) score matrix, pushed as a disjoint union of
@@ -23,6 +25,7 @@ intermediate in a ReasoningTrace.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -87,6 +90,24 @@ class ModelParams:
         if hasattr(self, "r_enc"):
             out.update(self.r_enc.named())
         return out
+
+
+def step_attention(enc: BatchQuestionEncoding, params: ModelParams) -> tuple[Tensor, Tensor]:
+    """Every step's attention over the question tokens, (B, T, L) and 0 on
+    pads, and the step vectors it pools from the token states, (B, T, d).
+
+    Step t's query tanh(q W_t + b_t) depends on the question alone, not on
+    the entity scores, so all T attentions run before the transfers: one
+    product gives the queries, with the step weights concatenated at use so
+    each keeps its own name, one batched product the logits and one the
+    step vectors.
+    """
+    B, L = enc.alive.shape
+    w, b = ad.concat(params.step_w, axis=1), ad.concat(params.step_b)  # (d, T*d), (T*d,)
+    queries = ad.reshape(ad.tanh(enc.q @ w + b), (B, params.T, params.d))
+    pad_penalty = ((enc.alive - 1.0) * 1e9).reshape(B, 1, L)  # 0 on real tokens, -1e9 on pads
+    att = ad.softmax(queries @ ad.transpose(enc.h, (0, 2, 1)) + pad_penalty)
+    return att, att @ enc.h
 
 
 def label_relation_scores(q_t: Tensor, params: ModelParams) -> Tensor:
@@ -280,7 +301,7 @@ class BatchResult:
 
 
 class _Step(NamedTuple):
-    attention: Tensor  # (B, L) over question tokens, 0 on pads
+    attention: np.ndarray  # (B, L) over question tokens, 0 on pads
     relation_ids: np.ndarray | None  # text form: every row's selected relations, concatenated
     relation_scores: Tensor  # (B, num_predicates) in label form, one per relation_ids entry in text form
     a_t: Tensor  # (B, n) entity scores after the step
@@ -316,25 +337,22 @@ def _reason(
         )
     if text_form and cache is None:
         raise GraphError("text/mixed forward needs a relation encoding cache")
-    n, d = g.n, params.d
-    B, L = enc.alive.shape
+    n, B = g.n, enc.alive.shape[0]
 
+    # one entity or several per row; an ndarray, 0-d included, goes by its ndim
+    per_row = [t if getattr(t, "ndim", hasattr(t, "__len__")) else (t,) for t in topic_lists]
+    ids = np.fromiter(chain.from_iterable(per_row), np.int64)
+    bad = ids[(ids < 0) | (ids >= n)]
+    if bad.size:
+        raise GraphError(f"topic entity id {bad[0]} out of range [0, {n})")
     a0 = np.zeros((B, n))
-    for i, topics in enumerate(topic_lists):
-        ids = np.atleast_1d(topics).astype(np.int64)  # one entity or several
-        bad = ids[(ids < 0) | (ids >= n)]
-        if bad.size:
-            raise GraphError(f"topic entity id {bad[0]} out of range [0, {n})")
-        a0[i, ids] = 1.0
+    a0[np.repeat(np.arange(B), [len(t) for t in per_row]), ids] = 1.0
 
-    pad_penalty = Tensor((enc.alive - 1.0) * 1e9)  # 0 on real tokens, -1e9 on pads
+    att, q = step_attention(enc, params)
     a_prev = Tensor(a0)
     steps = []
     for t in range(params.T):
-        qk = ad.tanh(enc.q @ params.step_w[t] + params.step_b[t])  # (B, d)
-        logits = ad.sum_(enc.h * ad.reshape(qk, (B, 1, d)), axis=2) + pad_penalty
-        att = ad.softmax(logits)  # (B, L)
-        q_t = ad.sum_(ad.reshape(att, (B, L, 1)) * enc.h, axis=1)  # (B, d)
+        q_t = q[:, t]
         if text_form:
             rel_ids, rows = g.select_text_relation_ids(a_prev.data, cfg.tau, cfg.omega)
             scores = text_relation_scores(q_t[rows], cache.get_many(g.trel_text[rel_ids]), params)
@@ -344,7 +362,7 @@ def _reason(
             scores = label_relation_scores(q_t, params)
             raw = transfer_label_batch(g, a_prev, scores, cfg.aggregation)
         a_t = truncate(raw) if cfg.use_truncation else raw
-        steps.append(_Step(att, rel_ids, scores, a_t))
+        steps.append(_Step(att.data[:, t], rel_ids, scores, a_t))
         a_prev = a_t
 
     c = ad.softmax(enc.q @ params.hop_w + params.hop_b)  # (B, T)
@@ -391,7 +409,7 @@ def forward(
             topics=np.atleast_1d(topics).astype(np.int64).tolist(),
             steps=[
                 StepTrace(
-                    attention=s.attention.data[0],
+                    attention=s.attention[0],
                     relation_ids=s.relation_ids,
                     # label scores are (1, P); text scores hold row 0's relations alone
                     relation_scores=s.relation_scores.data[0] if s.relation_ids is None else s.relation_scores.data,

@@ -249,6 +249,23 @@ def gru_direction_tape(gx, w_h, b, alive, reverse):
     return ad.concat(states, axis=1)
 
 
+def step_attention_composed(enc, params):
+    """Reference for model.step_attention: one step at a time, each from a
+    (B, L, d) broadcast product summed over d for the logits and a (B, L, d)
+    product summed over L for the step vector, built on the tape from
+    autodiff primitives.  Returns T (attention (B, L), step vector (B, d))
+    pairs."""
+    B, L = enc.alive.shape
+    d = params.d
+    pad_penalty = ad.Tensor((enc.alive - 1.0) * 1e9)
+    steps = []
+    for w, b in zip(params.step_w, params.step_b):
+        qk = ad.tanh(enc.q @ w + b)
+        att = ad.softmax(ad.sum_(enc.h * ad.reshape(qk, (B, 1, d)), axis=2) + pad_penalty)
+        steps.append((att, ad.sum_(ad.reshape(att, (B, L, 1)) * enc.h, axis=1)))
+    return steps
+
+
 def truncate_reference(a):
     out = a.copy()
     out[out > 1.0] = 1.0

@@ -101,6 +101,36 @@ def test_matvec(rng):
     gradcheck(lambda: ad.sum_((a @ v) * (a @ v)), [a, v])
 
 
+def test_batched_matmul(rng):
+    a = leaf(rng, 3, 2, 4)
+    b = leaf(rng, 3, 4, 5)
+    w = Tensor(rng.standard_normal((3, 2, 5)))
+    gradcheck(lambda: ad.sum_((a @ b) * w), [a, b])
+
+
+def test_batched_matmul_matches_per_item_products(rng):
+    a, b = leaf(rng, 4, 3, 5), leaf(rng, 4, 5, 2)
+    g = rng.standard_normal((4, 3, 2))
+    out = a @ b
+    out.backward(g)
+    for i in range(4):
+        ai, bi = Tensor(a.data[i], requires_grad=True), Tensor(b.data[i], requires_grad=True)
+        oi = ai @ bi
+        oi.backward(g[i])
+        np.testing.assert_allclose(out.data[i], oi.data, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(a.grad[i], ai.grad, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(b.grad[i], bi.grad, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("axes", [(0, 2, 1), (1, 2, 0), (2, 0, 1)])
+def test_transpose(rng, axes):
+    a = leaf(rng, 2, 3, 4)
+    out = ad.transpose(a, axes)
+    np.testing.assert_array_equal(out.data, a.data.transpose(axes))
+    w = Tensor(rng.standard_normal(out.shape))
+    gradcheck(lambda: ad.sum_(ad.transpose(a, axes) * w), [a])
+
+
 def test_sum_axis_keepdims(rng):
     a = leaf(rng, 2, 3, 4)
     gradcheck(lambda: ad.sum_(ad.sum_(a, axis=1, keepdims=True) * a), [a])

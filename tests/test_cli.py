@@ -446,6 +446,33 @@ def test_train_artifacts(ws):
     assert {r["split"] for r in rows} == {"train", "dev"}
 
 
+def test_train_records_blas_in_checkpoint(ws):
+    """The checkpoint names numpy's BLAS and the thread settings it trained
+    under, as found in the environment; loading does not read them."""
+    params, meta = load_checkpoint(ws / "run" / "checkpoint.bin")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert meta["blas"] == {
+        "name": blas.get("name"),
+        "version": blas.get("version"),
+        "threads": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
+def test_train_blas_threads_come_from_the_environment(ws, tmp_path, monkeypatch):
+    monkeypatch.setenv("MKL_NUM_THREADS", "7")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert main(_train_args(ws, tmp_path, "--epochs", "1", "--d", "8", "--limit-train", "0.1")) == 0
+    threads = load_checkpoint(tmp_path / "run" / "checkpoint.bin")[1]["blas"]["threads"]
+    assert threads["MKL_NUM_THREADS"] == "7" and threads["OMP_NUM_THREADS"] is None
+
+
+def test_train_help_states_the_thread_count_rule(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--help"])
+    assert e.value.code == 0
+    assert "bit for bit only at the same BLAS thread count" in " ".join(capsys.readouterr().out.split())
+
+
 def test_train_form_graph_mismatch(ws, tmp_path):
     args = [
         "train",

@@ -14,6 +14,7 @@ from hoptrace.encoder import (
     RelationEncodingCache,
     Vocabulary,
     _packed_bigru,
+    _sigmoid_of_half,
     encode_question,
     encode_question_batch,
     encode_relation_batch,
@@ -145,6 +146,24 @@ def _ragged_gru_inputs(rng, lengths, d, scale=1.0):
 def _packed(gx, alive):
     """The (N, 3d) projections of the real tokens, row by row, of padded ones."""
     return [Tensor(g.data[alive > 0], requires_grad=True) for g in gx]
+
+
+def test_tanh_form_gates_match_sigmoid_array(rng):
+    """The GRU's gates, tanh(x/2)/2 + 1/2 of the halved pre-activation,
+    agree with autodiff.sigmoid_array within 2^-51 absolutely, stay in
+    [0, 1], and carry inf and NaN as it does."""
+    x = np.concatenate(
+        [
+            rng.standard_normal(200_000) * np.exp(rng.uniform(-20, 4, 200_000)),
+            np.linspace(-60.0, 60.0, 100_001),
+            [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 1e308, -1e308],
+        ]
+    )
+    got = _sigmoid_of_half(0.5 * x)
+    np.testing.assert_allclose(got, ad.sigmoid_array(x), rtol=0, atol=2.0**-51)
+    assert got.min() >= 0.0 and got.max() <= 1.0
+    edges = np.array([np.inf, -np.inf, np.nan])
+    np.testing.assert_array_equal(_sigmoid_of_half(0.5 * edges), ad.sigmoid_array(edges))
 
 
 GRU_LENGTHS = {

@@ -8,7 +8,7 @@ import hoptrace.autodiff as ad
 from hoptrace import kernels
 from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
-from hoptrace.encoder import EncoderParams, RelationEncodingCache, Vocabulary, encode_question_batch, encode_relation_batch
+from hoptrace.encoder import BatchQuestionEncoding, EncoderParams, RelationEncodingCache, Vocabulary, encode_question_batch, encode_relation_batch
 from hoptrace.errors import GraphError
 from hoptrace.graph import RelationGraph, Vocab, add_reverse_relations, build_from_triples, mix_label_into_text
 from hoptrace.model import (
@@ -18,6 +18,7 @@ from hoptrace.model import (
     hop_mixture,
     label_relation_scores,
     rank_answers,
+    step_attention,
     text_relation_scores,
     top_answers,
     transfer_label_batch,
@@ -91,6 +92,84 @@ def test_step_attention_differs_per_step(chain_graph):
     params = make_params(cfg, n=g.n, num_predicates=g.num_predicates)
     steps = forward(g, np.array([4, 5, 6]), 0, params, cfg).trace.steps
     assert np.abs(steps[0].attention - steps[1].attention).max() > 1e-9
+
+
+def _encoding(rng, lengths, d):
+    """Encoder outputs for rows of the given lengths: (B, d) pooled and
+    (B, L, d) per-token states, both requiring grad, with the alive mask."""
+    B, L = len(lengths), max(lengths)
+    return BatchQuestionEncoding(
+        q=Tensor(rng.standard_normal((B, d)), requires_grad=True),
+        h=Tensor(rng.standard_normal((B, L, d)), requires_grad=True),
+        alive=(np.arange(L)[None, :] < np.array(lengths)[:, None]).astype(np.float64),
+    )
+
+
+def test_step_attention_matches_per_step_reference(rng):
+    """All T attentions from batched products agree with the composed
+    one-step-at-a-time reference: weights (exactly 0 on pads) and step
+    vectors within 1e-12, and so do the gradients of the encodings and of
+    every step's weights, for upstream gradients on both outputs."""
+    d = 6
+    enc = _encoding(rng, [5, 2, 4], d)
+    (B, L), params = enc.alive.shape, make_params(label_cfg(T=3), d=d)
+    w_att, w_q = rng.standard_normal((B, params.T, L)), rng.standard_normal((B, params.T, d))
+    leaves = [enc.q, enc.h, *params.step_w, *params.step_b]
+
+    att, q = step_attention(enc, params)
+    assert att.shape == (B, params.T, L) and q.shape == (B, params.T, d)
+    np.testing.assert_array_equal(att.data[np.broadcast_to(enc.alive[:, None, :], att.shape) == 0], 0.0)
+    (ad.sum_(att * Tensor(w_att)) + ad.sum_(q * Tensor(w_q))).backward()
+    got = [t.grad.copy() for t in leaves]
+    for t in leaves:
+        t.grad = None
+
+    total = None
+    for t, (ref_att, ref_q) in enumerate(oracles.step_attention_composed(enc, params)):
+        np.testing.assert_allclose(att.data[:, t], ref_att.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q.data[:, t], ref_q.data, rtol=0, atol=1e-12)
+        y = ad.sum_(ref_att * Tensor(w_att[:, t])) + ad.sum_(ref_q * Tensor(w_q[:, t]))
+        total = y if total is None else total + y
+    total.backward()
+    for name, g, t in zip(["q", "h"] + [f"step{i}" for i in range(2 * params.T)], got, leaves):
+        np.testing.assert_allclose(g, t.grad, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_step_attention_gradcheck(rng):
+    enc = _encoding(rng, [3, 1, 2], 3)
+    params = make_params(label_cfg(T=2), d=3)
+    weight = Tensor(rng.standard_normal((3, 2, 3)))
+    gradcheck(
+        lambda: ad.sum_(step_attention(enc, params)[1] * weight), [enc.q, enc.h, *params.step_w, *params.step_b]
+    )
+
+
+def test_topic_ids_are_checked_in_row_order(chain_graph):
+    """One check over every row's ids reports the first bad id in row order."""
+    g = add_reverse_relations(chain_graph)
+    cfg = label_cfg()
+    params = make_params(cfg, n=g.n, num_predicates=g.num_predicates)
+    seqs = [np.array([4])] * 3
+    with pytest.raises(GraphError, match=f"topic entity id {g.n + 2} out of range"):
+        forward_batch(g, seqs, [0, [1, g.n + 2], g.n + 5], params, cfg)
+    with pytest.raises(GraphError, match="topic entity id -1 out of range"):
+        forward_batch(g, seqs, [np.array([0, 1]), -1, [g.n]], params, cfg)
+
+
+def test_batch_rows_start_from_one_or_several_topics(chain_graph):
+    """A batch may mix rows of one topic id (int, numpy int or 0-d array)
+    and of several (list, tuple or array); each row matches forward() on it."""
+    g = add_reverse_relations(chain_graph)
+    cfg = label_cfg()
+    params = make_params(cfg, n=g.n, num_predicates=g.num_predicates)
+    topics = [[1, 3], 2, np.array([0, 2]), np.int64(3), (0,), np.array(1)]
+    seqs = [np.array([4, 5, 6])] * len(topics)
+    batch = forward_batch(g, seqs, topics, params, cfg)
+    for i, t in enumerate(topics):
+        single = forward(g, seqs[i], t, params, cfg, want_trace=False)
+        np.testing.assert_allclose(batch.final.data[i], single.final.data, rtol=0, atol=1e-14)
+    one = forward(g, np.array([4]), [1, 3], params, label_cfg(T=1), want_trace=True)
+    assert one.trace.topics == [1, 3]
 
 
 def test_label_scores_softmax_head(rng):
