@@ -9,9 +9,10 @@ examples in a batch) across several backward calls: each call contributes
 its share to the leaf gradients and nothing else is mutated.
 
 Only the ops this package needs are implemented; all of them support the
-shapes they are actually used with (0-, 1- and 2-d arrays, numpy-style
-broadcasting for the elementwise ones).  A gather's backward pass (take)
-adds through kernels._scatter, the package's one scatter-add.
+shapes they are actually used with (numpy-style broadcasting for the
+elementwise ones, matrices and stacks of matrices for matmul).  A gather's
+backward pass (take) adds through kernels._scatter, the package's one
+scatter-add.
 """
 
 from __future__ import annotations
@@ -224,20 +225,15 @@ def sum_(a, axis=None, keepdims=False):
 
 
 def matmul(a, b):
+    """a @ b of two matrices, or of two stacks of matrices batched on axis 0."""
     a, b = _ensure(a), _ensure(b)
     ad, bd = a.data, b.data
+    if ad.ndim != bd.ndim or ad.ndim not in (2, 3):
+        raise ValueError(f"matmul takes two 2-d or two 3-d operands, got {ad.ndim}-d @ {bd.ndim}-d")
     out = ad @ bd
 
     def vjp(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 3 and bd.ndim == 3:  # a batch of products, stacked on axis 0
-            return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        return g * bd, g * ad  # 1-d dot: scalar upstream
+        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
 
     return node(out, (a, b), vjp)
 

@@ -234,7 +234,6 @@ def _cmd_train(args) -> int:
     from .data import load_questions, resolve_examples
 
     cfg = TrainConfig.from_sources(args.config, _overrides_from_args(args))
-    cfg.data_dir, cfg.graph_path, cfg.out_dir = args.data, args.graph, args.out
     g = RelationGraph.load(args.graph)
     if cfg.form != g.form:
         raise DataError(f"config form {cfg.form!r} does not match graph form {g.form!r}")

@@ -21,8 +21,6 @@ _INT_FIELDS = (("T", 1, False), ("d", 2, False), ("epochs", 1, False),
                ("batch_size", 1, True), ("omega", 1, True), ("seed", 0, False))
 _FLOAT_FIELDS = ("lr", "tau", "limit_train")
 _FLAG_FIELDS = ("use_truncation", "use_mask", "use_aux_hop_loss")
-# the paths train takes from its options, never from a config file
-_PATH_OPTIONS = {"data_dir": "--data", "graph_path": "--graph", "out_dir": "--out"}
 
 
 def check_ints(settings, table, error, noun):
@@ -55,13 +53,11 @@ def check_floats(settings, names, error, noun):
             raise error(f"{noun} value of the wrong type: {name} must be a finite number, got {value!r}")
 
 
-def load_settings(cls, path, error, noun, overrides=None, options=None):
+def load_settings(cls, path, error, noun, overrides=None):
     """cls(**values).validate(): values is the YAML mapping in the file at
     path (none when path is None), then every key of overrides, whatever its
-    value.  options maps the fields that only a command-line option sets to
-    that option.  Text that is no UTF-8 or no YAML, YAML that is no mapping,
-    an unknown key, a field that only an option sets and a value of the
-    wrong type all raise error."""
+    value.  Text that is no UTF-8 or no YAML, YAML that is no mapping, an
+    unknown key and a value of the wrong type all raise error."""
     known = {f.name for f in fields(cls)}
     values = {}
     where = ""
@@ -80,9 +76,6 @@ def load_settings(cls, path, error, noun, overrides=None, options=None):
         unknown = set(values) - known
         if unknown:
             raise error(f"{path}: unknown {noun} keys {sorted(unknown)}")
-        taken = [f"{k} (set by {options[k]})" for k in sorted(values.keys() & (options or {}).keys())]
-        if taken:
-            raise error(f"{path}: a {noun} file may not set {', '.join(taken)}")
     for k, v in (overrides or {}).items():
         if k not in known:
             raise error(f"unknown {noun} key {k!r}")
@@ -110,10 +103,6 @@ class TrainConfig:
     use_aux_hop_loss: bool = True
     batch_size: int | None = None  # None: 64 for label form, 16 for text/mixed
     limit_train: float = 1.0
-    # data paths (set by train from its options; kept here so artifacts embed them)
-    data_dir: str | None = None
-    graph_path: str | None = None
-    out_dir: str | None = None
 
     def validate(self):
         check_ints(self, _INT_FIELDS, UsageError, "config")
@@ -147,6 +136,7 @@ class TrainConfig:
 
     @classmethod
     def from_sources(cls, config_file=None, overrides: dict | None = None) -> "TrainConfig":
-        """defaults <- YAML file <- overrides (load_settings).  The file may
-        not set the data paths, which train takes from its options."""
-        return load_settings(cls, config_file, UsageError, "config", overrides, _PATH_OPTIONS)
+        """defaults <- YAML file <- overrides (load_settings).  The run's
+        paths are no setting: train takes them from its options alone, so a
+        checkpoint's bytes do not depend on where the run read or wrote."""
+        return load_settings(cls, config_file, UsageError, "config", overrides)

@@ -363,10 +363,11 @@ class RelationEncodingCache:
     """Pooled encodings of the graph's unique relation texts.
 
     Identical texts encode identically, so one (num_texts, d) table covers
-    every relation; lookups are a single differentiable row-gather.  The
-    table must be invalidated whenever the relation-encoder parameters
-    change (i.e. every optimizer step) and is rebuilt lazily in one batched
-    encoder pass.
+    every relation: the model scores each row against the whole table, one
+    score per text, and a relation takes its text's score, as a label edge
+    takes its predicate's.  The table must be invalidated whenever the
+    relation-encoder parameters change (i.e. every optimizer step) and is
+    rebuilt lazily in one batched encoder pass.
     """
 
     def __init__(self, params: EncoderParams, vocab: Vocabulary, texts: list[str]):
@@ -377,8 +378,8 @@ class RelationEncodingCache:
     def invalidate(self):
         self._table = None
 
-    def get_many(self, ids: np.ndarray) -> Tensor:
-        """Encodings for the given unique-text ids as (K, d) rows."""
+    def table(self) -> Tensor:
+        """The (num_texts, d) encodings, row i for text id i."""
         if self._table is None:
             self._table = encode_relation_batch(self.params, self.token_ids)
-        return self._table[np.asarray(ids, dtype=np.int64)]
+        return self._table

@@ -137,6 +137,17 @@ class RelationGraph:
 
     # -- reasoning access patterns --------------------------------------------
 
+    def frontier_edge_ids(self, a_prev: np.ndarray):
+        """Label edges leaving each row's frontier, the entities it scores
+        nonzero, for a (B, n) score matrix: (edge ids, rows), row by row in
+        storage order, so each (head, tail) pair's parallel edges are side
+        by side.  Scores are finite and >= 0, so an edge left out would push
+        exactly +0.0: a push over these sums the same terms in the same
+        order as one over every edge."""
+        rows, heads = np.divmod(np.flatnonzero(a_prev != 0), self.n)  # a bool scan is the fast one
+        edge_ids, counts = expand_csr(self.head_ptr, heads)
+        return edge_ids, np.repeat(rows, counts)
+
     def select_text_relation_ids(self, a_prev: np.ndarray, tau: float, omega):
         """Text relations leaving each row's active entities, for a (B, n)
         score matrix: (relation ids, rows), row by row.

@@ -3,22 +3,23 @@
 A forward pass starts from a one-hot entity score vector at the topic,
 then for each of T steps: attend over question tokens to build a step
 query, score relations with it (a predicate head in label form, a
-per-relation sigmoid in text/mixed form), push scores across the scored
-edges, and truncate back into [0,1].  A hop-mixture head blends the per-step
-score vectors and, on text graphs, a question-conditioned mask gates the
-result.  The attention reads the question alone, so step_attention runs it
-for all T steps before the transfer loop, as batched products over a
-(B, T, .) stack.
+sigmoid per unique relation text in text/mixed form), push scores across
+the scored edges, and truncate back into [0,1].  A hop-mixture head blends
+the per-step score vectors and, on text graphs, a question-conditioned mask
+gates the result.  The attention reads the question alone, so
+step_attention runs it for all T steps before the transfer loop, as batched
+products over a (B, T, .) stack.
 
 There is one implementation, _reason, and it always runs a batch: each step
-is one transfer over the (B, n) score matrix, pushed as a disjoint union of
-the B rows through the same flat push, _push, in every graph form and
-aggregation.  Label form pushes the edges leaving the frontier (the
-entities a row scores nonzero), text form the relations selected per row.
-Both are listed by one CSR expansion over the graph's head-sorted storage,
-so the parallel relations of each (head, tail) pair come out side by side
-and max aggregation reads the pair boundaries off the graph's per-relation
-flags, with no sort.  forward_batch() runs it for training and evaluation;
+scores every row against every relation kind (predicate or text) in one
+(B, kinds) matrix and makes one transfer, transfer_batch, pushed as a
+disjoint union of the B rows, in every graph form and aggregation.  Label
+form pushes the edges leaving the frontier (the entities a row scores
+nonzero), text form the relations selected per row.  Both are listed by
+one CSR expansion over the graph's head-sorted storage, so the parallel
+relations of each (head, tail) pair come out side by side and max
+aggregation reads the pair boundaries off the graph's per-relation flags,
+with no sort.  forward_batch() runs it for training and evaluation;
 forward() runs it on a batch of one question and records every
 intermediate in a ReasoningTrace.
 """
@@ -35,7 +36,7 @@ from . import kernels
 from .autodiff import Tensor
 from .encoder import BatchQuestionEncoding, EncoderParams, _uniform, encode_question, encode_question_batch
 from .errors import GraphError
-from .graph import RelationGraph, expand_csr
+from .graph import RelationGraph
 from .trace import ReasoningTrace, StepTrace
 
 
@@ -121,11 +122,13 @@ def label_relation_scores(q_t: Tensor, params: ModelParams) -> Tensor:
     raise ValueError(f"unknown relation head {params.head!r}")
 
 
-def text_relation_scores(q_t: Tensor, rel_enc: Tensor, params: ModelParams) -> Tensor:
-    """Sigmoid score per relation from the elementwise product of the
-    relation encoding with the step query; rel_enc is (K, d)."""
-    prod = rel_enc * q_t
-    return ad.sigmoid(prod @ params.text_w + params.text_b)
+def text_relation_scores(q_t: Tensor, table: Tensor, params: ModelParams) -> Tensor:
+    """Every row's sigmoid score for every unique relation text, (B, X),
+    from the (B, d) step queries and the (X, d) text encoding table.  A
+    relation r scores sigmoid((r * q) . w + b) = sigmoid(q . (r * w) + b),
+    which depends on its row and text alone: table * text_w plays the part
+    of label form's predicate weights."""
+    return ad.sigmoid(q_t @ ad.transpose(table * params.text_w, (1, 0)) + params.text_b)
 
 
 # ---------------------------------------------------------------------------
@@ -169,60 +172,38 @@ def _push(heads, tails, listed, pair_start, w: Tensor, a_prev: Tensor, n: int, a
     return ad.node(out, (a_prev, w), vjp)
 
 
-def transfer_label_batch(g: RelationGraph, a_prev: Tensor, p: Tensor, aggregation: str = "sum") -> Tensor:
-    """Label-form transfer for a whole batch: a_prev is (B, n), p is
-    (B, num_predicates).  Every edge, weighted by row b's score for its
-    predicate, pushes row b's head activation onto the tail; the n x n score
-    matrix is never materialized.
-
-    Only the frontier is pushed: the (row, edge) pairs whose head scores
-    nonzero in that row.  The graph keeps its edges sorted by (head, tail,
-    pred), so expanding the row-major frontier through g.head_ptr lists them
-    row by row in edge order.  Scores are finite and >= 0, so a skipped pair
-    would add exactly +0.0, and each output sums the same terms in the same
-    order as a push over every edge.  The pairs' weights are one gather from
-    p by flat key row * P + pred, whose vjp adds them back in that order;
-    numpy's (rows, preds) fancy index reads the same entries at about 1.7x
-    the cost.
-
-    Each frontier entry lists one head's whole run, so the parallel edges of
-    a (head, tail) pair come out side by side, lowest predicate first: max
-    aggregation reads the pair boundaries off g.pair_start, with no sort,
-    and a tie goes to the lowest predicate.
-
-    The gradient w.r.t. a_prev is returned only on a_prev's nonzero entries,
-    as for a sparse tensor: elsewhere it reads 0.  Parameter gradients do
-    not change, since a dropped entry could feed only a relation scoring
-    exactly 0.
-    """
-    B, n, P = a_prev.data.shape[0], g.n, p.data.shape[1]
-    frontier = np.flatnonzero(a_prev.data != 0)  # row * n + head; a bool scan is the fast one
-    rows, heads = np.divmod(frontier, n)
-    edges, counts = expand_csr(g.head_ptr, heads)
-    heads = np.repeat(frontier, counts)
-    rows = np.repeat(rows, counts)
-    tails = g.edge_tails[edges] + rows * n
-    w = ad.take(ad.reshape(p, (B * P,)), rows * P + g.edge_preds[edges])
-    out = _push(heads, tails, edges, g.pair_start, w, ad.reshape(a_prev, (B * n,)), B * n, aggregation)
-    return ad.reshape(out, (B, n))
-
-
-def transfer_text_batch(
-    g: RelationGraph, a_prev: Tensor, rel_ids: np.ndarray, rows: np.ndarray, scores: Tensor, aggregation: str
+def transfer_batch(
+    g: RelationGraph, a_prev: Tensor, rel_ids: np.ndarray, rows: np.ndarray, scores: Tensor, aggregation: str = "sum"
 ) -> Tensor:
-    """Text-form transfer for a whole batch: a_prev is (B, n) and relation
-    rel_ids[k], scored scores[k], moves row rows[k]; relations not listed
-    for a row carry score 0 there.
+    """One transfer for a whole batch, in every graph form: a_prev is (B, n),
+    scores is (B, kinds), and the listed relation rel_ids[k] pushes row
+    rows[k] with that row's score for its kind, a label edge's predicate or
+    a text relation's text id.  Relations not listed for a row carry score 0
+    there; the n x n score matrix is never materialized.  The weights are
+    one gather from scores by flat key row * kinds + kind, whose vjp adds
+    them back in that order; numpy's (rows, kinds) fancy index reads the
+    same entries at about 1.7x the cost.
 
-    rel_ids and rows must be listed as g.select_text_relation_ids lists
-    them, so that the parallel relations of a (head, tail) pair come out
-    side by side, lowest text id first: max aggregation reads the pair
-    boundaries off g.trel_pair_start, with no sort.
+    The relations must be listed row by row in storage order, as
+    g.frontier_edge_ids and g.select_text_relation_ids list them: the
+    parallel relations of a (head, tail) pair then come out side by side,
+    lowest kind first, and max aggregation reads the pair boundaries off
+    g.pair_start or g.trel_pair_start, with no sort; a tie goes to the
+    lowest kind.  Label form lists only the frontier, so the gradient
+    w.r.t. a_prev is returned only on a_prev's nonzero entries, as for a
+    sparse tensor; parameter gradients do not change, since a dropped entry
+    could feed only a relation scoring exactly 0.
     """
     B, n = a_prev.data.shape
+    kinds = scores.data.shape[1]
+    if g.form == "label":
+        heads, tails, kind, pair_start = g.edge_heads, g.edge_tails, g.edge_preds, g.pair_start
+    else:
+        heads, tails, kind, pair_start = g.trel_heads, g.trel_tails, g.trel_text, g.trel_pair_start
     off = rows * n
-    heads, tails = g.trel_heads[rel_ids] + off, g.trel_tails[rel_ids] + off
-    out = _push(heads, tails, rel_ids, g.trel_pair_start, scores, ad.reshape(a_prev, (B * n,)), B * n, aggregation)
+    w = ad.take(ad.reshape(scores, (B * kinds,)), rows * kinds + kind[rel_ids])
+    a_flat = ad.reshape(a_prev, (B * n,))
+    out = _push(heads[rel_ids] + off, tails[rel_ids] + off, rel_ids, pair_start, w, a_flat, B * n, aggregation)
     return ad.reshape(out, (B, n))
 
 
@@ -302,8 +283,8 @@ class BatchResult:
 
 class _Step(NamedTuple):
     attention: np.ndarray  # (B, L) over question tokens, 0 on pads
-    relation_ids: np.ndarray | None  # text form: every row's selected relations, concatenated
-    relation_scores: Tensor  # (B, num_predicates) in label form, one per relation_ids entry in text form
+    relation_ids: np.ndarray | None  # text forms: every row's selected relations, concatenated
+    relation_scores: Tensor  # (B, kinds): per predicate in label form, per unique text otherwise
     a_t: Tensor  # (B, n) entity scores after the step
 
 
@@ -355,14 +336,13 @@ def _reason(
         q_t = q[:, t]
         if text_form:
             rel_ids, rows = g.select_text_relation_ids(a_prev.data, cfg.tau, cfg.omega)
-            scores = text_relation_scores(q_t[rows], cache.get_many(g.trel_text[rel_ids]), params)
-            raw = transfer_text_batch(g, a_prev, rel_ids, rows, scores, cfg.aggregation)
+            scores = text_relation_scores(q_t, cache.table(), params)
         else:
-            rel_ids = None
+            rel_ids, rows = g.frontier_edge_ids(a_prev.data)
             scores = label_relation_scores(q_t, params)
-            raw = transfer_label_batch(g, a_prev, scores, cfg.aggregation)
+        raw = transfer_batch(g, a_prev, rel_ids, rows, scores, cfg.aggregation)
         a_t = truncate(raw) if cfg.use_truncation else raw
-        steps.append(_Step(att.data[:, t], rel_ids, scores, a_t))
+        steps.append(_Step(att.data[:, t], rel_ids if text_form else None, scores, a_t))
         a_prev = a_t
 
     c = ad.softmax(enc.q @ params.hop_w + params.hop_b)  # (B, T)
@@ -411,8 +391,10 @@ def forward(
                 StepTrace(
                     attention=s.attention[0],
                     relation_ids=s.relation_ids,
-                    # label scores are (1, P); text scores hold row 0's relations alone
-                    relation_scores=s.relation_scores.data[0] if s.relation_ids is None else s.relation_scores.data,
+                    # one score per predicate in label form, per selected relation otherwise
+                    relation_scores=s.relation_scores.data[0]
+                    if s.relation_ids is None
+                    else s.relation_scores.data[0, g.trel_text[s.relation_ids]],
                     entity_scores=s.a_t.data[0],
                 )
                 for s in run.steps

@@ -274,15 +274,14 @@ def _restore(params: ModelParams, snap: dict[str, np.ndarray]):
         v.data = snap[k].copy()
 
 
-def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None, params=None) -> TrainResult:
+def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None) -> TrainResult:
     """Mini-batch training with gradient accumulation; keeps the epoch whose
     dev hits@1 is best.  Deterministic given (config, seed)."""
     _keep_freed_memory()
     rng = np.random.default_rng(cfg.seed)
     if vocab is None:
         vocab = build_vocabulary(train_examples, g)
-    if params is None:
-        params = ModelParams(len(vocab), g.n, g.num_predicates, cfg)
+    params = ModelParams(len(vocab), g.n, g.num_predicates, cfg)
     train_prep = prepare_examples(train_examples, vocab)
     dev_prep = prepare_examples(dev_examples, vocab)
     if cfg.limit_train < 1.0:
@@ -330,8 +329,6 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None, param
                 lb.total.backward(seed=np.asarray(inv))
                 opt.step()
             dev = evaluate(g, params, dev_prep, cfg, cache=cache)
-            if cache is not None:
-                cache.invalidate()
             rows = [
                 {
                     "epoch": epoch,

@@ -98,6 +98,17 @@ def dense_text_transfer(n, rel_heads, rel_tails, scores, a, aggregation="sum"):
     return out
 
 
+def text_scores_per_relation(enc, q, texts, rows, w, b):
+    """The paper's text relation score, one relation at a time: relation k,
+    of text texts[k] in batch row rows[k], scores
+    sigmoid((enc[texts[k]] * q[rows[k]]) @ w + b) for the (X, d) text
+    encodings enc, (B, d) step queries q and the head's (d,) w and scalar b."""
+    out = np.empty(len(texts))
+    for k, (x, r) in enumerate(zip(texts, rows)):
+        out[k] = 1.0 / (1.0 + np.exp(-((enc[x] * q[r]) @ w + b)))
+    return out
+
+
 # -- transfer kernels ------------------------------------------------------------
 # One naive version of each op in hoptrace.kernels, under the same name and
 # signature: np.add.at scatters and a per-pair loop.  np.add.at adds in index

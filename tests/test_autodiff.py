@@ -95,10 +95,13 @@ def test_matmul(rng):
     gradcheck(lambda: ad.sum_(a @ b), [a, b])
 
 
-def test_matvec(rng):
-    a = leaf(rng, 5, 3)
-    v = leaf(rng, 3)
-    gradcheck(lambda: ad.sum_((a @ v) * (a @ v)), [a, v])
+@pytest.mark.parametrize("shapes", [((5, 3), (3,)), ((3,), (3, 2)), ((3,), (3,)), ((2, 3, 4), (4, 2))])
+def test_matmul_refuses_other_operands(rng, shapes):
+    """Only matrix @ matrix and stack @ stack have a vjp, so any other
+    product fails before it computes anything."""
+    a, b = (leaf(rng, *shape) for shape in shapes)
+    with pytest.raises(ValueError, match="two 2-d or two 3-d operands"):
+        a @ b
 
 
 def test_batched_matmul(rng):
@@ -287,12 +290,12 @@ def test_composed_attention_block(rng):
     """End-to-end check through softmax attention + tanh projection."""
     d, L = 4, 6
     h = leaf(rng, L, d)
-    q = leaf(rng, d)
+    q = leaf(rng, 1, d)
     w = leaf(rng, d, d)
 
     def f():
         qk = ad.tanh(q @ w)
-        att = ad.softmax(h @ qk)
+        att = ad.softmax(qk @ ad.transpose(h, (1, 0)))
         pooled = ad.sum_(ad.reshape(att, (L, 1)) * h, axis=0)
         return ad.sum_(pooled * pooled)
 

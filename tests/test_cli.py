@@ -317,13 +317,15 @@ def test_bad_spec_file_is_data_error(tmp_path, capsys, text, says):
 
 @pytest.mark.parametrize("key, option", [("data_dir", "--data"), ("graph_path", "--graph"), ("out_dir", "--out")])
 def test_config_file_that_sets_a_path_is_usage_error(ws, tmp_path, capsys, key, option):
-    """train takes its paths from its options, so a config file that sets
-    one would be overridden without a word: it is refused, naming the option."""
+    """train takes each path from its option alone, and the config has no
+    such key, so a config file that sets one is an unknown key."""
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"epochs: 1\n{key}: /nonexistent\n")
+    args = _train_args(ws, tmp_path, "--config", str(cfg))
+    assert option in args
     capsys.readouterr()
-    assert main(_train_args(ws, tmp_path, "--config", str(cfg))) == 1
-    assert f"{key} (set by {option})" in _usage_error_line(capsys)
+    assert main(args) == 1
+    assert f"unknown config keys ['{key}']" in _usage_error_line(capsys)
     assert not (tmp_path / "run").exists()
 
 
@@ -456,6 +458,19 @@ def test_train_records_blas_in_checkpoint(ws):
         "version": blas.get("version"),
         "threads": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_run_paths(ws, tmp_path):
+    """The same train command writes the same checkpoint bytes into any
+    --out: the run's paths are no setting, so the metadata holds none."""
+    written = []
+    for out in (tmp_path / "a", tmp_path / "b" / "deeper"):
+        args = ["train", "--data", str(ws / "data"), "--graph", str(ws / "g_label.txt"), "--out", str(out)]
+        assert main([*args, "--epochs", "1", "--d", "8", "--limit-train", "0.1"]) == 0
+        written.append((out / "checkpoint.bin").read_bytes())
+    assert written[0] == written[1]
+    config = load_checkpoint(tmp_path / "a" / "checkpoint.bin")[1]["config"]
+    assert not {"data_dir", "graph_path", "out_dir"} & config.keys()
 
 
 def test_train_blas_threads_come_from_the_environment(ws, tmp_path, monkeypatch):
@@ -744,10 +759,14 @@ def _with_metadata(raw, change):
         lambda m: m.pop("model"),
         lambda m: m["config"].update(d="x"),
         lambda m: m["config"].update(colour="red"),
+        lambda m: m["config"].update(out_dir="run"),  # as checkpoints of earlier versions held
         lambda m: m["config"].update(form="graph"),
         lambda m: m["model"].update(vocab_size=5 * 10**10),  # terabytes of embedding
     ],
-    ids=["missing-model", "config-d-string", "unknown-config-key", "invalid-config-form", "huge-vocab"],
+    ids=[
+        "missing-model", "config-d-string", "unknown-config-key", "run-path-config-key", "invalid-config-form",
+        "huge-vocab",
+    ],
 )
 def test_eval_rejects_inconsistent_checkpoint_metadata(ws, tmp_path, capsys, change):
     checkpoint = tmp_path / "checkpoint.bin"

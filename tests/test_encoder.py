@@ -378,26 +378,25 @@ def test_cache_consistent_with_direct_encoding(rng):
     v = Vocabulary(["alpha", "beta", "stars", "likes"])
     texts = ["<sub> stars <obj> .", "<sub> likes beta .", "alpha likes <obj> ."]
     cache = RelationEncodingCache(p, v, texts)
-    rows = cache.get_many(np.array([2, 0, 0]))
-    assert rows.shape == (3, 5)
-    np.testing.assert_allclose(rows.data[1], rows.data[2], atol=0)
-    np.testing.assert_allclose(rows.data[0], bigru_reference(p, v.encode(texts[2]))[0], rtol=0, atol=1e-12)
+    table = cache.table()
+    assert table.shape == (3, 5)
+    for k, text in enumerate(texts):
+        np.testing.assert_allclose(table.data[k], bigru_reference(p, v.encode(text))[0], rtol=0, atol=1e-12)
 
 
 def test_cache_reuses_table_until_invalidated(rng):
     p = small_params(rng, vocab_size=30, d=5)
     v = Vocabulary(["a", "b"])
     cache = RelationEncodingCache(p, v, ["a b .", "b a ."])
-    first = cache.get_many(np.array([0]))
-    again = cache.get_many(np.array([0]))
-    assert cache._table is not None
-    np.testing.assert_array_equal(first.data, again.data)
+    first = cache.table()
+    assert cache.table() is first
 
     p.emb.data += 0.05  # parameter change: stale until invalidated
-    stale = cache.get_many(np.array([0]))
+    stale = cache.table()
+    assert stale is first
     np.testing.assert_array_equal(stale.data, first.data)
     cache.invalidate()
-    fresh = cache.get_many(np.array([0]))
+    fresh = cache.table()
     assert np.abs(fresh.data - first.data).max() > 1e-9
 
 
@@ -405,6 +404,6 @@ def test_cache_rows_carry_gradient(rng):
     p = small_params(rng, vocab_size=30, d=5)
     v = Vocabulary(["a", "b"])
     cache = RelationEncodingCache(p, v, ["a b .", "b a ."])
-    rows = cache.get_many(np.array([0, 1, 0]))
+    rows = cache.table()[np.array([0, 1, 0])]
     ad.sum_(rows * rows).backward()
     assert p.emb.grad is not None and np.abs(p.emb.grad).max() > 0

@@ -21,8 +21,7 @@ from hoptrace.model import (
     step_attention,
     text_relation_scores,
     top_answers,
-    transfer_label_batch,
-    transfer_text_batch,
+    transfer_batch,
     truncate,
 )
 from hoptrace.training import compute_loss
@@ -59,16 +58,24 @@ def make_cache(params, g):
     return RelationEncodingCache(params.r_enc, v, g.texts)
 
 
+def transfer_label_batch(g, a, p, aggregation="sum"):
+    """transfer_batch of the (B, n) scores a over their frontier edges, as
+    the model lists them, under (B, P) predicate scores p."""
+    edges, rows = g.frontier_edge_ids(a.data)
+    return transfer_batch(g, a, edges, rows, p, aggregation)
+
+
 def transfer_label_row(g, a, p, aggregation="sum"):
-    """transfer_label_batch on one (n,) row under (P,) predicate scores."""
+    """The label transfer of one (n,) row under (P,) predicate scores."""
     out = transfer_label_batch(g, ad.reshape(a, (1, g.n)), ad.reshape(p, (1, -1)), aggregation)
     return ad.reshape(out, (g.n,))
 
 
 def transfer_text_row(g, a, rel_ids, scores, aggregation):
-    """transfer_text_batch on one (n,) row over the given relations."""
+    """transfer_batch on one (n,) row over the given relations, under (X,)
+    scores, one per unique text."""
     rows = np.zeros(len(rel_ids), dtype=np.int64)
-    out = transfer_text_batch(g, ad.reshape(a, (1, g.n)), rel_ids, rows, scores, aggregation)
+    out = transfer_batch(g, ad.reshape(a, (1, g.n)), rel_ids, rows, ad.reshape(scores, (1, -1)), aggregation)
     return ad.reshape(out, (g.n,))
 
 
@@ -174,7 +181,7 @@ def test_batch_rows_start_from_one_or_several_topics(chain_graph):
 
 def test_label_scores_softmax_head(rng):
     params = make_params(label_cfg(head="softmax"))
-    q_t = Tensor(rng.standard_normal(8))
+    q_t = Tensor(rng.standard_normal((1, 8)))
     p = label_relation_scores(q_t, params)
     assert abs(p.data.sum() - 1.0) <= 1e-6
     assert np.all(p.data > 0)
@@ -182,7 +189,7 @@ def test_label_scores_softmax_head(rng):
 
 def test_label_scores_sigmoid_head(rng):
     params = make_params(label_cfg(head="sigmoid"))
-    q_t = Tensor(rng.standard_normal(8))
+    q_t = Tensor(rng.standard_normal((1, 8)))
     p = label_relation_scores(q_t, params)
     assert np.all((0 < p.data) & (p.data < 1))
     params.head = "argmax"
@@ -191,11 +198,12 @@ def test_label_scores_sigmoid_head(rng):
 
 
 def test_text_scores_in_unit_interval(rng):
+    """One score per row and unique text, like label form's per predicate."""
     params = make_params(text_cfg())
-    q_t = Tensor(rng.standard_normal(8))
+    q_t = Tensor(rng.standard_normal((3, 8)))
     enc = Tensor(rng.standard_normal((7, 8)))
     s = text_relation_scores(q_t, enc, params)
-    assert s.shape == (7,)
+    assert s.shape == (3, 7)
     assert np.all((0 < s.data) & (s.data < 1))
 
 
@@ -426,8 +434,9 @@ PARALLEL_TEXT = [(0, 5, (1, 3)), (0, 6, (0, 2, 3)), (3, 5, (1, 2)), (9, 2, (0, 3
 def _parallel_text_case(rng):
     """A random text graph whose PARALLEL_TEXT pairs are joined by two or
     three relations each, a (5, n) batch like _parallel_edge_case's, its
-    selection (tau 0, no omega) and a score per selected relation.  Rows 0
-    and 2 score the two relations of pair (0, 5) equally, a tie."""
+    selection (tau 0, no omega) and a (5, X) score per row and text.  Rows
+    0 and 2 score texts 1 and 3, the two relations of pair (0, 5), equally:
+    a tie."""
     base = random_text_graph(rng, n=14, num_rels=30)
     texts = [f"<sub> rel{k} <obj> ." for k in range(5)]  # random_text_graph's texts
     trels = [(h, t, texts.index(base.texts[x])) for h, t, x in zip(base.trel_heads, base.trel_tails, base.trel_text)]
@@ -439,43 +448,44 @@ def _parallel_text_case(rng):
     a[2] = rng.random(g.n) + 0.1
     a[4, 9] = 1.0
     ids, rows = g.select_text_relation_ids(a, 0.0, None)
-    scores = rng.random(ids.size)
-    for b in (0, 2):
-        tie = np.flatnonzero((rows == b) & (g.trel_heads[ids] == 0) & (g.trel_tails[ids] == 5))
-        scores[tie] = scores[tie[0]]
+    scores = rng.random((5, len(texts)))
+    scores[[0, 2], 3] = scores[[0, 2], 1]
     return g, a, ids, rows, scores
 
 
 def test_transfer_text_batch_max_over_parallel_relations_matches_oracles(rng):
     """Text max over a selection with parallel relations against the
-    per-pair loop oracles, row by row: the output, the score gradient and
+    per-pair loop oracles, row by row: the output, the gradient of the
+    (B, X) scores (each relation's gradient added to its row and text) and
     the a_prev gradient on a_prev's nonzero entries bit for bit, and the
     output against the dense max reference."""
     g, a0, ids, rows, s0 = _parallel_text_case(rng)
     assert np.count_nonzero(g.trel_pair_start) < g.num_text_relations
     upstream = rng.standard_normal(a0.shape)
     a, scores = Tensor(a0.copy(), requires_grad=True), Tensor(s0.copy(), requires_grad=True)
-    out = transfer_text_batch(g, a, ids, rows, scores, "max")
+    out = transfer_batch(g, a, ids, rows, scores, "max")
     ad.sum_(out * Tensor(upstream)).backward()
 
     live = a0 != 0
     for b in range(a0.shape[0]):
         mine = np.flatnonzero(rows == b)
-        h, t, w = g.trel_heads[ids[mine]], g.trel_tails[ids[mine]], s0[mine]
+        h, t, x = g.trel_heads[ids[mine]], g.trel_tails[ids[mine]], g.trel_text[ids[mine]]
+        w = s0[b, x]
         order, ph, pt, ptr = _oracle_pairs(h, t)
         want, argmax = oracles.push_max_forward(ph, pt, ptr, w[order], a0[b], g.n)
         grad_a, grad_w = oracles.push_max_backward(ph, pt, argmax, w[order], a0[b], upstream[b])
-        grad_s = np.zeros(mine.size)
-        grad_s[order] = grad_w
+        grad_rel = np.zeros(mine.size)
+        grad_rel[order] = grad_w
         np.testing.assert_array_equal(out.data[b], want)
-        np.testing.assert_array_equal(scores.grad[mine], grad_s)
+        np.testing.assert_array_equal(scores.grad[b], oracles.col_scatter_add(x, grad_rel[None], s0.shape[1])[0])
         np.testing.assert_array_equal(a.grad[b, live[b]], grad_a[live[b]])
         np.testing.assert_allclose(out.data[b], dense_text_transfer(g.n, h, t, w, a0[b], "max"), rtol=0, atol=1e-12)
         if b in (0, 2):
-            # the tie on (0, 5) went to the relation listed first, the lower text id
+            # the tie on (0, 5) went to the relation listed first, the lower
+            # text id, and the score gradients above agreed with it
             tie = np.flatnonzero((h == 0) & (t == 5))
-            assert g.trel_text[ids[mine[tie]]].tolist() == [1, 3] and w[tie[0]] == w[tie[1]]
-            assert grad_s[tie[1]] == 0.0 and grad_s[tie[0]] == upstream[b, 5] * a0[b, 0] != 0.0
+            assert x[tie].tolist() == [1, 3] and w[tie[0]] == w[tie[1]]
+            assert grad_rel[tie[1]] == 0.0 and grad_rel[tie[0]] == upstream[b, 5] * a0[b, 0] != 0.0
     assert not np.any(out.data[3])
 
 
@@ -486,7 +496,7 @@ def test_text_max_path_sorts_nothing(rng, monkeypatch):
     scores = Tensor(s0, requires_grad=True)
     with monkeypatch.context() as m:
         _refuse_sorts(m)
-        out = transfer_text_batch(g, Tensor(a0), ids, rows, scores, "max")
+        out = transfer_batch(g, Tensor(a0), ids, rows, scores, "max")
         ad.sum_(out).backward()
     assert np.any(scores.grad)
 
@@ -505,10 +515,10 @@ def test_transfer_text_matches_dense_sum(rng):
         a = Tensor(rng.random(g.n))
         omega = int(rng.integers(1, g.num_text_relations + 1))
         rel_ids, _ = g.select_text_relation_ids(a.data[None], float(rng.choice([0.0, 0.5])), omega)
-        scores = Tensor(rng.random(rel_ids.size))
+        scores = Tensor(rng.random(len(g.texts)))
         got = transfer_text_row(g, a, rel_ids, scores, "sum")
         want = dense_text_transfer(
-            g.n, g.trel_heads[rel_ids], g.trel_tails[rel_ids], scores.data, a.data, "sum"
+            g.n, g.trel_heads[rel_ids], g.trel_tails[rel_ids], scores.data[g.trel_text[rel_ids]], a.data, "sum"
         )
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
@@ -517,25 +527,25 @@ def test_transfer_text_matches_dense_max(rng):
     for _ in range(25):
         g = random_text_graph(rng)
         a = Tensor(rng.random(g.n))
-        m = g.num_text_relations
-        rel_ids = np.arange(m)
-        scores = Tensor(rng.random(m))
+        rel_ids = np.arange(g.num_text_relations)
+        scores = Tensor(rng.random(len(g.texts)))
         got = transfer_text_row(g, a, rel_ids, scores, "max")
-        want = dense_text_transfer(g.n, g.trel_heads, g.trel_tails, scores.data, a.data, "max")
+        want = dense_text_transfer(g.n, g.trel_heads, g.trel_tails, scores.data[g.trel_text], a.data, "max")
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
 
 def test_transfer_text_gradcheck_sum(rng):
     g = random_text_graph(rng, n=6, num_rels=12)
     a = Tensor(rng.random(g.n), requires_grad=True)
-    scores = Tensor(rng.random(g.num_text_relations), requires_grad=True)
+    scores = Tensor(rng.random(len(g.texts)), requires_grad=True)
     w = Tensor(rng.standard_normal(g.n))
     rel_ids = np.arange(g.num_text_relations)
     gradcheck(lambda: ad.sum_(transfer_text_row(g, a, rel_ids, scores, "sum") * w), [a, scores])
 
 
 def test_transfer_text_max_gradient_reaches_argmax_only(rng):
-    # two parallel relations 0->1; only the stronger one gets gradient
+    # two parallel relations 0->1 of texts t0 and t1; only the stronger
+    # one's text gets gradient
     g = RelationGraph(
         Vocab(["e0", "e1"]), Vocab(), [], ["t0", "t1"], [(0, 1, 0), (0, 1, 1)], form="text"
     )
@@ -1060,6 +1070,65 @@ def test_forward_batch_matches_forward_with_gradients(rng, case):
         assert singles[0].trace.steps[0].relation_ids.size == 0
     if case == "label-max-tied-parallel":
         assert np.any(batch.final.data[0] > 0)
+
+
+@pytest.mark.parametrize("case", ["text-max", "mixed"])
+def test_text_scores_match_the_per_relation_oracle(rng, case):
+    """The (B, X) text scores, read at each selected relation's row and
+    text, against the paper's per-relation sigmoid((r * q) . w + b), on a
+    batch whose first row selects several relations of one text; and the
+    gradients of every parameter against that formula on the tape."""
+    g, cfg, params, cache, _topics = BATCH_CASES[case](rng)
+    enc = encode_question_batch(params.q_enc, [np.array([4, 5, 6]), np.array([7, 8])])
+    q_t = step_attention(enc, params)[1][:, 0]
+    a = np.zeros((2, g.n))
+    a[0] = 1.0
+    a[1, 2] = 1.0
+    ids, rows = g.select_text_relation_ids(a, cfg.tau, None)
+    texts = g.trel_text[ids]
+    assert np.bincount(texts[rows == 0]).max() > 1
+    table = cache.table()
+    scores = text_relation_scores(q_t, table, params)
+    assert scores.shape == (2, len(g.texts))
+    want = oracles.text_scores_per_relation(table.data, q_t.data, texts, rows, params.text_w.data, params.text_b.data)
+    np.testing.assert_allclose(scores.data[rows, texts], want, rtol=0, atol=1e-12)
+
+    upstream = Tensor(rng.standard_normal(ids.size))
+    ad.sum_(scores[rows, texts] * upstream).backward()
+    got = {k: t.grad.copy() for k, t in params.named().items() if t.grad is not None}
+    for t in params.named().values():
+        t.grad = None
+    per_relation = ad.sum_(table[texts] * q_t[rows] * params.text_w, axis=1) + params.text_b
+    ad.sum_(ad.sigmoid(per_relation) * upstream).backward()
+    assert got.keys() == {k for k, t in params.named().items() if t.grad is not None}
+    for k, t in params.named().items():
+        if k in got:
+            np.testing.assert_allclose(got[k], t.grad, rtol=1e-10, atol=1e-12, err_msg=k)
+
+
+def test_text_trace_scores_are_the_batch_matrix_at_row_and_text(rng, monkeypatch):
+    """forward()'s text trace keeps one score per selected relation, and
+    it is forward_batch's (B, X) score matrix at that relation's row and
+    text, step by step."""
+    g, cfg, params, cache, topics = BATCH_CASES["text-omega-cut"](rng)
+    seqs = [np.array([4, 5, 6]), np.array([7, 8]), np.array([9, 10, 11, 12])]
+    matrices = []
+    score = text_relation_scores
+
+    def recording(*args):
+        out = score(*args)
+        matrices.append(out.data)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr("hoptrace.model.text_relation_scores", recording)
+        forward_batch(g, seqs, topics, params, cfg, cache=cache)
+    assert len(matrices) == cfg.T and matrices[0].shape == (len(seqs), len(g.texts))
+    for i, (s, e) in enumerate(zip(seqs, topics)):
+        for t, step in enumerate(forward(g, s, e, params, cfg, cache=cache).trace.steps):
+            assert step.relation_scores.shape == step.relation_ids.shape
+            want = matrices[t][i, g.trel_text[step.relation_ids]]
+            np.testing.assert_allclose(step.relation_scores, want, rtol=0, atol=1e-12)
 
 
 def _tape_size(root):
