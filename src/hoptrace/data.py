@@ -157,16 +157,20 @@ def _answer_names(text: str) -> tuple:
     return tuple(names)
 
 
-def load_questions(path, hop_path=None) -> list[QAExample]:
-    """Parse ``question<TAB>answer1|answer2|...`` lines; the topic is the
-    bracketed span.  An optional sidecar file supplies one hop count per
-    line (auto-detected at ``<stem>_hops.txt``)."""
+def _hop_path(path) -> Path:
+    """The hop sidecar of a question file: ``<stem>_hops.txt`` beside it."""
     path = Path(path)
-    if hop_path is None:
-        cand = path.with_name(path.stem + "_hops.txt")
-        hop_path = cand if cand.exists() else None
+    return path.with_name(path.stem + "_hops.txt")
+
+
+def load_questions(path) -> list[QAExample]:
+    """Parse ``question<TAB>answer1|answer2|...`` lines; the topic is the
+    bracketed span.  The sidecar ``<stem>_hops.txt``, when it exists,
+    supplies one hop count per line."""
+    path = Path(path)
+    hop_path = _hop_path(path)
     hops = None
-    if hop_path is not None:
+    if hop_path.exists():
         try:
             hops = [int(x) for x in read_text(hop_path, DataError).split()]
         except ValueError as e:
@@ -189,14 +193,14 @@ def load_questions(path, hop_path=None) -> list[QAExample]:
     return out
 
 
-def save_questions(examples, path, hop_path=None):
+def save_questions(examples, path):
+    """Write the question file load_questions reads, and its hop sidecar."""
     with open(path, "w", encoding="utf-8") as f:
         for ex in examples:
             f.write(f"{ex.question}\t{'|'.join(ex.answers)}\n")
-    if hop_path is not None:
-        with open(hop_path, "w", encoding="utf-8") as f:
-            for ex in examples:
-                f.write(f"{ex.hop}\n")
+    with open(_hop_path(path), "w", encoding="utf-8") as f:
+        for ex in examples:
+            f.write(f"{ex.hop}\n")
 
 
 def resolve_examples(examples, g) -> list[ResolvedQA]:
@@ -469,11 +473,11 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
         if kind != "movie":
             continue
         for topic in dup_names:
-            gold = _path_answers(adj, memo, topic, path)
-            if not gold:
+            answers = gold(topic, path)
+            if not answers:
                 continue
             for phr in phrasings:
-                duplicates.append(QAExample(phr.format(t=topic), topic, tuple(sorted(gold)), 1))
+                duplicates.append(QAExample(phr.format(t=topic), topic, answers, 1))
 
     stats = {
         "entities": len({e for h, _, t in triples for e in (h, t)}),
@@ -506,9 +510,9 @@ def write_dataset(data: SyntheticDataset, out_dir, force=False):
         for subject, text in data.corpus:
             f.write(json.dumps({"subject": subject, "text": text}, sort_keys=True) + "\n")
     for name, examples in data.splits.items():
-        save_questions(examples, out / f"qa_{name}.txt", out / f"qa_{name}_hops.txt")
-    save_questions(data.ambiguous_eval, out / "ambiguous_eval.txt", out / "ambiguous_eval_hops.txt")
-    save_questions(data.duplicates, out / "qa_dup.txt", out / "qa_dup_hops.txt")
+        save_questions(examples, out / f"qa_{name}.txt")
+    save_questions(data.ambiguous_eval, out / "ambiguous_eval.txt")
+    save_questions(data.duplicates, out / "qa_dup.txt")
     manifest = {"spec": asdict(data.spec), "stats": data.stats}
     manifest["spec"]["split_ratios"] = list(data.spec.split_ratios)
     with open(out / "manifest.json", "w", encoding="utf-8") as f:

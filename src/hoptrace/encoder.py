@@ -72,8 +72,8 @@ class Vocab:
         except KeyError:
             raise GraphError(f"unknown name {name!r}") from None
 
-    def get(self, name: str, default=None):
-        return self._index.get(name, default)
+    def get(self, name: str):
+        return self._index.get(name)
 
     def ids(self, names) -> tuple:
         """The id of each name, None for a name not in the map."""
@@ -365,9 +365,9 @@ class RelationEncodingCache:
     Identical texts encode identically, so one (num_texts, d) table covers
     every relation: the model scores each row against the whole table, one
     score per text, and a relation takes its text's score, as a label edge
-    takes its predicate's.  The table must be invalidated whenever the
-    relation-encoder parameters change (i.e. every optimizer step) and is
-    rebuilt lazily in one batched encoder pass.
+    takes its predicate's.  Each forward reads the table once, built lazily
+    in one batched encoder pass: train invalidates it before every batch,
+    and evaluate on entry, so both encode the current parameters.
     """
 
     def __init__(self, params: EncoderParams, vocab: Vocabulary, texts: list[str]):

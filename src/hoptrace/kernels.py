@@ -5,7 +5,9 @@ numpy implementation.  Every scatter-add is a single ``np.bincount``, which
 adds its weights one by one in edge order, so the results are fixed by the
 inputs alone.  ``np.bincount`` does not reject an index past ``n`` (it
 returns a longer vector), so callers pass in-range indices: ``RelationGraph``
-checks every id it holds when it is built.
+checks every id it holds when it is built.  The max ops run only where a
+pair has parallel edges: elsewhere max is sum, and ``model._push`` calls
+push_forward and push_backward.
 """
 
 from __future__ import annotations
@@ -66,11 +68,7 @@ def push_max_forward(pair_heads, pair_tails, pair_ptr, w, a, n):
     """Like push_forward but parallel edges of one (i, j) pair contribute
     max(w) instead of sum(w).  Edges must be grouped by pair via pair_ptr.
     Returns (out, argmax edge index per pair); ties keep the lowest index.
-    When every pair has one edge, each edge is its own pair's argmax and the
-    push is push_forward's.
     """
-    if pair_ptr.size - 1 == w.size:
-        return _scatter(pair_tails, a[pair_heads] * w, n), np.arange(w.size)
     starts, ends = pair_ptr[:-1], pair_ptr[1:]
     best = np.repeat(np.maximum.reduceat(w, starts), ends - starts)
     hits = np.where(w == best, np.arange(w.shape[0]), w.shape[0])
@@ -84,8 +82,6 @@ def push_max_backward(pair_heads, pair_tails, argmax, w, a, g):
     """Adjoints of push_max_forward; gradient w.r.t. w flows only to the
     argmax edge of each pair."""
     g_tail = g[pair_tails]
-    if argmax.size == w.size:  # one edge per pair: push_backward's adjoints
-        return _scatter(pair_heads, g_tail * w, a.shape[0]), g_tail * a[pair_heads]
     grad_a = _scatter(pair_heads, g_tail * w[argmax], a.shape[0])
     return grad_a, _scatter(argmax, g_tail * a[pair_heads], w.shape[0])
 

@@ -151,9 +151,10 @@ def _push(heads, tails, listed, pair_start, w: Tensor, a_prev: Tensor, n: int, a
     max: parallel edges contribute only their maximum weight, the first
     listed on a tie, and the gradient flows to that edge alone.  Each pair's
     edges must be listed side by side from the one pair_start marks, as the
-    CSR listings of both forms are.
+    CSR listings of both forms are.  Where pair_start marks every listed
+    relation, no pair has parallel edges and max is pushed as sum.
     """
-    if aggregation == "sum":
+    if aggregation == "sum" or (aggregation == "max" and pair_start[listed].all()):
         out = kernels.push_forward(heads, tails, w.data, a_prev.data, n)
 
         def vjp(g):
@@ -330,13 +331,14 @@ def _reason(
     a0[np.repeat(np.arange(B), [len(t) for t in per_row]), ids] = 1.0
 
     att, q = step_attention(enc, params)
+    table = cache.table() if text_form else None
     a_prev = Tensor(a0)
     steps = []
     for t in range(params.T):
         q_t = q[:, t]
         if text_form:
             rel_ids, rows = g.select_text_relation_ids(a_prev.data, cfg.tau, cfg.omega)
-            scores = text_relation_scores(q_t, cache.table(), params)
+            scores = text_relation_scores(q_t, table, params)
         else:
             rel_ids, rows = g.frontier_edge_ids(a_prev.data)
             scores = label_relation_scores(q_t, params)

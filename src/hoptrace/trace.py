@@ -1,5 +1,5 @@
 """Reasoning traces: per-step attention, relation scores, and entity
-activations, exportable as JSON or Graphviz DOT."""
+activations, exportable as JSON or Graphviz DOT as the constants below set."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import numpy as np
 
 SCORE_FLOOR = 1e-3  # entity scores below this are omitted from exports
 DOT_THRESHOLD = 0.8  # activation level worth drawing
+TOP_ANSWERS = 10  # ranked answers listed in the JSON export
+MASK_TOP = 10  # highest language-mask entries listed in the JSON export
 
 
 @dataclass
@@ -33,7 +35,7 @@ class ReasoningTrace:
     ranked: np.ndarray
     degenerate: bool
 
-    def to_dict(self, g, vocab=None, top_answers: int = 10, mask_top: int = 10) -> dict:
+    def to_dict(self, g, vocab) -> dict:
         """JSON-ready dict; entity scores are sparse (above SCORE_FLOOR)."""
         ent = g.entities.name
         steps = []
@@ -65,25 +67,25 @@ class ReasoningTrace:
         out = {
             "question": self.question,
             "topic": [ent(t) for t in self.topics],
-            "tokens": [vocab.name(int(i)) for i in self.tokens] if vocab is not None else None,
+            "tokens": [vocab.name(int(i)) for i in self.tokens],
             "steps": steps,
             "hop_distribution": [float(x) for x in self.hop_distribution],
-            "answers": [ent(int(i)) for i in self.ranked[:top_answers]],
+            "answers": [ent(int(i)) for i in self.ranked[:TOP_ANSWERS]],
             "degenerate": self.degenerate,
         }
         if self.mask is not None:
-            top = np.argsort(-self.mask)[:mask_top]
+            top = np.argsort(-self.mask)[:MASK_TOP]
             out["mask_top"] = [{"entity": ent(int(i)), "score": float(self.mask[i])} for i in top]
         return out
 
-    def save_json(self, path, g, vocab=None):
+    def save_json(self, path, g, vocab):
         with open(path, "w", encoding="utf-8") as f:
             json.dump(self.to_dict(g, vocab), f, indent=2)
             f.write("\n")
 
-    def to_dot(self, g, threshold: float = DOT_THRESHOLD) -> str:
+    def to_dot(self, g) -> str:
         """Graphviz digraph of the activated entities and relations
-        (activation/score > threshold), layered by step."""
+        (activation/score > DOT_THRESHOLD), layered by step."""
         ent = g.entities.name
         lines = [
             "digraph reasoning {",
@@ -92,7 +94,7 @@ class ReasoningTrace:
         ]
         active = {0: list(self.topics)}
         for t, s in enumerate(self.steps, 1):
-            active[t] = [int(i) for i in np.flatnonzero(s.entity_scores > threshold)]
+            active[t] = [int(i) for i in np.flatnonzero(s.entity_scores > DOT_THRESHOLD)]
         for t, ids in active.items():
             for i in ids:
                 score = 1.0 if t == 0 else float(self.steps[t - 1].entity_scores[i])
@@ -103,7 +105,7 @@ class ReasoningTrace:
             cur = set(active[t])
             if s.relation_ids is None:
                 for p, score in enumerate(s.relation_scores):
-                    if score <= threshold:
+                    if score <= DOT_THRESHOLD:
                         continue
                     sel = g.edge_preds == p  # by head, then tail
                     for h, tl in zip(g.edge_heads[sel], g.edge_tails[sel]):
@@ -114,7 +116,7 @@ class ReasoningTrace:
                             )
             else:
                 for r, score in zip(s.relation_ids, s.relation_scores):
-                    if score <= threshold:
+                    if score <= DOT_THRESHOLD:
                         continue
                     h, tl = int(g.trel_heads[r]), int(g.trel_tails[r])
                     if h in prev and tl in cur:
@@ -125,6 +127,6 @@ class ReasoningTrace:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def save_dot(self, path, g, threshold: float = DOT_THRESHOLD):
+    def save_dot(self, path, g):
         with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_dot(g, threshold))
+            f.write(self.to_dot(g))

@@ -25,6 +25,7 @@ from .model import rank_answers  # noqa: F401
 log = logging.getLogger("hoptrace")
 
 AUX_WEIGHT = 0.01
+EVAL_CHUNK = 64  # questions per forward in evaluate
 CKPT_MAGIC = b"HOPCKPT2"
 DIGEST_SIZE = 32  # the sha256 that ends a checkpoint
 
@@ -109,12 +110,13 @@ class RAdam:
     """
 
     RHO_THRESHOLD = 4.0
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
 
-    def __init__(self, params: dict[str, Tensor], lr=0.001, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params: dict[str, Tensor], lr=0.001):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        self.beta1, self.beta2 = self.BETAS
         self.t = 0
         self.m = {k: np.zeros_like(v.data) for k, v in self.params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in self.params.items()}
@@ -151,7 +153,7 @@ class RAdam:
                 p.data -= self.lr * m_hat
             else:
                 v_hat = np.sqrt(v / (1.0 - b2t))
-                p.data -= self.lr * r * m_hat / (v_hat + self.eps)
+                p.data -= self.lr * r * m_hat / (v_hat + self.EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +219,20 @@ def _keep_freed_memory():
 # evaluation
 
 
-def evaluate(g, params: ModelParams, prepared, cfg, cache=None, chunk=64) -> dict:
-    """hits@1 per hop and overall, plus the mean main loss.  Runs chunk
+def evaluate(g, params: ModelParams, prepared, cfg, cache=None) -> dict:
+    """hits@1 per hop and overall, plus the mean main loss.  Runs EVAL_CHUNK
     questions per forward and reads their top answers with one top_answers
     call: the highest score, the lowest id on ties, and an all-zero row is
-    a miss, as in rank_answers."""
-    if g.form != "label" and cache is None:
-        raise ValueError("text/mixed evaluation needs a relation encoding cache")
+    a miss, as in rank_answers.  A relation encoding cache is invalidated
+    on entry, so its table encodes the parameters as they are now."""
+    if cache is not None:
+        cache.invalidate()
     _keep_freed_memory()
     hits: dict[int | None, list[int]] = {}
     loss_sum = 0.0
     with no_grad():
-        for lo in range(0, len(prepared), chunk):
-            group = prepared[lo : lo + chunk]
+        for lo in range(0, len(prepared), EVAL_CHUNK):
+            group = prepared[lo : lo + EVAL_CHUNK]
             res = forward_batch(
                 g,
                 [ex.tokens for ex in group],
@@ -261,7 +264,6 @@ def evaluate(g, params: ModelParams, prepared, cfg, cache=None, chunk=64) -> dic
 class TrainResult(NamedTuple):
     params: ModelParams
     vocab: Vocabulary
-    history: list[dict]
     best_dev: dict
 
 
@@ -294,7 +296,6 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None) -> Tr
     cache = RelationEncodingCache(params.r_enc, vocab, g.texts) if text_form else None
     opt = RAdam(params.named(), lr=cfg.lr)
     bs = cfg.effective_batch_size
-    history: list[dict] = []
     best = {"overall": -1.0}
     best_snap = None
     log_f = open(log_path, "w", encoding="utf-8") if log_path else None
@@ -346,7 +347,6 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None) -> Tr
                     "hits1": dev["overall"],
                 },
             ]
-            history.extend(rows)
             if log_f:
                 for row in rows:
                     log_f.write(json.dumps(row, sort_keys=True) + "\n")
@@ -366,7 +366,7 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None) -> Tr
             log_f.close()
     if best_snap is not None:
         _restore(params, best_snap)
-    return TrainResult(params=params, vocab=vocab, history=history, best_dev=best)
+    return TrainResult(params=params, vocab=vocab, best_dev=best)
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +386,11 @@ def save_checkpoint(path, params: ModelParams, cfg, vocab: Vocabulary, extra: di
         "format": "hoptrace-checkpoint",
         "version": 2,
         "config": cfg.to_dict(),
-        "model": {
-            "vocab_size": params.vocab_size,
-            "n": params.n,
-            "num_predicates": params.num_predicates,
-            "T": params.T,
-            "d": params.d,
-            "form": params.form,
-            "head": params.head,
-        },
+        "model": {"vocab_size": params.vocab_size, "n": params.n, "num_predicates": params.num_predicates},
         "optimizer": {
             "name": "radam",
-            "betas": [0.9, 0.999],
-            "eps": 1e-8,
+            "betas": list(RAdam.BETAS),
+            "eps": RAdam.EPS,
             "rho_threshold": RAdam.RHO_THRESHOLD,
             "note": "variance-rectified adaptive moments; momentum-only step while rho_t <= threshold",
         },

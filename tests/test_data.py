@@ -628,8 +628,9 @@ def test_save_questions_roundtrip(tmp_path):
         QAExample("who directed [M1]", "M1", ("P1", "P2"), 1),
         QAExample("what movies did [P1] direct", "P1", ("M1",), 1),
     ]
-    save_questions(examples, tmp_path / "q.txt", tmp_path / "q_hops.txt")
-    assert load_questions(tmp_path / "q.txt", tmp_path / "q_hops.txt") == examples
+    save_questions(examples, tmp_path / "q.txt")
+    assert (tmp_path / "q_hops.txt").read_text(encoding="utf-8") == "1\n1\n"  # the sidecar load_questions reads
+    assert load_questions(tmp_path / "q.txt") == examples
 
 
 def test_clean_text_strips_brackets():

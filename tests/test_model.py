@@ -290,7 +290,8 @@ def test_transfer_label_batch_frontier_edge_cases(rng, monkeypatch, case):
     """A batch with no active head anywhere (no candidate edge), and rows
     whose frontiers are disjoint, so that most of the batch's candidate
     edges are unused by any one row: both match the oracles, warn about
-    nothing and push one weight per nonzero-head pair."""
+    nothing and push one weight per nonzero-head pair.  The frontier has
+    one edge per (head, tail) pair, so push_forward serves max as well."""
     g = random_label_graph(rng, n=16, num_predicates=3)
     a0 = np.zeros((4, g.n))
     if case == "disjoint-rows":
@@ -308,7 +309,8 @@ def test_transfer_label_batch_frontier_edge_cases(rng, monkeypatch, case):
 
     out = _assert_frontier_matches_oracles(g, a0, p0, rng.standard_normal(a0.shape))
     frontier = np.count_nonzero(a0[:, g.edge_heads])
-    assert pushed == [frontier]
+    assert g.pair_start[g.frontier_edge_ids(a0)[0]].all()
+    assert pushed == [frontier, frontier]  # sum, then max
     if case == "all-zero-batch":
         assert frontier == 0 and not np.any(out)
     else:  # each candidate edge belongs to one row alone
@@ -403,6 +405,43 @@ def test_transfer_label_batch_max_over_parallel_edges_matches_oracles(rng):
     assert first < second and {first, second} == {g.predicates.id("p1"), g.predicates.id("p3")}
     assert p0[0, g.edge_preds[order[tie]]] == p0[0, g.edge_preds[order[tie + 1]]]
     assert not np.any(out.data[3])
+
+
+def _push_both(g, a0, p0, upstream):
+    """Output, a_prev gradient and p gradient of the label transfer under
+    sum and under max."""
+    results = {}
+    for aggregation in ("sum", "max"):
+        a, p = Tensor(a0.copy(), requires_grad=True), Tensor(p0.copy(), requires_grad=True)
+        out = transfer_label_batch(g, a, p, aggregation)
+        ad.sum_(out * Tensor(upstream)).backward()
+        results[aggregation] = (out.data, a.grad, p.grad)
+    return results
+
+
+def test_push_sends_one_edge_pairs_to_the_sum_kernels(rng, monkeypatch):
+    """Max over a listing whose (head, tail) pairs have one edge each is sum:
+    the max kernels are not called, and the output and both gradients equal
+    sum's bit for bit.  A listing with one parallel pair calls them."""
+    calls = []
+    for name in ("push_max_forward", "push_max_backward"):
+        kernel = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *args, name=name, kernel=kernel: calls.append(name) or kernel(*args))
+
+    pairs = [(h, t) for h in range(12) for t in range(12) if h != t and rng.random() < 0.3]
+    g = build_from_triples([(f"e{h}", f"p{rng.integers(3)}", f"e{t}") for h, t in pairs])
+    assert g.pair_start.all()
+    a0 = rng.random((3, g.n)) * (rng.random((3, g.n)) < 0.5)
+    p0 = rng.random((3, g.num_predicates))
+    results = _push_both(g, a0, p0, rng.standard_normal(a0.shape))
+    assert calls == []
+    for got, want in zip(results["max"], results["sum"]):
+        np.testing.assert_array_equal(got, want)
+
+    g, a0, p0 = _parallel_edge_case(rng)
+    results = _push_both(g, a0[:1], p0[:1], rng.standard_normal((1, g.n)))  # row 0 sits on e0's parallel pairs
+    assert calls == ["push_max_forward", "push_max_backward"]
+    assert not np.array_equal(results["max"][0], results["sum"][0])
 
 
 def _refuse_sorts(m):

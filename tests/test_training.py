@@ -1,17 +1,21 @@
 """Loss arithmetic, the optimizer, the training loop, and checkpoints."""
 
+import hashlib
+import json
 import platform
 import resource
+import struct
 
 import numpy as np
 import pytest
 
 import hoptrace.autodiff as ad
+from hoptrace import training
 from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
 from hoptrace.data import QAExample, resolve_examples
 from hoptrace.encoder import RelationEncodingCache, Vocabulary
-from hoptrace.errors import DataError, NumericError
+from hoptrace.errors import DataError, GraphError, NumericError
 from hoptrace.graph import add_reverse_relations, build_from_text_corpus, build_from_triples
 from hoptrace.model import ModelParams, forward_batch, rank_answers
 from hoptrace.training import (
@@ -57,6 +61,29 @@ def tiny_qa_setup():
     for m, tw in (("m0", ("m0", "m1")), ("m1", ("m0", "m1"))):
         qs.append(QAExample(f"what movies have the same director as [{m}]", m, tuple(sorted(tw)), 2))
     return g, resolve_examples(qs, g)
+
+
+def tiny_text_setup():
+    """Three-movie text corpus with reverse relations, and five 1-hop questions."""
+    docs = [
+        ("m0", "m0 was directed by alice. m0 was released in 1999."),
+        ("m1", "m1 was directed by alice. m1 was released in 2004."),
+        ("m2", "m2 was directed by bob. m2 was released in 1999."),
+    ]
+    names = ["m0", "m1", "m2", "alice", "bob", "1999", "2004"]
+    g = add_reverse_relations(build_from_text_corpus(docs, names))
+    qs = [
+        QAExample("who directed [m0]", "m0", ("alice",), 1),
+        QAExample("who directed [m1]", "m1", ("alice",), 1),
+        QAExample("who directed [m2]", "m2", ("bob",), 1),
+        QAExample("when was [m0] released", "m0", ("1999",), 1),
+        QAExample("when was [m1] released", "m1", ("2004",), 1),
+    ]
+    return g, resolve_examples(qs, g)
+
+
+def read_log(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 # -- targets and loss -------------------------------------------------------------
@@ -284,16 +311,16 @@ def test_vocab_hash_changes_with_content():
 # -- training loop --------------------------------------------------------------------
 
 
-def test_overfit_tiny_label_dataset():
+def test_overfit_tiny_label_dataset(tmp_path):
     """Training on a trivial dataset (dev = train) must fit it: hits@1
     reaches 1 and the loss drops.  A raised lr keeps the test fast; the
     default 0.001 under the slow rectifier ramp would need thousands of
     steps."""
     g, resolved = tiny_qa_setup()
     cfg = TrainConfig(form="label", epochs=40, d=16, seed=3, lr=0.05, batch_size=4).validate()
-    result = train(cfg, g, resolved, resolved)
+    result = train(cfg, g, resolved, resolved, log_path=tmp_path / "train_log.jsonl")
     assert result.best_dev["overall"] == 1.0
-    train_rows = [h for h in result.history if h["split"] == "train"]
+    train_rows = [row for row in read_log(tmp_path / "train_log.jsonl") if row["split"] == "train"]
     assert train_rows[-1]["loss"] < train_rows[0]["loss"]
 
 
@@ -306,14 +333,15 @@ def test_train_restores_best_dev_epoch():
     assert m["overall"] == pytest.approx(result.best_dev["overall"])
 
 
-def test_train_deterministic_given_seed():
+def test_train_deterministic_given_seed(tmp_path):
     g, resolved = tiny_qa_setup()
     cfg = TrainConfig(form="label", epochs=2, d=8, seed=11, batch_size=4).validate()
-    r1 = train(cfg, g, resolved, resolved)
-    r2 = train(cfg, g, resolved, resolved)
+    r1 = train(cfg, g, resolved, resolved, log_path=tmp_path / "1.jsonl")
+    r2 = train(cfg, g, resolved, resolved, log_path=tmp_path / "2.jsonl")
     for k, t in r1.params.named().items():
         np.testing.assert_array_equal(t.data, r2.params.named()[k].data, err_msg=k)
-    assert r1.history == r2.history
+    assert len(read_log(tmp_path / "1.jsonl")) == 4
+    assert (tmp_path / "1.jsonl").read_bytes() == (tmp_path / "2.jsonl").read_bytes()
 
 
 def test_train_limit_train_subsamples():
@@ -337,7 +365,7 @@ def test_freed_blocks_are_reused_without_fresh_pages():
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 512
 
 
-def test_evaluate_matches_per_row_recount():
+def test_evaluate_matches_per_row_recount(monkeypatch):
     """evaluate's one top_answers call per chunk counts the same hits as
     rank_answers row by row, in any chunking.  The graph has no reverse
     relations, so 'paris' has no out-edges: its question scores all zero
@@ -371,7 +399,8 @@ def test_evaluate_matches_per_row_recount():
     loss = compute_loss(res.final, ys, res.c, hops, cfg.use_aux_hop_loss).main.item()
 
     for chunk in (64, 5, 1):
-        m = evaluate(g, result.params, prep, cfg, chunk=chunk)
+        monkeypatch.setattr(training, "EVAL_CHUNK", chunk)
+        m = evaluate(g, result.params, prep, cfg)
         assert m["overall"] == np.mean(flat) > 0
         assert m["per_hop"] == {h: np.mean(v) for h, v in hits.items() if h is not None}
         assert m["count"] == len(prep)
@@ -455,6 +484,29 @@ def test_checkpoint_must_list_each_parameter_once(tmp_path, change, message):
         load_checkpoint(path)
 
 
+def test_checkpoint_model_block_is_not_repeated_and_old_keys_still_load(tmp_path):
+    """The "model" block holds only what "config" does not: the sizes the
+    graph and vocabulary give.  A checkpoint written when it also repeated
+    T, d, form and head still loads into the same parameters."""
+    cfg = TrainConfig(form="label", d=4, T=2).validate()
+    params = ModelParams(9, 6, 3, cfg)
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, params, cfg, Vocabulary())
+    raw = path.read_bytes()
+    (size,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16 : 16 + size])
+    assert meta["model"] == {"vocab_size": 9, "n": 6, "num_predicates": 3}
+    assert meta["optimizer"]["betas"] == [0.9, 0.999] and meta["optimizer"]["eps"] == 1e-8
+    meta["model"].update(T=2, d=4, form="label", head="softmax")
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + size : -32]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    loaded, meta = load_checkpoint(path)
+    assert meta["model"]["head"] == "softmax"
+    for k, t in params.named().items():
+        np.testing.assert_array_equal(loaded.named()[k].data, t.data, err_msg=k)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "junk.ckpt"
     p.write_bytes(b"definitely not a checkpoint")
@@ -462,26 +514,35 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(p)
 
 
-def test_text_training_smoke(rng):
+def test_text_training_smoke(tmp_path):
     """Text form end to end on a micro corpus: runs, evaluates, checkpoints."""
-    from hoptrace.graph import build_from_text_corpus
-
-    docs = [
-        ("m0", "m0 was directed by alice. m0 was released in 1999."),
-        ("m1", "m1 was directed by alice. m1 was released in 2004."),
-        ("m2", "m2 was directed by bob. m2 was released in 1999."),
-    ]
-    names = ["m0", "m1", "m2", "alice", "bob", "1999", "2004"]
-    g = add_reverse_relations(build_from_text_corpus(docs, names))
-    qs = [
-        QAExample("who directed [m0]", "m0", ("alice",), 1),
-        QAExample("who directed [m1]", "m1", ("alice",), 1),
-        QAExample("who directed [m2]", "m2", ("bob",), 1),
-        QAExample("when was [m0] released", "m0", ("1999",), 1),
-        QAExample("when was [m1] released", "m1", ("2004",), 1),
-    ]
-    resolved = resolve_examples(qs, g)
+    g, resolved = tiny_text_setup()
     cfg = TrainConfig(form="text", epochs=2, d=8, seed=0, batch_size=4).validate()
-    result = train(cfg, g, resolved, resolved)
-    assert len(result.history) == 4
+    result = train(cfg, g, resolved, resolved, log_path=tmp_path / "train_log.jsonl")
+    rows = read_log(tmp_path / "train_log.jsonl")
+    assert [(row["epoch"], row["split"]) for row in rows] == [(1, "train"), (1, "dev"), (2, "train"), (2, "dev")]
     assert 0.0 <= result.best_dev["overall"] <= 1.0
+
+
+def test_text_dev_is_scored_with_the_table_after_the_last_step():
+    """A text epoch's dev figures come from the relation-text table of the
+    parameters after the epoch's last optimizer step, not the one its last
+    batch built before that step: the kept epoch's dev loss equals a fresh
+    evaluate with a new cache exactly."""
+    g, resolved = tiny_text_setup()
+    cfg = TrainConfig(form="text", epochs=1, d=8, seed=0, batch_size=4).validate()
+    result = train(cfg, g, resolved, resolved)
+    prep = prepare_examples(resolved, result.vocab)
+    cache = RelationEncodingCache(result.params.r_enc, result.vocab, g.texts)
+    fresh = evaluate(g, result.params, prep, cfg, cache=cache)
+    assert result.best_dev["mean_loss"] == fresh["mean_loss"]
+    assert result.best_dev["overall"] == fresh["overall"]
+
+
+def test_text_evaluate_without_a_cache_is_a_graph_error():
+    g, resolved = tiny_text_setup()
+    cfg = TrainConfig(form="text", d=8).validate()
+    vocab = build_vocabulary(resolved, g)
+    params = ModelParams(len(vocab), g.n, g.num_predicates, cfg)
+    with pytest.raises(GraphError, match="relation encoding cache"):
+        evaluate(g, params, prepare_examples(resolved, vocab), cfg)
