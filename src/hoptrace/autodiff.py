@@ -3,10 +3,8 @@
 A :class:`Tensor` wraps a float64 ndarray plus the closure needed to push
 gradients back to its parents.  ``backward()`` walks the graph in reverse
 topological order, keeping per-node adjoints in a dict and accumulating into
-``.grad`` only on leaves created with ``requires_grad=True``.  That makes it
-safe to reuse a cached subgraph (e.g. an encoded relation shared by many
-examples in a batch) across several backward calls: each call contributes
-its share to the leaf gradients and nothing else is mutated.
+``.grad`` only on leaves created with ``requires_grad=True``: a backward call
+mutates nothing else.
 
 Only the ops this package needs are implemented; all of them support the
 shapes they are actually used with (numpy-style broadcasting for the

@@ -21,6 +21,7 @@ _INT_FIELDS = (("T", 1, False), ("d", 2, False), ("epochs", 1, False),
                ("batch_size", 1, True), ("omega", 1, True), ("seed", 0, False))
 _FLOAT_FIELDS = ("lr", "tau", "limit_train")
 _FLAG_FIELDS = ("use_truncation", "use_mask", "use_aux_hop_loss")
+_CHOICE_FIELDS = (("form", FORMS), ("head", HEADS), ("aggregation", AGGREGATIONS))
 
 
 def check_ints(settings, table, error, noun):
@@ -111,12 +112,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise UsageError(f"config value of the wrong type: {name} must be true or false, got {value!r}")
-        if self.form not in FORMS:
-            raise UsageError(f"form must be one of {FORMS}, got {self.form!r}")
-        if self.head not in HEADS:
-            raise UsageError(f"head must be one of {HEADS}, got {self.head!r}")
-        if self.aggregation not in AGGREGATIONS:
-            raise UsageError(f"aggregation must be one of {AGGREGATIONS}")
+        for name, choices in _CHOICE_FIELDS:
+            value = getattr(self, name)
+            if value not in choices:
+                raise UsageError(f"{name} must be one of {choices}, got {value!r}")
         if not 0.0 <= self.tau <= 1.0:
             raise UsageError(f"tau must be in [0, 1], got {self.tau}")
         if self.lr <= 0:

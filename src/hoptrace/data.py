@@ -194,13 +194,20 @@ def load_questions(path) -> list[QAExample]:
 
 
 def save_questions(examples, path):
-    """Write the question file load_questions reads, and its hop sidecar."""
+    """Write the question file load_questions reads, and its hop sidecar if
+    every example has a hop.  If none has, no sidecar is written and a stale
+    one is removed; a set where only some have a hop is a DataError."""
+    examples = list(examples)
+    hops = [ex.hop for ex in examples if ex.hop is not None]
+    if 0 < len(hops) < len(examples):
+        raise DataError(f"{path}: {len(hops)} of {len(examples)} questions have a hop label: give all or none")
     with open(path, "w", encoding="utf-8") as f:
         for ex in examples:
             f.write(f"{ex.question}\t{'|'.join(ex.answers)}\n")
-    with open(_hop_path(path), "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(f"{ex.hop}\n")
+    if len(hops) == len(examples):
+        _hop_path(path).write_text("".join(f"{h}\n" for h in hops), encoding="utf-8")
+    else:
+        _hop_path(path).unlink(missing_ok=True)
 
 
 def resolve_examples(examples, g) -> list[ResolvedQA]:

@@ -23,7 +23,7 @@ backward state is 0.
 
 A step computes its reset and update gates as sigmoid(x) = tanh(x/2)/2 + 1/2
 (_sigmoid_of_half, which says why the model's score heads do not) and its
-new state as c + z * (h - c), in fewer array passes than before.
+new state, (1 - z) * c + z * h, as c + z * (h - c): three array passes.
 """
 
 from __future__ import annotations

@@ -1,25 +1,26 @@
 """Relation graphs in label, text, and mixed form.
 
-Label edges and text relations are stored alike: in coordinate form, sorted
-by head and then tail (then predicate, or text id), with a CSR pointer over
-head entities (head_ptr, trel_ptr), so the relations leaving a set of
-entities are listed by one CSR expansion (expand_csr) and come out in
-storage order.  The parallel relations of one (head, tail) pair are
-neighbours, and pair_start and trel_pair_start mark the first relation of
-each pair, so such a listing is already grouped by pair for max
-aggregation.  A relation's id is its storage position.  Relation texts live
-in a unique-text table.  A file saved with its rows in another order, such
-as the (head, pred, tail) or predicate-major edge orders or the build-order
-text relations of earlier versions, loads into the same arrays.
+Label edges and text relations are stored alike, as (head, tail, kind)
+rows, the kind being a predicate or a text id.  One int64 key over the
+three ids orders each store by one stable argsort (_index), which also
+gives the store's CSR pointer over head entities (head_ptr, trel_ptr) and
+its pair flags (pair_start, trel_pair_start), True on the first relation of
+each (head, tail) pair.  So the relations leaving a set of entities are
+listed by one CSR expansion (expand_csr), in storage order, and such a
+listing is already grouped by pair for max aggregation.  A relation's id is
+its storage position.  Relation texts live in a unique-text table.  A file
+saved with its rows in another order, such as the (head, pred, tail) or
+predicate-major edge orders or the build-order text relations of earlier
+versions, loads into the same arrays.
 Entities, predicates and relation texts are all numbered by one map,
 encoder.Vocab (dense ids, first-seen order), so a builder that meets a text
 again reuses its id.  Graphs are immutable once built: every
 constructor-style operation returns a fresh instance.
 
 A saved graph is read whole and cut into its sections with one str.split.
-Each id section is then checked in numpy to hold rows of three plain
-decimal ids and parsed by one np.fromstring call; a section that fails the
-check is refused, and one regex search names its first bad row.
+Each id section is searched by one regex for its first row that is not
+three plain decimal ids, which load() refuses and names; a section without
+one is parsed by one np.fromstring call.
 """
 
 from __future__ import annotations
@@ -103,19 +104,14 @@ class RelationGraph:
             bad = ids[(ids < 0) | (ids >= bound)]
             if bad.size:
                 raise GraphError(f"{what} id {bad[0]} out of range [0, {bound})")
-        # label edges by (head, tail, pred), text relations by (head, tail, text)
-        if not _in_edge_order(e, (4, 1, 2)):
-            e = e[np.lexsort((e[:, 1], e[:, 2], e[:, 0]))]
-        if not _in_edge_order(t, (4, 2, 1)):
-            t = t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
-        self.edge_heads, self.edge_preds, self.edge_tails = e.T.copy()
-        self.trel_heads, self.trel_tails, self.trel_text = t.T.copy()
-        # head i's relations start at head_ptr[i] / trel_ptr[i]; the flags are
-        # True on the first relation of each (head, tail) pair (ids are >= 0)
-        self.head_ptr = _ptr(self.edge_heads, len(entities))
-        self.pair_start = np.diff(e[:, [0, 2]], axis=0, prepend=-1).any(axis=1)
-        self.trel_ptr = _ptr(self.trel_heads, len(entities))
-        self.trel_pair_start = np.diff(t[:, :2], axis=0, prepend=-1).any(axis=1)
+        # label edges by (head, tail, pred), text relations by (head, tail,
+        # text); head i's relations start at head_ptr[i] / trel_ptr[i]
+        self.edge_heads, self.edge_tails, self.edge_preds, self.head_ptr, self.pair_start = _index(
+            e[:, 0], e[:, 2], e[:, 1], len(entities), len(predicates)
+        )
+        self.trel_heads, self.trel_tails, self.trel_text, self.trel_ptr, self.trel_pair_start = _index(
+            *t.T, len(entities), len(self.texts)
+        )
 
     # -- basic shape ---------------------------------------------------------
 
@@ -175,9 +171,11 @@ class RelationGraph:
             cut = sizes > omega
             if cut.any():
                 # within a row the expansion is already by head, then id, so
-                # one stable sort on (row, -subject score in cut rows) ranks it
+                # stable sorts by -subject score in cut rows, then by row,
+                # rank it
                 subj = a_prev[rel_rows, self.trel_heads[rel_ids]]
-                order = np.lexsort((np.where(cut[rel_rows], -subj, 0.0), rel_rows))
+                order = np.argsort(np.where(cut[rel_rows], -subj, 0.0), kind="stable")
+                order = order[np.argsort(rel_rows[order], kind="stable")]
                 rel_ids, rel_rows = rel_ids[order], rel_rows[order]
                 rank = np.arange(rel_ids.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
                 keep = rank < omega
@@ -254,14 +252,19 @@ class RelationGraph:
         return g
 
 
-def _in_edge_order(rows: np.ndarray, weights) -> bool:
-    """Whether the (E, 3) id rows are already sorted by their columns taken
-    in falling order of weights, a permutation of 4/2/1 (4/1/2: by columns
-    0, 2, 1), ties included, so that the stable lexsort would leave them as
-    they are.  The weighted signs of neighbouring rows' differences are
-    negative exactly where a row sorts before the one above it."""
-    step = np.sign(np.diff(rows, axis=0)) @ np.array(weights)
-    return bool((step >= 0).all())
+def _index(heads, tails, kinds, n: int, num_kinds: int):
+    """One store of relations, a kind being a predicate or a text id, in
+    (head, tail, kind) order: the three sorted columns, the CSR pointer over
+    heads, and flags True on the first relation of each (head, tail) pair.
+    The three ids make one int64 key, so one stable argsort orders them."""
+    k = max(num_kinds, 1)
+    try:
+        key = np.ravel_multi_index((heads, tails, kinds), (n, n, k))
+    except ValueError:  # n * n * k past int64
+        raise GraphError(f"{n} entities and {num_kinds} kinds do not fit one 64-bit key") from None
+    order = np.argsort(key, kind="stable")
+    heads, tails, kinds = heads[order], tails[order], kinds[order]
+    return heads, tails, kinds, _ptr(heads, n), np.diff(key[order] // k, prepend=-1) != 0
 
 
 def _id_lines(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list[str]:
@@ -285,42 +288,27 @@ def _digest(header: str, joined: dict) -> str:
     return h.hexdigest()
 
 
-_ID = r"-?[0-9]{1,18}"
-# the first row that is no three _ID fields split by tabs, as group 1; text
-# before the first line break is row 0
-_BAD_ID_ROW = re.compile(rf"(?:\A(?!\n|\Z)|\n(?!{_ID}\t{_ID}\t{_ID}(?:\n|\Z)))([^\n]*)")
+_ID = r"-?[0-9]{1,18}"  # a plain decimal id, which np.fromstring reads and an int64 holds
+# a line break that opens no row of three _ID fields split by tabs, and that
+# row, as group 1
+_BAD_ID_ROW = re.compile(rf"\n(?!{_ID}\t{_ID}\t{_ID}(?:\n|\Z))([^\n]*)")
 
 
 def _id_rows(path, section: str, rows: str) -> np.ndarray:
     """The (E, 3) int64 ids of one section of tab-separated id triples,
-    given as one string with a line break before each row.  Each row must
-    hold three plain decimal ids -?[0-9]{1,18}, which np.fromstring reads
-    and an int64 holds: the bytes are checked at once in numpy, with no
-    loop over rows, and parsed by one call.  A section that fails the check
-    is searched once for its first bad row, which the GraphError names."""
-    if not _plain_id_rows(rows):
-        m = _BAD_ID_ROW.search(rows)
-        i = rows.count("\n", 0, m.start(1))
-        raise GraphError(f"{path}: #SECTION {section} row {i}: expected 3 integer ids, got {m.group(1)!r}")
-    return np.fromstring(rows, dtype=np.int64, sep=" ").reshape(-1, 3)
-
-
-def _plain_id_rows(rows: str) -> bool:
-    """Whether each row of rows is a line break and three fields
-    -?[0-9]{1,18} split by tabs, checked on the bytes at once."""
-    if not rows.isascii() or rows[:1] not in ("", "\n"):
-        return False
-    b = np.frombuffer(rows.encode("ascii"), np.uint8)
-    sep = np.flatnonzero((b == 9) | (b == 10))  # the tab or line break before each field
-    signed = b.take(sep + 1, mode="clip") == 45  # the field opens with a minus
-    digits = np.diff(sep, append=b.size) - 1 - signed  # the field's width after its sign
-    return not (
-        sep.size % 3
-        or not (b[sep].reshape(-1, 3) == (10, 9, 9)).all()
-        or not ((digits >= 1) & (digits <= 18)).all()
-        # the rest are digits: no other minus and no other character
-        or np.count_nonzero(b - 48 < 10) != b.size - sep.size - np.count_nonzero(signed)
-    )
+    given as one string with a line break before each row, so that text
+    before the first line break is row 0, and bad.  One regex search finds
+    the first bad row, which the GraphError names; one np.fromstring call
+    parses the rows.  It is a search for a bad row, not one match over all
+    rows: a repeated group keeps backtracking state for every row, which
+    costs a fresh process milliseconds on a large graph."""
+    if rows[:1] not in ("", "\n"):
+        i, got = 0, rows.partition("\n")[0]
+    elif m := _BAD_ID_ROW.search(rows):
+        i, got = rows.count("\n", 0, m.start(1)), m.group(1)
+    else:
+        return np.fromstring(rows, dtype=np.int64, sep=" ").reshape(-1, 3)
+    raise GraphError(f"{path}: #SECTION {section} row {i}: expected 3 integer ids, got {got!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,8 @@ def _restore(params: ModelParams, snap: dict[str, np.ndarray]):
 
 
 def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None) -> TrainResult:
-    """Mini-batch training with gradient accumulation; keeps the epoch whose
-    dev hits@1 is best.  Deterministic given (config, seed)."""
+    """Mini-batch training, one forward and one backward per batch; keeps
+    the epoch whose dev hits@1 is best.  Deterministic given (config, seed)."""
     _keep_freed_memory()
     rng = np.random.default_rng(cfg.seed)
     if vocab is None:

@@ -333,6 +333,10 @@ def test_invalid_config_value_is_usage_error(ws, tmp_path, capsys):
     capsys.readouterr()
     assert main(_train_args(ws, tmp_path, "--tau", "1.5")) == 1
     assert "tau" in _usage_error_line(capsys)
+    # a setting with fixed choices names the bad value
+    (tmp_path / "cfg.yaml").write_text("aggregation: mean\n")
+    assert main(_train_args(ws, tmp_path, "--config", str(tmp_path / "cfg.yaml"))) == 1
+    assert "usage error: aggregation must be one of ('sum', 'max'), got 'mean'\n" == _usage_error_line(capsys)
 
 
 # (config file text, the setting named in the error, what it must be)

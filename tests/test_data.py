@@ -631,6 +631,15 @@ def test_save_questions_roundtrip(tmp_path):
     save_questions(examples, tmp_path / "q.txt")
     assert (tmp_path / "q_hops.txt").read_text(encoding="utf-8") == "1\n1\n"  # the sidecar load_questions reads
     assert load_questions(tmp_path / "q.txt") == examples
+    # without hops no sidecar is written, and the stale one above goes
+    hopless = [ex._replace(hop=None) for ex in examples]
+    save_questions(hopless, tmp_path / "q.txt")
+    assert not (tmp_path / "q_hops.txt").exists()
+    assert load_questions(tmp_path / "q.txt") == hopless
+    # a set that mixes the two is refused before anything is written
+    with pytest.raises(DataError, match="1 of 2 questions have a hop label"):
+        save_questions([examples[0], hopless[1]], tmp_path / "mixed.txt")
+    assert not (tmp_path / "mixed.txt").exists() and not (tmp_path / "mixed_hops.txt").exists()
 
 
 def test_clean_text_strips_brackets():

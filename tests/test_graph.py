@@ -10,7 +10,7 @@ from hoptrace.graph import (
     RelationGraph,
     Vocab,
     _id_rows,
-    _in_edge_order,
+    _index,
     add_reverse_relations,
     build_from_text_corpus,
     build_from_triples,
@@ -98,29 +98,50 @@ def test_expand_csr_lists_each_bucket_in_turn():
     assert pos.size == 0 and counts.size == 0
 
 
+def _lexsort_store(rows, key_cols, n):
+    """The (head, tail, kind)-ordered rows of a store, its CSR pointer over
+    n heads and its pair flags, built by np.lexsort on key_cols, the columns
+    of rows that hold head, tail and kind."""
+    h, t, k = key_cols
+    ordered = rows[np.lexsort((rows[:, k], rows[:, t], rows[:, h]))]
+    ptr = np.searchsorted(ordered[:, h], np.arange(n + 1))
+    pairs = ordered[:, [h, t]]
+    starts = np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)]
+    return ordered, ptr, starts
+
+
+def _store_rows(rng, high, kind_col):
+    """30 random id rows below high, 8 of them repeated, and each of 4
+    (head, tail) pairs joined by a second kind: parallel relations."""
+    rows = rng.integers(0, high, size=(30, 3))
+    twins = rows[:4].copy()
+    twins[:, kind_col] = (twins[:, kind_col] + 1) % high[kind_col]
+    return np.concatenate([rows, rows[:8], twins])
+
+
 def test_presorted_and_shuffled_edges_give_equal_arrays(rng):
-    """The constructor skips its sort when the (head, pred, tail) rows are
-    already in (head, tail, pred) order.  Sorted, shuffled and list inputs,
-    repeated rows included, come out as the same arrays, and only rows equal
-    to the sorted ones count as in order."""
+    """The (head, pred, tail) rows are stored in (head, tail, pred) order.
+    Sorted, shuffled and list inputs, repeated rows and parallel edges
+    included, give the columns, head_ptr and pair_start of a lexsort
+    reference."""
     ents, preds = Vocab([str(i) for i in range(5)]), Vocab(["p", "q", "r"])
     for _ in range(20):
-        e = rng.integers(0, [5, 3, 5], size=(30, 3))
-        e = np.concatenate([e, e[:8]])
-        ordered = e[np.lexsort((e[:, 1], e[:, 2], e[:, 0]))]
-        assert _in_edge_order(ordered, (4, 1, 2))
+        e = _store_rows(rng, [5, 3, 5], kind_col=1)
+        ordered, ptr, starts = _lexsort_store(e, (0, 2, 1), len(ents))
+        assert not starts.all()  # some pair holds parallel edges
         for edges in (ordered, rng.permutation(e), rng.permutation(e).tolist(), ordered.tolist()):
-            assert _in_edge_order(np.asarray(edges), (4, 1, 2)) == np.array_equal(edges, ordered)
             g = RelationGraph(ents, preds, edges, [], [], form="label")
             np.testing.assert_array_equal(np.stack([g.edge_heads, g.edge_preds, g.edge_tails], axis=1), ordered)
-    # a larger step in a later key column does not outweigh an earlier one:
-    # the tail (column 2) comes before the predicate (column 1)
-    assert _in_edge_order(np.array([[0, 4, 4], [1, 0, 0]]), (4, 1, 2))
-    assert not _in_edge_order(np.array([[1, 0, 0], [0, 4, 4]]), (4, 1, 2))
-    assert _in_edge_order(np.array([[0, 4, 1], [0, 0, 2]]), (4, 1, 2))
-    assert not _in_edge_order(np.array([[0, 0, 2], [0, 4, 1]]), (4, 1, 2))
-    assert not _in_edge_order(np.array([[0, 1, 3], [0, 0, 3]]), (4, 1, 2))
-    assert not _in_edge_order(np.array([[0, 0, 4], [0, 0, 3]]), (4, 1, 2))
+            np.testing.assert_array_equal(g.head_ptr, ptr)
+            np.testing.assert_array_equal(g.pair_start, starts)
+
+
+def test_index_key_past_int64_is_a_graph_error():
+    """n * n * kinds ids past int64 make no sort key: a GraphError, not
+    numpy's ValueError."""
+    ids = np.zeros(1, dtype=np.int64)
+    with pytest.raises(GraphError, match="do not fit one 64-bit key"):
+        _index(ids, ids, ids, 2**32, 2)  # 2**65 keys: it fails before any array is built
 
 
 def test_pair_start_marks_the_first_edge_of_each_pair(rng):
@@ -139,22 +160,19 @@ def test_pair_start_marks_the_first_edge_of_each_pair(rng):
 
 
 def test_presorted_and_shuffled_text_relations_give_equal_arrays(rng):
-    """Text relations are stored by (head, tail, text), the constructor
-    skipping its sort when the rows are in that order already: sorted,
-    shuffled and list inputs, repeated rows included, give the same arrays."""
+    """Text relations are stored by (head, tail, text): sorted, shuffled and
+    list inputs, repeated rows and parallel relations included, give the
+    columns, trel_ptr and trel_pair_start of a lexsort reference."""
     ents, texts = Vocab([str(i) for i in range(5)]), ["<sub> a <obj>", "<sub> b <obj>", "<sub> c <obj>"]
     for _ in range(20):
-        t = rng.integers(0, [5, 5, 3], size=(30, 3))
-        t = np.concatenate([t, t[:8]])
-        ordered = t[np.lexsort((t[:, 2], t[:, 1], t[:, 0]))]
-        assert _in_edge_order(ordered, (4, 2, 1))
+        t = _store_rows(rng, [5, 5, 3], kind_col=2)
+        ordered, ptr, starts = _lexsort_store(t, (0, 1, 2), len(ents))
+        assert not starts.all()  # some pair holds parallel relations
         for trels in (ordered, rng.permutation(t), rng.permutation(t).tolist(), ordered.tolist()):
-            assert _in_edge_order(np.asarray(trels), (4, 2, 1)) == np.array_equal(trels, ordered)
             g = RelationGraph(ents, Vocab(), [], texts, trels, form="text")
             np.testing.assert_array_equal(np.stack([g.trel_heads, g.trel_tails, g.trel_text], axis=1), ordered)
-    # the tail (column 1) comes before the text (column 2)
-    assert _in_edge_order(np.array([[0, 0, 4], [0, 1, 0]]), (4, 2, 1))
-    assert not _in_edge_order(np.array([[0, 1, 0], [0, 0, 4]]), (4, 2, 1))
+            np.testing.assert_array_equal(g.trel_ptr, ptr)
+            np.testing.assert_array_equal(g.trel_pair_start, starts)
 
 
 def test_text_relations_listed_by_trel_ptr_with_pair_starts(rng):
@@ -593,7 +611,7 @@ def test_id_rows_take_exactly_what_int_takes(case):
         np.testing.assert_array_equal(_id_rows("g.txt", "edges", text), [(0, 1, 2), ids, (3, 4, 5)])
 
 
-def test_plain_id_rows_are_parsed_in_numpy():
+def test_id_rows_parse_to_one_int64_array():
     """Plain decimal rows are parsed into one int64 array, an empty section
     included; text before the first line break is row 0, and refused."""
     rows = _id_rows("g.txt", "edges", "\n0\t1\t2\n-3\t40\t500")
