@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import FORMS, TrainConfig
 from .encoder import TOPIC_RE, RelationEncodingCache, Vocabulary
 from .errors import DataError, GraphError, NumericError, UsageError
 from .graph import (
@@ -107,10 +107,10 @@ def _build_parser() -> _Parser:
     g.add_argument("--force", action="store_true", help="overwrite a non-empty out dir")
 
     b = sub.add_parser("build-graph", help="build and serialize a relation graph")
-    b.add_argument("--form", choices=("label", "text", "mixed"), default="label")
+    b.add_argument("--form", choices=FORMS, default="label")
     b.add_argument("--triples", required=True, help="triples file: TSV, or head|relation|tail lines as in MetaQA's kb.txt")
     b.add_argument("--corpus", help="JSONL corpus (text/mixed forms)")
-    b.add_argument("--out", required=True, help="graph file to write")
+    b.add_argument("--out", required=True, help="graph file to write (binary)")
     b.add_argument("--no-reverse", action="store_true", help="skip reverse augmentation")
     b.add_argument("--mix-fraction", type=_fraction_arg, default=0.5)
     b.add_argument("--mix-seed", type=_int_at_least(0), default=0)
@@ -376,7 +376,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (DataError, GraphError, FileNotFoundError) as e:
+    except (DataError, GraphError, OSError) as e:
+        if isinstance(e, OSError) and e.filename is None:  # no named path, as a closed stdout: see entry()
+            raise
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -8,31 +8,33 @@ its pair flags (pair_start, trel_pair_start), True on the first relation of
 each (head, tail) pair.  So the relations leaving a set of entities are
 listed by one CSR expansion (expand_csr), in storage order, and such a
 listing is already grouped by pair for max aggregation.  A relation's id is
-its storage position.  Relation texts live in a unique-text table.  A file
-saved with its rows in another order, such as the (head, pred, tail) or
-predicate-major edge orders or the build-order text relations of earlier
-versions, loads into the same arrays.
+its storage position.  Relation texts live in a unique-text table.
 Entities, predicates and relation texts are all numbered by one map,
 encoder.Vocab (dense ids, first-seen order), so a builder that meets a text
 again reuses its id.  Graphs are immutable once built: every
 constructor-style operation returns a fresh instance.
 
-A saved graph is read whole and cut into its sections with one str.split.
-Each id section is searched by one regex for its first row that is not
-three plain decimal ids, which load() refuses and names; a section without
-one is parsed by one np.fromstring call.
+A saved graph is a container (hoptrace.container) of format GRAPH_MAGIC:
+JSON metadata with the form, the reverse flag and the entity, predicate
+and text names, then the label edges and the text relations as two int64
+blocks of id rows.  load() passes the rows to the constructor, which checks
+their ranges and sorts them, so rows saved in any order load into the same
+arrays.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 
 import numpy as np
 
+from . import container
+from .config import FORMS
 from .encoder import OBJ_TOKEN, SUB_TOKEN, Vocab, split_tokens
 from .errors import GraphError, read_text
+
+GRAPH_MAGIC = b"HOPGRAF1"
 
 _SENT_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
@@ -73,18 +75,14 @@ class RelationGraph:
     """Entities, predicates, sparse label adjacency, and text relations."""
 
     def __init__(self, entities, predicates, edges, texts, trels, form, reversed_=False):
+        if form not in FORMS:  # the model would take any other form for text
+            raise GraphError(f"unknown graph form {form!r}: expected one of {', '.join(FORMS)}")
         self.entities: Vocab = entities
         self.predicates: Vocab = predicates
         self.form: str = form
         self.reversed = reversed_
 
         self.texts: list[str] = list(texts)  # unique relation texts
-        # save() writes one name per line between "#SECTION " lines, and
-        # load() reads in text mode, where a \r also ends a line
-        for what, names in (("entity", entities.names), ("predicate", predicates.names), ("text", self.texts)):
-            bad = next((x for x in names if "\n" in x or "\r" in x or x.startswith("#SECTION ")), None)
-            if bad is not None:
-                raise GraphError(f"{what} name {bad!r} holds a line break or starts with '#SECTION '")
         # add_reverse_relations and mix_label_into_text number texts by name
         if len(set(self.texts)) < len(self.texts):
             raise GraphError("relation texts repeat: each text must be listed once")
@@ -185,71 +183,37 @@ class RelationGraph:
     # -- serialization ---------------------------------------------------------
 
     def save(self, path):
-        """One text file: a header line, then each section as a
-        "#SECTION <name>" line and one line per row.  The meta section
-        carries a sha256 over everything load() reads (see _digest)."""
-        header = f"hoptrace-graph v2 {self.form} {self.n} {self.num_predicates}"
-        sections = {
-            "meta": [f"reversed {'true' if self.reversed else 'false'}"],
-            "entities": self.entities.names,
-            "predicates": self.predicates.names,
-            "edges": _id_lines(self.edge_heads, self.edge_preds, self.edge_tails),
-            "texts": self.texts,
-            "text_relations": _id_lines(self.trel_heads, self.trel_tails, self.trel_text),
-        }
-        joined = {name: "\n".join(rows) for name, rows in sections.items()}
-        sections["meta"].append(f"sha256 {_digest(header, joined)}")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(header + "\n")
-            for name, rows in sections.items():
-                f.write(f"#SECTION {name}\n")
-                f.writelines(row + "\n" for row in rows)
+        """One container of format GRAPH_MAGIC: the metadata holds the
+        form, the reverse flag, the names and the two row counts; the
+        blocks hold the label edges as (head, pred, tail) rows and the text
+        relations as (head, tail, text) rows, in storage order."""
+        meta = {"form": self.form, "reversed": self.reversed, "entities": self.entities.names,
+                "predicates": self.predicates.names, "texts": self.texts,
+                "num_edges": self.num_edges, "num_text_relations": self.num_text_relations}
+        edges = np.stack([self.edge_heads, self.edge_preds, self.edge_tails], axis=1, dtype="<i8")
+        trels = np.stack([self.trel_heads, self.trel_tails, self.trel_text], axis=1, dtype="<i8")
+        container.write(path, GRAPH_MAGIC, meta, [edges, trels])
 
     @classmethod
     def load(cls, path) -> "RelationGraph":
-        """Parse a file save() wrote.  Any damage is a GraphError: the
-        sections are checked as they are parsed, and last the sha256 in the
-        meta section, so a truncated or altered file never loads.  Sections
-        with other names are skipped and not checksummed.
-
-        The text is cut at each "#SECTION " line by one split.  A section
-        keeps its rows as one string with a line break before each row, so
-        that a section without rows and one with a single empty row differ."""
-        text = read_text(path, GraphError)
-        if not text:
-            raise GraphError(f"{path}: empty graph file")
-        header, newline, body = text.removesuffix("\n").partition("\n")
-        head = header.split()
-        if len(head) != 5 or head[0] != "hoptrace-graph" or head[1] != "v2":
-            raise GraphError(f"{path}: bad header {header!r}")
+        """The graph in a file save() wrote.  Any damage or a file of another
+        format, such as the text graphs of earlier versions, is a GraphError;
+        the constructor checks the ids and the form."""
+        what = f"a hoptrace graph of format {GRAPH_MAGIC.decode()}: rebuild it with `hoptrace build-graph`"
+        meta, data = container.read(path, GRAPH_MAGIC, GraphError, what)
         try:
-            form, n, num_p = head[2], int(head[3]), int(head[4])
-        except ValueError:
-            raise GraphError(f"{path}: bad header {header!r}") from None
-        before, *chunks = (newline + body).split("\n#SECTION ")
-        if before:
-            raise GraphError(f"{path}: content before first #SECTION")
-        sections: dict[str, str] = {}
-        for chunk in chunks:
-            name = chunk.partition("\n")[0]
-            sections[name] = chunk[len(name) :]
-        for required in _SECTIONS:
-            if required not in sections:
-                raise GraphError(f"{path}: missing #SECTION {required}")
-        lines = {name: sections[name].split("\n")[1:] for name in ("meta", "entities", "predicates", "texts")}
-        meta = dict(line.partition(" ")[::2] for line in lines["meta"])
-        entities = Vocab(lines["entities"])
-        predicates = Vocab(lines["predicates"])
-        if len(entities) != n or len(predicates) != num_p:
-            raise GraphError(f"{path}: header counts do not match section sizes")
-        edges = _id_rows(path, "edges", sections["edges"])
-        trels = _id_rows(path, "text_relations", sections["text_relations"])
-        g = cls(entities, predicates, edges, lines["texts"], trels, form, reversed_=meta.get("reversed") == "true")
-        joined = {name: sections[name][1:] for name in _SECTIONS}
-        joined["meta"] = "\n".join(line for line in lines["meta"] if not line.startswith("sha256 "))
-        if meta.get("sha256") != _digest(header, joined):
-            raise GraphError(f"{path}: sha256 does not match the contents: the file is damaged or was edited")
-        return g
+            names = [meta[k] for k in ("entities", "predicates", "texts")]
+            layout = [("<i8", (meta[k], 3)) for k in ("num_edges", "num_text_relations")]
+            form, reversed_ = meta["form"], meta["reversed"]
+        except (KeyError, TypeError) as e:
+            raise GraphError(f"{path}: metadata does not describe a graph: {e!r}") from None
+        if type(reversed_) is not bool or not all(type(x) is list and all(type(y) is str for y in x) for x in names):
+            raise GraphError(f"{path}: the reverse flag or a name list has the wrong type")
+        edges, trels = container.blocks(path, data, layout, GraphError)
+        entities, predicates = Vocab(names[0]), Vocab(names[1])
+        if (len(entities), len(predicates)) != (len(names[0]), len(names[1])):  # Vocab keeps the first of each
+            raise GraphError(f"{path}: entity or predicate names repeat")
+        return cls(entities, predicates, edges, names[2], trels, form, reversed_=reversed_)
 
 
 def _index(heads, tails, kinds, n: int, num_kinds: int):
@@ -265,50 +229,6 @@ def _index(heads, tails, kinds, n: int, num_kinds: int):
     order = np.argsort(key, kind="stable")
     heads, tails, kinds = heads[order], tails[order], kinds[order]
     return heads, tails, kinds, _ptr(heads, n), np.diff(key[order] // k, prepend=-1) != 0
-
-
-def _id_lines(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list[str]:
-    """One tab-separated line per row of three id columns, formatted from
-    Python ints: numpy int64 scalars format about twice as slowly."""
-    return [f"{x}\t{y}\t{z}" for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())]
-
-
-# the sections save() writes, in its order; load() needs all of them
-_SECTIONS = ("meta", "entities", "predicates", "edges", "texts", "text_relations")
-
-
-def _digest(header: str, joined: dict) -> str:
-    """sha256 over the header line and the rows of the _SECTIONS, as save()
-    lays them out; joined maps a section name to its rows joined by line
-    breaks (the meta section without its sha256 line)."""
-    h = hashlib.sha256(header.encode("utf-8"))
-    for name in _SECTIONS:
-        h.update(f"\n#SECTION {name}\n".encode("utf-8"))
-        h.update(joined[name].encode("utf-8"))
-    return h.hexdigest()
-
-
-_ID = r"-?[0-9]{1,18}"  # a plain decimal id, which np.fromstring reads and an int64 holds
-# a line break that opens no row of three _ID fields split by tabs, and that
-# row, as group 1
-_BAD_ID_ROW = re.compile(rf"\n(?!{_ID}\t{_ID}\t{_ID}(?:\n|\Z))([^\n]*)")
-
-
-def _id_rows(path, section: str, rows: str) -> np.ndarray:
-    """The (E, 3) int64 ids of one section of tab-separated id triples,
-    given as one string with a line break before each row, so that text
-    before the first line break is row 0, and bad.  One regex search finds
-    the first bad row, which the GraphError names; one np.fromstring call
-    parses the rows.  It is a search for a bad row, not one match over all
-    rows: a repeated group keeps backtracking state for every row, which
-    costs a fresh process milliseconds on a large graph."""
-    if rows[:1] not in ("", "\n"):
-        i, got = 0, rows.partition("\n")[0]
-    elif m := _BAD_ID_ROW.search(rows):
-        i, got = rows.count("\n", 0, m.start(1)), m.group(1)
-    else:
-        return np.fromstring(rows, dtype=np.int64, sep=" ").reshape(-1, 3)
-    raise GraphError(f"{path}: #SECTION {section} row {i}: expected 3 integer ids, got {got!r}")
 
 
 # ---------------------------------------------------------------------------

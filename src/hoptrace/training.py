@@ -7,14 +7,13 @@ import hashlib
 import itertools
 import json
 import logging
-import os
-import struct
 import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from .autodiff import Tensor, no_grad
 from .encoder import RelationEncodingCache, Vocabulary, split_tokens
 from .errors import DataError, NumericError
@@ -27,7 +26,6 @@ log = logging.getLogger("hoptrace")
 AUX_WEIGHT = 0.01
 EVAL_CHUNK = 64  # questions per forward in evaluate
 CKPT_MAGIC = b"HOPCKPT2"
-DIGEST_SIZE = 32  # the sha256 that ends a checkpoint
 
 
 def batch_targets(answer_sets, n: int) -> np.ndarray:
@@ -378,8 +376,8 @@ def vocab_sha256(vocab: Vocabulary) -> str:
 
 
 def save_checkpoint(path, params: ModelParams, cfg, vocab: Vocabulary, extra: dict | None = None):
-    """Versioned binary container: magic, JSON metadata, named float64
-    blocks in sorted-name order, then the sha256 of all the bytes before it
+    """A container (hoptrace.container) of format CKPT_MAGIC: its metadata,
+    then one float64 block per parameter in sorted-name order
     (byte-deterministic)."""
     named = sorted(params.named().items())
     meta = {
@@ -398,67 +396,38 @@ def save_checkpoint(path, params: ModelParams, cfg, vocab: Vocabulary, extra: di
         "params": [{"name": k, "shape": list(v.data.shape)} for k, v in named],
     }
     meta.update(extra or {})
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    blocks = [np.ascontiguousarray(v.data, dtype=np.float64) for _, v in named]
-    digest = hashlib.sha256()
-    with open(path, "wb") as f:
-        for part in (CKPT_MAGIC, struct.pack("<Q", len(blob)), blob, *blocks):
-            digest.update(part)
-            f.write(part)
-        f.write(digest.digest())
+    container.write(path, CKPT_MAGIC, meta, [np.ascontiguousarray(v.data, dtype="<f8") for _, v in named])
 
 
 def load_checkpoint(path):
     """Returns (ModelParams, metadata).  The model is rebuilt unfilled from
     the embedded config, then the parameter blocks fill it; the metadata must
-    list each of the model's parameters once.  A file that lists other
-    blocks, is shorter or longer than its header and metadata describe, or
-    whose bytes do not match the sha256 at its end, is a DataError."""
+    list each of the model's parameters once.  A file that container.read
+    refuses, that lists other blocks, or that is shorter or longer than its
+    metadata describes, is a DataError."""
     from .config import TrainConfig
 
-    with open(path, "rb") as f:
-        end = os.fstat(f.fileno()).st_size - DIGEST_SIZE
-        digest = hashlib.sha256()
-
-        def read(size, what):
-            # checked before reading, so a corrupt length allocates nothing
-            if f.tell() + size > end:
-                raise DataError(f"{path}: truncated: {what} needs {size} bytes, {max(0, end - f.tell())} left")
-            chunk = f.read(size)
-            digest.update(chunk)
-            return chunk
-
-        if read(len(CKPT_MAGIC), "magic") != CKPT_MAGIC:
-            raise DataError(f"{path}: not a hoptrace checkpoint of format {CKPT_MAGIC.decode()}")
-        (blob_len,) = struct.unpack("<Q", read(8, "header"))
-        try:
-            meta = json.loads(read(blob_len, "metadata").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise DataError(f"{path}: unreadable metadata: {e}") from None
-        try:
-            cfg = TrainConfig(**meta["config"]).validate()
-            m = meta["model"]
-            params = ModelParams(m["vocab_size"], m["n"], m["num_predicates"], cfg, fill=False)
-            blocks = [(str(block["name"]), tuple(block["shape"])) for block in meta["params"]]
-        except (KeyError, TypeError, ValueError, MemoryError) as e:
-            # a missing key, a value of the wrong type, an unknown or invalid
-            # config entry, a size past what memory can hold
-            raise DataError(f"{path}: metadata does not describe a model: {e!r}") from None
-        named = params.named()
-        listed = [name for name, _ in blocks]
-        missing = sorted(set(named).difference(listed))
-        if missing:
-            raise DataError(f"{path}: no parameter block for {missing}")
-        if len(listed) != len(named):  # every name is listed, so some are extra or repeated
-            raise DataError(f"{path}: unexpected or repeated parameter blocks in {listed}")
-        for name, shape in blocks:
-            if named[name].data.shape != shape:
-                raise DataError(f"{path}: shape mismatch for {name!r}")
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(read(count * 8, f"block {name!r}"), dtype=np.float64).reshape(named[name].data.shape)
-            named[name].data = arr.copy()
-        if f.tell() != end:
-            raise DataError(f"{path}: trailing bytes after the last parameter block")
-        if f.read() != digest.digest():
-            raise DataError(f"{path}: sha256 does not match the contents: the file is damaged")
+    meta, data = container.read(path, CKPT_MAGIC, DataError, f"a hoptrace checkpoint of format {CKPT_MAGIC.decode()}")
+    try:
+        cfg = TrainConfig(**meta["config"]).validate()
+        m = meta["model"]
+        params = ModelParams(m["vocab_size"], m["n"], m["num_predicates"], cfg, fill=False)
+        blocks = [(str(block["name"]), tuple(block["shape"])) for block in meta["params"]]
+    except (KeyError, TypeError, ValueError, MemoryError) as e:
+        # a missing key, a value of the wrong type, an unknown or invalid
+        # config entry, a size past what memory can hold
+        raise DataError(f"{path}: metadata does not describe a model: {e!r}") from None
+    named = params.named()
+    listed = [name for name, _ in blocks]
+    missing = sorted(set(named).difference(listed))
+    if missing:
+        raise DataError(f"{path}: no parameter block for {missing}")
+    if len(listed) != len(named):  # every name is listed, so some are extra or repeated
+        raise DataError(f"{path}: unexpected or repeated parameter blocks in {listed}")
+    for name, shape in blocks:
+        if named[name].data.shape != shape:
+            raise DataError(f"{path}: shape mismatch for {name!r}")
+    arrays = container.blocks(path, data, [("<f8", shape) for _, shape in blocks], DataError)
+    for name, arr in zip(listed, arrays):
+        named[name].data = arr.copy()
     return params, meta

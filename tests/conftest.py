@@ -74,5 +74,9 @@ def checkpoint_with_blocks(raw: bytes, names) -> bytes:
         offset += nbytes
     meta["params"] = [blocks[name][0] for name in names]
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    body = raw[:8] + struct.pack("<Q", len(blob)) + blob + b"".join(blocks[name][1] for name in names)
+    return sealed(raw[:8] + struct.pack("<Q", len(blob)) + blob + b"".join(blocks[name][1] for name in names))
+
+
+def sealed(body: bytes) -> bytes:
+    """body followed by its sha256, as a container file ends."""
     return body + hashlib.sha256(body).digest()

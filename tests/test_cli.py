@@ -14,15 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hoptrace import cli
+from hoptrace import cli, container
 from hoptrace.cli import main
 from hoptrace.config import TrainConfig
 from hoptrace.data import load_questions
 from hoptrace.encoder import Vocabulary
-from hoptrace.graph import RelationGraph, _digest
+from hoptrace.errors import GraphError
+from hoptrace.graph import GRAPH_MAGIC, RelationGraph
 from hoptrace.training import load_checkpoint, save_checkpoint
 
-from conftest import checkpoint_with_blocks
+from conftest import checkpoint_with_blocks, sealed
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -52,7 +53,7 @@ def ws(tmp_path_factory):
             [
                 "build-graph",
                 "--triples", str(root / "data" / "triples.tsv"),
-                "--out", str(root / "g_label.txt"),
+                "--out", str(root / "g_label.bin"),
             ]
         )
         == 0
@@ -64,7 +65,7 @@ def ws(tmp_path_factory):
                 "--form", "text",
                 "--triples", str(root / "data" / "triples.tsv"),
                 "--corpus", str(root / "data" / "corpus.jsonl"),
-                "--out", str(root / "g_text.txt"),
+                "--out", str(root / "g_text.bin"),
             ]
         )
         == 0
@@ -74,7 +75,7 @@ def ws(tmp_path_factory):
             [
                 "train",
                 "--data", str(root / "data"),
-                "--graph", str(root / "g_label.txt"),
+                "--graph", str(root / "g_label.bin"),
                 "--out", str(root / "run"),
                 "--epochs", "2",
                 "--d", "16",
@@ -158,20 +159,20 @@ def test_spec_split_ratios_that_are_no_three_shares_exit_2(tmp_path, capsys, rat
 
 
 def test_built_label_graph_loads(ws):
-    g = RelationGraph.load(ws / "g_label.txt")
+    g = RelationGraph.load(ws / "g_label.bin")
     assert g.form == "label"
     assert g.reversed
     assert g.num_edges > 0
 
 
 def test_built_text_graph_loads(ws):
-    g = RelationGraph.load(ws / "g_text.txt")
+    g = RelationGraph.load(ws / "g_text.bin")
     assert g.form == "text"
     assert g.num_text_relations > 0
 
 
 def test_build_graph_no_reverse(ws, tmp_path):
-    out = tmp_path / "g.txt"
+    out = tmp_path / "g.bin"
     args = [
         "build-graph",
         "--triples", str(ws / "data" / "triples.tsv"),
@@ -183,7 +184,7 @@ def test_build_graph_no_reverse(ws, tmp_path):
 
 
 def test_build_graph_mixed(ws, tmp_path):
-    out = tmp_path / "g.txt"
+    out = tmp_path / "g.bin"
     args = [
         "build-graph",
         "--form", "mixed",
@@ -195,7 +196,7 @@ def test_build_graph_mixed(ws, tmp_path):
     assert main(args) == 0
     g = RelationGraph.load(out)
     assert g.form == "mixed"
-    assert g.num_text_relations > RelationGraph.load(ws / "g_text.txt").num_text_relations
+    assert g.num_text_relations > RelationGraph.load(ws / "g_text.bin").num_text_relations
 
 
 @pytest.mark.parametrize(
@@ -209,7 +210,7 @@ def test_build_graph_mixed(ws, tmp_path):
 def test_build_graph_bad_mix_option_is_usage_error(ws, tmp_path, capsys, option, value, says):
     """A mix option out of range is refused before any file is read: the
     triples file named here does not exist, and nothing is written."""
-    out = tmp_path / "g.txt"
+    out = tmp_path / "g.bin"
     args = ["build-graph", "--form", "mixed", "--triples", str(tmp_path / "nope.tsv")]
     args += ["--corpus", str(ws / "data" / "corpus.jsonl"), "--out", str(out), option, value]
     capsys.readouterr()
@@ -223,7 +224,7 @@ def test_build_graph_text_requires_corpus(ws, tmp_path):
         "build-graph",
         "--form", "text",
         "--triples", str(ws / "data" / "triples.tsv"),
-        "--out", str(tmp_path / "g.txt"),
+        "--out", str(tmp_path / "g.bin"),
     ]
     assert main(args) == 1
 
@@ -232,14 +233,36 @@ def test_build_graph_reads_metaqa_kb(ws, tmp_path):
     """The triples of the generated TSV, rewritten as MetaQA's kb.txt."""
     rows = [line.split("\t") for line in (ws / "data" / "triples.tsv").read_text().splitlines()[1:]]
     (tmp_path / "kb.txt").write_text("".join("|".join(r) + "\n" for r in rows))
-    args = ["build-graph", "--triples", str(tmp_path / "kb.txt"), "--out", str(tmp_path / "g.txt")]
+    args = ["build-graph", "--triples", str(tmp_path / "kb.txt"), "--out", str(tmp_path / "g.bin")]
     assert main(args) == 0
-    assert (tmp_path / "g.txt").read_bytes() == (ws / "g_label.txt").read_bytes()
+    assert (tmp_path / "g.bin").read_bytes() == (ws / "g_label.bin").read_bytes()
 
 
 def test_missing_triples_file_is_data_error(tmp_path):
-    args = ["build-graph", "--triples", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "g.txt")]
+    args = ["build-graph", "--triples", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "g.bin")]
     assert main(args) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gen", "--out", "{file}"],
+        ["build-graph", "--triples", "{dir}", "--out", "{tmp}/g.bin"],
+        ["build-graph", "--triples", "{triples}", "--out", "{dir}"],
+        ["train", "--data", "{data}", "--graph", "{dir}", "--out", "{tmp}/run"],
+    ],
+    ids=["gen-out-file", "build-graph-triples-dir", "build-graph-out-dir", "train-graph-dir"],
+)
+def test_directory_where_a_file_belongs_is_a_data_error(ws, tmp_path, capsys, command):
+    """An OSError about a named path is a data error (exit 2) with one
+    line, not a traceback."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    paths = {"file": tmp_path / "file", "dir": tmp_path / "dir", "tmp": tmp_path,
+             "triples": ws / "data" / "triples.tsv", "data": ws / "data"}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert str(tmp_path) in _data_error_line(capsys)
 
 
 @pytest.mark.parametrize("damaged", ["triples.tsv", "corpus.jsonl"])
@@ -248,7 +271,7 @@ def test_build_graph_input_not_utf8_is_data_error(ws, tmp_path, capsys, damaged)
         raw = (ws / "data" / name).read_bytes()
         (tmp_path / name).write_bytes(raw + b"\xff\n" if name == damaged else raw)
     args = ["build-graph", "--form", "text", "--triples", str(tmp_path / "triples.tsv")]
-    args += ["--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "g.txt")]
+    args += ["--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "g.bin")]
     capsys.readouterr()
     assert main(args) == 2
     assert "not UTF-8" in _data_error_line(capsys)
@@ -269,7 +292,7 @@ def _train_args(ws, tmp_path, *extra):
     return [
         "train",
         "--data", str(ws / "data"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
         "--out", str(tmp_path / "run"),
         *extra,
     ]
@@ -469,7 +492,7 @@ def test_checkpoint_bytes_do_not_depend_on_the_run_paths(ws, tmp_path):
     --out: the run's paths are no setting, so the metadata holds none."""
     written = []
     for out in (tmp_path / "a", tmp_path / "b" / "deeper"):
-        args = ["train", "--data", str(ws / "data"), "--graph", str(ws / "g_label.txt"), "--out", str(out)]
+        args = ["train", "--data", str(ws / "data"), "--graph", str(ws / "g_label.bin"), "--out", str(out)]
         assert main([*args, "--epochs", "1", "--d", "8", "--limit-train", "0.1"]) == 0
         written.append((out / "checkpoint.bin").read_bytes())
     assert written[0] == written[1]
@@ -496,7 +519,7 @@ def test_train_form_graph_mismatch(ws, tmp_path):
     args = [
         "train",
         "--data", str(ws / "data"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
         "--out", str(tmp_path / "run"),
         "--form", "text",
     ]
@@ -511,7 +534,7 @@ def test_train_with_a_hop_sidecar_of_the_wrong_length_is_data_error(tmp_path, ca
     (data / "qa_train.txt").write_text("who directed [M1]\tP1\nwho directed [M2]\tP2\n")
     (data / "qa_train_hops.txt").write_text(hops)
     (data / "qa_dev.txt").write_text("who directed [M1]\tP1\n")
-    graph = tmp_path / "g.txt"
+    graph = tmp_path / "g.bin"
     assert main(["build-graph", "--triples", str(data / "triples.tsv"), "--out", str(graph)]) == 0
     args = ["train", "--data", str(data), "--graph", str(graph), "--out", str(tmp_path / "run"), "--epochs", "1"]
     says = f"{len(hops.split())} hop labels for 2 questions"
@@ -528,7 +551,7 @@ def test_train_refuses_nonempty_out(ws):
     args = [
         "train",
         "--data", str(ws / "data"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
         "--out", str(ws / "run"),
         "--epochs", "1",
     ]
@@ -542,7 +565,7 @@ def test_train_numeric_blowup_exits_3(ws, tmp_path):
     args = [
         "train",
         "--data", str(ws / "data"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
         "--out", str(tmp_path / "run"),
         "--epochs", "1",
         "--d", "16",
@@ -559,7 +582,7 @@ def test_eval_writes_metrics(ws, tmp_path, capsys):
     args = [
         "eval",
         "--checkpoint", str(ws / "run" / "checkpoint.bin"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
         "--questions", str(ws / "data" / "qa_dev.txt"),
         "--out", str(out),
     ]
@@ -576,7 +599,7 @@ def test_eval_require_threshold(ws):
     base = [
         "eval",
         "--checkpoint", str(ws / "run" / "checkpoint.bin"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
         "--questions", str(ws / "data" / "qa_dev.txt"),
     ]
     assert main(base + ["--require", "0.0"]) == 0
@@ -591,7 +614,7 @@ def test_eval_require_that_is_no_fraction_is_usage_error(ws, tmp_path, capsys, r
     args = [
         "eval",
         "--checkpoint", str(ws / "run" / "checkpoint.bin"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
         "--questions", str(ws / "data" / "qa_dev.txt"),
         "--out", str(out),
         "--require", require,
@@ -607,10 +630,10 @@ def test_graph_that_does_not_match_the_checkpoint_is_data_error(ws, tmp_path, ca
     """The model was trained on the reversed graph (12 predicates); the
     same entities without reverses (6 predicates) would index its
     predicate scores with other ids, so both commands refuse it."""
-    small = tmp_path / "g_no_reverse.txt"
+    small = tmp_path / "g_no_reverse.bin"
     args = ["build-graph", "--triples", str(ws / "data" / "triples.tsv"), "--out", str(small), "--no-reverse"]
     assert main(args) == 0
-    g, g_small = RelationGraph.load(ws / "g_label.txt"), RelationGraph.load(small)
+    g, g_small = RelationGraph.load(ws / "g_label.bin"), RelationGraph.load(small)
     assert g_small.n == g.n and 2 * g_small.num_predicates == g.num_predicates
     checkpoint = ["--checkpoint", str(ws / "run" / "checkpoint.bin"), "--graph", str(small)]
     if cmd == "answer":
@@ -631,7 +654,7 @@ def test_eval_rejects_mismatched_vocab(ws, tmp_path):
     args = [
         "eval",
         "--checkpoint", str(ws / "run" / "checkpoint.bin"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
         "--questions", str(ws / "data" / "qa_dev.txt"),
         "--vocab", str(tampered),
     ]
@@ -652,7 +675,7 @@ def _eval_args(ws, checkpoint=None, graph=None):
     return [
         "eval",
         "--checkpoint", str(checkpoint or ws / "run" / "checkpoint.bin"),
-        "--graph", str(graph or ws / "g_label.txt"),
+        "--graph", str(graph or ws / "g_label.bin"),
         "--questions", str(ws / "data" / "qa_dev.txt"),
         "--vocab", str(ws / "run" / "vocab.txt"),
     ]
@@ -664,28 +687,42 @@ def _data_error_line(capsys):
     return err
 
 
+def _graph_parts(path):
+    """The metadata and the (head, pred, tail) edge and (head, tail, text)
+    relation rows of the graph file at path, the rows writable."""
+    meta, data = container.read(path, GRAPH_MAGIC, GraphError, "a graph")
+    layout = [("<i8", (meta["num_edges"], 3)), ("<i8", (meta["num_text_relations"], 3))]
+    return meta, *(rows.copy() for rows in container.blocks(path, data, layout, GraphError))
+
+
 @pytest.mark.parametrize("head", ["-1", "99999"])
 def test_eval_rejects_out_of_range_entity_id(ws, tmp_path, capsys, head):
-    lines = (ws / "g_label.txt").read_text().split("\n")
-    first = lines.index("#SECTION edges") + 1
-    lines[first] = head + lines[first][lines[first].index("\t") :]
-    graph = tmp_path / "graph.txt"
-    graph.write_text("\n".join(lines))
+    """The first edge's head changed in a file whose sha256 matches."""
+    meta, edges, trels = _graph_parts(ws / "g_label.bin")
+    edges[0, 0] = int(head)
+    graph = tmp_path / "graph.bin"
+    container.write(graph, GRAPH_MAGIC, meta, [edges, trels])
     capsys.readouterr()
     assert main(_eval_args(ws, graph=graph)) == 2
     assert f"id {head} out of range" in _data_error_line(capsys)
 
 
 @pytest.mark.parametrize(
-    "edge, reason",
-    [("x\t0\t1", "expected 3 integer ids"), ("0\t1", "expected 3 integer ids"), ("0\t0\t\xe9", "not UTF-8")],
+    "corrupt, reason",
+    [
+        (lambda raw: b"x" + raw[1:], "rebuild it with `hoptrace build-graph`"),
+        (lambda raw: sealed(raw[:-32 - 8]), "bytes of blocks"),
+        (lambda raw: sealed(raw[:16] + raw[16:-32].replace(b'"form"', b'"f\xe9rm"')), "unreadable metadata"),
+    ],
     ids=["head-x", "two-fields", "latin-1-byte"],
 )
-def test_eval_rejects_unparsable_graph(ws, tmp_path, capsys, edge, reason):
-    lines = (ws / "g_label.txt").read_text().split("\n")
-    lines[lines.index("#SECTION edges") + 1] = edge
-    graph = tmp_path / "graph.txt"
-    graph.write_bytes("\n".join(lines).encode("latin-1"))
+def test_eval_rejects_unparsable_graph(ws, tmp_path, capsys, corrupt, reason):
+    """Files whose parts cannot be read: the magic at the head starts with
+    an x, the last edge row has two ids, the metadata holds a Latin-1 byte.
+    The last two are sealed with their own sha256, so the framing checks
+    find them."""
+    graph = tmp_path / "graph.bin"
+    graph.write_bytes(corrupt((ws / "g_label.bin").read_bytes()))
     capsys.readouterr()
     assert main(_eval_args(ws, graph=graph)) == 2
     assert reason in _data_error_line(capsys)
@@ -721,15 +758,11 @@ def test_eval_rejects_corrupt_checkpoint(ws, tmp_path, capsys, corrupt):
 
 
 def _damaged(raw, seed, count=8):
-    """count seeded cuts and count seeded byte flips of raw.  A line feed is
-    never flipped to a carriage return: read as text, that is still the
-    same line break."""
+    """count seeded cuts and count seeded byte flips of raw."""
     rng = np.random.default_rng(seed)
     out = [raw[:k] for k in rng.integers(0, len(raw) - 1, size=count)]
-    while len(out) < 2 * count:
-        k, x = int(rng.integers(0, len(raw))), int(rng.integers(1, 256))
-        if raw[k] ^ x != 0x0D or raw[k] != 0x0A:
-            out.append(raw[:k] + bytes([raw[k] ^ x]) + raw[k + 1 :])
+    for k, x in zip(rng.integers(0, len(raw), size=count), rng.integers(1, 256, size=count)):
+        out.append(raw[:k] + bytes([raw[k] ^ x]) + raw[k + 1 :])
     return out
 
 
@@ -737,8 +770,8 @@ def test_eval_on_damaged_inputs_exits_2(ws, tmp_path, capsys):
     """Seeded cuts and byte flips of the graph and of the checkpoint: every
     eval stops with exit 2 and one `data error:` line, never a traceback,
     a usage error or a result."""
-    graph, checkpoint = tmp_path / "graph.txt", tmp_path / "checkpoint.bin"
-    for name, path, seed in (("g_label.txt", graph, 1), ("run/checkpoint.bin", checkpoint, 2)):
+    graph, checkpoint = tmp_path / "graph.bin", tmp_path / "checkpoint.bin"
+    for name, path, seed in (("g_label.bin", graph, 1), ("run/checkpoint.bin", checkpoint, 2)):
         for bad in _damaged((ws / name).read_bytes(), seed):
             path.write_bytes(bad)
             capsys.readouterr()
@@ -749,12 +782,12 @@ def test_eval_on_damaged_inputs_exits_2(ws, tmp_path, capsys):
 
 def _with_metadata(raw, change):
     """A checkpoint whose JSON metadata has gone through change(meta), with
-    its length field rewritten to match."""
+    its length field and its sha256 rewritten to match."""
     (size,) = struct.unpack("<Q", raw[8:16])
     meta = json.loads(raw[16 : 16 + size])
     change(meta)
     blob = json.dumps(meta).encode("utf-8")
-    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + size :]
+    return sealed(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + size : -32])
 
 
 @pytest.mark.parametrize(
@@ -811,7 +844,7 @@ def test_answer_and_trace(ws, tmp_path, capsys):
     args = [
         "answer", question,
         "--checkpoint", str(ws / "run" / "checkpoint.bin"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
         "--trace", str(trace_path),
         "--dot", str(dot_path),
         "--top", "3",
@@ -835,83 +868,69 @@ def test_answer_and_trace(ws, tmp_path, capsys):
     assert dot_path.read_text().startswith("digraph")
 
 
-def _edges_resorted(path, out, key, section="edges"):
-    """The graph file at path written to out with the rows of one id
-    section sorted by key(row ids), as an earlier version or another writer
-    may have saved them, and its sha256 redone over the new rows."""
-    header, *chunks = path.read_text(encoding="utf-8").removesuffix("\n").split("\n#SECTION ")
-    sections = {}
-    for chunk in chunks:
-        name, newline, rows = chunk.partition("\n")
-        sections[name] = rows.split("\n") if newline else []
-    sections[section].sort(key=lambda row: key(tuple(map(int, row.split("\t")))))
-    sections["meta"] = [row for row in sections["meta"] if not row.startswith("sha256 ")]
-    digest = _digest(header, {name: "\n".join(rows) for name, rows in sections.items()})
-    sections["meta"].append(f"sha256 {digest}")
-    body = "".join(f"#SECTION {name}\n" + "".join(row + "\n" for row in rows) for name, rows in sections.items())
-    out.write_text(header + "\n" + body)
+def _rows_resorted(path, out, key, block):
+    """The graph file at path written to out with the rows of one id block
+    (0 edges, 1 text relations) sorted by key(row ids), as another writer
+    may have saved them; the container writer seals it again."""
+    meta, *blocks = _graph_parts(path)
+    rows = blocks[block]
+    blocks[block] = rows[sorted(range(len(rows)), key=lambda i: key(tuple(rows[i].tolist())))]
+    container.write(out, GRAPH_MAGIC, meta, blocks)
 
 
-_LABEL_ARRAYS = ("edge_heads", "edge_preds", "edge_tails", "head_ptr", "pair_start")
 _TEXT_ARRAYS = ("trel_heads", "trel_tails", "trel_text", "trel_ptr", "trel_pair_start")
 
 
-def _assert_loads_as_today(ws, old, tmp_path, capsys, new=None, checkpoint=None, arrays=_LABEL_ARRAYS):
-    """The graph file old, whose rows are in an earlier order, loads into
-    the same arrays as today's file new (ws/g_label.txt), re-saves to its
-    bytes and gives the same answer from checkpoint (ws's label model)."""
-    new = new or ws / "g_label.txt"
-    checkpoint = str(checkpoint or ws / "run" / "checkpoint.bin")
-    assert old.read_text() != new.read_text()
+def test_shuffled_text_relation_rows_still_load(ws, tmp_path, capsys):
+    """A text graph whose text relation rows are in any other order loads
+    into the same arrays as today's file, re-saves to its bytes and gives
+    the same answer."""
+    args = [
+        "train", "--data", str(ws / "data"), "--graph", str(ws / "g_text.bin"), "--out", str(tmp_path / "run_text"),
+        "--form", "text", "--epochs", "1", "--d", "8", "--seed", "0", "--limit-train", "0.2",
+    ]
+    assert main(args) == 0
+    new, old = ws / "g_text.bin", tmp_path / "old.bin"
+    # a fixed scramble of the (head, tail, text) rows
+    _rows_resorted(new, old, lambda r: (r[0] * 7919 + r[1] * 6007 + r[2] * 104729) % 1009, 1)
+    assert old.read_bytes() != new.read_bytes()
     g_new, g_old = RelationGraph.load(new), RelationGraph.load(old)
-    for name in arrays:
+    for name in _TEXT_ARRAYS:
         np.testing.assert_array_equal(getattr(g_old, name), getattr(g_new, name))
-    g_old.save(tmp_path / "resaved.txt")
-    assert (tmp_path / "resaved.txt").read_bytes() == new.read_bytes()
+    g_old.save(tmp_path / "resaved.bin")
+    assert (tmp_path / "resaved.bin").read_bytes() == new.read_bytes()
     question = load_questions(ws / "data" / "qa_dev.txt")[0].question
     replies = []
     for graph in (new, old):
         capsys.readouterr()
+        checkpoint = str(tmp_path / "run_text" / "checkpoint.bin")
         assert main(["answer", question, "--checkpoint", checkpoint, "--graph", str(graph)]) == 0
         replies.append(capsys.readouterr().out)
     assert replies[0] == replies[1] and json.loads(replies[0])["answers"]
 
 
-def test_predicate_major_graph_file_still_loads(ws, tmp_path, capsys):
-    """A graph saved while label edges were kept predicate-major."""
-    old = tmp_path / "old.txt"
-    _edges_resorted(ws / "g_label.txt", old, lambda e: (e[1], e[0], e[2]))
-    _assert_loads_as_today(ws, old, tmp_path, capsys)
-
-
-def test_head_pred_tail_graph_file_still_loads(ws, tmp_path, capsys):
-    """A graph saved while label edges were sorted by (head, pred, tail)."""
-    old = tmp_path / "old.txt"
-    _edges_resorted(ws / "g_label.txt", old, lambda e: e)
-    _assert_loads_as_today(ws, old, tmp_path, capsys)
-
-
-def test_shuffled_text_relation_rows_still_load(ws, tmp_path, capsys):
-    """A text graph whose text_relations rows are in any other order, such
-    as the build order files were saved in before text relations were
-    sorted by (head, tail, text), loads as today's file does."""
-    args = [
-        "train", "--data", str(ws / "data"), "--graph", str(ws / "g_text.txt"), "--out", str(tmp_path / "run_text"),
-        "--form", "text", "--epochs", "1", "--d", "8", "--seed", "0", "--limit-train", "0.2",
-    ]
-    assert main(args) == 0
-    old = tmp_path / "old.txt"
-    # a fixed scramble of the (head, tail, text) rows
-    _edges_resorted(ws / "g_text.txt", old, lambda r: (r[0] * 7919 + r[1] * 6007 + r[2] * 104729) % 1009, "text_relations")
-    checkpoint = tmp_path / "run_text" / "checkpoint.bin"
-    _assert_loads_as_today(ws, old, tmp_path, capsys, ws / "g_text.txt", checkpoint, _TEXT_ARRAYS)
+def test_text_graph_file_of_earlier_versions_is_refused(ws, tmp_path, capsys):
+    """A graph in the text format that earlier versions wrote (header line,
+    "#SECTION" lines, one row per line) stops eval with exit 2 and asks for
+    a rebuild."""
+    g = RelationGraph.load(ws / "g_label.bin")
+    rows = [f"{h}\t{p}\t{t}" for h, p, t in zip(g.edge_heads, g.edge_preds, g.edge_tails)]
+    sections = {"meta": ["reversed true", "sha256 0"], "entities": g.entities.names, "predicates": g.predicates.names,
+                "edges": rows, "texts": [], "text_relations": []}
+    graph = tmp_path / "graph.txt"
+    graph.write_text(f"hoptrace-graph v2 label {g.n} {g.num_predicates}\n" + "".join(
+        f"#SECTION {name}\n" + "".join(row + "\n" for row in lines) for name, lines in sections.items()
+    ))
+    capsys.readouterr()
+    assert main(_eval_args(ws, graph=graph)) == 2
+    assert f"{graph}: not a hoptrace graph of format HOPGRAF1: rebuild it with `hoptrace build-graph`" in _data_error_line(capsys)
 
 
 def test_answer_requires_bracketed_topic(ws):
     args = [
         "answer", "who directed Movie_0",
         "--checkpoint", str(ws / "run" / "checkpoint.bin"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
     ]
     assert main(args) == 1
 
@@ -920,7 +939,7 @@ def test_answer_unknown_topic(ws):
     args = [
         "answer", "who directed [Not A Movie]",
         "--checkpoint", str(ws / "run" / "checkpoint.bin"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
     ]
     assert main(args) == 2
 
@@ -930,7 +949,7 @@ def test_answer_top_below_one_is_usage_error(ws, capsys, top):
     """--top -2 used to print every answer but the last two and exit 0."""
     question = load_questions(ws / "data" / "qa_dev.txt")[0].question
     args = ["answer", question, "--checkpoint", str(ws / "run" / "checkpoint.bin")]
-    args += ["--graph", str(ws / "g_label.txt"), "--top", top]
+    args += ["--graph", str(ws / "g_label.bin"), "--top", top]
     capsys.readouterr()
     assert main(args) == 1
     assert f"argument --top: expected an integer >= 1, got '{top}'" in _usage_error_line(capsys)
@@ -950,7 +969,7 @@ def test_answer_rejects_checkpoint_without_a_block(ws, tmp_path, capsys):
     (tmp_path / "vocab.txt").write_bytes((ws / "run" / "vocab.txt").read_bytes())
     question = load_questions(ws / "data" / "qa_dev.txt")[0].question
     capsys.readouterr()
-    assert main(["answer", question, "--checkpoint", str(checkpoint), "--graph", str(ws / "g_label.txt")]) == 2
+    assert main(["answer", question, "--checkpoint", str(checkpoint), "--graph", str(ws / "g_label.bin")]) == 2
     assert "no parameter block for ['pred.w']" in _data_error_line(capsys)
 
 
@@ -961,7 +980,7 @@ def test_answer_imports_no_yaml_generator_or_random(ws, tmp_path):
     args = [
         "answer", question,
         "--checkpoint", str(ws / "run" / "checkpoint.bin"),
-        "--graph", str(ws / "g_label.txt"),
+        "--graph", str(ws / "g_label.bin"),
         "--trace", str(tmp_path / "trace.json"),
     ]
     script = (
@@ -998,8 +1017,8 @@ def test_nonfinite_scores_are_numeric_failures(ws, tmp_path, capsys, param, cut_
     checkpoint = tmp_path / "checkpoint.bin"
     save_checkpoint(checkpoint, params, TrainConfig(**meta["config"]), vocab)
     question = load_questions(ws / "data" / "qa_dev.txt")[0].question
-    g = RelationGraph.load(ws / "g_label.txt")
-    graph = tmp_path / "graph.txt"
+    g = RelationGraph.load(ws / "g_label.bin")
+    graph = tmp_path / "graph.bin"
     topic = g.entities.id(question[question.index("[") + 1 : question.index("]")])
     (_isolate(g, topic) if cut_topic else g).save(graph)
     capsys.readouterr()

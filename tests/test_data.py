@@ -265,14 +265,14 @@ def test_written_dataset_bytes_are_pinned(tmp_path):
 
 
 # the same for the default spec (seed 0), the one the benchmark generates at
-# scale 1, with graph.txt the reversed label graph built from its triples;
-# recorded before gold answers were made lazy, except graph.txt, recorded
-# when label edges came to be saved head-major
+# scale 1, with graph.bin the reversed label graph built from its triples;
+# recorded before gold answers were made lazy, except graph.bin, recorded
+# when graphs came to be saved in the binary container
 DEFAULT_SHA256 = {
     "ambiguous_eval.txt": "7a7875ffaf659ef7f30da1bd717b21727c07524ee703fc7a7abb02cdcaee59fb",
     "ambiguous_eval_hops.txt": "b9b0e8cf2a26715b11f76073ad2228aa0ff713b24143c34f5c827ca34c10463c",
     "corpus.jsonl": "3816e81fba229a00eb0226b9f2d7d2eb8090af642da08fa97f8cafdb8985e3ea",
-    "graph.txt": "1ce58058ab2a2123f8ced617391edcb50ace7197f926099aa4aafb9ec141b9bd",
+    "graph.bin": "3e0f9bf14f70ec7d2f1deb440d9c01b2f59acebc78d7950f7c69f9af549291bf",
     "manifest.json": "0446d48d8b23bc1e5f47571cb838e3f9340bba54c89b51b9605543ad52c158a6",
     "qa_dev.txt": "40947bbe73d826ca8c55745201eb872e918bd2d80bf4a53e67d2b8e3e0511521",
     "qa_dev_hops.txt": "1f298a2e7b5307c6a16892e9877cd8ffd78bb4f24713eb53d0d51bc6acfed097",
@@ -288,7 +288,7 @@ DEFAULT_SHA256 = {
 
 def test_default_dataset_and_graph_bytes_are_pinned(tmp_path):
     write_dataset(generate_synthetic(SyntheticSpec()), tmp_path)
-    add_reverse_relations(build_from_triples(load_triples_tsv(tmp_path / "triples.tsv"))).save(tmp_path / "graph.txt")
+    add_reverse_relations(build_from_triples(load_triples_tsv(tmp_path / "triples.tsv"))).save(tmp_path / "graph.bin")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == DEFAULT_SHA256
 

@@ -1,15 +1,19 @@
 """Graph construction, selection, reverse closure, and serialization."""
 
+import hashlib
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
 
+from hoptrace import container
 from hoptrace.errors import GraphError
 from hoptrace.graph import (
+    GRAPH_MAGIC,
     RelationGraph,
     Vocab,
-    _id_rows,
     _index,
     add_reverse_relations,
     build_from_text_corpus,
@@ -213,17 +217,26 @@ def test_rejects_ids_past_int64():
         RelationGraph(Vocab(["a", "b"]), Vocab(["p"]), [(0, 0, 2**63)], [], [], form="label")
 
 
+def test_rejects_an_unknown_form():
+    """The model takes any form but label for text, so a graph of another
+    form would run as a text graph."""
+    with pytest.raises(GraphError, match="unknown graph form 'banana': expected one of label, text, mixed"):
+        RelationGraph(Vocab(["a", "b"]), Vocab(["p"]), [(0, 0, 1)], [], [], form="banana")
+
+
 @pytest.mark.parametrize("kind", ["entity", "predicate", "text"])
 @pytest.mark.parametrize(
     "name", ["a\nb", "a\rb", "#SECTION edges"], ids=["newline", "carriage-return", "section-marker"]
 )
-def test_rejects_names_that_break_the_file(kind, name):
-    """save() writes one name per line and load() reads in text mode, so
-    these names would come back as other lines or sections."""
+def test_names_that_broke_the_text_format_round_trip(tmp_path, kind, name):
+    """Names are JSON strings in a saved graph, so a line break or a line
+    that looks like a section header of the earlier text format is kept."""
     names = {"entity": ["a", "b"], "predicate": ["p"], "text": ["<sub> r <obj> ."]}
     names[kind] = names[kind] + [name]
-    with pytest.raises(GraphError, match=f"{kind} name"):
-        RelationGraph(Vocab(names["entity"]), Vocab(names["predicate"]), [], names["text"], [], form="mixed")
+    g = RelationGraph(Vocab(names["entity"]), Vocab(names["predicate"]), [(0, 0, 1)], names["text"], [(1, 0, 0)], form="mixed")
+    g.save(tmp_path / "g.bin")
+    back = RelationGraph.load(tmp_path / "g.bin")
+    assert (back.entities.names, back.predicates.names, back.texts) == (names["entity"], names["predicate"], names["text"])
 
 
 def test_rejects_repeated_texts():
@@ -500,10 +513,10 @@ _PIN_TRIPLES = [("Ann", "likes", "Bob"), ("Ann", "likes", "Cy"), ("Bob", "knows"
 @pytest.mark.parametrize(
     "form, sha256, trel_text",
     [
-        ("text", "82a775f778a7a776c6cdb2b65fefbe387da062abdba956c503546a9cb56296b7", [0, 1, 1, 0, 2, 2, 4, 3, 4, 5]),
+        ("text", "fb1ff3be449e1ec84c55c5d295fbf0cb06353ec240be5b963c57d6fa7fa52287", [0, 1, 1, 0, 2, 2, 4, 3, 4, 5]),
         (
             "mixed",
-            "21f2835b7949a49784edc0965808ca1e34964fb360ed6f2dce0af7aeeea5245a",
+            "044d52ffd5e58bfe368662c848dee6c1bc2e5f2249abc4f9aef8746bbf3daa11",
             [0, 1, 1, 6, 0, 6, 2, 2, 4, 7, 3, 8, 4, 7, 5, 9],
         ),
     ],
@@ -514,133 +527,87 @@ def test_text_ids_are_pinned(tmp_path, form, sha256, trel_text):
     if form == "mixed":
         g = mix_label_into_text(g, _PIN_TRIPLES, 1.0, seed=0)
     assert g.trel_text.tolist() == trel_text
-    g.save(tmp_path / "g.txt")
-    meta = [line for line in (tmp_path / "g.txt").read_text(encoding="utf-8").split("\n") if line.startswith("sha256 ")]
-    assert meta == [f"sha256 {sha256}"]
+    g.save(tmp_path / "g.bin")
+    assert hashlib.sha256((tmp_path / "g.bin").read_bytes()).hexdigest() == sha256
 
 
 # -- serialization ------------------------------------------------------------------
 
+_ARRAYS = (
+    "edge_heads", "edge_tails", "edge_preds", "head_ptr", "pair_start",
+    "trel_heads", "trel_tails", "trel_text", "trel_ptr", "trel_pair_start",
+)
+
+
+def _assert_same_graph(got, want):
+    assert (got.form, got.reversed) == (want.form, want.reversed)
+    assert (got.entities.names, got.predicates.names, got.texts) == (want.entities.names, want.predicates.names, want.texts)
+    for name in _ARRAYS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
 
 def test_save_load_roundtrip_label(rng, tmp_path):
     g = add_reverse_relations(random_label_graph(rng, n=15))
-    path = tmp_path / "g.txt"
+    path = tmp_path / "g.bin"
     g.save(path)
-    g2 = RelationGraph.load(path)
-    assert g2.form == g.form and g2.reversed == g.reversed
-    assert g2.entities.names == g.entities.names
-    assert g2.predicates.names == g.predicates.names
-    np.testing.assert_array_equal(g2.edge_heads, g.edge_heads)
-    np.testing.assert_array_equal(g2.edge_preds, g.edge_preds)
-    np.testing.assert_array_equal(g2.edge_tails, g.edge_tails)
+    _assert_same_graph(RelationGraph.load(path), g)
 
 
 def test_save_load_roundtrip_text(rng, tmp_path):
     g = add_reverse_relations(random_text_graph(rng))
-    path = tmp_path / "g.txt"
+    path = tmp_path / "g.bin"
     g.save(path)
-    g2 = RelationGraph.load(path)
-    assert g2.texts == g.texts
-    np.testing.assert_array_equal(g2.trel_heads, g.trel_heads)
-    np.testing.assert_array_equal(g2.trel_tails, g.trel_tails)
-    np.testing.assert_array_equal(g2.trel_text, g.trel_text)
+    _assert_same_graph(RelationGraph.load(path), g)
+
+
+def test_saved_graph_layout(tmp_path):
+    """Magic, the u64 length of the sort-keyed JSON metadata, the metadata,
+    the (head, pred, tail) edge rows and the (head, tail, text) relation
+    rows as little-endian int64, then the sha256 of all that."""
+    g = RelationGraph(Vocab(["a", "b", "c"]), Vocab(["p"]), [(2, 0, 1), (0, 0, 2)], ["t"], [(1, 0, 0)], form="mixed")
+    g.save(tmp_path / "g.bin")
+    raw = (tmp_path / "g.bin").read_bytes()
+    meta = {"entities": ["a", "b", "c"], "form": "mixed", "num_edges": 2, "num_text_relations": 1,
+            "predicates": ["p"], "reversed": False, "texts": ["t"]}
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = b"HOPGRAF1" + struct.pack("<Q", len(blob)) + blob + struct.pack("<9q", 0, 0, 2, 2, 0, 1, 1, 0, 0)
+    assert raw == body + hashlib.sha256(body).digest()
 
 
 def test_load_rejects_bad_header(tmp_path):
+    """A file of another format, such as a text graph of earlier versions."""
     p = tmp_path / "bad.txt"
-    p.write_text("not-a-graph v9\n")
-    with pytest.raises(GraphError):
+    p.write_text("hoptrace-graph v2 label 0 0\n#SECTION meta\n")
+    with pytest.raises(GraphError, match=re.escape(f"{p}: not a hoptrace graph of format HOPGRAF1: rebuild it with `hoptrace build-graph`")):
         RelationGraph.load(p)
 
 
-def test_load_rejects_missing_section(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("hoptrace-graph v1 label 0 0\n#SECTION entities\n")
-    with pytest.raises(GraphError):
-        RelationGraph.load(p)
+def _rewritten(path, change):
+    """The graph file at path with its metadata changed by change(meta),
+    written again through the container, so its sha256 matches."""
+    meta, data = container.read(path, GRAPH_MAGIC, GraphError, "a graph")
+    change(meta)
+    container.write(path, GRAPH_MAGIC, meta, [data])
+
+
+def test_load_rejects_missing_section(tmp_path, chain_graph):
+    """Each metadata field (a section of the earlier text format) is required."""
+    path = tmp_path / "g.bin"
+    for key in ("form", "reversed", "entities", "predicates", "texts", "num_edges", "num_text_relations"):
+        chain_graph.save(path)
+        _rewritten(path, lambda meta: meta.pop(key))
+        with pytest.raises(GraphError, match=re.escape(f"metadata does not describe a graph: KeyError('{key}')")):
+            RelationGraph.load(path)
 
 
 def test_load_tolerates_unknown_section(tmp_path, chain_graph):
-    path = tmp_path / "g.txt"
+    """A metadata field load() does not know, as a later version may add,
+    is skipped."""
+    path = tmp_path / "g.bin"
     chain_graph.save(path)
-    with open(path, "a", encoding="utf-8") as f:
-        f.write("#SECTION futurestuff\nsomething\n")
-    g2 = RelationGraph.load(path)
-    assert g2.n == chain_graph.n
-
-
-# (middle row of a three-row section, its ids or None if the section is refused)
-ID_ROW_CASES = {
-    "plain": ("1\t3\t2", (1, 3, 2)),
-    "leading-zeros": ("1\t007\t2", (1, 7, 2)),
-    "minus": ("1\t-1\t2", (1, -1, 2)),
-    "minus-zero": ("1\t-0\t2", (1, 0, 2)),
-    "18-digits": ("1\t123456789012345678\t2", (1, 123456789012345678, 2)),
-    "19-digits": ("1\t1234567890123456789\t2", None),
-    "past-int64": ("1\t12345678901234567890\t2", None),
-    "plus": ("1\t+3\t2", None),
-    "space": ("1\t 3\t2", None),
-    "underscore": ("1\t1_0\t2", None),
-    "arabic-indic-digit": ("1\t\u0663\t2", None),
-    "decimal-point": ("1\t3.0\t2", None),
-    "exponent": ("1\t1e3\t2", None),
-    "hex": ("1\t0x1\t2", None),
-    "empty-field": ("1\t\t2", None),
-    "lone-minus": ("1\t-\t2", None),
-    "double-minus": ("1\t--1\t2", None),
-    "inner-minus": ("1\t1-2\t2", None),
-    "two-fields": ("1\t2", None),
-    "four-fields": ("1\t2\t3\t4", None),
-    "six-fields": ("1\t2\t3\t4\t5\t6", None),  # as many fields as two rows
-    "empty-row": ("", None),
-}
-
-
-@pytest.mark.parametrize("case", list(ID_ROW_CASES))
-def test_id_rows_take_exactly_what_int_takes(case):
-    """Only plain decimal ids of up to 18 digits load.  The rest of what
-    int() reads (a plus, a space, an underscore, another script's digits,
-    19 digits or more) is refused like any other bad row, and the error
-    names the row."""
-    row, ids = ID_ROW_CASES[case]
-    text = "".join("\n" + line for line in ["0\t1\t2", row, "3\t4\t5"])
-    if ids is None:
-        with pytest.raises(GraphError, match=re.escape(f"#SECTION edges row 2: expected 3 integer ids, got {row!r}")):
-            _id_rows("g.txt", "edges", text)
-    else:
-        np.testing.assert_array_equal(_id_rows("g.txt", "edges", text), [(0, 1, 2), ids, (3, 4, 5)])
-
-
-def test_id_rows_parse_to_one_int64_array():
-    """Plain decimal rows are parsed into one int64 array, an empty section
-    included; text before the first line break is row 0, and refused."""
-    rows = _id_rows("g.txt", "edges", "\n0\t1\t2\n-3\t40\t500")
-    assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
-    np.testing.assert_array_equal(rows, [[0, 1, 2], [-3, 40, 500]])
-    assert _id_rows("g.txt", "edges", "").shape == (0, 3)
-    with pytest.raises(GraphError, match=re.escape("#SECTION edges row 0: expected 3 integer ids, got '0\\t1\\t2'")):
-        _id_rows("g.txt", "edges", "0\t1\t2\n3\t4\t5")
-
-
-@pytest.mark.parametrize("section", ["edges", "text_relations"])
-@pytest.mark.parametrize("bad", ["3\t0", "3\t0\t1.5"], ids=["two-fields", "decimal-point"])
-def test_load_names_the_bad_row(tmp_path, section, bad):
-    """Row 7,001 of a 10,000-row section is damaged: the error names it."""
-    rng = np.random.default_rng(7)
-    ids = rng.integers(0, 50, size=(10_000, 3))
-    ids[:, 1 if section == "edges" else 2] = 0
-    entities = Vocab([f"e{i}" for i in range(50)])
-    if section == "edges":
-        g = RelationGraph(entities, Vocab(["p"]), ids, [], [], form="label")
-    else:
-        g = RelationGraph(entities, Vocab(), [], ["t"], ids, form="text")
-    path = tmp_path / "g.txt"
-    g.save(path)
-    lines = path.read_text().split("\n")
-    lines[lines.index(f"#SECTION {section}") + 7001] = bad
-    path.write_text("\n".join(lines))
-    with pytest.raises(GraphError, match=re.escape(f"#SECTION {section} row 7001: expected 3 integer ids, got {bad!r}")):
-        RelationGraph.load(path)
+    _rewritten(path, lambda meta: meta.update(futurestuff=["something"]))
+    _assert_same_graph(RelationGraph.load(path), chain_graph)
 
 
 def test_load_triples_tsv(tmp_path):

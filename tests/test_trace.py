@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from hoptrace.graph import add_reverse_relations, build_from_triples
+from hoptrace.encoder import Vocab, Vocabulary
+from hoptrace.graph import RelationGraph, add_reverse_relations, build_from_triples
 from hoptrace.trace import ReasoningTrace, StepTrace
 
 # first-seen order puts the edges in neither head nor predicate order
@@ -81,3 +82,92 @@ def test_label_trace_dot_is_pinned():
     assert g.entities.names == ["c", "a", "b", "d"]
     assert g.predicates.names == ["q", "q_rev", "p", "p_rev"]
     assert _label_trace().to_dot(g) == LABEL_DOT
+
+
+# text relations by (head, tail, text): 0 ann->bob "said", 1 ann->cy "met",
+# 2 bob->dee "met", 3 cy->dee "said"
+TEXT_DOT = """\
+digraph reasoning {
+  rankdir=LR;
+  node [shape=box, fontname="Helvetica"];
+  "s0_0" [label="ann\\n1.00", style=filled, fillcolor=lightblue];
+  "s1_1" [label="bob\\n0.90"];
+  "s1_2" [label="cy\\n0.85"];
+  "s2_3" [label="dee\\n0.95"];
+  "s0_0" -> "s1_1" [label="<sub> said 'hi' to <obj> 0.90"];
+  "s0_0" -> "s1_2" [label="<sub> met <obj> 0.85"];
+  "s1_1" -> "s2_3" [label="<sub> met <obj> 0.95"];
+}
+"""
+
+SAID, MET = '<sub> said "hi" to <obj>', "<sub> met <obj>"
+
+
+def _text_case():
+    g = RelationGraph(
+        Vocab(["ann", "bob", "cy", "dee"]), Vocab(), [], [SAID, MET],
+        [(2, 3, 0), (0, 2, 1), (1, 3, 1), (0, 1, 0)], form="text",
+    )
+    vocab = Vocabulary(["who", "did", "ann", "greet"])
+    steps = [
+        StepTrace(np.array([0.25, 0.25, 0.5]), np.array([0, 1]), np.array([0.9, 0.85]), np.array([0.0, 0.9, 0.85, 0.0])),
+        # relation 3 scores under the DOT threshold, and relation 0 leaves an
+        # entity that step 1 did not activate; cy falls under SCORE_FLOOR
+        StepTrace(
+            np.array([0.5, 0.25, 0.25]), np.array([2, 3, 0]), np.array([0.95, 0.5, 0.81]),
+            np.array([0.0, 0.0, 0.0005, 0.95]),
+        ),
+    ]
+    trace = ReasoningTrace(
+        question="who did [ann] greet", tokens=vocab.encode("who did ann"), topics=[0], steps=steps,
+        hop_distribution=np.array([0.25, 0.75]), mask=np.array([0.0, 1.0, 0.5, 0.75]), a_star=np.zeros(4),
+        final=np.array([0.0, 0.5, 0.25, 0.9]), ranked=np.array([3, 1, 2, 0]), degenerate=False,
+    )
+    return g, vocab, trace
+
+
+def test_text_trace_json_is_pinned():
+    """Each selected relation is listed by id with its score, text, head
+    and tail; the language mask's top entries follow the answers."""
+    g, vocab, trace = _text_case()
+    assert trace.to_dict(g, vocab) == {
+        "question": "who did [ann] greet",
+        "topic": ["ann"],
+        "tokens": ["who", "did", "ann"],
+        "steps": [
+            {
+                "word_attention": [0.25, 0.25, 0.5],
+                "relations": [
+                    {"id": 0, "score": 0.9, "text": SAID, "head": "ann", "tail": "bob"},
+                    {"id": 1, "score": 0.85, "text": MET, "head": "ann", "tail": "cy"},
+                ],
+                "entity_scores": {"bob": 0.9, "cy": 0.85},
+            },
+            {
+                "word_attention": [0.5, 0.25, 0.25],
+                "relations": [
+                    {"id": 2, "score": 0.95, "text": MET, "head": "bob", "tail": "dee"},
+                    {"id": 3, "score": 0.5, "text": SAID, "head": "cy", "tail": "dee"},
+                    {"id": 0, "score": 0.81, "text": SAID, "head": "ann", "tail": "bob"},
+                ],
+                "entity_scores": {"dee": 0.95},
+            },
+        ],
+        "hop_distribution": [0.25, 0.75],
+        "answers": ["dee", "bob", "cy", "ann"],
+        "degenerate": False,
+        "mask_top": [
+            {"entity": "bob", "score": 1.0},
+            {"entity": "dee", "score": 0.75},
+            {"entity": "cy", "score": 0.5},
+            {"entity": "ann", "score": 0.0},
+        ],
+    }
+
+
+def test_text_trace_dot_is_pinned():
+    """A relation is drawn when it scores above the threshold and joins
+    entities active at consecutive steps; a double quote in its text
+    becomes a single one, so the label stays one DOT string."""
+    g, _, trace = _text_case()
+    assert trace.to_dot(g) == TEXT_DOT

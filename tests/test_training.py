@@ -453,6 +453,15 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    """Recorded before graphs and checkpoints came to share one container
+    module: checkpoints written before then keep their bytes, and load."""
+    cfg = TrainConfig(form="text", d=4, T=2).validate()
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, Vocabulary(["who", "directed"]))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "b3b9b9df7d00c5b34ef19ba121ba8c6ade6a3ff2c03ac4311dc1bb743f149ed4"
+
+
 def test_checkpoint_roundtrip_through_the_block_list(tmp_path):
     """checkpoint_with_blocks with the file's own block list gives back the
     same bytes, so the cases below differ from a good file in the list only."""
