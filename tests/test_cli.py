@@ -909,14 +909,14 @@ def test_shuffled_text_relation_rows_still_load(ws, tmp_path, capsys):
     assert replies[0] == replies[1] and json.loads(replies[0])["answers"]
 
 
-def test_text_graph_file_of_earlier_versions_is_refused(ws, tmp_path, capsys):
+def _assert_text_graph_refused(ws, tmp_path, capsys, key):
     """A graph in the text format that earlier versions wrote (header line,
-    "#SECTION" lines, one row per line) stops eval with exit 2 and asks for
-    a rebuild."""
+    "#SECTION" lines, one row per line), its label edges sorted by key,
+    stops eval with exit 2 and asks for a rebuild."""
     g = RelationGraph.load(ws / "g_label.bin")
-    rows = [f"{h}\t{p}\t{t}" for h, p, t in zip(g.edge_heads, g.edge_preds, g.edge_tails)]
+    edges = sorted(zip(g.edge_heads.tolist(), g.edge_preds.tolist(), g.edge_tails.tolist()), key=key)
     sections = {"meta": ["reversed true", "sha256 0"], "entities": g.entities.names, "predicates": g.predicates.names,
-                "edges": rows, "texts": [], "text_relations": []}
+                "edges": [f"{h}\t{p}\t{t}" for h, p, t in edges], "texts": [], "text_relations": []}
     graph = tmp_path / "graph.txt"
     graph.write_text(f"hoptrace-graph v2 label {g.n} {g.num_predicates}\n" + "".join(
         f"#SECTION {name}\n" + "".join(row + "\n" for row in lines) for name, lines in sections.items()
@@ -924,6 +924,16 @@ def test_text_graph_file_of_earlier_versions_is_refused(ws, tmp_path, capsys):
     capsys.readouterr()
     assert main(_eval_args(ws, graph=graph)) == 2
     assert f"{graph}: not a hoptrace graph of format HOPGRAF1: rebuild it with `hoptrace build-graph`" in _data_error_line(capsys)
+
+
+def test_predicate_major_text_graph_file_is_refused(ws, tmp_path, capsys):
+    """A text graph saved while label edges were kept predicate-major."""
+    _assert_text_graph_refused(ws, tmp_path, capsys, lambda e: (e[1], e[0], e[2]))
+
+
+def test_head_pred_tail_text_graph_file_is_refused(ws, tmp_path, capsys):
+    """A text graph saved while label edges were sorted by (head, pred, tail)."""
+    _assert_text_graph_refused(ws, tmp_path, capsys, lambda e: e)
 
 
 def test_answer_requires_bracketed_topic(ws):
