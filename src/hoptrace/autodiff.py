@@ -3,8 +3,11 @@
 A :class:`Tensor` wraps a float64 ndarray plus the closure needed to push
 gradients back to its parents.  ``backward()`` walks the graph in reverse
 topological order, keeping per-node adjoints in a dict and accumulating into
-``.grad`` only on leaves created with ``requires_grad=True``: a backward call
-mutates nothing else.
+``.grad`` only on leaves created with ``requires_grad=True``.  The walk also
+uses the graph up: each interior node drops its parents and its closure as
+the walk leaves it, so the tape is freed while it is walked and no result
+held afterwards keeps it alive.  A second backward through a walked node
+raises.
 
 Only the ops this package needs are implemented; all of them support the
 shapes they are actually used with (numpy-style broadcasting for the
@@ -62,7 +65,8 @@ class Tensor:
 
     def backward(self, seed=None):
         """Accumulate d(self)/d(leaf) into ``leaf.grad`` for every
-        requires_grad leaf reachable from this node.
+        requires_grad leaf reachable from this node, freeing the graph as it
+        goes: a node it walked cannot be walked again.
 
         ``seed`` defaults to ones (the usual scalar-loss case).
         """
@@ -84,17 +88,21 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         adj = {id(self): np.asarray(seed, dtype=np.float64)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = adj.pop(id(node), None)
+            parents, vjp = node._parents, node._vjp
+            if vjp is not None:
+                node._parents, node._vjp = (), _walked
             if g is None:
                 continue
-            if node._vjp is None:
+            if vjp is None:
                 if node.requires_grad:
                     if node.grad is None:
                         node.grad = np.zeros_like(node.data)
                     node.grad += g
                 continue
-            for p, pg in zip(node._parents, node._vjp(g)):
+            for p, pg in zip(parents, vjp(g)):
                 if pg is None or not p.requires_grad:
                     continue
                 if id(p) in adj:
@@ -125,6 +133,11 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _walked(g):
+    """The vjp of a node an earlier backward call walked and freed."""
+    raise RuntimeError("backward through a graph that an earlier backward call already walked")
 
 
 def _ensure(x) -> Tensor:

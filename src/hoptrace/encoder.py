@@ -13,13 +13,17 @@ One recurrence, _bigru, runs both directions over a batch of token
 sequences and serves every encoder: a question batch projects the
 per-token states and the pooled vector, the relation table only the pooled
 vector, and a single question is a batch of one.  It is one graph node,
-_packed_bigru, whose backward pass is hand-written backprop through time,
-so the tape does not grow with the length of a sentence.  The node is
-packed: it computes only real tokens, never a pad.  Its rows are ranked
-longest first, so the rows still running at each step are a prefix, and
-the two directions advance together.  Its output is still right-padded:
-past a row's end the forward state carries the row's final state and the
-backward state is 0.
+_packed_bigru, from the token ids to the states: the embedding gather, the
+input projections and the recurrence, whose backward pass is hand-written
+backprop through time, so the tape does not grow with the length of a
+sentence.  The node is packed: it computes only real tokens, never a pad.
+Its rows are ranked longest first, so the rows still running at each step
+are a prefix, and the two directions advance together.  It projects the
+embeddings in that cell order, straight into each step's pre-activations;
+the values and gradients are bit for bit those of a gather and two
+projections in token order (_packed_bigru says why).  Its output is still
+right-padded: past a row's end the forward state carries the row's final
+state and the backward state is 0.
 
 A step computes its reset and update gates as sigmoid(x) = tanh(x/2)/2 + 1/2
 (_sigmoid_of_half, which says why the model's score heads do not) and its
@@ -36,6 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, GraphError, read_text
+from .kernels import _scatter
 
 PAD, UNK, SUB, OBJ = 0, 1, 2, 3
 SUB_TOKEN, OBJ_TOKEN = "<sub>", "<obj>"
@@ -179,25 +184,36 @@ def _sigmoid_of_half(x):
     return x
 
 
-def _packed_bigru(gx_f, gx_b, w_hf, w_hb, b_f, b_b, lengths):
+def _packed_bigru(emb, tokens, w_xf, w_xb, w_hf, w_hb, b_f, b_b, lengths):
     """Both directions of the GRU over K token sequences of the given
     lengths, as a single graph node with hand-written backprop through time.
 
-    gx_f and gx_b are the (N, 3d) input projections of the N real tokens,
-    the sequences concatenated in order; gates are stacked (reset, update,
-    candidate).  Returns (K, L, 2d): per position, the forward state after
-    it and the backward state after it.  Past a row's end the forward half
-    carries the row's final state and the backward half is 0.
+    tokens holds the N real token ids, the sequences concatenated in order,
+    and emb their embedding table; w_x* and b_* map an embedding row to the
+    3d gate pre-activations, stacked (reset, update, candidate).  Returns
+    (K, L, 2d): per position, the forward state after it and the backward
+    state after it.  Past a row's end the forward half carries the row's
+    final state and the backward half is 0.
 
     The rows are ranked longest first (a stable sort), so the rows still
     running at step s are ranks [:k_s] in both directions: the backward
     direction reads each row from its own last token.  Cell (s, j), rank
     j's step s, sits at off[s] + j in every per-cell array, and the two
-    directions advance together as (2, k_s, .) arrays, one matmul a step.
+    directions advance together as (2, k_s, .) arrays.
+
+    The input projections are made in cell order: each direction gathers
+    its cells' embedding rows and one batched (2, N, d) @ (2, d, 3d) product
+    gives every pre-activation.  That is bit for bit what projecting in
+    token order and gathering the projected rows gives: at one BLAS thread a
+    row of a product does not depend on where the row sits, and the gate
+    columns of the weights and biases are halved up front, which is exact.
+    The backward pass scatters its gradients back to token order and forms
+    the weight and embedding gradients there, as a gather and two matmul
+    nodes would.
     """
     K, L = len(lengths), int(lengths.max())
-    N, d3 = gx_f.shape
-    d = d3 // 3
+    N, d = len(tokens), w_hf.shape[0]
+    d3 = 3 * d
     order = np.argsort(-lengths, kind="stable")  # rank -> row
     lens = lengths[order]
     step, rank = np.nonzero(np.arange(L)[:, None] < lens)  # cells, step-major
@@ -211,26 +227,27 @@ def _packed_bigru(gx_f, gx_b, w_hf, w_hb, b_f, b_b, lengths):
     base = np.concatenate(([0], K + off[: L - 1]))
     whd = np.stack([w_hf.data, w_hb.data])  # (2, d, 3d)
     # the gates' pre-activations enter halved, for _sigmoid_of_half; halving
-    # is exact, so gh[..., :2d] holds exactly half of h @ w_h's gate columns
-    half = whd.copy()
-    half[..., : 2 * d] *= 0.5
-    pre = np.empty((2, N, d3))
-    np.add(gx_f.data[tok_f], b_f.data, out=pre[0])
-    np.add(gx_b.data[tok_b], b_b.data, out=pre[1])
-    pre[..., : 2 * d] *= 0.5
+    # is exact, so pre[..., :2d] and h @ w_rz are exactly half of the gate
+    # columns of x @ w_x + b and h @ w_h.  The gate and candidate columns of
+    # h @ w_h are two products, so each lands in contiguous rows
+    half_x, half_b = np.stack([w_xf.data, w_xb.data]), np.stack([b_f.data, b_b.data])
+    for a in (half_x, half_b):
+        a[..., : 2 * d] *= 0.5
+    w_rz, w_c = whd[..., : 2 * d] * 0.5, np.ascontiguousarray(whd[..., 2 * d :])
+    pre = np.matmul(emb.data[tokens[np.stack([tok_f, tok_b])]], half_x)
+    pre += half_b[:, None]
     S = np.zeros((2, K + N, d))
-    gh, rz, cand = np.empty((2, N, d3)), np.empty((2, N, 2 * d)), np.empty((2, N, d))
+    rz, gc, cand = np.empty((2, N, 2 * d)), np.empty((2, N, d)), np.empty((2, N, d))
     offs, bases = off.tolist(), base.tolist()
     for s in range(L):
         lo, hi = offs[s], offs[s + 1]
         h = S[:, bases[s] : bases[s] + hi - lo]
-        g_s = np.matmul(h, half, out=gh[:, lo:hi])
         p = pre[:, lo:hi]
-        rz_s = rz[:, lo:hi]
-        np.add(p[..., : 2 * d], g_s[..., : 2 * d], out=rz_s)
+        rz_s = np.matmul(h, w_rz, out=rz[:, lo:hi])
+        rz_s += p[..., : 2 * d]
         _sigmoid_of_half(rz_s)
         r, z = rz_s[..., :d], rz_s[..., d:]
-        c = np.multiply(r, g_s[..., 2 * d :], out=cand[:, lo:hi])
+        c = np.multiply(r, np.matmul(h, w_c, out=gc[:, lo:hi]), out=cand[:, lo:hi])
         c += p[..., 2 * d :]
         np.tanh(c, out=c)
         new = np.subtract(h, c, out=S[:, K + lo : K + hi])
@@ -266,7 +283,7 @@ def _packed_bigru(gx_f, gx_b, w_hf, w_hb, b_f, b_b, lengths):
         h_in = S[:, base[step] + rank]
         a = (1.0 - z) * (1.0 - cand * cand)  # d state / d cand_pre
         fac = np.empty((2, N, 3, d))
-        fac[:, :, 0] = a * gh[..., 2 * d :] * r * (1.0 - r)
+        fac[:, :, 0] = a * gc * r * (1.0 - r)
         fac[:, :, 1] = (h_in - cand) * z * (1.0 - z)
         fac[:, :, 2] = a * r
         dgh4 = np.empty((2, N, 3, d))
@@ -284,11 +301,16 @@ def _packed_bigru(gx_f, gx_b, w_hf, w_hb, b_f, b_b, lengths):
         dw_h = np.matmul(h_in[:, K:].transpose(0, 2, 1), dgh[:, K:])
         dgh4[:, :, 2] = dS * a  # the candidate pre-activation's gradient, not scaled by r
         db = dgh.sum(axis=1)
+        # back to token order, for the products and the scatter the docstring names
         dgx_f, dgx_b = np.empty((N, d3)), np.empty((N, d3))
         dgx_f[tok_f], dgx_b[tok_b] = dgh[0], dgh[1]
-        return dgx_f, dgx_b, dw_h[0], dw_h[1], db[0], db[1]
+        xs_t = emb.data[tokens].T
+        dxs = dgx_f @ w_xf.data.T + dgx_b @ w_xb.data.T
+        dim = emb.shape[1]
+        demb = _scatter((tokens[:, None] * dim + np.arange(dim)).ravel(), dxs.ravel(), emb.data.size)
+        return demb.reshape(emb.shape), xs_t @ dgx_f, xs_t @ dgx_b, dw_h[0], dw_h[1], db[0], db[1]
 
-    return ad.node(out, (gx_f, gx_b, w_hf, w_hb, b_f, b_b), vjp)
+    return ad.node(out, (emb, w_xf, w_xb, w_hf, w_hb, b_f, b_b), vjp)
 
 
 class BatchQuestionEncoding(NamedTuple):
@@ -305,7 +327,7 @@ class BatchQuestionEncoding(NamedTuple):
 
 def _bigru(params: EncoderParams, sequences: list[np.ndarray], lengths: np.ndarray) -> Tensor:
     """The BiGRU over K token sequences: one graph node for both directions,
-    fed the input projections of the real tokens only.
+    fed the real tokens only.
 
     Returns (K, L, 2d), L the longest length: the forward and backward
     states after each position.  Past a row's end the forward half carries
@@ -313,10 +335,9 @@ def _bigru(params: EncoderParams, sequences: list[np.ndarray], lengths: np.ndarr
     reaches a row's states, and out[:, L-1, :d] and out[:, 0, d:] are every
     sequence's final forward and backward states.
     """
-    xs = params.emb[np.concatenate(sequences)]  # (N, d)
-    return _packed_bigru(
-        xs @ params.w_xf, xs @ params.w_xb, params.w_hf, params.w_hb, params.b_f, params.b_b, lengths
-    )
+    p = params
+    tokens = np.concatenate(sequences)
+    return _packed_bigru(p.emb, tokens, p.w_xf, p.w_xb, p.w_hf, p.w_hb, p.b_f, p.b_b, lengths)
 
 
 def _pool(params: EncoderParams, states: Tensor) -> Tensor:

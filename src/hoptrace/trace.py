@@ -14,6 +14,12 @@ TOP_ANSWERS = 10  # ranked answers listed in the JSON export
 MASK_TOP = 10  # highest language-mask entries listed in the JSON export
 
 
+def _dot_text(name: str) -> str:
+    """A name as it goes into a DOT label: a double quote, which would end
+    the DOT string, becomes a single one."""
+    return name.replace('"', "'")
+
+
 @dataclass
 class StepTrace:
     attention: np.ndarray  # (|q|,) word attention, sums to 1
@@ -99,7 +105,7 @@ class ReasoningTrace:
             for i in ids:
                 score = 1.0 if t == 0 else float(self.steps[t - 1].entity_scores[i])
                 style = ", style=filled, fillcolor=lightblue" if t == 0 else ""
-                lines.append(f'  "s{t}_{i}" [label="{ent(i)}\\n{score:.2f}"{style}];')
+                lines.append(f'  "s{t}_{i}" [label="{_dot_text(ent(i))}\\n{score:.2f}"{style}];')
         for t, s in enumerate(self.steps, 1):
             prev = set(active[t - 1])
             cur = set(active[t])
@@ -112,7 +118,7 @@ class ReasoningTrace:
                         if int(h) in prev and int(tl) in cur:
                             lines.append(
                                 f'  "s{t - 1}_{int(h)}" -> "s{t}_{int(tl)}"'
-                                f' [label="{g.predicates.name(p)} {score:.2f}"];'
+                                f' [label="{_dot_text(g.predicates.name(p))} {score:.2f}"];'
                             )
             else:
                 for r, score in zip(s.relation_ids, s.relation_scores):
@@ -120,7 +126,7 @@ class ReasoningTrace:
                         continue
                     h, tl = int(g.trel_heads[r]), int(g.trel_tails[r])
                     if h in prev and tl in cur:
-                        text = g.texts[g.trel_text[r]].replace('"', "'")
+                        text = _dot_text(g.texts[g.trel_text[r]])
                         lines.append(
                             f'  "s{t - 1}_{h}" -> "s{t}_{tl}" [label="{text} {score:.2f}"];'
                         )

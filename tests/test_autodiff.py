@@ -1,6 +1,7 @@
 """Gradient checks for every reverse-mode op against central differences."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -267,6 +268,23 @@ def test_leaf_grad_accumulates_across_backward_calls(rng):
     ad.sum_(x).backward()
     ad.sum_(x).backward()
     np.testing.assert_allclose(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_backward_frees_the_graph_and_refuses_a_second_walk(rng):
+    """The walk drops each interior node's parents and vjp: an interior node
+    that only the graph holds is freed by backward, not by the loss going
+    out of scope, and a second backward through the walked graph raises."""
+    x = leaf(rng, 3)
+    mid = x * 2.0  # no vjp closure holds mid's array, only mid itself
+    alive = weakref.ref(mid.data)
+    y = ad.sum_(mid)
+    del mid
+    assert alive() is not None
+    y.backward()
+    assert alive() is None
+    np.testing.assert_allclose(x.grad, [2.0, 2.0, 2.0])
+    with pytest.raises(RuntimeError, match="already walked"):
+        y.backward()
 
 
 def test_deep_chain_does_not_overflow(rng):

@@ -132,20 +132,30 @@ def _ragged_alive(lengths):
     return (np.arange(L)[None, :] < np.array(lengths)[:, None]).astype(np.float64)
 
 
+# real tokens draw from a vocabulary this small, so ids repeat within and
+# across rows and the embedding gradient adds several tokens into one row
+GRU_VOCAB = 4
+
+
 def _ragged_gru_inputs(rng, lengths, d, scale=1.0):
-    """Right-padded (K, L, 3d) input projections and recurrent weights for
-    each direction, all requiring grad, plus the (K, L) alive mask."""
+    """Right-padded (K, L) token ids, an embedding table, and input weights,
+    recurrent weights and biases for each direction, all requiring grad,
+    plus the (K, L) alive mask.  Real tokens repeat ids below GRU_VOCAB;
+    every pad reads row GRU_VOCAB, which no real token reads."""
     alive = _ragged_alive(lengths)
-    K, L = alive.shape
-    gx = [Tensor(scale * rng.standard_normal((K, L, 3 * d)), requires_grad=True) for _ in range(2)]
+    ids = np.where(alive > 0, rng.integers(0, GRU_VOCAB, size=alive.shape), GRU_VOCAB)
+    emb = Tensor(scale * rng.standard_normal((GRU_VOCAB + 1, d)), requires_grad=True)
+    w_x = [Tensor(scale * rng.standard_normal((d, 3 * d)), requires_grad=True) for _ in range(2)]
     w_h = [Tensor(scale * rng.standard_normal((d, 3 * d)), requires_grad=True) for _ in range(2)]
     b = [Tensor(scale * rng.standard_normal(3 * d), requires_grad=True) for _ in range(2)]
-    return gx, w_h, b, alive
+    return ids, emb, w_x, w_h, b, alive
 
 
-def _packed(gx, alive):
-    """The (N, 3d) projections of the real tokens, row by row, of padded ones."""
-    return [Tensor(g.data[alive > 0], requires_grad=True) for g in gx]
+def _tape_projection(emb, ids, w_x):
+    """The (K, L, 3d) input projection emb[ids] @ w_x of the padded batch,
+    built on the tape."""
+    K, L = ids.shape
+    return ad.reshape(emb[ids.ravel()] @ w_x, (K, L, w_x.shape[1]))
 
 
 def test_tanh_form_gates_match_sigmoid_array(rng):
@@ -178,39 +188,40 @@ GRU_LENGTHS = {
 @pytest.mark.parametrize("lengths", GRU_LENGTHS.values(), ids=GRU_LENGTHS.keys())
 def test_packed_bigru_matches_composed_primitives(rng, lengths):
     """Each half of the packed node agrees with the per-step tape recurrence
-    of its direction over the padded batch: values within 1e-14 and every
-    gradient within 1e-12, for an upstream gradient that is nonzero at pad
-    positions in both halves.  Each row alone gives its batch row."""
+    of its direction over the padded batch, fed emb[ids] @ w_x: values within
+    1e-14 and every gradient within 1e-12, for an upstream gradient that is
+    nonzero at pad positions in both halves.  Each row alone gives its batch
+    row."""
     d = 5
-    gx, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d)
+    ids, emb, w_x, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d)
     K, L = alive.shape
     weight = rng.standard_normal((K, L, 2 * d))
     assert np.all(weight[alive == 0] != 0)
+    lens = alive.sum(axis=1).astype(np.int64)
 
-    packed = _packed(gx, alive)
-    out = _packed_bigru(*packed, *w_h, *b, alive.sum(axis=1).astype(np.int64))
+    out = _packed_bigru(emb, ids[alive > 0], *w_x, *w_h, *b, lens)
     assert out.shape == (K, L, 2 * d)
-    refs = [gru_direction_tape(gx[i], w_h[i], b[i], alive, reverse=bool(i)) for i in range(2)]
+    refs = [
+        gru_direction_tape(_tape_projection(emb, ids, w_x[i]), w_h[i], b[i], alive, reverse=bool(i))
+        for i in range(2)
+    ]
     for half, ref in zip((out.data[..., :d], out.data[..., d:]), refs):
         np.testing.assert_allclose(half, ref.data, rtol=0, atol=1e-14)
     for k, n in enumerate(lengths):
-        row = _packed_bigru(*(Tensor(g.data[k, :n]) for g in gx), *w_h, *b, np.array([n]))
+        row = _packed_bigru(emb, ids[k, :n], *w_x, *w_h, *b, np.array([n]))
         np.testing.assert_allclose(out.data[k, :n], row.data[0], rtol=0, atol=1e-14)
 
-    weights = [Tensor(weight[..., :d]), Tensor(weight[..., d:])]
-    shared = [*w_h, *b]
+    leaves = [emb, *w_x, *w_h, *b]
     ad.sum_(out * Tensor(weight)).backward()
-    grads = [t.grad.copy() for t in shared]
-    for t in shared:
+    grads = [t.grad.copy() for t in leaves]
+    for t in leaves:
         t.grad = None
-    for ref, w in zip(refs, weights):
-        ad.sum_(ref * w).backward()
-    for g, t, name in zip(grads, shared, ("w_hf", "w_hb", "b_f", "b_b")):
+    (ad.sum_(refs[0] * Tensor(weight[..., :d])) + ad.sum_(refs[1] * Tensor(weight[..., d:]))).backward()
+    for g, t, name in zip(grads, leaves, ("emb", "w_xf", "w_xb", "w_hf", "w_hb", "b_f", "b_b")):
         np.testing.assert_allclose(g, t.grad, rtol=0, atol=1e-12, err_msg=name)
-    for p, g in zip(packed, gx):
-        # the tape gives a pad's input projection exactly no gradient
-        np.testing.assert_array_equal(g.grad[alive == 0], 0.0)
-        np.testing.assert_allclose(p.grad, g.grad[alive > 0], rtol=0, atol=1e-12)
+    # the tape gives a pad's input exactly no gradient, and the node never reads one
+    np.testing.assert_array_equal(emb.grad[GRU_VOCAB], 0.0)
+    np.testing.assert_array_equal(grads[0][GRU_VOCAB], 0.0)
 
 
 DIRECTIONS = {"forward": 0, "backward": 1}
@@ -220,29 +231,29 @@ DIRECTIONS = {"forward": 0, "backward": 1}
 def test_gru_direction_matches_composed_primitives(rng, half):
     """One half of the packed node, with upstream gradient on that half only,
     agrees with the tape recurrence of its direction: values within 1e-14 and
-    its gradients within 1e-12, while the other direction's weights and
-    projections get exactly no gradient."""
+    its gradients within 1e-12, while the other direction's weights get
+    exactly no gradient."""
     d, lengths = 5, [4, 1, 3, 4]
-    gx, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d)
+    ids, emb, w_x, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d)
     K, L = alive.shape
     weight = np.zeros((K, L, 2 * d))
     cols = slice(half * d, (half + 1) * d)
     weight[..., cols] = rng.standard_normal((K, L, d))
 
-    packed = _packed(gx, alive)
-    out = _packed_bigru(*packed, *w_h, *b, alive.sum(axis=1).astype(np.int64))
-    ref = gru_direction_tape(gx[half], w_h[half], b[half], alive, reverse=bool(half))
+    out = _packed_bigru(emb, ids[alive > 0], *w_x, *w_h, *b, alive.sum(axis=1).astype(np.int64))
+    ref = gru_direction_tape(_tape_projection(emb, ids, w_x[half]), w_h[half], b[half], alive, reverse=bool(half))
     np.testing.assert_allclose(out.data[..., cols], ref.data, rtol=0, atol=1e-14)
 
+    mine = [emb, w_x[half], w_h[half], b[half]]
     ad.sum_(out * Tensor(weight)).backward()
-    got = [packed[half].grad, w_h[half].grad.copy(), b[half].grad.copy()]
-    w_h[half].grad = b[half].grad = None
+    got = [t.grad.copy() for t in mine]
+    for t in mine:
+        t.grad = None
     ad.sum_(ref * Tensor(weight[..., cols])).backward()
-    want = [gx[half].grad[alive > 0], w_h[half].grad, b[half].grad]
-    for name, g, r in zip(("gx", "w_h", "b"), got, want):
-        np.testing.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=name)
+    for name, g, t in zip(("emb", "w_x", "w_h", "b"), got, mine):
+        np.testing.assert_allclose(g, t.grad, rtol=0, atol=1e-12, err_msg=name)
     other = 1 - half
-    for t in (packed[other], w_h[other], b[other]):
+    for t in (w_x[other], w_h[other], b[other]):
         np.testing.assert_array_equal(t.grad, 0.0)
 
 
@@ -252,18 +263,17 @@ def test_gru_direction_gradcheck_through_pad_positions(rng, half):
     differences, with an upstream gradient that is nonzero at pad positions:
     a forward state carried over pads, a backward state that is 0 there."""
     d, lengths = 3, [3, 1, 2, 3]
-    gx, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d, scale=0.5)
+    ids, emb, w_x, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d, scale=0.5)
     K, L = alive.shape
     weight = np.zeros((K, L, 2 * d))
     weight[..., half * d : (half + 1) * d] = rng.standard_normal((K, L, d))
     assert np.all(weight[..., half * d : (half + 1) * d][alive == 0] != 0)
     weight = Tensor(weight)
-    packed = _packed(gx, alive)
-    lengths = np.array(lengths)
+    tokens, lengths = ids[alive > 0], np.array(lengths)
 
     gradcheck(
-        lambda: ad.sum_(_packed_bigru(*packed, *w_h, *b, lengths) * weight),
-        [packed[half], w_h[half], b[half]],
+        lambda: ad.sum_(_packed_bigru(emb, tokens, *w_x, *w_h, *b, lengths) * weight),
+        [emb, w_x[half], w_h[half], b[half]],
     )
 
 

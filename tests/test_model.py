@@ -1084,6 +1084,8 @@ def test_forward_batch_matches_forward_with_gradients(rng, case):
     for t in params.named().values():
         t.grad = None
 
+    if cache is not None:  # the backward above walked the cached table's graph
+        cache.invalidate()
     singles = [forward(g, s, e, params, cfg, cache=cache, question="q") for s, e in zip(seqs, topics)]
     assert_rows_match_oracles(g, cfg, batch, singles)
     total = None
@@ -1118,15 +1120,20 @@ def test_text_scores_match_the_per_relation_oracle(rng, case):
     batch whose first row selects several relations of one text; and the
     gradients of every parameter against that formula on the tape."""
     g, cfg, params, cache, _topics = BATCH_CASES[case](rng)
-    enc = encode_question_batch(params.q_enc, [np.array([4, 5, 6]), np.array([7, 8])])
-    q_t = step_attention(enc, params)[1][:, 0]
+
+    def query_and_table():
+        """q_t and the text table on a fresh graph: a backward walks its graph once."""
+        enc = encode_question_batch(params.q_enc, [np.array([4, 5, 6]), np.array([7, 8])])
+        cache.invalidate()
+        return step_attention(enc, params)[1][:, 0], cache.table()
+
+    q_t, table = query_and_table()
     a = np.zeros((2, g.n))
     a[0] = 1.0
     a[1, 2] = 1.0
     ids, rows = g.select_text_relation_ids(a, cfg.tau, None)
     texts = g.trel_text[ids]
     assert np.bincount(texts[rows == 0]).max() > 1
-    table = cache.table()
     scores = text_relation_scores(q_t, table, params)
     assert scores.shape == (2, len(g.texts))
     want = oracles.text_scores_per_relation(table.data, q_t.data, texts, rows, params.text_w.data, params.text_b.data)
@@ -1137,6 +1144,7 @@ def test_text_scores_match_the_per_relation_oracle(rng, case):
     got = {k: t.grad.copy() for k, t in params.named().items() if t.grad is not None}
     for t in params.named().values():
         t.grad = None
+    q_t, table = query_and_table()
     per_relation = ad.sum_(table[texts] * q_t[rows] * params.text_w, axis=1) + params.text_b
     ad.sum_(ad.sigmoid(per_relation) * upstream).backward()
     assert got.keys() == {k for k, t in params.named().items() if t.grad is not None}

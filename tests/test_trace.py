@@ -84,6 +84,26 @@ def test_label_trace_dot_is_pinned():
     assert _label_trace().to_dot(g) == LABEL_DOT
 
 
+def test_dot_quotes_in_entity_and_predicate_names_stay_inside_their_labels():
+    """A double quote in an entity or predicate name becomes a single one,
+    as in a text label, so every label stays one DOT string."""
+    g = build_from_triples([('Say "Hi"', 'says "hi" to', "b")])
+    step = StepTrace(np.array([1.0]), None, np.array([0.9]), np.array([0.0, 1.0]))
+    trace = ReasoningTrace(
+        question="", tokens=np.zeros(1, dtype=np.int64), topics=[0], steps=[step], hop_distribution=np.array([1.0]),
+        mask=None, a_star=np.zeros(2), final=np.zeros(2), ranked=np.arange(2), degenerate=False,
+    )
+    assert trace.to_dot(g) == (
+        "digraph reasoning {\n"
+        "  rankdir=LR;\n"
+        '  node [shape=box, fontname="Helvetica"];\n'
+        '  "s0_0" [label="Say \'Hi\'\\n1.00", style=filled, fillcolor=lightblue];\n'
+        '  "s1_1" [label="b\\n1.00"];\n'
+        '  "s0_0" -> "s1_1" [label="says \'hi\' to 0.90"];\n'
+        "}\n"
+    )
+
+
 # text relations by (head, tail, text): 0 ann->bob "said", 1 ann->cy "met",
 # 2 bob->dee "met", 3 cy->dee "said"
 TEXT_DOT = """\
