@@ -222,17 +222,13 @@ def sigmoid(a):
 # reductions and shape ops
 
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a):
     a = _ensure(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
-    return node(out, (a,), vjp)
+    return node(a.data.sum(), (a,), vjp)
 
 
 def matmul(a, b):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import FORMS, TrainConfig
+from .config import TrainConfig
 from .encoder import TOPIC_RE, RelationEncodingCache, Vocabulary
 from .errors import DataError, GraphError, NumericError, UsageError
 from .graph import (
@@ -89,7 +89,7 @@ def _fraction_arg(text: str) -> float:
 
 # train's plain config overrides: --batch-size sets batch_size, and so on
 _TRAIN_OPTIONS = (
-    ("form", str), ("T", int), ("d", int), ("lr", float), ("epochs", int),
+    ("T", int), ("d", int), ("lr", float), ("epochs", int),
     ("seed", int), ("head", str), ("aggregation", str), ("tau", float),
     ("batch_size", int), ("limit_train", float),
 )
@@ -103,24 +103,26 @@ def _build_parser() -> _Parser:
     g = sub.add_parser("gen", help="generate a synthetic dataset")
     g.add_argument("--spec", help="YAML spec file (defaults used when omitted)")
     g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--seed", type=int, help="override the spec seed")
+    g.add_argument("--seed", type=_int_at_least(0), help="override the spec seed")
     g.add_argument("--force", action="store_true", help="overwrite a non-empty out dir")
 
     b = sub.add_parser("build-graph", help="build and serialize a relation graph")
-    b.add_argument("--form", choices=FORMS, default="label")
     b.add_argument("--triples", required=True, help="triples file: TSV, or head|relation|tail lines as in MetaQA's kb.txt")
-    b.add_argument("--corpus", help="JSONL corpus (text/mixed forms)")
+    b.add_argument("--corpus", help="JSONL corpus: build a text graph from it (without it, a label graph)")
     b.add_argument("--out", required=True, help="graph file to write (binary)")
     b.add_argument("--no-reverse", action="store_true", help="skip reverse augmentation")
-    b.add_argument("--mix-fraction", type=_fraction_arg, default=0.5)
-    b.add_argument("--mix-seed", type=_int_at_least(0), default=0)
+    b.add_argument("--mix-fraction", type=_fraction_arg,
+                   help="mix this fraction of the triples into the text graph as one-word texts (needs --corpus)")
+    b.add_argument("--mix-seed", type=_int_at_least(0), help="seed of the --mix-fraction sample (default 0)")
 
     t = sub.add_parser(
         "train",
         help="train a model",
-        description="Train a model and write its checkpoint.  Training is deterministic for a seed, but"
-        " a checkpoint reproduces bit for bit only at the same BLAS thread count (OPENBLAS_NUM_THREADS,"
-        " OMP_NUM_THREADS, MKL_NUM_THREADS); the checkpoint's metadata records them under 'blas'.",
+        description="Train a model on --graph and write its checkpoint.  The model takes the graph's form"
+        " (label or text); a --config file that names the other form is a data error.  Training is"
+        " deterministic for a seed, but a checkpoint reproduces bit for bit only at the same BLAS thread"
+        " count (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS); the checkpoint's metadata"
+        " records them under 'blas'.",
     )
     t.add_argument("--config", help="YAML config file")
     t.add_argument("--data", required=True, help="dataset directory from `gen`")
@@ -172,18 +174,20 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build_graph(args) -> int:
+    mixing = args.mix_fraction is not None or args.mix_seed is not None
+    if mixing and (args.corpus is None or args.mix_fraction is None):
+        raise UsageError("--mix-fraction mixes triples into the text graph of --corpus, --mix-seed draws its sample:"
+                         " give --corpus and --mix-fraction")
     triples = load_triples_tsv(args.triples)
-    if args.form == "label":
+    if args.corpus is None:
         g = build_from_triples(triples)
     else:
-        if not args.corpus:
-            raise UsageError("--corpus is required for text/mixed graphs")
         names = [e for h, _, t in triples for e in (h, t)]
         g = build_from_text_corpus(load_corpus_jsonl(args.corpus), names)
     if not args.no_reverse:
         g = add_reverse_relations(g)
-    if args.form == "mixed":
-        g = mix_label_into_text(g, triples, args.mix_fraction, args.mix_seed)
+    if args.mix_fraction is not None:
+        g = mix_label_into_text(g, triples, args.mix_fraction, args.mix_seed or 0)
     g.save(args.out)
     print(
         json.dumps(
@@ -233,8 +237,8 @@ def _blas_record() -> dict:
 def _cmd_train(args) -> int:
     from .data import load_questions, resolve_examples
 
-    cfg = TrainConfig.from_sources(args.config, _overrides_from_args(args))
     g = RelationGraph.load(args.graph)
+    cfg = TrainConfig.from_sources(args.config, _overrides_from_args(args), form=g.form)
     if cfg.form != g.form:
         raise DataError(f"config form {cfg.form!r} does not match graph form {g.form!r}")
     data_dir = Path(args.data)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import UsageError, read_text
 
-FORMS = ("label", "text", "mixed")
+FORMS = ("label", "text")
 HEADS = ("softmax", "sigmoid")
 AGGREGATIONS = ("sum", "max")
 # (field, least value or None, may be null) of every integer setting
@@ -21,7 +21,7 @@ _INT_FIELDS = (("T", 1, False), ("d", 2, False), ("epochs", 1, False),
                ("batch_size", 1, True), ("omega", 1, True), ("seed", 0, False))
 _FLOAT_FIELDS = ("lr", "tau", "limit_train")
 _FLAG_FIELDS = ("use_truncation", "use_mask", "use_aux_hop_loss")
-_CHOICE_FIELDS = (("form", FORMS), ("head", HEADS), ("aggregation", AGGREGATIONS))
+_CHOICE_FIELDS = (("head", HEADS), ("aggregation", AGGREGATIONS))
 
 
 def check_ints(settings, table, error, noun):
@@ -54,11 +54,12 @@ def check_floats(settings, names, error, noun):
             raise error(f"{noun} value of the wrong type: {name} must be a finite number, got {value!r}")
 
 
-def load_settings(cls, path, error, noun, overrides=None):
-    """cls(**values).validate(): values is the YAML mapping in the file at
-    path (none when path is None), then every key of overrides, whatever its
-    value.  Text that is no UTF-8 or no YAML, YAML that is no mapping, an
-    unknown key and a value of the wrong type all raise error."""
+def load_settings(cls, path, error, noun, overrides=None, base=None):
+    """cls(**values).validate(): values is every key of base, then the YAML
+    mapping in the file at path (none when path is None), then every key of
+    overrides, whatever its value.  Text that is no UTF-8 or no YAML, YAML
+    that is no mapping, an unknown key and a value of the wrong type all
+    raise error."""
     known = {f.name for f in fields(cls)}
     values = {}
     where = ""
@@ -82,7 +83,7 @@ def load_settings(cls, path, error, noun, overrides=None):
             raise error(f"unknown {noun} key {k!r}")
         values[k] = v  # None included: omega=None lifts the cap
     try:
-        return cls(**values).validate()
+        return cls(**{**(base or {}), **values}).validate()
     except TypeError as e:  # a value of the wrong type, such as tau: "x"
         raise error(f"{where}{noun} value of the wrong type: {e}") from None
 
@@ -102,7 +103,7 @@ class TrainConfig:
     use_truncation: bool = True
     use_mask: bool = True
     use_aux_hop_loss: bool = True
-    batch_size: int | None = None  # None: 64 for label form, 16 for text/mixed
+    batch_size: int | None = None  # None: 64 for label form, 16 for text form
     limit_train: float = 1.0
 
     def validate(self):
@@ -112,6 +113,9 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise UsageError(f"config value of the wrong type: {name} must be true or false, got {value!r}")
+        if self.form not in FORMS:
+            raise UsageError(f"form must be one of {FORMS}, got {self.form!r}:"
+                             " build the graph again with `hoptrace build-graph` and train on it")
         for name, choices in _CHOICE_FIELDS:
             value = getattr(self, name)
             if value not in choices:
@@ -134,8 +138,9 @@ class TrainConfig:
         return asdict(self)
 
     @classmethod
-    def from_sources(cls, config_file=None, overrides: dict | None = None) -> "TrainConfig":
-        """defaults <- YAML file <- overrides (load_settings).  The run's
-        paths are no setting: train takes them from its options alone, so a
-        checkpoint's bytes do not depend on where the run read or wrote."""
-        return load_settings(cls, config_file, UsageError, "config", overrides)
+    def from_sources(cls, config_file=None, overrides: dict | None = None, form: str = "label") -> "TrainConfig":
+        """defaults <- form <- YAML file <- overrides (load_settings): train
+        passes its graph's form.  The run's paths are no setting: train takes
+        them from its options alone, so a checkpoint's bytes do not depend on
+        where the run read or wrote."""
+        return load_settings(cls, config_file, UsageError, "config", overrides, base={"form": form})

@@ -1,4 +1,9 @@
-"""Relation graphs in label, text, and mixed form.
+"""Relation graphs in label and text form.
+
+A graph fills only its form's store, predicates and label edges or relation
+texts and text relations.  The paper's mixed setting, text plus a sampled
+part of the KB, is a text graph with the triples as one-word texts
+(mix_label_into_text).
 
 Label edges and text relations are stored alike, as (head, tail, kind)
 rows, the kind being a predicate or a text id.  One int64 key over the
@@ -17,9 +22,9 @@ constructor-style operation returns a fresh instance.
 A saved graph is a container (hoptrace.container) of format GRAPH_MAGIC:
 JSON metadata with the form, the reverse flag and the entity, predicate
 and text names, then the label edges and the text relations as two int64
-blocks of id rows.  load() passes the rows to the constructor, which checks
-their ranges and sorts them, so rows saved in any order load into the same
-arrays.
+blocks of id rows, the other form's block empty.  load() passes the rows
+to the constructor, which checks the form, its store and the ids' ranges,
+and sorts the rows, so rows saved in any order load into the same arrays.
 """
 
 from __future__ import annotations
@@ -72,11 +77,13 @@ def expand_csr(ptr: np.ndarray, buckets: np.ndarray):
 
 
 class RelationGraph:
-    """Entities, predicates, sparse label adjacency, and text relations."""
+    """Entities and the form's relation store: label edges over predicates,
+    or text relations over relation texts."""
 
     def __init__(self, entities, predicates, edges, texts, trels, form, reversed_=False):
         if form not in FORMS:  # the model would take any other form for text
-            raise GraphError(f"unknown graph form {form!r}: expected one of {', '.join(FORMS)}")
+            raise GraphError(f"unknown graph form {form!r}: expected one of {', '.join(FORMS)};"
+                             " rebuild the graph with `hoptrace build-graph`")
         self.entities: Vocab = entities
         self.predicates: Vocab = predicates
         self.form: str = form
@@ -91,6 +98,11 @@ class RelationGraph:
             t = np.asarray(trels, dtype=np.int64).reshape(-1, 3)
         except OverflowError:  # a caller's Python int past int64
             raise GraphError("an id does not fit in 64 bits") from None
+        # nothing reads the other form's store, yet its texts would join the vocabulary
+        if form == "label" and (self.texts or len(t)):
+            raise GraphError(f"a label graph holds no texts or text relations, got {len(self.texts)} and {len(t)}")
+        if form == "text" and (len(predicates) or len(e)):
+            raise GraphError(f"a text graph holds no predicates or label edges, got {len(predicates)} and {len(e)}")
         # numpy would wrap a negative id and the bincount kernels would grow
         # their output past n, so an out-of-range id must stop here
         for ids, bound, what in (
@@ -399,7 +411,7 @@ def add_reverse_relations(g: RelationGraph) -> RelationGraph:
 
 
 def mix_label_into_text(g: RelationGraph, triples, fraction: float, seed: int) -> RelationGraph:
-    """Blend label triples into a text-form graph as one-word relation texts.
+    """Blend label triples into a text graph as one-word relation texts: the paper's mixed setting.
 
     A ``fraction`` sample of the (name-form) triples, drawn with ``seed`` (a
     non-negative int), becomes text relations whose whole text is the
@@ -428,4 +440,4 @@ def mix_label_into_text(g: RelationGraph, triples, fraction: float, seed: int) -
         trels.append((h, t, texts.add(p_name)))
         if g.reversed:
             trels.append((t, h, texts.add(reverse_text(p_name))))
-    return RelationGraph(g.entities, Vocab(g.predicates.names), [], texts.names, trels, "mixed", reversed_=g.reversed)
+    return RelationGraph(g.entities, g.predicates, [], texts.names, trels, "text", reversed_=g.reversed)

@@ -3,7 +3,7 @@
 A forward pass starts from a one-hot entity score vector at the topic,
 then for each of T steps: attend over question tokens to build a step
 query, score relations with it (a predicate head in label form, a
-sigmoid per unique relation text in text/mixed form), push scores across
+sigmoid per unique relation text in text form), push scores across
 the scored edges, and truncate back into [0,1].  A hop-mixture head blends
 the per-step score vectors and, on text graphs, a question-conditioned mask
 gates the result.  The attention reads the question alone, so
@@ -318,7 +318,7 @@ def _reason(
             f" got one of {g.n} entities and {g.num_predicates} predicates"
         )
     if text_form and cache is None:
-        raise GraphError("text/mixed forward needs a relation encoding cache")
+        raise GraphError("text-form forward needs a relation encoding cache")
     n, B = g.n, enc.alive.shape[0]
 
     # one entity or several per row; an ndarray, 0-d included, goes by its ndim

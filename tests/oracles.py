@@ -60,6 +60,15 @@ def gradcheck(f, tensors, step=1e-5, tol=1e-4, skip_below=1e-8):
     return worst
 
 
+def sum_axis(a, axis):
+    """a summed over one axis, on the tape: the reduction the composed
+    references below are built from, where the package uses products."""
+    def vjp(g):
+        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
+
+    return ad.node(a.data.sum(axis=axis), (a,), vjp)
+
+
 def dense_predicate_matrices(n, heads, preds, tails, num_predicates):
     """One dense n×n adjacency per predicate; M[p][h, t] = 1."""
     mats = [np.zeros((n, n)) for _ in range(num_predicates)]
@@ -272,8 +281,8 @@ def step_attention_composed(enc, params):
     steps = []
     for w, b in zip(params.step_w, params.step_b):
         qk = ad.tanh(enc.q @ w + b)
-        att = ad.softmax(ad.sum_(enc.h * ad.reshape(qk, (B, 1, d)), axis=2) + pad_penalty)
-        steps.append((att, ad.sum_(ad.reshape(att, (B, L, 1)) * enc.h, axis=1)))
+        att = ad.softmax(sum_axis(enc.h * ad.reshape(qk, (B, 1, d)), 2) + pad_penalty)
+        steps.append((att, sum_axis(ad.reshape(att, (B, L, 1)) * enc.h, 1)))
     return steps
 
 

@@ -62,7 +62,6 @@ def ws(tmp_path_factory):
         main(
             [
                 "build-graph",
-                "--form", "text",
                 "--triples", str(root / "data" / "triples.tsv"),
                 "--corpus", str(root / "data" / "corpus.jsonl"),
                 "--out", str(root / "g_text.bin"),
@@ -122,11 +121,11 @@ def test_gen_bad_spec_file(tmp_path):
     assert main(["gen", "--spec", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_gen_negative_seed_is_data_error(tmp_path, capsys):
-    """--seed overrides the spec's seed before the spec is checked."""
+def test_gen_negative_seed_is_usage_error(tmp_path, capsys):
+    """An option value out of range is a usage error, as --mix-seed's is."""
     capsys.readouterr()
-    assert main(["gen", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
-    assert "seed must be >= 0, got -1" in _data_error_line(capsys)
+    assert main(["gen", "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    assert "argument --seed: expected an integer >= 0, got '-1'" in _usage_error_line(capsys)
     assert not (tmp_path / "out").exists()
 
 
@@ -184,19 +183,21 @@ def test_build_graph_no_reverse(ws, tmp_path):
 
 
 def test_build_graph_mixed(ws, tmp_path):
+    """--mix-fraction mixes label triples into the text graph as one-word
+    texts: a text graph with more relations, its own first."""
     out = tmp_path / "g.bin"
     args = [
         "build-graph",
-        "--form", "mixed",
         "--triples", str(ws / "data" / "triples.tsv"),
         "--corpus", str(ws / "data" / "corpus.jsonl"),
         "--out", str(out),
         "--mix-fraction", "0.5",
     ]
     assert main(args) == 0
-    g = RelationGraph.load(out)
-    assert g.form == "mixed"
-    assert g.num_text_relations > RelationGraph.load(ws / "g_text.bin").num_text_relations
+    g, text = RelationGraph.load(out), RelationGraph.load(ws / "g_text.bin")
+    assert (g.form, g.num_edges, g.num_predicates) == ("text", 0, 0)
+    assert g.num_text_relations > text.num_text_relations
+    assert g.texts[: len(text.texts)] == text.texts
 
 
 @pytest.mark.parametrize(
@@ -211,7 +212,7 @@ def test_build_graph_bad_mix_option_is_usage_error(ws, tmp_path, capsys, option,
     """A mix option out of range is refused before any file is read: the
     triples file named here does not exist, and nothing is written."""
     out = tmp_path / "g.bin"
-    args = ["build-graph", "--form", "mixed", "--triples", str(tmp_path / "nope.tsv")]
+    args = ["build-graph", "--triples", str(tmp_path / "nope.tsv")]
     args += ["--corpus", str(ws / "data" / "corpus.jsonl"), "--out", str(out), option, value]
     capsys.readouterr()
     assert main(args) == 1
@@ -219,14 +220,35 @@ def test_build_graph_bad_mix_option_is_usage_error(ws, tmp_path, capsys, option,
     assert not out.exists()
 
 
-def test_build_graph_text_requires_corpus(ws, tmp_path):
-    args = [
-        "build-graph",
-        "--form", "text",
-        "--triples", str(ws / "data" / "triples.tsv"),
-        "--out", str(tmp_path / "g.bin"),
-    ]
+def test_build_graph_text_requires_corpus(ws, tmp_path, capsys):
+    """Without --corpus build-graph builds a label graph, which reads no mix
+    option: either one is refused before the triples file is read."""
+    for option, value in (("--mix-fraction", "0.5"), ("--mix-seed", "3")):
+        args = ["build-graph", "--triples", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "g.bin"), option, value]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert "give --corpus and --mix-fraction" in _usage_error_line(capsys)
+    assert not (tmp_path / "g.bin").exists()
+
+
+def test_build_graph_mix_seed_requires_mix_fraction(ws, tmp_path, capsys):
+    args = ["build-graph", "--triples", str(ws / "data" / "triples.tsv")]
+    args += ["--corpus", str(ws / "data" / "corpus.jsonl"), "--out", str(tmp_path / "g.bin"), "--mix-seed", "3"]
+    capsys.readouterr()
     assert main(args) == 1
+    assert "give --corpus and --mix-fraction" in _usage_error_line(capsys)
+    assert not (tmp_path / "g.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["build-graph", "train"])
+def test_form_option_is_gone(ws, tmp_path, capsys, command):
+    """The graph decides its form: build-graph by --corpus, train by --graph."""
+    args = ["build-graph", "--triples", str(ws / "data" / "triples.tsv"), "--out", str(tmp_path / "g.bin")]
+    if command == "train":
+        args = _train_args(ws, tmp_path)
+    capsys.readouterr()
+    assert main([*args, "--form", "label"]) == 1
+    assert "unrecognized arguments: --form label" in _usage_error_line(capsys)
 
 
 def test_build_graph_reads_metaqa_kb(ws, tmp_path):
@@ -270,7 +292,7 @@ def test_build_graph_input_not_utf8_is_data_error(ws, tmp_path, capsys, damaged)
     for name in ("triples.tsv", "corpus.jsonl"):
         raw = (ws / "data" / name).read_bytes()
         (tmp_path / name).write_bytes(raw + b"\xff\n" if name == damaged else raw)
-    args = ["build-graph", "--form", "text", "--triples", str(tmp_path / "triples.tsv")]
+    args = ["build-graph", "--triples", str(tmp_path / "triples.tsv")]
     args += ["--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "g.bin")]
     capsys.readouterr()
     assert main(args) == 2
@@ -515,15 +537,23 @@ def test_train_help_states_the_thread_count_rule(capsys):
     assert "bit for bit only at the same BLAS thread count" in " ".join(capsys.readouterr().out.split())
 
 
-def test_train_form_graph_mismatch(ws, tmp_path):
-    args = [
-        "train",
-        "--data", str(ws / "data"),
-        "--graph", str(ws / "g_label.bin"),
-        "--out", str(tmp_path / "run"),
-        "--form", "text",
-    ]
-    assert main(args) == 2
+def test_train_form_graph_mismatch(ws, tmp_path, capsys):
+    """train takes the graph's form; a config file may state it, and one
+    that names the other form is a data error."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("form: text\n")
+    capsys.readouterr()
+    assert main(_train_args(ws, tmp_path, "--config", str(cfg))) == 2
+    assert "config form 'text' does not match graph form 'label'" in _data_error_line(capsys)
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_config_naming_mixed_is_usage_error(ws, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("form: mixed\n")
+    capsys.readouterr()
+    assert main(_train_args(ws, tmp_path, "--config", str(cfg))) == 1
+    assert "got 'mixed': build the graph again with `hoptrace build-graph`" in _usage_error_line(capsys)
 
 
 @pytest.mark.parametrize("hops", ["1\n", "1\n1\n1\n"], ids=["short", "long"])
@@ -707,6 +737,94 @@ def test_eval_rejects_out_of_range_entity_id(ws, tmp_path, capsys, head):
     assert f"id {head} out of range" in _data_error_line(capsys)
 
 
+@pytest.fixture(scope="module")
+def text_run(ws):
+    """The run directory of a text model trained on ws's text graph."""
+    out = ws / "run_text"
+    args = ["train", "--data", str(ws / "data"), "--graph", str(ws / "g_text.bin"), "--out", str(out)]
+    assert main([*args, "--epochs", "1", "--d", "8", "--seed", "0", "--limit-train", "0.2"]) == 0
+    return out
+
+
+def _build_mixed(ws, out):
+    """build-graph's text graph of ws's data with half the triples mixed in."""
+    args = ["build-graph", "--triples", str(ws / "data" / "triples.tsv"), "--corpus", str(ws / "data" / "corpus.jsonl")]
+    assert main([*args, "--out", str(out), "--mix-fraction", "0.5"]) == 0
+    return out
+
+
+def _text_model_args(command, text_run, graph, ws):
+    where = ["--checkpoint", str(text_run / "checkpoint.bin"), "--graph", str(graph)]
+    if command == "eval":
+        return ["eval", *where, "--questions", str(ws / "data" / "qa_dev.txt")]
+    return ["answer", load_questions(ws / "data" / "qa_dev.txt")[0].question, *where]
+
+
+def test_text_checkpoint_answers_on_a_graph_mixed_from_its_data(ws, text_run, tmp_path, capsys):
+    """Mixing label triples into a text graph keeps its form, so a model
+    trained on the text graph runs on the mixed one.  Its vocabulary never
+    saw the one-word texts, so it reads each of them as [UNK]."""
+    graph = _build_mixed(ws, tmp_path / "g_mixed.bin")
+    capsys.readouterr()
+    assert main(_text_model_args("answer", text_run, graph, ws)) == 0
+    assert json.loads(capsys.readouterr().out)["answers"]
+    assert main(_text_model_args("eval", text_run, graph, ws)) == 0
+    assert json.loads(capsys.readouterr().out)["count"] > 0
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_graph_of_the_old_mixed_form_is_refused(ws, text_run, tmp_path, capsys, command):
+    """A text store tagged 'mixed', as earlier versions wrote a mixed graph."""
+    meta, edges, trels = _graph_parts(_build_mixed(ws, tmp_path / "g.bin"))
+    meta["form"] = "mixed"
+    old = tmp_path / "old.bin"
+    container.write(old, GRAPH_MAGIC, meta, [edges, trels])
+    args = _text_model_args("eval", text_run, old, ws)
+    if command == "train":
+        args = ["train", "--data", str(ws / "data"), "--graph", str(old), "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main(args) == 2
+    says = "unknown graph form 'mixed': expected one of label, text; rebuild the graph with `hoptrace build-graph`"
+    assert says in _data_error_line(capsys)
+
+
+def test_checkpoint_of_the_old_mixed_form_is_refused(ws, text_run, tmp_path, capsys):
+    checkpoint = tmp_path / "run" / "checkpoint.bin"
+    checkpoint.parent.mkdir()
+    raw = (text_run / "checkpoint.bin").read_bytes()
+    checkpoint.write_bytes(_with_metadata(raw, lambda m: m["config"].update(form="mixed")))
+    (checkpoint.parent / "vocab.txt").write_bytes((text_run / "vocab.txt").read_bytes())
+    capsys.readouterr()
+    assert main(_text_model_args("answer", checkpoint.parent, _build_mixed(ws, tmp_path / "g.bin"), ws)) == 2
+    err = _data_error_line(capsys)
+    assert str(checkpoint) in err and "got 'mixed': build the graph again with `hoptrace build-graph`" in err
+
+
+@pytest.mark.parametrize(
+    "graph, says",
+    [("g_label.bin", "a label graph holds no texts or text relations, got 1 and 1"),
+     ("g_text.bin", "a text graph holds no predicates or label edges, got 1 and 1")],
+    ids=["label-with-a-text-relation", "text-with-a-label-edge"],
+)
+def test_graph_that_fills_the_other_forms_store_is_refused(ws, tmp_path, capsys, graph, says):
+    """A file with one row in the store its form does not read, whose sha256
+    matches: nothing would read that row, yet its text would join the
+    vocabulary."""
+    meta, edges, trels = _graph_parts(ws / graph)
+    if meta["form"] == "label":
+        meta.update(texts=["<sub> x <obj>"], num_text_relations=1)
+        trels = np.array([[0, 1, 0]], dtype="<i8")
+    else:
+        meta.update(predicates=["p"], num_edges=1)
+        edges = np.array([[0, 0, 1]], dtype="<i8")
+    crafted = tmp_path / "g.bin"
+    container.write(crafted, GRAPH_MAGIC, meta, [edges, trels])
+    capsys.readouterr()
+    assert main(["train", "--data", str(ws / "data"), "--graph", str(crafted), "--out", str(tmp_path / "run")]) == 2
+    assert says in _data_error_line(capsys)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "corrupt, reason",
     [
@@ -887,7 +1005,7 @@ def test_shuffled_text_relation_rows_still_load(ws, tmp_path, capsys):
     the same answer."""
     args = [
         "train", "--data", str(ws / "data"), "--graph", str(ws / "g_text.bin"), "--out", str(tmp_path / "run_text"),
-        "--form", "text", "--epochs", "1", "--d", "8", "--seed", "0", "--limit-train", "0.2",
+        "--epochs", "1", "--d", "8", "--seed", "0", "--limit-train", "0.2",
     ]
     assert main(args) == 0
     new, old = ws / "g_text.bin", tmp_path / "old.bin"

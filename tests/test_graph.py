@@ -209,7 +209,10 @@ def test_text_relations_listed_by_trel_ptr_with_pair_starts(rng):
 )
 def test_rejects_out_of_range_ids(edges, trels):
     with pytest.raises(GraphError, match="out of range"):
-        RelationGraph(Vocab(["a", "b"]), Vocab(["p"]), edges, ["<sub> r <obj> ."], trels, form="mixed")
+        if edges:
+            RelationGraph(Vocab(["a", "b"]), Vocab(["p"]), edges, [], [], form="label")
+        else:
+            RelationGraph(Vocab(["a", "b"]), Vocab(), [], ["<sub> r <obj> ."], trels, form="text")
 
 
 def test_rejects_ids_past_int64():
@@ -220,8 +223,26 @@ def test_rejects_ids_past_int64():
 def test_rejects_an_unknown_form():
     """The model takes any form but label for text, so a graph of another
     form would run as a text graph."""
-    with pytest.raises(GraphError, match="unknown graph form 'banana': expected one of label, text, mixed"):
+    says = "unknown graph form 'banana': expected one of label, text; rebuild the graph with `hoptrace build-graph`"
+    with pytest.raises(GraphError, match=re.escape(says)):
         RelationGraph(Vocab(["a", "b"]), Vocab(["p"]), [(0, 0, 1)], [], [], form="banana")
+
+
+@pytest.mark.parametrize(
+    "form, predicates, edges, texts, trels, says",
+    [
+        ("label", ["p"], [(0, 0, 1)], ["t"], [], "a label graph holds no texts or text relations, got 1 and 0"),
+        ("label", ["p"], [(0, 0, 1)], ["t"], [(1, 0, 0)], "a label graph holds no texts or text relations, got 1 and 1"),
+        ("text", ["p"], [], ["t"], [(1, 0, 0)], "a text graph holds no predicates or label edges, got 1 and 0"),
+        ("text", ["p"], [(0, 0, 1)], ["t"], [(1, 0, 0)], "a text graph holds no predicates or label edges, got 1 and 1"),
+    ],
+    ids=["label-with-a-text", "label-with-a-text-relation", "text-with-a-predicate", "text-with-a-label-edge"],
+)
+def test_rejects_a_store_of_the_other_form(form, predicates, edges, texts, trels, says):
+    """The model reads one store per form, so a row or a name in the other
+    would be carried and never read: a text would still join the vocabulary."""
+    with pytest.raises(GraphError, match=re.escape(says)):
+        RelationGraph(Vocab(["a", "b"]), Vocab(predicates), edges, texts, trels, form=form)
 
 
 @pytest.mark.parametrize("kind", ["entity", "predicate", "text"])
@@ -233,10 +254,12 @@ def test_names_that_broke_the_text_format_round_trip(tmp_path, kind, name):
     that looks like a section header of the earlier text format is kept."""
     names = {"entity": ["a", "b"], "predicate": ["p"], "text": ["<sub> r <obj> ."]}
     names[kind] = names[kind] + [name]
-    g = RelationGraph(Vocab(names["entity"]), Vocab(names["predicate"]), [(0, 0, 1)], names["text"], [(1, 0, 0)], form="mixed")
-    g.save(tmp_path / "g.bin")
-    back = RelationGraph.load(tmp_path / "g.bin")
-    assert (back.entities.names, back.predicates.names, back.texts) == (names["entity"], names["predicate"], names["text"])
+    graphs = [RelationGraph(Vocab(names["entity"]), Vocab(names["predicate"]), [(0, 0, 1)], [], [], form="label"),
+              RelationGraph(Vocab(names["entity"]), Vocab(), [], names["text"], [(1, 0, 0)], form="text")]
+    for g in graphs:
+        g.save(tmp_path / "g.bin")
+        back = RelationGraph.load(tmp_path / "g.bin")
+        assert (back.entities.names, back.predicates.names, back.texts) == (g.entities.names, g.predicates.names, g.texts)
 
 
 def test_rejects_repeated_texts():
@@ -413,14 +436,14 @@ def test_add_reverse_twice_rejected(chain_graph):
         add_reverse_relations(g)
 
 
-# -- mixed form -------------------------------------------------------------------
+# -- label triples mixed into text ----------------------------------------------------
 
 
 def test_mix_label_into_text(rng):
     triples = [("e0", "knows", "e1"), ("e1", "knows", "e2"), ("e2", "likes", "e0")]
     base = random_text_graph(rng, n=3, num_rels=5)
     mixed = mix_label_into_text(base, triples, 1.0, seed=0)
-    assert mixed.form == "mixed"
+    assert (mixed.form, mixed.num_predicates, mixed.num_edges) == ("text", 0, 0)
     assert mixed.num_text_relations == base.num_text_relations + 3
     rels = sorted(_rel(mixed, i) for i in range(mixed.num_text_relations))
     for i in range(base.num_text_relations):
@@ -510,21 +533,23 @@ _PIN_DOCS = [
 _PIN_TRIPLES = [("Ann", "likes", "Bob"), ("Ann", "likes", "Cy"), ("Bob", "knows", "Cy")]
 
 
+# the mixed pin is the file that earlier versions wrote as a graph of form
+# "mixed", with its form set to "text" and its sha256 redone
 @pytest.mark.parametrize(
-    "form, sha256, trel_text",
+    "case, sha256, trel_text",
     [
         ("text", "fb1ff3be449e1ec84c55c5d295fbf0cb06353ec240be5b963c57d6fa7fa52287", [0, 1, 1, 0, 2, 2, 4, 3, 4, 5]),
         (
             "mixed",
-            "044d52ffd5e58bfe368662c848dee6c1bc2e5f2249abc4f9aef8746bbf3daa11",
+            "5fbe7f50ff2cff5a13c5ae9cc02d79d12ffaf80c9c0e1326fb2c92008977a237",
             [0, 1, 1, 6, 0, 6, 2, 2, 4, 7, 3, 8, 4, 7, 5, 9],
         ),
     ],
     ids=["text", "mixed"],
 )
-def test_text_ids_are_pinned(tmp_path, form, sha256, trel_text):
+def test_text_ids_are_pinned(tmp_path, case, sha256, trel_text):
     g = add_reverse_relations(build_from_text_corpus(_PIN_DOCS, ["Ann", "Bob", "Cy"]))
-    if form == "mixed":
+    if case == "mixed":
         g = mix_label_into_text(g, _PIN_TRIPLES, 1.0, seed=0)
     assert g.trel_text.tolist() == trel_text
     g.save(tmp_path / "g.bin")
@@ -564,15 +589,21 @@ def test_save_load_roundtrip_text(rng, tmp_path):
 def test_saved_graph_layout(tmp_path):
     """Magic, the u64 length of the sort-keyed JSON metadata, the metadata,
     the (head, pred, tail) edge rows and the (head, tail, text) relation
-    rows as little-endian int64, then the sha256 of all that."""
-    g = RelationGraph(Vocab(["a", "b", "c"]), Vocab(["p"]), [(2, 0, 1), (0, 0, 2)], ["t"], [(1, 0, 0)], form="mixed")
-    g.save(tmp_path / "g.bin")
-    raw = (tmp_path / "g.bin").read_bytes()
-    meta = {"entities": ["a", "b", "c"], "form": "mixed", "num_edges": 2, "num_text_relations": 1,
-            "predicates": ["p"], "reversed": False, "texts": ["t"]}
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    body = b"HOPGRAF1" + struct.pack("<Q", len(blob)) + blob + struct.pack("<9q", 0, 0, 2, 2, 0, 1, 1, 0, 0)
-    assert raw == body + hashlib.sha256(body).digest()
+    rows as little-endian int64, one block empty, then the sha256 of all
+    that."""
+    label = RelationGraph(Vocab(["a", "b", "c"]), Vocab(["p"]), [(2, 0, 1), (0, 0, 2)], [], [], form="label")
+    text = RelationGraph(Vocab(["a", "b", "c"]), Vocab(), [], ["t"], [(1, 0, 0)], form="text")
+    for g, names, counts, rows in (
+        (label, {"predicates": ["p"], "texts": []}, (2, 0), (0, 0, 2, 2, 0, 1)),
+        (text, {"predicates": [], "texts": ["t"]}, (0, 1), (1, 0, 0)),
+    ):
+        g.save(tmp_path / "g.bin")
+        raw = (tmp_path / "g.bin").read_bytes()
+        meta = {"entities": ["a", "b", "c"], "form": g.form, "num_edges": counts[0], "num_text_relations": counts[1],
+                "reversed": False, **names}
+        blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+        body = b"HOPGRAF1" + struct.pack("<Q", len(blob)) + blob + struct.pack(f"<{len(rows)}q", *rows)
+        assert raw == body + hashlib.sha256(body).digest()
 
 
 def test_load_rejects_bad_header(tmp_path):

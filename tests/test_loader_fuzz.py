@@ -64,44 +64,55 @@ def _with_length(raw: bytes, length: int) -> bytes:
     return sealed(raw[:8] + struct.pack("<Q", length) + raw[16:-32])
 
 
-def _small_graph():
-    """Entities a b c d, predicates p q, three label edges and three text
-    relations, stored in the order given."""
-    return RelationGraph(
-        Vocab(["a", "b", "c", "d"]), Vocab(["p", "q"]), [(0, 0, 1), (1, 1, 2), (2, 0, 3)],
-        ["<sub> x <obj>", "<sub> y <obj>"], [(0, 1, 0), (1, 2, 1), (3, 0, 1)], form="mixed",
-    )
+def _small_graph(form):
+    """Entities a b c d, and in label form predicates p q and three label
+    edges, in text form two texts and three text relations, stored in the
+    order given."""
+    entities = Vocab(["a", "b", "c", "d"])
+    if form == "label":
+        return RelationGraph(entities, Vocab(["p", "q"]), [(0, 0, 1), (1, 1, 2), (2, 0, 3)], [], [], form="label")
+    texts = ["<sub> x <obj>", "<sub> y <obj>"]
+    return RelationGraph(entities, Vocab(), [], texts, [(0, 1, 0), (1, 2, 1), (3, 0, 1)], form="text")
 
 
 # each case changes the metadata and the (head, pred, tail) and (head, tail,
-# text) id rows of a good file in place; the file is then written again, so
-# its sha256 matches, and the GraphError must name the defect
+# text) id rows of a good file of its form in place; the file is then
+# written again, so its sha256 matches, and the GraphError must name the
+# defect
 CRAFTED_CONTENTS = {
-    "edge-entity-id-past-n": (lambda m, e, t: _set(e, (0, 2), 4), "edge entity id 4 out of range"),
-    "negative-predicate-id": (lambda m, e, t: _set(e, (1, 1), -1), "predicate id -1 out of range"),
-    "text-entity-id-past-n": (lambda m, e, t: _set(t, (0, 0), 4), "text relation entity id 4 out of range"),
-    "text-id-past-texts": (lambda m, e, t: _set(t, (1, 2), 2), "text id 2 out of range"),
-    "repeated-entity": (lambda m, e, t: _set(m["entities"], 3, "a"), "entity or predicate names repeat"),
-    "repeated-predicate": (lambda m, e, t: _set(m["predicates"], 1, "p"), "entity or predicate names repeat"),
-    "repeated-text": (lambda m, e, t: _set(m["texts"], 1, m["texts"][0]), "relation texts repeat"),
-    "unknown-form": (lambda m, e, t: m.update(form="banana"), "unknown graph form 'banana'"),
-    "edge-count-one-more": (lambda m, e, t: m.update(num_edges=4), "bytes of blocks"),
-    "text-relation-count-one-less": (lambda m, e, t: m.update(num_text_relations=2), "bytes of blocks"),
-    "negative-count": (lambda m, e, t: m.update(num_edges=-1, num_text_relations=7), "bad block shape"),
-    "count-no-integer": (lambda m, e, t: m.update(num_edges=3.0), "bad block shape"),
-    "no-texts": (lambda m, e, t: m.pop("texts"), "metadata does not describe a graph: KeyError('texts')"),
-    "reversed-no-bool": (lambda m, e, t: m.update(reversed="false"), "wrong type"),
-    "name-no-string": (lambda m, e, t: _set(m["entities"], 0, 7), "wrong type"),
+    "edge-entity-id-past-n": ("label", lambda m, e, t: _set(e, (0, 2), 4), "edge entity id 4 out of range"),
+    "negative-predicate-id": ("label", lambda m, e, t: _set(e, (1, 1), -1), "predicate id -1 out of range"),
+    "text-entity-id-past-n": ("text", lambda m, e, t: _set(t, (0, 0), 4), "text relation entity id 4 out of range"),
+    "text-id-past-texts": ("text", lambda m, e, t: _set(t, (1, 2), 2), "text id 2 out of range"),
+    "repeated-entity": ("label", lambda m, e, t: _set(m["entities"], 3, "a"), "entity or predicate names repeat"),
+    "repeated-predicate": ("label", lambda m, e, t: _set(m["predicates"], 1, "p"), "entity or predicate names repeat"),
+    "repeated-text": ("text", lambda m, e, t: _set(m["texts"], 1, m["texts"][0]), "relation texts repeat"),
+    "unknown-form": ("text", lambda m, e, t: m.update(form="banana"), "unknown graph form 'banana'"),
+    "old-mixed-form": ("text", lambda m, e, t: m.update(form="mixed"), "unknown graph form 'mixed'"),
+    "label-form-on-a-text-store": (
+        "text", lambda m, e, t: m.update(form="label"), "a label graph holds no texts or text relations, got 2 and 3"
+    ),
+    "text-form-on-a-label-store": (
+        "label", lambda m, e, t: m.update(form="text"), "a text graph holds no predicates or label edges, got 2 and 3"
+    ),
+    "edge-count-one-more": ("label", lambda m, e, t: m.update(num_edges=4), "bytes of blocks"),
+    "text-relation-count-one-less": ("text", lambda m, e, t: m.update(num_text_relations=2), "bytes of blocks"),
+    "negative-count": ("label", lambda m, e, t: m.update(num_edges=-1, num_text_relations=4), "bad block shape"),
+    "count-no-integer": ("label", lambda m, e, t: m.update(num_edges=3.0), "bad block shape"),
+    "no-texts": ("text", lambda m, e, t: m.pop("texts"), "metadata does not describe a graph: KeyError('texts')"),
+    "reversed-no-bool": ("label", lambda m, e, t: m.update(reversed="false"), "wrong type"),
+    "name-no-string": ("text", lambda m, e, t: _set(m["entities"], 0, 7), "wrong type"),
 }
 
 
 @pytest.mark.parametrize("case", list(CRAFTED_CONTENTS))
 def test_crafted_graph_contents_are_a_graph_error(tmp_path, case):
-    craft, message = CRAFTED_CONTENTS[case]
+    form, craft, message = CRAFTED_CONTENTS[case]
     path = tmp_path / "g.bin"
-    _small_graph().save(path)
+    _small_graph(form).save(path)
     meta, data = container.read(path, GRAPH_MAGIC, GraphError, "a graph")
-    edges, trels = (rows.copy() for rows in container.blocks(path, data, [("<i8", (3, 3))] * 2, GraphError))
+    layout = [("<i8", (meta["num_edges"], 3)), ("<i8", (meta["num_text_relations"], 3))]
+    edges, trels = (rows.copy() for rows in container.blocks(path, data, layout, GraphError))
     craft(meta, edges, trels)
     container.write(path, GRAPH_MAGIC, meta, [edges, trels])
     with pytest.raises(GraphError, match=re.escape(message)):
@@ -125,7 +136,7 @@ CRAFTED_FRAMING = {
 def test_crafted_graph_framing_is_a_graph_error(tmp_path, case):
     craft, message = CRAFTED_FRAMING[case]
     path = tmp_path / "g.bin"
-    _small_graph().save(path)
+    _small_graph("label").save(path)
     path.write_bytes(craft(path.read_bytes()))
     with pytest.raises(GraphError, match=re.escape(message)):
         RelationGraph.load(path)

@@ -1034,10 +1034,11 @@ def _text_case(aggregation, **cfg_kw):
 
 
 def _mixed_case(rng):
+    """A text graph with label triples mixed in as one-word texts."""
     g = add_reverse_relations(random_text_graph(rng, n=6, num_rels=24))
     triples = [(f"e{i}", f"p{i % 2}", f"e{(i + 3) % g.n}") for i in range(g.n)]
     g = mix_label_into_text(g, triples, 0.5, seed=1)
-    cfg = TrainConfig(form="mixed", d=6).validate()
+    cfg = text_cfg(d=6)
     params = ModelParams(40, g.n, g.num_predicates, cfg)
     return g, cfg, params, make_cache(params, g), [0, 2, 4]
 
@@ -1145,7 +1146,7 @@ def test_text_scores_match_the_per_relation_oracle(rng, case):
     for t in params.named().values():
         t.grad = None
     q_t, table = query_and_table()
-    per_relation = ad.sum_(table[texts] * q_t[rows] * params.text_w, axis=1) + params.text_b
+    per_relation = oracles.sum_axis(table[texts] * q_t[rows] * params.text_w, 1) + params.text_b
     ad.sum_(ad.sigmoid(per_relation) * upstream).backward()
     assert got.keys() == {k for k, t in params.named().items() if t.grad is not None}
     for k, t in params.named().items():

@@ -15,8 +15,8 @@ from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
 from hoptrace.data import QAExample, resolve_examples
 from hoptrace.encoder import RelationEncodingCache, Vocabulary
-from hoptrace.errors import DataError, GraphError, NumericError
-from hoptrace.graph import add_reverse_relations, build_from_text_corpus, build_from_triples
+from hoptrace.errors import DataError, GraphError, NumericError, UsageError
+from hoptrace.graph import add_reverse_relations, build_from_text_corpus, build_from_triples, mix_label_into_text
 from hoptrace.model import ModelParams, forward_batch, rank_answers
 from hoptrace.training import (
     AUX_WEIGHT,
@@ -410,8 +410,13 @@ def test_evaluate_matches_per_row_recount(monkeypatch):
 def test_effective_batch_size_defaults():
     assert TrainConfig(form="label").effective_batch_size == 64
     assert TrainConfig(form="text").effective_batch_size == 16
-    assert TrainConfig(form="mixed").effective_batch_size == 16
+    # a text graph with label triples mixed in is a text graph
+    base = add_reverse_relations(build_from_text_corpus([("a", "a met b.")], ["a", "b"]))
+    mixed = mix_label_into_text(base, [("a", "knows", "b")], 1.0, seed=0)
+    assert TrainConfig.from_sources(form=mixed.form).effective_batch_size == 16
     assert TrainConfig(form="label", batch_size=7).effective_batch_size == 7
+    with pytest.raises(UsageError, match="got 'mixed': build the graph again with `hoptrace build-graph`"):
+        TrainConfig(form="mixed").validate()
 
 
 def test_zero_loss_takes_no_step():
