@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig
-from .encoder import TOPIC_RE, RelationEncodingCache, Vocabulary
+from .encoder import TOPIC_RE, RelationEncodingCache, split_tokens
 from .errors import DataError, GraphError, NumericError, UsageError
 from .graph import (
     RelationGraph,
@@ -33,14 +33,7 @@ from .graph import (
     mix_label_into_text,
 )
 from .model import forward, rank_answers
-from .training import (
-    evaluate,
-    load_checkpoint,
-    prepare_examples,
-    save_checkpoint,
-    train,
-    vocab_sha256,
-)
+from .training import evaluate, load_checkpoint, prepare_examples, save_checkpoint, train
 
 log = logging.getLogger("hoptrace")
 
@@ -118,7 +111,9 @@ def _build_parser() -> _Parser:
     t = sub.add_parser(
         "train",
         help="train a model",
-        description="Train a model on --graph and write its checkpoint.  The model takes the graph's form"
+        description="Train a model on --graph and write its run directory --out: checkpoint.bin, the whole"
+        " model (its config, vocabulary and parameters), and train_log.jsonl, one line per epoch and split."
+        "  The model takes the graph's form"
         " (label or text); a --config file that names the other form is a data error.  Training is"
         " deterministic for a seed, but a checkpoint reproduces bit for bit only at the same BLAS thread"
         " count (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS); the checkpoint's metadata"
@@ -127,7 +122,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--config", help="YAML config file")
     t.add_argument("--data", required=True, help="dataset directory from `gen`")
     t.add_argument("--graph", required=True, help="serialized graph file")
-    t.add_argument("--out", required=True, help="output directory for artifacts")
+    t.add_argument("--out", required=True, help="run directory: checkpoint.bin and train_log.jsonl")
     t.add_argument("--force", action="store_true")
     for name, typ in _TRAIN_OPTIONS:
         t.add_argument(f"--{name.replace('_', '-')}", type=typ)
@@ -141,7 +136,6 @@ def _build_parser() -> _Parser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--graph", required=True)
     e.add_argument("--questions", required=True, help="question file to score")
-    e.add_argument("--vocab", help="vocabulary file (default: sibling vocab.txt)")
     e.add_argument("--out", help="write metrics JSON here as well")
     e.add_argument("--require", type=_fraction_arg, help="fail (exit 4) if overall hits@1 is below this")
 
@@ -149,7 +143,6 @@ def _build_parser() -> _Parser:
     a.add_argument("question", help="question string with the topic in [brackets]")
     a.add_argument("--checkpoint", required=True)
     a.add_argument("--graph", required=True)
-    a.add_argument("--vocab", help="vocabulary file (default: sibling vocab.txt)")
     a.add_argument("--trace", help="write the reasoning trace JSON here")
     a.add_argument("--dot", help="write a Graphviz rendering here")
     a.add_argument("--top", type=_int_at_least(1), default=5)
@@ -252,7 +245,6 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     result = train(cfg, g, train_ex, dev_ex, log_path=out / "train_log.jsonl")
-    result.vocab.save(out / "vocab.txt")
     save_checkpoint(
         out / "checkpoint.bin",
         result.params,
@@ -264,9 +256,6 @@ def _cmd_train(args) -> int:
             "blas": _blas_record(),
         },
     )
-    with open(out / "config.json", "w", encoding="utf-8") as f:
-        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
     print(
         json.dumps(
             {
@@ -284,24 +273,28 @@ def _cmd_train(args) -> int:
 
 def _load_model(args):
     params, meta = load_checkpoint(args.checkpoint)
-    vocab_path = args.vocab or Path(args.checkpoint).with_name("vocab.txt")
-    vocab = Vocabulary.load(vocab_path)
-    if vocab_sha256(vocab) != meta.get("vocab_sha256"):
-        raise DataError(f"{vocab_path}: vocabulary does not match the checkpoint")
+    vocab = meta["vocab"]
     g = RelationGraph.load(args.graph)
     cfg = TrainConfig(**meta["config"]).validate()
     if g.form != cfg.form:
         raise DataError(f"graph form {g.form!r} does not match checkpoint form {cfg.form!r}")
+    # an unseen token encodes as [UNK], which no text of the training graph holds
+    unseen = [text for text in g.texts if not all(t in vocab for t in split_tokens(text))]
+    if unseen:
+        raise DataError(
+            f"{args.graph}: {len(unseen)} of {len(g.texts)} relation texts hold tokens the checkpoint's vocabulary"
+            f" lacks, the first {unseen[0]!r}: train a model on this graph"
+        )
     cache = None
     if g.form != "label":
         cache = RelationEncodingCache(params.r_enc, vocab, g.texts)
-    return params, meta, vocab, g, cfg, cache
+    return params, vocab, g, cfg, cache
 
 
 def _cmd_eval(args) -> int:
     from .data import load_questions, resolve_examples
 
-    params, meta, vocab, g, cfg, cache = _load_model(args)
+    params, vocab, g, cfg, cache = _load_model(args)
     examples = resolve_examples(load_questions(args.questions), g)
     if not examples:
         raise DataError(f"{args.questions}: no resolvable examples")
@@ -324,7 +317,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_answer(args) -> int:
-    params, meta, vocab, g, cfg, cache = _load_model(args)
+    params, vocab, g, cfg, cache = _load_model(args)
     names = TOPIC_RE.findall(args.question)
     if not names:
         raise UsageError("question must mark its topic entity in [brackets]")

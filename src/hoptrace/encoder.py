@@ -128,6 +128,11 @@ class Vocabulary(Vocab):
         names = read_text(path, DataError).split("\n")
         if not names[-1]:  # the line break that ends the last line
             names.pop()
+        return cls.of_names(names)
+
+    @classmethod
+    def of_names(cls, names):
+        """These tokens in id order, with no reserved slot added."""
         v = cls.__new__(cls)
         Vocab.__init__(v, names)
         return v

@@ -1,9 +1,11 @@
-"""Loss, optimizer, training loop, evaluation, and checkpoints."""
+"""Loss, optimizer, training loop, evaluation, and checkpoints.
+
+A checkpoint is one file that holds the whole trained model: its config, the
+graph sizes, the vocabulary and the parameters."""
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import logging
@@ -25,7 +27,7 @@ log = logging.getLogger("hoptrace")
 
 AUX_WEIGHT = 0.01
 EVAL_CHUNK = 64  # questions per forward in evaluate
-CKPT_MAGIC = b"HOPCKPT2"
+CKPT_MAGIC = b"HOPCKPT3"
 
 
 def batch_targets(answer_sets, n: int) -> np.ndarray:
@@ -213,6 +215,15 @@ def _keep_freed_memory():
         mallopt(-1, -1)  # M_TRIM_THRESHOLD; -1 turns trimming off
 
 
+def _batch_loss(g, params: ModelParams, batch, cfg, cache):
+    """One forward over the prepared examples of batch, and its LossBreakdown
+    against their answers and gold hops.  forward_batch and compute_loss are
+    looked up as module globals, where the bench's spans wrap them."""
+    res = forward_batch(g, [ex.tokens for ex in batch], [ex.topic for ex in batch], params, cfg, cache=cache)
+    ys = batch_targets([ex.answers for ex in batch], g.n)
+    return res, compute_loss(res.final, ys, res.c, [ex.gold_hop for ex in batch], cfg.use_aux_hop_loss)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -231,20 +242,11 @@ def evaluate(g, params: ModelParams, prepared, cfg, cache=None) -> dict:
     with no_grad():
         for lo in range(0, len(prepared), EVAL_CHUNK):
             group = prepared[lo : lo + EVAL_CHUNK]
-            res = forward_batch(
-                g,
-                [ex.tokens for ex in group],
-                [ex.topic for ex in group],
-                params,
-                cfg,
-                cache=cache,
-            )
+            res, lb = _batch_loss(g, params, group, cfg, cache)
             top, degenerate = top_answers(res.final.data)
             for ex, t, d in zip(group, top.tolist(), degenerate.tolist()):
                 hits.setdefault(ex.gold_hop, []).append(int(not d and t in ex.answers))
-            ys = batch_targets([ex.answers for ex in group], g.n)
-            hops = [ex.gold_hop for ex in group]
-            loss_sum += compute_loss(res.final, ys, res.c, hops, cfg.use_aux_hop_loss).main.item()
+            loss_sum += lb.main.item()
     per_hop = {h: float(np.mean(v)) for h, v in sorted(kv for kv in hits.items() if kv[0] is not None)}
     flat = [x for v in hits.values() for x in v]
     return {
@@ -307,23 +309,13 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None) -> Tr
                 if cache is not None:
                     cache.invalidate()
                 inv = 1.0 / len(batch)
-                res = forward_batch(
-                    g,
-                    [ex.tokens for ex in batch],
-                    [ex.topic for ex in batch],
-                    params,
-                    cfg,
-                    cache=cache,
-                )
-                ys = batch_targets([ex.answers for ex in batch], g.n)
-                hops = [ex.gold_hop for ex in batch]
-                lb = compute_loss(res.final, ys, res.c, hops, cfg.use_aux_hop_loss)
+                _, lb = _batch_loss(g, params, batch, cfg, cache)
                 if not np.isfinite(lb.total.item()):
                     raise NumericError(f"non-finite loss in the batch starting at {batch[0].uid!r}")
                 main_sum += lb.main.item()
                 if lb.aux_hop is not None:
                     aux_sum += lb.aux_hop.item()
-                    aux_n += sum(h is not None for h in hops)
+                    aux_n += sum(ex.gold_hop is not None for ex in batch)
                 # one loss node and one backward per batch: the tape does not grow with B
                 lb.total.backward(seed=np.asarray(inv))
                 opt.step()
@@ -371,28 +363,20 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None) -> Tr
 # checkpoints
 
 
-def vocab_sha256(vocab: Vocabulary) -> str:
-    return hashlib.sha256("\n".join(vocab.names).encode("utf-8")).hexdigest()
-
-
 def save_checkpoint(path, params: ModelParams, cfg, vocab: Vocabulary, extra: dict | None = None):
-    """A container (hoptrace.container) of format CKPT_MAGIC: its metadata,
-    then one float64 block per parameter in sorted-name order
-    (byte-deterministic)."""
+    """Write the whole model: a container (hoptrace.container) of format
+    CKPT_MAGIC whose metadata holds the config, the graph sizes the model
+    was built for ("model": n, num_predicates), the vocabulary's tokens in
+    id order ("vocab"), the parameter list, and then extra; one float64
+    block per parameter follows in sorted-name order (byte-deterministic).
+    A vocabulary of another size than the embedding is a ValueError."""
+    if len(vocab) != params.vocab_size:
+        raise ValueError(f"a vocabulary of {len(vocab)} tokens for an embedding of {params.vocab_size} rows")
     named = sorted(params.named().items())
     meta = {
-        "format": "hoptrace-checkpoint",
-        "version": 2,
         "config": cfg.to_dict(),
-        "model": {"vocab_size": params.vocab_size, "n": params.n, "num_predicates": params.num_predicates},
-        "optimizer": {
-            "name": "radam",
-            "betas": list(RAdam.BETAS),
-            "eps": RAdam.EPS,
-            "rho_threshold": RAdam.RHO_THRESHOLD,
-            "note": "variance-rectified adaptive moments; momentum-only step while rho_t <= threshold",
-        },
-        "vocab_sha256": vocab_sha256(vocab),
+        "model": {"n": params.n, "num_predicates": params.num_predicates},
+        "vocab": vocab.names,
         "params": [{"name": k, "shape": list(v.data.shape)} for k, v in named],
     }
     meta.update(extra or {})
@@ -400,18 +384,29 @@ def save_checkpoint(path, params: ModelParams, cfg, vocab: Vocabulary, extra: di
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, metadata).  The model is rebuilt unfilled from
-    the embedded config, then the parameter blocks fill it; the metadata must
-    list each of the model's parameters once.  A file that container.read
-    refuses, that lists other blocks, or that is shorter or longer than its
-    metadata describes, is a DataError."""
+    """Returns (ModelParams, metadata), the metadata's "vocab" a Vocabulary.
+    The model is rebuilt unfilled from the embedded config, with one
+    embedding row per vocabulary token, then the parameter blocks fill it;
+    the metadata must list each of the model's parameters once.  A file
+    that container.read refuses, whose vocabulary is not a list of distinct
+    strings that starts with the reserved tokens, that lists other blocks,
+    or that is shorter or longer than its metadata describes, is a
+    DataError."""
     from .config import TrainConfig
 
-    meta, data = container.read(path, CKPT_MAGIC, DataError, f"a hoptrace checkpoint of format {CKPT_MAGIC.decode()}")
+    what = f"a hoptrace checkpoint of format {CKPT_MAGIC.decode()}: train it again with `hoptrace train`"
+    meta, data = container.read(path, CKPT_MAGIC, DataError, what)
     try:
         cfg = TrainConfig(**meta["config"]).validate()
         m = meta["model"]
-        params = ModelParams(m["vocab_size"], m["n"], m["num_predicates"], cfg, fill=False)
+        names = meta["vocab"]
+        if not (isinstance(names, list) and all(isinstance(t, str) for t in names)) or len(set(names)) < len(names):
+            raise DataError(f'{path}: "vocab" is not a list of distinct strings')
+        reserved = Vocabulary().names  # encoding reads the reserved ids
+        if names[: len(reserved)] != reserved:
+            raise DataError(f'{path}: "vocab" does not start with the reserved tokens {reserved}')
+        meta["vocab"] = vocab = Vocabulary.of_names(names)
+        params = ModelParams(len(vocab), m["n"], m["num_predicates"], cfg, fill=False)
         blocks = [(str(block["name"]), tuple(block["shape"])) for block in meta["params"]]
     except (KeyError, TypeError, ValueError, MemoryError) as e:
         # a missing key, a value of the wrong type, an unknown or invalid

@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from hoptrace.encoder import Vocabulary
 from hoptrace.graph import RelationGraph, Vocab, build_from_triples
 
 
@@ -61,6 +62,12 @@ def chain_graph():
     return build_from_triples([("a", "p0", "b"), ("b", "p1", "c"), ("c", "p0", "d")])
 
 
+def nine_tokens():
+    """A vocabulary of 9 tokens, the reserved 4 among them: one per
+    embedding row of a ModelParams(9, ...)."""
+    return Vocabulary(["who", "directed", "movie_3", "by", "the"])
+
+
 def checkpoint_with_blocks(raw: bytes, names) -> bytes:
     """The checkpoint raw with its parameter blocks replaced by the named
     ones, in that order (a name may repeat), and its sha256 redone: a file
@@ -75,6 +82,16 @@ def checkpoint_with_blocks(raw: bytes, names) -> bytes:
     meta["params"] = [blocks[name][0] for name in names]
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     return sealed(raw[:8] + struct.pack("<Q", len(blob)) + blob + b"".join(blocks[name][1] for name in names))
+
+
+def checkpoint_with_metadata(raw: bytes, change) -> bytes:
+    """The checkpoint raw whose JSON metadata has gone through change(meta),
+    with its length field and its sha256 rewritten to match."""
+    (size,) = struct.unpack("<Q", raw[8:16])
+    meta = json.loads(raw[16 : 16 + size])
+    change(meta)
+    blob = json.dumps(meta).encode("utf-8")
+    return sealed(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + size : -32])
 
 
 def sealed(body: bytes) -> bytes:

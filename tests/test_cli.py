@@ -18,12 +18,12 @@ from hoptrace import cli, container
 from hoptrace.cli import main
 from hoptrace.config import TrainConfig
 from hoptrace.data import load_questions
-from hoptrace.encoder import Vocabulary
+from hoptrace.encoder import UNK
 from hoptrace.errors import GraphError
 from hoptrace.graph import GRAPH_MAGIC, RelationGraph
 from hoptrace.training import load_checkpoint, save_checkpoint
 
-from conftest import checkpoint_with_blocks, sealed
+from conftest import checkpoint_with_blocks, checkpoint_with_metadata, sealed
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -488,11 +488,11 @@ def test_value_error_inside_a_command_is_not_a_usage_error(monkeypatch, tmp_path
 
 
 def test_train_artifacts(ws):
+    """The run directory holds the checkpoint, the whole model, and the log."""
     run = ws / "run"
-    for name in ("checkpoint.bin", "vocab.txt", "config.json", "train_log.jsonl"):
-        assert (run / name).exists(), name
-    cfg = json.loads((run / "config.json").read_text())
-    assert cfg["epochs"] == 2 and cfg["d"] == 16  # CLI overrides reached the artifact
+    assert sorted(path.name for path in run.iterdir()) == ["checkpoint.bin", "train_log.jsonl"]
+    cfg = load_checkpoint(run / "checkpoint.bin")[1]["config"]
+    assert cfg["epochs"] == 2 and cfg["d"] == 16  # CLI overrides reached the checkpoint
     rows = [json.loads(line) for line in (run / "train_log.jsonl").read_text().splitlines()]
     assert {r["split"] for r in rows} == {"train", "dev"}
 
@@ -678,37 +678,65 @@ def test_graph_that_does_not_match_the_checkpoint_is_data_error(ws, tmp_path, ca
     assert err.startswith("data error: model built for a graph of ") and want in err, err
 
 
-def test_eval_rejects_mismatched_vocab(ws, tmp_path):
-    tampered = tmp_path / "vocab.txt"
-    tampered.write_text((ws / "run" / "vocab.txt").read_text() + "zzzunseen\n")
-    args = [
-        "eval",
-        "--checkpoint", str(ws / "run" / "checkpoint.bin"),
-        "--graph", str(ws / "g_label.bin"),
-        "--questions", str(ws / "data" / "qa_dev.txt"),
-        "--vocab", str(tampered),
-    ]
-    assert main(args) == 2
-
-
-def test_eval_rejects_vocab_not_utf8(ws, tmp_path, capsys):
-    vocab = tmp_path / "vocab.txt"
-    vocab.write_bytes((ws / "run" / "vocab.txt").read_bytes() + b"\xff\n")
-    args = _eval_args(ws)
-    args[args.index("--vocab") + 1] = str(vocab)
-    capsys.readouterr()
-    assert main(args) == 2
-    assert "not UTF-8" in _data_error_line(capsys)
-
-
 def _eval_args(ws, checkpoint=None, graph=None):
     return [
         "eval",
         "--checkpoint", str(checkpoint or ws / "run" / "checkpoint.bin"),
         "--graph", str(graph or ws / "g_label.bin"),
         "--questions", str(ws / "data" / "qa_dev.txt"),
-        "--vocab", str(ws / "run" / "vocab.txt"),
     ]
+
+
+def test_checkpoint_alone_answers_and_evaluates(ws, tmp_path, capsys):
+    """The checkpoint is the whole model: copied on its own into an empty
+    directory, it answers and evaluates as it does in its run directory."""
+    alone = tmp_path / "model" / "checkpoint.bin"
+    alone.parent.mkdir()
+    alone.write_bytes((ws / "run" / "checkpoint.bin").read_bytes())
+    question = load_questions(ws / "data" / "qa_dev.txt")[0].question
+    replies = []
+    for checkpoint in (ws / "run" / "checkpoint.bin", alone):
+        capsys.readouterr()
+        assert main(["answer", question, "--checkpoint", str(checkpoint), "--graph", str(ws / "g_label.bin")]) == 0
+        assert main(_eval_args(ws, checkpoint=checkpoint)) == 0
+        replies.append(capsys.readouterr().out.replace(str(checkpoint), "CHECKPOINT"))
+    assert replies[0] == replies[1]
+    assert [path.name for path in alone.parent.iterdir()] == ["checkpoint.bin"]
+
+
+@pytest.mark.parametrize("command", ["eval", "answer"])
+def test_vocab_option_is_gone(ws, capsys, command):
+    """The vocabulary lives in the checkpoint; --vocab is no option."""
+    if command == "eval":
+        args = _eval_args(ws)
+    else:
+        args = ["answer", load_questions(ws / "data" / "qa_dev.txt")[0].question,
+                "--checkpoint", str(ws / "run" / "checkpoint.bin"), "--graph", str(ws / "g_label.bin")]
+    capsys.readouterr()
+    assert main([*args, "--vocab", "vocab.txt"]) == 1
+    assert "unrecognized arguments: --vocab" in _usage_error_line(capsys)
+
+
+def test_checkpoint_of_format_2_is_refused(ws, tmp_path, capsys):
+    """A run directory as the previous format left it: a HOPCKPT2 file whose
+    metadata held a vocabulary hash, beside its vocab.txt.  Both commands
+    stop with exit 2 and ask for a new training."""
+    def old_layout(meta):
+        vocab = meta.pop("vocab")
+        meta.update(format="hoptrace-checkpoint", version=2, vocab_sha256="0" * 64)
+        meta["model"]["vocab_size"] = len(vocab)
+        (tmp_path / "vocab.txt").write_text("".join(token + "\n" for token in vocab))
+
+    raw = checkpoint_with_metadata((ws / "run" / "checkpoint.bin").read_bytes(), old_layout)
+    checkpoint = tmp_path / "checkpoint.bin"
+    checkpoint.write_bytes(sealed(b"HOPCKPT2" + raw[8:-32]))
+    question = load_questions(ws / "data" / "qa_dev.txt")[0].question
+    answer = ["answer", question, "--checkpoint", str(checkpoint), "--graph", str(ws / "g_label.bin")]
+    for args in (answer, _eval_args(ws, checkpoint=checkpoint)):
+        capsys.readouterr()
+        assert main(args) == 2
+        says = f"{checkpoint}: not a hoptrace checkpoint of format HOPCKPT3: train it again with `hoptrace train`"
+        assert says in _data_error_line(capsys)
 
 
 def _data_error_line(capsys):
@@ -760,16 +788,22 @@ def _text_model_args(command, text_run, graph, ws):
     return ["answer", load_questions(ws / "data" / "qa_dev.txt")[0].question, *where]
 
 
-def test_text_checkpoint_answers_on_a_graph_mixed_from_its_data(ws, text_run, tmp_path, capsys):
-    """Mixing label triples into a text graph keeps its form, so a model
-    trained on the text graph runs on the mixed one.  Its vocabulary never
-    saw the one-word texts, so it reads each of them as [UNK]."""
+@pytest.mark.parametrize("command", ["answer", "eval"])
+def test_text_checkpoint_is_refused_on_a_graph_mixed_from_its_data(ws, text_run, tmp_path, capsys, command):
+    """Mixing label triples into a text graph keeps its form, but a model
+    trained on the text graph never saw the one-word texts: it would read
+    every one of them as [UNK] and score them all alike.  Both commands
+    stop with exit 2, name the first such text and count them."""
     graph = _build_mixed(ws, tmp_path / "g_mixed.bin")
+    g, vocab = RelationGraph.load(graph), load_checkpoint(text_run / "checkpoint.bin")[1]["vocab"]
+    unseen = [text for text in g.texts if UNK in vocab.encode(text)]
+    assert unseen and len(unseen) < len(g.texts)
     capsys.readouterr()
-    assert main(_text_model_args("answer", text_run, graph, ws)) == 0
-    assert json.loads(capsys.readouterr().out)["answers"]
-    assert main(_text_model_args("eval", text_run, graph, ws)) == 0
-    assert json.loads(capsys.readouterr().out)["count"] > 0
+    assert main(_text_model_args(command, text_run, graph, ws)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error: ") and err.count("\n") == 1, err
+    says = f"{graph}: {len(unseen)} of {len(g.texts)} relation texts hold tokens the checkpoint's vocabulary lacks,"
+    assert says in err and f"the first {unseen[0]!r}: train a model on this graph" in err, err
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -792,8 +826,7 @@ def test_checkpoint_of_the_old_mixed_form_is_refused(ws, text_run, tmp_path, cap
     checkpoint = tmp_path / "run" / "checkpoint.bin"
     checkpoint.parent.mkdir()
     raw = (text_run / "checkpoint.bin").read_bytes()
-    checkpoint.write_bytes(_with_metadata(raw, lambda m: m["config"].update(form="mixed")))
-    (checkpoint.parent / "vocab.txt").write_bytes((text_run / "vocab.txt").read_bytes())
+    checkpoint.write_bytes(checkpoint_with_metadata(raw, lambda m: m["config"].update(form="mixed")))
     capsys.readouterr()
     assert main(_text_model_args("answer", checkpoint.parent, _build_mixed(ws, tmp_path / "g.bin"), ws)) == 2
     err = _data_error_line(capsys)
@@ -898,16 +931,6 @@ def test_eval_on_damaged_inputs_exits_2(ws, tmp_path, capsys):
             _data_error_line(capsys)
 
 
-def _with_metadata(raw, change):
-    """A checkpoint whose JSON metadata has gone through change(meta), with
-    its length field and its sha256 rewritten to match."""
-    (size,) = struct.unpack("<Q", raw[8:16])
-    meta = json.loads(raw[16 : 16 + size])
-    change(meta)
-    blob = json.dumps(meta).encode("utf-8")
-    return sealed(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + size : -32])
-
-
 @pytest.mark.parametrize(
     "change",
     [
@@ -916,16 +939,17 @@ def _with_metadata(raw, change):
         lambda m: m["config"].update(colour="red"),
         lambda m: m["config"].update(out_dir="run"),  # as checkpoints of earlier versions held
         lambda m: m["config"].update(form="graph"),
-        lambda m: m["model"].update(vocab_size=5 * 10**10),  # terabytes of embedding
+        lambda m: m["model"].update(num_predicates=5 * 10**10),  # terabytes of predicate weights
+        lambda m: m.pop("vocab"),
     ],
     ids=[
         "missing-model", "config-d-string", "unknown-config-key", "run-path-config-key", "invalid-config-form",
-        "huge-vocab",
+        "huge-predicates", "missing-vocab",
     ],
 )
 def test_eval_rejects_inconsistent_checkpoint_metadata(ws, tmp_path, capsys, change):
     checkpoint = tmp_path / "checkpoint.bin"
-    checkpoint.write_bytes(_with_metadata((ws / "run" / "checkpoint.bin").read_bytes(), change))
+    checkpoint.write_bytes(checkpoint_with_metadata((ws / "run" / "checkpoint.bin").read_bytes(), change))
     capsys.readouterr()
     assert main(_eval_args(ws, checkpoint=checkpoint)) == 2
     assert str(checkpoint) in _data_error_line(capsys)
@@ -1094,7 +1118,6 @@ def test_answer_rejects_checkpoint_without_a_block(ws, tmp_path, capsys):
     names = sorted(load_checkpoint(ws / "run" / "checkpoint.bin")[0].named())
     checkpoint = tmp_path / "checkpoint.bin"
     checkpoint.write_bytes(checkpoint_with_blocks(raw, [n for n in names if n != "pred.w"]))
-    (tmp_path / "vocab.txt").write_bytes((ws / "run" / "vocab.txt").read_bytes())
     question = load_questions(ws / "data" / "qa_dev.txt")[0].question
     capsys.readouterr()
     assert main(["answer", question, "--checkpoint", str(checkpoint), "--graph", str(ws / "g_label.bin")]) == 2
@@ -1141,17 +1164,15 @@ def test_nonfinite_scores_are_numeric_failures(ws, tmp_path, capsys, param, cut_
     it into the answer scores."""
     params, meta = load_checkpoint(ws / "run" / "checkpoint.bin")
     getattr(params, param).data[:] = np.nan
-    vocab = Vocabulary.load(ws / "run" / "vocab.txt")
     checkpoint = tmp_path / "checkpoint.bin"
-    save_checkpoint(checkpoint, params, TrainConfig(**meta["config"]), vocab)
+    save_checkpoint(checkpoint, params, TrainConfig(**meta["config"]), meta["vocab"])
     question = load_questions(ws / "data" / "qa_dev.txt")[0].question
     g = RelationGraph.load(ws / "g_label.bin")
     graph = tmp_path / "graph.bin"
     topic = g.entities.id(question[question.index("[") + 1 : question.index("]")])
     (_isolate(g, topic) if cut_topic else g).save(graph)
     capsys.readouterr()
-    vocab_path = str(ws / "run" / "vocab.txt")
-    args = ["answer", question, "--checkpoint", str(checkpoint), "--graph", str(graph), "--vocab", vocab_path]
+    args = ["answer", question, "--checkpoint", str(checkpoint), "--graph", str(graph)]
     assert main(args) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numeric failure: "), (out, err)

@@ -21,7 +21,6 @@ from hoptrace.encoder import (
     split_tokens,
 )
 
-from hoptrace.training import vocab_sha256
 
 from oracles import bigru_reference, gradcheck, gru_direction_tape
 
@@ -79,15 +78,14 @@ def test_vocabulary_save_load_roundtrip(tmp_path):
 
 
 def test_vocabulary_ids_and_file_are_pinned(tmp_path):
-    # repeated and reserved tokens keep their first id; the file and the
-    # checkpoint's vocab_sha256 must not drift
+    # repeated and reserved tokens keep their first id; the file must not
+    # drift
     v = Vocabulary(["who", "directed", "movie_3", "<unk>", "who"])
     v.add_text("Alpha likes <sub> beta. Who directed <obj>?")
     v.save(tmp_path / "vocab.txt")
     assert (tmp_path / "vocab.txt").read_bytes() == (
         b"<pad>\n<unk>\n<sub>\n<obj>\nwho\ndirected\nmovie_3\nalpha\nlikes\nbeta\n.\n?\n"
     )
-    assert vocab_sha256(v) == "718ee9813b8030e784e6ce8f6f578477435f140bcd33b75147b120f02eadb10f"
     assert Vocabulary.load(tmp_path / "vocab.txt").names == v.names
 
 

@@ -14,13 +14,12 @@ import pytest
 
 from hoptrace import container
 from hoptrace.config import TrainConfig
-from hoptrace.encoder import Vocabulary
 from hoptrace.errors import DataError, GraphError
 from hoptrace.graph import GRAPH_MAGIC, RelationGraph, Vocab, add_reverse_relations
 from hoptrace.model import ModelParams
 from hoptrace.training import load_checkpoint, save_checkpoint
 
-from conftest import random_label_graph, random_text_graph, sealed
+from conftest import nine_tokens, random_label_graph, random_text_graph, sealed
 
 TRIALS = 60  # per file and kind of damage
 
@@ -145,7 +144,7 @@ def test_crafted_graph_framing_is_a_graph_error(tmp_path, case):
 def test_damaged_checkpoint_never_loads(tmp_path):
     cfg = TrainConfig(form="label", d=4, T=2).validate()
     path = tmp_path / "c.bin"
-    save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, Vocabulary())
+    save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, nine_tokens())
     raw = path.read_bytes()
     rng = np.random.default_rng(12)
     for bad in [*cuts(rng, raw), *byte_flips(rng, raw), raw + b"\0"]:

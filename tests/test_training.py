@@ -14,7 +14,7 @@ from hoptrace import training
 from hoptrace.autodiff import Tensor
 from hoptrace.config import TrainConfig
 from hoptrace.data import QAExample, resolve_examples
-from hoptrace.encoder import RelationEncodingCache, Vocabulary
+from hoptrace.encoder import RelationEncodingCache
 from hoptrace.errors import DataError, GraphError, NumericError, UsageError
 from hoptrace.graph import add_reverse_relations, build_from_text_corpus, build_from_triples, mix_label_into_text
 from hoptrace.model import ModelParams, forward_batch, rank_answers
@@ -31,10 +31,9 @@ from hoptrace.training import (
     save_checkpoint,
     train,
     _keep_freed_memory,
-    vocab_sha256,
 )
 
-from conftest import checkpoint_with_blocks
+from conftest import checkpoint_with_blocks, checkpoint_with_metadata, nine_tokens
 from oracles import finite_difference, loss_reference
 
 
@@ -301,13 +300,6 @@ def test_build_vocabulary_covers_questions_and_texts():
     assert prep[0].answers == frozenset(resolved[0].answer_ids)
 
 
-def test_vocab_hash_changes_with_content():
-    g, resolved = tiny_qa_setup()
-    v1 = build_vocabulary(resolved, g)
-    v2 = build_vocabulary(resolved[:3], g)
-    assert vocab_sha256(v1) != vocab_sha256(v2)
-
-
 # -- training loop --------------------------------------------------------------------
 
 
@@ -441,9 +433,8 @@ def test_checkpoint_roundtrip(tmp_path):
     save_checkpoint(path, result.params, cfg, result.vocab, extra={"note": "test"})
     params2, meta = load_checkpoint(path)
     assert meta["note"] == "test"
-    assert meta["optimizer"]["name"] == "radam"
-    assert "rho_threshold" in meta["optimizer"]
-    assert meta["vocab_sha256"] == vocab_sha256(result.vocab)
+    assert meta["vocab"].names == result.vocab.names
+    np.testing.assert_array_equal(meta["vocab"].encode("who directed [m2]"), result.vocab.encode("who directed [m2]"))
     for k, t in result.params.named().items():
         np.testing.assert_array_equal(t.data, params2.named()[k].data, err_msg=k)
 
@@ -459,12 +450,18 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 
 
 def test_checkpoint_bytes_are_pinned(tmp_path):
-    """Recorded before graphs and checkpoints came to share one container
-    module: checkpoints written before then keep their bytes, and load."""
+    """The whole file is pinned as format HOPCKPT3 writes it.  Its parameter
+    blocks are pinned apart, as HOPCKPT2 wrote them: carrying the
+    vocabulary in the metadata changed no parameter byte."""
     cfg = TrainConfig(form="text", d=4, T=2).validate()
     path = tmp_path / "c.bin"
-    save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, Vocabulary(["who", "directed"]))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == "b3b9b9df7d00c5b34ef19ba121ba8c6ade6a3ff2c03ac4311dc1bb743f149ed4"
+    save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, nine_tokens())
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == "c8555f473ad80682acef4aed66516cfbf417c9b4819d00ccda4249820c4bace2"
+    (size,) = struct.unpack("<Q", raw[8:16])
+    assert hashlib.sha256(raw[16 + size : -32]).hexdigest() == (
+        "a5543dc5309fb321aba7b1709a3c40965eaf9bc53593c1958cc31fa65534f7bd"
+    )
 
 
 def test_checkpoint_roundtrip_through_the_block_list(tmp_path):
@@ -472,7 +469,7 @@ def test_checkpoint_roundtrip_through_the_block_list(tmp_path):
     same bytes, so the cases below differ from a good file in the list only."""
     cfg = TrainConfig(form="label", d=4, T=2).validate()
     path = tmp_path / "c.bin"
-    save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, Vocabulary())
+    save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, nine_tokens())
     raw = path.read_bytes()
     assert checkpoint_with_blocks(raw, sorted(ModelParams(9, 6, 3, cfg).named())) == raw
 
@@ -492,33 +489,74 @@ def test_checkpoint_must_list_each_parameter_once(tmp_path, change, message):
     cfg = TrainConfig(form="label", d=4, T=2).validate()
     path = tmp_path / "c.bin"
     params = ModelParams(9, 6, 3, cfg)
-    save_checkpoint(path, params, cfg, Vocabulary())
+    save_checkpoint(path, params, cfg, nine_tokens())
     path.write_bytes(checkpoint_with_blocks(path.read_bytes(), change(sorted(params.named()))))
     with pytest.raises(DataError, match=message):
         load_checkpoint(path)
 
 
-def test_checkpoint_model_block_is_not_repeated_and_old_keys_still_load(tmp_path):
-    """The "model" block holds only what "config" does not: the sizes the
-    graph and vocabulary give.  A checkpoint written when it also repeated
-    T, d, form and head still loads into the same parameters."""
-    cfg = TrainConfig(form="label", d=4, T=2).validate()
-    params = ModelParams(9, 6, 3, cfg)
-    path = tmp_path / "c.bin"
-    save_checkpoint(path, params, cfg, Vocabulary())
-    raw = path.read_bytes()
+def _metadata(raw) -> dict:
     (size,) = struct.unpack("<Q", raw[8:16])
-    meta = json.loads(raw[16 : 16 + size])
-    assert meta["model"] == {"vocab_size": 9, "n": 6, "num_predicates": 3}
-    assert meta["optimizer"]["betas"] == [0.9, 0.999] and meta["optimizer"]["eps"] == 1e-8
-    meta["model"].update(T=2, d=4, form="label", head="softmax")
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    body = raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + size : -32]
-    path.write_bytes(body + hashlib.sha256(body).digest())
-    loaded, meta = load_checkpoint(path)
-    assert meta["model"]["head"] == "softmax"
-    for k, t in params.named().items():
-        np.testing.assert_array_equal(loaded.named()[k].data, t.data, err_msg=k)
+    return json.loads(raw[16 : 16 + size])
+
+
+def test_checkpoint_model_block_is_not_repeated(tmp_path):
+    """The "model" block holds only what "config" and "vocab" do not: the
+    sizes the graph gives.  The metadata holds no format, version,
+    vocabulary hash or optimizer record: the magic states the format, and
+    nothing reads the others."""
+    cfg = TrainConfig(form="label", d=4, T=2).validate()
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, nine_tokens())
+    meta = _metadata(path.read_bytes())
+    assert meta["model"] == {"n": 6, "num_predicates": 3}
+    assert meta["vocab"] == nine_tokens().names
+    assert set(meta) == {"config", "model", "vocab", "params"}
+
+
+@pytest.mark.parametrize("size", [8, 10])
+def test_save_checkpoint_refuses_a_vocabulary_of_another_size(tmp_path, size):
+    """A file whose vocabulary does not give the embedding its rows could
+    never load, so none is written."""
+    cfg = TrainConfig(form="label", d=4, T=2).validate()
+    path = tmp_path / "c.bin"
+    with pytest.raises(ValueError, match=f"a vocabulary of 9 tokens for an embedding of {size} rows"):
+        save_checkpoint(path, ModelParams(size, 6, 3, cfg), cfg, nine_tokens())
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "vocab, message",
+    [
+        ("<pad> <unk> <sub> <obj> who", "is not a list of distinct strings"),
+        (["<pad>", "<unk>", "<sub>", "<obj>", "who", 7, "by", "the", "x"], "is not a list of distinct strings"),
+        (["<pad>", "<unk>", "<sub>", "<obj>", "who", "by", "who", "the", "x"], "is not a list of distinct strings"),
+        (["who", "<pad>", "<unk>", "<sub>", "<obj>", "by", "the", "x", "y"], "does not start with the reserved tokens"),
+        ({"who": 4}, "is not a list of distinct strings"),
+    ],
+    ids=["string", "number-token", "repeated-token", "reserved-not-first", "object"],
+)
+def test_checkpoint_vocabulary_must_be_distinct_strings(tmp_path, vocab, message):
+    """A "vocab" entry, sealed with a matching sha256, that no Vocabulary
+    writes: each is a data error, not an embedding of the wrong tokens."""
+    cfg = TrainConfig(form="label", d=4, T=2).validate()
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, nine_tokens())
+    path.write_bytes(checkpoint_with_metadata(path.read_bytes(), lambda meta: meta.update(vocab=vocab)))
+    with pytest.raises(DataError, match=f'{path}: "vocab" {message}'):
+        load_checkpoint(path)
+
+
+def test_checkpoint_vocabulary_sets_the_embedding_rows(tmp_path):
+    """The embedding has one row per vocabulary token: a "vocab" one token
+    longer than the file's block is a shape mismatch, not a model."""
+    cfg = TrainConfig(form="label", d=4, T=2).validate()
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, nine_tokens())
+    longer = nine_tokens().names + ["extra"]
+    path.write_bytes(checkpoint_with_metadata(path.read_bytes(), lambda meta: meta.update(vocab=longer)))
+    with pytest.raises(DataError, match="shape mismatch for 'q_enc.emb'"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
