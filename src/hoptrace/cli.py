@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +81,9 @@ def _fraction_arg(text: str) -> float:
     return value
 
 
-# train's plain config overrides: --batch-size sets batch_size, and so on
+# train's config overrides: --batch-size sets batch_size, and so on.  Each
+# defaults to argparse.SUPPRESS, so the Namespace holds a field only when
+# its option is given
 _TRAIN_OPTIONS = (
     ("T", int), ("d", int), ("lr", float), ("epochs", int),
     ("seed", int), ("head", str), ("aggregation", str), ("tau", float),
@@ -125,12 +128,11 @@ def _build_parser() -> _Parser:
     t.add_argument("--out", required=True, help="run directory: checkpoint.bin and train_log.jsonl")
     t.add_argument("--force", action="store_true")
     for name, typ in _TRAIN_OPTIONS:
-        t.add_argument(f"--{name.replace('_', '-')}", type=typ)
+        t.add_argument(f"--{name.replace('_', '-')}", type=typ, default=argparse.SUPPRESS)
     t.add_argument("--omega", type=_omega_arg, default=argparse.SUPPRESS,
                    help="integer cap or 'none' for unlimited")
-    t.add_argument("--no-truncation", action="store_true")
-    t.add_argument("--no-mask", action="store_true")
-    t.add_argument("--no-aux", action="store_true")
+    for flag, field in (("truncation", "use_truncation"), ("mask", "use_mask"), ("aux", "use_aux_hop_loss")):
+        t.add_argument(f"--no-{flag}", action="store_false", dest=field, default=argparse.SUPPRESS)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("--checkpoint", required=True)
@@ -199,19 +201,6 @@ def _cmd_build_graph(args) -> int:
     return 0
 
 
-def _overrides_from_args(args) -> dict:
-    ov = {k: getattr(args, k) for k, _ in _TRAIN_OPTIONS if getattr(args, k) is not None}
-    if hasattr(args, "omega"):
-        ov["omega"] = args.omega
-    if args.no_truncation:
-        ov["use_truncation"] = False
-    if args.no_mask:
-        ov["use_mask"] = False
-    if args.no_aux:
-        ov["use_aux_hop_loss"] = False
-    return ov
-
-
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -231,7 +220,8 @@ def _cmd_train(args) -> int:
     from .data import load_questions, resolve_examples
 
     g = RelationGraph.load(args.graph)
-    cfg = TrainConfig.from_sources(args.config, _overrides_from_args(args), form=g.form)
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if hasattr(args, f.name)}
+    cfg = TrainConfig.from_sources(args.config, overrides, form=g.form)
     if cfg.form != g.form:
         raise DataError(f"config form {cfg.form!r} does not match graph form {g.form!r}")
     data_dir = Path(args.data)

@@ -183,11 +183,12 @@ def load_questions(path) -> list[QAExample]:
             continue
         parts = line.split("\t")
         m = TOPIC_RE.search(parts[0]) if len(parts) == 2 else None
-        if m is None or not parts[1]:
+        answers = answer_names(parts[1]) if m else ()
+        if not answers:  # an answer field that is empty or only separators names nothing
             log.warning("%s:%d: malformed question line skipped", path, i)
             continue
         n = len(out)
-        out.append(QAExample(parts[0], m.group(1), answer_names(parts[1]), hops[n] if n < n_hops else None))
+        out.append(QAExample(parts[0], m.group(1), answers, hops[n] if n < n_hops else None))
     if hops is not None and n_hops != len(out):
         raise DataError(f"{hop_path}: {n_hops} hop labels for {len(out)} questions")
     return out

@@ -22,8 +22,8 @@ are a prefix, and the two directions advance together.  It projects the
 embeddings in that cell order, straight into each step's pre-activations;
 the values and gradients are bit for bit those of a gather and two
 projections in token order (_packed_bigru says why).  Its output is still
-right-padded: past a row's end the forward state carries the row's final
-state and the backward state is 0.
+right-padded, and every pad position is 0 in both halves, so a row's final
+states sit at its last token (forward) and at position 0 (backward).
 
 A step computes its reset and update gates as sigmoid(x) = tanh(x/2)/2 + 1/2
 (_sigmoid_of_half, which says why the model's score heads do not) and its
@@ -197,8 +197,9 @@ def _packed_bigru(emb, tokens, w_xf, w_xb, w_hf, w_hb, b_f, b_b, lengths):
     and emb their embedding table; w_x* and b_* map an embedding row to the
     3d gate pre-activations, stacked (reset, update, candidate).  Returns
     (K, L, 2d): per position, the forward state after it and the backward
-    state after it.  Past a row's end the forward half carries the row's
-    final state and the backward half is 0.
+    state after it.  Every pad position is 0 in both halves: the node
+    writes each cell's state to its own position and nothing else, and a
+    pad's upstream gradient reaches no cell.
 
     The rows are ranked longest first (a stable sort), so the rows still
     running at step s are ranks [:k_s] in both directions: the backward
@@ -226,7 +227,8 @@ def _packed_bigru(emb, tokens, w_xf, w_xb, w_hf, w_hb, b_f, b_b, lengths):
     np.cumsum(np.bincount(step, minlength=L), out=off[1:])
     row = order[rank]
     first = (np.cumsum(lengths) - lengths)[row]
-    tok_f, tok_b = first + step, first + lens[rank] - 1 - step  # each cell's token
+    pos_b = lens[rank] - 1 - step  # each backward cell's position in its row
+    tok_f, tok_b = first + step, first + pos_b  # each cell's token
     # S[:, :K] is the zero initial state and S[:, K + n] the state after cell
     # n; step s reads its input states from S[:, base[s]:]
     base = np.concatenate(([0], K + off[: L - 1]))
@@ -259,30 +261,12 @@ def _packed_bigru(emb, tokens, w_xf, w_xb, w_hf, w_hb, b_f, b_b, lengths):
         new *= z
         new += c  # c + z * (h - c)
 
-    inv = np.empty(K, dtype=np.int64)
-    inv[order] = np.arange(K)
-    t, last = np.arange(L), lengths[:, None] - 1
-    out = np.empty((K, L, 2 * d))
-    out[..., :d] = S[0, K + off[np.minimum(t, last)] + inv[:, None]]
-    back = last - t  # the backward step at position t, negative on pads
-    out[..., d:] = S[1, np.where(back >= 0, K + off[back] + inv[:, None], 0)]
+    out = np.zeros((K, L, 2 * d))
+    out[row, step, :d] = S[0, K:]
+    out[row, pos_b, d:] = S[1, K:]
 
     def vjp(g):
-        # the upstream gradient of each cell's state; a pad's forward state
-        # is its row's final state, so its gradient joins the last token's
-        dS = np.empty((2, N, d))
-        g_f = g[..., :d]
-        dS[0] = g_f[row, step]
-        # a running sum from position L-1 down, the additions of a reversed
-        # cumsum in its order, read at each row's last token: ranks k[s+1] ..
-        # k[s]-1 end at step s, k[s] the rows running at step s
-        k = [hi - lo for lo, hi in zip(offs, offs[1:])] + [0]
-        tail = g_f[:, L - 1].copy()
-        for s in range(L - 1, int(lens[-1]) - 2, -1):
-            if s < L - 1:
-                tail += g_f[:, s]
-            dS[0, offs[s] + k[s + 1] : offs[s + 1]] = tail[order[k[s + 1] : k[s]]]
-        dS[1] = g[row, lens[rank] - 1 - step, d:]
+        dS = np.stack([g[row, step, :d], g[row, pos_b, d:]])  # each cell's upstream gradient
         # every factor that depends on the forward pass alone, in bulk
         r, z = rz[..., :d], rz[..., d:]
         h_in = S[:, base[step] + rank]
@@ -335,27 +319,29 @@ def _bigru(params: EncoderParams, sequences: list[np.ndarray], lengths: np.ndarr
     fed the real tokens only.
 
     Returns (K, L, 2d), L the longest length: the forward and backward
-    states after each position.  Past a row's end the forward half carries
-    the row's final state and the backward half is 0, so padding never
-    reaches a row's states, and out[:, L-1, :d] and out[:, 0, d:] are every
-    sequence's final forward and backward states.
+    states after each position.  Every pad position is 0 in both halves, so
+    padding never reaches a row's states; row k's final forward state sits
+    at out[k, lengths[k] - 1, :d] and its final backward state at
+    out[k, 0, d:].
     """
     p = params
     tokens = np.concatenate(sequences)
     return _packed_bigru(p.emb, tokens, p.w_xf, p.w_xb, p.w_hf, p.w_hb, p.b_f, p.b_b, lengths)
 
 
-def _pool(params: EncoderParams, states: Tensor) -> Tensor:
-    """(K, d) pooled vectors: the projected final forward and backward states."""
-    L, d = states.shape[1], params.d
-    return ad.concat([states[:, L - 1, :d], states[:, 0, d:]], axis=1) @ params.w_out + params.b_out
+def _pool(params: EncoderParams, states: Tensor, lengths: np.ndarray) -> Tensor:
+    """(K, d) pooled vectors: the projected final forward and backward states,
+    read at each row's last token and at position 0."""
+    d = params.d
+    last = states[np.arange(len(lengths)), lengths - 1, :d]
+    return ad.concat([last, states[:, 0, d:]], axis=1) @ params.w_out + params.b_out
 
 
 def encode_question_batch(params: EncoderParams, sequences: list[np.ndarray]) -> BatchQuestionEncoding:
     """Run the BiGRU over B token sequences at once.
 
-    Per-token states at pad positions are junk that the alive mask screens
-    off downstream.
+    The BiGRU's states are 0 at every pad position, so a pad's per-token
+    state h is b_out; the alive mask screens it off downstream.
     """
     if not sequences:
         raise ValueError("cannot encode an empty batch")
@@ -367,7 +353,7 @@ def encode_question_batch(params: EncoderParams, sequences: list[np.ndarray]) ->
     alive = (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)
     # per-token (K, L, 2d) -> project to (K, L, d) via one flat matmul
     flat = ad.reshape(states, (K * L, d2)) @ params.w_out + params.b_out
-    return BatchQuestionEncoding(q=_pool(params, states), h=ad.reshape(flat, (K, L, params.d)), alive=alive)
+    return BatchQuestionEncoding(q=_pool(params, states, lengths), h=ad.reshape(flat, (K, L, params.d)), alive=alive)
 
 
 def encode_question(params: EncoderParams, token_ids: np.ndarray) -> BatchQuestionEncoding:
@@ -382,7 +368,7 @@ def encode_relation_batch(params: EncoderParams, sequences: list[np.ndarray]) ->
     if not sequences:
         return Tensor(np.zeros((0, params.d)))
     lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-    return _pool(params, _bigru(params, sequences, lengths))
+    return _pool(params, _bigru(params, sequences, lengths), lengths)
 
 
 class RelationEncodingCache:

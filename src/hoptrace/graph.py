@@ -363,10 +363,10 @@ def build_from_text_corpus(documents, entity_names) -> RelationGraph:
                 continue
             spans = matcher.find(toks)
             objects = sorted({eid for _, _, eid in spans if eid != sid})
+            span_at = {s: (e, eid) for s, e, eid in spans}
             for obj in objects:
                 rendered = []
                 i = 0
-                span_at = {s: (e, eid) for s, e, eid in spans}
                 while i < len(toks):
                     if i in span_at:
                         end, eid = span_at[i]

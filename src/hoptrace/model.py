@@ -292,7 +292,6 @@ class _Step(NamedTuple):
 class _Pass(NamedTuple):
     steps: list[_Step]
     c: Tensor  # (B, T) hop distribution
-    a_star: Tensor  # (B, n) hop mixture
     mask: Tensor | None  # (B, n) language mask, text forms only
     final: Tensor  # (B, n) answer scores
 
@@ -351,7 +350,7 @@ def _reason(
     a_star = hop_mixture(c, [step.a_t for step in steps])
     mask = ad.sigmoid(enc.q @ params.mask_w + params.mask_b) if text_form and cfg.use_mask else None
     final = a_star if mask is None else mask * a_star
-    return _Pass(steps, c, a_star, mask, final)
+    return _Pass(steps, c, mask, final)
 
 
 def forward_batch(
@@ -403,7 +402,6 @@ def forward(
             ],
             hop_distribution=run.c.data[0],
             mask=None if run.mask is None else run.mask.data[0],
-            a_star=run.a_star.data[0],
             final=final.data,
             ranked=ranked,
             degenerate=degenerate,

@@ -36,7 +36,6 @@ class ReasoningTrace:
     steps: list[StepTrace]
     hop_distribution: np.ndarray
     mask: np.ndarray | None
-    a_star: np.ndarray
     final: np.ndarray
     ranked: np.ndarray
     degenerate: bool

@@ -244,8 +244,8 @@ def gru_direction_tape(gx, w_h, b, alive, reverse):
     """Reference for one direction of the masked BiGRU, built on the tape one
     step at a time from autodiff primitives (take, matmul, sigmoid, tanh,
     mul, add).  gx is the (K, L, 3d) padded input projection and alive the
-    (K, L) 0/1 mask; at a pad position a row keeps its state.  Returns the
-    (K, L, d) state after each position, the half of
+    (K, L) 0/1 mask; at a pad position a row keeps its state, but outputs 0.
+    Returns the (K, L, d) state after each position, the half of
     hoptrace.encoder._packed_bigru's output for this direction; gradients
     come from the tape walk, not from hand-written backprop."""
     K, L, d3 = gx.shape
@@ -265,7 +265,7 @@ def gru_direction_tape(gx, w_h, b, alive, reverse):
         cand = ad.tanh(gate(pre, 2) + r * gate(gh, 2))
         nh = z * h + (-z + 1.0) * cand
         h = ad.Tensor(m) * nh + ad.Tensor(1.0 - m) * h
-        states[i] = ad.reshape(h, (K, 1, d))
+        states[i] = ad.reshape(ad.Tensor(m) * h, (K, 1, d))
     return ad.concat(states, axis=1)
 
 
@@ -358,11 +358,10 @@ def load_questions_reference(path, hop_path=None):
                 continue
             parts = line.split("\t")
             m = re.search(r"\[([^\]]+)\]", parts[0]) if len(parts) == 2 else None
-            if len(parts) != 2 or not parts[1] or m is None:
+            answers = set(parts[1].split("|")) - {""} if m else set()
+            if not answers:
                 logging.getLogger("hoptrace").warning("%s:%d: malformed question line skipped", path, i + 1)
                 continue
-            answers = set(parts[1].split("|"))
-            answers.discard("")
             rows.append((parts[0], m.group(1), tuple(sorted(answers))))
     hops = [None] * len(rows)
     if hop_path is not None:

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -456,12 +457,16 @@ def test_count_setting_that_is_no_positive_integer_exits_1(ws, tmp_path, case):
 @pytest.mark.parametrize("value, want", [("none", None), ("NONE", None), ("inf", None), ("7", 7)])
 def test_omega_option_reaches_the_config(ws, tmp_path, value, want):
     args = cli._build_parser().parse_args(_train_args(ws, tmp_path, "--omega", value))
-    assert TrainConfig.from_sources(None, cli._overrides_from_args(args)).omega == want
+    assert vars(args)["omega"] == want
+    assert TrainConfig.from_sources(None, {"omega": args.omega}).omega == want
 
 
 def test_omega_option_not_given_keeps_the_default(ws, tmp_path):
-    args = cli._build_parser().parse_args(_train_args(ws, tmp_path))
-    assert "omega" not in cli._overrides_from_args(args)
+    """A train option left out puts no config field in the Namespace, so
+    the config file's value or the default stands."""
+    args = vars(cli._build_parser().parse_args(_train_args(ws, tmp_path)))
+    assert "omega" not in args
+    assert not {f.name for f in fields(TrainConfig)} & args.keys()
 
 
 def test_unparsable_omega_is_usage_error(ws, tmp_path, capsys):
@@ -495,6 +500,22 @@ def test_train_artifacts(ws):
     assert cfg["epochs"] == 2 and cfg["d"] == 16  # CLI overrides reached the checkpoint
     rows = [json.loads(line) for line in (run / "train_log.jsonl").read_text().splitlines()]
     assert {r["split"] for r in rows} == {"train", "dev"}
+
+
+ABLATION_FLAGS = {"--no-truncation": "use_truncation", "--no-mask": "use_mask", "--no-aux": "use_aux_hop_loss"}
+
+
+@pytest.mark.parametrize("flag", ABLATION_FLAGS)
+def test_ablation_flag_reaches_the_checkpoint(ws, tmp_path, flag):
+    """Each ablation flag sets its field to false in the checkpoint's
+    config; the two left out stay true, as in a run that gives none."""
+    assert main(_train_args(ws, tmp_path, flag, "--epochs", "1", "--d", "8", "--limit-train", "0.1")) == 0
+    config = load_checkpoint(tmp_path / "run" / "checkpoint.bin")[1]["config"]
+    assert {field: config[field] for field in ABLATION_FLAGS.values()} == {
+        field: field != ABLATION_FLAGS[flag] for field in ABLATION_FLAGS.values()
+    }
+    plain = load_checkpoint(ws / "run" / "checkpoint.bin")[1]["config"]
+    assert all(plain[field] is True for field in ABLATION_FLAGS.values())
 
 
 def test_train_records_blas_in_checkpoint(ws):

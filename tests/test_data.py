@@ -497,6 +497,19 @@ def test_load_questions_skips_malformed(tmp_path, caplog):
     assert got[0].answers == ("P1", "P2")
 
 
+@pytest.mark.parametrize("field", ["|", "||"])
+def test_load_questions_skips_an_answer_field_of_separators_only(tmp_path, caplog, field):
+    """An answer field of separators alone names no answer: the line is
+    skipped with the empty field's warning, and the good line beside it
+    loads."""
+    p = tmp_path / "qa.txt"
+    p.write_text(f"who directed [M1]\t{field}\nwho wrote [M2]\tP3\n")
+    with caplog.at_level(logging.WARNING, logger="hoptrace"):
+        got = load_questions(p)
+    assert [(ex.topic, ex.answers) for ex in got] == [("M2", ("P3",))]
+    assert [r.getMessage() for r in caplog.records] == [f"{p}:1: malformed question line skipped"]
+
+
 def test_load_questions_answer_field_is_a_sorted_set(tmp_path):
     p = tmp_path / "qa.txt"
     p.write_text("who directed [M1]\tb|a||a\n")
@@ -592,9 +605,9 @@ def test_loader_matches_reference_on_crafted_lines(tmp_path, caplog):
         assert warned == [r.getMessage() for r in caplog.records]
     assert list(map(repr, got)) == list(map(repr, want))
     assert [ex.answers for ex in got] == [
-        ("P1", "P2"), ("P1", "P2", "P3"), ("a", "b"), (), ("P1",), ("P1", "P9"), ("P1", "P2"), ("P1", "P2", "P3"),
+        ("P1", "P2"), ("P1", "P2", "P3"), ("a", "b"), ("P1",), ("P1", "P9"), ("P1", "P2"), ("P1", "P2", "P3"),
     ]
-    assert [int(w.rsplit(":", 1)[0].rsplit(":", 1)[1]) for w in warned] == [8, 9, 10, 11, 12]
+    assert [int(w.rsplit(":", 1)[0].rsplit(":", 1)[1]) for w in warned] == [4, 8, 9, 10, 11, 12]
     g = build_from_triples([(m, "p", a) for m in ("M1", "M2", "M3", "M4") for a in ("P1", "P2", "P3")] + [("M2", "p", "a"), ("M2", "p", "b")])
     resolved = resolve_examples(got, g)
     assert [r.question for r in resolved] == [ex.question for ex in got if "P9" not in ex.answers]

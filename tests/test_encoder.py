@@ -188,8 +188,8 @@ def test_packed_bigru_matches_composed_primitives(rng, lengths):
     """Each half of the packed node agrees with the per-step tape recurrence
     of its direction over the padded batch, fed emb[ids] @ w_x: values within
     1e-14 and every gradient within 1e-12, for an upstream gradient that is
-    nonzero at pad positions in both halves.  Each row alone gives its batch
-    row."""
+    nonzero at pad positions in both halves.  Every pad is exactly 0 in both
+    halves, and each row alone gives its batch row."""
     d = 5
     ids, emb, w_x, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d)
     K, L = alive.shape
@@ -205,6 +205,7 @@ def test_packed_bigru_matches_composed_primitives(rng, lengths):
     ]
     for half, ref in zip((out.data[..., :d], out.data[..., d:]), refs):
         np.testing.assert_allclose(half, ref.data, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(out.data[alive == 0], 0.0)
     for k, n in enumerate(lengths):
         row = _packed_bigru(emb, ids[k, :n], *w_x, *w_h, *b, np.array([n]))
         np.testing.assert_allclose(out.data[k, :n], row.data[0], rtol=0, atol=1e-14)
@@ -258,8 +259,8 @@ def test_gru_direction_matches_composed_primitives(rng, half):
 @pytest.mark.parametrize("half", DIRECTIONS.values(), ids=DIRECTIONS.keys())
 def test_gru_direction_gradcheck_through_pad_positions(rng, half):
     """Backprop through time of one half of the packed node against central
-    differences, with an upstream gradient that is nonzero at pad positions:
-    a forward state carried over pads, a backward state that is 0 there."""
+    differences, with an upstream gradient that is nonzero at pad positions,
+    where both halves are 0."""
     d, lengths = 3, [3, 1, 2, 3]
     ids, emb, w_x, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d, scale=0.5)
     K, L = alive.shape
@@ -273,6 +274,19 @@ def test_gru_direction_gradcheck_through_pad_positions(rng, half):
         lambda: ad.sum_(_packed_bigru(emb, tokens, *w_x, *w_h, *b, lengths) * weight),
         [emb, w_x[half], w_h[half], b[half]],
     )
+
+
+def test_pad_gradient_reaches_no_parameter(rng):
+    """An upstream gradient that is nonzero only at pad positions, in both
+    halves, gives every parameter exactly zero gradient: a pad holds no
+    cell's state."""
+    d, lengths = 4, [4, 1, 3, 4, 2]
+    ids, emb, w_x, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d)
+    weight = rng.standard_normal((*alive.shape, 2 * d)) * (alive == 0)[..., None]
+    out = _packed_bigru(emb, ids[alive > 0], *w_x, *w_h, *b, np.array(lengths))
+    ad.sum_(out * Tensor(weight)).backward()
+    for name, t in zip(("emb", "w_xf", "w_xb", "w_hf", "w_hb", "b_f", "b_b"), [emb, *w_x, *w_h, *b]):
+        np.testing.assert_array_equal(t.grad, 0.0, err_msg=name)
 
 
 def test_encoder_gradcheck(rng):

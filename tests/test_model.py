@@ -683,8 +683,7 @@ def test_hop_mixture_blends(chain_graph):
     c = tr.hop_distribution
     assert abs(c.sum() - 1.0) <= 1e-6
     want = sum(c[t] * tr.steps[t].entity_scores for t in range(3))
-    np.testing.assert_allclose(tr.a_star, want, atol=1e-12)
-    np.testing.assert_array_equal(tr.final, tr.a_star)  # label form: no mask
+    np.testing.assert_allclose(tr.final, want, atol=1e-12)  # label form: no mask
 
 
 def test_language_mask_gates(rng):
@@ -695,7 +694,20 @@ def test_language_mask_gates(rng):
     m = tr.mask
     assert m.shape == (g.n,)
     assert np.all((0 < m) & (m < 1))
-    np.testing.assert_allclose(tr.final, m * tr.a_star)
+    mixture = sum(c_t * s.entity_scores for c_t, s in zip(tr.hop_distribution, tr.steps))
+    np.testing.assert_allclose(tr.final, m * mixture, atol=1e-12)
+
+
+def test_text_forward_without_the_mask_is_the_mixture(rng):
+    """use_mask=False: a text forward traces no mask, and its answer
+    scores are the hop mixture itself."""
+    g = add_reverse_relations(random_text_graph(rng, n=10, num_rels=20))
+    cfg = text_cfg(use_mask=False)
+    params = make_params(cfg, n=g.n, num_predicates=g.num_predicates)
+    tr = forward(g, np.array([4, 5]), 2, params, cfg, cache=make_cache(params, g)).trace
+    assert tr.mask is None
+    mixture = sum(c_t * s.entity_scores for c_t, s in zip(tr.hop_distribution, tr.steps))
+    np.testing.assert_allclose(tr.final, mixture, atol=1e-12)
 
 
 def test_rank_answers_ties_break_by_id():

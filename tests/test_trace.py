@@ -68,7 +68,6 @@ def _label_trace():
         steps=steps,
         hop_distribution=np.array([0.5, 0.5]),
         mask=None,
-        a_star=np.zeros(4),
         final=np.zeros(4),
         ranked=np.arange(4),
         degenerate=False,
@@ -91,7 +90,7 @@ def test_dot_quotes_in_entity_and_predicate_names_stay_inside_their_labels():
     step = StepTrace(np.array([1.0]), None, np.array([0.9]), np.array([0.0, 1.0]))
     trace = ReasoningTrace(
         question="", tokens=np.zeros(1, dtype=np.int64), topics=[0], steps=[step], hop_distribution=np.array([1.0]),
-        mask=None, a_star=np.zeros(2), final=np.zeros(2), ranked=np.arange(2), degenerate=False,
+        mask=None, final=np.zeros(2), ranked=np.arange(2), degenerate=False,
     )
     assert trace.to_dot(g) == (
         "digraph reasoning {\n"
@@ -140,7 +139,7 @@ def _text_case():
     ]
     trace = ReasoningTrace(
         question="who did [ann] greet", tokens=vocab.encode("who did ann"), topics=[0], steps=steps,
-        hop_distribution=np.array([0.25, 0.75]), mask=np.array([0.0, 1.0, 0.5, 0.75]), a_star=np.zeros(4),
+        hop_distribution=np.array([0.25, 0.75]), mask=np.array([0.0, 1.0, 0.5, 0.75]),
         final=np.array([0.0, 0.5, 0.25, 0.9]), ranked=np.array([3, 1, 2, 0]), degenerate=False,
     )
     return g, vocab, trace

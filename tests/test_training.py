@@ -316,6 +316,24 @@ def test_overfit_tiny_label_dataset(tmp_path):
     assert train_rows[-1]["loss"] < train_rows[0]["loss"]
 
 
+def test_train_without_the_aux_hop_loss(tmp_path):
+    """use_aux_hop_loss=False: a batch's loss has no hop term, and every
+    train row of the log has a null aux_loss, where the default run logs
+    one."""
+    g, resolved = tiny_qa_setup()
+    aux_losses = {}
+    for use_aux in (True, False):
+        cfg = TrainConfig(form="label", epochs=2, d=8, seed=0, batch_size=4, use_aux_hop_loss=use_aux).validate()
+        vocab = build_vocabulary(resolved, g)
+        params = ModelParams(len(vocab), g.n, g.num_predicates, cfg)
+        lb = training._batch_loss(g, params, prepare_examples(resolved, vocab), cfg, None)[1]
+        assert (lb.aux_hop is None) is not use_aux
+        train(cfg, g, resolved, resolved, log_path=tmp_path / "train_log.jsonl")
+        aux_losses[use_aux] = [row["aux_loss"] for row in read_log(tmp_path / "train_log.jsonl") if row["split"] == "train"]
+    assert aux_losses[False] == [None, None]
+    assert all(isinstance(x, float) and x > 0 for x in aux_losses[True])
+
+
 def test_train_restores_best_dev_epoch():
     g, resolved = tiny_qa_setup()
     cfg = TrainConfig(form="label", epochs=8, d=8, seed=0, batch_size=4).validate()
