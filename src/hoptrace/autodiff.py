@@ -296,14 +296,3 @@ def take(a, key):
 
     return node(a.data[key], (a,), vjp)
 
-
-def concat(tensors, axis=0):
-    tensors = [_ensure(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return node(out, tuple(tensors), vjp)
-

@@ -163,34 +163,45 @@ def _hop_path(path) -> Path:
     return path.with_name(path.stem + "_hops.txt")
 
 
+def _hop_labels(hop_path) -> list[int]:
+    """A sidecar's whitespace-separated hop labels, each at least 1."""
+    text = read_text(hop_path, DataError)
+    try:
+        hops = [int(x) for x in text.split()]
+    except ValueError as e:
+        raise DataError(f"{hop_path}: hop labels must be integers: {e}") from None
+    if hops and min(hops) < 1:  # name the first line that holds one
+        i, low = next((i, h) for i, line in enumerate(text.split("\n"), 1) for h in map(int, line.split()) if h < 1)
+        raise DataError(f"{hop_path}:{i}: hop label {low} is below 1")
+    return hops
+
+
 def load_questions(path) -> list[QAExample]:
     """Parse ``question<TAB>answer1|answer2|...`` lines; the topic is the
     bracketed span.  The sidecar ``<stem>_hops.txt``, when it exists,
-    supplies one hop count per line."""
+    supplies one hop count per non-empty line, so a malformed line that is
+    skipped drops its label with it."""
     path = Path(path)
     hop_path = _hop_path(path)
-    hops = None
-    if hop_path.exists():
-        try:
-            hops = [int(x) for x in read_text(hop_path, DataError).split()]
-        except ValueError as e:
-            raise DataError(f"{hop_path}: hop labels must be integers: {e}") from None
-    n_hops = len(hops) if hops is not None else 0
+    hops = _hop_labels(hop_path) if hop_path.exists() else None
+    lines = read_text(path, DataError).split("\n")
+    n = len(lines) - lines.count("")
+    if hops is not None and len(hops) != n:
+        raise DataError(f"{hop_path}: {len(hops)} hop labels for {n} questions")
+    labels = iter(hops or ())
     answer_names = functools.cache(_answer_names)  # the phrasings of a question share its field
     out = []
-    for i, line in enumerate(read_text(path, DataError).split("\n"), 1):
+    for i, line in enumerate(lines, 1):
         if not line:
             continue
+        hop = next(labels, None)
         parts = line.split("\t")
         m = TOPIC_RE.search(parts[0]) if len(parts) == 2 else None
         answers = answer_names(parts[1]) if m else ()
         if not answers:  # an answer field that is empty or only separators names nothing
             log.warning("%s:%d: malformed question line skipped", path, i)
             continue
-        n = len(out)
-        out.append(QAExample(parts[0], m.group(1), answers, hops[n] if n < n_hops else None))
-    if hops is not None and n_hops != len(out):
-        raise DataError(f"{hop_path}: {n_hops} hop labels for {len(out)} questions")
+        out.append(QAExample(parts[0], m.group(1), answers, hop))
     return out
 
 

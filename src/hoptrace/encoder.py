@@ -9,21 +9,23 @@ Per-token states are the concatenated forward/backward hidden states
 projected down to d; the pooled vector is the projected concatenation of
 the final forward and final backward states.
 
-One recurrence, _bigru, runs both directions over a batch of token
+One recurrence, _packed_bigru, runs both directions over a batch of token
 sequences and serves every encoder: a question batch projects the
 per-token states and the pooled vector, the relation table only the pooled
-vector, and a single question is a batch of one.  It is one graph node,
-_packed_bigru, from the token ids to the states: the embedding gather, the
-input projections and the recurrence, whose backward pass is hand-written
+vector, and a single question is a batch of one.  It is one graph node
+from the token ids to the states: the embedding gather, the input
+projections and the recurrence, whose backward pass is hand-written
 backprop through time, so the tape does not grow with the length of a
 sentence.  The node is packed: it computes only real tokens, never a pad.
 Its rows are ranked longest first, so the rows still running at each step
-are a prefix, and the two directions advance together.  It projects the
-embeddings in that cell order, straight into each step's pre-activations;
-the values and gradients are bit for bit those of a gather and two
-projections in token order (_packed_bigru says why).  Its output is still
-right-padded, and every pad position is 0 in both halves, so a row's final
-states sit at its last token (forward) and at position 0 (backward).
+are a prefix, and the two directions advance together, on GRU weights
+stored stacked by direction as the node computes with them.  It projects
+the embeddings in that cell order, straight into each step's
+pre-activations; the values and gradients are bit for bit those of a
+gather and a projection in token order (_packed_bigru says why).  Its
+output is still right-padded, and every pad position is 0 in both halves,
+so _pool reads a row's final states at its last token (forward) and at
+position 0 (backward) in one gather.
 
 A step computes its reset and update gates as sigmoid(x) = tanh(x/2)/2 + 1/2
 (_sigmoid_of_half, which says why the model's score heads do not) and its
@@ -148,9 +150,11 @@ def _uniform(rng, shape, scale):
 class EncoderParams:
     """Embeddings + bidirectional GRU weights + output projection to d.
 
-    The three GRU gates are fused: ``w_x*`` maps inputs to the stacked
-    (reset, update, candidate) pre-activations of size 3h, ``w_h*`` does the
-    same for the hidden state.
+    The GRU weights are stacked by direction, forward at index 0: ``w_x``
+    (2, d, 3d) maps an embedding row, and ``w_h`` (2, d, 3d) the hidden
+    state, to the fused gate pre-activations (reset, update, candidate),
+    and ``b`` (2, 3d) is their bias.  The initial values are drawn in the
+    order forward w_x, forward w_h, backward w_x, backward w_h.
     """
 
     def __init__(self, vocab_size: int, d: int, rng, prefix: str):
@@ -158,12 +162,10 @@ class EncoderParams:
         self.prefix = prefix
         s = 1.0 / np.sqrt(d)
         self.emb = _uniform(rng, (vocab_size, d), 0.1)
-        self.w_xf = _uniform(rng, (d, 3 * d), s)
-        self.w_hf = _uniform(rng, (d, 3 * d), s)
-        self.b_f = Tensor(np.zeros(3 * d), requires_grad=True)
-        self.w_xb = _uniform(rng, (d, 3 * d), s)
-        self.w_hb = _uniform(rng, (d, 3 * d), s)
-        self.b_b = Tensor(np.zeros(3 * d), requires_grad=True)
+        gru = _uniform(rng, (2, 2, d, 3 * d), s).data  # (direction, input/hidden, d, 3d)
+        self.w_x = Tensor(gru[:, 0].copy(), requires_grad=True)
+        self.w_h = Tensor(gru[:, 1].copy(), requires_grad=True)
+        self.b = Tensor(np.zeros((2, 3 * d)), requires_grad=True)
         self.w_out = _uniform(rng, (2 * d, d), s)
         self.b_out = Tensor(np.zeros(d), requires_grad=True)
 
@@ -189,13 +191,15 @@ def _sigmoid_of_half(x):
     return x
 
 
-def _packed_bigru(emb, tokens, w_xf, w_xb, w_hf, w_hb, b_f, b_b, lengths):
+def _packed_bigru(emb, tokens, w_x, w_h, b, lengths):
     """Both directions of the GRU over K token sequences of the given
     lengths, as a single graph node with hand-written backprop through time.
 
     tokens holds the N real token ids, the sequences concatenated in order,
-    and emb their embedding table; w_x* and b_* map an embedding row to the
-    3d gate pre-activations, stacked (reset, update, candidate).  Returns
+    and emb their embedding table.  w_x, w_h and b are EncoderParams'
+    direction-stacked weights: w_x[i] and b[i] map an embedding row, and
+    w_h[i] the state, to direction i's 3d gate pre-activations, stacked
+    (reset, update, candidate), forward at i = 0.  Returns
     (K, L, 2d): per position, the forward state after it and the backward
     state after it.  Every pad position is 0 in both halves: the node
     writes each cell's state to its own position and nothing else, and a
@@ -214,11 +218,11 @@ def _packed_bigru(emb, tokens, w_xf, w_xb, w_hf, w_hb, b_f, b_b, lengths):
     row of a product does not depend on where the row sits, and the gate
     columns of the weights and biases are halved up front, which is exact.
     The backward pass scatters its gradients back to token order and forms
-    the weight and embedding gradients there, as a gather and two matmul
-    nodes would.
+    the embedding gradient and each weight's whole (2, ...) gradient there,
+    as a gather and a batched matmul node would.
     """
     K, L = len(lengths), int(lengths.max())
-    N, d = len(tokens), w_hf.shape[0]
+    N, d = len(tokens), w_h.shape[1]
     d3 = 3 * d
     order = np.argsort(-lengths, kind="stable")  # rank -> row
     lens = lengths[order]
@@ -232,15 +236,14 @@ def _packed_bigru(emb, tokens, w_xf, w_xb, w_hf, w_hb, b_f, b_b, lengths):
     # S[:, :K] is the zero initial state and S[:, K + n] the state after cell
     # n; step s reads its input states from S[:, base[s]:]
     base = np.concatenate(([0], K + off[: L - 1]))
-    whd = np.stack([w_hf.data, w_hb.data])  # (2, d, 3d)
     # the gates' pre-activations enter halved, for _sigmoid_of_half; halving
     # is exact, so pre[..., :2d] and h @ w_rz are exactly half of the gate
     # columns of x @ w_x + b and h @ w_h.  The gate and candidate columns of
     # h @ w_h are two products, so each lands in contiguous rows
-    half_x, half_b = np.stack([w_xf.data, w_xb.data]), np.stack([b_f.data, b_b.data])
+    half_x, half_b = w_x.data.copy(), b.data.copy()
     for a in (half_x, half_b):
         a[..., : 2 * d] *= 0.5
-    w_rz, w_c = whd[..., : 2 * d] * 0.5, np.ascontiguousarray(whd[..., 2 * d :])
+    w_rz, w_c = w_h.data[..., : 2 * d] * 0.5, np.ascontiguousarray(w_h.data[..., 2 * d :])
     pre = np.matmul(emb.data[tokens[np.stack([tok_f, tok_b])]], half_x)
     pre += half_b[:, None]
     S = np.zeros((2, K + N, d))
@@ -277,7 +280,7 @@ def _packed_bigru(emb, tokens, w_xf, w_xb, w_hf, w_hb, b_f, b_b, lengths):
         fac[:, :, 2] = a * r
         dgh4 = np.empty((2, N, 3, d))
         dgh = dgh4.reshape(2, N, d3)
-        whd_t = whd.transpose(0, 2, 1)
+        w_h_t = w_h.data.transpose(0, 2, 1)
         for s in range(L - 1, -1, -1):
             lo, hi = offs[s], offs[s + 1]
             dnh = dS[:, lo:hi]
@@ -285,21 +288,20 @@ def _packed_bigru(emb, tokens, w_xf, w_xb, w_hf, w_hb, b_f, b_b, lengths):
             if s:  # step 0 starts from the zero state
                 prev = dS[:, offs[s - 1] : offs[s - 1] + hi - lo]
                 prev += dnh * z[:, lo:hi]
-                prev += np.matmul(dgh[:, lo:hi], whd_t)
+                prev += np.matmul(dgh[:, lo:hi], w_h_t)
         # the zero state of step 0 adds nothing to dw_h
         dw_h = np.matmul(h_in[:, K:].transpose(0, 2, 1), dgh[:, K:])
         dgh4[:, :, 2] = dS * a  # the candidate pre-activation's gradient, not scaled by r
         db = dgh.sum(axis=1)
         # back to token order, for the products and the scatter the docstring names
-        dgx_f, dgx_b = np.empty((N, d3)), np.empty((N, d3))
-        dgx_f[tok_f], dgx_b[tok_b] = dgh[0], dgh[1]
-        xs_t = emb.data[tokens].T
-        dxs = dgx_f @ w_xf.data.T + dgx_b @ w_xb.data.T
+        dgx = np.empty((2, N, d3))
+        dgx[0, tok_f], dgx[1, tok_b] = dgh[0], dgh[1]
+        dxs = dgx[0] @ w_x.data[0].T + dgx[1] @ w_x.data[1].T
         dim = emb.shape[1]
         demb = _scatter((tokens[:, None] * dim + np.arange(dim)).ravel(), dxs.ravel(), emb.data.size)
-        return demb.reshape(emb.shape), xs_t @ dgx_f, xs_t @ dgx_b, dw_h[0], dw_h[1], db[0], db[1]
+        return demb.reshape(emb.shape), np.matmul(emb.data[tokens].T, dgx), dw_h, db
 
-    return ad.node(out, (emb, w_xf, w_xb, w_hf, w_hb, b_f, b_b), vjp)
+    return ad.node(out, (emb, w_x, w_h, b), vjp)
 
 
 class BatchQuestionEncoding(NamedTuple):
@@ -314,27 +316,14 @@ class BatchQuestionEncoding(NamedTuple):
     alive: np.ndarray
 
 
-def _bigru(params: EncoderParams, sequences: list[np.ndarray], lengths: np.ndarray) -> Tensor:
-    """The BiGRU over K token sequences: one graph node for both directions,
-    fed the real tokens only.
-
-    Returns (K, L, 2d), L the longest length: the forward and backward
-    states after each position.  Every pad position is 0 in both halves, so
-    padding never reaches a row's states; row k's final forward state sits
-    at out[k, lengths[k] - 1, :d] and its final backward state at
-    out[k, 0, d:].
-    """
-    p = params
-    tokens = np.concatenate(sequences)
-    return _packed_bigru(p.emb, tokens, p.w_xf, p.w_xb, p.w_hf, p.w_hb, p.b_f, p.b_b, lengths)
-
-
 def _pool(params: EncoderParams, states: Tensor, lengths: np.ndarray) -> Tensor:
-    """(K, d) pooled vectors: the projected final forward and backward states,
-    read at each row's last token and at position 0."""
-    d = params.d
-    last = states[np.arange(len(lengths)), lengths - 1, :d]
-    return ad.concat([last, states[:, 0, d:]], axis=1) @ params.w_out + params.b_out
+    """(K, d) pooled vectors: the projected final forward and backward states
+    of _packed_bigru's (K, L, 2d) output, read in one gather.  Row k's final
+    forward state sits at its last token, out[k, lengths[k] - 1, :d], and
+    its final backward state at position 0, out[k, 0, d:]."""
+    cols = np.arange(2 * params.d)
+    pos = np.where(cols < params.d, (lengths - 1)[:, None], 0)  # (K, 2d)
+    return states[np.arange(len(lengths))[:, None], pos, cols] @ params.w_out + params.b_out
 
 
 def encode_question_batch(params: EncoderParams, sequences: list[np.ndarray]) -> BatchQuestionEncoding:
@@ -348,7 +337,7 @@ def encode_question_batch(params: EncoderParams, sequences: list[np.ndarray]) ->
     lengths = np.array([len(s) for s in sequences], dtype=np.int64)
     if lengths.min() == 0:
         raise ValueError("cannot encode an empty token sequence")
-    states = _bigru(params, sequences, lengths)
+    states = _packed_bigru(params.emb, np.concatenate(sequences), params.w_x, params.w_h, params.b, lengths)
     K, L, d2 = states.shape
     alive = (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)
     # per-token (K, L, 2d) -> project to (K, L, d) via one flat matmul
@@ -368,7 +357,8 @@ def encode_relation_batch(params: EncoderParams, sequences: list[np.ndarray]) ->
     if not sequences:
         return Tensor(np.zeros((0, params.d)))
     lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-    return _pool(params, _bigru(params, sequences, lengths), lengths)
+    states = _packed_bigru(params.emb, np.concatenate(sequences), params.w_x, params.w_h, params.b, lengths)
+    return _pool(params, states, lengths)
 
 
 class RelationEncodingCache:

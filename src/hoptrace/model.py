@@ -48,7 +48,11 @@ class ModelParams:
     """Every trainable tensor, addressable by name for the optimizer,
     gradient checking, and checkpoints.  The initial values are drawn from
     a generator seeded with cfg.seed; fill=False leaves the drawn tensors
-    unfilled instead, for load_checkpoint, which overwrites every one."""
+    unfilled instead, for load_checkpoint, which overwrites every one.
+
+    The T step query projections are one (d, T*d) matrix step_w and one
+    (T*d,) bias step_b: step t (1-based) owns columns (t-1)*d .. t*d - 1 of
+    both.  Their initial values are drawn one (d, d) step at a time."""
 
     def __init__(self, vocab_size: int, n: int, num_predicates: int, cfg, fill: bool = True):
         self.vocab_size = vocab_size
@@ -62,8 +66,9 @@ class ModelParams:
         s = 1.0 / np.sqrt(d)
         rng = np.random.default_rng(cfg.seed) if fill else None
         self.q_enc = EncoderParams(vocab_size, d, rng, "q_enc")
-        self.step_w = [_uniform(rng, (d, d), s) for _ in range(T)]
-        self.step_b = [_zeros(d) for _ in range(T)]
+        steps = _uniform(rng, (T, d, d), s).data  # drawn step by step
+        self.step_w = Tensor(steps.transpose(1, 0, 2).reshape(d, T * d), requires_grad=True)
+        self.step_b = _zeros(T * d)
         # score heads are plain linear maps; attention and gating supply
         # all the nonlinearity this model needs
         self.hop_w = _uniform(rng, (d, T), s)
@@ -80,10 +85,7 @@ class ModelParams:
 
     def named(self) -> dict[str, Tensor]:
         out = dict(self.q_enc.named())
-        for t, (w, b) in enumerate(zip(self.step_w, self.step_b), 1):
-            out[f"step{t}.w"] = w
-            out[f"step{t}.b"] = b
-        for group in ("hop", "pred", "text", "mask"):
+        for group in ("step", "hop", "pred", "text", "mask"):
             for leaf in ("w", "b"):
                 key = f"{group}_{leaf}"
                 if hasattr(self, key):
@@ -99,13 +101,11 @@ def step_attention(enc: BatchQuestionEncoding, params: ModelParams) -> tuple[Ten
 
     Step t's query tanh(q W_t + b_t) depends on the question alone, not on
     the entity scores, so all T attentions run before the transfers: one
-    product gives the queries, with the step weights concatenated at use so
-    each keeps its own name, one batched product the logits and one the
-    step vectors.
+    product with the stacked step_w gives every step's query, one batched
+    product the logits and one the step vectors.
     """
     B, L = enc.alive.shape
-    w, b = ad.concat(params.step_w, axis=1), ad.concat(params.step_b)  # (d, T*d), (T*d,)
-    queries = ad.reshape(ad.tanh(enc.q @ w + b), (B, params.T, params.d))
+    queries = ad.reshape(ad.tanh(enc.q @ params.step_w + params.step_b), (B, params.T, params.d))
     pad_penalty = ((enc.alive - 1.0) * 1e9).reshape(B, 1, L)  # 0 on real tokens, -1e9 on pads
     att = ad.softmax(queries @ ad.transpose(enc.h, (0, 2, 1)) + pad_penalty)
     return att, att @ enc.h

@@ -27,7 +27,7 @@ log = logging.getLogger("hoptrace")
 
 AUX_WEIGHT = 0.01
 EVAL_CHUNK = 64  # questions per forward in evaluate
-CKPT_MAGIC = b"HOPCKPT3"
+CKPT_MAGIC = b"HOPCKPT4"
 
 
 def batch_targets(answer_sets, n: int) -> np.ndarray:
@@ -215,13 +215,15 @@ def _keep_freed_memory():
         mallopt(-1, -1)  # M_TRIM_THRESHOLD; -1 turns trimming off
 
 
-def _batch_loss(g, params: ModelParams, batch, cfg, cache):
+def _batch_loss(g, params: ModelParams, batch, cfg, cache, hops: bool = True):
     """One forward over the prepared examples of batch, and its LossBreakdown
-    against their answers and gold hops.  forward_batch and compute_loss are
-    looked up as module globals, where the bench's spans wrap them."""
+    against their answers and, if hops, their gold hops.  forward_batch and
+    compute_loss are looked up as module globals, where the bench's spans
+    wrap them."""
     res = forward_batch(g, [ex.tokens for ex in batch], [ex.topic for ex in batch], params, cfg, cache=cache)
     ys = batch_targets([ex.answers for ex in batch], g.n)
-    return res, compute_loss(res.final, ys, res.c, [ex.gold_hop for ex in batch], cfg.use_aux_hop_loss)
+    gold = [ex.gold_hop for ex in batch] if hops else None
+    return res, compute_loss(res.final, ys, res.c, gold, cfg.use_aux_hop_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +234,9 @@ def evaluate(g, params: ModelParams, prepared, cfg, cache=None) -> dict:
     """hits@1 per hop and overall, plus the mean main loss.  Runs EVAL_CHUNK
     questions per forward and reads their top answers with one top_answers
     call: the highest score, the lowest id on ties, and an all-zero row is
-    a miss, as in rank_answers.  A relation encoding cache is invalidated
-    on entry, so its table encodes the parameters as they are now."""
+    a miss, as in rank_answers.  No hop loss is computed: a gold hop above
+    T is scored under its own key.  A relation encoding cache is
+    invalidated on entry, so its table encodes the parameters as now."""
     if cache is not None:
         cache.invalidate()
     _keep_freed_memory()
@@ -242,7 +245,7 @@ def evaluate(g, params: ModelParams, prepared, cfg, cache=None) -> dict:
     with no_grad():
         for lo in range(0, len(prepared), EVAL_CHUNK):
             group = prepared[lo : lo + EVAL_CHUNK]
-            res, lb = _batch_loss(g, params, group, cfg, cache)
+            res, lb = _batch_loss(g, params, group, cfg, cache, hops=False)
             top, degenerate = top_answers(res.final.data)
             for ex, t, d in zip(group, top.tolist(), degenerate.tolist()):
                 hits.setdefault(ex.gold_hop, []).append(int(not d and t in ex.answers))

@@ -69,6 +69,15 @@ def sum_axis(a, axis):
     return ad.node(a.data.sum(axis=axis), (a,), vjp)
 
 
+def concat(tensors, axis):
+    """np.concatenate on the tape; its vjp splits the gradient back into
+    the parts.  The package never concatenates on the tape: its weights are
+    stored as its products read them."""
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return ad.node(out, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=axis)))
+
+
 def dense_predicate_matrices(n, heads, preds, tails, num_predicates):
     """One dense n×n adjacency per predicate; M[p][h, t] = 1."""
     mats = [np.zeros((n, n)) for _ in range(num_predicates)]
@@ -222,16 +231,18 @@ def _gru_step(x_proj, h, w_h, b, d):
 def bigru_reference(p, token_ids):
     """Reference for the question and relation encoders: one sequence, no
     padding and no mask, numpy arrays only.  p is an EncoderParams (only
-    its arrays are read).  Returns (pooled (d,), per-token states (L, d))."""
+    its arrays are read; index 0 of its stacked GRU weights is the forward
+    direction).  Returns (pooled (d,), per-token states (L, d))."""
     d = p.d
     xs = p.emb.data[np.asarray(token_ids)]
+    (w_xf, w_xb), (w_hf, w_hb), (b_f, b_b) = p.w_x.data, p.w_h.data, p.b.data
     fwd, h = [], np.zeros(d)
     for x in xs:
-        h = _gru_step(x @ p.w_xf.data, h, p.w_hf.data, p.b_f.data, d)
+        h = _gru_step(x @ w_xf, h, w_hf, b_f, d)
         fwd.append(h)
     bwd, h = [], np.zeros(d)
     for x in xs[::-1]:
-        h = _gru_step(x @ p.w_xb.data, h, p.w_hb.data, p.b_b.data, d)
+        h = _gru_step(x @ w_xb, h, w_hb, b_b, d)
         bwd.append(h)
     bwd.reverse()
     w_out, b_out = p.w_out.data, p.b_out.data
@@ -243,8 +254,10 @@ def bigru_reference(p, token_ids):
 def gru_direction_tape(gx, w_h, b, alive, reverse):
     """Reference for one direction of the masked BiGRU, built on the tape one
     step at a time from autodiff primitives (take, matmul, sigmoid, tanh,
-    mul, add).  gx is the (K, L, 3d) padded input projection and alive the
-    (K, L) 0/1 mask; at a pad position a row keeps its state, but outputs 0.
+    mul, add, and the test-local concat).  gx is the (K, L, 3d) padded
+    input projection, w_h and b the direction's (d, 3d) and (3d,) weights
+    and alive the (K, L) 0/1 mask; at a pad position a row keeps its state,
+    but outputs 0.
     Returns the (K, L, d) state after each position, the half of
     hoptrace.encoder._packed_bigru's output for this direction; gradients
     come from the tape walk, not from hand-written backprop."""
@@ -266,21 +279,23 @@ def gru_direction_tape(gx, w_h, b, alive, reverse):
         nh = z * h + (-z + 1.0) * cand
         h = ad.Tensor(m) * nh + ad.Tensor(1.0 - m) * h
         states[i] = ad.reshape(ad.Tensor(m) * h, (K, 1, d))
-    return ad.concat(states, axis=1)
+    return concat(states, axis=1)
 
 
 def step_attention_composed(enc, params):
     """Reference for model.step_attention: one step at a time, each from a
     (B, L, d) broadcast product summed over d for the logits and a (B, L, d)
     product summed over L for the step vector, built on the tape from
-    autodiff primitives.  Returns T (attention (B, L), step vector (B, d))
-    pairs."""
+    autodiff primitives, with step t's weights sliced from its columns of
+    the stacked step_w and step_b.  Returns T (attention (B, L), step vector
+    (B, d)) pairs."""
     B, L = enc.alive.shape
     d = params.d
     pad_penalty = ad.Tensor((enc.alive - 1.0) * 1e9)
     steps = []
-    for w, b in zip(params.step_w, params.step_b):
-        qk = ad.tanh(enc.q @ w + b)
+    for t in range(params.T):
+        cols = slice(t * d, (t + 1) * d)
+        qk = ad.tanh(enc.q @ params.step_w[:, cols] + params.step_b[cols])
         att = ad.softmax(sum_axis(enc.h * ad.reshape(qk, (B, 1, d)), 2) + pad_penalty)
         steps.append((att, sum_axis(ad.reshape(att, (B, L, 1)) * enc.h, 1)))
     return steps
@@ -344,27 +359,26 @@ def brute_select(a, tau, omega, rel_heads, rel_ids=None):
 
 def load_questions_reference(path, hop_path=None):
     """Question-file parse with a set and a sort per answer field and
-    records built by keyword.  Malformed lines are skipped with the same
-    warning as the program's; hop labels come from hop_path, else from
-    <stem>_hops.txt when it exists, and must number the questions kept."""
+    records built by keyword.  Hop labels come from hop_path, else from
+    <stem>_hops.txt when it exists, and must number the non-empty lines,
+    one label each; malformed lines are then skipped, with their labels,
+    with the same warning as the program's."""
     path = Path(path)
     if hop_path is None and path.with_name(path.stem + "_hops.txt").exists():
         hop_path = path.with_name(path.stem + "_hops.txt")
-    rows = []
     with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            m = re.search(r"\[([^\]]+)\]", parts[0]) if len(parts) == 2 else None
-            answers = set(parts[1].split("|")) - {""} if m else set()
-            if not answers:
-                logging.getLogger("hoptrace").warning("%s:%d: malformed question line skipped", path, i + 1)
-                continue
-            rows.append((parts[0], m.group(1), tuple(sorted(answers))))
-    hops = [None] * len(rows)
+        lines = [(i, line.rstrip("\n")) for i, line in enumerate(f, 1) if line.rstrip("\n")]
+    hops = [None] * len(lines)
     if hop_path is not None:
         hops = [int(x) for x in Path(hop_path).read_text(encoding="utf-8").split()]
-        assert len(hops) == len(rows), (len(hops), len(rows))
-    return [QAExample(question=q, topic=t, answers=a, hop=h) for (q, t, a), h in zip(rows, hops)]
+        assert len(hops) == len(lines), (len(hops), len(lines))
+    out = []
+    for (i, line), hop in zip(lines, hops):
+        parts = line.split("\t")
+        m = re.search(r"\[([^\]]+)\]", parts[0]) if len(parts) == 2 else None
+        answers = set(parts[1].split("|")) - {""} if m else set()
+        if not answers:
+            logging.getLogger("hoptrace").warning("%s:%d: malformed question line skipped", path, i)
+            continue
+        out.append(QAExample(question=parts[0], topic=m.group(1), answers=tuple(sorted(answers)), hop=hop))
+    return out

@@ -213,12 +213,6 @@ def test_take_gradcheck(rng):
     gradcheck(lambda: ad.sum_(ad.take(a, idx) * ad.take(a, idx)), [a])
 
 
-def test_concat(rng):
-    a = leaf(rng, 2, 3)
-    b = leaf(rng, 2, 2)
-    gradcheck(lambda: ad.sum_(ad.concat([a, b], axis=1) * ad.concat([a, b], axis=1)), [a, b])
-
-
 def test_getitem_scalar_chain(rng):
     a = leaf(rng, 5)
     out = a[2] * 3.0

@@ -646,6 +646,28 @@ def test_eval_writes_metrics(ws, tmp_path, capsys):
     assert saved["count"] == len(load_questions(ws / "data" / "qa_dev.txt"))
 
 
+def test_eval_scores_a_gold_hop_above_the_models_T(ws, tmp_path, capsys):
+    """eval computes no hop loss, so a dev file whose first hop label is 4
+    evaluates on a T=3 checkpoint: that question is scored under per_hop
+    "4", and the overall hits@1, the count and the mean loss do not move."""
+    assert TrainConfig().T == 3
+    questions = tmp_path / "qa_dev.txt"
+    questions.write_bytes((ws / "data" / "qa_dev.txt").read_bytes())
+    hops = (ws / "data" / "qa_dev_hops.txt").read_text().split("\n")
+    hops[0] = "4"
+    (tmp_path / "qa_dev_hops.txt").write_text("\n".join(hops))
+    capsys.readouterr()
+    assert main(_eval_args(ws)) == 0
+    before = json.loads(capsys.readouterr().out)
+    args = _eval_args(ws)
+    args[args.index("--questions") + 1] = str(questions)
+    assert main(args) == 0
+    after = json.loads(capsys.readouterr().out)
+    assert set(after["per_hop"]) == {"1", "2", "3", "4"}
+    for key in ("overall", "count", "mean_loss"):
+        assert after[key] == before[key], key
+
+
 def test_eval_require_threshold(ws):
     base = [
         "eval",
@@ -739,25 +761,28 @@ def test_vocab_option_is_gone(ws, capsys, command):
 
 
 def test_checkpoint_of_format_2_is_refused(ws, tmp_path, capsys):
-    """A run directory as the previous format left it: a HOPCKPT2 file whose
-    metadata held a vocabulary hash, beside its vocab.txt.  Both commands
-    stop with exit 2 and ask for a new training."""
+    """Run directories as earlier formats left them: a HOPCKPT2 file whose
+    metadata held a vocabulary hash, beside its vocab.txt, and a HOPCKPT3
+    file, whose metadata already held the vocabulary (its GRU and step
+    weights were split into parts; the magic alone refuses it).  Both
+    commands stop with exit 2 on either and ask for a new training."""
     def old_layout(meta):
         vocab = meta.pop("vocab")
         meta.update(format="hoptrace-checkpoint", version=2, vocab_sha256="0" * 64)
         meta["model"]["vocab_size"] = len(vocab)
         (tmp_path / "vocab.txt").write_text("".join(token + "\n" for token in vocab))
 
-    raw = checkpoint_with_metadata((ws / "run" / "checkpoint.bin").read_bytes(), old_layout)
+    good = (ws / "run" / "checkpoint.bin").read_bytes()
     checkpoint = tmp_path / "checkpoint.bin"
-    checkpoint.write_bytes(sealed(b"HOPCKPT2" + raw[8:-32]))
     question = load_questions(ws / "data" / "qa_dev.txt")[0].question
     answer = ["answer", question, "--checkpoint", str(checkpoint), "--graph", str(ws / "g_label.bin")]
-    for args in (answer, _eval_args(ws, checkpoint=checkpoint)):
-        capsys.readouterr()
-        assert main(args) == 2
-        says = f"{checkpoint}: not a hoptrace checkpoint of format HOPCKPT3: train it again with `hoptrace train`"
-        assert says in _data_error_line(capsys)
+    for magic, raw in ((b"HOPCKPT2", checkpoint_with_metadata(good, old_layout)), (b"HOPCKPT3", good)):
+        checkpoint.write_bytes(sealed(magic + raw[8:-32]))
+        for args in (answer, _eval_args(ws, checkpoint=checkpoint)):
+            capsys.readouterr()
+            assert main(args) == 2
+            says = f"{checkpoint}: not a hoptrace checkpoint of format HOPCKPT4: train it again with `hoptrace train`"
+            assert says in _data_error_line(capsys), magic
 
 
 def _data_error_line(capsys):

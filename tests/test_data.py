@@ -540,6 +540,37 @@ def test_load_questions_hop_sidecar_mismatch(tmp_path):
             load_questions(p)
 
 
+def test_a_skipped_question_line_drops_its_hop_label(tmp_path, caplog, data):
+    """Three dev questions of hops 1, 2 and 3, written with their sidecar,
+    and the second's answer field then set to `|`: the skipped line takes
+    its hop label with it, and lines 1 and 3 load with their own hops, as
+    the reference loader reads them."""
+    picked = [next(ex for ex in data.splits["dev"] if ex.hop == h) for h in (1, 2, 3)]
+    p = tmp_path / "qa_dev.txt"
+    save_questions(picked, p)
+    lines = p.read_text(encoding="utf-8").split("\n")
+    lines[1] = lines[1].split("\t")[0] + "\t|"
+    p.write_text("\n".join(lines), encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="hoptrace"):
+        got = load_questions(p)
+    assert [r.getMessage() for r in caplog.records] == [f"{p}:2: malformed question line skipped"]
+    assert [(ex.question, ex.hop) for ex in got] == [(picked[0].question, 1), (picked[2].question, 3)]
+    assert list(map(repr, got)) == list(map(repr, load_questions_reference(p)))
+
+
+@pytest.mark.parametrize("label", ["0", "-2"])
+def test_a_hop_label_below_1_is_refused_with_its_line(tmp_path, label):
+    """No step count is below 1: the loader refuses such a label and names
+    the sidecar and its line, before any run could trip over it."""
+    p = tmp_path / "qa.txt"
+    p.write_text("who directed [M1]\tP1\nwho directed [M2]\tP2\n")
+    hops = tmp_path / "qa_hops.txt"
+    hops.write_text(f"1\n{label}\n")
+    with pytest.raises(DataError) as err:
+        load_questions(p)
+    assert str(err.value) == f"{hops}:2: hop label {label} is below 1"
+
+
 def test_loader_matches_reference_on_every_default_question_file(tmp_path):
     write_dataset(generate_synthetic(SyntheticSpec()), tmp_path)
     names = sorted(p.name for p in tmp_path.glob("*.txt") if not p.name.endswith("_hops.txt"))

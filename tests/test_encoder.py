@@ -137,21 +137,22 @@ GRU_VOCAB = 4
 
 def _ragged_gru_inputs(rng, lengths, d, scale=1.0):
     """Right-padded (K, L) token ids, an embedding table, and input weights,
-    recurrent weights and biases for each direction, all requiring grad,
-    plus the (K, L) alive mask.  Real tokens repeat ids below GRU_VOCAB;
-    every pad reads row GRU_VOCAB, which no real token reads."""
+    recurrent weights and biases stacked by direction, (2, d, 3d), (2, d, 3d)
+    and (2, 3d), all requiring grad, plus the (K, L) alive mask.  Real tokens
+    repeat ids below GRU_VOCAB; every pad reads row GRU_VOCAB, which no real
+    token reads."""
     alive = _ragged_alive(lengths)
     ids = np.where(alive > 0, rng.integers(0, GRU_VOCAB, size=alive.shape), GRU_VOCAB)
     emb = Tensor(scale * rng.standard_normal((GRU_VOCAB + 1, d)), requires_grad=True)
-    w_x = [Tensor(scale * rng.standard_normal((d, 3 * d)), requires_grad=True) for _ in range(2)]
-    w_h = [Tensor(scale * rng.standard_normal((d, 3 * d)), requires_grad=True) for _ in range(2)]
-    b = [Tensor(scale * rng.standard_normal(3 * d), requires_grad=True) for _ in range(2)]
+    w_x = Tensor(scale * rng.standard_normal((2, d, 3 * d)), requires_grad=True)
+    w_h = Tensor(scale * rng.standard_normal((2, d, 3 * d)), requires_grad=True)
+    b = Tensor(scale * rng.standard_normal((2, 3 * d)), requires_grad=True)
     return ids, emb, w_x, w_h, b, alive
 
 
 def _tape_projection(emb, ids, w_x):
     """The (K, L, 3d) input projection emb[ids] @ w_x of the padded batch,
-    built on the tape."""
+    built on the tape; w_x is one direction's (d, 3d) weights."""
     K, L = ids.shape
     return ad.reshape(emb[ids.ravel()] @ w_x, (K, L, w_x.shape[1]))
 
@@ -186,10 +187,11 @@ GRU_LENGTHS = {
 @pytest.mark.parametrize("lengths", GRU_LENGTHS.values(), ids=GRU_LENGTHS.keys())
 def test_packed_bigru_matches_composed_primitives(rng, lengths):
     """Each half of the packed node agrees with the per-step tape recurrence
-    of its direction over the padded batch, fed emb[ids] @ w_x: values within
-    1e-14 and every gradient within 1e-12, for an upstream gradient that is
-    nonzero at pad positions in both halves.  Every pad is exactly 0 in both
-    halves, and each row alone gives its batch row."""
+    of its direction over the padded batch, fed emb[ids] @ w_x[i] with its
+    weights sliced from the stacked ones: values within 1e-14 and every
+    gradient within 1e-12, for an upstream gradient that is nonzero at pad
+    positions in both halves.  Every pad is exactly 0 in both halves, and
+    each row alone gives its batch row."""
     d = 5
     ids, emb, w_x, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d)
     K, L = alive.shape
@@ -197,7 +199,7 @@ def test_packed_bigru_matches_composed_primitives(rng, lengths):
     assert np.all(weight[alive == 0] != 0)
     lens = alive.sum(axis=1).astype(np.int64)
 
-    out = _packed_bigru(emb, ids[alive > 0], *w_x, *w_h, *b, lens)
+    out = _packed_bigru(emb, ids[alive > 0], w_x, w_h, b, lens)
     assert out.shape == (K, L, 2 * d)
     refs = [
         gru_direction_tape(_tape_projection(emb, ids, w_x[i]), w_h[i], b[i], alive, reverse=bool(i))
@@ -207,16 +209,16 @@ def test_packed_bigru_matches_composed_primitives(rng, lengths):
         np.testing.assert_allclose(half, ref.data, rtol=0, atol=1e-14)
     np.testing.assert_array_equal(out.data[alive == 0], 0.0)
     for k, n in enumerate(lengths):
-        row = _packed_bigru(emb, ids[k, :n], *w_x, *w_h, *b, np.array([n]))
+        row = _packed_bigru(emb, ids[k, :n], w_x, w_h, b, np.array([n]))
         np.testing.assert_allclose(out.data[k, :n], row.data[0], rtol=0, atol=1e-14)
 
-    leaves = [emb, *w_x, *w_h, *b]
+    leaves = [emb, w_x, w_h, b]
     ad.sum_(out * Tensor(weight)).backward()
     grads = [t.grad.copy() for t in leaves]
     for t in leaves:
         t.grad = None
     (ad.sum_(refs[0] * Tensor(weight[..., :d])) + ad.sum_(refs[1] * Tensor(weight[..., d:]))).backward()
-    for g, t, name in zip(grads, leaves, ("emb", "w_xf", "w_xb", "w_hf", "w_hb", "b_f", "b_b")):
+    for g, t, name in zip(grads, leaves, ("emb", "w_x", "w_h", "b")):
         np.testing.assert_allclose(g, t.grad, rtol=0, atol=1e-12, err_msg=name)
     # the tape gives a pad's input exactly no gradient, and the node never reads one
     np.testing.assert_array_equal(emb.grad[GRU_VOCAB], 0.0)
@@ -230,8 +232,8 @@ DIRECTIONS = {"forward": 0, "backward": 1}
 def test_gru_direction_matches_composed_primitives(rng, half):
     """One half of the packed node, with upstream gradient on that half only,
     agrees with the tape recurrence of its direction: values within 1e-14 and
-    its gradients within 1e-12, while the other direction's weights get
-    exactly no gradient."""
+    its gradients within 1e-12, while the other direction's slice of each
+    stacked weight gets exactly no gradient."""
     d, lengths = 5, [4, 1, 3, 4]
     ids, emb, w_x, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d)
     K, L = alive.shape
@@ -239,21 +241,20 @@ def test_gru_direction_matches_composed_primitives(rng, half):
     cols = slice(half * d, (half + 1) * d)
     weight[..., cols] = rng.standard_normal((K, L, d))
 
-    out = _packed_bigru(emb, ids[alive > 0], *w_x, *w_h, *b, alive.sum(axis=1).astype(np.int64))
+    out = _packed_bigru(emb, ids[alive > 0], w_x, w_h, b, alive.sum(axis=1).astype(np.int64))
     ref = gru_direction_tape(_tape_projection(emb, ids, w_x[half]), w_h[half], b[half], alive, reverse=bool(half))
     np.testing.assert_allclose(out.data[..., cols], ref.data, rtol=0, atol=1e-14)
 
-    mine = [emb, w_x[half], w_h[half], b[half]]
+    leaves = [emb, w_x, w_h, b]
     ad.sum_(out * Tensor(weight)).backward()
-    got = [t.grad.copy() for t in mine]
-    for t in mine:
+    got = [t.grad.copy() for t in leaves]
+    for t in leaves:
         t.grad = None
     ad.sum_(ref * Tensor(weight[..., cols])).backward()
-    for name, g, t in zip(("emb", "w_x", "w_h", "b"), got, mine):
-        np.testing.assert_allclose(g, t.grad, rtol=0, atol=1e-12, err_msg=name)
-    other = 1 - half
-    for t in (w_x[other], w_h[other], b[other]):
-        np.testing.assert_array_equal(t.grad, 0.0)
+    np.testing.assert_allclose(got[0], emb.grad, rtol=0, atol=1e-12, err_msg="emb")
+    for name, g, t in zip(("w_x", "w_h", "b"), got[1:], leaves[1:]):
+        np.testing.assert_allclose(g[half], t.grad[half], rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_array_equal(g[1 - half], 0.0, err_msg=name)
 
 
 @pytest.mark.parametrize("half", DIRECTIONS.values(), ids=DIRECTIONS.keys())
@@ -271,8 +272,8 @@ def test_gru_direction_gradcheck_through_pad_positions(rng, half):
     tokens, lengths = ids[alive > 0], np.array(lengths)
 
     gradcheck(
-        lambda: ad.sum_(_packed_bigru(emb, tokens, *w_x, *w_h, *b, lengths) * weight),
-        [emb, w_x[half], w_h[half], b[half]],
+        lambda: ad.sum_(_packed_bigru(emb, tokens, w_x, w_h, b, lengths) * weight),
+        [emb, w_x, w_h, b],
     )
 
 
@@ -283,9 +284,9 @@ def test_pad_gradient_reaches_no_parameter(rng):
     d, lengths = 4, [4, 1, 3, 4, 2]
     ids, emb, w_x, w_h, b, alive = _ragged_gru_inputs(rng, lengths, d)
     weight = rng.standard_normal((*alive.shape, 2 * d)) * (alive == 0)[..., None]
-    out = _packed_bigru(emb, ids[alive > 0], *w_x, *w_h, *b, np.array(lengths))
+    out = _packed_bigru(emb, ids[alive > 0], w_x, w_h, b, np.array(lengths))
     ad.sum_(out * Tensor(weight)).backward()
-    for name, t in zip(("emb", "w_xf", "w_xb", "w_hf", "w_hb", "b_f", "b_b"), [emb, *w_x, *w_h, *b]):
+    for name, t in zip(("emb", "w_x", "w_h", "b"), [emb, w_x, w_h, b]):
         np.testing.assert_array_equal(t.grad, 0.0, err_msg=name)
 
 

@@ -116,12 +116,12 @@ def test_step_attention_matches_per_step_reference(rng):
     """All T attentions from batched products agree with the composed
     one-step-at-a-time reference: weights (exactly 0 on pads) and step
     vectors within 1e-12, and so do the gradients of the encodings and of
-    every step's weights, for upstream gradients on both outputs."""
+    the stacked step weights, for upstream gradients on both outputs."""
     d = 6
     enc = _encoding(rng, [5, 2, 4], d)
     (B, L), params = enc.alive.shape, make_params(label_cfg(T=3), d=d)
     w_att, w_q = rng.standard_normal((B, params.T, L)), rng.standard_normal((B, params.T, d))
-    leaves = [enc.q, enc.h, *params.step_w, *params.step_b]
+    leaves = [enc.q, enc.h, params.step_w, params.step_b]
 
     att, q = step_attention(enc, params)
     assert att.shape == (B, params.T, L) and q.shape == (B, params.T, d)
@@ -138,7 +138,7 @@ def test_step_attention_matches_per_step_reference(rng):
         y = ad.sum_(ref_att * Tensor(w_att[:, t])) + ad.sum_(ref_q * Tensor(w_q[:, t]))
         total = y if total is None else total + y
     total.backward()
-    for name, g, t in zip(["q", "h"] + [f"step{i}" for i in range(2 * params.T)], got, leaves):
+    for name, g, t in zip(["q", "h", "step.w", "step.b"], got, leaves):
         np.testing.assert_allclose(g, t.grad, rtol=0, atol=1e-12, err_msg=name)
 
 
@@ -147,7 +147,7 @@ def test_step_attention_gradcheck(rng):
     params = make_params(label_cfg(T=2), d=3)
     weight = Tensor(rng.standard_normal((3, 2, 3)))
     gradcheck(
-        lambda: ad.sum_(step_attention(enc, params)[1] * weight), [enc.q, enc.h, *params.step_w, *params.step_b]
+        lambda: ad.sum_(step_attention(enc, params)[1] * weight), [enc.q, enc.h, params.step_w, params.step_b]
     )
 
 

@@ -467,19 +467,42 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _split_parameters(named, d) -> dict:
+    """The parameters under the names and in the layout of formats HOPCKPT2
+    and HOPCKPT3: each encoder's GRU weights split by direction (w_xf, w_hf,
+    b_f forward, w_xb, w_hb, b_b backward) and the step queries split into
+    one (d, d) step{t}.w and one (d,) step{t}.b per step."""
+    out = {}
+    for name, t in named.items():
+        prefix, leaf = name.rsplit(".", 1)
+        if prefix in ("q_enc", "r_enc") and leaf in ("w_x", "w_h", "b"):
+            stem = "b_" if leaf == "b" else leaf
+            out[f"{prefix}.{stem}f"], out[f"{prefix}.{stem}b"] = t.data
+        elif prefix == "step":
+            for i in range(t.data.shape[-1] // d):
+                out[f"step{i + 1}.{leaf}"] = t.data[..., i * d : (i + 1) * d]
+        else:
+            out[name] = t.data
+    return out
+
+
 def test_checkpoint_bytes_are_pinned(tmp_path):
-    """The whole file is pinned as format HOPCKPT3 writes it.  Its parameter
-    blocks are pinned apart, as HOPCKPT2 wrote them: carrying the
-    vocabulary in the metadata changed no parameter byte."""
+    """The whole file is pinned as format HOPCKPT4 writes it.  The parameters
+    it reads back are pinned apart, split back into the parts HOPCKPT2 and
+    HOPCKPT3 stored and hashed as those formats wrote their blocks: storing
+    the GRU weights stacked and the step queries as one matrix changed no
+    initial value."""
     cfg = TrainConfig(form="text", d=4, T=2).validate()
     path = tmp_path / "c.bin"
     save_checkpoint(path, ModelParams(9, 6, 3, cfg), cfg, nine_tokens())
     raw = path.read_bytes()
-    assert hashlib.sha256(raw).hexdigest() == "c8555f473ad80682acef4aed66516cfbf417c9b4819d00ccda4249820c4bace2"
-    (size,) = struct.unpack("<Q", raw[8:16])
-    assert hashlib.sha256(raw[16 + size : -32]).hexdigest() == (
-        "a5543dc5309fb321aba7b1709a3c40965eaf9bc53593c1958cc31fa65534f7bd"
-    )
+    assert hashlib.sha256(raw).hexdigest() == "a62e5dc2b1cd6275691cd9c9785459b3e13476aa3520b1f709a364c642687b55"
+    params, _ = load_checkpoint(path)
+    assert len(params.named()) == 20
+    parts = _split_parameters(params.named(), cfg.d)
+    assert len(parts) == 28
+    blocks = b"".join(np.ascontiguousarray(parts[k], dtype="<f8").tobytes() for k in sorted(parts))
+    assert hashlib.sha256(blocks).hexdigest() == "a5543dc5309fb321aba7b1709a3c40965eaf9bc53593c1958cc31fa65534f7bd"
 
 
 def test_checkpoint_roundtrip_through_the_block_list(tmp_path):
@@ -496,7 +519,10 @@ def test_checkpoint_roundtrip_through_the_block_list(tmp_path):
     "change, message",
     [
         (lambda names: [n for n in names if n != "pred.w"], r"no parameter block for \['pred.w'\]"),
-        (lambda names: [n for n in names if not n.startswith("q_enc.")], r"no parameter block for \['q_enc.b_b'"),
+        (
+            lambda names: [n for n in names if not n.startswith("q_enc.")],
+            r"no parameter block for \['q_enc.b', 'q_enc.b_out'",
+        ),
         (lambda names: names + ["hop.b"], "unexpected or repeated parameter blocks"),
     ],
     ids=["without-pred.w", "without-q_enc", "hop.b-twice"],
