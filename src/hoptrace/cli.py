@@ -123,7 +123,8 @@ def _build_parser() -> _Parser:
         " records them under 'blas'.",
     )
     t.add_argument("--config", help="YAML config file")
-    t.add_argument("--data", required=True, help="dataset directory from `gen`")
+    t.add_argument("--data", required=True, help="dataset directory from `gen`: qa_train.txt and qa_dev.txt,"
+                   " one question<TAB>a1|a2|...[<TAB>hop] line per question")
     t.add_argument("--graph", required=True, help="serialized graph file")
     t.add_argument("--out", required=True, help="run directory: checkpoint.bin and train_log.jsonl")
     t.add_argument("--force", action="store_true")
@@ -137,7 +138,8 @@ def _build_parser() -> _Parser:
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--graph", required=True)
-    e.add_argument("--questions", required=True, help="question file to score")
+    e.add_argument("--questions", required=True, help="question file to score: one question<TAB>a1|a2|...[<TAB>hop]"
+                   " line per question, the topic in [brackets]")
     e.add_argument("--out", help="write metrics JSON here as well")
     e.add_argument("--require", type=_fraction_arg, help="fail (exit 4) if overall hits@1 is below this")
 
@@ -229,6 +231,11 @@ def _cmd_train(args) -> int:
     dev_ex = resolve_examples(load_questions(data_dir / "qa_dev.txt"), g)
     if not train_ex or not dev_ex:
         raise DataError("no resolvable training or dev examples")
+    above = [ex for ex in train_ex if (ex.hop or 0) > cfg.T]
+    if above and cfg.use_aux_hop_loss:  # the hop loss has no step for them: refuse before --out is made
+        raise DataError(f"{data_dir / 'qa_train.txt'}: {len(above)} of {len(train_ex)} questions have a gold hop"
+                        f" above T={cfg.T}, the first {above[0].question!r} (hop {above[0].hop}):"
+                        " train with a larger --T, or with --no-aux")
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise DataError(f"{out} exists and is not empty (use --force)")

@@ -10,6 +10,10 @@ get their answers computed.  No question needs a dedupe: within a hop the
 phrasings are pairwise distinct and each brackets the topic once, and no
 generated name holds a bracket, so distinct (phrasing, topic) pairs give
 distinct questions.
+
+A question file holds one ``question<TAB>a1|a2|...[<TAB>hop]`` line per
+question: the question brackets its topic, and the gold hop count is an
+optional third field, which the generator always writes (MetaQA omits it).
 """
 
 from __future__ import annotations
@@ -157,69 +161,53 @@ def _answer_names(text: str) -> tuple:
     return tuple(names)
 
 
+def _hop_count(field: str) -> int:
+    """A hop field's count, or 0 if it is not ASCII digits of a value >= 1."""
+    return int(field) if field.isascii() and field.isdigit() else 0
+
+
 def _hop_path(path) -> Path:
-    """The hop sidecar of a question file: ``<stem>_hops.txt`` beside it."""
+    """``<stem>_hops.txt`` beside a question file: the old layout's hops."""
     path = Path(path)
     return path.with_name(path.stem + "_hops.txt")
 
 
-def _hop_labels(hop_path) -> list[int]:
-    """A sidecar's whitespace-separated hop labels, each at least 1."""
-    text = read_text(hop_path, DataError)
-    try:
-        hops = [int(x) for x in text.split()]
-    except ValueError as e:
-        raise DataError(f"{hop_path}: hop labels must be integers: {e}") from None
-    if hops and min(hops) < 1:  # name the first line that holds one
-        i, low = next((i, h) for i, line in enumerate(text.split("\n"), 1) for h in map(int, line.split()) if h < 1)
-        raise DataError(f"{hop_path}:{i}: hop label {low} is below 1")
-    return hops
-
-
 def load_questions(path) -> list[QAExample]:
-    """Parse ``question<TAB>answer1|answer2|...`` lines; the topic is the
-    bracketed span.  The sidecar ``<stem>_hops.txt``, when it exists,
-    supplies one hop count per non-empty line, so a malformed line that is
-    skipped drops its label with it."""
-    path = Path(path)
-    hop_path = _hop_path(path)
-    hops = _hop_labels(hop_path) if hop_path.exists() else None
-    lines = read_text(path, DataError).split("\n")
-    n = len(lines) - lines.count("")
-    if hops is not None and len(hops) != n:
-        raise DataError(f"{hop_path}: {len(hops)} hop labels for {n} questions")
-    labels = iter(hops or ())
+    """Parse ``question<TAB>answer1|answer2|...[<TAB>hop]`` lines.  The topic
+    is the question's bracketed span, and a line without a hop has hop None.
+    A line of another field count, or naming no topic or answer, is skipped
+    with a warning; a hop that is not ASCII digits of a value >= 1 is a
+    DataError naming its line, and so is an old hop sidecar beside the file."""
+    if _hop_path(path).exists():  # read alone, its questions would train with no hop loss
+        raise DataError(f"{_hop_path(path)}: hop labels are now the third field of each question line:"
+                        " generate the dataset again with `hoptrace gen`")
     answer_names = functools.cache(_answer_names)  # the phrasings of a question share its field
+    hop_count = functools.cache(_hop_count)  # and so do its hops
     out = []
-    for i, line in enumerate(lines, 1):
+    for i, line in enumerate(read_text(path, DataError).split("\n"), 1):
         if not line:
             continue
-        hop = next(labels, None)
         parts = line.split("\t")
-        m = TOPIC_RE.search(parts[0]) if len(parts) == 2 else None
+        m = TOPIC_RE.search(parts[0]) if len(parts) in (2, 3) else None
         answers = answer_names(parts[1]) if m else ()
         if not answers:  # an answer field that is empty or only separators names nothing
             log.warning("%s:%d: malformed question line skipped", path, i)
             continue
+        hop = hop_count(parts[2]) if len(parts) == 3 else None
+        if hop == 0:
+            raise DataError(f"{path}:{i}: hop field {parts[2]!r} is not a count of at least 1")
         out.append(QAExample(parts[0], m.group(1), answers, hop))
     return out
 
 
 def save_questions(examples, path):
-    """Write the question file load_questions reads, and its hop sidecar if
-    every example has a hop.  If none has, no sidecar is written and a stale
-    one is removed; a set where only some have a hop is a DataError."""
-    examples = list(examples)
-    hops = [ex.hop for ex in examples if ex.hop is not None]
-    if 0 < len(hops) < len(examples):
-        raise DataError(f"{path}: {len(hops)} of {len(examples)} questions have a hop label: give all or none")
+    """Write the file load_questions reads, a hop field on each line whose
+    example has one, and remove an old hop sidecar beside it."""
     with open(path, "w", encoding="utf-8") as f:
         for ex in examples:
-            f.write(f"{ex.question}\t{'|'.join(ex.answers)}\n")
-    if len(hops) == len(examples):
-        _hop_path(path).write_text("".join(f"{h}\n" for h in hops), encoding="utf-8")
-    else:
-        _hop_path(path).unlink(missing_ok=True)
+            hop = "" if ex.hop is None else f"\t{ex.hop}"
+            f.write(f"{ex.question}\t{'|'.join(ex.answers)}{hop}\n")
+    _hop_path(path).unlink(missing_ok=True)
 
 
 def resolve_examples(examples, g) -> list[ResolvedQA]:
@@ -514,9 +502,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
 
 
 def write_dataset(data: SyntheticDataset, out_dir, force=False):
-    """Materialize a generated dataset: triples TSV, corpus JSONL, question
-    splits with hop sidecars, the ambiguous where/when eval subset, the
-    duplicate-title subset, and a manifest."""
+    """Materialize a generated dataset: triples TSV, corpus JSONL, a manifest,
+    and as ``question<TAB>a1|a2|...<TAB>hop`` lines (save_questions) the question
+    splits, the ambiguous where/when eval subset and the duplicate-title subset."""
     out = Path(out_dir)
     if out.exists() and any(out.iterdir()) and not force:
         raise DataError(f"{out} exists and is not empty (use force to overwrite)")

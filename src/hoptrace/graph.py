@@ -290,7 +290,7 @@ def load_triples_tsv(path) -> list[tuple[str, str, str]]:
 
 
 def load_corpus_jsonl(path) -> list[tuple[str, str]]:
-    """One {"subject": ..., "text": ...} object per line."""
+    """One {"subject": ..., "text": ...} object per line, both strings."""
     docs = []
     for i, line in enumerate(read_text(path, GraphError).split("\n"), 1):
         line = line.strip()
@@ -298,9 +298,12 @@ def load_corpus_jsonl(path) -> list[tuple[str, str]]:
             continue
         try:
             obj = json.loads(line)
-            docs.append((obj["subject"], obj["text"]))
+            doc = (obj["subject"], obj["text"])
         except (json.JSONDecodeError, KeyError, TypeError):
-            raise GraphError(f"{path}:{i}: expected JSON with 'subject' and 'text'") from None
+            doc = None
+        if doc is None or not all(isinstance(x, str) for x in doc):
+            raise GraphError(f"{path}:{i}: expected JSON with string fields 'subject' and 'text'")
+        docs.append(doc)
     return docs
 
 

@@ -5,7 +5,7 @@ brute-force scans — so that agreement with the optimized code under test
 is meaningful.  Nothing in this module imports from hoptrace except its
 autodiff primitives, which gradient checking and the composed-primitive
 BiGRU reference are built from, and the question record the reference
-loader builds.
+loader builds and the error it raises.
 """
 
 import logging
@@ -16,6 +16,7 @@ import numpy as np
 
 import hoptrace.autodiff as ad
 from hoptrace.data import QAExample
+from hoptrace.errors import DataError
 
 
 def finite_difference(f, x, step=1e-5):
@@ -357,28 +358,29 @@ def brute_select(a, tau, omega, rel_heads, rel_ids=None):
     return sorted(r for r, _h in chosen)
 
 
-def load_questions_reference(path, hop_path=None):
+def load_questions_reference(path):
     """Question-file parse with a set and a sort per answer field and
-    records built by keyword.  Hop labels come from hop_path, else from
-    <stem>_hops.txt when it exists, and must number the non-empty lines,
-    one label each; malformed lines are then skipped, with their labels,
-    with the same warning as the program's."""
+    records built by keyword.  A line has 2 fields, or 3 with the hop count
+    last; a line whose fields name no topic or no answer is skipped with the
+    same warning as the program's, and a hop field that is not ASCII digits
+    of a value at least 1 raises a DataError naming its line."""
     path = Path(path)
-    if hop_path is None and path.with_name(path.stem + "_hops.txt").exists():
-        hop_path = path.with_name(path.stem + "_hops.txt")
-    with open(path, encoding="utf-8") as f:
-        lines = [(i, line.rstrip("\n")) for i, line in enumerate(f, 1) if line.rstrip("\n")]
-    hops = [None] * len(lines)
-    if hop_path is not None:
-        hops = [int(x) for x in Path(hop_path).read_text(encoding="utf-8").split()]
-        assert len(hops) == len(lines), (len(hops), len(lines))
     out = []
-    for (i, line), hop in zip(lines, hops):
-        parts = line.split("\t")
-        m = re.search(r"\[([^\]]+)\]", parts[0]) if len(parts) == 2 else None
-        answers = set(parts[1].split("|")) - {""} if m else set()
-        if not answers:
-            logging.getLogger("hoptrace").warning("%s:%d: malformed question line skipped", path, i)
-            continue
-        out.append(QAExample(question=parts[0], topic=m.group(1), answers=tuple(sorted(answers)), hop=hop))
+    with open(path, encoding="utf-8") as f:
+        for i, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            m = re.search(r"\[([^\]]+)\]", parts[0]) if len(parts) in (2, 3) else None
+            answers = set(parts[1].split("|")) - {""} if m else set()
+            if not answers:
+                logging.getLogger("hoptrace").warning("%s:%d: malformed question line skipped", path, i)
+                continue
+            hop = None
+            if len(parts) == 3:
+                if not re.fullmatch(r"[0-9]+", parts[2]) or int(parts[2]) < 1:
+                    raise DataError(f"{path}:{i}: bad hop field {parts[2]!r}")
+                hop = int(parts[2])
+            out.append(QAExample(question=parts[0], topic=m.group(1), answers=tuple(sorted(answers)), hop=hop))
     return out

@@ -28,6 +28,13 @@ from conftest import checkpoint_with_blocks, checkpoint_with_metadata, sealed
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+
+def _run(args):
+    """args run as `python -m hoptrace` in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "hoptrace", *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 SPEC_YAML = """\
 movies: 24
 directors: 8
@@ -91,13 +98,26 @@ def ws(tmp_path_factory):
 
 
 def test_gen_writes_expected_files(ws):
+    """One file per question set, each hop on its question's line: no hop
+    sidecar is written."""
     names = [
-        "triples.tsv", "corpus.jsonl", "manifest.json",
-        "qa_train.txt", "qa_dev.txt", "qa_test.txt",
-        "qa_train_hops.txt", "ambiguous_eval.txt", "qa_dup.txt",
+        "ambiguous_eval.txt", "corpus.jsonl", "manifest.json", "qa_dev.txt",
+        "qa_dup.txt", "qa_test.txt", "qa_train.txt", "triples.tsv",
     ]
-    for name in names:
-        assert (ws / "data" / name).exists(), name
+    assert sorted(p.name for p in (ws / "data").iterdir()) == names
+    assert {len(line.split("\t")) for line in (ws / "data" / "qa_train.txt").read_text().splitlines()} == {3}
+
+
+def test_gen_force_over_an_old_layout_dataset_loads(ws, tmp_path):
+    """gen --force onto a directory of the old layout removes each question
+    file's hop sidecar, which the loader would refuse."""
+    out = tmp_path / "data"
+    out.mkdir()
+    for name in ("qa_train", "qa_dev", "qa_test", "ambiguous_eval", "qa_dup"):
+        (out / f"{name}_hops.txt").write_text("1\n")
+    assert main(["gen", "--spec", str(ws / "spec.yaml"), "--out", str(out), "--force"]) == 0
+    assert not list(out.glob("*_hops.txt"))
+    assert load_questions(out / "qa_train.txt") == load_questions(ws / "data" / "qa_train.txt")
 
 
 def test_gen_is_deterministic(ws, tmp_path):
@@ -133,9 +153,7 @@ def test_gen_negative_seed_is_usage_error(tmp_path, capsys):
 def test_spec_setting_out_of_range_exits_2(tmp_path):
     spec = tmp_path / "spec.yaml"
     spec.write_text("directors: 0\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    args = [sys.executable, "-m", "hoptrace", "gen", "--spec", str(spec), "--out", str(tmp_path / "out")]
-    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+    proc = _run(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "data error: directors must be >= 1, got 0\n"
     assert not (tmp_path / "out").exists()
@@ -300,6 +318,19 @@ def test_build_graph_input_not_utf8_is_data_error(ws, tmp_path, capsys, damaged)
     assert "not UTF-8" in _data_error_line(capsys)
 
 
+def test_build_graph_corpus_field_that_is_no_string_exits_2(ws, tmp_path):
+    """A corpus line whose subject is a list: exit 2 naming the line, where
+    it used to die with a TypeError traceback (exit 1)."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((ws / "data" / "corpus.jsonl").read_bytes() + b'{"subject": ["A"], "text": "A p B ."}\n')
+    lines = corpus.read_text().count("\n")
+    proc = _run(["build-graph", "--triples", str(ws / "data" / "triples.tsv"), "--corpus", str(corpus),
+                 "--out", str(tmp_path / "g.bin")])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"data error: {corpus}:{lines}: expected JSON with string fields 'subject' and 'text'\n"
+    assert not (tmp_path / "g.bin").exists()
+
+
 # -- usage ---------------------------------------------------------------------
 
 
@@ -446,8 +477,7 @@ def test_count_setting_that_is_no_positive_integer_is_usage_error(ws, tmp_path, 
 @pytest.mark.parametrize("case", ["batch-size-negative", "batch-size-zero", "T-fraction"])
 def test_count_setting_that_is_no_positive_integer_exits_1(ws, tmp_path, case):
     args, name = _bad_count_args(ws, tmp_path, case)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "hoptrace", *args], capture_output=True, text=True, env=env, timeout=120)
+    proc = _run(args)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("usage error: ") and f" {name} must be " in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -577,25 +607,45 @@ def test_train_config_naming_mixed_is_usage_error(ws, tmp_path, capsys):
     assert "got 'mixed': build the graph again with `hoptrace build-graph`" in _usage_error_line(capsys)
 
 
-@pytest.mark.parametrize("hops", ["1\n", "1\n1\n1\n"], ids=["short", "long"])
-def test_train_with_a_hop_sidecar_of_the_wrong_length_is_data_error(tmp_path, capsys, hops):
+def test_train_with_an_old_hop_sidecar_is_data_error(tmp_path, capsys):
+    """A dataset of the old layout, its hops in qa_train_hops.txt, is
+    refused before training: read alone, its questions would train with
+    no hop loss."""
     data = tmp_path / "data"
     data.mkdir()
     (data / "triples.tsv").write_text("M1\tdirected_by\tP1\nM2\tdirected_by\tP2\n")
     (data / "qa_train.txt").write_text("who directed [M1]\tP1\nwho directed [M2]\tP2\n")
-    (data / "qa_train_hops.txt").write_text(hops)
+    (data / "qa_train_hops.txt").write_text("1\n1\n")
     (data / "qa_dev.txt").write_text("who directed [M1]\tP1\n")
     graph = tmp_path / "g.bin"
     assert main(["build-graph", "--triples", str(data / "triples.tsv"), "--out", str(graph)]) == 0
     args = ["train", "--data", str(data), "--graph", str(graph), "--out", str(tmp_path / "run"), "--epochs", "1"]
-    says = f"{len(hops.split())} hop labels for 2 questions"
+    says = "hop labels are now the third field of each question line: generate the dataset again with `hoptrace gen`"
     capsys.readouterr()
     assert main(args) == 2
     assert says in _data_error_line(capsys)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "hoptrace", *args], capture_output=True, text=True, env=env, timeout=120)
+    proc = _run(args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("data error: ") and says in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_gold_hop_above_T_before_making_out(ws, tmp_path, capsys):
+    """The hop loss has a step for each hop up to T only: train --T 2 on
+    data with 3-hop questions is refused, naming the file, the count and
+    the first such question, before --out exists, so a retry needs no
+    --force.  Without the hop loss the same data trains."""
+    train_file = ws / "data" / "qa_train.txt"
+    questions = load_questions(train_file)
+    above = [ex for ex in questions if ex.hop > 2]
+    args = _train_args(ws, tmp_path, "--T", "2", "--epochs", "1", "--d", "8", "--limit-train", "0.1")
+    capsys.readouterr()
+    assert main(args) == 2
+    line = _data_error_line(capsys)
+    assert f"{train_file}: {len(above)} of {len(questions)} questions have a gold hop above T=2, the first {above[0].question!r}" in line
+    assert "--no-aux" in line and "--T" in line
+    assert not (tmp_path / "run").exists()
+    assert main(args + ["--no-aux"]) == 0
 
 
 def test_train_refuses_nonempty_out(ws):
@@ -647,15 +697,15 @@ def test_eval_writes_metrics(ws, tmp_path, capsys):
 
 
 def test_eval_scores_a_gold_hop_above_the_models_T(ws, tmp_path, capsys):
-    """eval computes no hop loss, so a dev file whose first hop label is 4
+    """eval computes no hop loss, so a dev file whose first hop field is 4
     evaluates on a T=3 checkpoint: that question is scored under per_hop
     "4", and the overall hits@1, the count and the mean loss do not move."""
     assert TrainConfig().T == 3
     questions = tmp_path / "qa_dev.txt"
-    questions.write_bytes((ws / "data" / "qa_dev.txt").read_bytes())
-    hops = (ws / "data" / "qa_dev_hops.txt").read_text().split("\n")
-    hops[0] = "4"
-    (tmp_path / "qa_dev_hops.txt").write_text("\n".join(hops))
+    lines = (ws / "data" / "qa_dev.txt").read_text().split("\n")
+    question, answers, _hop = lines[0].split("\t")
+    lines[0] = f"{question}\t{answers}\t4"
+    questions.write_text("\n".join(lines))
     capsys.readouterr()
     assert main(_eval_args(ws)) == 0
     before = json.loads(capsys.readouterr().out)
@@ -926,19 +976,19 @@ def test_eval_rejects_unparsable_graph(ws, tmp_path, capsys, corrupt, reason):
 
 
 @pytest.mark.parametrize(
-    "name, content",
-    [("qa.txt", b"who directed [Movie_0]\tPerson_\xff\n"), ("qa_hops.txt", b"x\n"), ("qa_hops.txt", b"\xff\n")],
+    "content",
+    [b"who directed [Movie_0]\tPerson_\xff\n", b"who directed [Movie_0]\tPerson_0\tx\n",
+     b"who directed [Movie_0]\tPerson_0\t\xff\n"],
     ids=["questions-not-utf8", "hop-label-not-integer", "hop-labels-not-utf8"],
 )
-def test_eval_rejects_unreadable_questions(ws, tmp_path, capsys, name, content):
+def test_eval_rejects_unreadable_questions(ws, tmp_path, capsys, content):
     questions = tmp_path / "qa.txt"
-    questions.write_bytes(b"who directed [Movie_0]\tPerson_0\n")
-    (tmp_path / name).write_bytes(content)
+    questions.write_bytes(content)
     args = _eval_args(ws)
     args[args.index("--questions") + 1] = str(questions)
     capsys.readouterr()
     assert main(args) == 2
-    _data_error_line(capsys)
+    assert f"data error: {questions}:" in _data_error_line(capsys)  # the file, and a bad field's line
 
 
 @pytest.mark.parametrize(

@@ -218,20 +218,17 @@ def test_generation_deterministic():
 
 
 # sha256 of every file write_dataset writes for SMALL, recorded before the
-# generator memoized its path walks: the seeded output must not move
+# generator memoized its path walks: the seeded output must not move.  The
+# question files were re-pinned when each hop moved onto its question line:
+# each new file is the tab-joined paste of the old file and its hop sidecar
 SMALL_SHA256 = {
-    "ambiguous_eval.txt": "b1cf10f7bf2dfcf60fcc360298302bffad4843bc91e5e33dc895ca0957b2778d",
-    "ambiguous_eval_hops.txt": "ae84dc86f55bcd769723ff65fdacf7689908b9662f927becaa05f8e5da52a468",
+    "ambiguous_eval.txt": "e0cfaa7188511895cd23c69f05b2e65233266d71117d4306b19d1802d37ccb06",
     "corpus.jsonl": "f9913cc0af1b821a1fca922bd2be5c95799ca24d3ce1cda859e1dcf93fcd525d",
     "manifest.json": "0736d3c695f45b84d12ccd1979747ab5525859c033301169884eb5c6c63fd3e0",
-    "qa_dev.txt": "a32b2a2fb35f37c611c94596b53303190b1a41292f71b8f63303b200a821e9c1",
-    "qa_dev_hops.txt": "d7c9267e9c4f9445e0cf8ca91193ca1b3a569b86631a001aa2adde694ac1cd32",
-    "qa_dup.txt": "45a7e39e3b000aa350d178005ed5bfb099c5f3ef3b17a068515d3f2be8f5640c",
-    "qa_dup_hops.txt": "02f8d0c0f240020510e34d8578d0ac2adee94589cf76312619fcf4f5288e2362",
-    "qa_test.txt": "ed43deb2d745c8b1adc258b8636fc5e7f7f839d00b0fee53108aa0fcd300e540",
-    "qa_test_hops.txt": "d7c9267e9c4f9445e0cf8ca91193ca1b3a569b86631a001aa2adde694ac1cd32",
-    "qa_train.txt": "b66bbc9260a5be8650a5dcd915610a2a35df0e30652c233d371bc25376144eba",
-    "qa_train_hops.txt": "5b15d4527bbb9a446c2c15270338f2391bc91be87960a7f2ebc7710cae1741b5",
+    "qa_dev.txt": "d63b24c9ed6466d5d50d8fcee66243e4ecccdeacd589a79641fdc250d36e7a28",
+    "qa_dup.txt": "615982d83d22a89362614975e50f5d42e3ff038faf5fa48911bcf74e2b2558dd",
+    "qa_test.txt": "4bc8f84fba3bac7397ecbea973a851bc832de9696f21981f6804ce5c4a032a46",
+    "qa_train.txt": "428920e523299a433d780405183bdceae57216a225ed23b7e3799b29c3b09dea",
     "triples.tsv": "4c3c9b5029fc74d0406736ebe3b71025d884ef11d7ea5a39e925b9c26fd010e2",
 }
 
@@ -241,17 +238,12 @@ SMALL_SHA256 = {
 # the generator formatted only the units it keeps
 SMALL_CAP60_SHA256 = {
     "ambiguous_eval.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "ambiguous_eval_hops.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "corpus.jsonl": "f9913cc0af1b821a1fca922bd2be5c95799ca24d3ce1cda859e1dcf93fcd525d",
     "manifest.json": "3d1636f5591cb1bfd2de5367ea930454fb980933edd792d9f94ee465d085cf1d",
-    "qa_dev.txt": "49e883fd73661abac96d6267185238e2a81d03cecafaf4b5c9cb8214edb15ccc",
-    "qa_dev_hops.txt": "c9ebc2c2e625ba9c659d7873824159ef792c6eabf32cb742bb560b1a48b54ed6",
-    "qa_dup.txt": "45a7e39e3b000aa350d178005ed5bfb099c5f3ef3b17a068515d3f2be8f5640c",
-    "qa_dup_hops.txt": "02f8d0c0f240020510e34d8578d0ac2adee94589cf76312619fcf4f5288e2362",
-    "qa_test.txt": "2b82d4e5648c965347d9afbdfcd1af616cb1635dd908443f23ee457c980d6337",
-    "qa_test_hops.txt": "c9ebc2c2e625ba9c659d7873824159ef792c6eabf32cb742bb560b1a48b54ed6",
-    "qa_train.txt": "424ca8c81a9aef8ccbe47cadb86945e09debd85fce0255020458da024f4836ff",
-    "qa_train_hops.txt": "bbf3eb8415351f68a5e1c348cb9347d9ff009ed68b8932e845a5c97308e48680",
+    "qa_dev.txt": "d3be3f180f21c87011910ead13abfff7fc5e0bd5ae5a210f075b7fdd4011b2ee",
+    "qa_dup.txt": "615982d83d22a89362614975e50f5d42e3ff038faf5fa48911bcf74e2b2558dd",
+    "qa_test.txt": "aadb4fdd9e525dc466700506663d32730da1740f7984fc0b8c27442a59eefeb1",
+    "qa_train.txt": "25711f6ad160f6e239c3527fef09f17388a2e0efb173833473a79687108032a9",
     "triples.tsv": "4c3c9b5029fc74d0406736ebe3b71025d884ef11d7ea5a39e925b9c26fd010e2",
 }
 
@@ -267,21 +259,17 @@ def test_written_dataset_bytes_are_pinned(tmp_path):
 # the same for the default spec (seed 0), the one the benchmark generates at
 # scale 1, with graph.bin the reversed label graph built from its triples;
 # recorded before gold answers were made lazy, except graph.bin, recorded
-# when graphs came to be saved in the binary container
+# when graphs came to be saved in the binary container, and the question
+# files, re-pinned as for SMALL
 DEFAULT_SHA256 = {
-    "ambiguous_eval.txt": "7a7875ffaf659ef7f30da1bd717b21727c07524ee703fc7a7abb02cdcaee59fb",
-    "ambiguous_eval_hops.txt": "b9b0e8cf2a26715b11f76073ad2228aa0ff713b24143c34f5c827ca34c10463c",
+    "ambiguous_eval.txt": "59c90eea4a9b1196872497573291a018047ed461a3ae6fbbeac9fee8a959525c",
     "corpus.jsonl": "3816e81fba229a00eb0226b9f2d7d2eb8090af642da08fa97f8cafdb8985e3ea",
     "graph.bin": "3e0f9bf14f70ec7d2f1deb440d9c01b2f59acebc78d7950f7c69f9af549291bf",
     "manifest.json": "0446d48d8b23bc1e5f47571cb838e3f9340bba54c89b51b9605543ad52c158a6",
-    "qa_dev.txt": "40947bbe73d826ca8c55745201eb872e918bd2d80bf4a53e67d2b8e3e0511521",
-    "qa_dev_hops.txt": "1f298a2e7b5307c6a16892e9877cd8ffd78bb4f24713eb53d0d51bc6acfed097",
-    "qa_dup.txt": "d61ab87bcfdf75d55dd2879517db2be2cc19a669310c1a2fad723dcedbbb4b4d",
-    "qa_dup_hops.txt": "3cf4195b2dd65275da4f85775dd31bb0a11e75af6fe9e27ddab79a8e37ec7fa8",
-    "qa_test.txt": "1386ca14ffccd0be8d7a565e6c30784ed437099b39b1a6749c99ee3ddac5fd19",
-    "qa_test_hops.txt": "1f298a2e7b5307c6a16892e9877cd8ffd78bb4f24713eb53d0d51bc6acfed097",
-    "qa_train.txt": "143f3da9b6659514f9e3eb0d2d7b664d5a784ac319517374a1e47aa364d9385d",
-    "qa_train_hops.txt": "009dd5f80b50e0a397de2fd5f34087fe5b623c6b1d42afa101a6ffe61364ed7a",
+    "qa_dev.txt": "fd652097a731514bfab3da7ebff23fa29b1d3548f7df1329ac499328f9900fdb",
+    "qa_dup.txt": "895cbc46eabf8e1693e4877b8be0c046cc0fbaffd36bf52e36553b51b4fdb249",
+    "qa_test.txt": "6c218a4071c44492548ff8ff575b80f7b2056ce989da892bd685699cf4ee9cef",
+    "qa_train.txt": "118b800616088ef8c7d75b8eb3dc562f33737d673d3e7cb54b5e1fa60d6c8952",
     "triples.tsv": "96826edf6995fcf4a725e1131426d635141732843f3d78270cca5b492456d948",
 }
 
@@ -467,7 +455,7 @@ def test_write_dataset_roundtrip(tmp_path, data):
     assert corpus == data.corpus
     for name, split in data.splits.items():
         back = load_questions(out / f"qa_{name}.txt")
-        assert back == split  # hop sidecar auto-detected
+        assert back == split  # each hop read from its own line
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["spec"]["movies"] == SMALL["movies"]
     assert manifest["stats"] == data.stats
@@ -530,26 +518,31 @@ def test_resolve_examples_drops_an_unknown_answer(caplog):
     assert "dropped 2 unresolvable examples" in caplog.text
 
 
-def test_load_questions_hop_sidecar_mismatch(tmp_path):
+def test_load_questions_refuses_an_old_hop_sidecar(tmp_path):
+    """A dataset of the old layout kept its hop labels in <stem>_hops.txt:
+    loading its question file alone would train with no hop loss, so the
+    loader refuses it and asks for the dataset again."""
     p = tmp_path / "qa.txt"
     p.write_text("who directed [M1]\tP1\nwho directed [M2]\tP2\n")
-    hops = tmp_path / "qa_hops.txt"
-    for labels in ("1\n", "1\n2\n3\n"):  # one short, one long
-        hops.write_text(labels)
-        with pytest.raises(DataError, match=f"{len(labels.split())} hop labels for 2 questions"):
-            load_questions(p)
+    (tmp_path / "qa_hops.txt").write_text("1\n1\n")
+    with pytest.raises(DataError) as err:
+        load_questions(p)
+    assert str(err.value) == (
+        f"{tmp_path / 'qa_hops.txt'}: hop labels are now the third field of each question line:"
+        " generate the dataset again with `hoptrace gen`"
+    )
 
 
 def test_a_skipped_question_line_drops_its_hop_label(tmp_path, caplog, data):
-    """Three dev questions of hops 1, 2 and 3, written with their sidecar,
-    and the second's answer field then set to `|`: the skipped line takes
-    its hop label with it, and lines 1 and 3 load with their own hops, as
-    the reference loader reads them."""
+    """Three dev questions of hops 1, 2 and 3, written with their hops, and
+    the second's answer field then set to `|`: the skipped line takes its
+    hop with it, and lines 1 and 3 load with their own hops, as the
+    reference loader reads them."""
     picked = [next(ex for ex in data.splits["dev"] if ex.hop == h) for h in (1, 2, 3)]
     p = tmp_path / "qa_dev.txt"
     save_questions(picked, p)
     lines = p.read_text(encoding="utf-8").split("\n")
-    lines[1] = lines[1].split("\t")[0] + "\t|"
+    lines[1] = lines[1].split("\t")[0] + "\t|\t2"
     p.write_text("\n".join(lines), encoding="utf-8")
     with caplog.at_level(logging.WARNING, logger="hoptrace"):
         got = load_questions(p)
@@ -558,22 +551,46 @@ def test_a_skipped_question_line_drops_its_hop_label(tmp_path, caplog, data):
     assert list(map(repr, got)) == list(map(repr, load_questions_reference(p)))
 
 
-@pytest.mark.parametrize("label", ["0", "-2"])
-def test_a_hop_label_below_1_is_refused_with_its_line(tmp_path, label):
-    """No step count is below 1: the loader refuses such a label and names
-    the sidecar and its line, before any run could trip over it."""
+def _refused_hop_field(tmp_path, field):
     p = tmp_path / "qa.txt"
-    p.write_text("who directed [M1]\tP1\nwho directed [M2]\tP2\n")
-    hops = tmp_path / "qa_hops.txt"
-    hops.write_text(f"1\n{label}\n")
+    p.write_text(f"who directed [M1]\tP1\t1\nwho directed [M2]\tP2\t{field}\n", encoding="utf-8")
     with pytest.raises(DataError) as err:
         load_questions(p)
-    assert str(err.value) == f"{hops}:2: hop label {label} is below 1"
+    assert str(err.value) == f"{p}:2: hop field {field!r} is not a count of at least 1"
+    with pytest.raises(DataError, match=f"{p}:2: "):
+        load_questions_reference(p)
+
+
+@pytest.mark.parametrize("label", ["0", "-2"])
+def test_a_hop_label_below_1_is_refused_with_its_line(tmp_path, label):
+    """No step count is below 1: the loader refuses such a hop field and
+    names its line, before any run could trip over it."""
+    _refused_hop_field(tmp_path, label)
+
+
+@pytest.mark.parametrize("field", ["x", "2.0", " 2", "1_0", "\uff13", "", "00"],
+                         ids=["letter", "decimal", "leading-space", "underscore", "full-width-3", "empty", "zeros"])
+def test_a_hop_field_that_is_not_a_count_is_refused_with_its_line(tmp_path, field):
+    """A hop field is ASCII digits alone: Python's int() would take a space,
+    an underscore or a full-width digit, and the loader takes none of them."""
+    _refused_hop_field(tmp_path, field)
+
+
+def test_a_file_mixing_lines_with_and_without_a_hop_loads(tmp_path):
+    """A 2-field line is MetaQA's format and has no hop; it may sit beside
+    3-field lines, and each keeps its own."""
+    p = tmp_path / "qa.txt"
+    p.write_text("who directed [M1]\tP1\t1\nwho wrote [M1]\tP2\nwho starred in [M2]\tP3|P4\t03\n")
+    got = load_questions(p)
+    assert [(ex.topic, ex.answers, ex.hop) for ex in got] == [
+        ("M1", ("P1",), 1), ("M1", ("P2",), None), ("M2", ("P3", "P4"), 3),
+    ]
+    assert list(map(repr, got)) == list(map(repr, load_questions_reference(p)))
 
 
 def test_loader_matches_reference_on_every_default_question_file(tmp_path):
     write_dataset(generate_synthetic(SyntheticSpec()), tmp_path)
-    names = sorted(p.name for p in tmp_path.glob("*.txt") if not p.name.endswith("_hops.txt"))
+    names = sorted(p.name for p in tmp_path.glob("*.txt"))
     assert names == ["ambiguous_eval.txt", "qa_dev.txt", "qa_dup.txt", "qa_test.txt", "qa_train.txt"]
     for name in names:
         got = load_questions(tmp_path / name)
@@ -604,7 +621,7 @@ CRAFTED = (
 
 # (loader, the lines of a file it reads), for every line-based input loader
 LINE_FILES = {
-    "questions": (load_questions, ["who directed [M1]\tP1|P2", "", "who wrote [M2]\tP3"]),
+    "questions": (load_questions, ["who directed [M1]\tP1|P2", "", "who wrote [M2]\tP3\t2"]),
     "triples": (load_triples_tsv, ["# head\tpredicate\ttail", "M1\tdirected_by\tP1", "M2|written_by|P3"]),
     "corpus": (load_corpus_jsonl, ['{"subject": "M1", "text": "M1 stars P1 ."}', "", '{"subject": "M2", "text": "x"}']),
     "vocabulary": (lambda path: Vocabulary.load(path).names, ["<pad>", "who", "", "[", "directed"]),
@@ -670,20 +687,16 @@ def test_question_records_are_immutable_values():
 def test_save_questions_roundtrip(tmp_path):
     examples = [
         QAExample("who directed [M1]", "M1", ("P1", "P2"), 1),
-        QAExample("what movies did [P1] direct", "P1", ("M1",), 1),
+        QAExample("what movies did [P1] direct", "P1", ("M1",), None),
     ]
+    (tmp_path / "q_hops.txt").write_text("1\n1\n")  # a sidecar of the old layout
     save_questions(examples, tmp_path / "q.txt")
-    assert (tmp_path / "q_hops.txt").read_text(encoding="utf-8") == "1\n1\n"  # the sidecar load_questions reads
+    # each hop rides on its own line, and a line without one has two fields
+    assert (tmp_path / "q.txt").read_text(encoding="utf-8") == (
+        "who directed [M1]\tP1|P2\t1\nwhat movies did [P1] direct\tM1\n"
+    )
+    assert not (tmp_path / "q_hops.txt").exists()  # the stale sidecar went, so the file loads
     assert load_questions(tmp_path / "q.txt") == examples
-    # without hops no sidecar is written, and the stale one above goes
-    hopless = [ex._replace(hop=None) for ex in examples]
-    save_questions(hopless, tmp_path / "q.txt")
-    assert not (tmp_path / "q_hops.txt").exists()
-    assert load_questions(tmp_path / "q.txt") == hopless
-    # a set that mixes the two is refused before anything is written
-    with pytest.raises(DataError, match="1 of 2 questions have a hop label"):
-        save_questions([examples[0], hopless[1]], tmp_path / "mixed.txt")
-    assert not (tmp_path / "mixed.txt").exists() and not (tmp_path / "mixed_hops.txt").exists()
 
 
 def test_clean_text_strips_brackets():

@@ -690,3 +690,18 @@ def test_load_corpus_jsonl(tmp_path):
     p.write_text("{broken\n")
     with pytest.raises(GraphError):
         load_corpus_jsonl(p)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"subject": ["A"], "text": "A p B ."}', '{"subject": "A", "text": 5}', '{"subject": null, "text": "A p B ."}'],
+    ids=["subject-list", "text-number", "subject-null"],
+)
+def test_load_corpus_jsonl_refuses_a_field_that_is_no_string(tmp_path, line):
+    """Both fields must be strings; a list subject used to end in a
+    TypeError from hashing, a number text in one from the tokenizer."""
+    p = tmp_path / "c.jsonl"
+    p.write_text('{"subject": "A", "text": "A likes B."}\n' + line + "\n")
+    with pytest.raises(GraphError) as err:
+        load_corpus_jsonl(p)
+    assert str(err.value) == f"{p}:2: expected JSON with string fields 'subject' and 'text'"
