@@ -607,15 +607,16 @@ def test_train_config_naming_mixed_is_usage_error(ws, tmp_path, capsys):
     assert "got 'mixed': build the graph again with `hoptrace build-graph`" in _usage_error_line(capsys)
 
 
-def test_train_with_an_old_hop_sidecar_is_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("hops", ["1\n", "1\n1\n1\n"], ids=["short", "long"])
+def test_train_with_a_hop_sidecar_of_the_wrong_length_is_data_error(tmp_path, capsys, hops):
     """A dataset of the old layout, its hops in qa_train_hops.txt, is
-    refused before training: read alone, its questions would train with
-    no hop loss."""
+    refused before training, whatever the sidecar's length: read alone,
+    its questions would train with no hop loss."""
     data = tmp_path / "data"
     data.mkdir()
     (data / "triples.tsv").write_text("M1\tdirected_by\tP1\nM2\tdirected_by\tP2\n")
     (data / "qa_train.txt").write_text("who directed [M1]\tP1\nwho directed [M2]\tP2\n")
-    (data / "qa_train_hops.txt").write_text("1\n1\n")
+    (data / "qa_train_hops.txt").write_text(hops)
     (data / "qa_dev.txt").write_text("who directed [M1]\tP1\n")
     graph = tmp_path / "g.bin"
     assert main(["build-graph", "--triples", str(data / "triples.tsv"), "--out", str(graph)]) == 0
