@@ -5,11 +5,21 @@ set is computed by breadth-first traversal of the generated triples (with
 reverse predicates applied on the fly), so the generator cannot silently
 disagree with the graph the model reasons over.  Whether a (template,
 topic) unit has an answer at all is read off one reach set per predicate
-path suffix.  Only the units a split keeps are formatted into questions and
-get their answers computed.  No question needs a dedupe: within a hop the
-phrasings are pairwise distinct and each brackets the topic once, and no
-generated name holds a bracket, so distinct (phrasing, topic) pairs give
-distinct questions.
+path suffix.  The units are listed by arithmetic (topics in reach times
+phrasings, form by form) and built only when a split keeps them, and only
+the kept units are formatted into questions and get their answers
+computed.  No question needs a dedupe: within a hop the phrasings are
+pairwise distinct and each brackets the topic once, and no generated name
+holds a bracket, so distinct (phrasing, topic) pairs give distinct
+questions.
+
+The generated bytes follow numpy's ``Generator`` stream, which numpy does
+not promise to keep across versions.  A one-element pick is one bounded
+integer, ``integers(n)``: ``choice(n, 1, replace=False)`` runs Floyd's
+algorithm, whose one draw is that integer, and whose shuffle of one element
+draws nothing.  The corpus draws every sentence's template in one
+``integers(0, highs)`` call, which gives the values, and leaves the state,
+of one ``integers(h)`` per sentence.
 
 A question file holds one ``question<TAB>a1|a2|...[<TAB>hop]`` line per
 question: the question brackets its topic, and the gold hop count is an
@@ -18,7 +28,9 @@ optional third field, which the generator always writes (MetaQA omits it).
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import json
 import logging
 from dataclasses import asdict, dataclass, field
@@ -338,6 +350,38 @@ def _reach_set(adj: dict, memo: dict, path: tuple) -> set:
     return memo[path]
 
 
+def _form_blocks(forms, pools, reach) -> list:
+    """One block of _Units per (path, topic kind, phrasings) form: the topics
+    of the kind's pool in reach(path), the path's reach set, in pool order,
+    and one single-question variant per phrasing."""
+    blocks = []
+    for path, kind, phrasings in forms:
+        answerable = reach(path)
+        blocks.append(([t for t in pools[kind] if t in answerable], tuple(((phr, path),) for phr in phrasings)))
+    return blocks
+
+
+class _Units:
+    """One hop's units, listed by arithmetic and built only when indexed.  A
+    block is (topics, variants), each variant a tuple of (phrasing, path)
+    questions: it lists one unit per topic and variant, topic-major, and
+    unit i is a list of (phrasing, topic, path, hop), one per question."""
+
+    def __init__(self, blocks, hop):
+        self.blocks = blocks
+        self.hop = hop
+        self.starts = list(itertools.accumulate((len(t) * len(v) for t, v in blocks), initial=0))
+
+    def __len__(self):
+        return self.starts[-1]
+
+    def __getitem__(self, i):
+        b = bisect.bisect_right(self.starts, i) - 1  # an empty block shares its start with the next
+        topics, variants = self.blocks[b]
+        t, v = divmod(i - self.starts[b], len(variants))
+        return [(phr, topics[t], path, self.hop) for phr, path in variants[v]]
+
+
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     """Random movie KG + verbalizing corpus + 1/2/3-hop question splits."""
     spec.validate()
@@ -357,6 +401,11 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     ambiguous = set(rng.choice(movies, size=n_amb, replace=False)) if n_amb else set()
 
     def pick(pool, k):
+        """k distinct members of pool, in choice's order.  One member is one
+        bounded integer, the very draw of choice(n, 1, replace=False); a pick
+        of k >= 2 keeps choice, whose shuffle draws under a masked rule."""
+        if k == 1:
+            return [pool[int(rng.integers(len(pool)))]]
         return [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
 
     def movie_record(name):
@@ -385,17 +434,22 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
         triples.extend(rows)
 
     # corpus: one article per movie name; each triple gets one sentence,
-    # ambiguous movies render year AND language with the shared pattern
-    corpus = []
-    for name in movies + dup_names:
-        sentences = []
-        for m, p, o in by_movie[name]:
-            if name in ambiguous and p in ("release_year", "in_language"):
-                sentences.append(AMBIG_TEMPLATE.format(m=m, o=o))
-            else:
-                variants = SENT_TEMPLATES[p]
-                sentences.append(variants[int(rng.integers(len(variants)))].format(m=m, o=o))
-        corpus.append((name, " ".join(sentences)))
+    # ambiguous movies render year AND language with the shared pattern, and
+    # every other sentence's template is drawn in one call, in article order
+    articles = movies + dup_names
+
+    def shared(name, p):
+        return name in ambiguous and p in ("release_year", "in_language")
+
+    highs = [len(SENT_TEMPLATES[p]) for name in articles for _, p, _ in by_movie[name] if not shared(name, p)]
+    variant = iter(rng.integers(0, highs).tolist())
+    corpus = [
+        (name, " ".join(
+            (AMBIG_TEMPLATE if shared(name, p) else SENT_TEMPLATES[p][next(variant)]).format(m=m, o=o)
+            for m, p, o in by_movie[name]
+        ))
+        for name in articles
+    ]
 
     adj = _adjacency(triples)
     memo: dict[tuple, frozenset] = {}
@@ -411,30 +465,18 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
         "language": languages,
     }
 
-    def instantiate(forms, hop):
-        """All answerable (template, topic) instances as single-question units
-        of (phrasing, topic, predicate path, hop).  A topic is answerable when
-        it is in the path's reach set; cap_and_split formats the question and
-        computes the gold answers only for the units it keeps."""
-        units = []
-        for path, kind, phrasings in forms:
-            reach = _reach_set(adj, reach_sets, path)
-            units += [[(phr, topic, path, hop)] for topic in pools[kind] if topic in reach for phr in phrasings]
-        return units
+    def reach(path):
+        return _reach_set(adj, reach_sets, path)
 
-    units1 = instantiate(QUESTION_FORMS_1HOP, 1)
     # where/when pairs ride in two-question units so each split keeps the
     # tie-break symmetric (a maskless model must sit near 50% on them)
     when, where = ("release_year",), ("in_language",)
-    both = _reach_set(adj, reach_sets, when) & _reach_set(adj, reach_sets, where)
-    units1 += [
-        [(qw, topic, when, 1), (ql, topic, where, 1)]
-        for topic in movies
-        if topic in ambiguous and topic in both
-        for qw, ql in zip(AMBIG_WHEN, AMBIG_WHERE)
-    ]
-    units2 = instantiate(QUESTION_FORMS_2HOP, 2)
-    units3 = instantiate(QUESTION_FORMS_3HOP, 3)
+    both = reach(when) & reach(where)
+    pairs = ([t for t in movies if t in ambiguous and t in both],
+             tuple(((qw, when), (ql, where)) for qw, ql in zip(AMBIG_WHEN, AMBIG_WHERE)))
+    units1 = _Units(_form_blocks(QUESTION_FORMS_1HOP, pools, reach) + [pairs], 1)
+    units2 = _Units(_form_blocks(QUESTION_FORMS_2HOP, pools, reach), 2)
+    units3 = _Units(_form_blocks(QUESTION_FORMS_3HOP, pools, reach), 3)
 
     golds: dict[tuple, tuple] = {}  # (topic, path) -> sorted answers, shared by the phrasings kept
 
@@ -446,15 +488,16 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     def cap_and_split(units):
         """Keep units in a seeded random order until questions_per_hop
         questions are kept, and cut them into train/dev/test in that order.
-        Only the kept units have their questions formatted and their gold
-        answers computed."""
+        Only the kept units are built, formatted and have their gold answers
+        computed; every unit holds a question, so the first questions_per_hop
+        indices of the order are the most that can be kept."""
         order = rng.permutation(len(units))
         picked, count = [], 0
-        for i in order:
+        for i in order[: spec.questions_per_hop].tolist():
             if count >= spec.questions_per_hop:
                 break
             picked.append(units[i])
-            count += len(units[i])
+            count += len(picked[-1])
         total = sum(len(u) for u in picked)
         cut1 = spec.split_ratios[0] * total
         cut2 = (spec.split_ratios[0] + spec.split_ratios[1]) * total

@@ -339,6 +339,27 @@ def bfs_answers(triples, topic, hops):
     return frontier
 
 
+def eager_units(forms, pools, reach, hop, ambiguous=(), pairs=()):
+    """Every answerable unit of one hop as one list, built up front: a
+    single-question unit [(phrasing, topic, path, hop)] per (path, kind,
+    phrasings) form, topic of the kind's pool in reach(path) and phrasing,
+    in that order; then, for each movie in `ambiguous` that reaches both
+    release_year and in_language, one two-question unit per (when, where)
+    phrasing pair of `pairs`."""
+    units = []
+    for path, kind, phrasings in forms:
+        units += [[(phr, topic, path, hop)] for topic in pools[kind] if topic in reach(path) for phr in phrasings]
+    when, where = ("release_year",), ("in_language",)
+    pairs = list(pairs)
+    units += [
+        [(qw, topic, when, hop), (ql, topic, where, hop)]
+        for topic in pools.get("movie", ())
+        if topic in ambiguous and topic in reach(when) and topic in reach(where)
+        for qw, ql in pairs
+    ]
+    return units
+
+
 def brute_select(a, tau, omega, rel_heads, rel_ids=None):
     """Reference for sparse text-relation selection.
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from hoptrace import data as data_mod
@@ -32,7 +33,7 @@ from hoptrace.graph import (
     load_triples_tsv,
 )
 
-from oracles import bfs_answers, load_questions_reference
+from oracles import bfs_answers, eager_units, load_questions_reference
 
 SMALL = dict(
     movies=40,
@@ -279,6 +280,148 @@ def test_default_dataset_and_graph_bytes_are_pinned(tmp_path):
     add_reverse_relations(build_from_triples(load_triples_tsv(tmp_path / "triples.tsv"))).save(tmp_path / "graph.bin")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == DEFAULT_SHA256
+
+
+# the same for the spec the label-large-serve workload generates (every pool
+# the default's x10, seed 1), where the answerable units far outnumber the
+# kept ones; recorded before the generator drew one-element picks as one
+# bounded integer, drew the corpus templates in one call and built only the
+# units it keeps
+X10 = dict(movies=2000, directors=600, writers=600, actors=1200, seed=1)
+X10_SHA256 = {
+    "ambiguous_eval.txt": "50f3f99619a2266e972fb17c0455f9040a0fe78ee26ff04151cfccf220f93ba8",
+    "corpus.jsonl": "c16f50acb9fa2b3a7b5092c8c2b9d839da1119b0730990e914733e038e30abb8",
+    "manifest.json": "c5a820eb66427b3bedd16da0f868378e95485170e521b074ff3ab29ce8be640d",
+    "qa_dev.txt": "11207b1aed123c3eef1c7028276989864c41429a946ed0de6f6a3db750529a12",
+    "qa_dup.txt": "d5feb91429bf41b6ea52288eee4641bb97f98b00ccfb99f71871a7173e74e3f9",
+    "qa_test.txt": "e457bec6f854cf2f051f35a81da0627edf60f729b9f641a900e6aeaf2925355a",
+    "qa_train.txt": "25ca3865f30944da1850a50c054902fb2ff32b6e835fa235289c8a60ef4b1761",
+    "triples.tsv": "51299a0512b8beb3ad6360c163d6974ffd3d802113ed9eb30fcb97a4c132a0a2",
+}
+
+
+def test_x10_dataset_bytes_are_pinned(tmp_path):
+    write_dataset(generate_synthetic(SyntheticSpec(**X10)), tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == X10_SHA256
+
+
+# -- the draw identities the pins rest on ----------------------------------------
+# Each draw rule of the generator gives the values, and leaves the Generator
+# state, of the rule it replaced; these name the cause if a numpy version
+# breaks one, where a digest mismatch cannot.
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 60, 1200))
+def test_a_one_element_choice_is_one_bounded_integer(n):
+    """choice(n, 1, replace=False) runs Floyd's algorithm: one bounded draw
+    in [0, n), and a shuffle of one element, which draws nothing."""
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    for k in range(500):
+        assert a.choice(n, 1, replace=False).tolist() == [int(b.integers(n))]
+        if k % 3 == 0:  # a 64-bit draw between, as the generator's other draws interleave
+            assert a.random() == b.random()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_one_integers_call_over_highs_is_the_scalar_loop():
+    highs = np.random.default_rng(0).integers(1, 6, size=20000)
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    want = [int(a.integers(h)) for h in highs]
+    assert b.integers(0, highs).tolist() == want
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+# -- lazy units --------------------------------------------------------------------
+
+
+def _recorded_units(monkeypatch):
+    """A list that collects every _Units generate_synthetic makes, each
+    counting the units it builds."""
+    made = []
+
+    class Recording(data_mod._Units):
+        def __init__(self, blocks, hop):
+            super().__init__(blocks, hop)
+            self.built = 0
+            made.append(self)
+
+        def __getitem__(self, i):
+            self.built += 1
+            return super().__getitem__(i)
+
+    monkeypatch.setattr(data_mod, "_Units", Recording)
+    return made
+
+
+def _listed(units):
+    return [units[i] for i in range(len(units))]
+
+
+def test_units_match_the_eager_listing_on_hand_built_forms():
+    """Blocks of several sizes, one with no topic in reach and one whose
+    variants hold two questions: unit i is the eager list's unit i."""
+    pools = {"movie": ["m0", "m1", "m2", "m3"], "actor": ["a0", "a1", "a2"]}
+    reach = {("p",): {"m1", "m3"}, ("q", "r"): {"a0", "a1", "a2"}, ("s",): set(),
+             ("release_year",): {"m0", "m1", "m2"}, ("in_language",): {"m0", "m2", "m3"}}.get
+    forms = [
+        (("p",), "movie", ("who p [{t}]", "what p [{t}]", "which p [{t}]")),
+        (("s",), "actor", ("who s [{t}]",)),
+        (("q", "r"), "actor", ("who qr [{t}]", "what qr [{t}]")),
+        (("release_year",), "movie", ("when [{t}]",)),
+    ]
+    pairs = (("w0 [{t}]", "l0 [{t}]"), ("w1 [{t}]", "l1 [{t}]"))
+    ambiguous = {"m0", "m1", "m2"}  # m1 has no language: no pair
+    pair_block = (["m0", "m2"], tuple(((qw, ("release_year",)), (ql, ("in_language",))) for qw, ql in pairs))
+    for hop in (1, 2):
+        units = data_mod._Units(data_mod._form_blocks(forms, pools, reach) + [pair_block], hop)
+        want = eager_units(forms, pools, reach, hop, ambiguous, pairs)
+        assert len(units) == len(want) == 6 + 0 + 6 + 3 + 4
+        assert _listed(units) == want
+    assert len(data_mod._Units([], 1)) == 0
+
+
+def _pools(spec):
+    persons = [f"Person_{i}" for i in range(spec.directors + spec.writers + spec.actors)]
+    return {
+        "movie": [f"Movie_{i}" for i in range(spec.movies)],
+        "director": persons[: spec.directors],
+        "writer": persons[spec.directors : spec.directors + spec.writers],
+        "actor": persons[spec.directors + spec.writers :],
+        "year": [str(spec.year_start + i) for i in range(spec.years)],
+        "genre": [f"Genre_{i}" for i in range(spec.genres)],
+        "language": [f"Language_{i}" for i in range(spec.languages)],
+    }
+
+
+def test_units_match_the_eager_listing_on_the_default_spec(monkeypatch):
+    """Every hop's units, where/when pairs included, as generate_synthetic
+    lists them: the total and each unit are the eager list's.  The
+    ambiguous movies are the ones whose article uses the shared pattern."""
+    made = _recorded_units(monkeypatch)
+    spec = SyntheticSpec()
+    d = generate_synthetic(spec)
+    adj, memo = data_mod._adjacency(d.triples), {}
+    ambiguous = {name for name, text in d.corpus if " was published in " in text}
+    assert len(ambiguous) == d.stats["ambiguous_movies"] > 0
+    assert [u.hop for u in made] == [1, 2, 3]
+    for units, forms in zip(made, (QUESTION_FORMS_1HOP, QUESTION_FORMS_2HOP, QUESTION_FORMS_3HOP)):
+        pairs = zip(AMBIG_WHEN, AMBIG_WHERE) if units.hop == 1 else ()
+        want = eager_units(forms, _pools(spec), lambda path: data_mod._reach_set(adj, memo, path),
+                           units.hop, ambiguous, pairs)
+        assert len(units) == len(want)
+        assert _listed(units) == want
+    assert any(len(u) == 2 for u in _listed(made[0]))
+
+
+def test_units_built_only_for_kept_questions(monkeypatch):
+    """Every unit holds a question, so a hop builds at most as many units as
+    it keeps questions, however many it lists."""
+    made = _recorded_units(monkeypatch)
+    d = generate_synthetic(SyntheticSpec(**dict(SMALL, questions_per_hop=60)))
+    for units in made:
+        kept = d.stats["questions_per_hop"][str(units.hop)]
+        assert 0 < units.built <= kept < len(units)
 
 
 # -- lazy gold answers -------------------------------------------------------------
