@@ -275,7 +275,9 @@ def take(a, key):
     gathers.  Repeated indices accumulate on the backward pass: a gather's
     vjp indexes the flat positions of a with the same key and adds g back
     with one kernels._scatter, in the gather's order.  A 1-D integer key
-    into a 1-D array is its own list of positions, negatives wrapped.
+    into a 1-D array is its own list of positions, negatives wrapped, and
+    a tuple of one integer array per axis gives them by ravel_multi_index:
+    the gather has bounds-checked the key, so "wrap" only maps negatives.
     """
     a = _ensure(a)
     advanced = isinstance(key, (np.ndarray, list)) or (
@@ -290,6 +292,10 @@ def take(a, key):
         size = a.data.size
         if a.data.ndim == 1 and isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind == "i":
             pos = key if key.min(initial=0) >= 0 else np.where(key < 0, key + size, key)
+        elif isinstance(key, tuple) and len(key) == a.data.ndim and all(
+            isinstance(k, np.ndarray) and k.dtype.kind == "i" for k in key
+        ):
+            pos = np.ravel_multi_index(key, a.data.shape, mode="wrap").ravel()
         else:
             pos = np.arange(size).reshape(a.data.shape)[key].ravel()
         return (_scatter(pos, g.ravel(), size).reshape(a.data.shape),)

@@ -8,7 +8,11 @@ topic) unit has an answer at all is read off one reach set per predicate
 path suffix.  The units are listed by arithmetic (topics in reach times
 phrasings, form by form) and built only when a split keeps them, and only
 the kept units are formatted into questions and get their answers
-computed.  No question needs a dedupe: within a hop the phrasings are
+computed.  Those answers are sorted once per key: a path of two or more
+hops reaches the union of the rest of the path's answers over the topic's
+first-hop entities, so that set and the rest key it exactly, and topics
+whose first hops meet one set (the movies of one genre pair) share one
+tuple.  No question needs a dedupe: within a hop the phrasings are
 pairwise distinct and each brackets the topic once, and no generated name
 holds a bracket, so distinct (phrasing, topic) pairs give distinct
 questions.
@@ -318,8 +322,8 @@ def _path_answers(adj: dict, memo: dict, topic: str, path: tuple):
     a set nobody may mutate: one hop returns adj's own set.  memo maps
     (entity, remaining path) to the answers of a suffix of two or more hops:
     many topics share a middle entity, so each such suffix is walked once
-    per entity.  Whole paths are not kept here: generate_synthetic keeps the
-    answers of each kept (topic, path) for all its phrasings."""
+    per entity.  Whole paths are not kept here: _gold_answers keeps one
+    sorted tuple per (first-hop set, rest of the path)."""
     nxt = adj.get(path[0], {}).get(topic, frozenset())
     rest = path[1:]
     if not rest:
@@ -333,6 +337,26 @@ def _path_answers(adj: dict, memo: dict, topic: str, path: tuple):
             memo[e, rest] = _path_answers(adj, memo, e, rest)
         parts.append(memo[e, rest])
     return frozenset().union(*parts)
+
+
+def _gold_answers(adj: dict):
+    """gold(topic, path): the sorted answers of topic along the (non-empty)
+    predicate path, one tuple per key.  A path of two or more hops is keyed
+    by the topic's first-hop entities and the rest of the path: its answers
+    are the union of the rest's answers over those entities and depend on
+    nothing else, so topics whose first hops reach one set (the movies of
+    one genre set, say) share one walk, one sort and one tuple.  A one-hop
+    path is keyed by (topic, path)."""
+    memo: dict[tuple, frozenset] = {}  # _path_answers' suffix walks
+    golds: dict[tuple, tuple] = {}
+
+    def gold(topic, path):
+        key = (topic, path) if len(path) == 1 else (frozenset(adj.get(path[0], {}).get(topic, ())), path[1:])
+        if key not in golds:
+            golds[key] = tuple(sorted(_path_answers(adj, memo, topic, path)))
+        return golds[key]
+
+    return gold
 
 
 def _reach_set(adj: dict, memo: dict, path: tuple) -> set:
@@ -452,7 +476,6 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     ]
 
     adj = _adjacency(triples)
-    memo: dict[tuple, frozenset] = {}
     reach_sets: dict[tuple, set] = {}
 
     pools = {
@@ -478,12 +501,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
     units2 = _Units(_form_blocks(QUESTION_FORMS_2HOP, pools, reach), 2)
     units3 = _Units(_form_blocks(QUESTION_FORMS_3HOP, pools, reach), 3)
 
-    golds: dict[tuple, tuple] = {}  # (topic, path) -> sorted answers, shared by the phrasings kept
-
-    def gold(topic, path):
-        if (topic, path) not in golds:
-            golds[topic, path] = tuple(sorted(_path_answers(adj, memo, topic, path)))
-        return golds[topic, path]
+    gold = _gold_answers(adj)
 
     def cap_and_split(units):
         """Keep units in a seeded random order until questions_per_hop

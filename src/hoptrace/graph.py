@@ -29,6 +29,7 @@ and sorts the rows, so rows saved in any order load into the same arrays.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 
@@ -250,26 +251,28 @@ def _index(heads, tails, kinds, n: int, num_kinds: int):
 def build_from_triples(triples) -> RelationGraph:
     """Label-form graph from (head, predicate, tail) name rows.
 
-    Vocabularies follow first-seen order; exact duplicate rows collapse.
+    A row that is not three non-empty strings is a GraphError naming its
+    index.  Exact duplicate rows collapse (dict.fromkeys keeps the first of
+    each), and the vocabularies follow first-seen order: entities over
+    head, tail, head, tail, ... and predicates over the rows in turn.  A
+    name first seen in a dropped duplicate was seen in its first copy, so
+    the kept rows give both orders, and Vocab.ids maps them to edge ids.
     """
-    entities, predicates = Vocab(), Vocab()
-    edges = []
-    seen = set()
+    rows = []
     for i, row in enumerate(triples):
         try:
             h, p, t = row
         except (TypeError, ValueError):
             raise GraphError(f"triple row {i}: expected 3 fields, got {row!r}") from None
-        if not (h and p and t) or not all(isinstance(x, str) for x in (h, p, t)):
+        if not (h and p and t and isinstance(h, str) and isinstance(p, str) and isinstance(t, str)):
             raise GraphError(f"triple row {i}: names must be non-empty strings, got {row!r}")
-        key = (h, p, t)
-        hi = entities.add(h)
-        pi = predicates.add(p)
-        ti = entities.add(t)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append((hi, pi, ti))
+        rows.append(row if type(row) is tuple else (h, p, t))  # a list row cannot be a dict key
+    names = list(itertools.chain.from_iterable(dict.fromkeys(rows)))
+    ends = names.copy()
+    del ends[1::3]  # h0, t0, h1, t1, ...
+    entities, predicates = Vocab(ends), Vocab(names[1::3])
+    edges = np.array([entities.ids(names[0::3]), predicates.ids(names[1::3]), entities.ids(names[2::3])],
+                     dtype=np.int64).T
     return RelationGraph(entities, predicates, edges, [], [], form="label")
 
 

@@ -281,7 +281,9 @@ def _restore(params: ModelParams, snap: dict[str, np.ndarray]):
 
 def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None) -> TrainResult:
     """Mini-batch training, one forward and one backward per batch; keeps
-    the epoch whose dev hits@1 is best.  Deterministic given (config, seed)."""
+    the epoch whose dev hits@1 is best.  With no dev examples it keeps the
+    last epoch, logs train rows only and returns an empty best_dev.
+    Deterministic given (config, seed)."""
     _keep_freed_memory()
     rng = np.random.default_rng(cfg.seed)
     if vocab is None:
@@ -299,8 +301,7 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None) -> Tr
     cache = RelationEncodingCache(params.r_enc, vocab, g.texts) if text_form else None
     opt = RAdam(params.named(), lr=cfg.lr)
     bs = cfg.effective_batch_size
-    best = {"overall": -1.0}
-    best_snap = None
+    best, best_snap = {}, None  # stay empty without dev examples: the last epoch is kept
     log_f = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for epoch in range(1, cfg.epochs + 1):
@@ -322,7 +323,6 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None) -> Tr
                 # one loss node and one backward per batch: the tape does not grow with B
                 lb.total.backward(seed=np.asarray(inv))
                 opt.step()
-            dev = evaluate(g, params, dev_prep, cfg, cache=cache)
             rows = [
                 {
                     "epoch": epoch,
@@ -331,33 +331,31 @@ def train(cfg, g, train_examples, dev_examples, vocab=None, log_path=None) -> Tr
                     "aux_loss": aux_sum / aux_n if aux_n else None,
                     "hits1_per_hop": None,
                 },
-                {
+            ]
+            msg = f"epoch {epoch}: train loss {rows[0]['loss']:.4f}"
+            if dev_prep:
+                dev = evaluate(g, params, dev_prep, cfg, cache=cache)
+                rows.append({
                     "epoch": epoch,
                     "split": "dev",
                     "loss": dev["mean_loss"],
                     "aux_loss": None,
                     "hits1_per_hop": {str(k): v for k, v in dev["per_hop"].items()},
                     "hits1": dev["overall"],
-                },
-            ]
+                })
+                msg += f", dev hits@1 {dev['overall']:.4f} {dev['per_hop']}"
+                if dev["overall"] > best.get("overall", -1.0):
+                    best = dev | {"epoch": epoch}
+                    best_snap = _snapshot(params)
             if log_f:
                 for row in rows:
                     log_f.write(json.dumps(row, sort_keys=True) + "\n")
                 log_f.flush()
-            log.info(
-                "epoch %d: train loss %.4f, dev hits@1 %.4f %s",
-                epoch,
-                rows[0]["loss"],
-                dev["overall"],
-                dev["per_hop"],
-            )
-            if dev["overall"] > best["overall"]:
-                best = dev | {"epoch": epoch}
-                best_snap = _snapshot(params)
+            log.info("%s", msg)
     finally:
         if log_f:
             log_f.close()
-    if best_snap is not None:
+    if best:
         _restore(params, best_snap)
     return TrainResult(params=params, vocab=vocab, best_dev=best)
 

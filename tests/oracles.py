@@ -4,8 +4,8 @@ Everything here is deliberately naive — dense matrices, python loops,
 brute-force scans — so that agreement with the optimized code under test
 is meaningful.  Nothing in this module imports from hoptrace except its
 autodiff primitives, which gradient checking and the composed-primitive
-BiGRU reference are built from, and the question record the reference
-loader builds and the error it raises.
+BiGRU reference are built from, the question record the reference
+loader builds, and the errors the references raise.
 """
 
 import logging
@@ -16,7 +16,7 @@ import numpy as np
 
 import hoptrace.autodiff as ad
 from hoptrace.data import QAExample
-from hoptrace.errors import DataError
+from hoptrace.errors import DataError, GraphError
 
 
 def finite_difference(f, x, step=1e-5):
@@ -337,6 +337,38 @@ def bfs_answers(triples, topic, hops):
                 nxt.add(t)
         frontier = nxt
     return frontier
+
+
+def path_answers_reference(triples, topic, path):
+    """Entities reached from `topic` along the predicate path, over the
+    triples and their reverses (predicate + "_rev"), one scan of every
+    triple per hop.  Pure python."""
+    aug = list(triples) + [(t, p + "_rev", h) for h, p, t in triples]
+    frontier = {topic}
+    for pred in path:
+        frontier = {t for h, p, t in aug if p == pred and h in frontier}
+    return frontier
+
+
+def build_from_triples_reference(triples):
+    """graph.build_from_triples as the per-row loop it once was: (entity
+    names, predicate names, (head, pred, tail) id rows).  Each row numbers
+    its head, predicate and tail in first-seen order, and a row seen before
+    adds no edge; a malformed row is a GraphError naming its index."""
+    entities, predicates, edges, seen = {}, {}, [], set()
+    for i, row in enumerate(triples):
+        try:
+            h, p, t = row
+        except (TypeError, ValueError):
+            raise GraphError(f"triple row {i}: expected 3 fields, got {row!r}") from None
+        if not (h and p and t) or not all(isinstance(x, str) for x in (h, p, t)):
+            raise GraphError(f"triple row {i}: names must be non-empty strings, got {row!r}")
+        ids = (entities.setdefault(h, len(entities)), predicates.setdefault(p, len(predicates)),
+               entities.setdefault(t, len(entities)))
+        if (h, p, t) not in seen:
+            seen.add((h, p, t))
+            edges.append(ids)
+    return list(entities), list(predicates), edges
 
 
 def eager_units(forms, pools, reach, hop, ambiguous=(), pairs=()):

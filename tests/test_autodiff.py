@@ -193,6 +193,14 @@ TAKE_CASES = {
     "negative-indices": ((7, 3), np.array([-1, 2, -7, 6, -1, 0, -1, 6, -1])),
     "slice-and-array": ((4, 6), (slice(1, None), np.array([5, 0, 5, 2, 5, 5, 5, 5]))),
     "empty-index": ((6, 2), np.array([], dtype=np.int64)),
+    # one integer array per axis, broadcast to (4, 3) as the encoder's pooled
+    # gather is: the vjp's ravel_multi_index path
+    "broadcast-per-axis-repeats-and-negatives": (
+        (3, 4, 5),
+        (np.array([[0], [-3], [0], [2]]),
+         np.array([[1, -3, 1], [3, -1, 3], [1, 1, -3], [0, 0, 0]]),
+         np.array([4, -1, 4])),
+    ),
 }
 
 

@@ -33,7 +33,7 @@ from hoptrace.graph import (
     load_triples_tsv,
 )
 
-from oracles import bfs_answers, eager_units, load_questions_reference
+from oracles import bfs_answers, eager_units, load_questions_reference, path_answers_reference
 
 SMALL = dict(
     movies=40,
@@ -97,6 +97,55 @@ def test_gold_answers_exact_for_known_forms(data):
             continue
         checked += 1
     assert checked >= 10
+
+
+# each phrasing's predicate path, the where/when pairs' included
+PHRASING_PATHS = {
+    phr: path
+    for forms in (QUESTION_FORMS_1HOP, QUESTION_FORMS_2HOP, QUESTION_FORMS_3HOP)
+    for path, _kind, phrasings in forms
+    for phr in phrasings
+} | dict.fromkeys(AMBIG_WHEN, ("release_year",)) | dict.fromkeys(AMBIG_WHERE, ("in_language",))
+
+
+def test_gold_answers_exact_for_every_form(data):
+    """Every question's answers are the entities its phrasing's predicate
+    path reaches from its topic, walked over the reverse-augmented triples."""
+    examples = _all_examples(data) + data.duplicates
+    paths = [PHRASING_PATHS[ex.question.replace(f"[{ex.topic}]", "[{t}]")] for ex in examples]
+    assert {len(path) for path in paths} == {1, 2, 3}
+    for ex, path in zip(examples, paths):
+        assert len(path) == ex.hop, ex.question
+        assert ex.answers == tuple(sorted(path_answers_reference(data.triples, ex.topic, path))), ex.question
+
+
+def test_gold_answers_exact_where_movies_share_a_genre_set():
+    """Three movies share the genre set {Drama, Noir}, and a fourth holds one
+    genre more: each gets the reference walk's answers on every form's path,
+    the three share one tuple per path of two or more hops, and the fourth's
+    differ wherever its extra genre reaches further."""
+    triples = []
+    for m, genres, year, lang, director in (
+        ("M0", ("Drama", "Noir"), "1990", "L0", "D0"),
+        ("M1", ("Drama", "Noir"), "1991", "L1", "D1"),
+        ("M2", ("Noir", "Drama"), "1990", "L0", "D1"),
+        ("M3", ("Drama", "Noir", "War"), "1992", "L1", "D0"),
+        ("M4", ("War",), "1993", "L2", "D2"),
+    ):
+        triples += [(m, "has_genre", x) for x in genres]
+        triples += [(m, "release_year", year), (m, "in_language", lang), (m, "directed_by", director),
+                    (m, "written_by", "W" + director), (m, "starred_actors", "A" + year)]
+    gold = data_mod._gold_answers(data_mod._adjacency(triples))
+    names = sorted({e for h, _, t in triples for e in (h, t)})
+    for forms in (QUESTION_FORMS_1HOP, QUESTION_FORMS_2HOP, QUESTION_FORMS_3HOP):
+        for path, _kind, _phrasings in forms:
+            for topic in names:
+                assert gold(topic, path) == tuple(sorted(path_answers_reference(triples, topic, path))), (topic, path)
+    for path in (("has_genre", "has_genre_rev"), ("has_genre", "has_genre_rev", "release_year")):
+        assert gold("M0", path) is gold("M1", path) is gold("M2", path)
+        assert gold("M3", path) != gold("M0", path)
+    assert gold("M0", ("has_genre", "has_genre_rev")) == ("M0", "M1", "M2", "M3")
+    assert gold("M3", ("has_genre", "has_genre_rev", "release_year")) == ("1990", "1991", "1992", "1993")
 
 
 def test_answers_sorted_and_unique(data):
@@ -286,11 +335,14 @@ def test_default_dataset_and_graph_bytes_are_pinned(tmp_path):
 # the default's x10, seed 1), where the answerable units far outnumber the
 # kept ones; recorded before the generator drew one-element picks as one
 # bounded integer, drew the corpus templates in one call and built only the
-# units it keeps
+# units it keeps; graph.bin, the reversed label graph built from its triples,
+# recorded before the gold answers were keyed by first-hop set and the label
+# graph built from whole columns
 X10 = dict(movies=2000, directors=600, writers=600, actors=1200, seed=1)
 X10_SHA256 = {
     "ambiguous_eval.txt": "50f3f99619a2266e972fb17c0455f9040a0fe78ee26ff04151cfccf220f93ba8",
     "corpus.jsonl": "c16f50acb9fa2b3a7b5092c8c2b9d839da1119b0730990e914733e038e30abb8",
+    "graph.bin": "a5bc568480c69eb6d5e00abe77360cfdfbfb461cf8249a5c12e24a6c324388f9",
     "manifest.json": "c5a820eb66427b3bedd16da0f868378e95485170e521b074ff3ab29ce8be640d",
     "qa_dev.txt": "11207b1aed123c3eef1c7028276989864c41429a946ed0de6f6a3db750529a12",
     "qa_dup.txt": "d5feb91429bf41b6ea52288eee4641bb97f98b00ccfb99f71871a7173e74e3f9",
@@ -302,6 +354,7 @@ X10_SHA256 = {
 
 def test_x10_dataset_bytes_are_pinned(tmp_path):
     write_dataset(generate_synthetic(SyntheticSpec(**X10)), tmp_path)
+    add_reverse_relations(build_from_triples(load_triples_tsv(tmp_path / "triples.tsv"))).save(tmp_path / "graph.bin")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == X10_SHA256
 

@@ -26,7 +26,7 @@ from hoptrace.graph import (
 )
 
 from conftest import random_label_graph, random_text_graph
-from oracles import brute_select, dense_predicate_matrices
+from oracles import brute_select, build_from_triples_reference, dense_predicate_matrices
 
 
 def _rel(g, i):
@@ -76,6 +76,45 @@ def test_build_from_triples_rejects_malformed():
         build_from_triples([("a", "", "b")])
     with pytest.raises(GraphError):
         build_from_triples([(1, "p", "b")])
+
+
+def _assert_same_label_graph(g, h):
+    assert g.entities.names == h.entities.names
+    assert g.predicates.names == h.predicates.names
+    for name in ("edge_heads", "edge_preds", "edge_tails", "head_ptr", "pair_start"):
+        np.testing.assert_array_equal(getattr(g, name), getattr(h, name), err_msg=name)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_from_triples_matches_the_reference_loop(seed):
+    """Shuffled rows with exact duplicates, list-typed rows (some the twins
+    of tuple rows) and a name first seen as a tail: the same names in the
+    same order and the same edge arrays as the per-row reference loop."""
+    rng = np.random.default_rng(seed)
+    rows = [(f"e{h}", f"p{q}", f"e{t}") for h, q, t in rng.integers(0, [12, 3, 12], size=(40, 3))]
+    rows += rows[::3]  # exact duplicates
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    rows = [list(r) if i % 4 == 0 else r for i, r in enumerate(rows)]
+    rows = [("first", "p0", "tail_first"), *rows, ["tail_first", "p1", "e0"], ("first", "p0", "tail_first")]
+    entities, predicates, edges = build_from_triples_reference(rows)
+    assert len(edges) < len(rows) and entities[:2] == ["first", "tail_first"]
+    g = build_from_triples(iter(rows))  # one pass over any iterable
+    _assert_same_label_graph(g, RelationGraph(Vocab(entities), Vocab(predicates), edges, [], [], form="label"))
+    assert build_from_triples([]).num_edges == 0
+
+
+@pytest.mark.parametrize("bad", [("a", "p"), ("a", "p", "b", "c"), None, 7, ("a", "", "b"), (1, "p", "b"),
+                                 ("a", "p", None), ["a", "p", ""], ("a", "p", ["b"])])
+def test_build_from_triples_names_the_malformed_row(bad):
+    """A malformed row at index 3 is refused with the reference's message,
+    which names `triple row 3`, after well-formed, list and duplicate rows."""
+    rows = [("a", "p", "b"), ["b", "q", "c"], ("a", "p", "b"), bad, ("c", "p", "a")]
+    with pytest.raises(GraphError) as ours:
+        build_from_triples(rows)
+    with pytest.raises(GraphError) as ref:
+        build_from_triples_reference(rows)
+    assert str(ours.value) == str(ref.value)
+    assert str(ours.value).startswith("triple row 3: ")
 
 
 def test_edges_listed_by_head_ptr(rng):

@@ -343,6 +343,25 @@ def test_train_restores_best_dev_epoch():
     assert m["overall"] == pytest.approx(result.best_dev["overall"])
 
 
+def test_train_without_dev_examples_keeps_the_last_epoch(tmp_path):
+    """No dev examples: no epoch is snapshotted or restored, so three epochs
+    end elsewhere than one; best_dev is empty and the log holds train rows
+    only.  One epoch lands where a run with dev examples restores it."""
+    g, resolved = tiny_qa_setup()
+    runs = {}
+    for epochs in (1, 3):
+        cfg = TrainConfig(form="label", epochs=epochs, d=8, seed=3, batch_size=4).validate()
+        runs[epochs] = train(cfg, g, resolved, [], log_path=tmp_path / f"{epochs}.jsonl")
+        assert runs[epochs].best_dev == {}
+        assert [(r["epoch"], r["split"]) for r in read_log(tmp_path / f"{epochs}.jsonl")] == [
+            (e, "train") for e in range(1, epochs + 1)]
+    one, three = runs[1].params.named(), runs[3].params.named()
+    assert any(not np.array_equal(one[k].data, three[k].data) for k in one)
+    with_dev = train(TrainConfig(form="label", epochs=1, d=8, seed=3, batch_size=4).validate(), g, resolved, resolved)
+    for k, t in with_dev.params.named().items():
+        np.testing.assert_array_equal(t.data, one[k].data, err_msg=k)
+
+
 def test_train_deterministic_given_seed(tmp_path):
     g, resolved = tiny_qa_setup()
     cfg = TrainConfig(form="label", epochs=2, d=8, seed=11, batch_size=4).validate()
