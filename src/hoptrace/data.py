@@ -37,6 +37,7 @@ import functools
 import itertools
 import json
 import logging
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -168,13 +169,15 @@ class ResolvedQA(NamedTuple):
 def _answer_names(text: str) -> tuple:
     """The names of an answer field, sorted and unique, without the empty
     name.  save_questions writes them sorted and unique, and sorting sorted
-    names is linear; only a field whose neighbours repeat takes a set."""
+    names is linear; only a field whose neighbours repeat takes a set.
+    Each name is interned, so every field that names an entity holds the
+    same str object, and its hash is computed once."""
     names = sorted(text.split("|"))
     if any(map(str.__eq__, names, names[1:])):
         names = sorted(set(names))
     if not names[0]:
         del names[0]
-    return tuple(names)
+    return tuple(map(sys.intern, names))
 
 
 def _hop_count(field: str) -> int:
@@ -193,7 +196,9 @@ def load_questions(path) -> list[QAExample]:
     is the question's bracketed span, and a line without a hop has hop None.
     A line of another field count, or naming no topic or answer, is skipped
     with a warning; a hop that is not ASCII digits of a value >= 1 is a
-    DataError naming its line, and so is an old hop sidecar beside the file."""
+    DataError naming its line, and so is an old hop sidecar beside the file.
+    Every answer field that names an entity holds one shared str for it
+    (see _answer_names), not a copy per field."""
     if _hop_path(path).exists():  # read alone, its questions would train with no hop loss
         raise DataError(f"{_hop_path(path)}: hop labels are now the third field of each question line:"
                         " generate the dataset again with `hoptrace gen`")

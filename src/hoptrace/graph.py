@@ -252,8 +252,9 @@ def build_from_triples(triples) -> RelationGraph:
     """Label-form graph from (head, predicate, tail) name rows.
 
     A row that is not three non-empty strings is a GraphError naming its
-    index.  Exact duplicate rows collapse (dict.fromkeys keeps the first of
-    each), and the vocabularies follow first-seen order: entities over
+    index, and so is a string row, though a 3-character one would unpack.
+    Exact duplicate rows collapse (dict.fromkeys keeps the first of each),
+    and the vocabularies follow first-seen order: entities over
     head, tail, head, tail, ... and predicates over the rows in turn.  A
     name first seen in a dropped duplicate was seen in its first copy, so
     the kept rows give both orders, and Vocab.ids maps them to edge ids.
@@ -261,7 +262,7 @@ def build_from_triples(triples) -> RelationGraph:
     rows = []
     for i, row in enumerate(triples):
         try:
-            h, p, t = row
+            h, p, t = () if isinstance(row, str) else row  # a string's characters are not fields
         except (TypeError, ValueError):
             raise GraphError(f"triple row {i}: expected 3 fields, got {row!r}") from None
         if not (h and p and t and isinstance(h, str) and isinstance(p, str) and isinstance(t, str)):

@@ -6,8 +6,8 @@ adds its weights one by one in edge order, so the results are fixed by the
 inputs alone.  ``np.bincount`` does not reject an index past ``n`` (it
 returns a longer vector), so callers pass in-range indices: ``RelationGraph``
 checks every id it holds when it is built.  The max ops run only where a
-pair has parallel edges: elsewhere max is sum, and ``model._push`` calls
-push_forward and push_backward.
+pair has parallel edges: elsewhere max is sum, and ``model.transfer_batch``
+calls push_forward and push_backward.
 """
 
 from __future__ import annotations
@@ -43,9 +43,12 @@ def push_forward(heads: np.ndarray, tails: np.ndarray, w: np.ndarray, a: np.ndar
 
 
 def push_backward(heads, tails, w, a, g):
-    """Adjoints of push_forward: (d/da, d/dw) contracted with upstream g."""
+    """Adjoints of push_forward: (d/da, d/dw) contracted with upstream g.
+    The gathered g[tails] becomes d/dw in place, one (E,) temporary fewer."""
     g_tail = g[tails]
-    return _scatter(heads, g_tail * w, a.shape[0]), g_tail * a[heads]
+    grad_a = _scatter(heads, g_tail * w, a.shape[0])
+    g_tail *= a[heads]
+    return grad_a, g_tail
 
 
 def push_batch_forward(heads, tails, w, a, n):

@@ -13,7 +13,10 @@ products over a (B, T, .) stack.
 There is one implementation, _reason, and it always runs a batch: each step
 scores every row against every relation kind (predicate or text) in one
 (B, kinds) matrix and makes one transfer, transfer_batch, pushed as a
-disjoint union of the B rows, in every graph form and aggregation.  Label
+disjoint union of the B rows, in every graph form and aggregation.  The
+transfer, truncation included, is one graph node: for its vjp it keeps the
+listed relations' arrays, the positions truncation cut and their raw
+scores, and no dense pre-truncation copy of the scores.  Label
 form pushes the edges leaving the frontier (the entities a row scores
 nonzero), text form the relations selected per row.  Both are listed by
 one CSR expansion over the graph's head-sorted storage, so the parallel
@@ -143,47 +146,42 @@ def text_relation_scores(q_t: Tensor, table: Tensor, params: ModelParams) -> Ten
 # graph, not with B times its edges.
 
 
-def _push(heads, tails, listed, pair_start, w: Tensor, a_prev: Tensor, n: int, aggregation: str) -> Tensor:
-    """Differentiable score push along the graph relations listed (storage
-    positions), whose first-of-pair flags are pair_start.
-
-    sum: parallel edges between a pair add up (the default).
-    max: parallel edges contribute only their maximum weight, the first
-    listed on a tie, and the gradient flows to that edge alone.  Each pair's
-    edges must be listed side by side from the one pair_start marks, as the
-    CSR listings of both forms are.  Where pair_start marks every listed
-    relation, no pair has parallel edges and max is pushed as sum.
-    """
-    if aggregation == "sum" or (aggregation == "max" and pair_start[listed].all()):
-        out = kernels.push_forward(heads, tails, w.data, a_prev.data, n)
-
-        def vjp(g):
-            return kernels.push_backward(heads, tails, w.data, a_prev.data, g)
-
-    elif aggregation == "max":
-        new = np.flatnonzero(pair_start[listed])  # the listing's first edge of each pair
-        heads, tails = heads[new], tails[new]
-        out, argmax = kernels.push_max_forward(heads, tails, np.append(new, listed.size), w.data, a_prev.data, n)
-
-        def vjp(g):
-            return kernels.push_max_backward(heads, tails, argmax, w.data, a_prev.data, g)
-
-    else:
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    return ad.node(out, (a_prev, w), vjp)
-
-
 def transfer_batch(
-    g: RelationGraph, a_prev: Tensor, rel_ids: np.ndarray, rows: np.ndarray, scores: Tensor, aggregation: str = "sum"
+    g: RelationGraph,
+    a_prev: Tensor,
+    rel_ids: np.ndarray,
+    rows: np.ndarray,
+    scores: Tensor,
+    aggregation: str = "sum",
+    truncation: bool = False,
 ) -> Tensor:
-    """One transfer for a whole batch, in every graph form: a_prev is (B, n),
-    scores is (B, kinds), and the listed relation rel_ids[k] pushes row
-    rows[k] with that row's score for its kind, a label edge's predicate or
-    a text relation's text id.  Relations not listed for a row carry score 0
+    """One transfer for a whole batch, in every graph form, as one graph
+    node with parents (a_prev, scores): a_prev is (B, n), scores is
+    (B, kinds), and the listed relation rel_ids[k] pushes row rows[k] with
+    that row's score for its kind, a label edge's predicate or a text
+    relation's text id.  Relations not listed for a row carry score 0
     there; the n x n score matrix is never materialized.  The weights are
-    one gather from scores by flat key row * kinds + kind, whose vjp adds
-    them back in that order; numpy's (rows, kinds) fancy index reads the
-    same entries at about 1.7x the cost.
+    one gather from scores by flat key row * kinds + kind, and the vjp
+    adds their gradients back in that order with one kernels._scatter;
+    numpy's (rows, kinds) fancy index reads the same entries at about 1.7x
+    the cost.
+
+    sum: parallel relations between a pair add up (the default).
+    max: parallel relations contribute only their maximum weight, the first
+    listed on a tie, and the gradient flows to that relation alone.  Where
+    no listed pair has parallel relations, max is pushed as sum.
+
+    With truncation, scores above 1 are cut back to 1 in place, as
+    a / max(a, 1) would be for finite scores (a / a is exactly 1.0); NaN
+    passes through.  The divisor is held constant when differentiating, so
+    the slope through a truncated score is 1/a rather than 0: the vjp
+    divides the upstream gradient by the raw score at those positions alone,
+    the same bits as g / fmax(raw, 1) over the whole batch.
+
+    For its vjp the node keeps the listed relations' offset heads and tails,
+    their weights and gather keys (and, for max, each pair's argmax), and
+    the flat positions that truncation cut with their raw scores; it keeps
+    no dense pre-truncation copy of the output.
 
     The relations must be listed row by row in storage order, as
     g.frontier_edge_ids and g.select_text_relation_ids list them: the
@@ -202,21 +200,39 @@ def transfer_batch(
     else:
         heads, tails, kind, pair_start = g.trel_heads, g.trel_tails, g.trel_text, g.trel_pair_start
     off = rows * n
-    w = ad.take(ad.reshape(scores, (B * kinds,)), rows * kinds + kind[rel_ids])
-    a_flat = ad.reshape(a_prev, (B * n,))
-    out = _push(heads[rel_ids] + off, tails[rel_ids] + off, rel_ids, pair_start, w, a_flat, B * n, aggregation)
-    return ad.reshape(out, (B, n))
+    heads, tails = heads[rel_ids] + off, tails[rel_ids] + off
+    key = rows * kinds + kind[rel_ids]
+    w = scores.data.reshape(B * kinds)[key]
+    a = a_prev.data.reshape(B * n)
+    if aggregation == "sum" or (aggregation == "max" and pair_start[rel_ids].all()):
+        out = kernels.push_forward(heads, tails, w, a, B * n)
 
+        def push_vjp(g_out):
+            return kernels.push_backward(heads, tails, w, a, g_out)
 
-def truncate(a: Tensor) -> Tensor:
-    """Rescale entries above 1 back to 1, as a / max(a, 1) would for finite
-    scores (a / a is exactly 1.0); NaN passes through.
+    elif aggregation == "max":
+        new = np.flatnonzero(pair_start[rel_ids])  # the listing's first relation of each pair
+        heads, tails = heads[new], tails[new]
+        out, argmax = kernels.push_max_forward(heads, tails, np.append(new, rel_ids.size), w, a, B * n)
 
-    The divisor is treated as a constant when differentiating, so the slope
-    through a truncated coordinate is 1/a rather than 0.  fmax keeps the
-    divisor 1 at a NaN, as a comparison with 1 would.
-    """
-    return ad.node(np.minimum(a.data, 1.0), (a,), lambda g: (g / np.fmax(a.data, 1.0),))
+        def push_vjp(g_out):
+            return kernels.push_max_backward(heads, tails, argmax, w, a, g_out)
+
+    else:
+        raise ValueError(f"unknown aggregation {aggregation!r}")
+    over = np.flatnonzero(out > 1.0) if truncation else np.zeros(0, np.int64)
+    raw = out[over]
+    out[over] = 1.0
+
+    def vjp(g_out):
+        g_out = g_out.reshape(B * n)
+        if over.size:
+            g_out = g_out.copy()  # the upstream array may be another node's gradient too
+            g_out[over] /= raw
+        grad_a, grad_w = push_vjp(g_out)
+        return grad_a.reshape(B, n), kernels._scatter(key, grad_w, B * kinds).reshape(B, kinds)
+
+    return ad.node(out.reshape(B, n), (a_prev, scores), vjp)
 
 
 def hop_mixture(c: Tensor, steps: list[Tensor]) -> Tensor:
@@ -341,8 +357,7 @@ def _reason(
         else:
             rel_ids, rows = g.frontier_edge_ids(a_prev.data)
             scores = label_relation_scores(q_t, params)
-        raw = transfer_batch(g, a_prev, rel_ids, rows, scores, cfg.aggregation)
-        a_t = truncate(raw) if cfg.use_truncation else raw
+        a_t = transfer_batch(g, a_prev, rel_ids, rows, scores, cfg.aggregation, cfg.use_truncation)
         steps.append(_Step(att.data[:, t], rel_ids if text_form else None, scores, a_t))
         a_prev = a_t
 

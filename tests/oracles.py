@@ -184,6 +184,43 @@ def push_max_backward(pair_heads, pair_tails, argmax, w, a, g):
     return grad_a, grad_w
 
 
+def transfer_composed(g, a_prev, rel_ids, rows, scores, aggregation):
+    """model.transfer_batch without truncation, as the chain of autodiff
+    nodes it once was, over the push oracles above: a gather of the listed
+    weights by flat key row * kinds + kind, a push of the flat (B*n,)
+    scores as a disjoint union of the rows, and reshapes around them.  Max
+    groups the listing by its own sort on (head, tail, listed position), so
+    a tie goes to the relation listed first."""
+    B, n = a_prev.shape
+    kinds = scores.shape[1]
+    if g.form == "label":
+        heads, tails, kind = g.edge_heads, g.edge_tails, g.edge_preds
+    else:
+        heads, tails, kind = g.trel_heads, g.trel_tails, g.trel_text
+    heads, tails = heads[rel_ids] + rows * n, tails[rel_ids] + rows * n
+    w = ad.take(ad.reshape(scores, (B * kinds,)), rows * kinds + kind[rel_ids])
+    a = ad.reshape(a_prev, (B * n,))
+    if aggregation == "sum":
+        out = push_forward(heads, tails, w.data, a.data, B * n)
+
+        def vjp(g_out):
+            return push_backward(heads, tails, w.data, a.data, g_out)
+
+    else:
+        order = np.lexsort((np.arange(heads.size), tails, heads))
+        h, t = heads[order], tails[order]
+        starts = np.flatnonzero((np.diff(h, prepend=-1) != 0) | (np.diff(t, prepend=-1) != 0))
+        out, argmax = push_max_forward(h[starts], t[starts], np.append(starts, h.size), w.data[order], a.data, B * n)
+
+        def vjp(g_out):
+            grad_a, grad_sorted = push_max_backward(h[starts], t[starts], argmax, w.data[order], a.data, g_out)
+            grad_w = np.zeros(heads.size)
+            grad_w[order] = grad_sorted
+            return grad_a, grad_w
+
+    return ad.reshape(ad.node(out, (a, w), vjp), (B, n))
+
+
 def col_scatter_add(index, src, num_out):
     out = np.zeros((src.shape[0], num_out))
     np.add.at(out, (np.arange(src.shape[0])[:, None], index[None, :]), src)
@@ -358,7 +395,7 @@ def build_from_triples_reference(triples):
     entities, predicates, edges, seen = {}, {}, [], set()
     for i, row in enumerate(triples):
         try:
-            h, p, t = row
+            h, p, t = () if isinstance(row, str) else row  # a string's characters are not fields
         except (TypeError, ValueError):
             raise GraphError(f"triple row {i}: expected 3 fields, got {row!r}") from None
         if not (h and p and t) or not all(isinstance(x, str) for x in (h, p, t)):

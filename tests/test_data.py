@@ -700,6 +700,18 @@ def test_load_questions_answer_field_is_a_sorted_set(tmp_path):
     assert load_questions(p)[0].answers == ("a", "b")
 
 
+def test_load_questions_answer_names_share_one_str(tmp_path):
+    """Two answer fields naming the same entity hold one str object for it,
+    and so do two files: the loaded questions keep one copy of each name."""
+    p, q = tmp_path / "qa.txt", tmp_path / "qa2.txt"
+    p.write_text("who directed [Movie_1]\tDirector_7|Writer_3\nwho wrote [Movie_2]\tActor_1|Director_7\n")
+    q.write_text("who directed [Movie_3]\tDirector_7\n")
+    first, second = load_questions(p)
+    (third,) = load_questions(q)
+    assert first.answers == ("Director_7", "Writer_3") and second.answers == ("Actor_1", "Director_7")
+    assert first.answers[0] is second.answers[1] is third.answers[0]
+
+
 def test_resolve_examples_drops_an_unknown_answer(caplog):
     g = build_from_triples([("M1", "directed_by", "P1"), ("M2", "directed_by", "P2")])
     examples = [

@@ -104,10 +104,11 @@ def test_build_from_triples_matches_the_reference_loop(seed):
 
 
 @pytest.mark.parametrize("bad", [("a", "p"), ("a", "p", "b", "c"), None, 7, ("a", "", "b"), (1, "p", "b"),
-                                 ("a", "p", None), ["a", "p", ""], ("a", "p", ["b"])])
+                                 ("a", "p", None), ["a", "p", ""], ("a", "p", ["b"]), "abc"])
 def test_build_from_triples_names_the_malformed_row(bad):
     """A malformed row at index 3 is refused with the reference's message,
-    which names `triple row 3`, after well-formed, list and duplicate rows."""
+    which names `triple row 3`, after well-formed, list and duplicate rows.
+    A string row is not read as its characters, even when it has three."""
     rows = [("a", "p", "b"), ["b", "q", "c"], ("a", "p", "b"), bad, ("c", "p", "a")]
     with pytest.raises(GraphError) as ours:
         build_from_triples(rows)
@@ -115,6 +116,8 @@ def test_build_from_triples_names_the_malformed_row(bad):
         build_from_triples_reference(rows)
     assert str(ours.value) == str(ref.value)
     assert str(ours.value).startswith("triple row 3: ")
+    if isinstance(bad, str):
+        assert str(ours.value) == "triple row 3: expected 3 fields, got 'abc'"
 
 
 def test_edges_listed_by_head_ptr(rng):

@@ -22,7 +22,6 @@ from hoptrace.model import (
     text_relation_scores,
     top_answers,
     transfer_batch,
-    truncate,
 )
 from hoptrace.training import compute_loss
 
@@ -604,48 +603,120 @@ def test_transfer_rejects_unknown_aggregation(rng):
 
 # -- truncation ----------------------------------------------------------------------
 
+# (head, tail, kind) of the truncation case; entities 0 and 1 are joined twice
+TRUNCATION_RELATIONS = [(0, 1, 0), (0, 1, 1), (0, 2, 0), (3, 2, 1), (4, 3, 0), (3, 0, 1), (4, 5, 0), (6, 5, 1), (7, 6, 0)]
 
-def test_truncate_values(rng):
-    a = Tensor(np.array([0.0, 0.4, 1.0, 1.7, 25.0]))
-    out = truncate(a)
-    np.testing.assert_allclose(out.data, truncate_reference(a.data))
-    assert np.all(out.data <= 1.0)
+
+def _truncation_case(form):
+    """A graph of TRUNCATION_RELATIONS in the given form, (2, 8) scores
+    before the step and (2, 2) relation scores whose transfer reaches scores
+    above 1 (1 + 2**-52 and 6e299 among them), exactly 1 (row 1's entity 0,
+    and row 0's entity 1 under max), below 1 and NaN (row 0's entity 5),
+    and the relations listed: the frontier in label form, every relation of
+    every row in text form."""
+    entities = Vocab([f"e{i}" for i in range(8)])
+    if form == "label":
+        g = RelationGraph(entities, Vocab(["p0", "p1"]), [(h, k, t) for h, t, k in TRUNCATION_RELATIONS], [], [], form="label")
+    else:
+        g = RelationGraph(entities, Vocab(), [], ["t0", "t1"], TRUNCATION_RELATIONS, form="text")
+    a0 = np.array([[1.0, 0.0, 0.0, 0.25, 2.0, 0.0, np.nan, 1.0 + 2**-52], [0.5, 0.0, 0.0, 1.0, 1e300, 0.0, 0.3, 0.0]])
+    s0 = np.array([[1.0, 0.5], [0.6, 1.0]])
+    if form == "label":
+        ids, rows = g.frontier_edge_ids(a0)
+    else:
+        ids, rows = np.tile(np.arange(g.num_text_relations), 2), np.repeat([0, 1], g.num_text_relations)
+    return g, a0, s0, ids, rows
+
+
+TRUNCATION_FORMS = [(form, aggregation) for form in ("label", "text") for aggregation in ("sum", "max")]
+
+
+def test_transfer_is_one_node():
+    """The transfer, truncation included, is one graph node whose parents
+    are the scores before the step and the relation scores, in every form
+    and aggregation."""
+    for form, aggregation in TRUNCATION_FORMS:
+        g, a0, s0, ids, rows = _truncation_case(form)
+        a, scores = Tensor(a0, requires_grad=True), Tensor(s0, requires_grad=True)
+        for truncation in (True, False):
+            out = transfer_batch(g, a, ids, rows, scores, aggregation, truncation)
+            assert len(out._parents) == 2
+            assert out._parents[0] is a and out._parents[1] is scores
+
+
+def test_truncate_values():
+    """The truncated transfer is the untruncated reference push with every
+    score above 1 set to 1, NaN kept, for sum and max in both forms."""
+    for form, aggregation in TRUNCATION_FORMS:
+        g, a0, s0, ids, rows = _truncation_case(form)
+        raw = oracles.transfer_composed(g, Tensor(a0), ids, rows, Tensor(s0), aggregation).data
+        out = transfer_batch(g, Tensor(a0), ids, rows, Tensor(s0), aggregation, truncation=True)
+        np.testing.assert_array_equal(out.data, truncate_reference(raw))
+        assert np.all((out.data <= 1.0) | np.isnan(out.data))
+        assert np.any(raw > 1.0) and np.any(raw == 1.0) and np.any((0.0 < raw) & (raw < 1.0)) and np.any(np.isnan(raw))
 
 
 def test_truncate_gradient_slopes():
-    # below 1: slope exactly 1; above 1: slope 1/value (divisor held constant)
-    a = Tensor(np.array([0.3, 4.0]), requires_grad=True)
-    ad.sum_(truncate(a)).backward()
-    np.testing.assert_allclose(a.grad, [1.0, 0.25])
+    """Below 1 the slope through the transfer is the relation score, above
+    1 the score over the raw value (the divisor held constant).  The
+    division leaves the upstream gradient, which a sum hands to its other
+    term as well, untouched."""
+    g = RelationGraph(Vocab([f"e{i}" for i in range(4)]), Vocab(["p"]), [(0, 0, 2), (1, 0, 3)], [], [], form="label")
+    for aggregation in ("sum", "max"):
+        a = Tensor(np.array([[0.3, 4.0, 0.0, 0.0]]), requires_grad=True)
+        scores = Tensor(np.array([[0.5]]), requires_grad=True)
+        other = Tensor(np.zeros((1, 4)), requires_grad=True)
+        ids, rows = g.frontier_edge_ids(a.data)
+        out = transfer_batch(g, a, ids, rows, scores, aggregation, truncation=True)
+        ad.sum_(out + other).backward()
+        np.testing.assert_array_equal(other.grad, np.ones((1, 4)))
+        np.testing.assert_allclose(out.data, [[0.0, 0.0, 0.15, 1.0]])
+        np.testing.assert_allclose(a.grad, [[0.5, 0.5 / 2.0, 0.0, 0.0]])
+        np.testing.assert_allclose(scores.grad, [[0.3 + 4.0 / 2.0]])
 
 
 def test_truncate_gradcheck_away_from_kink(rng):
-    vals = rng.random(12) * 2.0
+    """Random scores pushed one to one under a relation score of 1.  The
+    divisor is frozen, so the analytic gradient g / z matches finite
+    differences only on the identity branch: check values there and
+    slopes directly above."""
+    m = 12
+    g = RelationGraph(Vocab([f"e{i}" for i in range(2 * m)]), Vocab(["p"]), [(i, 0, m + i) for i in range(m)], [], [],
+                      form="label")
+    vals = rng.random(m) * 2.0
     vals[np.abs(vals - 1.0) < 0.1] += 0.2  # finite differences lie at the kink
-    a = Tensor(vals, requires_grad=True)
-    w = Tensor(rng.standard_normal(12))
-    # frozen divisor: analytic gradient g/z only matches finite differences
-    # on the identity branch, so check values there and slopes directly above
+    a0 = np.concatenate([vals, np.zeros(m)])[None]
+    a, scores = Tensor(a0, requires_grad=True), Tensor(np.array([[1.0]]), requires_grad=True)
+    w = rng.standard_normal((1, 2 * m))
+    ids, rows = g.frontier_edge_ids(a0)
+    ad.sum_(transfer_batch(g, a, ids, rows, scores, "sum", truncation=True) * Tensor(w)).backward()
     below = vals <= 1.0
-    out = truncate(a)
-    ad.sum_(out * w).backward()
-    np.testing.assert_allclose(a.grad[below], w.data[below], atol=1e-12)
-    np.testing.assert_allclose(a.grad[~below], w.data[~below] / vals[~below], atol=1e-12)
+    np.testing.assert_allclose(a.grad[0, :m][below], w[0, m:][below], atol=1e-12)
+    np.testing.assert_allclose(a.grad[0, :m][~below], w[0, m:][~below] / vals[~below], atol=1e-12)
+    numeric = oracles.finite_difference(
+        lambda x: np.sum(transfer_batch(g, Tensor(x), ids, rows, scores, "sum", truncation=True).data * w), a0.copy()
+    )
+    np.testing.assert_allclose(a.grad[0, :m][below], numeric[0, :m][below], rtol=0, atol=1e-8)
 
 
 def test_truncate_matches_the_divide_bit_for_bit(rng):
-    """min(a, 1) and its g / fmax(a, 1) vjp equal a / z with z held constant,
-    on scores above, at and below 1, zeros of both signs and NaN."""
-    vals = rng.random((6, 40)) * 3.0
-    vals.flat[:6] = [1.0, 0.0, -0.0, np.nan, 1.0 + 2**-52, 1e300]
-    got_in, want_in = Tensor(vals.copy(), requires_grad=True), Tensor(vals.copy(), requires_grad=True)
-    got, want = truncate(got_in), oracles.truncate_composed(want_in)
-    np.testing.assert_array_equal(got.data, want.data)
-    np.testing.assert_array_equal(np.signbit(got.data), np.signbit(want.data))
-    g = rng.standard_normal(vals.shape)
-    got.backward(g)
-    want.backward(g)
-    np.testing.assert_array_equal(got_in.grad, want_in.grad)
+    """The truncated transfer and its vjp equal the reference push followed
+    by a / z with z held constant, on scores above, at and below 1 and NaN:
+    the output, its zeros' signs and the gradients of both parents, for sum
+    and max in both forms."""
+    for form, aggregation in TRUNCATION_FORMS:
+        g, a0, s0, ids, rows = _truncation_case(form)
+        got_a, got_s = Tensor(a0.copy(), requires_grad=True), Tensor(s0.copy(), requires_grad=True)
+        want_a, want_s = Tensor(a0.copy(), requires_grad=True), Tensor(s0.copy(), requires_grad=True)
+        got = transfer_batch(g, got_a, ids, rows, got_s, aggregation, truncation=True)
+        want = oracles.truncate_composed(oracles.transfer_composed(g, want_a, ids, rows, want_s, aggregation))
+        np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(np.signbit(got.data), np.signbit(want.data))
+        upstream = rng.standard_normal(a0.shape)
+        got.backward(upstream)
+        want.backward(upstream)
+        np.testing.assert_array_equal(got_a.grad, want_a.grad)
+        np.testing.assert_array_equal(got_s.grad, want_s.grad)
 
 
 def test_hop_mixture_node_matches_the_chain_bit_for_bit(rng):
