@@ -210,10 +210,11 @@ def transfer_composed(g, a_prev, rel_ids, rows, scores, aggregation):
         order = np.lexsort((np.arange(heads.size), tails, heads))
         h, t = heads[order], tails[order]
         starts = np.flatnonzero((np.diff(h, prepend=-1) != 0) | (np.diff(t, prepend=-1) != 0))
-        out, argmax = push_max_forward(h[starts], t[starts], np.append(starts, h.size), w.data[order], a.data, B * n)
+        ph, pt, w_sorted = h[starts], t[starts], w.data[order]
+        out, argmax = push_max_forward(ph, pt, np.append(starts, h.size), w_sorted, a.data, B * n)
 
         def vjp(g_out):
-            grad_a, grad_sorted = push_max_backward(h[starts], t[starts], argmax, w.data[order], a.data, g_out)
+            grad_a, grad_sorted = push_max_backward(ph, pt, argmax, w_sorted, a.data, g_out)
             grad_w = np.zeros(heads.size)
             grad_w[order] = grad_sorted
             return grad_a, grad_w
